@@ -20,7 +20,7 @@ from repro.comm.serialization import (
     payload_nbytes,
 )
 from repro.integrity import fold_commit, run_digest_hex
-from repro.obs import EventRecorder, MetricsRegistry, to_gantt_trace
+from repro.runtime.assembly import RunAssembly
 from repro.runtime.config import RunConfig
 
 
@@ -34,17 +34,14 @@ def run_serial(
     blocks when resuming (``resume`` is a
     :class:`~repro.durable.recovery.RecoveredRun`).
     """
-    from repro.backends.threads import open_journal
-
-    proc_size, thread_size = config.partitions_for(problem)
-    partition = problem.build_partition(proc_size)
+    asm = RunAssembly(config, problem, resume)
+    partition, thread_size = asm.partition, asm.thread_size
     state = problem.make_state() if resume is None else resume.state
     committed = dict(resume.committed) if resume is not None else {}
     # The oracle emits the same task lifecycle as the parallel backends
     # (one virtual worker, node 0) so traces are structurally comparable.
-    recorder = EventRecorder() if config.observing else None
-    metrics = MetricsRegistry() if config.observing else None
-    journal = open_journal(config, problem, resume, obs=recorder)
+    recorder, metrics = asm.recorder, asm.metrics
+    journal = asm.open_journal()
     if recorder is not None and committed:
         recorder.emit("resume", None, node=0, n_committed=len(committed))
     # The oracle folds the same rolling run digest as the parallel
@@ -83,13 +80,7 @@ def run_serial(
         total_flops=problem.total_flops(partition),
         run_digest=run_digest_hex(digest_acc) if digest_on else None,
     )
-    if recorder is not None:
-        report.events = recorder.events()
-        if metrics is not None:
-            report.metrics = metrics.snapshot()
-        if config.trace:
-            report.trace = to_gantt_trace(report.events)
-    return state, report
+    return state, asm.finish(report)
 
 
 def _drain(

@@ -69,7 +69,8 @@ from repro.comm.serialization import MESSAGE_ENVELOPE_BYTES
 from repro.dag.parser import DAGParser
 from repro.dag.partition import Partition
 from repro.dag.pattern import DAGPattern
-from repro.obs import EventRecorder, MetricsRegistry, ScheduleTracer, to_gantt_trace
+from repro.obs import EventRecorder, MetricsRegistry, ScheduleTracer
+from repro.runtime.assembly import RunAssembly
 from repro.runtime.config import RunConfig
 from repro.schedulers.policy import SchedulingPolicy, make_policy
 from repro.utils.errors import FaultToleranceExhausted, SchedulerError
@@ -169,9 +170,17 @@ class _SimulatedRun:
     ) -> None:
         self.problem = problem
         self.config = config
-        proc_size, thread_size = config.partitions_for(problem)
-        self.partition: Partition = problem.build_partition(proc_size)
-        self.thread_size = thread_size
+        #: Injectable for model checking: ``repro.check.explore`` passes a
+        #: :class:`~repro.cluster.simcore.ControlledEventQueue` to
+        #: enumerate message-delivery orders. Every event scheduled below
+        #: carries a structural label for that purpose.
+        self.evq = evq if evq is not None else EventQueue()
+        #: Shared run assembly; its telemetry is stamped with *sim-time*
+        #: (the event queue's clock) so exported traces draw the modeled
+        #: schedule.
+        self.asm = RunAssembly(config, problem, resume, clock=self.evq.clock())
+        self.partition: Partition = self.asm.partition
+        self.thread_size = self.asm.thread_size
         self.cluster: ClusterSpec = config.cluster_spec()
         #: Per-node sets of completed task ids (affinity + cache model).
         self.node_done: List[set] = [set() for _ in self.cluster.compute_nodes]
@@ -184,20 +193,12 @@ class _SimulatedRun:
                 history={k: s for k, s in enumerate(self.node_done)},
             )
         else:
-            self.policy = make_policy(
-                config.scheduler,
+            self.policy = self.asm.policy(
                 self.cluster.n_compute_nodes,
-                self.partition.grid.n_block_cols,
-                block_cols=config.bcw_block_cols,
                 cost_fn=lambda bid: problem.block_flops(self.partition, bid),
             )
         self.thread_policy_name = config.thread_scheduler
 
-        #: Injectable for model checking: ``repro.check.explore`` passes a
-        #: :class:`~repro.cluster.simcore.ControlledEventQueue` to
-        #: enumerate message-delivery orders. Every event scheduled below
-        #: carries a structural label for that purpose.
-        self.evq = evq if evq is not None else EventQueue()
         self.nodes = [_Node(spec=s) for s in self.cluster.compute_nodes]
         self.master_nic_free = 0.0
         self.master_cpu_free = 0.0
@@ -239,16 +240,11 @@ class _SimulatedRun:
         self.taint_recomputes = 0
         self.votes_cast = 0
         self.vote_divergences = 0
-        #: Telemetry stream stamped with *sim-time* (the event queue's
-        #: clock) so exported traces draw the modeled schedule, and the
-        #: happens-before log validated after the run (``verify``) — both
-        #: behind the shared :class:`ScheduleTracer`.
-        self.obs: Optional[EventRecorder] = (
-            EventRecorder(self.evq.clock()) if config.observing else None
-        )
-        self.metrics: Optional[MetricsRegistry] = (
-            MetricsRegistry() if config.observing else None
-        )
+        #: The telemetry stream and the happens-before log validated
+        #: after the run (``verify``) — both behind the shared
+        #: :class:`ScheduleTracer`.
+        self.obs: Optional[EventRecorder] = self.asm.recorder
+        self.metrics: Optional[MetricsRegistry] = self.asm.metrics
         self.sched = ScheduleTracer(
             clock=self.evq.clock(),
             verify=config.verify,
@@ -283,9 +279,7 @@ class _SimulatedRun:
                     "resume", None, node=-1, scope="task",
                     n_committed=len(self.committed),
                 )
-        from repro.backends.threads import open_journal
-
-        self.journal = open_journal(config, problem, resume, obs=self.obs)
+        self.journal = self.asm.open_journal()
         if self.journal is not None:
             # ``journal_degrade="checkpoint"`` rescue: the simulator's
             # checkpoints carry no DP state (it computes no cells), just
@@ -1219,8 +1213,7 @@ class _SimulatedRun:
                 )
         wall = _time.perf_counter() - wall_start
         total_threads = self.cluster.total_computing_threads
-        events = self.obs.events() if self.obs is not None else None
-        return RunReport(
+        report = RunReport(
             backend="simulated",
             scheduler=self.config.scheduler,
             algorithm=self.problem.name,
@@ -1249,10 +1242,8 @@ class _SimulatedRun:
             audits_convicted=self.audits_convicted,
             tainted_recomputes=self.taint_recomputes,
             quarantined_workers=tuple(self.quarantined),
-            trace=to_gantt_trace(events) if self.config.trace and events is not None else None,
-            events=events,
-            metrics=self.metrics.snapshot() if self.metrics is not None else None,
         )
+        return self.asm.finish(report)
 
 
 def run_simulated(

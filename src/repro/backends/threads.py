@@ -11,74 +11,14 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
 from repro.algorithms.problem import DPProblem
 from repro.analysis.report import RunReport
-from repro.chaos.channel import ChaosChannel
-from repro.comm.transport import channel_pair
-from repro.cluster.faults import IoPolicy
-from repro.durable.degrade import JournalGuard
-from repro.durable.journal import CommitJournal
-from repro.obs import EventRecorder, MetricsRegistry, to_gantt_trace
+from repro.runtime.assembly import RunAssembly
 from repro.runtime.config import RunConfig
-from repro.runtime.master import MasterPart
-from repro.runtime.slave import SlavePart
-from repro.schedulers.policy import make_policy
-
-
-def open_journal(
-    config: RunConfig, problem: DPProblem, resume, obs=None
-) -> Optional[JournalGuard]:
-    """Shared backend helper: the run's write-ahead journal, if any.
-
-    Fresh runs create (and ``begin``) the journal at ``journal_path``
-    with the chaos kill switch armed; resumed runs reopen the recovered
-    journal for append (truncating any torn tail) with the switch off.
-    Either way the handle comes back wrapped in a
-    :class:`~repro.durable.degrade.JournalGuard`, so every backend gets
-    the same bounded retry-then-degrade ladder
-    (``config.journal_degrade``) when a write hits ENOSPC/EIO — real or
-    injected by ``config.io_fault_plan``.
-    """
-    io_policy = (
-        IoPolicy(config.io_fault_plan, "journal") if config.io_fault_plan else None
-    )
-    if resume is not None:
-        journal = CommitJournal.open_resume(
-            resume.scan,
-            fsync=config.journal_fsync,
-            checkpoint_interval=config.checkpoint_interval,
-            io_policy=io_policy,
-        )
-        return JournalGuard(
-            journal,
-            mode=config.journal_degrade,
-            retries=config.journal_retries,
-            job_id=config.run_id,
-            obs=obs,
-        )
-    if config.journal_path is None:
-        return None
-    journal = CommitJournal.create(
-        config.journal_path,
-        fsync=config.journal_fsync,
-        checkpoint_interval=config.checkpoint_interval,
-        kill_after=config.journal_kill_after,
-        kill_torn=config.journal_kill_torn,
-        io_policy=io_policy,
-    )
-    guard = JournalGuard(
-        journal,
-        mode=config.journal_degrade,
-        retries=config.journal_retries,
-        job_id=config.run_id,
-        obs=obs,
-    )
-    guard.begin(problem, config)
-    return guard
 
 
 def run_threads(
@@ -90,94 +30,11 @@ def run_threads(
     a journaled run: committed sub-tasks are replayed into the DAG parser
     instead of re-dispatched.
     """
-    proc_size, thread_size = config.partitions_for(problem)
-    partition = problem.build_partition(proc_size)
-    policy = make_policy(
-        config.scheduler,
-        config.n_slaves,
-        partition.grid.n_block_cols,
-        block_cols=config.bcw_block_cols,
-    )
-
-    # One shared recorder/registry spans the master, the in-process
-    # slaves, and the channel endpoints (wall-clock domain).
-    recorder = EventRecorder() if config.observing else None
-    metrics = MetricsRegistry() if config.observing else None
-
+    asm = RunAssembly(config, problem, resume)
     stop = threading.Event()
-    slaves = []
-    master_channels = []
-    for k in range(config.n_slaves):
-        master_end, slave_end = channel_pair()
-        if config.message_fault_plan:
-            # The chaos wrapper becomes the master-side endpoint, so both
-            # directions of this slave's traffic pass through it.
-            master_end = ChaosChannel(
-                master_end, config.message_fault_plan, endpoint_index=k
-            )
-        if recorder is not None:
-            master_end.instrument(recorder, endpoint=f"slave{k}")
-        master_channels.append(master_end)
-        slaves.append(
-            SlavePart(
-                slave_id=k,
-                channel=slave_end,
-                problem=problem,
-                partition=partition,
-                thread_partition=thread_size,
-                n_threads=config.threads_per_node,
-                thread_scheduler=config.thread_scheduler,
-                subtask_timeout=config.subtask_timeout,
-                max_retries=config.max_retries,
-                poll_interval=config.poll_interval,
-                fault_plan=config.fault_plan,
-                thread_fault_plan=config.thread_fault_plan,
-                worker_fault_plan=config.worker_fault_plan,
-                hang_duration=config.hang_duration,
-                stop_event=stop,
-                verify=config.verify,
-                obs=recorder,
-                heartbeat_interval=config.heartbeat_interval,
-                integrity=config.integrity,
-            )
-        )
-    journal = open_journal(config, problem, resume, obs=recorder)
-    master = MasterPart(
-        problem,
-        partition,
-        master_channels,
-        policy,
-        task_timeout=config.task_timeout,
-        max_retries=config.max_retries,
-        poll_interval=config.poll_interval,
-        retry_backoff=config.retry_backoff,
-        retry_backoff_max=config.retry_backoff_max,
-        speculate=config.speculate,
-        speculative_factor=config.speculative_factor,
-        speculative_quantile=config.speculative_quantile,
-        blacklist_threshold=config.blacklist_threshold,
-        stall_timeout=config.effective_stall_timeout,
-        verify=config.verify,
-        obs=recorder,
-        metrics=metrics,
-        journal=journal,
-        completed=resume.committed if resume is not None else None,
-        initial_state=resume.state if resume is not None else None,
-        attempts=resume.attempts if resume is not None else None,
-        heartbeat_interval=config.heartbeat_interval,
-        lease_factor=config.lease_factor,
-        integrity=config.integrity,
-        audit_fraction=config.audit_fraction,
-        vote_k=config.vote_k,
-        quarantine_threshold=config.quarantine_threshold,
-        run_digest=resume.run_digest if resume is not None else None,
-        commit_digests=resume.scan.commit_digests if resume is not None else None,
-        # Batched wavefront dispatch works on any channel; the shm plane
-        # (``config.shm``) is meaningless in-process and ignored here.
-        batch_wave=config.batch_wave,
-        max_batch=config.max_batch,
-        job_id=config.run_id,
-    )
+    master_channels, slaves = asm.inprocess_slaves(stop)
+    # ``config.shm`` is meaningless in-process and ignored here.
+    master = asm.master(master_channels)
 
     slave_threads = [
         threading.Thread(target=s.run, daemon=True, name=f"slave{s.slave_id}") for s in slaves
@@ -193,41 +50,4 @@ def run_threads(
             t.join(timeout=10.0)
     elapsed = time.perf_counter() - started
 
-    report = RunReport(
-        backend="threads",
-        scheduler=config.scheduler,
-        algorithm=problem.name,
-        nodes=config.nodes,
-        threads_per_node=config.threads_per_node,
-        makespan=elapsed,
-        wall_time=elapsed,
-        n_tasks=partition.n_blocks,
-        n_subtasks=sum(s.stats.subtasks for s in slaves),
-        messages=master.stats.messages,
-        bytes_to_slaves=master.stats.bytes_to_slaves,
-        bytes_to_master=master.stats.bytes_to_master,
-        faults_recovered=master.stats.faults_recovered,
-        thread_restarts=sum(s.stats.thread_restarts for s in slaves),
-        stale_results=master.stats.stale_results,
-        tasks_per_worker=dict(master.stats.tasks_per_worker),
-        total_flops=problem.total_flops(partition),
-        speculative_redispatches=master.stats.speculative_redispatches,
-        blacklisted_workers=tuple(master.stats.blacklisted_workers),
-        worker_leaks=master.stats.worker_leaks
-        + int(sum(s.stats.extras.get("worker_leaks", 0) for s in slaves)),
-        faults_injected=sum(
-            getattr(ch, "faults_injected", 0) for ch in master_channels
-        ),
-        run_digest=master.stats.run_digest,
-        digest_rejects=master.stats.digest_rejects,
-        audits_convicted=master.stats.audits_convicted,
-        tainted_recomputes=master.stats.tainted_recomputes,
-        quarantined_workers=tuple(master.stats.quarantined_workers),
-    )
-    if recorder is not None:
-        report.events = recorder.events()
-        if metrics is not None:
-            report.metrics = metrics.snapshot()
-        if config.trace:
-            report.trace = to_gantt_trace(report.events)
-    return state, report
+    return state, asm.report("threads", master, elapsed, [s.stats for s in slaves])

@@ -11,8 +11,8 @@ torn-committed journal:
   already treat its parent :class:`FaultToleranceExhausted` as a clean
   abort);
 - ``checkpoint``  — before aborting, compact the journal around a state
-  checkpoint (``tmp + fsync + os.replace`` frees every subsumed record's
-  disk) and retry the failed record once more — the rescue for a
+  checkpoint (the framed log's atomic rewrite frees every subsumed
+  record's disk) and retry the failed record once more — the rescue for a
   journal-filled-the-disk failure where the *data* still fits;
 - ``memory``      — drop durability instead of the run: close and remove
   the journal file (a half-written journal must not be resumable after
@@ -22,15 +22,17 @@ torn-committed journal:
   telemetry event.
 
 Every backend gets the ladder for free because
-:func:`repro.backends.threads.open_journal` wraps its journal here; the
-guard mirrors the :class:`CommitJournal` surface (``commit`` /
-``invalidate`` / ``checkpoint`` / ``end`` / ``should_checkpoint`` /
-``close``), so the master-side call sites are unchanged.
+:meth:`~repro.runtime.assembly.RunAssembly.open_journal` wraps its
+journal here; the guard mirrors the :class:`CommitJournal` surface
+(``commit`` / ``invalidate`` / ``checkpoint`` / ``end`` /
+``should_checkpoint`` / ``close``), so the master-side call sites are
+unchanged.
 
 The retry loop only catches :class:`~repro.utils.errors.JournalIOError`
-— the journal's own writer already repaired the file back to the last
-good frame boundary before raising it, so a retry appends cleanly and
-the committed prefix is CRC-recoverable at every point in between.
+— the framed log underneath already repaired the file back to the last
+good frame boundary before raising it (``docs/fault_tolerance.md``
+§journal), so a retry appends cleanly and the committed prefix is
+CRC-recoverable at every point in between.
 Injected :class:`~repro.utils.errors.MasterCrash` (the kill switch) and
 plain :class:`JournalError` (closed handle, misuse) pass through
 untouched.

@@ -6,13 +6,10 @@ master at *any* point: ``repro resume <journal>`` reconstructs the
 committed DP table region, the computable frontier, and the retry
 budgets, then continues the run to an oracle-identical result.
 
-File layout::
-
-    MAGIC                                  b"REPRO-WALJ\\x01\\n"
-    record*                                length-prefixed, CRC-framed
-
-Each record is ``<u32 payload_len> <u32 crc32(payload)> <payload>``
-(little-endian header, pickled dict payload). Record types:
+The file is a :class:`~repro.durable.framed.FramedLog` (magic
+``b"REPRO-WALJ\\x01\\n"``, then length+CRC framed pickled dicts — frame
+format, torn-tail scan, truncate-repair and the atomic rewrite are
+described there, once). This module owns only the record vocabulary:
 
 - ``begin``      — the problem instance and the full :class:`RunConfig`
   (both pickled), written once at journal creation;
@@ -28,22 +25,18 @@ Each record is ``<u32 payload_len> <u32 crc32(payload)> <payload>``
   the committed task set, the per-task attempt counts, the rolling run
   digest (an order-independent XOR-fold over per-commit content digests,
   :func:`repro.integrity.fold_commit`) and the per-task digests the fold
-  is made of. Writing a checkpoint *compacts the file in place* (atomic
-  rewrite via ``os.replace``), so the journal stays bounded by one
+  is made of. Writing a checkpoint *compacts the file in place* (the
+  framed log's atomic rewrite), so the journal stays bounded by one
   checkpoint plus one checkpoint-interval of commits;
 - ``end``        — the run finished; resume is a no-op replay. Carries
   the final rolling run digest for ``repro resume --check-oracle``.
 
-Torn tails are expected, not exceptional: a crash mid-write leaves a
-record whose length header promises more bytes than exist, or whose CRC
-does not match. :func:`scan_journal` stops at the first bad frame,
-reports it as a diagnostic, and recovery proceeds from the valid prefix
-— the last checkpoint plus every intact commit after it. A journal is
-only *unusable* (:class:`~repro.utils.errors.JournalError`) when the
-magic or the begin record itself is gone.
-
-Durability: every record is flushed; with ``fsync=True`` (the default)
-it is also fsync'd, surviving OS crashes, not just process death.
+Torn tails are expected, not exceptional: :func:`scan_journal` stops at
+the first bad frame, reports it as a diagnostic, and recovery proceeds
+from the valid prefix — the last checkpoint plus every intact commit
+after it. A journal is only *unusable*
+(:class:`~repro.utils.errors.JournalError`) when the magic or the begin
+record itself is gone.
 
 The **kill switch** (``kill_after`` / ``kill_torn``) is the chaos hook:
 after writing the Nth commit the journal raises
@@ -54,34 +47,15 @@ exactly as ``kill -9`` would, deterministically and seedably.
 
 from __future__ import annotations
 
-import io
-import os
-import pickle
-import struct
-import zlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.comm.messages import TaskId
-from repro.utils.errors import JournalError, JournalIOError, MasterCrash
+from repro.durable.framed import HEADER, FramedLog, FrameTail, encode, scan_frames
+from repro.utils.errors import JournalError, MasterCrash
 
 #: File magic, versioned: bump the byte on incompatible format changes.
 MAGIC = b"REPRO-WALJ\x01\n"
-
-#: ``<payload_len> <crc32>`` little-endian frame header.
-_HEADER = struct.Struct("<II")
-
-#: Sanity cap on a single record (1 GiB) — a larger length header is
-#: corruption, not data.
-_MAX_RECORD = 1 << 30
-
-
-def _frame(payload: bytes) -> bytes:
-    return _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
-
-
-def _encode(record: Dict[str, Any]) -> bytes:
-    return _frame(pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL))
 
 
 class CommitJournal:
@@ -96,40 +70,27 @@ class CommitJournal:
 
     def __init__(
         self,
-        path: str,
-        fh: io.BufferedWriter,
+        log: FramedLog,
         *,
-        fsync: bool = True,
         checkpoint_interval: int = 32,
         kill_after: Optional[int] = None,
         kill_torn: bool = False,
-        commits_written: int = 0,
-        io_policy: Optional[Any] = None,
+        begin_raw: Optional[bytes] = None,
     ) -> None:
-        self.path = path
-        self._fh: Optional[io.BufferedWriter] = fh
-        self.fsync = fsync
+        #: The framed file underneath: all I/O, fault injection and
+        #: repair happen there.
+        self.log = log
+        self.path = log.path
         self.checkpoint_interval = max(1, int(checkpoint_interval))
         self.kill_after = kill_after
         self.kill_torn = kill_torn
-        #: Injected resource faults (an :class:`~repro.cluster.faults.IoPolicy`
-        #: or None): consulted before every record write / fsync / the
-        #: checkpoint tmp-file write, raising the injected OSError exactly
-        #: where a real ENOSPC/EIO would surface.
-        self.io_policy = io_policy
         #: Commit records written by *this* handle (kill-switch counter).
-        self.commits_written = commits_written
+        self.commits_written = 0
         #: Commits since the last checkpoint (drives ``should_checkpoint``).
         self.commits_since_checkpoint = 0
         #: Bytes of the begin record (re-written verbatim on compaction).
-        self._begin_raw: Optional[bytes] = None
+        self._begin_raw = begin_raw
         self.checkpoints_written = 0
-        #: File offset after the last fully-written record: the repair
-        #: point a failed write truncates back to, keeping the committed
-        #: prefix CRC-recoverable no matter where an I/O fault lands.
-        self._good_offset = len(MAGIC)
-        #: Record writes that failed (transient or fatal) on this handle.
-        self.write_errors = 0
 
     # -- constructors --------------------------------------------------------
 
@@ -145,17 +106,11 @@ class CommitJournal:
         io_policy: Optional[Any] = None,
     ) -> "CommitJournal":
         """Start a fresh journal (truncates any existing file at ``path``)."""
-        fh = open(path, "wb")
-        fh.write(MAGIC)
-        fh.flush()
         return cls(
-            path,
-            fh,
-            fsync=fsync,
+            FramedLog.create(path, MAGIC, fsync=fsync, io_policy=io_policy),
             checkpoint_interval=checkpoint_interval,
             kill_after=kill_after,
             kill_torn=kill_torn,
-            io_policy=io_policy,
         )
 
     @classmethod
@@ -167,104 +122,28 @@ class CommitJournal:
         checkpoint_interval: int = 32,
         io_policy: Optional[Any] = None,
     ) -> "CommitJournal":
-        """Reopen a scanned journal for append-after-recovery.
-
-        Truncates the file to the scanned valid prefix (dropping any torn
-        tail) so the next record starts on a clean frame boundary.
-        """
-        with open(scan.path, "rb+") as trunc:
-            trunc.truncate(scan.valid_bytes)
-        fh = open(scan.path, "ab")
-        journal = cls(
-            scan.path,
-            fh,
-            fsync=fsync,
+        """Reopen a scanned journal for append-after-recovery (the torn
+        tail, if any, is truncated away; the kill switch stays off)."""
+        return cls(
+            FramedLog.open_resume(
+                scan.path, MAGIC, scan.valid_bytes, fsync=fsync, io_policy=io_policy
+            ),
             checkpoint_interval=checkpoint_interval,
-            commits_written=0,
-            io_policy=io_policy,
+            begin_raw=scan.begin_raw,
         )
-        journal._begin_raw = scan.begin_raw
-        journal._good_offset = scan.valid_bytes
-        return journal
+
+    @property
+    def write_errors(self) -> int:
+        """Record writes that failed (transient or fatal) on this handle."""
+        return self.log.write_errors
 
     # -- record writers -------------------------------------------------------
 
-    def _repair(self) -> None:
-        """Truncate back to the last good frame boundary after a failed
-        write, so the journal's committed prefix stays scan-recoverable.
-
-        Reopens the handle (a buffered writer's state is unknowable after
-        a failed flush). Every step is best-effort: if even the truncate
-        fails, the torn bytes stay on disk — but the CRC/length framing
-        already makes :func:`scan_journal` discard them, so recovery
-        still proceeds from the same good prefix.
-        """
-        if self._fh is not None:
-            try:
-                self._fh.close()
-            except OSError:
-                pass
-            self._fh = None
-        try:
-            os.truncate(self.path, self._good_offset)
-        except OSError:
-            pass
-        try:
-            self._fh = open(self.path, "ab")
-        except OSError:
-            pass  # next _write raises JournalIOError(op="open")
-
-    def _write(self, raw: bytes) -> None:
-        if self._fh is None:
-            # The handle died in a previous repair; surface it as the
-            # retryable I/O error so the degrade ladder (not a crash)
-            # decides what happens next.
-            self.write_errors += 1
-            raise JournalIOError(
-                f"journal {self.path!r} has no usable file handle",
-                op="open", path=self.path,
-            )
-        fault = self.io_policy.fault("write") if self.io_policy else None
-        try:
-            if fault is not None and fault.kind == "partial":
-                # Land a prefix of the frame, then fail: the canonical
-                # torn-record generator the CRC scan must reject.
-                self._fh.write(raw[: fault.cut(len(raw))])
-                self._fh.flush()
-                raise fault.to_oserror()
-            if fault is not None:
-                raise fault.to_oserror()
-            self._fh.write(raw)
-            self._fh.flush()
-        except OSError as exc:
-            self.write_errors += 1
-            self._repair()
-            raise JournalIOError(
-                f"journal write failed on {self.path!r}: {exc}",
-                op="write", errno=exc.errno, path=self.path,
-            ) from exc
-        if self.fsync:
-            try:
-                if self.io_policy:
-                    self.io_policy.check("fsync")
-                os.fsync(self._fh.fileno())
-            except OSError as exc:
-                # The bytes reached the page cache but durability is
-                # refused; truncate the frame back out so a retry
-                # rewrites it whole rather than appending a duplicate.
-                self.write_errors += 1
-                self._repair()
-                raise JournalIOError(
-                    f"journal fsync failed on {self.path!r}: {exc}",
-                    op="fsync", errno=exc.errno, path=self.path,
-                ) from exc
-        self._good_offset += len(raw)
-
     def begin(self, problem: Any, config: Any) -> None:
         """Write the begin record: the problem and config, pickled."""
-        raw = _encode({"type": "begin", "problem": problem, "config": config})
+        raw = encode({"type": "begin", "problem": problem, "config": config})
         self._begin_raw = raw
-        self._write(raw)
+        self.log.append(raw)
 
     def commit(
         self,
@@ -278,11 +157,11 @@ class CommitJournal:
         Returns the framed record size in bytes so callers can account
         the journal's wire cost (the ``journal-write`` telemetry span).
         """
-        raw = _encode({
+        raw = encode({
             "type": "commit", "task": task_id, "epoch": epoch,
             "outputs": outputs, "digest": digest,
         })
-        self._write(raw)
+        self.log.append(raw)
         self.commits_written += 1
         self.commits_since_checkpoint += 1
         if self.kill_after is not None and self.commits_written >= self.kill_after:
@@ -290,7 +169,7 @@ class CommitJournal:
                 # A frame header promising more bytes than follow: the
                 # canonical kill-9-mid-write artifact the CRC/length scan
                 # must detect and recovery must survive.
-                self._write(_HEADER.pack(0x7FFF, 0xDEADBEEF) + b"torn")
+                self.log.append(HEADER.pack(0x7FFF, 0xDEADBEEF) + b"torn")
             raise MasterCrash(
                 f"injected master crash after commit #{self.commits_written} "
                 f"(journal {self.path!r})"
@@ -304,7 +183,7 @@ class CommitJournal:
         rewound, so a crash mid-recompute recovers without the tainted
         commits (the scan subtracts them from the committed set).
         """
-        self._write(_encode({"type": "invalidate", "tasks": tuple(task_ids)}))
+        self.log.append(encode({"type": "invalidate", "tasks": tuple(task_ids)}))
 
     def should_checkpoint(self) -> bool:
         return self.commits_since_checkpoint >= self.checkpoint_interval
@@ -320,14 +199,13 @@ class CommitJournal:
         """Write a compacted checkpoint; returns its payload size in bytes.
 
         The file is atomically rewritten as ``magic + begin + checkpoint``
-        (temp file, fsync, ``os.replace``), discarding the per-commit
-        records the checkpoint subsumes. A crash anywhere during
-        compaction leaves either the old journal or the new one — never a
-        half state — because ``os.replace`` is atomic on POSIX.
+        (:meth:`FramedLog.rewrite`), discarding the per-commit records the
+        checkpoint subsumes. A failed compaction leaves the original
+        journal untouched and still appendable.
         """
         if self._begin_raw is None:
             raise JournalError("checkpoint before begin record")
-        raw = _encode({
+        raw = encode({
             "type": "checkpoint",
             "state": state,
             "committed": dict(committed),
@@ -335,56 +213,17 @@ class CommitJournal:
             "run_digest": run_digest,
             "commit_digests": dict(commit_digests) if commit_digests else {},
         })
-        tmp = self.path + ".compact.tmp"
-        try:
-            with open(tmp, "wb") as out:
-                if self.io_policy:
-                    self.io_policy.check("write")
-                out.write(MAGIC)
-                out.write(self._begin_raw)
-                out.write(raw)
-                out.flush()
-                if self.fsync:
-                    if self.io_policy:
-                        self.io_policy.check("fsync")
-                    os.fsync(out.fileno())
-        except OSError as exc:
-            # Compaction failed before the swap: the original journal is
-            # untouched and still appendable — drop the tmp and report.
-            self.write_errors += 1
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise JournalIOError(
-                f"journal checkpoint failed on {self.path!r}: {exc}",
-                op="checkpoint", errno=exc.errno, path=self.path,
-            ) from exc
-        if self._fh is not None:
-            self._fh.close()
-        os.replace(tmp, self.path)
-        try:
-            self._fh = open(self.path, "ab")
-        except OSError as exc:
-            self._fh = None
-            self.write_errors += 1
-            raise JournalIOError(
-                f"journal reopen after checkpoint failed on {self.path!r}: {exc}",
-                op="open", errno=exc.errno, path=self.path,
-            ) from exc
-        self._good_offset = len(MAGIC) + len(self._begin_raw) + len(raw)
+        self.log.rewrite(self._begin_raw + raw, op="checkpoint")
         self.commits_since_checkpoint = 0
         self.checkpoints_written += 1
         return len(raw)
 
     def end(self, run_digest: Optional[str] = None) -> None:
         """Mark the run complete (resume becomes a pure replay)."""
-        self._write(_encode({"type": "end", "run_digest": run_digest}))
+        self.log.append(encode({"type": "end", "run_digest": run_digest}))
 
     def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+        self.log.close()
 
     def __enter__(self) -> "CommitJournal":
         return self
@@ -394,10 +233,9 @@ class CommitJournal:
 
 
 @dataclass
-class JournalScan:
+class JournalScan(FrameTail):
     """The decoded valid prefix of one journal file."""
 
-    path: str
     problem: Any = None
     config: Any = None
     #: task -> epoch of every committed sub-task (checkpoint + replayed).
@@ -411,12 +249,6 @@ class JournalScan:
     commits_after_checkpoint: List[Tuple[TaskId, int, Optional[Dict[str, Any]]]] = (
         field(default_factory=list)
     )
-    #: Offset of the first byte past the last intact record.
-    valid_bytes: int = 0
-    #: True when the file ends in a torn/corrupt frame (now discarded).
-    truncated: bool = False
-    #: Human-readable account of the torn tail, if any.
-    diagnostic: str = ""
     #: An ``end`` record was read: the run completed.
     ended: bool = False
     #: Raw framed bytes of the begin record (for compaction on resume).
@@ -441,112 +273,54 @@ def scan_journal(path: str) -> JournalScan:
 
     Raises :class:`JournalError` only when the journal is unusable
     (missing, bad magic, no intact begin record). Torn or corrupt tails
-    — short frame, CRC mismatch, undecodable payload — terminate the
-    scan cleanly with ``truncated=True`` and a diagnostic; everything
-    before the bad frame is recovered.
+    terminate the scan cleanly with ``truncated=True`` and a diagnostic;
+    everything before the bad frame is recovered.
     """
     from repro.integrity import fold_commit, run_digest_hex
 
-    try:
-        fh = open(path, "rb")
-    except OSError as exc:
-        raise JournalError(f"cannot open journal {path!r}: {exc}") from exc
     scan = JournalScan(path=path)
     fold_acc = 0
-    with fh:
-        magic = fh.read(len(MAGIC))
-        if magic != MAGIC:
-            raise JournalError(
-                f"{path!r} is not a repro journal (bad magic {magic[:12]!r})"
-            )
-        offset = len(MAGIC)
-        while True:
-            header = fh.read(_HEADER.size)
-            if not header:
-                break  # clean EOF on a frame boundary
-            if len(header) < _HEADER.size:
-                scan.truncated = True
-                scan.diagnostic = (
-                    f"torn frame header at offset {offset} "
-                    f"({len(header)} of {_HEADER.size} bytes)"
-                )
-                break
-            length, crc = _HEADER.unpack(header)
-            if length > _MAX_RECORD:
-                scan.truncated = True
-                scan.diagnostic = (
-                    f"implausible record length {length} at offset {offset} "
-                    "(corrupt header)"
-                )
-                break
-            payload = fh.read(length)
-            if len(payload) < length:
-                scan.truncated = True
-                scan.diagnostic = (
-                    f"torn record at offset {offset}: header promises "
-                    f"{length} bytes, file holds {len(payload)}"
-                )
-                break
-            if zlib.crc32(payload) != crc:
-                scan.truncated = True
-                scan.diagnostic = (
-                    f"CRC mismatch at offset {offset} "
-                    f"(expected {crc:#010x}, got {zlib.crc32(payload):#010x})"
-                )
-                break
-            try:
-                record = pickle.loads(payload)
-                kind = record["type"]
-            except Exception as exc:  # corrupt-but-CRC-colliding payload
-                scan.truncated = True
-                scan.diagnostic = f"undecodable record at offset {offset}: {exc}"
-                break
-            raw = header + payload
-            offset += len(raw)
-            scan.valid_bytes = offset
-            if kind == "begin":
-                scan.problem = record["problem"]
-                scan.config = record["config"]
-                scan.begin_raw = raw
-            elif kind == "commit":
-                task, epoch = record["task"], record["epoch"]
-                digest = record.get("digest")
-                scan.committed[task] = epoch
-                scan.commit_digests[task] = digest
-                scan.commits_after_checkpoint.append(
-                    (task, epoch, record["outputs"])
-                )
-                scan.attempts[task] = max(
-                    scan.attempts.get(task, 0), epoch + 1
-                )
-                fold_acc = fold_commit(fold_acc, task, digest)
-            elif kind == "invalidate":
-                # Taint recompute revoked these commits; subtract them
-                # from the recovered set (retry budgets stay — epochs
-                # must keep outpacing any pre-crash results).
-                tasks = tuple(record["tasks"])
-                scan.invalidations.append(tasks)
-                for task in tasks:
-                    if task in scan.committed:
-                        del scan.committed[task]
-                        fold_acc = fold_commit(
-                            fold_acc, task, scan.commit_digests.pop(task, None)
-                        )
-                scan.commits_after_checkpoint = [
-                    entry
-                    for entry in scan.commits_after_checkpoint
-                    if entry[0] not in tasks
-                ]
-            elif kind == "checkpoint":
-                scan.checkpoint_state = record["state"]
-                scan.committed = dict(record["committed"])
-                scan.attempts = dict(record["attempts"])
-                scan.commits_after_checkpoint = []
-                scan.commit_digests = dict(record.get("commit_digests") or {})
-                stored = record.get("run_digest")
-                fold_acc = int(stored, 16) if stored else 0
-            elif kind == "end":
-                scan.ended = True
+    for _offset, raw, record in scan_frames(scan, MAGIC):
+        kind = record["type"]
+        if kind == "begin":
+            scan.problem = record["problem"]
+            scan.config = record["config"]
+            scan.begin_raw = raw
+        elif kind == "commit":
+            task, epoch = record["task"], record["epoch"]
+            digest = record.get("digest")
+            scan.committed[task] = epoch
+            scan.commit_digests[task] = digest
+            scan.commits_after_checkpoint.append((task, epoch, record["outputs"]))
+            scan.attempts[task] = max(scan.attempts.get(task, 0), epoch + 1)
+            fold_acc = fold_commit(fold_acc, task, digest)
+        elif kind == "invalidate":
+            # Taint recompute revoked these commits; subtract them
+            # from the recovered set (retry budgets stay — epochs
+            # must keep outpacing any pre-crash results).
+            tasks = tuple(record["tasks"])
+            scan.invalidations.append(tasks)
+            for task in tasks:
+                if task in scan.committed:
+                    del scan.committed[task]
+                    fold_acc = fold_commit(
+                        fold_acc, task, scan.commit_digests.pop(task, None)
+                    )
+            scan.commits_after_checkpoint = [
+                entry
+                for entry in scan.commits_after_checkpoint
+                if entry[0] not in tasks
+            ]
+        elif kind == "checkpoint":
+            scan.checkpoint_state = record["state"]
+            scan.committed = dict(record["committed"])
+            scan.attempts = dict(record["attempts"])
+            scan.commits_after_checkpoint = []
+            scan.commit_digests = dict(record.get("commit_digests") or {})
+            stored = record.get("run_digest")
+            fold_acc = int(stored, 16) if stored else 0
+        elif kind == "end":
+            scan.ended = True
     scan.run_digest = run_digest_hex(fold_acc)
     if scan.begin_raw is None:
         raise JournalError(

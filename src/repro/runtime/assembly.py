@@ -1,0 +1,289 @@
+"""Run assembly: the one ``RunConfig`` (+ ``RecoveredRun``) → parts mapping.
+
+Every way of running a DP problem — the threads and processes backends,
+each job of the ``repro serve`` daemon, and (for the journal, policy and
+report pieces they share) the serial oracle and the simulator — builds
+its master, slaves, channels, journal and report through this module, so
+a knob added to :class:`~repro.runtime.config.RunConfig` is wired exactly
+once and no driver can silently drop one.
+
+``MasterPart`` and ``SlavePart`` keep plain keyword constructors (tests
+and :func:`~repro.runtime.slave.slave_process_main` build them
+directly); this module is the only place in the package that fills those
+keywords from a config.
+"""
+
+from __future__ import annotations
+
+import threading
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+
+from repro.algorithms.problem import DPProblem
+from repro.analysis.report import RunReport
+from repro.chaos.channel import ChaosChannel
+from repro.cluster.faults import IoPolicy
+from repro.comm.shm import BlockStore, ShmChannel
+from repro.comm.transport import Channel, channel_pair
+from repro.dag.partition import Partition
+from repro.durable.degrade import JournalGuard
+from repro.durable.journal import CommitJournal
+from repro.obs import EventRecorder, MetricsRegistry, to_gantt_trace
+from repro.obs.clock import Clock
+from repro.runtime.config import BCW_BLOCK_COLS, SPECULATIVE_QUANTILE, RunConfig
+from repro.runtime.master import MasterPart
+from repro.runtime.slave import SlavePart, SlaveStats
+from repro.schedulers.policy import SchedulingPolicy, make_policy
+
+
+def io_policy(config: RunConfig, stream: str) -> Optional[IoPolicy]:
+    """This run's injected-I/O-fault view for one stream, if any."""
+    return IoPolicy(config.io_fault_plan, stream) if config.io_fault_plan else None
+
+
+def slave_options(config: RunConfig) -> Dict[str, Any]:
+    """The :class:`SlavePart` keywords a config determines — passed to
+    the constructor in-process and pickled to
+    :func:`~repro.runtime.slave.slave_process_main` across processes."""
+    return dict(
+        thread_scheduler=config.thread_scheduler,
+        subtask_timeout=config.subtask_timeout,
+        max_retries=config.max_retries,
+        poll_interval=config.poll_interval,
+        fault_plan=config.fault_plan,
+        thread_fault_plan=config.thread_fault_plan,
+        worker_fault_plan=config.worker_fault_plan,
+        hang_duration=config.hang_duration,
+        verify=config.verify,
+        heartbeat_interval=config.heartbeat_interval,
+        integrity=config.integrity,
+    )
+
+
+class RunAssembly:
+    """One run's wiring: partition, telemetry, and the parts built on them.
+
+    ``resume`` (a :class:`~repro.durable.recovery.RecoveredRun`) makes
+    the journal reopen for append and the master start from the
+    recovered commits, state, retry budgets and digests. ``clock`` sets
+    the telemetry time domain (the simulator passes its sim-time clock;
+    real backends record wall-clock).
+    """
+
+    def __init__(
+        self,
+        config: RunConfig,
+        problem: DPProblem,
+        resume: Any = None,
+        clock: Optional[Clock] = None,
+    ) -> None:
+        self.config = config
+        self.problem = problem
+        self.resume = resume
+        self.proc_size, self.thread_size = config.partitions_for(problem)
+        self.partition: Partition = problem.build_partition(self.proc_size)
+        # One shared recorder/registry spans the master, any in-process
+        # slaves, and the channel endpoints; nothing is built when
+        # nothing observes — the zero-cost path.
+        self.recorder = EventRecorder(clock) if config.observing else None
+        self.metrics = MetricsRegistry() if config.observing else None
+
+    def open_journal(self) -> Optional[JournalGuard]:
+        """The run's write-ahead journal, if any.
+
+        Fresh runs create (and ``begin``) the journal at ``journal_path``
+        with the chaos kill switch armed; resumed runs reopen the
+        recovered journal for append (truncating any torn tail) with the
+        switch off. Either way the handle comes back wrapped in a
+        :class:`~repro.durable.degrade.JournalGuard`, so every backend
+        gets the same bounded retry-then-degrade ladder
+        (``config.journal_degrade``) when a write hits ENOSPC/EIO — real
+        or injected by ``config.io_fault_plan``.
+        """
+        config, resume = self.config, self.resume
+        if resume is None and config.journal_path is None:
+            return None
+        common = dict(
+            fsync=config.journal_fsync,
+            checkpoint_interval=config.checkpoint_interval,
+            io_policy=io_policy(config, "journal"),
+        )
+        if resume is not None:
+            journal = CommitJournal.open_resume(resume.scan, **common)
+        else:
+            journal = CommitJournal.create(
+                config.journal_path,
+                kill_after=config.journal_kill_after,
+                kill_torn=config.journal_kill_torn,
+                **common,
+            )
+        guard = JournalGuard(
+            journal,
+            mode=config.journal_degrade,
+            retries=config.journal_retries,
+            job_id=config.run_id,
+            obs=self.recorder,
+        )
+        if resume is None:
+            guard.begin(self.problem, config)
+        return guard
+
+    def policy(self, n_workers: int, cost_fn: Optional[Callable] = None) -> SchedulingPolicy:
+        """The processor-level scheduling policy ``config.scheduler`` names."""
+        return make_policy(
+            self.config.scheduler,
+            n_workers,
+            self.partition.grid.n_block_cols,
+            block_cols=BCW_BLOCK_COLS,
+            cost_fn=cost_fn,
+        )
+
+    def finish(self, report: RunReport) -> RunReport:
+        """Report epilogue shared by all four backends: the recorded
+        event stream, the metrics snapshot and (``config.trace``) the
+        Gantt trace."""
+        if self.recorder is not None:
+            report.events = self.recorder.events()
+            if self.metrics is not None:
+                report.metrics = self.metrics.snapshot()
+            if self.config.trace:
+                report.trace = to_gantt_trace(report.events)
+        return report
+
+    def master_channel(
+        self, channel: Channel, index: int, store: Optional[BlockStore] = None
+    ) -> Channel:
+        """Stack the master-side endpoint of slave ``index``: shm, then
+        chaos, then instrumentation."""
+        endpoint = f"slave{index}"
+        if store is not None:
+            # The shm wrapper sits directly on the transport; chaos wraps
+            # *outside* it, so injected faults mutate the decoded arrays
+            # the runtime sees, never the opaque segment refs.
+            # Instrumented on its own: per-message telemetry accrues on
+            # the outermost wrapper, but the ``shm-attach`` span is
+            # emitted by this layer regardless of what wraps it.
+            channel = ShmChannel(channel, store)
+            if self.recorder is not None:
+                channel.instrument(self.recorder, endpoint=endpoint)
+        plan = self.config.message_fault_plan
+        if plan:
+            # Chaos wraps the master-side endpoint only — the plan never
+            # crosses to the slave, and both directions of this slave's
+            # traffic still pass through it.
+            channel = ChaosChannel(channel, plan, endpoint_index=index)
+        if self.recorder is not None:
+            channel.instrument(self.recorder, endpoint=endpoint)
+        return channel
+
+    def slave(self, slave_id: int, channel: Channel, stop: threading.Event) -> SlavePart:
+        """One in-process slave part on its end of a channel."""
+        return SlavePart(
+            slave_id=slave_id,
+            channel=channel,
+            problem=self.problem,
+            partition=self.partition,
+            thread_partition=self.thread_size,
+            n_threads=self.config.threads_per_node,
+            stop_event=stop,
+            obs=self.recorder,
+            **slave_options(self.config),
+        )
+
+    def inprocess_slaves(
+        self, stop: threading.Event
+    ) -> Tuple[List[Channel], List[SlavePart]]:
+        """``config.n_slaves`` slave parts over queue channels: the
+        stacked master-side endpoints and the parts to run on threads."""
+        channels: List[Channel] = []
+        slaves: List[SlavePart] = []
+        for k in range(self.config.n_slaves):
+            master_end, slave_end = channel_pair()
+            channels.append(self.master_channel(master_end, k))
+            slaves.append(self.slave(k, slave_end, stop))
+        return channels, slaves
+
+    def master(
+        self, channels: Sequence[Channel], block_store: Optional[BlockStore] = None
+    ) -> MasterPart:
+        """The master part over ``channels``, its journal opened."""
+        config, resume = self.config, self.resume
+        return MasterPart(
+            self.problem,
+            self.partition,
+            channels,
+            self.policy(len(channels)),
+            task_timeout=config.task_timeout,
+            max_retries=config.max_retries,
+            poll_interval=config.poll_interval,
+            retry_backoff=config.retry_backoff,
+            retry_backoff_max=config.retry_backoff_max,
+            speculate=config.speculate,
+            speculative_factor=config.speculative_factor,
+            speculative_quantile=SPECULATIVE_QUANTILE,
+            blacklist_threshold=config.blacklist_threshold,
+            stall_timeout=config.effective_stall_timeout,
+            verify=config.verify,
+            obs=self.recorder,
+            metrics=self.metrics,
+            journal=self.open_journal(),
+            completed=resume.committed if resume is not None else None,
+            initial_state=resume.state if resume is not None else None,
+            attempts=resume.attempts if resume is not None else None,
+            heartbeat_interval=config.heartbeat_interval,
+            lease_factor=config.lease_factor,
+            integrity=config.integrity,
+            audit_fraction=config.audit_fraction,
+            vote_k=config.vote_k,
+            quarantine_threshold=config.quarantine_threshold,
+            run_digest=resume.run_digest if resume is not None else None,
+            commit_digests=resume.scan.commit_digests if resume is not None else None,
+            # Batched wavefront dispatch works on any channel; the shm
+            # plane (``block_store``) only exists across processes.
+            batch_wave=config.batch_wave,
+            max_batch=config.max_batch,
+            block_store=block_store,
+            job_id=config.run_id,
+        )
+
+    def report(
+        self,
+        backend: str,
+        master: MasterPart,
+        elapsed: float,
+        slave_stats: Sequence[SlaveStats] = (),
+    ) -> RunReport:
+        """Fold the master's counters (and the slaves', where they share
+        the process) and the telemetry into the run report."""
+        config, stats = self.config, master.stats
+        report = RunReport(
+            backend=backend,
+            scheduler=config.scheduler,
+            algorithm=self.problem.name,
+            nodes=config.nodes,
+            threads_per_node=config.threads_per_node,
+            makespan=elapsed,
+            wall_time=elapsed,
+            n_tasks=self.partition.n_blocks,
+            n_subtasks=sum(s.subtasks for s in slave_stats),
+            messages=stats.messages,
+            bytes_to_slaves=stats.bytes_to_slaves,
+            bytes_to_master=stats.bytes_to_master,
+            faults_recovered=stats.faults_recovered,
+            thread_restarts=sum(s.thread_restarts for s in slave_stats),
+            stale_results=stats.stale_results,
+            tasks_per_worker=dict(stats.tasks_per_worker),
+            total_flops=self.problem.total_flops(self.partition),
+            speculative_redispatches=stats.speculative_redispatches,
+            blacklisted_workers=tuple(stats.blacklisted_workers),
+            worker_leaks=stats.worker_leaks
+            + int(sum(s.extras.get("worker_leaks", 0) for s in slave_stats)),
+            faults_injected=sum(
+                getattr(ch, "faults_injected", 0) for ch in master.channels
+            ),
+            run_digest=stats.run_digest,
+            digest_rejects=stats.digest_rejects,
+            audits_convicted=stats.audits_convicted,
+            tainted_recomputes=stats.tainted_recomputes,
+            quarantined_workers=tuple(stats.quarantined_workers),
+        )
+        return self.finish(report)

@@ -32,79 +32,43 @@ BACKENDS = ("serial", "threads", "processes", "simulated")
 JOURNAL_DEGRADE_MODES = ("abort", "checkpoint", "memory")
 
 
-def _verify_default() -> bool:
-    """Default of :attr:`RunConfig.verify`: the ``REPRO_VERIFY`` env var.
+#: Quantile of completed task durations the straggler detector
+#: (``RunConfig.speculate``) takes as its baseline.
+SPECULATIVE_QUANTILE = 0.95
 
-    Lets an entire test suite (or CI job) run with the happens-before
-    trace validator on — ``REPRO_VERIFY=1 pytest`` — without touching any
-    call site.
+#: BCW column grouping (the baseline's ``block_col`` argument) every run
+#: uses; :class:`~repro.schedulers.policy.BlockCyclicWavefrontPolicy`
+#: itself still takes any grouping.
+BCW_BLOCK_COLS = 1
+
+
+#: kind -> (parser, how the :class:`ConfigError` words a rejected value).
+_ENV_KINDS = {
+    str: (str, "a string"),
+    bool: (lambda raw: raw.lower() in ("1", "true", "yes", "on"), "a boolean"),
+    int: (int, "an integer"),
+    float: (float, "a number"),
+}
+
+
+def _env(name: str, default, kind: type = str):
+    """Default factory: a knob overridable via its ``REPRO_*`` env var.
+
+    Unset or blank keeps ``default``; a ``None`` default (the optional
+    knobs) additionally reads a literal ``none`` as unset. Lets an entire
+    test suite or CI job flip a knob — ``REPRO_VERIFY=1 pytest`` —
+    without touching any call site.
     """
-    return os.environ.get("REPRO_VERIFY", "").strip().lower() in ("1", "true", "yes", "on")
+    parse, described = _ENV_KINDS[kind]
 
-
-def _env_bool(name: str, default: bool):
-    """Default factory: boolean knob overridable via ``REPRO_*`` env var."""
-
-    def factory() -> bool:
-        raw = os.environ.get(name, "").strip().lower()
-        if not raw:
-            return default
-        return raw in ("1", "true", "yes", "on")
-
-    return factory
-
-
-def _env_float(name: str, default: float):
-    """Default factory: float knob overridable via ``REPRO_*`` env var."""
-
-    def factory() -> float:
+    def factory():
         raw = os.environ.get(name, "").strip()
-        if not raw:
+        if not raw or (default is None and raw.lower() == "none"):
             return default
         try:
-            return float(raw)
+            return parse(raw)
         except ValueError:
-            raise ConfigError(f"env var {name} must be a number, got {raw!r}")
-
-    return factory
-
-
-def _env_opt_float(name: str):
-    """Default factory: optional float knob (``none``/unset -> None)."""
-
-    def factory() -> Optional[float]:
-        raw = os.environ.get(name, "").strip()
-        if not raw or raw.lower() == "none":
-            return None
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"env var {name} must be a number, got {raw!r}")
-
-    return factory
-
-
-def _env_str(name: str, default: str):
-    """Default factory: string knob overridable via ``REPRO_*`` env var."""
-
-    def factory() -> str:
-        raw = os.environ.get(name, "").strip()
-        return raw if raw else default
-
-    return factory
-
-
-def _env_int(name: str, default: int):
-    """Default factory: int knob overridable via ``REPRO_*`` env var."""
-
-    def factory() -> int:
-        raw = os.environ.get(name, "").strip()
-        if not raw:
-            return default
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"env var {name} must be an integer, got {raw!r}")
+            raise ConfigError(f"env var {name} must be {described}, got {raw!r}")
 
     return factory
 
@@ -131,7 +95,7 @@ class RunConfig:
     thread_partition: Optional[BlockShape] = None
     #: Seconds before a dispatched sub-task is declared failed (Fig 10).
     #: Overridable via ``REPRO_TASK_TIMEOUT``.
-    task_timeout: float = field(default_factory=_env_float("REPRO_TASK_TIMEOUT", 30.0))
+    task_timeout: float = field(default_factory=_env("REPRO_TASK_TIMEOUT", 30.0, float))
     #: Seconds before a sub-sub-task restarts its computing thread (Fig 12).
     subtask_timeout: float = 10.0
     #: Re-dispatches allowed per sub-task before the run aborts.
@@ -162,12 +126,12 @@ class RunConfig:
     #: ``resource-degrade`` obs event. Overridable via
     #: ``REPRO_JOURNAL_DEGRADE``.
     journal_degrade: str = field(
-        default_factory=_env_str("REPRO_JOURNAL_DEGRADE", "abort")
+        default_factory=_env("REPRO_JOURNAL_DEGRADE", "abort")
     )
     #: In-place retries of a failed journal/WAL record write before the
     #: :attr:`journal_degrade` policy engages (transient ENOSPC/EIO
     #: absorb here). Overridable via ``REPRO_JOURNAL_RETRIES``.
-    journal_retries: int = field(default_factory=_env_int("REPRO_JOURNAL_RETRIES", 2))
+    journal_retries: int = field(default_factory=_env("REPRO_JOURNAL_RETRIES", 2, int))
     #: How long a "hang" fault sleeps before replying late, seconds.
     hang_duration: float = 1.0
     #: Base delay before re-dispatching a timed-out sub-task, seconds;
@@ -178,7 +142,7 @@ class RunConfig:
     #: Ceiling of the exponential retry backoff, seconds.
     retry_backoff_max: float = 2.0
     #: Speculatively re-dispatch straggler sub-tasks: a live dispatch older
-    #: than :attr:`speculative_factor` x the :attr:`speculative_quantile`
+    #: than :attr:`speculative_factor` x the :data:`SPECULATIVE_QUANTILE`
     #: of completed task durations is cancelled and re-queued before its
     #: timeout. Speculative re-dispatches do not count against the retry
     #: budget. Real backends only (the simulator's stragglers are modeled
@@ -187,8 +151,6 @@ class RunConfig:
     #: Straggler multiple over the duration quantile that triggers
     #: speculation.
     speculative_factor: float = 2.0
-    #: Quantile of completed durations used as the speculation baseline.
-    speculative_quantile: float = 0.95
     #: Blacklist a worker after this many timeout-attributed failures;
     #: its in-flight work is re-queued and it receives no further tasks.
     #: Degrades gracefully: the last healthy worker is never blacklisted.
@@ -200,7 +162,7 @@ class RunConfig:
     #: storm ends in a clean abort, never a hang. None derives
     #: ``2 * task_timeout + 1``. Overridable via ``REPRO_STALL_TIMEOUT``.
     stall_timeout: Optional[float] = field(
-        default_factory=_env_opt_float("REPRO_STALL_TIMEOUT")
+        default_factory=_env("REPRO_STALL_TIMEOUT", None, float)
     )
     #: Path of the write-ahead commit journal (:mod:`repro.durable`); the
     #: master writes through on every commit and ``repro resume`` can
@@ -210,16 +172,16 @@ class RunConfig:
     #: committed DP region + retry budgets). Overridable via
     #: ``REPRO_CHECKPOINT_INTERVAL``.
     checkpoint_interval: int = field(
-        default_factory=_env_int("REPRO_CHECKPOINT_INTERVAL", 32)
+        default_factory=_env("REPRO_CHECKPOINT_INTERVAL", 32, int)
     )
     #: fsync the journal after every record (survives OS crashes, not just
     #: process death). Overridable via ``REPRO_JOURNAL_FSYNC``.
-    journal_fsync: bool = field(default_factory=_env_bool("REPRO_JOURNAL_FSYNC", True))
+    journal_fsync: bool = field(default_factory=_env("REPRO_JOURNAL_FSYNC", True, bool))
     #: Modeled per-record journal write latency charged to the master in
     #: sim-time (simulated backend only). Overridable via
     #: ``REPRO_JOURNAL_LATENCY``.
     journal_latency: float = field(
-        default_factory=_env_float("REPRO_JOURNAL_LATENCY", 0.0005)
+        default_factory=_env("REPRO_JOURNAL_LATENCY", 0.0005, float)
     )
     #: Chaos kill switch: raise :class:`~repro.utils.errors.MasterCrash`
     #: after this many journal commit records — the in-process equivalent
@@ -234,16 +196,14 @@ class RunConfig:
     #: re-dispatch before the hard timeout). None keeps the paper's
     #: inference-only liveness. Overridable via ``REPRO_HEARTBEAT_INTERVAL``.
     heartbeat_interval: Optional[float] = field(
-        default_factory=_env_opt_float("REPRO_HEARTBEAT_INTERVAL")
+        default_factory=_env("REPRO_HEARTBEAT_INTERVAL", None, float)
     )
     #: Lease duration as a multiple of the heartbeat interval (tolerates
     #: ``lease_factor - 1`` consecutive lost heartbeats). Overridable via
     #: ``REPRO_LEASE_FACTOR``.
-    lease_factor: float = field(default_factory=_env_float("REPRO_LEASE_FACTOR", 3.0))
+    lease_factor: float = field(default_factory=_env("REPRO_LEASE_FACTOR", 3.0, float))
     #: Simulated-cluster description; None derives one from nodes/threads.
     cluster: Optional[ClusterSpec] = None
-    #: BCW column grouping (the baseline's ``block_col`` argument).
-    bcw_block_cols: int = 1
     #: Record a per-sub-task schedule trace on any backend; the report's
     #: ``trace`` then feeds :mod:`repro.analysis.gantt`. Implies
     #: ``observe`` (the trace is derived from the telemetry stream).
@@ -268,7 +228,7 @@ class RunConfig:
     #: :class:`~repro.utils.errors.CheckError` instead of returning wrong
     #: cells. Defaults from the ``REPRO_VERIFY`` environment variable so a
     #: whole test run can opt in at once.
-    verify: bool = field(default_factory=_verify_default)
+    verify: bool = field(default_factory=_env("REPRO_VERIFY", False, bool))
     #: End-to-end result integrity mode (:mod:`repro.integrity`):
     #: ``"off"`` computes no digests (zero-cost path), ``"digest"`` stamps
     #: and verifies canonical content digests on every TaskAssign/
@@ -277,22 +237,22 @@ class RunConfig:
     #: closure of any convicted block, ``"vote"`` requires ``vote_k``
     #: agreeing results from distinct workers per commit (escalating to 3
     #: on divergence). Overridable via ``REPRO_INTEGRITY``.
-    integrity: str = field(default_factory=_env_str("REPRO_INTEGRITY", "digest"))
+    integrity: str = field(default_factory=_env("REPRO_INTEGRITY", "digest"))
     #: Fraction of commits audited under ``integrity="audit"`` (a
     #: deterministic per-task sample, budget-exempt). Overridable via
     #: ``REPRO_AUDIT_FRACTION``.
     audit_fraction: float = field(
-        default_factory=_env_float("REPRO_AUDIT_FRACTION", 0.125)
+        default_factory=_env("REPRO_AUDIT_FRACTION", 0.125, float)
     )
     #: Agreeing results required per commit under ``integrity="vote"``.
     #: Overridable via ``REPRO_VOTE_K``.
-    vote_k: int = field(default_factory=_env_int("REPRO_VOTE_K", 2))
+    vote_k: int = field(default_factory=_env("REPRO_VOTE_K", 2, int))
     #: Quarantine a worker after this many divergence convictions (audit
     #: mismatches or lost votes). Distinct from the liveness blacklist:
     #: a lying worker still heartbeats, so only conviction removes it.
     #: Overridable via ``REPRO_QUARANTINE_THRESHOLD``.
     quarantine_threshold: int = field(
-        default_factory=_env_int("REPRO_QUARANTINE_THRESHOLD", 2)
+        default_factory=_env("REPRO_QUARANTINE_THRESHOLD", 2, int)
     )
     #: Batched wavefront dispatch: an idle worker gets an entire
     #: computable anti-diagonal wave (up to :attr:`max_batch` sub-tasks)
@@ -302,17 +262,17 @@ class RunConfig:
     #: digest, and journal commit, so retry/durability/SDC semantics are
     #: unchanged. Off by default (one task per message, the paper's
     #: protocol). Overridable via ``REPRO_BATCH_WAVE``.
-    batch_wave: bool = field(default_factory=_env_bool("REPRO_BATCH_WAVE", False))
+    batch_wave: bool = field(default_factory=_env("REPRO_BATCH_WAVE", False, bool))
     #: Largest wave one ``BatchAssign`` may carry. Overridable via
     #: ``REPRO_MAX_BATCH``.
-    max_batch: int = field(default_factory=_env_int("REPRO_MAX_BATCH", 8))
+    max_batch: int = field(default_factory=_env("REPRO_MAX_BATCH", 8, int))
     #: Zero-copy shared-memory data plane (processes backend only):
     #: large block payloads move through ``multiprocessing.shared_memory``
     #: segments as :class:`~repro.comm.messages.BlockRef` handles instead
     #: of being pickled through the pipe (:mod:`repro.comm.shm`). Other
     #: backends ignore it (threads already share memory; serial and
     #: simulated move no real bytes). Overridable via ``REPRO_SHM``.
-    shm: bool = field(default_factory=_env_bool("REPRO_SHM", False))
+    shm: bool = field(default_factory=_env("REPRO_SHM", False, bool))
     #: Stable identifier of this run within a multi-run process (the
     #: ``repro serve`` daemon sets it to the job id). Keys the shm
     #: segment namespace (:func:`repro.comm.shm.run_prefix`) so each
@@ -355,10 +315,6 @@ class RunConfig:
         if self.speculative_factor <= 1.0:
             raise ConfigError(
                 f"speculative_factor must be > 1, got {self.speculative_factor}"
-            )
-        if not 0.0 < self.speculative_quantile < 1.0:
-            raise ConfigError(
-                f"speculative_quantile must be in (0, 1), got {self.speculative_quantile}"
             )
         if self.blacklist_threshold is not None and self.blacklist_threshold < 1:
             raise ConfigError(

@@ -86,10 +86,9 @@ class _JobContext:
     """Everything the runner/watchdog/growth paths need for one live job."""
 
     record: JobRecord
-    problem: Any
-    partition: Any
-    thread_size: Tuple[int, int]
-    config: Any
+    #: The job's :class:`~repro.runtime.assembly.RunAssembly` (config,
+    #: problem, partition) — what a mid-run attached slave is built from.
+    asm: Any
     stop: threading.Event
     master: Any
     worker_ids: Tuple[int, ...]
@@ -378,7 +377,6 @@ class ServeDaemon:
     def _job_config(self, record: JobRecord, n_workers: int) -> Any:
         from dataclasses import replace
 
-        from repro.chaos.channel import ChaosChannel  # noqa: F401 — wired below
         from repro.cluster.faults import FaultPlan, MessageFaultPlan, WorkerFaultPlan
 
         spec = record.spec
@@ -410,12 +408,8 @@ class ServeDaemon:
 
     def _launch(self, record: JobRecord, worker_ids: Tuple[int, ...]) -> None:
         """Wire one job's master/slaves over the acquired fleet workers."""
-        from repro.backends.threads import open_journal
-        from repro.chaos.channel import ChaosChannel
-        from repro.comm.transport import channel_pair
         from repro.durable.recovery import recover
-        from repro.runtime.master import MasterPart
-        from repro.schedulers.policy import make_policy
+        from repro.runtime.assembly import RunAssembly
 
         spec = record.spec
         rec = None
@@ -427,49 +421,13 @@ class ServeDaemon:
                 rec = None  # torn beyond use: rerun from scratch
         config = self._job_config(record, len(worker_ids))
         problem = rec.problem if rec is not None else build_problem(spec)
-        proc_size, thread_size = config.partitions_for(problem)
-        partition = problem.build_partition(proc_size)
-        policy = make_policy(config.scheduler, len(worker_ids),
-                             partition.grid.n_block_cols)
 
+        # The same assembly path as the threads backend, one slave per
+        # acquired fleet worker (``config.nodes`` was sized to them).
+        asm = RunAssembly(config, problem, rec)
         stop = threading.Event()
-        master_channels = []
-        slaves = []
-        for k, _worker_id in enumerate(worker_ids):
-            master_end, slave_end = channel_pair()
-            if config.message_fault_plan:
-                master_end = ChaosChannel(
-                    master_end, config.message_fault_plan, endpoint_index=k
-                )
-            master_channels.append(master_end)
-            slaves.append(self._make_slave(
-                k, slave_end, problem, partition, thread_size, config, stop
-            ))
-        journal = open_journal(config, problem, rec)
-        master = MasterPart(
-            problem, partition, master_channels, policy,
-            task_timeout=config.task_timeout,
-            max_retries=config.max_retries,
-            poll_interval=config.poll_interval,
-            retry_backoff=config.retry_backoff,
-            retry_backoff_max=config.retry_backoff_max,
-            blacklist_threshold=config.blacklist_threshold,
-            stall_timeout=config.effective_stall_timeout,
-            verify=config.verify,
-            journal=journal,
-            completed=rec.committed if rec is not None else None,
-            initial_state=rec.state if rec is not None else None,
-            attempts=rec.attempts if rec is not None else None,
-            heartbeat_interval=config.heartbeat_interval,
-            lease_factor=config.lease_factor,
-            integrity=config.integrity,
-            audit_fraction=config.audit_fraction,
-            vote_k=config.vote_k,
-            quarantine_threshold=config.quarantine_threshold,
-            run_digest=rec.run_digest if rec is not None else None,
-            commit_digests=rec.scan.commit_digests if rec is not None else None,
-            job_id=record.job_id,
-        )
+        master_channels, slaves = asm.inprocess_slaves(stop)
+        master = asm.master(master_channels)
 
         now = self.clock.now()
         record.status = "running"
@@ -477,9 +435,7 @@ class ServeDaemon:
         record.workers = worker_ids
         if rec is not None:
             record.resumed = True
-        ctx = _JobContext(
-            record, problem, partition, thread_size, config, stop, master, worker_ids
-        )
+        ctx = _JobContext(record, asm, stop, master, worker_ids)
         with self._lock:
             self._contexts[record.job_id] = ctx
         self.policy.note_started(record, now)
@@ -499,39 +455,6 @@ class ServeDaemon:
         )
         ctx.runner = runner
         runner.start()
-
-    def _make_slave(
-        self,
-        slave_id: int,
-        channel: Any,
-        problem: Any,
-        partition: Any,
-        thread_size: Tuple[int, int],
-        config: Any,
-        stop: threading.Event,
-    ) -> Any:
-        from repro.runtime.slave import SlavePart
-
-        return SlavePart(
-            slave_id=slave_id,
-            channel=channel,
-            problem=problem,
-            partition=partition,
-            thread_partition=thread_size,
-            n_threads=config.threads_per_node,
-            thread_scheduler=config.thread_scheduler,
-            subtask_timeout=config.subtask_timeout,
-            max_retries=config.max_retries,
-            poll_interval=config.poll_interval,
-            fault_plan=config.fault_plan,
-            thread_fault_plan=config.thread_fault_plan,
-            worker_fault_plan=config.worker_fault_plan,
-            hang_duration=config.hang_duration,
-            stop_event=stop,
-            verify=config.verify,
-            heartbeat_interval=config.heartbeat_interval,
-            integrity=config.integrity,
-        )
 
     def _run_job(self, ctx: _JobContext) -> None:
         """Per-job runner thread: the job's whole fault domain ends here."""
@@ -607,7 +530,7 @@ class ServeDaemon:
         with self._lock:
             records = [self._records[j] for j in self._order]
             journals = {
-                j: c.config.journal_path for j, c in self._contexts.items()
+                j: c.asm.config.journal_path for j, c in self._contexts.items()
             }
         entries = []
         for r in records:
@@ -669,10 +592,7 @@ class ServeDaemon:
             # worker back.
             self.fleet.unreserve(ids)
             return
-        slave = self._make_slave(
-            new_id, slave_end, ctx.problem, ctx.partition,
-            ctx.thread_size, ctx.config, ctx.stop,
-        )
+        slave = ctx.asm.slave(new_id, slave_end, ctx.stop)
         ctx.attached.append(ids[0])
         self.fleet.assign(
             ids[0], slave.run, label=f"{ctx.record.job_id}/attach{new_id}"

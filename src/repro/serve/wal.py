@@ -7,12 +7,14 @@ reconstructs the job table: finished jobs become history, accepted-but
 -unfinished jobs are re-queued, and started jobs whose per-run commit
 journal survived resume mid-run through :mod:`repro.durable`.
 
-The framing is the same crash-tolerant scheme as the run-level commit
-journal (:mod:`repro.durable.journal`): ``MAGIC`` then length+CRC framed
-pickled dicts, torn tails expected and cleanly truncated on resume.
-Payloads here are plain JSON-safe dicts (a :class:`~repro.serve.job
-.JobSpec` round-trips through ``to_dict``), so the log never couples to
-runtime object layouts.
+The file is a :class:`~repro.durable.framed.FramedLog` — the same
+crash-tolerant framing, truncate-repair and atomic rewrite as the
+run-level commit journal, described once in that module and in
+``docs/fault_tolerance.md`` §journal — under its own magic. This module
+owns the record vocabulary (``submit`` / ``start`` / ``finish``) and the
+compaction policy. Payloads are plain JSON-safe dicts (a
+:class:`~repro.serve.job.JobSpec` round-trips through ``to_dict``), so
+the log never couples to runtime object layouts.
 
 Unlike the commit journal, this log *is* thread-safe: submissions land
 from the IPC thread while finishes land from per-job runner threads, so
@@ -22,56 +24,46 @@ linearization of the daemon's admission order).
 
 from __future__ import annotations
 
-import io
-import os
-import pickle
-import struct
-import zlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.check.lock_lint import make_lock
+from repro.durable.framed import FramedLog, FrameTail, encode, scan_frames
 from repro.serve.job import TERMINAL_STATES, JobSpec
-from repro.utils.errors import JournalError, JournalIOError
+from repro.utils.errors import JournalError
 
 #: File magic of the serve submission log, versioned independently of
 #: the run-level commit journal.
 MAGIC = b"REPRO-SRVJ\x01\n"
 
-_HEADER = struct.Struct("<II")
-_MAX_RECORD = 1 << 30
+_NOUN = "serve journal"
 
 
-def _frame(payload: bytes) -> bytes:
-    return _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
+def _submit_record(job_id: str, spec: JobSpec) -> Dict[str, Any]:
+    return {"type": "submit", "job_id": job_id, "spec": spec.to_dict()}
 
 
-def _encode(record: Dict[str, Any]) -> bytes:
-    return _frame(pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL))
+def _start_record(job_id: str, journal_path: Optional[str]) -> Dict[str, Any]:
+    return {"type": "start", "job_id": job_id, "journal": journal_path}
+
+
+def _finish_record(
+    job_id: str, status: str, detail: str, reason: str
+) -> Dict[str, Any]:
+    return {"type": "finish", "job_id": job_id,
+            "status": status, "detail": detail, "reason": reason}
 
 
 class ServeJournal:
     """Append side of the submission log (the daemon's end)."""
 
-    def __init__(
-        self,
-        path: str,
-        fh: io.BufferedWriter,
-        *,
-        fsync: bool = True,
-        io_policy: Optional[Any] = None,
-    ) -> None:
-        self.path = path
-        self._fh: Optional[io.BufferedWriter] = fh
-        self.fsync = fsync
+    def __init__(self, log: FramedLog) -> None:
+        #: The framed file underneath (I/O, fault injection, repair);
+        #: every call into it happens under :attr:`_lock`.
+        self.log = log
+        self.path = log.path
         self._lock = make_lock("serve.wal")
         self.records_written = 0
-        #: Injected resource faults (:class:`~repro.cluster.faults.IoPolicy`
-        #: or None) — same contract as the run-level commit journal.
-        self.io_policy = io_policy
-        #: Offset after the last intact record (the repair point).
-        self._good_offset = len(MAGIC)
-        self.write_errors = 0
         self.compactions = 0
 
     @classmethod
@@ -79,88 +71,39 @@ class ServeJournal:
         cls, path: str, *, fsync: bool = True, io_policy: Optional[Any] = None
     ) -> "ServeJournal":
         """Start a fresh submission log (truncates an existing file)."""
-        fh = open(path, "wb")
-        fh.write(MAGIC)
-        fh.flush()
-        return cls(path, fh, fsync=fsync, io_policy=io_policy)
+        return cls(FramedLog.create(
+            path, MAGIC, fsync=fsync, io_policy=io_policy, noun=_NOUN
+        ))
 
     @classmethod
     def open_resume(
         cls, scan: "ServeScan", *, fsync: bool = True, io_policy: Optional[Any] = None
     ) -> "ServeJournal":
         """Reopen a scanned log for append, truncating any torn tail."""
-        with open(scan.path, "rb+") as trunc:
-            trunc.truncate(scan.valid_bytes)
-        fh = open(scan.path, "ab")
-        journal = cls(scan.path, fh, fsync=fsync, io_policy=io_policy)
-        journal._good_offset = scan.valid_bytes
-        return journal
+        return cls(FramedLog.open_resume(
+            scan.path, MAGIC, scan.valid_bytes,
+            fsync=fsync, io_policy=io_policy, noun=_NOUN,
+        ))
 
-    def _repair_locked(self) -> None:
-        """Truncate back to the last good frame after a failed write
-        (mirrors :meth:`repro.durable.journal.CommitJournal._repair`)."""
-        if self._fh is not None:
-            try:
-                self._fh.close()
-            except OSError:
-                pass
-            self._fh = None
-        try:
-            os.truncate(self.path, self._good_offset)
-        except OSError:
-            pass
-        try:
-            self._fh = open(self.path, "ab")
-        except OSError:
-            pass
+    @property
+    def write_errors(self) -> int:
+        return self.log.write_errors
 
     def _write(self, record: Dict[str, Any]) -> None:
         with self._lock:
-            if self._fh is None:
-                raise JournalError(f"serve journal {self.path!r} is closed")
-            raw = _encode(record)
-            fault = self.io_policy.fault("write") if self.io_policy else None
-            try:
-                if fault is not None and fault.kind == "partial":
-                    self._fh.write(raw[: fault.cut(len(raw))])
-                    self._fh.flush()
-                    raise fault.to_oserror()
-                if fault is not None:
-                    raise fault.to_oserror()
-                self._fh.write(raw)
-                self._fh.flush()
-            except OSError as exc:
-                self.write_errors += 1
-                self._repair_locked()
-                raise JournalIOError(
-                    f"serve journal write failed on {self.path!r}: {exc}",
-                    op="write", errno=exc.errno, path=self.path,
-                ) from exc
-            if self.fsync:
-                try:
-                    if self.io_policy:
-                        self.io_policy.check("fsync")
-                    os.fsync(self._fh.fileno())
-                except OSError as exc:
-                    self.write_errors += 1
-                    self._repair_locked()
-                    raise JournalIOError(
-                        f"serve journal fsync failed on {self.path!r}: {exc}",
-                        op="fsync", errno=exc.errno, path=self.path,
-                    ) from exc
-            self._good_offset += len(raw)
+            self.log.append(encode(record))
             self.records_written += 1
 
     # -- record writers --------------------------------------------------
 
     def submit(self, job_id: str, spec: JobSpec) -> None:
         """Journal an accepted submission (write-ahead of the ack)."""
-        self._write({"type": "submit", "job_id": job_id, "spec": spec.to_dict()})
+        self._write(_submit_record(job_id, spec))
 
     def start(self, job_id: str, journal_path: Optional[str] = None) -> None:
         """Journal a job leaving the queue; ``journal_path`` names its
         per-run commit journal so resume can find it."""
-        self._write({"type": "start", "job_id": job_id, "journal": journal_path})
+        self._write(_start_record(job_id, journal_path))
 
     def finish(
         self, job_id: str, status: str, detail: str = "", reason: str = ""
@@ -173,19 +116,17 @@ class ServeJournal:
         """
         if status not in TERMINAL_STATES:
             raise JournalError(f"finish with non-terminal status {status!r}")
-        self._write({"type": "finish", "job_id": job_id,
-                     "status": status, "detail": detail, "reason": reason})
+        self._write(_finish_record(job_id, status, detail, reason))
 
     # -- compaction ------------------------------------------------------
 
     def compact(self, entries, keep_history: int = 64) -> int:
         """Rewrite the log as one record run per surviving job.
 
-        A long-lived daemon appends forever; compaction rewrites the file
-        to hold only unfinished jobs plus the ``keep_history`` most recent
-        finished ones, using the same atomic tmp + fsync + ``os.replace``
-        idiom as run-journal checkpoints — a crash mid-compaction leaves
-        either the old intact log or the new intact log, never a hybrid.
+        A long-lived daemon appends forever; compaction atomically
+        rewrites the file (:meth:`FramedLog.rewrite`) to hold only
+        unfinished jobs plus the ``keep_history`` most recent finished
+        ones. A failed compaction leaves the old log intact.
 
         ``entries`` is the current job history in submission order
         (:class:`ServeEntry` values, e.g. from a fresh scan or the
@@ -194,8 +135,6 @@ class ServeJournal:
         concurrently-appended record. Returns the entries dropped.
         """
         with self._lock:
-            if self._fh is None:
-                raise JournalError(f"serve journal {self.path!r} is closed")
             entries = list(entries() if callable(entries) else entries)
             finished = [e for e in entries if e.finished]
             drop = (
@@ -204,68 +143,29 @@ class ServeJournal:
                 else set()
             )
             kept = [e for e in entries if e.job_id not in drop]
-            tmp = self.path + ".compact.tmp"
-            raw = bytearray(MAGIC)
+            frames = bytearray()
             for e in kept:
-                raw += _encode(
-                    {"type": "submit", "job_id": e.job_id, "spec": e.spec.to_dict()}
-                )
+                frames += encode(_submit_record(e.job_id, e.spec))
                 if e.status != "submitted":
-                    raw += _encode(
-                        {"type": "start", "job_id": e.job_id,
-                         "journal": e.run_journal}
-                    )
+                    frames += encode(_start_record(e.job_id, e.run_journal))
                 if e.finished:
-                    raw += _encode(
-                        {"type": "finish", "job_id": e.job_id, "status": e.status,
-                         "detail": e.detail, "reason": e.reason}
+                    frames += encode(
+                        _finish_record(e.job_id, e.status, e.detail, e.reason)
                     )
-            try:
-                with open(tmp, "wb") as out:
-                    if self.io_policy:
-                        self.io_policy.check("write")
-                    out.write(raw)
-                    out.flush()
-                    if self.fsync:
-                        if self.io_policy:
-                            self.io_policy.check("fsync")
-                        os.fsync(out.fileno())
-            except OSError as exc:
-                self.write_errors += 1
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise JournalIOError(
-                    f"serve journal compaction failed on {self.path!r}: {exc}",
-                    op="compact", errno=exc.errno, path=self.path,
-                ) from exc
-            self._fh.close()
-            self._fh = None
-            os.replace(tmp, self.path)
-            try:
-                self._fh = open(self.path, "ab")
-            except OSError as exc:
-                raise JournalIOError(
-                    f"cannot reopen compacted serve journal {self.path!r}: {exc}",
-                    op="open", errno=exc.errno, path=self.path,
-                ) from exc
-            self._good_offset = len(raw)
+            self.log.rewrite(bytes(frames), op="compact")
             self.compactions += 1
             return len(entries) - len(kept)
 
     def close(self) -> None:
         with self._lock:
-            if self._fh is not None:
-                self._fh.close()
-                self._fh = None
+            self.log.close()
 
     def abandon(self) -> None:
         """Drop the file handle *without* flushing buffered bytes — the
         in-process stand-in for the daemon dying mid-write (the chaos
         tier's kill switch; a real SIGKILL needs no help)."""
         with self._lock:
-            self._fh = None
+            self.log.abandon()
 
     def __enter__(self) -> "ServeJournal":
         return self
@@ -294,16 +194,12 @@ class ServeEntry:
 
 
 @dataclass
-class ServeScan:
+class ServeScan(FrameTail):
     """The decoded valid prefix of one submission log."""
 
-    path: str
     entries: Dict[str, ServeEntry] = field(default_factory=dict)
     #: Job ids in submission order.
     order: List[str] = field(default_factory=list)
-    valid_bytes: int = 0
-    truncated: bool = False
-    diagnostic: str = ""
 
     def pending(self) -> Tuple[ServeEntry, ...]:
         """Accepted jobs with no terminal record, in submission order —
@@ -328,80 +224,29 @@ class ServeScan:
 def scan_serve_journal(path: str) -> ServeScan:
     """Decode the valid prefix of a submission log.
 
-    Mirrors :func:`repro.durable.journal.scan_journal`: raises
-    :class:`JournalError` only for a missing file or bad magic; torn or
-    corrupt tails terminate the scan cleanly with a diagnostic and the
-    intact prefix is recovered. Records for unknown job ids (a ``start``
-    whose ``submit`` fell in the torn tail cannot happen — appends are
-    ordered — but a corrupt scan could surface one) are dropped, not
-    fatal.
+    Raises :class:`JournalError` only for a missing file or bad magic;
+    torn or corrupt tails terminate the scan cleanly with a diagnostic
+    and the intact prefix is recovered. Records for unknown job ids (a
+    ``start`` whose ``submit`` fell in the torn tail cannot happen —
+    appends are ordered — but a corrupt scan could surface one) are
+    dropped, not fatal.
     """
-    try:
-        fh = open(path, "rb")
-    except OSError as exc:
-        raise JournalError(f"cannot open serve journal {path!r}: {exc}") from exc
     scan = ServeScan(path=path)
-    with fh:
-        magic = fh.read(len(MAGIC))
-        if magic != MAGIC:
-            raise JournalError(
-                f"{path!r} is not a serve journal (bad magic {magic[:12]!r})"
-            )
-        offset = len(MAGIC)
-        scan.valid_bytes = offset
-        while True:
-            header = fh.read(_HEADER.size)
-            if not header:
-                break
-            if len(header) < _HEADER.size:
-                scan.truncated = True
-                scan.diagnostic = (
-                    f"torn frame header at offset {offset} "
-                    f"({len(header)} of {_HEADER.size} bytes)"
-                )
-                break
-            length, crc = _HEADER.unpack(header)
-            if length > _MAX_RECORD:
-                scan.truncated = True
-                scan.diagnostic = (
-                    f"implausible record length {length} at offset {offset}"
-                )
-                break
-            payload = fh.read(length)
-            if len(payload) < length:
-                scan.truncated = True
-                scan.diagnostic = (
-                    f"torn record at offset {offset}: header promises "
-                    f"{length} bytes, file holds {len(payload)}"
-                )
-                break
-            if zlib.crc32(payload) != crc:
-                scan.truncated = True
-                scan.diagnostic = f"CRC mismatch at offset {offset}"
-                break
-            try:
-                record = pickle.loads(payload)
-                kind = record["type"]
-            except Exception as exc:
-                scan.truncated = True
-                scan.diagnostic = f"undecodable record at offset {offset}: {exc}"
-                break
-            offset += _HEADER.size + length
-            scan.valid_bytes = offset
-            if kind == "submit":
-                job_id = record["job_id"]
-                entry = ServeEntry(job_id, JobSpec.from_dict(record["spec"]))
-                scan.entries[job_id] = entry
-                scan.order.append(job_id)
-            elif kind == "start":
-                entry_opt = scan.entries.get(record["job_id"])
-                if entry_opt is not None:
-                    entry_opt.status = "started"
-                    entry_opt.run_journal = record.get("journal")
-            elif kind == "finish":
-                entry_opt = scan.entries.get(record["job_id"])
-                if entry_opt is not None:
-                    entry_opt.status = record["status"]
-                    entry_opt.detail = record.get("detail", "")
-                    entry_opt.reason = record.get("reason", "")
+    for _offset, _raw, record in scan_frames(scan, MAGIC, _NOUN):
+        kind = record["type"]
+        if kind == "submit":
+            job_id = record["job_id"]
+            scan.entries[job_id] = ServeEntry(job_id, JobSpec.from_dict(record["spec"]))
+            scan.order.append(job_id)
+        elif kind == "start":
+            entry = scan.entries.get(record["job_id"])
+            if entry is not None:
+                entry.status = "started"
+                entry.run_journal = record.get("journal")
+        elif kind == "finish":
+            entry = scan.entries.get(record["job_id"])
+            if entry is not None:
+                entry.status = record["status"]
+                entry.detail = record.get("detail", "")
+                entry.reason = record.get("reason", "")
     return scan

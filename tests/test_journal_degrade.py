@@ -119,7 +119,7 @@ class TestGuardLadder:
         )
         with pytest.raises(ResourceExhausted):
             guard.commit((0, 0), 0, outputs())
-        guard.journal._fh = None  # simulate the reopen having failed
+        guard.journal.log._fh = None  # simulate the reopen having failed
         with pytest.raises(ResourceExhausted) as err:
             guard.commit((0, 1), 0, outputs())
         assert err.value.resource == "fd"
@@ -220,7 +220,7 @@ class TestConfigSurface:
         assert bool(cfg.io_fault_plan)
 
     def test_open_journal_wraps_in_guard(self, tmp_path):
-        from repro.backends.threads import open_journal
+        from repro.runtime.assembly import RunAssembly
 
         cfg = RunConfig(
             backend="serial",
@@ -229,7 +229,7 @@ class TestConfigSurface:
             journal_degrade="memory",
             run_id="run-1",
         )
-        guard = open_journal(cfg, make_problem(), None)
+        guard = RunAssembly(cfg, make_problem()).open_journal()
         assert isinstance(guard, JournalGuard)
         assert guard.job_id == "run-1"
         guard.close()

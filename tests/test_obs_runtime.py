@@ -96,17 +96,14 @@ class TestOverheadGuard:
 
     def test_disabled_run_instantiates_no_recorder(self, monkeypatch):
         """The disabled path must never build an EventRecorder at all."""
-        import repro.backends.processes as processes_mod
-        import repro.backends.serial as serial_mod
-        import repro.backends.simulated as simulated_mod
-        import repro.backends.threads as threads_mod
+        # Every backend's recorder comes from the shared run assembly.
+        import repro.runtime.assembly as assembly_mod
 
         def explode(*args, **kwargs):
             raise AssertionError("EventRecorder built on a disabled run")
 
-        for mod in (threads_mod, processes_mod, serial_mod, simulated_mod):
-            monkeypatch.setattr(mod, "EventRecorder", explode)
-            monkeypatch.setattr(mod, "MetricsRegistry", explode)
+        monkeypatch.setattr(assembly_mod, "EventRecorder", explode)
+        monkeypatch.setattr(assembly_mod, "MetricsRegistry", explode)
         for backend in BACKENDS:
             _run(backend)
 

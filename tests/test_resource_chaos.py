@@ -101,8 +101,8 @@ FD_EXHAUSTION_SCRIPT = textwrap.dedent("""
 
     # Force the next append through a reopen (the repair path), which
     # must fail with EMFILE and surface as an attributed abort.
-    guard.journal._fh.close()
-    guard.journal._fh = None
+    guard.journal.log._fh.close()
+    guard.journal.log._fh = None
     outcome = {}
     try:
         guard.commit((0, 1), 0, {"cell": np.zeros((2, 2))})

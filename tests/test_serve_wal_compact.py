@@ -79,13 +79,13 @@ class TestCompaction:
         wal = _filled_wal(path, n_finished=3)
         # Every WAL append so far consumed write indices 0..8; the
         # compaction's tmp write is the next one.
-        wal.io_policy = IoPolicy(
+        wal.log.io_policy = IoPolicy(
             IoFaultPlan([IoFaultRule("write", "enospc", after=0)]), "serve-wal"
         )
         with pytest.raises(JournalIOError) as err:
             wal.compact(scan_serve_journal(str(path)).entries.values())
         assert err.value.op == "compact"
-        wal.io_policy = None
+        wal.log.io_policy = None
         wal.close()
         assert not list(tmp_path.glob("*.tmp"))
         scan = scan_serve_journal(str(path))
@@ -154,6 +154,9 @@ class TestDaemonIntegration:
             io_fault_plan=IoFaultPlan([IoFaultRule("write", "enospc", after=0)]),
         )
         daemon.start()
+        # Hold the only worker so the scheduler cannot pop the job in the
+        # window between admission and the failing WAL write.
+        held = daemon.fleet.acquire(1, timeout=5.0)
         try:
             decision = daemon.submit(JobSpec(algo="lcs", size=16, nodes=2))
             assert not decision.accepted
@@ -164,4 +167,50 @@ class TestDaemonIntegration:
             records = daemon.jobs()
             assert all(r["status"] == "cancelled" for r in records)
         finally:
+            daemon.fleet.unreserve(held)
             daemon.drain(10.0)
+
+    def test_lost_wal_handle_sheds_like_any_other_write_failure(self, tmp_path):
+        """After a repair that could not reopen the file (fd exhaustion)
+        the WAL has no handle; that is a resource failure to shed on, not
+        a generic error that leaves the job admitted but un-journaled."""
+        daemon = ServeDaemon(
+            workers=1, queue_cap=8, wal_path=str(tmp_path / "serve.srvj")
+        )
+        daemon.start()
+        held = daemon.fleet.acquire(1, timeout=5.0)
+        try:
+            daemon._wal.log._fh.close()
+            daemon._wal.log._fh = None
+            decision = daemon.submit(JobSpec(algo="lcs", size=16, nodes=2))
+            assert not decision.accepted
+            assert decision.reason.startswith("resource-pressure:wal-write")
+            (record,) = daemon.jobs()
+            assert record["status"] == "cancelled"
+            assert record["reason"] == "resource-pressure:wal-write"
+            assert daemon.admission.depth == 0
+        finally:
+            daemon.fleet.unreserve(held)
+            daemon.drain(10.0)
+
+    def test_closed_wal_is_the_tolerated_drain_race_not_a_shed(self, tmp_path):
+        """A finish landing after the WAL was closed (kill/drain race) is
+        swallowed — resume reruns the job — and is not mistaken for the
+        retryable lost-handle case."""
+        path = tmp_path / "serve.srvj"
+        daemon = ServeDaemon(workers=1, queue_cap=8, wal_path=str(path))
+        daemon.start()
+        held = daemon.fleet.acquire(1, timeout=5.0)
+        try:
+            decision = daemon.submit(JobSpec(algo="lcs", size=16, nodes=2))
+            assert decision.accepted
+            daemon._wal.close()
+            assert daemon.cancel(decision.job_id) == "cancelled"
+            assert daemon.get(decision.job_id).status == "cancelled"
+            assert daemon._wal.write_errors == 0
+        finally:
+            daemon.fleet.unreserve(held)
+            daemon.drain(10.0)
+        # The log never saw the finish: a resumed daemon would rerun it.
+        scan = scan_serve_journal(str(path))
+        assert [e.job_id for e in scan.pending()] == [decision.job_id]
