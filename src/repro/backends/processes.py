@@ -18,9 +18,10 @@ import numpy as np
 
 from repro.algorithms.problem import DPProblem
 from repro.analysis.report import RunReport
+from repro.cluster.faults import io_policy
 from repro.comm.shm import BlockStore, drain_shm_errors, run_prefix, sweep_segments
 from repro.comm.transport import PipeChannel
-from repro.runtime.assembly import RunAssembly, io_policy, slave_options
+from repro.runtime.assembly import RunAssembly, slave_options
 from repro.runtime.config import RunConfig
 from repro.runtime.slave import slave_process_main
 
@@ -51,7 +52,7 @@ def run_processes(
     # master sweeps the prefix at teardown as the leak backstop.
     shm_prefix = run_prefix(config.run_id) if config.shm else None
     store = (
-        BlockStore(shm_prefix, io_policy=io_policy(config, "shm-master"))
+        BlockStore(shm_prefix, io_policy=io_policy(config.io_fault_plan, "shm-master"))
         if shm_prefix is not None
         else None
     )

@@ -21,17 +21,28 @@ Fault injection: a "crash" costs the node half the compute time and never
 answers; a "hang" occupies the node for twice the timeout. Both are
 recovered by the simulated overtime check, mirroring Fig 10.
 
-Chaos (:mod:`repro.chaos`) is modeled too: message faults hit the
-simulated TaskAssign/TaskResult transfers (a dropped assignment leaves
-the node free and the registration to time out; a dropped result leaves
-the registration to time out while the node serves on), worker faults
-kill or slow whole nodes, timeouts are attributed to nodes for
-blacklisting, and re-dispatches honor the exponential backoff. A run
-that can no longer finish (every node dead) ends in a clean
-:class:`FaultToleranceExhausted` — the simulator cannot hang by
-construction (the event queue drains), so the abort path is the whole
-guarantee. Speculation is a no-op here: stragglers are deterministic and
-the plain timeout recovers them.
+Protocol decisions are not modeled here at all: every register /
+timeout / retry-budget / backoff / blacklist / lease / quarantine / taint
+decision is taken by the same
+:class:`~repro.runtime.dispatch.DispatchCore` the real master runs
+(``docs/fault_tolerance.md`` §Dispatch core); this module keeps the
+link/CPU cost model, the fault-plan lookups and the ``EventQueue``
+scheduling, and performs the core's actions in sim-time.
+
+Chaos (:mod:`repro.chaos`) is modeled as faults on the simulated
+transfers and nodes: a dropped assignment leaves the node free and the
+registration to time out; a dropped result leaves the registration to
+time out while the node serves on; worker faults kill or slow whole
+nodes. With ``heartbeat_interval`` set, a live node's beacon renews its
+leases (modeled lazily, one beacon per lease window, itself subject to
+the message-fault plan), so a dead node's dispatch redistributes at
+lease expiry rather than at ``task_timeout``. A parked node re-announces
+idle like the real slave's resend loop, which is what the blacklist's
+last-heard oracle sees. A run that can no longer finish (every node
+dead) ends in a clean :class:`FaultToleranceExhausted` — the simulator
+cannot hang by construction (the event queue drains), so the abort path
+is the whole guarantee. Speculation is a no-op here: stragglers are
+deterministic and the plain timeout recovers them.
 
 Silent data corruption is modeled as *taint*: the simulator computes no
 cell values, so it tracks which commits would be wrong instead. A live
@@ -48,7 +59,9 @@ same wrong values and passes, which is why conviction triggers taint
 recompute of the whole committed dependent closure; voting is modeled as
 full-coverage divergence detection at ``(vote_k - 1)`` extra round trips
 per commit (replicas disagree exactly when the producer's own result is
-wrong). Convicted nodes are quarantined past ``quarantine_threshold``.
+wrong). Audits run at their commit (no lag: the master-CPU charge stays
+where a fault-free schedule expects it). Convictions, quarantine and the
+taint closure are the core's.
 Taint that survives to the end of the run is counted in the
 ``sim.undetected_corruptions`` metric — the simulator's omniscient stand-
 in for a wrong answer, which chaos campaigns use to classify runs.
@@ -70,6 +83,7 @@ from repro.dag.parser import DAGParser
 from repro.dag.partition import Partition
 from repro.dag.pattern import DAGPattern
 from repro.obs import EventRecorder, MetricsRegistry, ScheduleTracer
+from repro.runtime import dispatch as core_mod
 from repro.runtime.assembly import RunAssembly
 from repro.runtime.config import RunConfig
 from repro.schedulers.policy import SchedulingPolicy, make_policy
@@ -154,6 +168,7 @@ class _Node:
     #: Per-node message counters keying the message-fault plan.
     sent_index: int = 0
     recv_index: int = 0
+    beacon_index: int = 0
     #: Whether the slow-node fault was already reported for this node.
     slow_noted: bool = False
 
@@ -204,9 +219,6 @@ class _SimulatedRun:
         self.master_cpu_free = 0.0
 
         self.parser = DAGParser(self.partition.abstract)
-        self.ready: List[TaskId] = list(self.parser.computable())
-        self.attempts: Dict[TaskId, int] = {}
-        self.registered: Dict[TaskId, int] = {}  # live task -> epoch
 
         self._inner_memo: Dict[tuple, Tuple[float, float]] = {}
         self.makespan = 0.0
@@ -215,31 +227,15 @@ class _SimulatedRun:
         self.messages = 0
         self.bytes_to_slaves = 0
         self.bytes_to_master = 0
-        self.faults = 0
         self.idle_while_ready = 0.0
         self._last_account = 0.0
         self.failure: Optional[BaseException] = None
-        #: Chaos bookkeeping: injected fault count, which node each live
-        #: task was dispatched to (timeout attribution), per-node timeout
-        #: failures, and nodes retired by death/blacklist.
         self.faults_injected = 0
-        self.dispatched_to: Dict[TaskId, int] = {}
-        self.node_failures: Dict[int, int] = {}
-        self.blacklisted: List[int] = []
         #: SDC model: live (bid, epoch) dispatches that would return wrong
-        #: values, commits that are wrong, per-node conviction counts, and
-        #: nodes retired for divergent results (distinct from blacklist).
+        #: values, and commits that are wrong.
         self.integrity = config.integrity_policy
         self.live_taint: Dict[Tuple[TaskId, int], str] = {}
         self.tainted_commits: Dict[TaskId, str] = {}
-        self.divergence: Dict[int, int] = {}
-        self.quarantined: List[int] = []
-        self.digest_rejects = 0
-        self.audits_passed = 0
-        self.audits_convicted = 0
-        self.taint_recomputes = 0
-        self.votes_cast = 0
-        self.vote_divergences = 0
         #: The telemetry stream and the happens-before log validated
         #: after the run (``verify``) — both behind the shared
         #: :class:`ScheduleTracer`.
@@ -252,10 +248,24 @@ class _SimulatedRun:
             node=-1,
             scope="task",
         )
-        #: Durable-run state: committed task -> epoch, and the write-ahead
-        #: journal (None when journaling is off). Journal writes are
-        #: charged to the master CPU in sim-time (``journal_latency``).
-        self.committed: Dict[TaskId, int] = {}
+        #: The protocol's decisions — the very state machine the real
+        #: master runs, primed from the journal on resume.
+        self.core = core_mod.DispatchCore(
+            self.cluster.n_compute_nodes,
+            task_timeout=config.task_timeout,
+            max_retries=config.max_retries,
+            retry_backoff=config.retry_backoff,
+            retry_backoff_max=config.retry_backoff_max,
+            blacklist_threshold=config.blacklist_threshold,
+            heartbeat_interval=config.heartbeat_interval,
+            lease_factor=config.lease_factor,
+            integrity=self.integrity,
+            pattern=self.partition.abstract,
+            recording=self.sched.enabled,
+            attempts=resume.attempts if resume is not None else None,
+            committed=resume.committed if resume is not None else None,
+        )
+        self.stats = self.core.stats
         if resume is not None:
             # Replay the journal's committed prefix straight into the DAG
             # parser. The committed set is downward-closed (tasks commit
@@ -271,24 +281,21 @@ class _SimulatedRun:
                     self.sched.trace.record(
                         "commit", bid, resume.committed[bid], -1, 0.0
                     )
-            self.committed = dict(resume.committed)
-            self.attempts.update(resume.attempts)
-            self.ready = list(self.parser.computable())
             if self.obs is not None:
                 self.obs.emit(
                     "resume", None, node=-1, scope="task",
-                    n_committed=len(self.committed),
+                    n_committed=len(resume.committed),
                 )
+        self.ready: List[TaskId] = list(self.parser.computable())
+        #: The write-ahead journal (None when journaling is off). Journal
+        #: writes are charged to the master CPU in sim-time
+        #: (``journal_latency``).
         self.journal = self.asm.open_journal()
         if self.journal is not None:
             # ``journal_degrade="checkpoint"`` rescue: the simulator's
             # checkpoints carry no DP state (it computes no cells), just
             # the committed set and retry budgets.
-            self.journal.bind_rescue(
-                lambda: self.journal.checkpoint(
-                    None, self.committed, dict(self.attempts)
-                )
-            )
+            self.journal.bind_rescue(self._checkpoint)
         #: task -> sim-time when it became dispatchable; consumed at
         #: assign time for the ``queue-wait`` span. Only kept while
         #: observing so the disabled path stays allocation-free.
@@ -356,13 +363,12 @@ class _SimulatedRun:
                 type=mtype, endpoint=f"node{k}",
             )
 
-    def _retire_node(self, k: int, kind: str, **data: object) -> None:
-        """Take node ``k`` permanently out of service (death/blacklist)."""
+    def _retire_node(self, k: int) -> None:
+        """Take node ``k`` permanently out of service (death, or a
+        retirement the core decided)."""
         node = self.nodes[k]
         node.dead = True
         node.parked_since = None
-        if self.obs is not None:
-            self.obs.emit(kind, None, node=k, worker=k, scope="task", **data)
 
     def _node_idle(self, k: int) -> None:
         self._account()
@@ -375,14 +381,20 @@ class _SimulatedRun:
             # tasks. Its live registrations (if any) time out and
             # redistribute; all nodes dead ends in a clean abort.
             self.faults_injected += 1
-            self._retire_node(k, "worker-death", after_tasks=death_point)
+            self._retire_node(k)
+            if self.obs is not None:
+                self.obs.emit(
+                    "worker-death", None, node=k, worker=k, scope="task",
+                    after_tasks=death_point,
+                )
             return
+        self.core.heard_from(k, self.evq.now)  # the idle announcement
         if node.pending is not None:
             # Promote the prefetched task (its input already transferred).
             bid, epoch, xfer_start, xfer_done = node.pending
             node.pending = None
             node.parked_since = None
-            if self.registered.get(bid) == epoch:
+            if self.core.is_live(bid, epoch):
                 self._begin_compute(k, bid, epoch, xfer_start, max(self.evq.now, xfer_done))
                 self._try_prefetch(k)
                 return
@@ -399,15 +411,12 @@ class _SimulatedRun:
         self._dispatch(k, picked)
         self._try_prefetch(k)
 
-    def _reserve_transfer(self, k: int, bid: TaskId) -> Tuple[int, float, float]:
-        """Register a dispatch and reserve its input transfer; returns
-        (epoch, transfer_start, transfer_done)."""
+    def _register(self, k: int, bid: TaskId) -> int:
+        """Register one dispatch with the core, record it, and arm its
+        overtime (Fig 10) and lease watches; returns the epoch."""
         now = self.evq.now
-        node = self.nodes[k]
-        epoch = self.attempts.get(bid, 0)
-        self.attempts[bid] = epoch + 1
-        self.registered[bid] = epoch
-        self.dispatched_to[bid] = k
+        reg = self.core.dispatch(bid, k, now)
+        epoch = reg.epoch
         if self.sched.observing:
             ready_at = self.ready_at.pop(bid, None)
             if ready_at is not None:
@@ -416,6 +425,25 @@ class _SimulatedRun:
                 )
         if self.sched.enabled:
             self.sched.record("assign", bid, epoch, k, ts=now)
+        self.evq.at(
+            reg.deadline,
+            lambda: self._timeout(bid, epoch),
+            label=("timeout", bid, epoch),
+        )
+        if self.core.lease_duration is not None:
+            self.evq.at(
+                reg.lease_expires,
+                lambda: self._lease_check(bid, epoch, k),
+                label=("lease", bid, epoch),
+            )
+        return epoch
+
+    def _reserve_transfer(self, k: int, bid: TaskId) -> Tuple[int, float, float]:
+        """Register a dispatch and reserve its input transfer; returns
+        (epoch, transfer_start, transfer_done)."""
+        now = self.evq.now
+        node = self.nodes[k]
+        epoch = self._register(k, bid)
         if self.config.data_reuse:
             in_bytes = self.problem.cached_input_bytes(self.partition, bid, self.node_done[k])
         else:
@@ -435,12 +463,6 @@ class _SimulatedRun:
                 "send", bid, epoch, k, node=k, ts=start,
                 t0=start, t1=start + xfer, nbytes=in_bytes,
             )
-        # Overtime watch (Fig 10): fires relative to dispatch time.
-        self.evq.at(
-            now + self.config.task_timeout,
-            lambda bid=bid, epoch=epoch: self._timeout(bid, epoch),
-            label=("timeout", bid, epoch),
-        )
         return epoch, start, start + xfer
 
     def _dispatch(self, k: int, bid: TaskId) -> None:
@@ -490,7 +512,7 @@ class _SimulatedRun:
         if not self.config.prefetch or self.config.batch_wave:
             return
         node = self.nodes[k]
-        if node.pending is not None or node.busy_until <= self.evq.now:
+        if node.dead or node.pending is not None or node.busy_until <= self.evq.now:
             return
         idx = self.policy.select_index(k, self.ready)
         if idx is None:
@@ -573,30 +595,13 @@ class _SimulatedRun:
         in_each: List[int] = []
         parts: List[Tuple[TaskId, int]] = []
         for bid in wave:
-            epoch = self.attempts.get(bid, 0)
-            self.attempts[bid] = epoch + 1
-            self.registered[bid] = epoch
-            self.dispatched_to[bid] = k
-            parts.append((bid, epoch))
-            if self.sched.observing:
-                ready_at = self.ready_at.pop(bid, None)
-                if ready_at is not None:
-                    self.sched.record(
-                        "queue-wait", bid, epoch, k, ts=now, t0=ready_at, t1=now,
-                    )
-            if self.sched.enabled:
-                self.sched.record("assign", bid, epoch, k, ts=now)
+            parts.append((bid, self._register(k, bid)))
             if self.config.data_reuse:
                 nb = self.problem.cached_input_bytes(self.partition, bid, self.node_done[k])
             else:
                 nb = self.problem.input_bytes(self.partition, bid)
             in_bytes += nb
             in_each.append(nb)
-            self.evq.at(
-                now + self.config.task_timeout,
-                lambda bid=bid, epoch=epoch: self._timeout(bid, epoch),
-                label=("timeout", bid, epoch),
-            )
         # ONE dispatch overhead and ONE transfer for the whole wave.
         self.master_cpu_free = max(self.master_cpu_free, now) + self.cluster.master_overhead
         start = max(self.master_cpu_free, self.master_nic_free, node.nic_free)
@@ -776,8 +781,9 @@ class _SimulatedRun:
     ) -> None:
         """One BatchResult landed: commit every element, then go idle once."""
         self._account()
+        self.core.heard_from(k, self.evq.now)
         if reject is not None:
-            self._digest_reject_core(reject[0], reject[1], k)
+            self._apply(self.core.digest_reject(reject[0], reject[1], k))
         for bid, epoch in parts:
             self._commit_result(bid, epoch, k)
         self._node_idle(k)
@@ -850,56 +856,66 @@ class _SimulatedRun:
     def _result_echo(self, bid: TaskId, epoch: int, k: int) -> None:
         """The second copy of a duplicated result: always epoch-stale by
         the time it lands (the first copy deregistered the task)."""
-        if self.registered.get(bid) != epoch and self.sched.enabled:
-            self.sched.record("stale-drop", bid, epoch, k, node=k)
+        if not self.core.is_live(bid, epoch):
+            self._apply(self.core.result(bid, epoch, k))
 
     def _digest_reject(self, bid: TaskId, epoch: int, k: int) -> None:
-        """A mutated result whose digest went stale: the master rejects it
-        at receive and requeues on the charged retry budget (mirroring the
-        real master — a link corrupting the same task forever must abort,
-        not livelock)."""
+        """A mutated result whose digest went stale lands at the master,
+        which rejects it at receive; the node serves on."""
         self._account()
-        self._digest_reject_core(bid, epoch, k)
+        self.core.heard_from(k, self.evq.now)
+        self._apply(self.core.digest_reject(bid, epoch, k))
         self._node_idle(k)
-
-    def _digest_reject_core(self, bid: TaskId, epoch: int, k: int) -> None:
-        """Reject one result without idling the node (shared between the
-        single-result path and a batch arrival, which idles once at the
-        end of the envelope)."""
-        if self.registered.get(bid) == epoch:
-            del self.registered[bid]
-            self.digest_rejects += 1
-            if self.obs is not None:
-                self.obs.emit(
-                    "digest-reject", bid, epoch=epoch, node=k,
-                    scope="message", hop="result",
-                )
-            charged = self.attempts.get(bid, 0)
-            if charged > self.config.max_retries + 1:
-                self.failure = FaultToleranceExhausted(
-                    f"sub-task {bid} rejected for digest mismatch after "
-                    f"{charged} dispatches (simulated)"
-                )
-            else:
-                self.faults += 1
-                if self.sched.enabled:
-                    self.sched.record("redistribute", bid, epoch)
-                self._requeue(bid)
 
     def _result(self, bid: TaskId, epoch: int, k: int) -> None:
         self._account()
+        self.core.heard_from(k, self.evq.now)
         self._commit_result(bid, epoch, k)
         self._node_idle(k)  # the node serves on (also after a stale drop)
+
+    # -- performing the core's actions ------------------------------------------------
+
+    def _apply(self, actions) -> None:
+        """Perform what a core event returned, in order, in sim-time."""
+        for act in actions:
+            if isinstance(act, core_mod.Record):
+                self.sched.record(act.kind, act.task, act.epoch, act.worker, **act.data)
+            elif isinstance(act, core_mod.Requeue):
+                if act.delay > 0:
+                    self.evq.at(
+                        self.evq.now + act.delay,
+                        lambda bid=act.task: self._requeue(bid),
+                        label=("requeue", act.task),
+                    )
+                else:
+                    self._requeue(act.task)
+            elif isinstance(act, core_mod.Stale):
+                if self.sched.enabled:
+                    self.sched.record(
+                        "stale-drop", act.task, act.epoch, act.worker, node=act.worker
+                    )
+            elif isinstance(act, core_mod.Retire):
+                self._retire_node(act.worker)
+            elif isinstance(act, core_mod.Invalidate):
+                for key in act.dropped:
+                    self.live_taint.pop(key, None)
+                self._rewind(act.order)
+            elif isinstance(act, core_mod.Abort) and self.failure is None:
+                self.failure = act.exc
+
+    def _checkpoint(self) -> int:
+        return self.journal.checkpoint(
+            None, self.core.committed, self.core.attempts_snapshot()
+        )
 
     def _commit_result(self, bid: TaskId, epoch: int, k: int) -> None:
         """Land one result at the master: stale-drop or journal + commit +
         integrity check + ready-wake. Shared between the single-result
         path and a batch arrival; the caller idles the node afterwards."""
-        if self.registered.get(bid) != epoch:
-            if self.sched.enabled:
-                self.sched.record("stale-drop", bid, epoch, k, node=k)
+        stale = self.core.result(bid, epoch, k)
+        if stale:
+            self._apply(stale)
             return
-        del self.registered[bid]
         taint = self.live_taint.pop((bid, epoch), None)
         if taint is None:
             for p in self.partition.abstract.predecessors(bid):
@@ -919,7 +935,7 @@ class _SimulatedRun:
                     "journal-write", bid, epoch=epoch, node=-1, scope="task",
                     t0=j0, t1=self.master_cpu_free, nbytes=jbytes,
                 )
-        self.committed[bid] = epoch
+        self.core.commit(bid, epoch, k)
         if self.sched.enabled:
             if self.sched.observing:
                 out_bytes = (
@@ -930,14 +946,14 @@ class _SimulatedRun:
             # after this commit in the event log.
             self.sched.record("commit", bid, epoch, k)
         if self.journal is not None and self.journal.should_checkpoint():
-            nbytes = self.journal.checkpoint(None, self.committed, dict(self.attempts))
+            nbytes = self._checkpoint()
             c0 = self.master_cpu_free
             self.master_cpu_free += self.config.journal_latency
             if self.obs is not None:
                 self.obs.emit(
                     "checkpoint", None, node=-1, scope="task",
                     t0=c0, t1=self.master_cpu_free,
-                    n_committed=len(self.committed), nbytes=nbytes,
+                    n_committed=len(self.core.committed), nbytes=nbytes,
                 )
         self.nodes[k].tasks_done += 1
         self.node_done[k].add(bid)
@@ -978,70 +994,24 @@ class _SimulatedRun:
             # wrong. (The real master's escalation-to-arbiter dance is
             # collapsed into the divergence verdict.)
             self.messages += 2 * (pol.vote_k - 1)
-            self.votes_cast += pol.vote_k
+            self.stats.votes_cast += pol.vote_k
             if own_fault:
-                self.vote_divergences += 1
-                if self.obs is not None:
-                    self.obs.emit(
-                        "vote-divergence", bid, epoch=epoch, node=k,
-                        worker=k, scope="task",
-                    )
-                self._convict(bid, epoch, k)
+                self.stats.vote_divergences += 1
+                if self.sched.observing:
+                    self.sched.record("vote-divergence", bid, epoch, k, node=k)
+                self._apply(self.core.taint(bid) + self.core.convict(k))
             return
-        if pol.audit_on and pol.should_audit(bid):
+        due = self.core.next_audit(force=True)
+        if due is not None:
             # The audit recompute occupies the master CPU for one inner
             # makespan (the same deterministic sample as the real master).
             compute, _busy, _n = self._inner(bid, self.nodes[k].spec)
-            self.master_cpu_free = (
-                max(self.master_cpu_free, self.evq.now) + compute
-            )
-            if own_fault:
-                self.audits_convicted += 1
-                if self.obs is not None:
-                    self.obs.emit(
-                        "audit-convict", bid, epoch=epoch, node=k,
-                        worker=k, scope="task",
-                    )
-                self._convict(bid, epoch, k)
-            else:
-                self.audits_passed += 1
-                if self.obs is not None:
-                    self.obs.emit(
-                        "audit-pass", bid, epoch=epoch, node=k, worker=k,
-                        scope="task",
-                    )
+            self.master_cpu_free = max(self.master_cpu_free, self.evq.now) + compute
+            self._apply(self.core.audit(*due, ok=not own_fault))
 
-    def _convict(self, bid: TaskId, epoch: int, k: int) -> None:
-        """A proven-wrong commit: taint-recompute its closure and count
-        the divergence against node ``k`` (quarantine past threshold)."""
-        self._taint_invalidate(bid)
-        n = self.divergence.get(k, 0) + 1
-        self.divergence[k] = n
-        if n >= self.integrity.quarantine_threshold and not self.nodes[k].dead:
-            self.quarantined.append(k)
-            self._retire_node(k, "quarantine", convictions=n)
-            for tbid, ep in list(self.registered.items()):
-                if self.dispatched_to.get(tbid) != k:
-                    continue
-                del self.registered[tbid]
-                if self.sched.enabled:
-                    self.sched.record("redistribute", tbid, ep)
-                self._requeue(tbid)
-
-    def _taint_invalidate(self, root: TaskId) -> None:
-        """Invalidate ``root`` and its committed dependent closure, then
-        requeue the recompute frontier (mirrors the real master's
-        DAG-aware taint recompute, journal records included)."""
-        pattern = self.partition.abstract
-        closure = {root}
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            for s in pattern.successors(v):
-                if s in self.committed and s not in closure:
-                    closure.add(s)
-                    stack.append(s)
-        order = [v for v in pattern.topological_order() if v in closure]
+    def _rewind(self, order) -> None:
+        """Perform a taint invalidation the core decided: journal it,
+        re-open the revoked region, and re-offer the recompute frontier."""
         if self.journal is not None:
             self.journal.invalidate(order)
             self.master_cpu_free = (
@@ -1049,65 +1019,55 @@ class _SimulatedRun:
                 + self.config.journal_latency
             )
         for v in order:
-            self.committed.pop(v, None)
             self.tainted_commits.pop(v, None)
-        self.taint_recomputes += len(order)
-        if self.obs is not None:
-            self.obs.emit(
-                "taint-invalidate", root, node=-1, scope="task",
-                n_tainted=len(order),
-            )
-        # Live dispatches fed from a now-invalidated block were extracted
-        # from tainted state: cancel them (their results land stale); the
-        # parser re-emits them once their predecessors recommit.
-        for tbid, ep in list(self.registered.items()):
-            if any(p not in self.committed for p in pattern.predecessors(tbid)):
-                del self.registered[tbid]
-                if self.sched.enabled:
-                    self.sched.record("redistribute", tbid, ep)
         frontier = self.parser.invalidate(order)
-        self.ready = [
-            t for t in self.ready
-            if all(p in self.committed for p in pattern.predecessors(t))
-        ]
+        self.ready = [t for t in self.ready if self.core.inputs_committed(t)]
         self.ready.extend(frontier)
         if self.obs is not None:
             for nb in frontier:
                 self.ready_at[nb] = self.evq.now
 
     def _timeout(self, bid: TaskId, epoch: int) -> None:
+        """Overtime check (Fig 10) of one dispatch."""
         self._account()
-        if self.registered.get(bid) != epoch:
+        reg = self.core.live(bid)
+        if reg is None or reg.epoch != epoch:
             return  # completed in time
-        del self.registered[bid]
-        self._note_node_failure(self.dispatched_to.get(bid, -1))
-        attempts = self.attempts[bid]
-        if attempts > self.config.max_retries + 1:
-            self.failure = FaultToleranceExhausted(
-                f"sub-task {bid} failed {attempts} dispatches (simulated)"
-            )
+        if self.nodes[reg.worker_id].parked_since is not None:
+            # A parked node keeps re-announcing idle (the slave's resend
+            # loop), which is what the blacklist's liveness oracle hears.
+            self.core.heard_from(reg.worker_id, self.evq.now)
+        self._apply(self.core.deadline(bid, epoch, self.evq.now))
+
+    def _lease_check(self, bid: TaskId, epoch: int, k: int) -> None:
+        """Lease-expiry instant of one dispatch. The slave's heartbeat
+        thread beats for as long as the node lives, so a live node's
+        beacon — one per lease window here, unless the message-fault plan
+        drops it — renews the lease; a dead node's lets it expire."""
+        self._account()
+        if not self.core.is_live(bid, epoch):
             return
-        self.faults += 1
-        if self.sched.enabled:
-            self.sched.record("redistribute", bid, epoch)
-        delay = 0.0
-        if self.config.retry_backoff > 0:
-            delay = min(
-                self.config.retry_backoff * (2.0 ** max(0, attempts - 1)),
-                self.config.retry_backoff_max,
-            )
-        if delay > 0:
-            if self.obs is not None:
-                self.obs.emit(
-                    "backoff", bid, epoch=epoch, scope="task", delay=delay
+        node = self.nodes[k]
+        if not node.dead:
+            rule = None
+            if self.config.message_fault_plan:
+                rule = self.config.message_fault_plan.decide(
+                    "recv", "Heartbeat", bid, node.beacon_index, endpoint=k
                 )
-            self.evq.at(
-                self.evq.now + delay,
-                lambda bid=bid: self._requeue(bid),
-                label=("requeue", bid),
-            )
+                node.beacon_index += 1
+            if rule is not None and rule.kind == "drop":
+                self._note_msg_fault("drop", bid, epoch, k, "Heartbeat")
+            else:
+                self.core.heard_from(k, self.evq.now)
+        actions = self.core.lease_expired(bid, epoch, self.evq.now)
+        if actions:
+            self._apply(actions)
         else:
-            self._requeue(bid)
+            self.evq.at(
+                self.core.live(bid).lease_expires,
+                lambda: self._lease_check(bid, epoch, k),
+                label=("lease", bid, epoch),
+            )
 
     def _requeue(self, bid: TaskId) -> None:
         """Put a recovered sub-task back on offer and wake parked nodes."""
@@ -1119,28 +1079,6 @@ class _SimulatedRun:
                 self._node_idle(j)
             else:
                 self._try_prefetch(j)
-
-    def _note_node_failure(self, k: int) -> None:
-        """Blacklist node ``k`` past the failure threshold (never the last
-        surviving node); its live dispatches re-queue immediately."""
-        if self.config.blacklist_threshold is None or k < 0:
-            return
-        n = self.node_failures.get(k, 0) + 1
-        self.node_failures[k] = n
-        if n < self.config.blacklist_threshold or self.nodes[k].dead:
-            return
-        if sum(1 for nd in self.nodes if not nd.dead) <= 1:
-            return  # degradation floor
-        self.blacklisted.append(k)
-        self._retire_node(k, "blacklist", failures=n)
-        for bid, ep in list(self.registered.items()):
-            if self.dispatched_to.get(bid) != k:
-                continue
-            del self.registered[bid]
-            self.faults += 1
-            if self.sched.enabled:
-                self.sched.record("redistribute", bid, ep)
-            self._requeue(bid)
 
     # -- driver -------------------------------------------------------------------------
 
@@ -1180,7 +1118,7 @@ class _SimulatedRun:
             self.metrics.counter("sim.messages").inc(self.messages)
             self.metrics.counter("sim.bytes_to_slaves").inc(self.bytes_to_slaves)
             self.metrics.counter("sim.bytes_to_master").inc(self.bytes_to_master)
-            self.metrics.counter("sim.faults_recovered").inc(self.faults)
+            self.metrics.counter("sim.faults_recovered").inc(self.stats.faults_recovered)
             for k, n in enumerate(self.nodes):
                 self.metrics.counter("sim.tasks_completed", node=k).inc(n.tasks_done)
             self.metrics.gauge("sim.idle_while_ready").set(self.idle_while_ready)
@@ -1192,25 +1130,7 @@ class _SimulatedRun:
                 len(self.tainted_commits)
             )
             if self.integrity.digest_on:
-                self.metrics.counter("integrity.digest_rejects").inc(
-                    self.digest_rejects
-                )
-                self.metrics.counter("integrity.audits_passed").inc(
-                    self.audits_passed
-                )
-                self.metrics.counter("integrity.audits_convicted").inc(
-                    self.audits_convicted
-                )
-                self.metrics.counter("integrity.tainted_recomputes").inc(
-                    self.taint_recomputes
-                )
-                self.metrics.counter("integrity.votes_cast").inc(self.votes_cast)
-                self.metrics.counter("integrity.vote_divergences").inc(
-                    self.vote_divergences
-                )
-                self.metrics.counter("integrity.quarantined_workers").inc(
-                    len(self.quarantined)
-                )
+                self.stats.publish_integrity(self.metrics)
         wall = _time.perf_counter() - wall_start
         total_threads = self.cluster.total_computing_threads
         report = RunReport(
@@ -1226,7 +1146,7 @@ class _SimulatedRun:
             messages=self.messages,
             bytes_to_slaves=self.bytes_to_slaves,
             bytes_to_master=self.bytes_to_master,
-            faults_recovered=self.faults,
+            faults_recovered=self.stats.faults_recovered,
             tasks_per_worker={k: n.tasks_done for k, n in enumerate(self.nodes)},
             idle_while_ready=self.idle_while_ready,
             utilization=(
@@ -1236,12 +1156,12 @@ class _SimulatedRun:
             ),
             total_flops=self.problem.total_flops(self.partition),
             total_cores=self.cluster.total_cores,
-            blacklisted_workers=tuple(self.blacklisted),
+            blacklisted_workers=tuple(self.stats.blacklisted_workers),
             faults_injected=self.faults_injected,
-            digest_rejects=self.digest_rejects,
-            audits_convicted=self.audits_convicted,
-            tainted_recomputes=self.taint_recomputes,
-            quarantined_workers=tuple(self.quarantined),
+            digest_rejects=self.stats.digest_rejects,
+            audits_convicted=self.stats.audits_convicted,
+            tainted_recomputes=self.stats.tainted_recomputes,
+            quarantined_workers=tuple(self.stats.quarantined_workers),
         )
         return self.asm.finish(report)
 

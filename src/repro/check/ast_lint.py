@@ -1,6 +1,6 @@
 """AST lints enforcing the repo's concurrency and clock discipline.
 
-Two project rules exist that no type checker sees:
+Three project rules exist that no type checker sees:
 
 - **Lock discipline** — locks and condition variables must come from
   :func:`repro.check.lock_lint.make_lock` / ``make_condition`` so the
@@ -13,8 +13,13 @@ Two project rules exist that no type checker sees:
   directly: a direct read breaks the simulated backend's sim-time and
   makes timeout logic untestable. ``time.perf_counter()`` stays legal —
   it only measures wall-clock cost for reports, it never drives logic.
+- **Sans-I/O core** — the dispatch core (``runtime/dispatch.py``) takes
+  ``now`` as an argument and returns actions; it may import no thread,
+  clock, socket, OS, transport, journal or array module and build no
+  lock, or the simulator and explorer stop running the master's real
+  decisions (``docs/fault_tolerance.md`` §Dispatch core).
 
-Both lints are source-level (``ast``), so they catch violations in
+All lints are source-level (``ast``), so they catch violations in
 code paths tests never execute. Wired into ``repro check
 --all-builtin``; the seeded fixtures in :mod:`repro.check.fixtures`
 prove each rule actually fires.
@@ -32,6 +37,7 @@ from repro.check.diagnostics import CheckReport
 __all__ = [
     "lint_lock_discipline",
     "lint_clock_discipline",
+    "lint_sans_io",
     "check_lock_discipline",
     "check_clock_discipline",
     "source_root",
@@ -39,6 +45,14 @@ __all__ = [
 
 _BANNED_LOCK_ATTRS = ("Lock", "Condition")
 _BANNED_CLOCK_ATTRS = ("time", "monotonic")
+#: Modules (and their submodules) a sans-I/O module may not import, and
+#: the lock factories it may not name.
+_SANS_IO_BANNED_IMPORTS = (
+    "threading", "time", "socket", "os", "numpy", "repro.comm.transport", "repro.durable",
+)
+_SANS_IO_BANNED_NAMES = ("make_lock", "make_condition")
+#: Package-relative paths held to the sans-I/O rule.
+SANS_IO_MODULES = (os.path.join("runtime", "dispatch.py"),)
 
 
 class _ImportTracker(ast.NodeVisitor):
@@ -111,6 +125,33 @@ def lint_clock_discipline(source: str, path: str = "<string>") -> List[Tuple[int
     return _lint(source, path, "time", _BANNED_CLOCK_ATTRS)
 
 
+def lint_sans_io(source: str, path: str = "<string>") -> List[Tuple[int, str]]:
+    """(line, what) for every I/O-capable import or lock factory use."""
+    try:
+        tree = ast.parse(source, filename=path)
+    except SyntaxError as exc:
+        return [(exc.lineno or 0, f"cannot parse: {exc.msg}")]
+    out: List[Tuple[int, str]] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+            out.extend(
+                (node.lineno, f"{a.name}()")
+                for a in node.names
+                if a.name in _SANS_IO_BANNED_NAMES
+            )
+        else:
+            continue
+        out.extend(
+            (node.lineno, f"import {m}")
+            for m in modules
+            if any(m == b or m.startswith(b + ".") for b in _SANS_IO_BANNED_IMPORTS)
+        )
+    return out
+
+
 def source_root() -> str:
     """The installed ``repro`` package directory this lint scans."""
     return os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -161,7 +202,8 @@ def check_clock_discipline(
     subdirs: Tuple[str, ...] = ("runtime", "backends", "serve"),
     title: str = "lint:clock-discipline",
 ) -> CheckReport:
-    """Scan scheduling code for direct wall-clock reads."""
+    """Scan scheduling code for direct wall-clock reads, and the
+    sans-I/O modules for anything that could perform I/O at all."""
     root = root or source_root()
     report = CheckReport(title=title)
     for path in _py_files(root, subdirs):
@@ -169,6 +211,14 @@ def check_clock_discipline(
         with open(path, encoding="utf-8") as fh:
             source = fh.read()
         rel = os.path.relpath(path, root)
+        if rel in SANS_IO_MODULES:
+            for line, what in lint_sans_io(source, path):
+                report.add(
+                    D.SANS_IO_VIOLATION,
+                    f"{what} at {rel}:{line} — the dispatch core is sans-I/O: "
+                    f"time comes in as `now`, effects go out as actions",
+                    f"{rel}:{line}",
+                )
         for line, what in lint_clock_discipline(source, path):
             report.add(
                 D.UNINJECTED_CLOCK,

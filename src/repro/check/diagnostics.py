@@ -65,6 +65,7 @@ EXPLORE_ORACLE_MISMATCH = "explore-oracle-mismatch"
 # -- AST lint codes -------------------------------------------------------------
 RAW_LOCK_CONSTRUCTION = "raw-lock-construction"
 UNINJECTED_CLOCK = "uninjected-clock"
+SANS_IO_VIOLATION = "sans-io-violation"
 
 SEVERITIES = ("error", "warning")
 

@@ -1,5 +1,12 @@
 """Systematic interleaving exploration of the master/slave protocol.
 
+What is explored is the code that runs: the simulated backend is a shell
+around the same :class:`~repro.runtime.dispatch.DispatchCore` the real
+master takes every decision from (``docs/fault_tolerance.md`` §Dispatch
+core), and the state fingerprint reads protocol state only through
+``core.fingerprint()``. What is *not* explored: thread interleavings
+inside the master shell itself (see ``docs/static_analysis.md``).
+
 The simulated backend is a deterministic discrete-event program: every
 protocol step (assignment arrival, result arrival, overtime check, idle
 announcement) is an event on one queue. Under a *zero-cost* cluster
@@ -40,7 +47,11 @@ Search strategy (stateless replay DFS):
   most one worker death, enumerated over endpoints and early message
   indices. Faults beyond the enumeration horizon hit states the
   horizon's faults already cover (later waves repeat the same protocol
-  situations with different block ids).
+  situations with different block ids). Further scenarios re-run a
+  reduced fault set under batched wavefront dispatch (envelope faults),
+  kill a journaled master mid-wave and resume it (one chooser spans
+  both phases), and tie a result to its own lease expiry behind a lost
+  heartbeat.
 
 Every completed interleaving is checked for: clean termination (no
 deadlock, no unexpected abort), an oracle-identical result (every block
@@ -149,6 +160,14 @@ class Scenario:
     #: False for scenarios *designed* to abort (fault budget exceeded by
     #: construction); a clean FaultToleranceExhausted is then not a violation.
     expect_complete: bool = True
+    #: ``RunConfig`` overrides (``batch_wave``, ``heartbeat_interval`` …).
+    config: Tuple[Tuple[str, Any], ...] = ()
+    #: Journal the run, kill the master after this many commits, then
+    #: recover the journal and explore the resumed run to completion.
+    kill_after: Optional[int] = None
+    #: Block grid override, for scenarios whose extra events (a lease
+    #: check per dispatch) would make the campaign grid intractable.
+    grid: Optional[Tuple[int, int]] = None
 
 
 # -- targeted fault plan -------------------------------------------------------------
@@ -165,10 +184,13 @@ class TargetedFaultRule:
     """
 
     kind: str  # "drop" or "delay"
-    direction: str  # "send" (TaskAssign) or "recv" (TaskResult)
+    direction: str  # "send" (assigns) or "recv" (results, heartbeats)
     endpoint: int
     index: int
     delay: float = 0.0
+    #: ``"Heartbeat"`` addresses the node's lease-renewal beacons, which
+    #: the simulator counts on their own per-node index.
+    message_type: Optional[str] = None
 
 
 class TargetedFaultPlan(MessageFaultPlan):
@@ -193,7 +215,14 @@ class TargetedFaultPlan(MessageFaultPlan):
     ) -> Tuple[MessageFaultRule, ...]:
         out = []
         for t in self.targets:
-            if t.direction == direction and t.endpoint == endpoint and t.index == index:
+            if (
+                t.direction == direction
+                and t.endpoint == endpoint
+                and t.index == index
+                # An untyped rule names a task-carrying transfer, never a
+                # heartbeat (those count on their own index).
+                and t.message_type == (None if message_type != "Heartbeat" else message_type)
+            ):
                 out.append(MessageFaultRule(t.kind, direction=direction, delay=t.delay))
         return tuple(out)
 
@@ -254,6 +283,36 @@ def default_scenarios(cfg: ExploreConfig) -> List[Scenario]:
             (WorkerFaultRule("die", worker_id=1, after_tasks=cfg.death_points[0]),)
         )
         scenarios.append(Scenario("drop-result-n0+death-n1", mplan, wplan))
+    delay = cfg.task_timeout - 1.0
+    # Batched wavefront dispatch: the same faults now hit a whole
+    # BatchAssign / BatchResult envelope while every element keeps its own
+    # registration. (Index 0 only: later envelopes repeat the situation.)
+    batch = (("batch_wave", True),)
+    scenarios.append(Scenario("batch-fault-free", config=batch))
+    if cfg.max_drops >= 1:
+        for k in range(cfg.workers):
+            for kind, direction, mname, d in (
+                ("drop", "send", "drop-assign", 0.0),
+                ("drop", "recv", "drop-result", 0.0),
+                ("delay", "recv", "delay-result", delay),
+            ):
+                plan = TargetedFaultPlan((TargetedFaultRule(kind, direction, k, 0, delay=d),))
+                scenarios.append(Scenario(f"batch-{mname}-n{k}-i0", plan, config=batch))
+    # A journaled master killed between two elements of one BatchResult
+    # (the second commit is the first that can share an envelope), then
+    # recovered from the journal and explored to completion.
+    scenarios.append(Scenario("batch-kill-resume-c2", config=batch, kill_after=2))
+    if cfg.max_drops >= 1:
+        # Lease == unit compute, and the node's first heartbeat lost: the
+        # result lands in the very instant its own lease expires.
+        lease = (("heartbeat_interval", 0.5), ("lease_factor", 2.0))
+        for k in range(cfg.workers):
+            plan = TargetedFaultPlan(
+                (TargetedFaultRule("drop", "recv", k, 0, message_type="Heartbeat"),)
+            )
+            scenarios.append(
+                Scenario(f"lease-race-n{k}", plan, config=lease, grid=(2, 2))
+            )
     return scenarios
 
 
@@ -277,7 +336,7 @@ def _make_config(cfg: ExploreConfig, scenario: Scenario) -> Any:
         master_overhead=0.0,
         slave_overhead=0.0,
     )
-    kwargs: Dict[str, Any] = {}
+    kwargs: Dict[str, Any] = dict(scenario.config)
     if scenario.message_plan is not None:
         kwargs["message_fault_plan"] = scenario.message_plan
     if scenario.worker_plan is not None:
@@ -299,11 +358,26 @@ def _make_config(cfg: ExploreConfig, scenario: Scenario) -> Any:
     )
 
 
-def _make_run(problem: Any, config: Any, chooser: "_ReplayChooser", model_factory: Optional[Callable[[], type[Any]]]) -> Any:
+def _make_instance(cfg: ExploreConfig, scenario: Scenario) -> Tuple[Any, Any]:
+    """The (problem, RunConfig) pair one scenario explores."""
+    if scenario.grid is not None:
+        from dataclasses import replace
+
+        cfg = replace(cfg, rows=scenario.grid[0], cols=scenario.grid[1])
+    return _make_problem(cfg), _make_config(cfg, scenario)
+
+
+def _make_run(
+    problem: Any,
+    config: Any,
+    chooser: "_ReplayChooser",
+    model_factory: Optional[Callable[[], type[Any]]],
+    resume: Any = None,
+) -> Any:
     from repro.backends.simulated import _SimulatedRun
 
     cls: type[Any] = model_factory() if model_factory is not None else _SimulatedRun
-    run = cls(problem, config, evq=ControlledEventQueue(chooser))
+    run = cls(problem, config, resume, evq=ControlledEventQueue(chooser))
     # Unit compute: every sub-task takes exactly 1.0 sim-seconds, so the
     # events of one dependency wave collide at the same instant (the tie
     # sets the chooser enumerates) while successive waves stay layered —
@@ -342,6 +416,7 @@ def _fingerprint(run: Any) -> Tuple[Any, ...]:
             else (n.pending[0], n.pending[1], _rel(n.pending[2], now), _rel(n.pending[3], now)),
             n.sent_index,
             n.recv_index,
+            n.beacon_index,
             _rel(n.busy_until, now) if n.busy_until > now else 0.0,
             _rel(n.nic_free, now) if n.nic_free > now else 0.0,
         )
@@ -352,16 +427,11 @@ def _fingerprint(run: Any) -> Tuple[Any, ...]:
         nodes,
         pending,
         tuple(run.ready),
-        tuple(sorted(run.registered.items())),
-        tuple(sorted(run.attempts.items())),
-        tuple(sorted(run.committed.items())),
-        tuple(sorted(run.dispatched_to.items())),
+        # All protocol state — the dispatch ledger, worker standing and
+        # commit ledger — is the core's, and read only through it.
+        run.core.fingerprint(now),
         tuple(sorted(run.live_taint.items())),
         tuple(sorted(run.tainted_commits.items())),
-        tuple(run.blacklisted),
-        tuple(run.quarantined),
-        tuple(sorted(run.node_failures.items())),
-        tuple(sorted(run.divergence.items())),
         tuple(frozenset(s) for s in run.node_done),
         _rel(run.master_nic_free, now) if run.master_nic_free > now else 0.0,
         _rel(run.master_cpu_free, now) if run.master_cpu_free > now else 0.0,
@@ -395,6 +465,10 @@ class _ReplayChooser:
         self.fingerprints: List[Tuple[Any, ...]] = []
         self.pruned = False
         self.run: Any = None
+        #: 0 until a killed master is resumed, 1 after: equal scheduler
+        #: states on either side of the crash have different futures (the
+        #: kill switch is only armed before it).
+        self.phase = 0
 
     def bind(self, run: Any) -> None:
         self.run = run
@@ -403,10 +477,10 @@ class _ReplayChooser:
         run = self.run
         if not isinstance(label, tuple) or not label:
             return False
-        if label[0] == "timeout":
-            # Overtime check of an epoch that already completed (or was
-            # already redistributed): reads the register table, returns.
-            return run.registered.get(label[1]) != label[2]
+        if label[0] in ("timeout", "lease"):
+            # Overtime / lease check of an epoch that already completed
+            # (or was already redistributed): reads the ledger, returns.
+            return not run.core.is_live(label[1], label[2])
         if label[0] == "idle":
             # Idle announcement of a dead node: returns immediately.
             return bool(run.nodes[label[1]].dead)
@@ -417,7 +491,7 @@ class _ReplayChooser:
             if self._is_noop(label):
                 return i
         depth = len(self.choices)
-        fp = _fingerprint(self.run)
+        fp = (self.phase, *_fingerprint(self.run))
         self.fingerprints.append(fp)
         if depth < len(self.prefix):
             idx = self.prefix[depth]
@@ -444,8 +518,11 @@ def _check_interleaving(
     error: Optional[BaseException],
     *,
     partial: bool = False,
+    journaled: Optional[Dict[Any, int]] = None,
 ) -> CheckReport:
-    """All per-interleaving invariants on one (possibly truncated) run."""
+    """All per-interleaving invariants on one (possibly truncated) run.
+    ``journaled`` is the committed prefix a resumed run started from."""
+    from repro.check.trace_check import SchedEvent
     from repro.obs.export import to_sched_events
     from repro.utils.errors import FaultToleranceExhausted
 
@@ -461,7 +538,7 @@ def _check_interleaving(
     complete = error is None and not partial
     if complete:
         report.checked += 1
-        missing = run.partition.n_blocks - len(run.committed)
+        missing = run.partition.n_blocks - len(run.core.committed)
         if missing:
             report.add(
                 D.EXPLORE_ORACLE_MISMATCH,
@@ -476,6 +553,26 @@ def _check_interleaving(
             )
     events = run.obs.events() if run.obs is not None else ()
     sched = to_sched_events(events)
+    if journaled is not None:
+        from repro.check.durable_check import check_resume_invariants
+
+        # The replayed prefix is not in the resumed stream: give the
+        # happens-before check its commits, and hold the stream to the
+        # resume invariants (no journaled task commits again).
+        prior = [
+            SchedEvent("commit", t, journaled[t], -1)
+            for t in run.partition.abstract.topological_order()
+            if t in journaled
+        ]
+        sched = [
+            SchedEvent(e.kind, e.task_id, e.epoch, e.worker, seq=i, time=e.time)
+            for i, e in enumerate(prior + sched)
+        ]
+        report.extend(
+            check_resume_invariants(
+                events, journaled, pattern=run.partition.abstract, aborted=aborted
+            )
+        )
     report.extend(
         check_trace(
             sched,
@@ -584,19 +681,52 @@ def _run_once(
     prefix: Sequence[int],
     visited: Set[Tuple[Any, ...]],
     model_factory: Optional[Callable[[], type[Any]]],
-) -> Tuple[Any, _ReplayChooser, Optional[BaseException]]:
-    from repro.utils.errors import FaultToleranceExhausted, SchedulerError
+) -> Tuple[Any, _ReplayChooser, CheckReport]:
+    """Execute one interleaving and check its invariants. A ``kill_after``
+    scenario journals into a scratch directory, and when the kill switch
+    fires recovers the journal and carries the same chooser on into the
+    resumed run; both halves are checked. Returns the (last) run."""
+    import tempfile
+    from contextlib import nullcontext
+    from dataclasses import replace
+
+    from repro.durable import recover
+    from repro.utils.errors import FaultToleranceExhausted, MasterCrash, SchedulerError
 
     chooser = _ReplayChooser(prefix, visited)
-    run = _make_run(problem, config, chooser, model_factory)
     error: Optional[BaseException] = None
-    try:
-        run.execute()
-    except _Pruned:
-        pass
-    except (FaultToleranceExhausted, SchedulerError, SimulationError) as exc:
-        error = exc
-    return run, chooser, error
+    journaled: Optional[Dict[Any, int]] = None
+    reports: List[CheckReport] = []
+    journaling = scenario.kill_after is not None
+    with tempfile.TemporaryDirectory(prefix="explore-") if journaling else nullcontext() as tmp:
+        if journaling:
+            config = replace(
+                config,
+                journal_path=f"{tmp}/master.journal",
+                journal_fsync=False,
+                journal_kill_after=scenario.kill_after,
+            )
+        run = _make_run(problem, config, chooser, model_factory)
+        try:
+            try:
+                run.execute()
+            except MasterCrash:
+                reports.append(_check_interleaving(run, scenario, None, partial=True))
+                rec = recover(config.journal_path)
+                journaled = dict(rec.committed)
+                chooser.phase = 1
+                run = _make_run(problem, config, chooser, model_factory, resume=rec)
+                run.execute()
+        except _Pruned:
+            pass
+        except (FaultToleranceExhausted, SchedulerError, SimulationError) as exc:
+            error = exc
+    reports.append(
+        _check_interleaving(
+            run, scenario, error, partial=chooser.pruned, journaled=journaled
+        )
+    )
+    return run, chooser, merge_reports(f"explore:{scenario.name}", reports)
 
 
 def run_exploration(
@@ -618,11 +748,10 @@ def run_exploration(
     break *every* remaining interleaving.
     """
     cfg = cfg or ExploreConfig()
-    problem = _make_problem(cfg)
     scens = list(scenarios) if scenarios is not None else default_scenarios(cfg)
     result = ExplorationResult(scenarios=len(scens))
     for scenario in scens:
-        config = _make_config(cfg, scenario)
+        problem, config = _make_instance(cfg, scenario)
         visited: Set[Tuple[Any, ...]] = set()
         stack: List[Tuple[int, ...]] = [()]
         explored = 0
@@ -635,7 +764,7 @@ def run_exploration(
                 result.exhaustive = False
                 break
             prefix = stack.pop()
-            run, chooser, error = _run_once(
+            run, chooser, report = _run_once(
                 problem, config, scenario, prefix, visited, model_factory
             )
             explored += 1
@@ -649,9 +778,6 @@ def run_exploration(
                 for alt in range(1, chooser.widths[depth]):
                     stack.append(base + (alt,))
             visited.update(chooser.fingerprints)
-            report = _check_interleaving(
-                run, scenario, error, partial=chooser.pruned
-            )
             if not report.ok:
                 ce = Counterexample(
                     scenario=scenario.name,
@@ -685,14 +811,10 @@ def replay_counterexample(
     always reproduces the same event trace, which is what makes exported
     counterexamples debuggable artifacts rather than one-off logs.
     """
-    problem = _make_problem(cfg)
-    config = _make_config(cfg, scenario)
+    problem, config = _make_instance(cfg, scenario)
     # An over-long prefix (e.g. a hand-edited file) diverges loudly via
     # the chooser's bounds check rather than silently exploring.
-    run, chooser, error = _run_once(
-        problem, config, scenario, choices, set(), model_factory
-    )
-    return _check_interleaving(run, scenario, error, partial=chooser.pruned)
+    return _run_once(problem, config, scenario, choices, set(), model_factory)[2]
 
 
 def scenario_by_name(cfg: ExploreConfig, name: str) -> Scenario:
@@ -743,11 +865,12 @@ def reorder_double_commit_model() -> type[Any]:
 
     class _ReorderDoubleCommitRun(_SimulatedRun):
         def _result(self, bid: Any, epoch: int, k: int) -> None:
-            stale = self.registered.get(bid) != epoch
-            if stale and bid in self.attempts and self.committed.get(bid) != epoch:
+            core = self.core
+            stale = not core.is_live(bid, epoch)
+            if stale and core.attempts(bid) and core.committed.get(bid) != epoch:
                 # Defect: merge the stale result instead of dropping it.
                 self._account()
-                self.committed.setdefault(bid, epoch)
+                core.committed.setdefault(bid, epoch)
                 if self.sched.enabled:
                     self.sched.record("commit", bid, epoch, k)
                 self._node_idle(k)

@@ -1,6 +1,6 @@
 """Seeded defect fixtures — known-bad inputs every check pass must catch.
 
-Sixteen fixtures, one per diagnostic family the verifier exists for:
+Seventeen fixtures, one per diagnostic family the verifier exists for:
 
 1.  a cyclic "pattern"                          -> ``pattern-cycle``
 2.  a pattern with an out-of-bounds dependency  -> ``dep-out-of-bounds``
@@ -24,6 +24,8 @@ Sixteen fixtures, one per diagnostic family the verifier exists for:
 15. a raw ``threading.Lock()`` construction     -> ``raw-lock-construction``
 16. a direct ``time.monotonic()`` read in
     scheduling code                             -> ``uninjected-clock``
+17. a dispatch core that reads the clock and
+    takes a lock itself                         -> ``sans-io-violation``
 
 They serve two purposes: negative-path tests (each must be *rejected*,
 with the named diagnostic), and the ``repro check --selftest`` CLI verb,
@@ -43,7 +45,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Tuple
 
 from repro.check import diagnostics as D
-from repro.check.ast_lint import lint_clock_discipline, lint_lock_discipline
+from repro.check.ast_lint import lint_clock_discipline, lint_lock_discipline, lint_sans_io
 from repro.check.diagnostics import CheckReport
 from repro.check.integrity_check import check_integrity_invariants
 from repro.check.lock_lint import lock_lint_session, make_lock
@@ -325,6 +327,16 @@ def overtime(deadline):
     return time.monotonic() > deadline  # breaks under simulated time
 """
 
+_IO_IN_CORE_SNIPPET = """\
+import time
+from repro.check.lock_lint import make_lock
+
+class DispatchCore:
+    def deadline(self, task, epoch):
+        with make_lock("core"):
+            return time.monotonic() > self._live[task].deadline
+"""
+
 
 def raw_lock_snippet_report() -> CheckReport:
     report = CheckReport(title="fixture:raw-lock")
@@ -339,6 +351,14 @@ def raw_clock_snippet_report() -> CheckReport:
     for line, what in lint_clock_discipline(_RAW_CLOCK_SNIPPET, "<fixture>"):
         report.checked += 1
         report.add(D.UNINJECTED_CLOCK, f"direct {what} at <fixture>:{line}")
+    return report
+
+
+def io_in_core_snippet_report() -> CheckReport:
+    report = CheckReport(title="fixture:io-in-core")
+    for line, what in lint_sans_io(_IO_IN_CORE_SNIPPET, "<fixture>"):
+        report.checked += 1
+        report.add(D.SANS_IO_VIOLATION, f"{what} at <fixture>:{line}")
     return report
 
 
@@ -390,6 +410,7 @@ SELFTEST: Dict[str, Tuple[str, Callable[[], CheckReport]]] = {
     ),
     "raw-lock-construction": (D.RAW_LOCK_CONSTRUCTION, raw_lock_snippet_report),
     "uninjected-clock": (D.UNINJECTED_CLOCK, raw_clock_snippet_report),
+    "io-in-dispatch-core": (D.SANS_IO_VIOLATION, io_in_core_snippet_report),
 }
 
 

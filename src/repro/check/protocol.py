@@ -147,8 +147,9 @@ def wire_message_kinds() -> Tuple[str, ...]:
 
 
 def build_protocol_spec() -> ProtocolSpec:
-    """The protocol as implemented by ``runtime/master.py``,
-    ``runtime/slave.py`` and mirrored by ``backends/simulated.py``."""
+    """The protocol as decided by ``runtime/dispatch.py`` and performed by
+    its shells ``runtime/master.py``, ``runtime/slave.py`` and
+    ``backends/simulated.py``."""
     slave = RoleSpec(
         name="slave",
         initial="announcing",

@@ -645,3 +645,8 @@ class IoPolicy:
         rule = self.fault(op)
         if rule is not None:
             raise rule.to_oserror()
+
+
+def io_policy(plan: Optional[IoFaultPlan], stream: str) -> Optional[IoPolicy]:
+    """``plan``'s view for one stream, if there is a plan at all."""
+    return IoPolicy(plan, stream) if plan else None

@@ -21,7 +21,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from repro.algorithms.problem import DPProblem
 from repro.analysis.report import RunReport
 from repro.chaos.channel import ChaosChannel
-from repro.cluster.faults import IoPolicy
+from repro.cluster.faults import io_policy
 from repro.comm.shm import BlockStore, ShmChannel
 from repro.comm.transport import Channel, channel_pair
 from repro.dag.partition import Partition
@@ -33,11 +33,6 @@ from repro.runtime.config import BCW_BLOCK_COLS, SPECULATIVE_QUANTILE, RunConfig
 from repro.runtime.master import MasterPart
 from repro.runtime.slave import SlavePart, SlaveStats
 from repro.schedulers.policy import SchedulingPolicy, make_policy
-
-
-def io_policy(config: RunConfig, stream: str) -> Optional[IoPolicy]:
-    """This run's injected-I/O-fault view for one stream, if any."""
-    return IoPolicy(config.io_fault_plan, stream) if config.io_fault_plan else None
 
 
 def slave_options(config: RunConfig) -> Dict[str, Any]:
@@ -105,7 +100,7 @@ class RunAssembly:
         common = dict(
             fsync=config.journal_fsync,
             checkpoint_interval=config.checkpoint_interval,
-            io_policy=io_policy(config, "journal"),
+            io_policy=io_policy(config.io_fault_plan, "journal"),
         )
         if resume is not None:
             journal = CommitJournal.open_resume(resume.scan, **common)

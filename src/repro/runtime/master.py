@@ -1,4 +1,4 @@
-"""Master part: processor-level scheduling and fault tolerance (Figs 9, 10).
+"""Master part: the threaded shell around the dispatch core (Figs 9, 10).
 
 Thread layout follows the paper:
 
@@ -8,51 +8,26 @@ Thread layout follows the paper:
 - the *master scheduling thread* (the caller of :meth:`MasterPart.run`)
   drains the finished stack, updates the master DAG pattern, and pushes
   newly computable sub-tasks onto the computable stack;
-- the *fault-tolerance thread* watches the master overtime queue: a
-  sub-task that misses its deadline while still registered is
-  unregistered and redistributed (Fig 10); a sub-task that exhausts its
-  retry budget aborts the run with :class:`FaultToleranceExhausted`.
+- the *fault-tolerance thread* ticks the dispatch core for overdue
+  deadlines and expired leases, releases backoff-held re-dispatches,
+  scans for stragglers, and runs the stall watchdog.
 
-Results that arrive after their registration was cancelled carry a stale
-epoch and are dropped — the register-table check of Fig 9 step h.
+Every register / budget / backoff / blacklist / quarantine / lease /
+vote / taint *decision* is taken by
+:class:`~repro.runtime.dispatch.DispatchCore` under the single
+``master.core`` lock and performed here (``_apply``): this module keeps
+the threads, the channels, the two stacks, payload extraction, digest
+hashing, journal writes and the audit/arbiter recompute. The event →
+action vocabulary and the hardening it carries (retry budgets, backoff,
+speculation, blacklist, leases, digest / audit / vote / quarantine, taint
+recompute) are described in ``docs/fault_tolerance.md`` §Dispatch core.
 
-The fault-tolerance thread additionally hardens the paper's mechanism
-(all off by default, see :class:`~repro.runtime.config.RunConfig`):
-
-- **exponential backoff** — re-dispatch of a timed-out sub-task waits
-  ``retry_backoff * 2**(attempts-1)`` seconds (capped) instead of
-  re-queueing instantly, so a persistently failing resource is not
-  hammered;
-- **speculative re-dispatch** — a live dispatch older than a multiple of
-  the observed duration quantile is cancelled and re-queued early
-  (straggler mitigation); such cancels do not count against the retry
-  budget;
-- **blacklisting** — a worker exceeding a timeout-failure threshold stops
-  receiving work and its in-flight dispatches are re-queued, degrading
-  gracefully down to a single surviving worker;
-- **stall watchdog** — if nothing is live and nothing progressed for
-  ``stall_timeout`` seconds (every worker lost, every message dropped),
-  the run aborts with a clean :class:`FaultToleranceExhausted` rather
-  than hanging.
-
-Result integrity (:mod:`repro.integrity`, ``RunConfig.integrity``) layers
-silent-data-corruption defenses over the same scheduling loop:
-
-- **digest** — every TaskAssign/TaskResult carries a canonical content
-  digest; a result whose payload no longer matches is rejected at
-  receive and redistributed (in-transit corruption);
-- **audit** — a deterministic sample of commits is recomputed by the
-  master a few commits later; a conviction revokes the committed block
-  *and its committed dependent closure* (taint recompute) through
-  :meth:`DAGParser.invalidate` and the journal's invalidation records;
-- **vote** — every sub-task is dispatched to ``vote_k`` distinct workers
-  and committed only on a digest majority, escalating one voter at a
-  time on divergence (the master recomputes as arbiter when no fresh
-  worker remains);
-- **quarantine** — a worker convicted of divergent results too often is
-  retired. Unlike the blacklist this ignores liveness: a lying worker
-  still heartbeats, so only semantic conviction removes it. Quarantining
-  the last worker aborts cleanly.
+Shell-only mechanisms: the **stall watchdog** — nothing live, nothing
+held for retry and no progress for ``stall_timeout`` seconds (every
+worker lost, every message dropped) aborts with a clean
+:class:`FaultToleranceExhausted` rather than hanging — and the
+straggler *cutoff* (a multiple of the observed duration quantile; the
+cancel itself is the core's ``straggler`` event).
 
 Note that a taint recompute legitimately commits a task twice; the
 strict happens-before trace validator (``verify=True``) flags the second
@@ -91,19 +66,14 @@ from repro.comm.transport import Channel, ChannelClosed, ChannelTimeout
 from repro.dag.parser import DAGParser
 from repro.dag.partition import Partition
 from repro.durable.journal import CommitJournal
-from repro.integrity import IntegrityPolicy, fold_commit, run_digest_hex
+from repro.integrity import IntegrityPolicy
 from repro.obs.clock import Clock
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.recorder import EventRecorder
 from repro.obs.schedule import ScheduleTracer
-from repro.runtime.worker_pool import (
-    ComputableStack,
-    FinishedStack,
-    LeaseTable,
-    OvertimeEntry,
-    OvertimeQueue,
-    RegisterTable,
-)
+from repro.runtime import dispatch as core_mod
+from repro.runtime.dispatch import DispatchCore
+from repro.runtime.worker_pool import ComputableStack, FinishedStack
 from repro.schedulers.policy import SchedulingPolicy
 from repro.utils.errors import (
     FaultToleranceExhausted,
@@ -120,46 +90,22 @@ _RETIRED = object()
 
 
 @dataclass
-class MasterStats:
-    """Counters gathered while the master ran."""
+class MasterStats(core_mod.Counters):
+    """Counters gathered while the master ran (the protocol's own are
+    inherited from the dispatch core's)."""
 
-    faults_recovered: int = 0
-    stale_results: int = 0
     tasks_per_worker: Dict[int, int] = field(default_factory=dict)
     messages: int = 0
     bytes_to_slaves: int = 0
     bytes_to_master: int = 0
-    #: Straggler dispatches cancelled and re-queued before their timeout.
-    speculative_redispatches: int = 0
-    #: Workers retired for exceeding the failure threshold, in order.
-    blacklisted_workers: List[int] = field(default_factory=list)
     #: Service/fault-tolerance threads that outlived their join timeout.
     worker_leaks: int = 0
     #: Compacted journal checkpoints written during the run.
     checkpoints: int = 0
     #: Sub-tasks skipped on resume because the journal already held them.
     resumed_commits: int = 0
-    #: Dispatches cancelled because their liveness lease expired.
-    lease_expirations: int = 0
     #: Workers that joined mid-run (elastic membership).
     workers_joined: int = 0
-    #: Workers that left cleanly mid-run (WorkerLeave).
-    workers_left: int = 0
-    #: TaskResults whose payload failed receive-side digest verification.
-    digest_rejects: int = 0
-    #: Sampled audit recomputes that matched the committed outputs.
-    audits_passed: int = 0
-    #: Sampled audit recomputes that convicted a committed block.
-    audits_convicted: int = 0
-    #: Commits revoked for recompute by taint invalidation (closures
-    #: included — one conviction may revoke many commits).
-    tainted_recomputes: int = 0
-    #: Votes recorded in ``integrity='vote'`` mode (arbiter included).
-    votes_cast: int = 0
-    #: Vote rounds that ended without a strict majority and escalated.
-    vote_divergences: int = 0
-    #: Workers retired for divergent results (SDC quarantine), in order.
-    quarantined_workers: List[int] = field(default_factory=list)
     #: Rolling run digest (hex) after the last commit; None when
     #: integrity is off.
     run_digest: Optional[str] = None
@@ -225,14 +171,10 @@ class MasterPart:
         self.channels = list(channels)
         self.policy = policy
         self.task_timeout = task_timeout
-        self.max_retries = max_retries
         self.poll_interval = poll_interval
-        self.retry_backoff = retry_backoff
-        self.retry_backoff_max = retry_backoff_max
         self.speculate = speculate
         self.speculative_factor = speculative_factor
         self.speculative_quantile = speculative_quantile
-        self.blacklist_threshold = blacklist_threshold
         self.stall_timeout = (
             stall_timeout if stall_timeout is not None else 2.0 * task_timeout + 1.0
         )
@@ -282,27 +224,8 @@ class MasterPart:
             push_observer=self._note_ready if self.sched.observing else None,
         )
         self._finished = FinishedStack()
-        self._overtime = OvertimeQueue()
-        self._register = RegisterTable()
         self._end = threading.Event()
         self._failure: List[BaseException] = []
-        #: Workers retired from service; read by the per-slave threads
-        #: (set-membership only), mutated only by the fault-tolerance
-        #: thread — safe without a lock under the GIL.
-        self._blacklisted: set = set()
-        self._worker_failures: Dict[int, int] = {}
-        #: Last wall-clock moment each worker was heard from (any message).
-        #: The blacklist consults this as a liveness oracle: a worker that
-        #: keeps announcing itself is alive, and its timeouts are message
-        #: loss — blacklisting is reserved for workers that went silent.
-        self._last_heard: Dict[int, float] = {}
-        #: Per-task count of cancels that do NOT charge the retry budget
-        #: (speculation, blacklist evictions) — the exhaustion check uses
-        #: ``attempts - exempt``.
-        self._budget_exempt: Dict[TaskId, int] = {}
-        #: Tasks already speculated once (speculation is capped at one
-        #: early re-dispatch per task).
-        self._speculated: set = set()
         #: Completed compute durations (seconds) feeding the speculation
         #: quantile. Appends are GIL-atomic; the scanner copies.
         self._durations: List[float] = []
@@ -328,20 +251,6 @@ class MasterPart:
         #: these are replayed into the DAG parser, never re-dispatched.
         self._prior_commits: Dict[TaskId, int] = dict(completed) if completed else {}
         self._initial_state = initial_state
-        if attempts:
-            # Retry budgets continue across the crash: epochs must outpace
-            # any result a surviving slave still holds from before it.
-            self._register.prime(attempts)
-        #: All commits of this run, prior + live (checkpoints persist it).
-        self._committed: Dict[TaskId, int] = dict(self._prior_commits)
-
-        #: Heartbeat/lease liveness (None = the paper's inference-only
-        #: liveness): leases span ``heartbeat_interval * lease_factor``
-        #: and are renewed by *any* message from the holding worker.
-        self._lease_duration: Optional[float] = (
-            None if heartbeat_interval is None else heartbeat_interval * lease_factor
-        )
-        self._leases = LeaseTable()
 
         #: Result-integrity policy (:mod:`repro.integrity`): receive-side
         #: digest verification plus the audit/vote SDC defenses.
@@ -351,45 +260,48 @@ class MasterPart:
             vote_k=vote_k,
             quarantine_threshold=quarantine_threshold,
         )
+        #: Only when digests are on is the rolling run digest folded and
+        #: any hash computed at all — the disabled path stays hash-free.
         self._digest_on = self.integrity.digest_on
-        #: Rolling run digest: an order-independent fold over every live
-        #: commit's ``(task_id, outputs digest)``, continued from the
-        #: journal on resume. Only maintained when digests are on — the
-        #: disabled path computes no hashes at all.
-        self._run_digest_acc: int = int(run_digest, 16) if run_digest else 0
-        #: task -> outputs digest of every folded commit, needed to fold a
-        #: taint invalidation back *out* and persisted in checkpoints.
-        self._commit_digests: Dict[TaskId, Optional[str]] = (
-            dict(commit_digests) if commit_digests else {}
+        #: The protocol's decisions (:mod:`repro.runtime.dispatch`): the
+        #: dispatch ledger, worker standing and commit ledger, primed from
+        #: the journal on resume. Guarded — together with the backoff heap
+        #: below — by ``master.core``, a leaf lock: it may be taken under
+        #: ``master.membership`` (attach) or ``master.results`` (accepting
+        #: a result), is never held while taking either of those,
+        #: ``master.state`` or a stack condition, and the actions a call
+        #: returns are performed after it is released.
+        self.core = DispatchCore(
+            len(self.channels),
+            task_timeout=task_timeout,
+            max_retries=max_retries,
+            retry_backoff=retry_backoff,
+            retry_backoff_max=retry_backoff_max,
+            blacklist_threshold=blacklist_threshold,
+            heartbeat_interval=heartbeat_interval,
+            lease_factor=lease_factor,
+            integrity=self.integrity,
+            fold_digests=self._digest_on,
+            pattern=partition.abstract,
+            recording=self.sched.enabled,
+            stats=self.stats,
+            attempts=attempts,
+            committed=self._prior_commits,
+            run_digest=run_digest,
+            commit_digests=commit_digests,
         )
+        self._core_lock = make_lock("master.core")
+        #: ``(ready_at, tiebreak, task_id)`` re-dispatches held by backoff.
+        self._delayed: List[Tuple[float, int, TaskId]] = []
         #: TaskResults that passed receive-side digest verification
         #: (guarded by ``_results_lock`` — service threads share it).
         self._digests_verified = 0
-        #: Deferred audit queue: ``(commit_count, task, epoch, worker,
-        #: outputs)``. Audits deliberately lag a few commits behind
-        #: (:data:`_AUDIT_LAG`) so a conviction exercises closure
-        #: invalidation, not just the convicted block.
-        self._audit_pending: List[tuple] = []
-        self._commit_count = 0
-        #: Vote ledger (``integrity='vote'``): task -> worker ->
-        #: ``(digest, outputs, epoch)``. Worker -1 is the master's own
-        #: arbiter recompute. Scheduling-thread only.
-        self._votes: Dict[TaskId, Dict[int, tuple]] = {}
-        #: Votes a task needs before tallying (escalates on divergence).
-        self._vote_need: Dict[TaskId, int] = {}
-        #: Per-worker count of convicted divergences (audit convictions
-        #: and losing vote minorities) feeding the quarantine threshold.
-        self._divergence: Dict[int, int] = {}
-        #: Workers retired for divergent results. Distinct from the
-        #: blacklist: the blacklist needs silence (its liveness oracle
-        #: protects anything that still heartbeats), while a lying worker
-        #: is perfectly alive — only semantic conviction lands here.
-        self._quarantined: set = set()
+        #: Payloads the core's ledgers refer to, scheduling-thread only:
+        #: outputs of commits awaiting their (lagged) audit, and of votes
+        #: cast so far (task -> worker -> outputs; worker -1 = arbiter).
+        self._audit_outputs: Dict[Tuple[TaskId, int], object] = {}
+        self._vote_outputs: Dict[TaskId, Dict[int, object]] = {}
 
-        #: Elastic membership: workers that announced a clean departure
-        #: (WorkerLeave) — mutated by service threads, set-membership reads
-        #: are GIL-safe like ``_blacklisted``.
-        self._left: set = set()
         #: Service threads for workers attached mid-run; guarded by the
         #: membership lock together with ``channels`` growth.
         self._extra_threads: List[threading.Thread] = []
@@ -478,11 +390,11 @@ class MasterPart:
             while True:
                 if self._failure:
                     break
-                if self._audit_pending:
+                if self.core.audits_pending:
                     self._run_due_audits(parser, force=parser.is_done())
                     if self._failure:
                         break
-                if parser.is_done() and not self._audit_pending:
+                if parser.is_done() and not self.core.audits_pending:
                     break
                 task_id = self._finished.pop(timeout=self.poll_interval)
                 if task_id is None:
@@ -491,25 +403,17 @@ class MasterPart:
                     entry = self._result_buffer.pop(task_id, None)
                 if entry is None:
                     continue  # purged by a taint invalidation while queued
-                outputs, epoch, worker_id, digest = entry
-                if task_id in self._committed:
+                if task_id in self.core.committed:
                     continue  # late duplicate of an already-committed task
                 if self.integrity.vote_on:
-                    decision = self._record_vote(
-                        task_id, outputs, epoch, worker_id, digest
-                    )
-                    if decision is None:
-                        continue  # quorum not reached yet
-                    outputs, epoch, worker_id, digest = decision
-                    if self._failure:
-                        break  # the deciding tally quarantined the pool
-                self._commit(parser, task_id, outputs, epoch, worker_id, digest)
+                    entry = self._record_vote(task_id, *entry)
+                    if entry is None or self._failure:
+                        # Quorum not reached yet — or the deciding tally
+                        # quarantined the whole pool.
+                        continue
+                self._commit(parser, task_id, *entry)
             if self.journal is not None and not self._failure and parser.is_done():
-                self.journal.end(
-                    run_digest=run_digest_hex(self._run_digest_acc)
-                    if self._digest_on
-                    else None
-                )
+                self.journal.end(run_digest=self.core.run_digest)
         finally:
             # Fig 9 step i: tear down pools and signal every slave to end.
             self._end.set()
@@ -540,8 +444,7 @@ class MasterPart:
                 self.stats.messages += ch.sent_messages + ch.received_messages
                 self.stats.bytes_to_slaves += ch.sent_bytes
                 self.stats.bytes_to_master += ch.received_bytes
-            if self._digest_on:
-                self.stats.run_digest = run_digest_hex(self._run_digest_acc)
+            self.stats.run_digest = self.core.run_digest
             if self.metrics is not None:
                 self._publish_metrics()
         if self._failure:
@@ -582,27 +485,60 @@ class MasterPart:
         with self._state_lock:
             snapshot = {k: np.array(v, copy=True) for k, v in self.state.items()}
         t0 = self.clock.now() if self.sched.observing else 0.0
+        with self._core_lock:
+            committed = dict(self.core.committed)
+            attempts = self.core.attempts_snapshot()
         nbytes = self.journal.checkpoint(
             snapshot,
-            self._committed,
-            self._register.attempts_snapshot(),
-            run_digest=run_digest_hex(self._run_digest_acc) if self._digest_on else None,
-            commit_digests=dict(self._commit_digests) if self._digest_on else None,
+            committed,
+            attempts,
+            run_digest=self.core.run_digest,
+            commit_digests=dict(self.core.commit_digests) if self._digest_on else None,
         )
         self.stats.checkpoints += 1
         if self.sched.observing:
             t1 = self.clock.now()
             self.sched.record(
                 "checkpoint", None, -1, ts=t1, t0=t0, t1=t1,
-                n_committed=len(self._committed), nbytes=nbytes,
+                n_committed=len(committed), nbytes=nbytes,
             )
 
-    # -- result integrity (digest / audit / vote / taint recompute) --------------------
+    # -- performing the core's actions ---------------------------------------------------
 
-    #: Commits an enqueued audit waits for before running, so convicted
-    #: blocks usually have committed dependents and the taint closure is
-    #: exercised. Audits still drain fully before the run ends.
-    _AUDIT_LAG = 4
+    def _apply(self, actions, parser: Optional[DAGParser] = None) -> bool:
+        """Perform what a core event returned, in order (the core lock is
+        NOT held). False once an abort was among them. ``parser`` is only
+        needed by events that can revoke commits (scheduling thread)."""
+        ok = True
+        for act in actions:
+            if isinstance(act, core_mod.Record):
+                self.sched.record(act.kind, act.task, act.epoch, act.worker, **act.data)
+            elif isinstance(act, core_mod.Requeue):
+                # Released before any re-queue push, so a fresh dispatch
+                # can never park new segments that this release would
+                # then tear out from under it.
+                self._release_blocks(act.task)
+                if act.delay > 0:
+                    with self._core_lock:
+                        heapq.heappush(
+                            self._delayed,
+                            (self.clock.now() + act.delay, len(self._delayed), act.task),
+                        )
+                else:
+                    self._stack.push(act.task)
+            elif isinstance(act, core_mod.Stale):
+                if self.sched.enabled:
+                    self.sched.record("stale-drop", act.task, act.epoch, act.worker)
+            elif isinstance(act, core_mod.Invalidate):
+                for task_id, _epoch in act.dropped:
+                    self._release_blocks(task_id)
+                self._rewind(parser, act.order)
+            elif isinstance(act, core_mod.Abort):
+                self._abort(act.exc)
+                ok = False
+        return ok
+
+    # -- result integrity (digest / audit / vote / taint recompute) --------------------
 
     def _commit(
         self,
@@ -630,58 +566,42 @@ class MasterPart:
                 self.journal.commit(task_id, epoch, outputs, digest=digest)
         with self._state_lock:
             self.problem.apply_result(self.state, self.partition, task_id, outputs)
-        self._committed[task_id] = epoch
+        with self._core_lock:
+            audited = self.core.commit(task_id, epoch, worker_id, digest)
+        if audited:
+            self._audit_outputs[task_id, epoch] = outputs
         self._release_blocks(task_id)
-        if self._digest_on:
-            self._run_digest_acc = fold_commit(self._run_digest_acc, task_id, digest)
-            self._commit_digests[task_id] = digest
         if self.sched.enabled:
             # Recorded before push_many so a successor's "assign" always
             # serializes after its dependencies' commits.
             self.sched.record("commit", task_id, epoch)
-        self._commit_count += 1
-        if self.integrity.audit_on and self.integrity.should_audit(task_id):
-            self._audit_pending.append(
-                (self._commit_count, task_id, epoch, worker_id, outputs)
-            )
         self._stack.push_many(parser.complete(task_id))
         if self.journal is not None and self.journal.should_checkpoint():
             self._write_checkpoint()
 
     def _run_due_audits(self, parser: DAGParser, force: bool) -> None:
-        """Run every pending audit old enough (all of them when forced)."""
-        while self._audit_pending and not self._failure:
-            stamped, task_id, epoch, worker_id, outputs = self._audit_pending[0]
-            if not force and self._commit_count - stamped < self._AUDIT_LAG:
-                return
-            self._audit_pending.pop(0)
-            if self._committed.get(task_id) != epoch:
-                continue  # already revoked by an earlier conviction's closure
-            self._audit_one(parser, task_id, epoch, worker_id, outputs)
+        """Run every pending audit old enough (all of them when forced):
+        recompute the committed block and hand the core the verdict.
 
-    def _audit_one(
-        self, parser: DAGParser, task_id: TaskId, epoch: int, worker_id: int, outputs
-    ) -> None:
-        """Recompute one committed block and convict on mismatch.
-
-        The inputs re-extracted here are the committed predecessor blocks
-        — a successor never overwrites them — so the recompute sees what
-        the worker saw. A lying *predecessor* makes both sides agree and
-        is caught by its own audit, not this one.
+        The inputs re-extracted are the committed predecessor blocks — a
+        successor never overwrites them — so the recompute sees what the
+        worker saw. A lying *predecessor* makes both sides agree and is
+        caught by its own audit, not this one.
         """
-        expected = self._recompute(task_id)
-        expected_digest = self._timed_digest(expected, task_id, epoch, worker_id, "audit")
-        got_digest = self._timed_digest(outputs, task_id, epoch, worker_id, "audit")
-        if expected_digest == got_digest:
-            self.stats.audits_passed += 1
-            if self.sched.observing:
-                self.sched.record("audit-pass", task_id, epoch, worker_id)
-            return
-        self.stats.audits_convicted += 1
-        if self.sched.observing:
-            self.sched.record("audit-convict", task_id, epoch, worker_id)
-        self._taint_invalidate(parser, task_id)
-        self._note_divergence(worker_id)
+        while not self._failure:
+            with self._core_lock:
+                due = self.core.next_audit(force)
+            if due is None:
+                return
+            task_id, epoch, worker_id = due
+            outputs = self._audit_outputs.pop((task_id, epoch))
+            expected = self._timed_digest(
+                self._recompute(task_id), task_id, epoch, worker_id, "audit"
+            )
+            got = self._timed_digest(outputs, task_id, epoch, worker_id, "audit")
+            with self._core_lock:
+                actions = self.core.audit(task_id, epoch, worker_id, expected == got)
+            self._apply(actions, parser)
 
     def _recompute(self, task_id: TaskId):
         """The master's own serial evaluation of one sub-task, from the
@@ -694,164 +614,54 @@ class MasterPart:
         inner = self.partition.sub_partition(task_id, (len(rows), len(cols)))
         return evaluator.run_serial(inner)
 
-    def _taint_invalidate(self, parser: DAGParser, root: TaskId) -> None:
-        """Revoke a convicted commit and its committed dependent closure.
-
-        Durable first: the journal's invalidation record lands before any
-        in-memory rewind, so a crash mid-taint resumes post-invalidation
-        and recomputes the closure. The parser then re-opens the revoked
-        region; live dispatches and queued results built on tainted
-        inputs are cancelled/purged budget-free.
-        """
-        pattern = self.partition.abstract
-        tainted = {root}
-        frontier = [root]
-        while frontier:
-            vid = frontier.pop()
-            for succ in pattern.successors(vid):
-                if succ not in tainted and succ in self._committed:
-                    tainted.add(succ)
-                    frontier.append(succ)
-        order = [vid for vid in pattern.topological_order() if vid in tainted]
+    def _rewind(self, parser: DAGParser, order) -> None:
+        """Perform a taint invalidation the core decided: journal it,
+        re-open the revoked region in the parser, and drop everything
+        queued on revoked inputs — buffered results, half-gathered votes,
+        stacked tasks (they re-surface as the closure recommits)."""
         if self.journal is not None:
             self.journal.invalidate(order)
-        for vid in order:
-            epoch = self._committed.pop(vid)
-            self.stats.tainted_recomputes += 1
-            if self._digest_on:
-                # XOR the revoked commit's contribution back out of the
-                # rolling run digest.
-                self._run_digest_acc = fold_commit(
-                    self._run_digest_acc, vid, self._commit_digests.pop(vid, None)
-                )
-            if self.sched.observing:
-                self.sched.record(
-                    "taint-invalidate", vid, epoch, root=repr(root), n_tainted=len(order)
-                )
-        # Live dispatches whose inputs came from a tainted block computed
-        # on revoked data: cancel budget-free, like a blacklist eviction.
-        for task_id, reg in self._register.live_snapshot():
-            if not any(p in tainted for p in pattern.predecessors(task_id)):
-                continue
-            if not self._register.cancel(task_id, reg.epoch):
-                continue
-            self._leases.drop(task_id, reg.epoch)
-            self._release_blocks(task_id)
-            self._budget_exempt[task_id] = self._budget_exempt.get(task_id, 0) + 1
-            if self.sched.enabled:
-                self.sched.record("redistribute", task_id, reg.epoch)
-        # Queued-but-uncommitted results and half-gathered votes that
-        # consumed tainted inputs are stale too.
+        # The commit ledger is written only by this (the scheduling)
+        # thread, so it reads it here without the core lock.
+        ready = self.core.inputs_committed
         with self._results_lock:
-            for task_id in list(self._result_buffer):
-                if any(p in tainted for p in pattern.predecessors(task_id)):
-                    del self._result_buffer[task_id]
-        for task_id in list(self._votes):
-            if any(p in tainted for p in pattern.predecessors(task_id)):
-                self._votes.pop(task_id)
-                self._vote_need.pop(task_id, None)
+            for task_id in [t for t in self._result_buffer if not ready(t)]:
+                del self._result_buffer[task_id]
+        for task_id in [t for t in self._vote_outputs if not ready(t)]:
+            del self._vote_outputs[task_id]
+        for key in [k for k in self._audit_outputs if k[0] not in self.core.committed]:
+            del self._audit_outputs[key]
         recompute_frontier = parser.invalidate(order)
-        # Stacked tasks whose predecessor was just revoked are no longer
-        # computable; drop them — they re-surface as the closure recommits.
-        self._stack.retain(
-            lambda t: all(p in self._committed for p in pattern.predecessors(t))
-        )
+        self._stack.retain(ready)
         self._stack.push_many(recompute_frontier)
-
-    # -- duplicate-dispatch voting -----------------------------------------------------
 
     def _record_vote(
         self, task_id: TaskId, outputs, epoch: int, worker_id: int, digest: Optional[str]
     ) -> Optional[tuple]:
-        """Record one worker's result as a vote; returns the winning
+        """Cast one worker's result as a vote; returns the winning
         ``(outputs, epoch, worker, digest)`` once a quorum decides, else
-        None (the task was re-queued for another voter)."""
-        if digest is None:
-            digest = self._timed_digest(outputs, task_id, epoch, worker_id, "vote")
-        votes = self._votes.setdefault(task_id, {})
-        votes[worker_id] = (digest, outputs, epoch)
-        self.stats.votes_cast += 1
-        if self.sched.observing:
-            self.sched.record("vote-cast", task_id, epoch, worker_id, n_votes=len(votes))
-        return self._tally_votes(task_id)
-
-    def _tally_votes(self, task_id: TaskId) -> Optional[tuple]:
-        votes = self._votes[task_id]
-        need = self._vote_need.get(task_id, self.integrity.vote_k)
-        if len(votes) >= need:
-            counts: Dict[str, int] = {}
-            for d, _, _ in votes.values():
-                counts[d] = counts.get(d, 0) + 1
-            winner, top = max(counts.items(), key=lambda kv: (kv[1], kv[0]))
-            if top * 2 > len(votes):
-                return self._decide_vote(task_id, winner)
-            if -1 in votes:
-                # Even the master's arbiter recompute found no majority
-                # (every voter lied differently); the arbiter is ground
-                # truth by construction — decide by it.
-                return self._decide_vote(task_id, votes[-1][0])
-            self.stats.vote_divergences += 1
-            if self.sched.observing:
-                self.sched.record("vote-divergence", task_id, -1, n_votes=len(votes))
-            self._vote_need[task_id] = len(votes) + 1
-        # Solicit one more vote from a worker that has not voted yet and
-        # may actually take the task (a static policy pins each task to
-        # one owner, so voting there degenerates to master arbitration).
-        eligible = [
-            k
-            for k in range(len(self.channels))
-            if k not in self._blacklisted
-            and k not in self._left
-            and k not in self._quarantined
-            and k not in votes
-            and self.policy.eligible(k, task_id)
+        None (the task was re-queued for another voter). When no fresh
+        worker can break a tie the master evaluates the block itself and
+        casts the arbiter vote as worker -1."""
+        # A static policy pins each task to one owner, so voting there
+        # degenerates to master arbitration.
+        candidates = [
+            k for k in range(len(self.channels)) if self.policy.eligible(k, task_id)
         ]
-        if eligible:
-            self._budget_exempt[task_id] = self._budget_exempt.get(task_id, 0) + 1
-            if self.sched.enabled:
-                self.sched.record("redistribute", task_id, max(v[2] for v in votes.values()))
-            self._stack.push(task_id)
-            return None
-        # No fresh worker can break the tie: the master evaluates the
-        # block itself and casts the arbiter vote as worker -1.
-        outputs = self._recompute(task_id)
-        arbiter_epoch = max(v[2] for v in votes.values())
-        return self._record_vote(task_id, outputs, arbiter_epoch, -1, None)
-
-    def _decide_vote(self, task_id: TaskId, winner: str) -> tuple:
-        votes = self._votes.pop(task_id)
-        self._vote_need.pop(task_id, None)
-        for wid, (d, _, _) in votes.items():
-            if d != winner:
-                self._note_divergence(wid)
-        for wid, (d, outputs, epoch) in sorted(votes.items()):
-            if d == winner:
-                return (outputs, epoch, wid, d)
-        raise SchedulerError(f"vote for {task_id!r} decided on a digest nobody cast")
-
-    def _note_divergence(self, worker_id: int) -> None:
-        """Attribute one convicted divergence; quarantine past the
-        threshold. No degradation floor here — a lying last worker is
-        strictly worse than a clean abort."""
-        if worker_id < 0:
-            return  # the master's own arbiter/audit recompute
-        n = self._divergence.get(worker_id, 0) + 1
-        self._divergence[worker_id] = n
-        if worker_id in self._quarantined or n < self.integrity.quarantine_threshold:
-            return
-        self._quarantined.add(worker_id)
-        self.stats.quarantined_workers.append(worker_id)
-        if self.sched.observing:
-            self.sched.record("quarantine", None, -1, worker_id, divergences=n)
-        self._requeue_worker_tasks(worker_id)
-        retired = self._blacklisted | self._left | self._quarantined
-        if len(retired) >= len(self.channels):
-            self._abort(
-                FaultToleranceExhausted(
-                    "every worker quarantined for divergent results "
-                    f"(last: worker {worker_id} after {n} convictions)"
-                )
-            )
+        while True:
+            if digest is None:
+                digest = self._timed_digest(outputs, task_id, epoch, worker_id, "vote")
+            self._vote_outputs.setdefault(task_id, {})[worker_id] = outputs
+            with self._core_lock:
+                actions = self.core.vote(task_id, epoch, worker_id, digest, candidates)
+            self._apply(actions)
+            last = actions[-1]
+            if isinstance(last, core_mod.Decide):
+                cast = self._vote_outputs.pop(task_id)
+                return (cast[last.worker], last.epoch, last.worker, last.digest)
+            if not isinstance(last, core_mod.Arbitrate):
+                return None
+            outputs, epoch, worker_id, digest = self._recompute(task_id), last.epoch, -1, None
 
     def _surface_leaks(self, threads: Sequence[threading.Thread]) -> None:
         """Warn about (and count) threads that outlived their join timeout.
@@ -893,21 +703,7 @@ class MasterPart:
             # Integrity counters exist only when integrity is on, so the
             # disabled path stays metric-free (zero-cost invariant).
             self.metrics.counter("integrity.digests_verified").inc(self._digests_verified)
-            self.metrics.counter("integrity.digest_rejects").inc(self.stats.digest_rejects)
-            self.metrics.counter("integrity.audits_passed").inc(self.stats.audits_passed)
-            self.metrics.counter("integrity.audits_convicted").inc(
-                self.stats.audits_convicted
-            )
-            self.metrics.counter("integrity.tainted_recomputes").inc(
-                self.stats.tainted_recomputes
-            )
-            self.metrics.counter("integrity.votes_cast").inc(self.stats.votes_cast)
-            self.metrics.counter("integrity.vote_divergences").inc(
-                self.stats.vote_divergences
-            )
-            self.metrics.counter("integrity.quarantined_workers").inc(
-                len(self.stats.quarantined_workers)
-            )
+            self.stats.publish_integrity(self.metrics)
 
     # -- per-slave worker thread (Fig 9 steps d-f) ------------------------------------
 
@@ -915,9 +711,9 @@ class MasterPart:
         """Pop one eligible task and build its fully-dressed TaskAssign.
 
         "Fully dressed" means everything a single dispatch gets: a fresh
-        registration epoch, the queue-wait/assign records, the overtime
-        entry, the lease, the extracted inputs, and the content digest —
-        batching amortizes only the envelope, never the semantics.
+        registration (epoch, deadline, lease), the queue-wait/assign
+        records, the extracted inputs, and the content digest — batching
+        amortizes only the envelope, never the semantics.
 
         Returns the assign; None when no task is currently eligible
         (``block=False`` polls, ``block=True`` waits for work or close);
@@ -928,20 +724,19 @@ class MasterPart:
         )
         if task_id is None:
             return None
-        epoch = self._register.register(task_id, worker_id, self.clock.now())
-        if (
-            worker_id in self._blacklisted
-            or worker_id in self._left
-            or worker_id in self._quarantined
-        ):
-            # Retired while we were popping: registering first and
-            # re-checking closes the race with the eviction scan —
-            # whichever side wins the cancel re-queues the task exactly
-            # once, and this worker never runs it (the
-            # no-commit-after-blacklist invariant).
-            if self._register.cancel(task_id, epoch):
-                self._stack.push(task_id)
+        with self._core_lock:
+            reg = self.core.dispatch(task_id, worker_id, self.clock.now())
+            retired = reg is None and self.core.is_retired(worker_id)
+        if retired:
+            # Retired while we were popping: this worker never runs the
+            # task (the no-commit-after-blacklist invariant).
+            self._stack.push(task_id)
             return _RETIRED
+        if reg is None:
+            # A taint revoked the task's inputs between the pop and the
+            # registration: forget it (the parser re-emits it) and look on.
+            return self._prepare_assign(worker_id, block)
+        epoch = reg.epoch
         if self.sched.observing:
             # queue-wait span first, so the task's "assign" (which
             # closes the wait) serializes after it in the stream.
@@ -956,42 +751,17 @@ class MasterPart:
             self.sched.record("assign", task_id, epoch, worker_id)
         with self._state_lock:
             inputs = self.problem.extract_inputs(self.state, self.partition, task_id)
-        self._overtime.push(
-            OvertimeEntry(
-                deadline=self.clock.now() + self.task_timeout,
-                task_id=task_id,
-                epoch=epoch,
-            )
-        )
-        lease = 0.0
-        if self._lease_duration is not None:
-            lease = self._lease_duration
-            self._leases.grant(task_id, epoch, worker_id, self.clock.now(), lease)
         return TaskAssign(
             task_id=task_id,
             epoch=epoch,
             inputs=inputs,
-            lease=lease,
+            lease=self.core.lease_duration or 0.0,
             digest=(
                 self._timed_digest(inputs, task_id, epoch, worker_id, "assign")
                 if self._digest_on
                 else None
             ),
         )
-
-    def _unwind_assign(self, assign: TaskAssign) -> None:
-        """Undo one prepared-but-never-sent assign (mid-gather retirement):
-        cancel its registration, drop its lease, and re-queue the task
-        budget-free — the task did nothing wrong, its wave fell apart."""
-        if not self._register.cancel(assign.task_id, assign.epoch):
-            return
-        self._leases.drop(assign.task_id, assign.epoch)
-        self._budget_exempt[assign.task_id] = (
-            self._budget_exempt.get(assign.task_id, 0) + 1
-        )
-        if self.sched.enabled:
-            self.sched.record("redistribute", assign.task_id, assign.epoch)
-        self._stack.push(assign.task_id)
 
     def _gather_wave(self, worker_id: int, first: TaskAssign):
         """Grow one dispatch into a whole computable wave (``batch_wave``).
@@ -1000,8 +770,9 @@ class MasterPart:
         ``max_batch`` — the anti-diagonal the DAG currently exposes to
         this worker. Returns a BatchAssign (single-task waves still ship
         as a batch so the wire shape is knob-determined, not size-
-        determined), or None when the worker was retired mid-gather and
-        the whole wave was unwound.
+        determined), or None when the worker was retired mid-gather —
+        which already evicted (cancelled and re-offered) every element
+        registered to it so far, so nothing is sent.
         """
         t0 = self.clock.now() if self.sched.observing else 0.0
         assigns = [first]
@@ -1010,8 +781,6 @@ class MasterPart:
             if nxt is None:
                 break
             if nxt is _RETIRED:
-                for a in assigns:
-                    self._unwind_assign(a)
                 return None
             assigns.append(nxt)
         if self.sched.observing:
@@ -1037,13 +806,11 @@ class MasterPart:
                 continue
             except ChannelClosed:
                 return
-            now = self.clock.now()
-            self._last_heard[worker_id] = now
-            if self._lease_duration is not None:
-                # Any message from a worker proves liveness: renew every
-                # lease it holds (heartbeats are just the guaranteed-
-                # periodic case of this).
-                self._leases.renew_worker(worker_id, now, self._lease_duration)
+            with self._core_lock:
+                # Any message from a worker proves liveness.
+                self.core.heard_from(worker_id, self.clock.now())
+                retired = self.core.is_retired(worker_id)
+                busy = self.core.holds_live(worker_id)
             if isinstance(msg, Heartbeat):
                 if self.sched.observing:
                     self.sched.record("heartbeat", msg.task_id, msg.epoch, worker_id)
@@ -1051,24 +818,19 @@ class MasterPart:
             if isinstance(msg, WorkerLeave):
                 # Elastic departure: retire the worker, re-queue its
                 # in-flight work budget-free, and let it exit cleanly.
-                self._detach_worker(worker_id)
+                with self._core_lock:
+                    actions = self.core.worker_left(worker_id)
+                self._apply(actions)
                 self._try_send_end(channel)
                 ended = True
                 continue
             if isinstance(msg, IdleSignal):
-                if (
-                    worker_id in self._blacklisted
-                    or worker_id in self._left
-                    or worker_id in self._quarantined
-                ):
+                if retired:
                     # Retired worker: no further assignments; let it exit.
                     self._try_send_end(channel)
                     ended = True
                     continue
-                if any(
-                    reg.worker_id == worker_id
-                    for _, reg in self._register.live_snapshot()
-                ):
+                if busy:
                     # Duplicate idle announcement (slaves re-announce when
                     # a reply is slow or lost) while this worker still owns
                     # a live dispatch. Admitting it would backlog the
@@ -1088,7 +850,7 @@ class MasterPart:
                     self._gather_wave(worker_id, first) if self.batch_wave else first
                 )
                 if outgoing is None:
-                    # Retired mid-gather; the whole wave was unwound.
+                    # Retired mid-gather; the whole wave was evicted.
                     self._try_send_end(channel)
                     ended = True
                     continue
@@ -1133,57 +895,16 @@ class MasterPart:
             # into state. The retry is charged like a timeout, so
             # a link that corrupts the same task every time ends
             # in a clean budget-exhausted abort, not a livelock.
-            with self._results_lock:
-                self.stats.digest_rejects += 1
-            if self.sched.observing:
-                self.sched.record(
-                    "digest-reject", msg.task_id, msg.epoch, worker_id,
-                    hop="result",
-                )
-            if self._register.cancel(msg.task_id, msg.epoch):
-                self._leases.drop(msg.task_id, msg.epoch)
-                self._release_blocks(msg.task_id)
-                attempts = self._register.attempts(msg.task_id)
-                charged = attempts - self._budget_exempt.get(msg.task_id, 0)
-                if charged > self.max_retries + 1:
-                    self._abort(
-                        FaultToleranceExhausted(
-                            f"sub-task {msg.task_id} rejected for digest "
-                            f"mismatch on {charged} budgeted dispatches"
-                        )
-                    )
-                    return False
-                self.stats.faults_recovered += 1
-                if self.sched.enabled:
-                    self.sched.record("redistribute", msg.task_id, msg.epoch)
-                self._stack.push(msg.task_id)
-            return True
-        if self._register.finish(msg.task_id, msg.epoch):
-            self._leases.drop(msg.task_id, msg.epoch)
-            if self.sched.observing:
-                # The compute span is synthesized on the master's
-                # clock from the slave-reported duration, so the
-                # same events exist whether the slave was a thread
-                # or a separate OS process.
-                now = self.sched.now()
-                self.sched.record(
-                    "compute",
-                    msg.task_id,
-                    msg.epoch,
-                    node=worker_id,
-                    ts=now,
-                    t0=now - max(0.0, msg.elapsed),
-                    t1=now,
-                )
-                self.sched.record(
-                    "result",
-                    msg.task_id,
-                    msg.epoch,
-                    worker_id,
-                    nbytes=message_nbytes(msg),
-                    elapsed=msg.elapsed,
-                )
-            with self._results_lock:
+            with self._core_lock:
+                actions = self.core.digest_reject(msg.task_id, msg.epoch, worker_id)
+            return self._apply(actions)
+        with self._results_lock:
+            # Accepting and buffering are one step under the results
+            # lock, so a taint (which purges the buffer under it) sees
+            # every result accepted before it.
+            with self._core_lock:
+                actions = self.core.result(msg.task_id, msg.epoch, worker_id)
+            if not actions:
                 if self._digest_on and msg.digest is not None:
                     self._digests_verified += 1
                 self._result_buffer[msg.task_id] = (
@@ -1192,16 +913,27 @@ class MasterPart:
                     worker_id,
                     msg.digest if self._digest_on else None,
                 )
-            self._finished.push(msg.task_id)
-            self._last_progress = self.clock.now()
-            self._durations.append(max(0.0, msg.elapsed))
-            self.stats.tasks_per_worker[worker_id] = (
-                self.stats.tasks_per_worker.get(worker_id, 0) + 1
+        if actions:
+            return self._apply(actions)  # stale epoch: dropped
+        if self.sched.observing:
+            # The compute span is synthesized on the master's clock from
+            # the slave-reported duration, so the same events exist
+            # whether the slave was a thread or a separate OS process.
+            now = self.sched.now()
+            self.sched.record(
+                "compute", msg.task_id, msg.epoch, node=worker_id,
+                ts=now, t0=now - max(0.0, msg.elapsed), t1=now,
             )
-        else:
-            self.stats.stale_results += 1
-            if self.sched.enabled:
-                self.sched.record("stale-drop", msg.task_id, msg.epoch, worker_id)
+            self.sched.record(
+                "result", msg.task_id, msg.epoch, worker_id,
+                nbytes=message_nbytes(msg), elapsed=msg.elapsed,
+            )
+        self._finished.push(msg.task_id)
+        self._last_progress = self.clock.now()
+        self._durations.append(max(0.0, msg.elapsed))
+        self.stats.tasks_per_worker[worker_id] = (
+            self.stats.tasks_per_worker.get(worker_id, 0) + 1
+        )
         return True
 
     def _try_send_end(self, channel: Channel) -> None:
@@ -1246,47 +978,20 @@ class MasterPart:
         return True
 
     def _fault_tolerance(self) -> None:
-        # (ready_at, tiebreak, task_id) re-dispatches held by backoff.
-        # Only this thread touches the heap, so no lock is needed.
-        pending: List[Tuple[float, int, TaskId]] = []
-        seq = 0
         while not self._end.is_set():
             now = self.clock.now()
-            while pending and pending[0][0] <= now:
-                self._stack.push(heapq.heappop(pending)[2])
-            if self._lease_duration is not None:
-                for lease in self._leases.expired(now):
-                    reg = self._register.cancel(lease.task_id, lease.epoch)
-                    if not reg:
-                        continue  # finished/cancelled already; lazy removal
-                    self.stats.lease_expirations += 1
-                    if self.sched.observing:
-                        self.sched.record(
-                            "lease-expired", lease.task_id, lease.epoch,
-                            lease.worker_id,
-                        )
-                    self._note_worker_failure(reg.worker_id)
-                    seq += 1
-                    if not self._requeue_fault(
-                        lease.task_id, lease.epoch, pending, seq, now
-                    ):
-                        return
-            for entry in self._overtime.due(now):
-                reg = self._register.cancel(entry.task_id, entry.epoch)
-                if not reg:
-                    continue  # completed in time; lazy removal
-                self._leases.drop(entry.task_id, entry.epoch)
-                self._note_worker_failure(reg.worker_id)
-                seq += 1
-                if not self._requeue_fault(entry.task_id, entry.epoch, pending, seq, now):
-                    return
+            with self._core_lock:
+                due = []
+                while self._delayed and self._delayed[0][0] <= now:
+                    due.append(heapq.heappop(self._delayed)[2])
+                actions = self.core.tick(now)
+                idle = not self._delayed and self.core.n_live == 0
+            self._stack.push_many(due)
+            if not self._apply(actions):
+                return
             if self.speculate:
-                seq = self._scan_stragglers(now, seq)
-            if (
-                not pending
-                and len(self._register) == 0
-                and now - self._last_progress > self.stall_timeout
-            ):
+                self._scan_stragglers(now)
+            if idle and now - self._last_progress > self.stall_timeout:
                 # Nothing live, nothing queued for retry, and nothing has
                 # moved for a whole stall window: every worker is presumed
                 # lost. Abort cleanly instead of hanging.
@@ -1299,107 +1004,7 @@ class MasterPart:
                 return
             time.sleep(self.poll_interval)
 
-    def _requeue_fault(
-        self,
-        task_id: TaskId,
-        epoch: int,
-        pending: List[Tuple[float, int, TaskId]],
-        seq: int,
-        now: float,
-    ) -> bool:
-        """Handle one timed-out dispatch: re-queue (possibly after an
-        exponential backoff) or abort when the budget is exhausted.
-        Returns False when the run was aborted."""
-        attempts = self._register.attempts(task_id)
-        charged = attempts - self._budget_exempt.get(task_id, 0)
-        if charged > self.max_retries + 1:
-            self._abort(
-                FaultToleranceExhausted(
-                    f"sub-task {task_id} failed {charged} budgeted dispatches"
-                )
-            )
-            return False
-        self.stats.faults_recovered += 1
-        self._release_blocks(task_id)
-        if self.sched.enabled:
-            self.sched.record("redistribute", task_id, epoch)
-        delay = 0.0
-        if self.retry_backoff > 0:
-            delay = min(
-                self.retry_backoff * (2.0 ** max(0, charged - 1)),
-                self.retry_backoff_max,
-            )
-        if delay > 0:
-            if self.sched.observing:
-                self.sched.record("backoff", task_id, epoch, delay=delay)
-            heapq.heappush(pending, (now + delay, seq, task_id))
-        else:
-            self._stack.push(task_id)
-        return True
-
-    def _note_worker_failure(self, worker_id: int) -> None:
-        """Attribute a timeout to its worker; blacklist past the threshold.
-
-        The last healthy worker is never blacklisted (graceful degradation
-        down to one survivor). Eviction cancels the worker's in-flight
-        dispatches and re-queues them, so no result it still sends can
-        commit — late replies hit a stale epoch.
-        """
-        if self.blacklist_threshold is None:
-            return
-        n = self._worker_failures.get(worker_id, 0) + 1
-        self._worker_failures[worker_id] = n
-        if (
-            n < self.blacklist_threshold
-            or worker_id in self._blacklisted
-            or worker_id in self._left
-        ):
-            return
-        if len(self.channels) - len(self._blacklisted) - len(self._left) <= 1:
-            return  # degradation floor: keep the last worker, come what may
-        heard = self._last_heard.get(worker_id)
-        if heard is not None and self.clock.now() - heard < self.task_timeout:
-            # Recently heard from: the worker is alive and reachable, so
-            # its timeouts are dropped/late messages, not worker death.
-            # Keep it (and reset nothing — persistent silence still trips
-            # the threshold on a later failure).
-            return
-        self._blacklisted.add(worker_id)
-        self.stats.blacklisted_workers.append(worker_id)
-        if self.sched.observing:
-            self.sched.record(
-                "blacklist", None, -1, worker_id, failures=n
-            )
-        self._requeue_worker_tasks(worker_id)
-
-    def _requeue_worker_tasks(self, worker_id: int) -> None:
-        """Cancel and re-queue every live dispatch a retiring worker holds
-        (blacklist eviction or clean WorkerLeave). Never charges the retry
-        budget — the task did nothing wrong, its worker went away."""
-        for task_id, reg in self._register.live_snapshot():
-            if reg.worker_id != worker_id:
-                continue
-            if not self._register.cancel(task_id, reg.epoch):
-                continue
-            self._leases.drop(task_id, reg.epoch)
-            self._release_blocks(task_id)
-            self._budget_exempt[task_id] = self._budget_exempt.get(task_id, 0) + 1
-            self.stats.faults_recovered += 1
-            if self.sched.enabled:
-                self.sched.record("redistribute", task_id, reg.epoch)
-            self._stack.push(task_id)
-
     # -- elastic membership -----------------------------------------------------
-
-    def _detach_worker(self, worker_id: int) -> None:
-        """Retire a worker that announced a clean departure."""
-        if worker_id in self._left:
-            return
-        self._left.add(worker_id)
-        self.stats.workers_left += 1
-        if self.sched.observing:
-            self.sched.record("worker-leave", None, -1, worker_id)
-        self._requeue_worker_tasks(worker_id)
 
     def attach_worker(self, channel: Channel) -> int:
         """Join a new worker mid-run (elastic membership); returns its id.
@@ -1418,7 +1023,8 @@ class MasterPart:
         with self._membership_lock:
             if self._end.is_set():
                 raise SchedulerError("cannot attach a worker: the run is over")
-            worker_id = len(self.channels)
+            with self._core_lock:
+                worker_id = self.core.attach_worker()
             self.channels.append(channel)
             # Int assignment is GIL-atomic; eligibility checks racing this
             # see either the old or new count, both consistent.
@@ -1434,34 +1040,22 @@ class MasterPart:
         thread.start()
         return worker_id
 
-    def _scan_stragglers(self, now: float, seq: int) -> int:
-        """Speculative re-dispatch: cancel live dispatches that have aged
-        past a multiple of the observed duration quantile and re-queue
-        them immediately (at most once per task; never charged against the
-        retry budget)."""
+    def _scan_stragglers(self, now: float) -> None:
+        """Speculative re-dispatch: offer the core every live dispatch
+        aged past a multiple of the observed duration quantile."""
         durations = self._durations
         if len(durations) < 8:
-            return seq  # not enough signal for a stable quantile yet
+            return  # not enough signal for a stable quantile yet
         cutoff = max(
             self.speculative_factor
             * float(np.quantile(np.asarray(durations, dtype=float), self.speculative_quantile)),
             10.0 * self.poll_interval,
         )
-        for task_id, reg in self._register.live_snapshot():
-            if task_id in self._speculated:
-                continue
-            if now - reg.registered_at <= cutoff:
-                continue
-            if not self._register.cancel(task_id, reg.epoch):
-                continue
-            self._leases.drop(task_id, reg.epoch)
-            self._release_blocks(task_id)
-            self._speculated.add(task_id)
-            self._budget_exempt[task_id] = self._budget_exempt.get(task_id, 0) + 1
-            self.stats.speculative_redispatches += 1
-            if self.sched.enabled:
-                self.sched.record(
-                    "speculate", task_id, reg.epoch, reg.worker_id, age=now - reg.registered_at
-                )
-            self._stack.push(task_id)
-        return seq
+        with self._core_lock:
+            actions = [
+                act
+                for task_id, reg in self.core.live_items()
+                if now - reg.registered_at > cutoff
+                for act in self.core.straggler(task_id, reg.epoch, now)
+            ]
+        self._apply(actions)

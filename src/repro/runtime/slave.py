@@ -3,9 +3,11 @@
 A slave part loops: announce idle, receive a sub-task with its data,
 initialize the slave DAG Data Driven Model for it (the thread-level
 partition), drain the inner DAG with a pool of computing threads, return
-the result, repeat until the end signal. Thread-level fault tolerance
-watches the slave overtime queue and *restarts the computing thread* on a
-sub-sub-task timeout (Fig 12), re-pushing the lost sub-sub-task.
+the result, repeat until the end signal. Thread-level fault tolerance is
+the same :class:`~repro.runtime.dispatch.DispatchCore` the master runs,
+one level down (``docs/fault_tolerance.md`` §Dispatch core): on a
+sub-sub-task timeout this shell re-pushes the lost sub-sub-task and
+*restarts the computing thread* (Fig 12).
 
 The same class serves the threads backend (slaves are threads of the
 master process) and the processes backend (slaves are ``multiprocessing``
@@ -18,6 +20,7 @@ runtime the authors published previously.
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 import warnings
@@ -28,7 +31,7 @@ import numpy as np
 
 from repro.algorithms.problem import DPProblem
 from repro.check.lock_lint import make_lock
-from repro.cluster.faults import FaultPlan, WorkerFaultPlan
+from repro.cluster.faults import FaultPlan, WorkerFaultPlan, io_policy
 from repro.comm.messages import (
     BatchAssign,
     BatchResult,
@@ -45,15 +48,10 @@ from repro.dag.partition import BlockShape, Partition
 from repro.obs.clock import Clock, ensure_clock
 from repro.obs.recorder import EventRecorder
 from repro.obs.schedule import ScheduleTracer
-from repro.runtime.worker_pool import (
-    ComputableStack,
-    FinishedStack,
-    OvertimeEntry,
-    OvertimeQueue,
-    RegisterTable,
-)
+from repro.runtime import dispatch as core_mod
+from repro.runtime.worker_pool import ComputableStack, FinishedStack
 from repro.schedulers.policy import make_policy
-from repro.utils.errors import FaultToleranceExhausted, WorkerLeakWarning
+from repro.utils.errors import WorkerLeakWarning
 
 
 @dataclass
@@ -142,6 +140,9 @@ class SlavePart:
         #: (task_id, epoch) currently computing, for heartbeat reporting.
         #: Tuple assignment is GIL-atomic.
         self._current: Optional[tuple] = None
+        #: Pid of the master process when this slave is its child
+        #: (:func:`slave_process_main` sets it); None in-process.
+        self._parent_pid: Optional[int] = None
         self.stats = SlaveStats()
 
     def _send(self, msg) -> None:
@@ -329,6 +330,11 @@ class SlavePart:
             try:
                 return self.channel.recv(timeout=self.poll_interval)
             except ChannelTimeout:
+                if self._parent_pid is not None and os.getppid() != self._parent_pid:
+                    # The master died (kill -9): sibling slaves hold copies
+                    # of the pipe ends, so EOF alone never arrives.
+                    self.stop_event.set()
+                    return None
                 waited += self.poll_interval
                 if max_wait is not None and waited >= max_wait:
                     return None
@@ -348,8 +354,6 @@ class SlavePart:
         parser = DAGParser(inner.abstract)
         stack = ComputableStack()
         finished = FinishedStack()
-        overtime = OvertimeQueue()
-        register = RegisterTable()
         policy = make_policy(
             self.thread_scheduler, self.n_threads, inner.grid.n_block_cols
         )
@@ -362,22 +366,26 @@ class SlavePart:
             node=self.slave_id,
             scope="subtask",
         )
+        # The same dispatch core as the master's, one level down (Fig 12):
+        # computing threads are its workers, sub-sub-tasks its tasks.
+        core = core_mod.DispatchCore(
+            self.n_threads,
+            task_timeout=self.subtask_timeout,
+            max_retries=self.max_retries,
+            noun="sub-sub-task",
+            recording=sched.enabled,
+        )
+        core_lock = make_lock("slave.core")
 
         def compute_worker(worker_id: int) -> None:
             while True:
                 sub = stack.pop_eligible(worker_id, policy)
                 if sub is None:
                     return
-                epoch = register.register(sub, worker_id)
+                with core_lock:
+                    epoch = core.dispatch(sub, worker_id, self.clock.now()).epoch
                 if sched.enabled:
                     sched.record("assign", sub, epoch, worker_id)
-                overtime.push(
-                    OvertimeEntry(
-                        deadline=self.clock.now() + self.subtask_timeout,
-                        task_id=sub,
-                        epoch=epoch,
-                    )
-                )
                 injected = self.thread_fault_plan.lookup(sub, epoch)
                 if injected is not None:
                     # The computing thread dies mid-task (Fig 12's fault):
@@ -386,7 +394,9 @@ class SlavePart:
                 started = sched.now() if sched.observing else 0.0
                 rows, cols = inner.block_ranges(sub)
                 evaluator.run_subblock(rows, cols)
-                if register.finish(sub, epoch):
+                with core_lock:
+                    stale = core.result(sub, epoch, worker_id)
+                if not stale:
                     if sched.enabled:
                         if sched.observing:
                             sched.record(
@@ -414,29 +424,26 @@ class SlavePart:
             sub = finished.pop(timeout=self.poll_interval)
             if sub is not None:
                 stack.push_many(parser.complete(sub))
-            for entry in overtime.due(self.clock.now()):
-                if not register.cancel(entry.task_id, entry.epoch):
-                    continue  # finished in time; lazy removal
-                attempts = register.attempts(entry.task_id)
-                if attempts > self.max_retries + 1:
-                    failure.append(
-                        FaultToleranceExhausted(
-                            f"sub-sub-task {entry.task_id} failed {attempts} times"
-                        )
+            with core_lock:
+                actions = core.tick(self.clock.now())
+            for act in actions:
+                if isinstance(act, core_mod.Record):
+                    sched.record(act.kind, act.task, act.epoch, act.worker, **act.data)
+                elif isinstance(act, core_mod.Abort):
+                    failure.append(act.exc)
+                elif isinstance(act, core_mod.Requeue):
+                    # Fig 12: re-push the lost sub-sub-task and restart
+                    # the computing thread that died holding it.
+                    self.stats.thread_restarts += 1
+                    stack.push(act.task)
+                    replacement = threading.Thread(
+                        target=compute_worker,
+                        args=(len(threads) % self.n_threads,),
+                        daemon=True,
+                        name=f"slave{self.slave_id}-ct-restart{self.stats.thread_restarts}",
                     )
-                    break
-                self.stats.thread_restarts += 1
-                if sched.enabled:
-                    sched.record("redistribute", entry.task_id, entry.epoch)
-                stack.push(entry.task_id)
-                replacement = threading.Thread(
-                    target=compute_worker,
-                    args=(len(threads) % self.n_threads,),
-                    daemon=True,
-                    name=f"slave{self.slave_id}-ct-restart{self.stats.thread_restarts}",
-                )
-                threads.append(replacement)
-                replacement.start()
+                    threads.append(replacement)
+                    replacement.start()
             if failure or self.stop_event.is_set():
                 break
         stack.close()
@@ -501,7 +508,22 @@ def slave_process_main(
     Rebuilds the partition locally (patterns are cheap value objects) so
     only the problem and scalars cross the process boundary.
     """
+    import multiprocessing
+    import signal
+
     from repro.comm.transport import PipeChannel
+
+    master = multiprocessing.parent_process()
+    parent_pid = master.pid if master is not None else os.getppid()
+    try:
+        # Linux: have the kernel signal us the moment the master dies
+        # (PR_SET_PDEATHSIG); the ppid test in ``_recv`` is the portable
+        # fallback and closes the died-before-prctl race.
+        import ctypes
+
+        ctypes.CDLL(None, use_errno=True).prctl(1, int(signal.SIGTERM), 0, 0, 0)
+    except (OSError, AttributeError):
+        pass
 
     options = dict(options)
     shm_prefix = options.pop("shm_prefix", None)
@@ -514,15 +536,11 @@ def slave_process_main(
         # rehydrated (and unlinked) on receive. Each slave gets its own
         # fault stream so injected shm exhaustion stays deterministic
         # regardless of scheduling.
-        from repro.cluster.faults import IoPolicy
         from repro.comm.shm import BlockStore, ShmChannel
 
-        io_policy = (
-            IoPolicy(io_fault_plan, f"shm-slave{slave_id}")
-            if io_fault_plan is not None
-            else None
+        store = BlockStore(
+            shm_prefix, io_policy=io_policy(io_fault_plan, f"shm-slave{slave_id}")
         )
-        store = BlockStore(shm_prefix, io_policy=io_policy)
         channel = ShmChannel(channel, store)
     partition = problem.build_partition(process_partition)
     part = SlavePart(
@@ -534,6 +552,7 @@ def slave_process_main(
         n_threads=n_threads,
         **options,
     )
+    part._parent_pid = parent_pid
     try:
         part.run()
     finally:

@@ -1,30 +1,27 @@
-"""Worker-pool components (paper Section V-A), thread-safe.
+"""Worker-pool stacks (paper Section V-A), thread-safe.
 
-Four structures make up a master or slave worker pool:
+Two of the paper's four pool structures live here:
 
 - :class:`ComputableStack` — LIFO of computable sub-task ids; idle workers
   pop the first entry their scheduling policy lets them take;
 - :class:`FinishedStack` — LIFO of finished sub-task ids drained by the
-  scheduling thread to update the DAG pattern;
-- :class:`OvertimeQueue` — deadline-ordered record of executing sub-tasks,
-  scanned by the fault-tolerance thread;
-- :class:`RegisterTable` — which worker is executing which sub-task at
-  which epoch; results from stale epochs are discarded.
+  scheduling thread to update the DAG pattern.
 
-All four are safe for concurrent access from the scheduling thread, the
+The other two — the overtime queue and the sub-task register table —
+are the dispatch ledger of :mod:`repro.runtime.dispatch`, shared by the
+master, the slave pool and the simulator.
+
+Both are safe for concurrent access from the scheduling thread, the
 per-slave worker threads, and the fault-tolerance thread.
 """
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Iterable, List, Optional, Tuple
 
-from repro.check.lock_lint import make_condition, make_lock
+from repro.check.lock_lint import make_condition
 from repro.comm.messages import TaskId
 from repro.schedulers.policy import SchedulingPolicy
-from repro.utils.errors import SchedulerError
 
 
 class ComputableStack:
@@ -162,224 +159,3 @@ class FinishedStack:
     def __len__(self) -> int:
         with self._cond:
             return len(self._items)
-
-
-@dataclass(frozen=True)
-class OvertimeEntry:
-    """One executing sub-task being watched for timeout."""
-
-    deadline: float
-    task_id: TaskId
-    epoch: int
-
-
-class OvertimeQueue:
-    """Deadline-ordered queue of executing sub-tasks.
-
-    Entries are removed lazily: finishing a task simply bumps its epoch in
-    the register table, and :meth:`due` skips entries whose epoch no
-    longer matches. That keeps push/finish O(log n) without a delete.
-    """
-
-    def __init__(self) -> None:
-        self._heap: List[Tuple[float, int, OvertimeEntry]] = []
-        self._lock = make_lock("pool.overtime-queue")
-        self._seq = 0
-
-    def push(self, entry: OvertimeEntry) -> None:
-        with self._lock:
-            self._seq += 1
-            heapq.heappush(self._heap, (entry.deadline, self._seq, entry))
-
-    def due(self, now: float) -> List[OvertimeEntry]:
-        """Pop and return every entry whose deadline has passed."""
-        out: List[OvertimeEntry] = []
-        with self._lock:
-            while self._heap and self._heap[0][0] <= now:
-                out.append(heapq.heappop(self._heap)[2])
-        return out
-
-    def next_deadline(self) -> Optional[float]:
-        with self._lock:
-            return self._heap[0][0] if self._heap else None
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._heap)
-
-
-@dataclass
-class Registration:
-    """Current execution record of one sub-task."""
-
-    worker_id: int
-    epoch: int
-    attempts: int
-    #: Clock reading at dispatch (the caller's clock domain); lets the
-    #: fault-tolerance thread age live registrations for speculation.
-    registered_at: float = 0.0
-
-
-class RegisterTable:
-    """The sub-task registered table (Section V-A.4).
-
-    A task registers when dispatched; its ``epoch`` counts dispatches.
-    ``finish`` succeeds only when the reported epoch matches the live
-    registration, which is how stale results from timed-out workers are
-    rejected (Fig 9 step h's "if the sub-task is registered" check).
-    """
-
-    def __init__(self) -> None:
-        self._live: Dict[TaskId, Registration] = {}
-        self._attempts: Dict[TaskId, int] = {}
-        self._lock = make_lock("pool.register-table")
-
-    def register(self, task_id: TaskId, worker_id: int, now: float = 0.0) -> int:
-        """Record a dispatch; returns the new epoch (== attempt index)."""
-        with self._lock:
-            if task_id in self._live:
-                raise SchedulerError(f"task {task_id} already registered")
-            epoch = self._attempts.get(task_id, 0)
-            self._attempts[task_id] = epoch + 1
-            self._live[task_id] = Registration(
-                worker_id=worker_id, epoch=epoch, attempts=epoch + 1, registered_at=now
-            )
-            return epoch
-
-    def prime(self, attempts: Dict[TaskId, int]) -> None:
-        """Seed attempt counts from a recovered journal (resume path).
-
-        Epochs must keep counting from where the crashed master stopped:
-        a slave that survived the crash could, in principle, still hold a
-        result stamped with a pre-crash epoch, and priming guarantees any
-        post-resume dispatch outpaces it. Only callable before the first
-        registration.
-        """
-        with self._lock:
-            if self._live or self._attempts:
-                raise SchedulerError("prime() after registrations began")
-            self._attempts.update(attempts)
-
-    def attempts_snapshot(self) -> Dict[TaskId, int]:
-        """Copy of all attempt counters (journal checkpoints persist this)."""
-        with self._lock:
-            return dict(self._attempts)
-
-    def finish(self, task_id: TaskId, epoch: int) -> bool:
-        """Deregister on success; False if the epoch is stale/unknown."""
-        with self._lock:
-            reg = self._live.get(task_id)
-            if reg is None or reg.epoch != epoch:
-                return False
-            del self._live[task_id]
-            return True
-
-    def cancel(self, task_id: TaskId, epoch: int) -> Optional[Registration]:
-        """Deregister after a detected fault.
-
-        Returns the cancelled :class:`Registration` (truthy — callers that
-        only branch on success keep working) so fault attribution knows
-        *which worker* held the dispatch; None if already gone/stale.
-        """
-        with self._lock:
-            reg = self._live.get(task_id)
-            if reg is None or reg.epoch != epoch:
-                return None
-            del self._live[task_id]
-            return reg
-
-    def live_snapshot(self) -> Tuple[Tuple[TaskId, Registration], ...]:
-        """Point-in-time ``(task_id, registration)`` view of live dispatches."""
-        with self._lock:
-            return tuple(self._live.items())
-
-    def is_registered(self, task_id: TaskId, epoch: Optional[int] = None) -> bool:
-        with self._lock:
-            reg = self._live.get(task_id)
-            if reg is None:
-                return False
-            return epoch is None or reg.epoch == epoch
-
-    def attempts(self, task_id: TaskId) -> int:
-        """Total dispatch count of ``task_id`` so far."""
-        with self._lock:
-            return self._attempts.get(task_id, 0)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._live)
-
-
-@dataclass(frozen=True)
-class Lease:
-    """One granted per-task lease: the dispatch must be renewed (any
-    message from its worker, heartbeats included) before ``expires_at``."""
-
-    task_id: TaskId
-    epoch: int
-    worker_id: int
-    expires_at: float
-
-
-class LeaseTable:
-    """Per-task liveness leases of the heartbeat protocol.
-
-    A lease is *granted* at dispatch and *renewed* — for every lease its
-    worker holds — whenever the master hears anything from that worker.
-    :meth:`expired` pops leases past their deadline; like the
-    :class:`OvertimeQueue`, removal is lazy: a lease whose (task, epoch)
-    registration already finished is skipped, so finishing a task needs
-    no lease bookkeeping. Expiry is a *liveness* fault (the worker went
-    quiet), strictly earlier than the hard task timeout — which stays as
-    the backstop for a worker that heartbeats but never answers.
-    """
-
-    def __init__(self) -> None:
-        #: (task_id) -> live lease. One lease per task (matches the
-        #: register table's one-live-dispatch-per-task invariant).
-        self._leases: Dict[TaskId, Lease] = {}
-        self._lock = make_lock("pool.lease-table")
-
-    def grant(
-        self, task_id: TaskId, epoch: int, worker_id: int, now: float, duration: float
-    ) -> None:
-        with self._lock:
-            self._leases[task_id] = Lease(
-                task_id=task_id,
-                epoch=epoch,
-                worker_id=worker_id,
-                expires_at=now + duration,
-            )
-
-    def renew_worker(self, worker_id: int, now: float, duration: float) -> None:
-        """Extend every lease held by ``worker_id`` (heard-from event)."""
-        with self._lock:
-            for task_id, lease in self._leases.items():
-                if lease.worker_id == worker_id:
-                    self._leases[task_id] = Lease(
-                        task_id=task_id,
-                        epoch=lease.epoch,
-                        worker_id=worker_id,
-                        expires_at=now + duration,
-                    )
-
-    def drop(self, task_id: TaskId, epoch: int) -> None:
-        """Forget a lease (its dispatch finished or was cancelled)."""
-        with self._lock:
-            lease = self._leases.get(task_id)
-            if lease is not None and lease.epoch == epoch:
-                del self._leases[task_id]
-
-    def expired(self, now: float) -> List[Lease]:
-        """Pop and return every lease past its deadline."""
-        out: List[Lease] = []
-        with self._lock:
-            for task_id in [
-                t for t, l in self._leases.items() if l.expires_at <= now
-            ]:
-                out.append(self._leases.pop(task_id))
-        return out
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._leases)

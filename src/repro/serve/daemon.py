@@ -516,11 +516,9 @@ class ServeDaemon:
     # -- WAL compaction --------------------------------------------------
 
     def _wal_io_policy(self) -> Any:
-        if not self.io_fault_plan:
-            return None
-        from repro.cluster.faults import IoPolicy
+        from repro.cluster.faults import io_policy
 
-        return IoPolicy(self.io_fault_plan, "serve-wal")
+        return io_policy(self.io_fault_plan, "serve-wal")
 
     def _wal_entries(self) -> List[ServeEntry]:
         """Current job history as compaction input (called by

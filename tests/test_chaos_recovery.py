@@ -23,8 +23,8 @@ from repro.cluster.faults import (
     WorkerFaultRule,
 )
 from repro.runtime.master import MasterPart, MasterStats
-from repro.runtime.worker_pool import ComputableStack, LeaseTable, RegisterTable
 from repro.utils.errors import FaultToleranceExhausted, WorkerLeakWarning
+from tests.test_dispatch_core import run_row
 
 
 class DropOnce(MessageFaultRule):
@@ -160,97 +160,28 @@ class TestBackoff:
         assert_invariants(run)
 
 
-def master_stub(channels=3, threshold=2, task_timeout=0.3, now=100.0):
-    """The slice of MasterPart state that _note_worker_failure touches."""
-
-    class StubSched:
-        observing = False
-        enabled = False
-
-    class StubClock:
-        def __init__(self, t):
-            self.t = t
-
-        def now(self):
-            return self.t
-
-    stub = type("Stub", (), {})()
-    stub.blacklist_threshold = threshold
-    stub.channels = [object()] * channels
-    stub.task_timeout = task_timeout
-    stub.clock = StubClock(now)
-    stub._worker_failures = {}
-    stub._blacklisted = set()
-    stub._left = set()
-    stub._leases = LeaseTable()
-    stub._last_heard = {}
-    stub._budget_exempt = {}
-    stub.stats = MasterStats()
-    stub.sched = StubSched()
-    stub._register = RegisterTable()
-    stub._stack = ComputableStack()
-    stub.block_store = None
-    stub._release_blocks = lambda task_id: MasterPart._release_blocks(stub, task_id)
-    stub._requeue_worker_tasks = lambda worker_id: MasterPart._requeue_worker_tasks(
-        stub, worker_id
-    )
-    return stub
-
-
 class TestBlacklist:
-    """Unit tests of the failure-attribution/blacklist policy.
-
-    (Driven directly because threshold crossings in a live run depend on
-    scheduling timing; the chaos campaign exercises the integrated path.)
+    """The failure-attribution/blacklist policy, decided by the dispatch
+    core: each case is the row of tests/test_dispatch_core.py that checks
+    it. (Driven directly because threshold crossings in a live run depend
+    on scheduling timing; the chaos campaign exercises the integrated
+    path.)
     """
 
     def test_below_threshold_keeps_worker(self):
-        stub = master_stub(threshold=3)
-        MasterPart._note_worker_failure(stub, 0)
-        MasterPart._note_worker_failure(stub, 0)
-        assert stub._blacklisted == set()
+        run_row("blacklist-below-threshold")
 
     def test_silent_worker_blacklisted_and_evicted_at_threshold(self):
-        stub = master_stub(threshold=2)
-        epoch = stub._register.register((0, 0), 0, now=99.0)
-        MasterPart._note_worker_failure(stub, 0)
-        MasterPart._note_worker_failure(stub, 0)
-        assert stub._blacklisted == {0}
-        assert stub.stats.blacklisted_workers == [0]
-        # The worker's live dispatch was cancelled, exempted from the
-        # retry budget, and re-queued.
-        assert not stub._register.is_registered((0, 0), epoch)
-        assert (0, 0) in stub._stack.snapshot()
-        assert stub._budget_exempt[(0, 0)] == 1
-        assert stub.stats.faults_recovered == 1
+        run_row("blacklist-evicts-exempt")
 
     def test_recently_heard_worker_is_vetoed(self):
-        # Liveness-aware failure detection: a worker the master heard
-        # from inside a timeout window is alive — its timeouts are
-        # message loss, and blacklisting it would shoot a survivor.
-        stub = master_stub(threshold=2, task_timeout=0.3, now=100.0)
-        stub._last_heard[0] = 99.9
-        MasterPart._note_worker_failure(stub, 0)
-        MasterPart._note_worker_failure(stub, 0)
-        assert stub._blacklisted == set()
-        # Once it goes silent past the window, the next failure retires it.
-        stub.clock.t = 101.0
-        MasterPart._note_worker_failure(stub, 0)
-        assert stub._blacklisted == {0}
+        run_row("blacklist-last-heard-veto")
 
     def test_degradation_floor_keeps_last_worker(self):
-        stub = master_stub(channels=2, threshold=1)
-        MasterPart._note_worker_failure(stub, 0)
-        assert stub._blacklisted == {0}
-        for _ in range(5):
-            MasterPart._note_worker_failure(stub, 1)
-        assert stub._blacklisted == {0}  # worker 1 survives, come what may
+        run_row("blacklist-degradation-floor")
 
     def test_disabled_when_threshold_none(self):
-        stub = master_stub(threshold=None)
-        for _ in range(10):
-            MasterPart._note_worker_failure(stub, 0)
-        assert stub._blacklisted == set() and stub._worker_failures == {}
+        run_row("blacklist-disabled")
 
 
 class TestSpeculation:

@@ -1,10 +1,16 @@
-"""The lock- and clock-discipline source lints."""
+"""The lock-, clock-discipline and sans-I/O source lints."""
 
+import pytest
+
+from repro.check import diagnostics as D
 from repro.check.ast_lint import (
+    SANS_IO_MODULES,
     check_clock_discipline,
     check_lock_discipline,
     lint_clock_discipline,
     lint_lock_discipline,
+    lint_sans_io,
+    source_root,
 )
 
 
@@ -63,6 +69,46 @@ class TestClockLint:
     def test_sleep_allowed(self):
         src = "import time\ntime.sleep(0.1)\n"
         assert not lint_clock_discipline(src, "<t>")
+
+
+class TestSansIoLint:
+    @pytest.mark.parametrize(
+        "src",
+        [
+            "import threading\n",
+            "import time as _t\n",
+            "from os import path\n",
+            "import socket\n",
+            "import numpy as np\n",
+            "from repro.durable.journal import CommitJournal\n",
+            "from repro.comm.transport import Channel\n",
+            "from repro.check.lock_lint import make_lock\n",
+        ],
+    )
+    def test_io_capable_import_flagged(self, src):
+        assert lint_sans_io(src, "<t>")
+
+    def test_pure_imports_are_clean(self):
+        src = (
+            "from dataclasses import dataclass\n"
+            "from repro.comm.messages import TaskId\n"  # not .transport
+            "from repro.integrity import fold_commit\n"
+            "import timeit_like_name\n"  # prefix match is per dotted component
+        )
+        assert not lint_sans_io(src, "<t>")
+
+    def test_core_module_is_held_to_it(self, tmp_path):
+        # A copy of the package tree's one sans-I/O module with a clock
+        # read spliced in must fail the tree-wide check.
+        (rel,) = SANS_IO_MODULES
+        with open(f"{source_root()}/{rel}", encoding="utf-8") as fh:
+            source = fh.read()
+        assert not lint_sans_io(source, rel)
+        bad = tmp_path / rel
+        bad.parent.mkdir(parents=True)
+        bad.write_text("import time\n" + source, encoding="utf-8")
+        report = check_clock_discipline(root=str(tmp_path), subdirs=("runtime",))
+        assert report.has(D.SANS_IO_VIOLATION)
 
 
 class TestTreeWideChecks:

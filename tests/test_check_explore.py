@@ -117,6 +117,59 @@ class TestExploration:
         assert any(n.startswith("death-") for n in names)
         assert any("+" in n for n in names)  # combined drop+death
 
+    @pytest.mark.parametrize(
+        "name, reaches, in_every_order",
+        [
+            # Envelope faults under batched wavefront dispatch.
+            ("batch-drop-result-n0-i0", {"batch-assemble", "msg-drop", "redistribute"}, True),
+            # A result tied with its own lease expiry: one order expires
+            # the lease and drops the result as stale, the other commits.
+            ("lease-race-n0", {"lease-expired", "stale-drop"}, False),
+        ],
+    )
+    def test_new_scenarios_reach_the_paths_they_name(
+        self, monkeypatch, name, reaches, in_every_order
+    ):
+        from repro.check import explore
+
+        seen = []
+        real = explore._check_interleaving
+
+        def spy(run, *args, **kw):
+            seen.append({ev.kind for ev in run.obs.events()})
+            return real(run, *args, **kw)
+
+        monkeypatch.setattr(explore, "_check_interleaving", spy)
+        result = run_exploration(TINY, scenarios=[scenario_by_name(TINY, name)])
+        assert not result.violations and result.exhaustive and result.interleavings >= 2
+        assert any(reaches <= kinds for kinds in seen)
+        assert all(reaches <= kinds for kinds in seen) == in_every_order
+
+    def test_kill_resume_scenario_explores_both_sides_of_the_crash(self, monkeypatch):
+        from repro.check import explore
+
+        halves = []
+        real = explore._check_interleaving
+
+        def spy(run, scenario, error, *, partial=False, journaled=None):
+            halves.append((journaled, len(run.core.committed), partial))
+            return real(run, scenario, error, partial=partial, journaled=journaled)
+
+        monkeypatch.setattr(explore, "_check_interleaving", spy)
+        result = run_exploration(
+            TINY, scenarios=[scenario_by_name(TINY, "batch-kill-resume-c2")]
+        )
+        assert not result.violations and result.exhaustive
+        killed = [h for h in halves if h[0] is None]
+        resumed = [h for h in halves if h[0] is not None]
+        # The switch fires on the second journal write — recorded, not yet
+        # merged: the crash sits between two elements of one BatchResult.
+        assert killed and all(n == 1 and partial for _, n, partial in killed)
+        assert resumed and all(len(journaled) == 2 for journaled, _, _ in resumed)
+        # Resumed runs finish all four blocks (unless merged into a state
+        # another interleaving already explored).
+        assert any(n == 4 and not partial for _, n, partial in resumed)
+
     def test_scenario_by_name_round_trips(self):
         for s in default_scenarios(TINY):
             assert scenario_by_name(TINY, s.name).name == s.name

@@ -1,7 +1,8 @@
 """Elastic worker membership: mid-run join (attach_worker), clean
-departure (WorkerLeave via leave_after), and the RegisterTable/LeaseTable
-concurrency the protocol leans on."""
+departure (WorkerLeave via leave_after), and the dispatch ledger under
+the concurrency the master shell puts it through."""
 
+import sys
 import threading
 
 import numpy as np
@@ -12,9 +13,10 @@ from repro.algorithms import EditDistance
 from repro.comm.transport import channel_pair
 from repro.runtime.master import MasterPart
 from repro.runtime.slave import SlavePart
-from repro.runtime.worker_pool import RegisterTable
+from repro.runtime.dispatch import DispatchCore
 from repro.schedulers.policy import make_policy
 from repro.utils.errors import SchedulerError
+from tests.test_dispatch_core import run_row
 
 
 def build_parts(problem, config, *, leave_after=None):
@@ -157,44 +159,50 @@ class TestCleanDeparture:
 
 
 class TestRegisterTableConcurrency:
+    """The register table is the dispatch core's ledger now: priming is
+    a constructor argument (so "prime after registrations began" cannot
+    be written any more), and thread safety is the shell's one lock."""
+
     def test_prime_requires_pristine_table(self):
-        table = RegisterTable()
-        table.prime({(0, 0): 2})
-        assert table.attempts_snapshot() == {(0, 0): 2}
-        table.register((1, 1), worker_id=0)
-        with pytest.raises(SchedulerError):
-            table.prime({(2, 2): 1})
+        run_row("resume-priming")
 
     def test_prime_sets_next_epoch(self):
-        table = RegisterTable()
-        table.prime({(0, 0): 3})
-        assert table.register((0, 0), worker_id=1) == 3
+        core = DispatchCore(2, task_timeout=1.0, max_retries=0, attempts={(0, 0): 3})
+        assert core.dispatch((0, 0), 1, 0.0).epoch == 3
 
     def test_live_snapshot_under_concurrent_retire_and_join(self):
-        """Satellite: hammer register/finish/cancel from worker threads
-        (including a simulated mid-run joiner) while a reader snapshots —
-        snapshots must always be internally consistent, never raise."""
-        table = RegisterTable()
+        """Hammer dispatch/result/straggler from worker threads (including a
+        simulated mid-run joiner) the way the master shell does — every
+        call under one lock — while a reader snapshots: snapshots stay
+        internally consistent and no attempt count is lost."""
+        core = DispatchCore(8, task_timeout=1e9, max_retries=0)
+        lock = threading.Lock()
         stop = threading.Event()
         errors = []
 
         def worker(worker_id, tasks):
             try:
                 for task_id in tasks:
-                    epoch = table.register(task_id, worker_id)
+                    with lock:
+                        epoch = core.dispatch(task_id, worker_id, 0.0).epoch
                     if task_id[1] % 3 == 0:
                         # a "retiring" worker's dispatch gets cancelled...
-                        assert table.cancel(task_id, epoch)
+                        with lock:
+                            assert core.straggler(task_id, epoch, 1.0)
                         # ...and redispatched under a new epoch elsewhere
-                        epoch = table.register(task_id, worker_id + 100)
-                    assert table.finish(task_id, epoch)
+                        with lock:
+                            epoch = core.dispatch(task_id, worker_id + 100, 0.0).epoch
+                    with lock:
+                        assert core.result(task_id, epoch, worker_id) == []
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
 
         def reader():
             try:
                 while not stop.is_set():
-                    for task_id, reg in table.live_snapshot():
+                    with lock:
+                        live = core.live_items()
+                    for task_id, reg in live:
                         assert isinstance(task_id, tuple)
                         assert reg.epoch >= 0 and reg.worker_id >= 0
             except Exception as exc:  # pragma: no cover - failure path
@@ -215,17 +223,23 @@ class TestRegisterTableConcurrency:
             )
         )
         reader_t = threading.Thread(target=reader)
-        reader_t.start()
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30.0)
-        stop.set()
-        reader_t.join(timeout=10.0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            reader_t.start()
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30.0)
+            stop.set()
+            reader_t.join(timeout=10.0)
+        finally:
+            sys.setswitchinterval(interval)
 
+        assert not any(t.is_alive() for t in [*threads, reader_t])
         assert not errors, errors
-        assert table.live_snapshot() == ()
-        attempts = table.attempts_snapshot()
+        assert core.live_items() == ()
+        attempts = core.attempts_snapshot()
         for w in list(range(n_workers)) + [50]:
             for i in range(n_tasks):
                 expected = 2 if i % 3 == 0 else 1

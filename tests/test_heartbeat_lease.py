@@ -1,54 +1,33 @@
-"""Heartbeat/lease liveness protocol: LeaseTable unit tests plus an
-end-to-end check that an expired lease — not the hard task timeout —
+"""Heartbeat/lease liveness protocol: the lease rows of the dispatch-core
+table plus an end-to-end check that an expired lease — not the hard task timeout —
 drives re-dispatch when a worker goes silent."""
 
 import numpy as np
-import pytest
 
 from repro import EasyHPS, RunConfig
 from repro.algorithms import EditDistance
 from repro.cluster.faults import WorkerFaultPlan, WorkerFaultRule
-from repro.runtime.worker_pool import LeaseTable
+from tests.test_dispatch_core import run_row
 
 
 class TestLeaseTable:
+    """Leases are fields of the dispatch core's registrations now; each
+    case is the row of tests/test_dispatch_core.py that checks it."""
+
     def test_grant_and_expire(self):
-        table = LeaseTable()
-        table.grant((0, 0), 0, worker_id=1, now=10.0, duration=2.0)
-        assert len(table) == 1
-        assert table.expired(11.0) == []
-        (lease,) = table.expired(12.5)
-        assert lease.task_id == (0, 0) and lease.worker_id == 1
-        assert len(table) == 0
+        run_row("lease-grant-and-expire")
 
     def test_renew_worker_extends_all_its_leases(self):
-        table = LeaseTable()
-        table.grant((0, 0), 0, worker_id=1, now=0.0, duration=1.0)
-        table.grant((0, 1), 0, worker_id=1, now=0.0, duration=1.0)
-        table.grant((0, 2), 0, worker_id=2, now=0.0, duration=1.0)
-        table.renew_worker(1, now=0.9, duration=1.0)
-        expired = table.expired(1.5)  # only worker 2's lease lapsed
-        assert [l.task_id for l in expired] == [(0, 2)]
-        assert table.expired(2.0) and len(table) == 0
+        run_row("lease-renewed-by-any-message")
 
     def test_drop_is_epoch_checked(self):
-        table = LeaseTable()
-        table.grant((0, 0), 2, worker_id=1, now=0.0, duration=1.0)
-        table.drop((0, 0), 1)  # stale epoch: not this dispatch's lease
-        assert len(table) == 1
-        table.drop((0, 0), 2)
-        assert len(table) == 0
+        run_row("lease-settles-with-its-epoch")
 
     def test_drop_unknown_task_is_noop(self):
-        LeaseTable().drop((9, 9), 0)
+        run_row("lease-unknown-task")
 
     def test_regrant_replaces_lease(self):
-        table = LeaseTable()
-        table.grant((0, 0), 0, worker_id=1, now=0.0, duration=1.0)
-        table.grant((0, 0), 1, worker_id=2, now=5.0, duration=1.0)
-        assert len(table) == 1
-        (lease,) = table.expired(10.0)
-        assert lease.epoch == 1 and lease.worker_id == 2
+        run_row("lease-regrant-replaces")
 
 
 class TestHeartbeatProtocol:

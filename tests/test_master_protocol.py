@@ -96,7 +96,7 @@ class TestProtocol:
 
         time.sleep(0.1)
         assert master.stats.stale_results == 1
-        assert master._register.is_registered(assign.task_id)
+        assert master.core.is_live(assign.task_id)
         # Now answer correctly and drain.
         ch.send(TaskResult(assign.task_id, assign.epoch, 0, fake))
         obedient_slave(problem, partition, ch)
@@ -129,6 +129,46 @@ class TestProtocol:
         assert master.stats.faults_recovered >= 1
         assert master.stats.tasks_per_worker.get(1) == 4
         assert problem.finalize(box["state"]).distance == problem.reference()
+
+    def test_task_offered_before_a_taint_is_not_dispatched_after_it(self, problem):
+        # The race a service thread can lose: it took (1, 0) off the
+        # computable stack, then an audit conviction revoked (0, 0)
+        # before the dispatch registered. The core refuses it; the shell
+        # forgets it (the parser re-emits it) and hands out other work.
+        partition = partition_pattern(problem.pattern(), 10)
+        master = MasterPart(
+            problem, partition, [channel_pair()[0]],
+            make_policy("dynamic", 1, partition.grid.n_block_cols),
+            integrity="audit",
+        )
+        master.state = problem.make_state()
+        master.core.commit((0, 0), 0, 0, None)
+        master.core.taint((0, 0))
+        master._stack.push_many([(0, 0), (1, 0)])  # (1, 0) is LIFO-first
+        assign = master._prepare_assign(0, block=False)
+        assert assign.task_id == (0, 0) and len(master._stack) == 0
+        assert not master.core.is_live((1, 0)) and master.core.attempts((1, 0)) == 0
+
+    def test_result_is_accepted_and_buffered_in_one_step(self, problem):
+        # A taint purges the result buffer under the results lock; a
+        # result accepted before it must already be in the buffer, so
+        # accepting (the core deregisters the dispatch) and buffering
+        # happen together under that lock.
+        partition = partition_pattern(problem.pattern(), 10)
+        master = MasterPart(
+            problem, partition, [channel_pair()[0]],
+            make_policy("dynamic", 1, partition.grid.n_block_cols),
+        )
+        epoch = master.core.dispatch((0, 0), 0, 0.0).epoch
+        msg = TaskResult((0, 0), epoch, 0, {"block": None}, digest=None)
+        with master._results_lock:
+            thread = threading.Thread(target=master._handle_result, args=(msg, 0))
+            thread.start()
+            thread.join(timeout=0.2)
+            assert thread.is_alive() and master.core.is_live((0, 0), epoch)
+        thread.join(timeout=5.0)
+        assert not thread.is_alive() and not master.core.is_live((0, 0))
+        assert master._result_buffer[(0, 0)][1] == epoch
 
     def test_policy_size_mismatch_rejected(self, problem):
         partition = partition_pattern(problem.pattern(), 10)

@@ -122,3 +122,61 @@ class TestStructure:
             assert not low_level & set(imported_modules(tree)), rel
             banned = {"replace", "fsync", "truncate", "crc32", "open"}
             assert not [c for c in call_names(tree) if c[0] in banned], rel
+
+    def test_protocol_decisions_exist_only_in_the_dispatch_core(self):
+        """The retry-budget comparison, the backoff formula and the
+        taint-closure walk are written once, in runtime/dispatch.py; the
+        shells and the explorer hold no copy of the ledger they decide on."""
+        core = "runtime/dispatch.py"
+        shells = {
+            "runtime/master.py", "runtime/slave.py", "backends/simulated.py",
+            "check/explore.py",
+        }
+
+        def mentions(node, name):
+            return any(
+                (isinstance(n, ast.Attribute) and n.attr == name)
+                or (isinstance(n, ast.Name) and n.id == name)
+                for n in ast.walk(node)
+            )
+
+        budget, backoff, walks, tables = [], [], [], []
+        for path in sorted(SRC.rglob("*.py")):
+            rel = path.relative_to(SRC).as_posix()
+            tree = ast.parse(path.read_text(), filename=str(path))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+                    if mentions(node.left, "max_retries") and isinstance(node.right, ast.Constant):
+                        budget.append(rel)
+                if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Mult, ast.Pow)):
+                    if mentions(node, "retry_backoff"):
+                        backoff.append(rel)
+                if isinstance(node, ast.ClassDef) and node.name in (
+                    "RegisterTable", "LeaseTable", "OvertimeQueue"
+                ):
+                    tables.append(rel)
+            if rel in shells | {core}:
+                walks += [rel for name, _ in call_names(tree) if name == "successors"]
+        assert set(budget) == {core} and set(backoff) == {core}
+        assert walks == [core] and not tables
+
+        tree = ast.parse((SRC / core).read_text(), filename=core)
+        banned = ("threading", "time", "repro.comm.transport", "repro.durable", "numpy")
+        assert not [
+            m for m in imported_modules(tree)
+            if any(m == b or m.startswith(b + ".") for b in banned)
+        ]
+
+        ledger = {"registered", "attempts", "dispatched_to", "node_failures",
+                  "divergence", "committed", "blacklisted", "quarantined"}
+        for rel, owner in (("backends/simulated.py", "self"), ("check/explore.py", "run")):
+            tree = ast.parse((SRC / rel).read_text(), filename=rel)
+            copies = [
+                f"{rel}:{n.lineno} {owner}.{n.attr}"
+                for n in ast.walk(tree)
+                if isinstance(n, ast.Attribute)
+                and n.attr in ledger
+                and isinstance(n.value, ast.Name)
+                and n.value.id == owner
+            ]
+            assert not copies, copies

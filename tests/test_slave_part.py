@@ -96,6 +96,17 @@ class TestProtocolSide:
         thread.join(timeout=5.0)
         assert not thread.is_alive()
 
+    def test_parent_death_ends_a_slave_process(self, setup):
+        # What ``slave_process_main`` arms: once the process is no longer
+        # the child of the master that started it, the quiet wait ends —
+        # no EndSignal and no EOF ever arrives from a SIGKILLed master.
+        problem, partition, master, slave_end = setup
+        slave = make_slave(problem, partition, slave_end)
+        slave._parent_pid = -1  # "my parent is gone"
+        thread = run_slave_async(slave)
+        thread.join(timeout=5.0)
+        assert not thread.is_alive() and slave.stop_event.is_set()
+
     def test_crash_fault_drops_task_but_keeps_serving(self, setup):
         problem, partition, master, slave_end = setup
         plan = FaultPlan([FaultRule("crash", (0, 0), 0)])

@@ -3,17 +3,9 @@
 import threading
 import time
 
-import pytest
-
-from repro.runtime.worker_pool import (
-    ComputableStack,
-    FinishedStack,
-    OvertimeEntry,
-    OvertimeQueue,
-    RegisterTable,
-)
+from repro.runtime.worker_pool import ComputableStack, FinishedStack
 from repro.schedulers.policy import BlockCyclicWavefrontPolicy, DynamicPolicy
-from repro.utils.errors import SchedulerError
+from tests.test_dispatch_core import run_row
 
 
 class TestComputableStack:
@@ -99,61 +91,36 @@ class TestFinishedStack:
         assert f.pop(timeout=0.01) is None
 
 
+# The overtime queue and the register table are the dispatch ledger of
+# ``repro.runtime.dispatch`` now; each case below is the row of
+# tests/test_dispatch_core.py that checks the same behaviour. (Overdue
+# dispatches are no longer reported in deadline order: the core scans its
+# ledger, and the order of simultaneous expirations decides nothing.)
+
+
 class TestOvertimeQueue:
     def test_due_respects_deadlines(self):
-        q = OvertimeQueue()
-        q.push(OvertimeEntry(deadline=10.0, task_id=(0, 0), epoch=0))
-        q.push(OvertimeEntry(deadline=5.0, task_id=(1, 1), epoch=0))
-        assert q.due(4.0) == []
-        due = q.due(7.0)
-        assert [e.task_id for e in due] == [(1, 1)]
-        assert len(q) == 1
-        assert q.next_deadline() == 10.0
+        run_row("deadline-respects-time")
 
     def test_due_pops_in_deadline_order(self):
-        q = OvertimeQueue()
-        for d in (3.0, 1.0, 2.0):
-            q.push(OvertimeEntry(deadline=d, task_id=(int(d), 0), epoch=0))
-        assert [e.deadline for e in q.due(5.0)] == [1.0, 2.0, 3.0]
+        run_row("tick-fires-every-overdue")
 
     def test_empty(self):
-        q = OvertimeQueue()
-        assert q.next_deadline() is None
-        assert q.due(100.0) == []
+        run_row("tick-empty")
 
 
 class TestRegisterTable:
     def test_register_finish_cycle(self):
-        r = RegisterTable()
-        epoch = r.register((0, 0), worker_id=2)
-        assert epoch == 0
-        assert r.is_registered((0, 0))
-        assert r.is_registered((0, 0), epoch=0)
-        assert r.finish((0, 0), 0)
-        assert not r.is_registered((0, 0))
+        run_row("register-finish-cycle")
 
     def test_epochs_count_dispatches(self):
-        r = RegisterTable()
-        assert r.register((0, 0), 0) == 0
-        r.cancel((0, 0), 0)
-        assert r.register((0, 0), 1) == 1
-        assert r.attempts((0, 0)) == 2
+        run_row("epochs-count-dispatches")
 
     def test_stale_epoch_rejected(self):
-        r = RegisterTable()
-        r.register((0, 0), 0)
-        r.cancel((0, 0), 0)
-        r.register((0, 0), 1)
-        assert not r.finish((0, 0), 0)  # the timed-out worker's late result
-        assert r.finish((0, 0), 1)
+        run_row("stale-epoch")
 
     def test_double_register_rejected(self):
-        r = RegisterTable()
-        r.register((0, 0), 0)
-        with pytest.raises(SchedulerError):
-            r.register((0, 0), 1)
+        run_row("double-register")
 
     def test_unknown_finish_rejected(self):
-        r = RegisterTable()
-        assert not r.finish((9, 9), 0)
-        assert r.attempts((9, 9)) == 0
+        run_row("unknown-result")
