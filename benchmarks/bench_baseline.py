@@ -13,17 +13,13 @@ Three verbs::
     python benchmarks/bench_baseline.py --write --label <rev>   # append
     python benchmarks/bench_baseline.py --check      # compare vs latest
 
-What is comparable: the *byte/message* counters of the serial and
-simulated backends are fully deterministic (the simulator is a DES, the
-serial backend sends nothing), so ``--check`` requires them equal to the
-latest recorded entry. The threads/processes backends' message counts
-depend on poll timing and their wall times on machine load, so those are
-reported but only sanity-bounded, never compared exactly.
-
-For a tolerance-based gate (ratio-normalized makespans, configurable
-headroom, exit code 3 on regression) use ``repro perf --against
-BENCH_BASELINE.json --check`` instead — both front-ends share
-:mod:`repro.analysis.trajectory`.
+What is comparable: the byte/message counters of the serial and
+simulated backends and the simulated makespan are fully deterministic
+(the simulator is a DES, the serial backend sends nothing), so ``--check``
+requires them equal to the latest recorded entry — the refactor oracle.
+The threads/processes backends' message counts depend on poll timing and
+their wall times on machine load; those are recorded, never compared
+(timing is ``bench/``'s job).
 """
 
 from __future__ import annotations
@@ -35,34 +31,20 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.analysis.trajectory import (  # noqa: E402
-    BACKENDS,
-    DETERMINISTIC,
-    SCHEMA,
     STANDARD,
     append_entry,
+    exact_drift,
     format_measurement,
     git_describe_label,
-    load_trajectory,
+    latest_entry,
     measure,
     measure_backend,
 )
+from repro.utils.errors import ConfigError  # noqa: E402
 
-__all__ = [
-    "BACKENDS",
-    "BASELINE_PATH",
-    "DETERMINISTIC",
-    "SCHEMA",
-    "STANDARD",
-    "load_baseline",
-    "measure",
-    "measure_backend",
-]
+__all__ = ["BASELINE_PATH", "STANDARD", "measure", "measure_backend"]
 
 BASELINE_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_BASELINE.json")
-
-
-def load_baseline() -> dict:
-    return load_trajectory(BASELINE_PATH)
 
 
 def cmd_write(label: str) -> int:
@@ -73,26 +55,22 @@ def cmd_write(label: str) -> int:
 
 
 def cmd_check() -> int:
-    doc = load_baseline()
-    entries = doc.get("entries", [])
-    if not entries:
-        print("no baseline entries recorded; run with --write first", file=sys.stderr)
+    try:
+        latest = latest_entry(BASELINE_PATH)
+    except ConfigError as exc:
+        print(exc, file=sys.stderr)
         return 1
-    latest = entries[-1]["backends"]
     current = measure()
     print(format_measurement(current))
-    failures = []
-    for backend in DETERMINISTIC:
-        for key in ("messages", "bytes_to_slaves", "bytes_to_master"):
-            want, got = latest[backend][key], current[backend][key]
-            if want != got:
-                failures.append(f"{backend}.{key}: baseline {want} != current {got}")
-    if failures:
-        print("baseline drift (deterministic wire counters changed):")
-        for f in failures:
-            print(f"  {f}")
+    drifted = exact_drift(latest["backends"], current)
+    if drifted:
+        print("baseline drift (deterministic counters / simulated makespan changed):")
+        for line in drifted:
+            print(f"  {line}")
         return 1
-    print(f"wire counters match baseline entry {entries[-1]['label']!r}")
+    print(
+        f"wire counters and simulated makespan match baseline entry {latest['label']!r}"
+    )
     return 0
 
 

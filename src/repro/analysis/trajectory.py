@@ -1,29 +1,22 @@
-"""The performance trajectory: appendable baselines and a regression gate.
+"""The recorded trajectory: appendable baselines and one exact check.
 
-``BENCH_BASELINE.json`` at the repo root accumulates one entry per
-recorded revision — a measured run of the standard workload on all four
-backends. This module owns that file's schema and the two operations on
-it:
+``BENCH_BASELINE.json`` at the repo root holds one entry per recorded
+revision — a run of the pinned :data:`STANDARD` workload on all four
+backends. This module owns that file's schema and the operations on it
+(``benchmarks/bench_baseline.py`` is the front-end):
 
-- :func:`append_entry` — measure and append (the ``--write`` path),
-  labelling the entry with ``git describe`` output by default so
-  entries map to revisions without manual bookkeeping;
-- :func:`check_against` — the **regression gate** (``repro perf
-  --against BENCH_BASELINE.json --check``): compare a fresh measurement
-  against the latest recorded entry with configurable tolerances.
+- :func:`append_entry` — measure and append (``--write``), labelled
+  with ``git describe`` output by default;
+- :func:`exact_drift` — the **refactor oracle** (``--check``): the
+  serial and simulated backends' wire counters and the simulated
+  makespan are deterministic, so they must equal the latest entry
+  bit-for-bit. Any difference is a protocol or cost-model change someone
+  must acknowledge by recording a new entry.
 
-What is gated, and how, follows what is actually stable:
-
-- *Deterministic wire counters* (serial + simulated backends): message
-  and byte counts reproduce bit-for-bit, so any **increase** beyond
-  ``max_bytes_regress`` (default 0: none) fails. Decreases pass — they
-  are improvements the next ``--write`` records.
-- *Simulated makespan*: sim-time is deterministic; gated directly
-  against ``max_makespan_regress``.
-- *Real-backend makespans* (threads/processes): wall time depends on
-  the machine, so the gate compares the **ratio to the serial backend's
-  makespan from the same measurement session** — a machine-portable
-  proxy — against the baseline's ratio, with the same tolerance.
+Wall times of the real backends are recorded but never compared: one
+un-repeated sub-second run cannot gate anything. Timing regressions are
+``bench/``'s job (repeats, reference-block normalisation, a noise-derived
+bound — ``BENCHMARK.json``).
 """
 
 from __future__ import annotations
@@ -32,7 +25,6 @@ import json
 import os
 import subprocess
 import time
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.utils.errors import ConfigError
@@ -56,15 +48,12 @@ BACKENDS = ("serial", "threads", "processes", "simulated")
 #: Deterministic backends: wire counters must reproduce bit-for-bit.
 DETERMINISTIC = ("serial", "simulated")
 
-#: Default headroom for makespan comparisons. Generous by design: CI
-#: machines are noisy, and the ratio-to-serial normalization only
-#: removes the *linear* part of machine variation.
-DEFAULT_MAKESPAN_REGRESS = 0.75
-
-#: Default headroom for deterministic wire counters: none — any byte or
-#: message increase is a real protocol change someone must acknowledge
-#: by re-recording the baseline.
-DEFAULT_BYTES_REGRESS = 0.0
+#: What must reproduce bit-for-bit against the latest entry.
+EXACT = tuple(
+    (backend, key)
+    for backend in DETERMINISTIC
+    for key in ("messages", "bytes_to_slaves", "bytes_to_master")
+) + (("simulated", "makespan_s"),)
 
 
 def measure_backend(backend: str) -> Dict[str, object]:
@@ -149,109 +138,25 @@ def append_entry(
     return entry
 
 
-@dataclass(frozen=True)
-class GateCheck:
-    """One gate comparison: ``got`` must stay within ``tol`` of ``want``."""
-
-    name: str
-    want: float
-    got: float
-    tol: float
-
-    @property
-    def ok(self) -> bool:
-        return self.got <= self.want * (1.0 + self.tol)
-
-    def describe(self) -> str:
-        verdict = "ok" if self.ok else "REGRESSION"
-        return (
-            f"{self.name}: baseline {self.want:.6g}, current {self.got:.6g} "
-            f"(allowed +{self.tol:.0%}) — {verdict}"
-        )
-
-
-@dataclass
-class GateResult:
-    """Outcome of one gate run against the latest trajectory entry."""
-
-    baseline_label: str
-    checks: List[GateCheck] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-    @property
-    def failures(self) -> List[GateCheck]:
-        return [c for c in self.checks if not c.ok]
-
-    def describe(self) -> str:
-        lines = [f"perf gate vs baseline entry {self.baseline_label!r}:"]
-        lines += [f"  {c.describe()}" for c in self.checks]
-        lines.append(
-            f"  => {'PASS' if self.ok else f'FAIL ({len(self.failures)} regressions)'}"
-        )
-        return "\n".join(lines)
-
-
-def check_against(
-    path: str,
-    *,
-    max_makespan_regress: float = DEFAULT_MAKESPAN_REGRESS,
-    max_bytes_regress: float = DEFAULT_BYTES_REGRESS,
-    measured: Optional[Dict[str, Dict[str, object]]] = None,
-) -> GateResult:
-    """Gate a fresh measurement against the latest trajectory entry.
-
-    Raises :class:`~repro.utils.errors.ConfigError` when the trajectory
-    has no entries (nothing to gate against) — that is a setup error,
-    not a regression.
-    """
-    doc = load_trajectory(path)
-    entries = doc.get("entries", [])
+def latest_entry(path: str) -> Dict[str, object]:
+    """The newest trajectory entry; :class:`ConfigError` when there is
+    none (a setup error, not a drift)."""
+    entries = load_trajectory(path).get("entries", [])
     if not entries:
         raise ConfigError(f"{path}: no baseline entries; record one with --write first")
-    latest = entries[-1]
-    base = latest["backends"]
-    current = measured if measured is not None else measure()
-    result = GateResult(baseline_label=str(latest.get("label", "?")))
+    return entries[-1]
 
-    for backend in DETERMINISTIC:
-        if backend not in base or backend not in current:
-            continue
-        for key in ("messages", "bytes_to_slaves", "bytes_to_master"):
-            result.checks.append(
-                GateCheck(
-                    name=f"{backend}.{key}",
-                    want=float(base[backend][key]),
-                    got=float(current[backend][key]),
-                    tol=max_bytes_regress,
-                )
-            )
-    if "simulated" in base and "simulated" in current:
-        result.checks.append(
-            GateCheck(
-                name="simulated.makespan_s",
-                want=float(base["simulated"]["makespan_s"]),
-                got=float(current["simulated"]["makespan_s"]),
-                tol=max_makespan_regress,
-            )
-        )
-    base_serial = float(base.get("serial", {}).get("makespan_s", 0.0))
-    cur_serial = float(current.get("serial", {}).get("makespan_s", 0.0))
-    if base_serial > 0 and cur_serial > 0:
-        for backend in ("threads", "processes"):
-            if backend not in base or backend not in current:
-                continue
-            result.checks.append(
-                GateCheck(
-                    name=f"{backend}.makespan_vs_serial",
-                    want=float(base[backend]["makespan_s"]) / base_serial,
-                    got=float(current[backend]["makespan_s"]) / cur_serial,
-                    tol=max_makespan_regress,
-                )
-            )
-    return result
+
+def exact_drift(
+    recorded: Dict[str, Dict[str, object]], current: Dict[str, Dict[str, object]]
+) -> List[str]:
+    """Every :data:`EXACT` value of ``current`` that differs from the
+    ``recorded`` entry's, described; empty when the oracle holds."""
+    return [
+        f"{backend}.{key}: baseline {recorded[backend][key]} != current {current[backend][key]}"
+        for backend, key in EXACT
+        if recorded[backend][key] != current[backend][key]
+    ]
 
 
 def format_measurement(measured: Dict[str, Dict[str, object]]) -> str:

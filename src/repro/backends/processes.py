@@ -21,7 +21,7 @@ from repro.analysis.report import RunReport
 from repro.cluster.faults import io_policy
 from repro.comm.shm import BlockStore, drain_shm_errors, run_prefix, sweep_segments
 from repro.comm.transport import PipeChannel
-from repro.runtime.assembly import RunAssembly, slave_options
+from repro.runtime.assembly import RunAssembly
 from repro.runtime.config import RunConfig
 from repro.runtime.slave import slave_process_main
 
@@ -59,19 +59,13 @@ def run_processes(
 
     master_channels = []
     procs = []
-    options = dict(
-        slave_options(config),
-        shm_prefix=shm_prefix,
-        io_fault_plan=config.io_fault_plan or None,
-    )
     for k in range(config.n_slaves):
         parent_conn, child_conn = ctx.Pipe(duplex=True)
         master_channels.append(asm.master_channel(PipeChannel(parent_conn), k, store))
         procs.append(
             ctx.Process(
                 target=slave_process_main,
-                args=(k, child_conn, problem, asm.proc_size, asm.thread_size,
-                      config.threads_per_node, options),
+                args=(k, child_conn, problem, config, shm_prefix),
                 daemon=True,
                 name=f"slave{k}",
             )

@@ -212,7 +212,6 @@ class _SimulatedRun:
                 self.cluster.n_compute_nodes,
                 cost_fn=lambda bid: problem.block_flops(self.partition, bid),
             )
-        self.thread_policy_name = config.thread_scheduler
 
         self.nodes = [_Node(spec=s) for s in self.cluster.compute_nodes]
         self.master_nic_free = 0.0
@@ -250,20 +249,12 @@ class _SimulatedRun:
         )
         #: The protocol's decisions — the very state machine the real
         #: master runs, primed from the journal on resume.
-        self.core = core_mod.DispatchCore(
+        self.core = core_mod.DispatchCore.from_config(
+            config,
             self.cluster.n_compute_nodes,
-            task_timeout=config.task_timeout,
-            max_retries=config.max_retries,
-            retry_backoff=config.retry_backoff,
-            retry_backoff_max=config.retry_backoff_max,
-            blacklist_threshold=config.blacklist_threshold,
-            heartbeat_interval=config.heartbeat_interval,
-            lease_factor=config.lease_factor,
-            integrity=self.integrity,
             pattern=self.partition.abstract,
             recording=self.sched.enabled,
-            attempts=resume.attempts if resume is not None else None,
-            committed=resume.committed if resume is not None else None,
+            resume=resume,
         )
         self.stats = self.core.stats
         if resume is not None:
@@ -320,7 +311,7 @@ class _SimulatedRun:
             node.flops_per_second,
             node.contention,
             round(node.task_overhead, 12),
-            self.thread_policy_name,
+            self.config.thread_scheduler,
         )
         cached = self._inner_memo.get(key)
         if cached is not None:
@@ -332,7 +323,7 @@ class _SimulatedRun:
         for sub in inner.abstract.vertices():
             lr, lc = inner.block_ranges(sub)
             costs[sub] = self.problem.subblock_flops(self.partition, bid, lr, lc) / rate
-        policy = make_policy(self.thread_policy_name, t, inner.grid.n_block_cols)
+        policy = make_policy(self.config.thread_scheduler, t, inner.grid.n_block_cols)
         makespan, busy, _ = simulate_level(
             inner.abstract, costs, t, policy, overhead=node.task_overhead
         )

@@ -1,6 +1,6 @@
-"""AST lints enforcing the repo's concurrency and clock discipline.
+"""AST lints enforcing the repo's concurrency, clock and config discipline.
 
-Three project rules exist that no type checker sees:
+Four project rules exist that no type checker sees:
 
 - **Lock discipline** — locks and condition variables must come from
   :func:`repro.check.lock_lint.make_lock` / ``make_condition`` so the
@@ -18,6 +18,9 @@ Three project rules exist that no type checker sees:
   clock, socket, OS, transport, journal or array module and build no
   lock, or the simulator and explorer stop running the master's real
   decisions (``docs/fault_tolerance.md`` §Dispatch core).
+- **No dead knob** — a ``RunConfig`` field is the one declaration of a
+  knob (``docs/configuration.md``), so a field nothing in the package
+  reads is an option that does nothing: it becomes a constant or goes.
 
 All lints are source-level (``ast``), so they catch violations in
 code paths tests never execute. Wired into ``repro check
@@ -38,8 +41,10 @@ __all__ = [
     "lint_lock_discipline",
     "lint_clock_discipline",
     "lint_sans_io",
+    "lint_config_fields",
     "check_lock_discipline",
     "check_clock_discipline",
+    "check_config_fields",
     "source_root",
 ]
 
@@ -152,6 +157,43 @@ def lint_sans_io(source: str, path: str = "<string>") -> List[Tuple[int, str]]:
     return out
 
 
+def lint_config_fields(
+    config_source: str, reader_sources: Iterable[str], cls: str = "RunConfig"
+) -> List[Tuple[int, str]]:
+    """(line, field) for every field of ``cls`` that is read nowhere.
+
+    A field is read when some reader source loads it as an attribute, or
+    when a derived member of ``cls`` (any method or property but
+    ``__post_init__``, which only validates) reads it through ``self``
+    and that member's name is itself loaded by a reader.
+    """
+    loaded: Set[str] = set()
+    for source in reader_sources:
+        loaded.update(
+            n.attr for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Attribute)
+        )
+    fields: Dict[str, int] = {}
+    for node in ast.walk(ast.parse(config_source)):
+        if not (isinstance(node, ast.ClassDef) and node.name == cls):
+            continue
+        for item in node.body:
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                fields[item.target.id] = item.lineno
+            elif (
+                isinstance(item, ast.FunctionDef)
+                and item.name != "__post_init__"
+                and item.name in loaded
+            ):
+                loaded.update(
+                    n.attr
+                    for n in ast.walk(item)
+                    if isinstance(n, ast.Attribute)
+                    and isinstance(n.value, ast.Name)
+                    and n.value.id == "self"
+                )
+    return [(line, name) for name, line in fields.items() if name not in loaded]
+
+
 def source_root() -> str:
     """The installed ``repro`` package directory this lint scans."""
     return os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -227,4 +269,31 @@ def check_clock_discipline(
                 f"tests stay deterministic",
                 f"{rel}:{line}",
             )
+    return report
+
+
+def check_config_fields(
+    root: Optional[str] = None, title: str = "lint:config-fields"
+) -> CheckReport:
+    """Every ``RunConfig`` field must be read somewhere in the package
+    outside ``runtime/config.py``."""
+    root = root or source_root()
+    config_path = os.path.join(root, "runtime", "config.py")
+    report = CheckReport(title=title)
+    readers = []
+    for path in _py_files(root):
+        report.checked += 1
+        with open(path, encoding="utf-8") as fh:
+            source = fh.read()
+        if path == config_path:
+            config_source = source
+        else:
+            readers.append(source)
+    for line, name in lint_config_fields(config_source, readers):
+        report.add(
+            D.CONFIG_FIELD_UNREAD,
+            f"RunConfig.{name} (runtime/config.py:{line}) is read nowhere in "
+            f"the package — a knob nothing reads is a constant or dead",
+            f"runtime/config.py:{line}",
+        )
     return report

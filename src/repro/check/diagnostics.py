@@ -66,6 +66,7 @@ EXPLORE_ORACLE_MISMATCH = "explore-oracle-mismatch"
 RAW_LOCK_CONSTRUCTION = "raw-lock-construction"
 UNINJECTED_CLOCK = "uninjected-clock"
 SANS_IO_VIOLATION = "sans-io-violation"
+CONFIG_FIELD_UNREAD = "config-field-unread"
 
 SEVERITIES = ("error", "warning")
 

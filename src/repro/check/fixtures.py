@@ -1,6 +1,6 @@
 """Seeded defect fixtures — known-bad inputs every check pass must catch.
 
-Seventeen fixtures, one per diagnostic family the verifier exists for:
+Eighteen fixtures, one per diagnostic family the verifier exists for:
 
 1.  a cyclic "pattern"                          -> ``pattern-cycle``
 2.  a pattern with an out-of-bounds dependency  -> ``dep-out-of-bounds``
@@ -26,6 +26,8 @@ Seventeen fixtures, one per diagnostic family the verifier exists for:
     scheduling code                             -> ``uninjected-clock``
 17. a dispatch core that reads the clock and
     takes a lock itself                         -> ``sans-io-violation``
+18. a ``RunConfig`` field only its own validator
+    mentions                                    -> ``config-field-unread``
 
 They serve two purposes: negative-path tests (each must be *rejected*,
 with the named diagnostic), and the ``repro check --selftest`` CLI verb,
@@ -45,7 +47,12 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Tuple
 
 from repro.check import diagnostics as D
-from repro.check.ast_lint import lint_clock_discipline, lint_lock_discipline, lint_sans_io
+from repro.check.ast_lint import (
+    lint_clock_discipline,
+    lint_config_fields,
+    lint_lock_discipline,
+    lint_sans_io,
+)
 from repro.check.diagnostics import CheckReport
 from repro.check.integrity_check import check_integrity_invariants
 from repro.check.lock_lint import lock_lint_session, make_lock
@@ -338,6 +345,26 @@ class DispatchCore:
 """
 
 
+_DEAD_KNOB_CONFIG = """\
+class RunConfig:
+    task_timeout: float = 30.0
+    stall_timeout: float = None
+    linger: float = 0.5
+
+    def __post_init__(self):
+        assert self.linger >= 0  # validated, never used
+
+    @property
+    def effective_stall_timeout(self):
+        return self.stall_timeout or 2 * self.task_timeout + 1
+"""
+
+_DEAD_KNOB_READER = """\
+def watchdog(config, idle_for):
+    return idle_for > config.effective_stall_timeout
+"""
+
+
 def raw_lock_snippet_report() -> CheckReport:
     report = CheckReport(title="fixture:raw-lock")
     for line, what in lint_lock_discipline(_RAW_LOCK_SNIPPET, "<fixture>"):
@@ -359,6 +386,14 @@ def io_in_core_snippet_report() -> CheckReport:
     for line, what in lint_sans_io(_IO_IN_CORE_SNIPPET, "<fixture>"):
         report.checked += 1
         report.add(D.SANS_IO_VIOLATION, f"{what} at <fixture>:{line}")
+    return report
+
+
+def dead_knob_snippet_report() -> CheckReport:
+    report = CheckReport(title="fixture:dead-knob")
+    for line, name in lint_config_fields(_DEAD_KNOB_CONFIG, [_DEAD_KNOB_READER]):
+        report.checked += 1
+        report.add(D.CONFIG_FIELD_UNREAD, f"RunConfig.{name} at <fixture>:{line}")
     return report
 
 
@@ -411,6 +446,7 @@ SELFTEST: Dict[str, Tuple[str, Callable[[], CheckReport]]] = {
     "raw-lock-construction": (D.RAW_LOCK_CONSTRUCTION, raw_lock_snippet_report),
     "uninjected-clock": (D.UNINJECTED_CLOCK, raw_clock_snippet_report),
     "io-in-dispatch-core": (D.SANS_IO_VIOLATION, io_in_core_snippet_report),
+    "dead-config-knob": (D.CONFIG_FIELD_UNREAD, dead_knob_snippet_report),
 }
 
 

@@ -75,7 +75,11 @@ def check_algorithm(problem: Any, *, block: int = 7, thread_block: int = 3) -> C
 
 def run_builtin_checks(*, algo_size: int = 24, seed: int = 0) -> List[Tuple[str, CheckReport]]:
     """Verify every built-in pattern and algorithm; returns (name, report)."""
-    from repro.check.ast_lint import check_clock_discipline, check_lock_discipline
+    from repro.check.ast_lint import (
+        check_clock_discipline,
+        check_config_fields,
+        check_lock_discipline,
+    )
     from repro.check.protocol import check_protocol_spec
 
     results: List[Tuple[str, CheckReport]] = []
@@ -88,5 +92,6 @@ def run_builtin_checks(*, algo_size: int = 24, seed: int = 0) -> List[Tuple[str,
     # cheap next to the pattern checks above.
     results.append(("lint:lock-discipline", check_lock_discipline()))
     results.append(("lint:clock-discipline", check_clock_discipline()))
+    results.append(("lint:config-fields", check_config_fields()))
     results.append(("protocol:spec", check_protocol_spec()))
     return results

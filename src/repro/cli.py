@@ -11,9 +11,7 @@ Commands:
                   per-worker busy/idle, bytes on wire, fault counts;
 - ``perf``      — profile trace files (critical path, scheduling
                   efficiency, per-lane time attribution, link-model
-                  calibration, what-if replay) and/or gate a fresh
-                  measurement against ``BENCH_BASELINE.json``
-                  (``--against ... --check`` exits 3 on regression);
+                  calibration, what-if replay);
 - ``check``     — run the static verifier (:mod:`repro.check`) over
                   built-in patterns/algorithms, one pattern, or one
                   algorithm; ``--selftest`` proves the checkers catch
@@ -346,17 +344,12 @@ def _pattern_from_meta(meta: dict | None):
 
 
 def cmd_perf(args: argparse.Namespace) -> int:
-    """Profile traces and/or gate against the performance trajectory.
+    """Profile traces.
 
     ``repro perf trace.json ...`` prints, per trace: the critical path
     and scheduling efficiency, the per-lane time-attribution table, the
     queue-wait distribution, a link-model fit vs the simulator's
     default, and what-if replay bounds.
-
-    ``repro perf --against BENCH_BASELINE.json [--check] [--write]``
-    measures the standard workload and compares; ``--check`` exits
-    3 on regression (0 when clean), ``--write`` appends the measurement
-    as a new trajectory entry.
     """
     from repro.analysis.calibration import fit_link, link_fit_report, link_samples_from_events
     from repro.cluster.network import INFINIBAND_QDR
@@ -364,8 +357,8 @@ def cmd_perf(args: argparse.Namespace) -> int:
     from repro.obs.prof import build_profile, format_perf_report
     from repro.utils.errors import ConfigError
 
-    if not args.traces and not args.against:
-        raise SystemExit("nothing to do: give trace files and/or --against BASELINE")
+    if not args.traces:
+        raise SystemExit("nothing to do: give trace files")
 
     for path in args.traces:
         try:
@@ -390,36 +383,6 @@ def cmd_perf(args: argparse.Namespace) -> int:
             print("  (reference = the simulator's default InfiniBand QDR link)")
         print()
 
-    if args.against:
-        from repro.analysis import trajectory
-
-        measured = trajectory.measure()
-        print(trajectory.format_measurement(measured))
-        if args.write:
-            entry = trajectory.append_entry(args.against, label=args.label, measured=measured)
-            print(f"recorded entry {entry['label']!r} -> {args.against}")
-        max_ms = (
-            args.max_makespan_regress
-            if args.max_makespan_regress is not None
-            else trajectory.DEFAULT_MAKESPAN_REGRESS
-        )
-        max_b = (
-            args.max_bytes_regress
-            if args.max_bytes_regress is not None
-            else trajectory.DEFAULT_BYTES_REGRESS
-        )
-        try:
-            result = trajectory.check_against(
-                args.against,
-                max_makespan_regress=max_ms,
-                max_bytes_regress=max_b,
-                measured=measured,
-            )
-        except ConfigError as exc:
-            raise SystemExit(str(exc)) from exc
-        print(result.describe())
-        if args.check and not result.ok:
-            return EXIT_FAULT_EXHAUSTED
     return 0
 
 
@@ -819,41 +782,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     perf_p = sub.add_parser(
         "perf",
-        help="profile traces (critical path, attribution, calibration) "
-             "and gate against the performance trajectory",
+        help="profile traces (critical path, attribution, calibration)",
     )
     perf_p.add_argument(
         "traces", nargs="*",
         help="trace JSON files written by --trace-out; each gets a full profile",
-    )
-    perf_p.add_argument(
-        "--against", metavar="BASELINE", default=None,
-        help="measure the standard workload and compare to the latest "
-             "entry of this trajectory file (BENCH_BASELINE.json)",
-    )
-    perf_p.add_argument(
-        "--check", action="store_true",
-        help="with --against: exit 3 when the measurement regresses "
-             "beyond the tolerances",
-    )
-    perf_p.add_argument(
-        "--write", action="store_true",
-        help="with --against: append the measurement as a new trajectory entry",
-    )
-    perf_p.add_argument(
-        "--label", default=None,
-        help="entry label for --write (defaults to `git describe` output)",
-    )
-    perf_p.add_argument(
-        "--max-makespan-regress", type=float, metavar="FRAC",
-        default=None,
-        help="allowed fractional makespan regression (default 0.75; "
-             "real backends compare as ratios to serial)",
-    )
-    perf_p.add_argument(
-        "--max-bytes-regress", type=float, metavar="FRAC", default=None,
-        help="allowed fractional increase of deterministic wire counters "
-             "(default 0: none)",
     )
     perf_p.set_defaults(fn=cmd_perf)
 

@@ -7,16 +7,15 @@ its master, slaves, channels, journal and report through this module, so
 a knob added to :class:`~repro.runtime.config.RunConfig` is wired exactly
 once and no driver can silently drop one.
 
-``MasterPart`` and ``SlavePart`` keep plain keyword constructors (tests
-and :func:`~repro.runtime.slave.slave_process_main` build them
-directly); this module is the only place in the package that fills those
-keywords from a config.
+``MasterPart`` and ``SlavePart`` take the config itself and read their
+knobs from it (``docs/configuration.md``): nothing here, or anywhere
+else, re-spells a knob per layer.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.algorithms.problem import DPProblem
 from repro.analysis.report import RunReport
@@ -29,29 +28,10 @@ from repro.durable.degrade import JournalGuard
 from repro.durable.journal import CommitJournal
 from repro.obs import EventRecorder, MetricsRegistry, to_gantt_trace
 from repro.obs.clock import Clock
-from repro.runtime.config import BCW_BLOCK_COLS, SPECULATIVE_QUANTILE, RunConfig
+from repro.runtime.config import BCW_BLOCK_COLS, RunConfig
 from repro.runtime.master import MasterPart
 from repro.runtime.slave import SlavePart, SlaveStats
 from repro.schedulers.policy import SchedulingPolicy, make_policy
-
-
-def slave_options(config: RunConfig) -> Dict[str, Any]:
-    """The :class:`SlavePart` keywords a config determines — passed to
-    the constructor in-process and pickled to
-    :func:`~repro.runtime.slave.slave_process_main` across processes."""
-    return dict(
-        thread_scheduler=config.thread_scheduler,
-        subtask_timeout=config.subtask_timeout,
-        max_retries=config.max_retries,
-        poll_interval=config.poll_interval,
-        fault_plan=config.fault_plan,
-        thread_fault_plan=config.thread_fault_plan,
-        worker_fault_plan=config.worker_fault_plan,
-        hang_duration=config.hang_duration,
-        verify=config.verify,
-        heartbeat_interval=config.heartbeat_interval,
-        integrity=config.integrity,
-    )
 
 
 class RunAssembly:
@@ -173,15 +153,14 @@ class RunAssembly:
     def slave(self, slave_id: int, channel: Channel, stop: threading.Event) -> SlavePart:
         """One in-process slave part on its end of a channel."""
         return SlavePart(
-            slave_id=slave_id,
-            channel=channel,
-            problem=self.problem,
-            partition=self.partition,
-            thread_partition=self.thread_size,
-            n_threads=self.config.threads_per_node,
+            slave_id,
+            channel,
+            self.problem,
+            self.partition,
+            self.config,
+            thread_size=self.thread_size,
             stop_event=stop,
             obs=self.recorder,
-            **slave_options(self.config),
         )
 
     def inprocess_slaves(
@@ -201,43 +180,18 @@ class RunAssembly:
         self, channels: Sequence[Channel], block_store: Optional[BlockStore] = None
     ) -> MasterPart:
         """The master part over ``channels``, its journal opened."""
-        config, resume = self.config, self.resume
         return MasterPart(
             self.problem,
             self.partition,
             channels,
             self.policy(len(channels)),
-            task_timeout=config.task_timeout,
-            max_retries=config.max_retries,
-            poll_interval=config.poll_interval,
-            retry_backoff=config.retry_backoff,
-            retry_backoff_max=config.retry_backoff_max,
-            speculate=config.speculate,
-            speculative_factor=config.speculative_factor,
-            speculative_quantile=SPECULATIVE_QUANTILE,
-            blacklist_threshold=config.blacklist_threshold,
-            stall_timeout=config.effective_stall_timeout,
-            verify=config.verify,
+            self.config,
+            journal=self.open_journal(),
+            resume=self.resume,
             obs=self.recorder,
             metrics=self.metrics,
-            journal=self.open_journal(),
-            completed=resume.committed if resume is not None else None,
-            initial_state=resume.state if resume is not None else None,
-            attempts=resume.attempts if resume is not None else None,
-            heartbeat_interval=config.heartbeat_interval,
-            lease_factor=config.lease_factor,
-            integrity=config.integrity,
-            audit_fraction=config.audit_fraction,
-            vote_k=config.vote_k,
-            quarantine_threshold=config.quarantine_threshold,
-            run_digest=resume.run_digest if resume is not None else None,
-            commit_digests=resume.scan.commit_digests if resume is not None else None,
-            # Batched wavefront dispatch works on any channel; the shm
-            # plane (``block_store``) only exists across processes.
-            batch_wave=config.batch_wave,
-            max_batch=config.max_batch,
+            # The shm plane only exists across processes.
             block_store=block_store,
-            job_id=config.run_id,
         )
 
     def report(

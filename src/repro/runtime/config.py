@@ -36,6 +36,9 @@ JOURNAL_DEGRADE_MODES = ("abort", "checkpoint", "memory")
 #: (``RunConfig.speculate``) takes as its baseline.
 SPECULATIVE_QUANTILE = 0.95
 
+#: Straggler multiple over that quantile that triggers speculation.
+SPECULATIVE_FACTOR = 2.0
+
 #: BCW column grouping (the baseline's ``block_col`` argument) every run
 #: uses; :class:`~repro.schedulers.policy.BlockCyclicWavefrontPolicy`
 #: itself still takes any grouping.
@@ -142,15 +145,12 @@ class RunConfig:
     #: Ceiling of the exponential retry backoff, seconds.
     retry_backoff_max: float = 2.0
     #: Speculatively re-dispatch straggler sub-tasks: a live dispatch older
-    #: than :attr:`speculative_factor` x the :data:`SPECULATIVE_QUANTILE`
+    #: than :data:`SPECULATIVE_FACTOR` x the :data:`SPECULATIVE_QUANTILE`
     #: of completed task durations is cancelled and re-queued before its
     #: timeout. Speculative re-dispatches do not count against the retry
     #: budget. Real backends only (the simulator's stragglers are modeled
     #: deterministically and recovered by the plain timeout).
     speculate: bool = False
-    #: Straggler multiple over the duration quantile that triggers
-    #: speculation.
-    speculative_factor: float = 2.0
     #: Blacklist a worker after this many timeout-attributed failures;
     #: its in-flight work is re-queued and it receives no further tasks.
     #: Degrades gracefully: the last healthy worker is never blacklisted.
@@ -312,10 +312,6 @@ class RunConfig:
         if self.retry_backoff < 0:
             raise ConfigError(f"retry_backoff must be >= 0, got {self.retry_backoff}")
         check_positive("retry_backoff_max", self.retry_backoff_max)
-        if self.speculative_factor <= 1.0:
-            raise ConfigError(
-                f"speculative_factor must be > 1, got {self.speculative_factor}"
-            )
         if self.blacklist_threshold is not None and self.blacklist_threshold < 1:
             raise ConfigError(
                 f"blacklist_threshold must be >= 1, got {self.blacklist_threshold}"

@@ -167,6 +167,11 @@ class DispatchCore:
     thread level, where nothing is ever revoked). ``recording`` False
     suppresses :class:`Record` actions — the zero-cost path when neither
     the trace validator nor telemetry listens.
+
+    The protocol knobs are explicit keywords without defaults: a run's
+    values and their defaults are declared once, on
+    :class:`~repro.runtime.config.RunConfig`, and arrive through
+    :meth:`from_config` (``docs/configuration.md``).
     """
 
     def __init__(
@@ -175,11 +180,10 @@ class DispatchCore:
         *,
         task_timeout: float,
         max_retries: int,
-        retry_backoff: float = 0.0,
-        retry_backoff_max: float = 2.0,
-        blacklist_threshold: Optional[int] = None,
-        heartbeat_interval: Optional[float] = None,
-        lease_factor: float = 3.0,
+        retry_backoff: float,
+        retry_backoff_max: float,
+        blacklist_threshold: Optional[int],
+        lease_duration: Optional[float],
         integrity: Optional[IntegrityPolicy] = None,
         fold_digests: bool = False,
         pattern: Any = None,
@@ -197,12 +201,9 @@ class DispatchCore:
         self.retry_backoff = retry_backoff
         self.retry_backoff_max = retry_backoff_max
         self.blacklist_threshold = blacklist_threshold
-        #: Lease span: ``lease_factor`` missed beacons (None = the paper's
-        #: inference-only liveness); any message from the holding worker
-        #: renews it.
-        self.lease_duration = (
-            None if heartbeat_interval is None else heartbeat_interval * lease_factor
-        )
+        #: Lease span (None = the paper's inference-only liveness); any
+        #: message from the holding worker renews it.
+        self.lease_duration = lease_duration
         self.integrity = integrity if integrity is not None else IntegrityPolicy("off")
         self.fold_digests = fold_digests
         self.pattern = pattern
@@ -248,6 +249,44 @@ class DispatchCore:
         #: task -> worker -> ``(digest, epoch)``; worker -1 = the arbiter.
         self._votes: Dict[TaskId, Dict[int, Tuple[Optional[str], int]]] = {}
         self._vote_need: Dict[TaskId, int] = {}
+
+    @classmethod
+    def from_config(
+        cls,
+        config: Any,
+        n_workers: int,
+        *,
+        pattern: Any,
+        recording: bool,
+        fold_digests: bool = False,
+        stats: Any = None,
+        resume: Any = None,
+    ) -> "DispatchCore":
+        """The processor-level core a ``RunConfig`` describes — the one
+        place its protocol knobs are mapped onto the core's keywords (the
+        master shell and the simulator both build theirs here). ``resume``
+        (a ``RecoveredRun``) primes the ledgers from the journal."""
+        ledgers = {} if resume is None else dict(
+            attempts=resume.attempts,
+            committed=resume.committed,
+            run_digest=resume.run_digest,
+            commit_digests=resume.scan.commit_digests,
+        )
+        return cls(
+            n_workers,
+            task_timeout=config.task_timeout,
+            max_retries=config.max_retries,
+            retry_backoff=config.retry_backoff,
+            retry_backoff_max=config.retry_backoff_max,
+            blacklist_threshold=config.blacklist_threshold,
+            lease_duration=config.lease_duration,
+            integrity=config.integrity_policy,
+            fold_digests=fold_digests,
+            pattern=pattern,
+            recording=recording,
+            stats=stats,
+            **ledgers,
+        )
 
     # -- queries -----------------------------------------------------------------
 

@@ -17,6 +17,7 @@ from repro.algorithms.problem import DPProblem
 from repro.analysis.report import RunReport
 from repro.cluster.faults import FaultPlan
 from repro.dag.partition import BlockShape, partition_pattern
+from repro.runtime.config import RunConfig
 from repro.runtime.slave import SlavePart
 from repro.comm.messages import TaskAssign
 from repro.comm.transport import channel_pair
@@ -27,17 +28,28 @@ def run_easypdp(
     n_threads: int,
     partition_size: Optional[BlockShape] = None,
     *,
-    scheduler: str = "dynamic",
-    subtask_timeout: float = 10.0,
+    scheduler: Optional[str] = None,
+    subtask_timeout: Optional[float] = None,
     fault_plan: Optional[FaultPlan] = None,
 ) -> Tuple[Any, RunReport]:
     """Run one DP problem on a single shared-memory node, EasyPDP-style.
 
     ``partition_size`` is the (single) task partition size — EasyPDP has
-    one level. Returns ``(finalized_result, report)``.
+    one level. The keywords left at None keep their
+    :class:`~repro.runtime.config.RunConfig` defaults
+    (``thread_scheduler``, ``subtask_timeout``, ``thread_fault_plan``).
+    Returns ``(finalized_result, report)``.
     """
-    if partition_size is None:
-        partition_size = problem.default_partition_sizes()[1]
+    overrides = dict(
+        thread_scheduler=scheduler,
+        subtask_timeout=subtask_timeout,
+        thread_fault_plan=fault_plan,
+    )
+    config = RunConfig(
+        threads_per_node=n_threads,
+        thread_partition=partition_size,
+        **{k: v for k, v in overrides.items() if v is not None},
+    )
     shape = getattr(problem.pattern(), "shape", None)
     whole = shape if shape is not None else (problem.pattern().n,) * 2
     # One "process-level block" covering everything; the thread level does
@@ -46,17 +58,7 @@ def run_easypdp(
     (root_bid,) = partition.block_ids()
 
     slave_end, _driver_end = channel_pair()
-    part = SlavePart(
-        slave_id=0,
-        channel=slave_end,
-        problem=problem,
-        partition=partition,
-        thread_partition=partition_size,
-        n_threads=n_threads,
-        thread_scheduler=scheduler,
-        subtask_timeout=subtask_timeout,
-        thread_fault_plan=fault_plan or FaultPlan.none(),
-    )
+    part = SlavePart(0, slave_end, problem, partition, config)
 
     state = problem.make_state()
     started = time.perf_counter()
@@ -67,7 +69,7 @@ def run_easypdp(
 
     report = RunReport(
         backend="easypdp",
-        scheduler=scheduler,
+        scheduler=config.thread_scheduler,
         algorithm=problem.name,
         nodes=1,
         threads_per_node=n_threads,

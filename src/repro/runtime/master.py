@@ -21,6 +21,8 @@ hashing, journal writes and the audit/arbiter recompute. The event →
 action vocabulary and the hardening it carries (retry budgets, backoff,
 speculation, blacklist, leases, digest / audit / vote / quarantine, taint
 recompute) are described in ``docs/fault_tolerance.md`` §Dispatch core.
+Every knob is read from the run's ``RunConfig`` where it is used
+(``docs/configuration.md``); the constructor takes objects, not values.
 
 Shell-only mechanisms: the **stall watchdog** — nothing live, nothing
 held for retry and no progress for ``stall_timeout`` seconds (every
@@ -66,12 +68,13 @@ from repro.comm.transport import Channel, ChannelClosed, ChannelTimeout
 from repro.dag.parser import DAGParser
 from repro.dag.partition import Partition
 from repro.durable.journal import CommitJournal
-from repro.integrity import IntegrityPolicy
+from repro.durable.recovery import RecoveredRun
 from repro.obs.clock import Clock
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.recorder import EventRecorder
 from repro.obs.schedule import ScheduleTracer
 from repro.runtime import dispatch as core_mod
+from repro.runtime.config import SPECULATIVE_FACTOR, SPECULATIVE_QUANTILE, RunConfig
 from repro.runtime.dispatch import DispatchCore
 from repro.runtime.worker_pool import ComputableStack, FinishedStack
 from repro.schedulers.policy import SchedulingPolicy
@@ -127,38 +130,15 @@ class MasterPart:
         partition: Partition,
         channels: Sequence[Channel],
         policy: SchedulingPolicy,
+        config: RunConfig,
         *,
-        task_timeout: float = 30.0,
-        max_retries: int = 3,
-        poll_interval: float = 0.02,
-        retry_backoff: float = 0.0,
-        retry_backoff_max: float = 2.0,
-        speculate: bool = False,
-        speculative_factor: float = 2.0,
-        speculative_quantile: float = 0.95,
-        blacklist_threshold: Optional[int] = None,
-        stall_timeout: Optional[float] = None,
-        verify: bool = False,
-        tracer: Optional[TraceRecorder] = None,
+        journal: Optional[CommitJournal] = None,
+        resume: Optional[RecoveredRun] = None,
         clock: Optional[Clock] = None,
         obs: Optional[EventRecorder] = None,
         metrics: Optional[MetricsRegistry] = None,
-        journal: Optional[CommitJournal] = None,
-        completed: Optional[Dict[TaskId, int]] = None,
-        initial_state: Optional[Dict[str, np.ndarray]] = None,
-        attempts: Optional[Dict[TaskId, int]] = None,
-        heartbeat_interval: Optional[float] = None,
-        lease_factor: float = 3.0,
-        integrity: str = "digest",
-        audit_fraction: float = 0.125,
-        vote_k: int = 2,
-        quarantine_threshold: int = 2,
-        run_digest: Optional[str] = None,
-        commit_digests: Optional[Dict[TaskId, Optional[str]]] = None,
-        batch_wave: bool = False,
-        max_batch: int = 8,
+        tracer: Optional[TraceRecorder] = None,
         block_store: Optional[BlockStore] = None,
-        job_id: Optional[str] = None,
     ) -> None:
         if not channels:
             raise SchedulerError("master needs at least one slave channel")
@@ -170,41 +150,26 @@ class MasterPart:
         self.partition = partition
         self.channels = list(channels)
         self.policy = policy
-        self.task_timeout = task_timeout
-        self.poll_interval = poll_interval
-        self.speculate = speculate
-        self.speculative_factor = speculative_factor
-        self.speculative_quantile = speculative_quantile
-        self.stall_timeout = (
-            stall_timeout if stall_timeout is not None else 2.0 * task_timeout + 1.0
-        )
-        #: Batched wavefront dispatch (``RunConfig.batch_wave``): answer an
-        #: idle announcement with up to ``max_batch`` computable sub-tasks
-        #: in ONE BatchAssign envelope. Each sub-task is registered,
-        #: leased, overtime-watched, and digest-stamped individually, so
-        #: retry/lease/journal semantics are unchanged — only the message
-        #: count (the α term) is amortized.
-        self.batch_wave = batch_wave
-        self.max_batch = max(1, int(max_batch))
+        #: The run's one declaration of every protocol knob; this part reads
+        #: it and copies nothing out of it (``docs/configuration.md``).
+        #: ``config.run_id`` is the run's identity within a multi-run
+        #: process (the serve daemon sets it to the job id): stamped onto
+        #: every :class:`FaultToleranceExhausted` this master raises and
+        #: onto the ``abort`` telemetry event, so multi-job traces and
+        #: ``repro stats`` attribute aborts to the right tenant.
+        self.config = config
         #: Shared-memory block store of the zero-copy data plane (processes
         #: backend with ``RunConfig.shm``; None elsewhere). The master
         #: releases a task's parked segments whenever its dispatch settles
         #: — commit, requeue, worker retirement — and sweeps the rest at
         #: teardown, so undelivered assigns never leak segments.
         self.block_store = block_store
-        #: Run identity within a multi-run process (``RunConfig.run_id``;
-        #: the serve daemon sets it to the job id). Stamped onto every
-        #: :class:`FaultToleranceExhausted` this master raises and onto
-        #: the ``abort`` telemetry event, so multi-job traces and
-        #: ``repro stats`` attribute aborts to the right tenant.
-        self.job_id = job_id
 
-        self.verify = verify
         #: Unified scheduling instrumentation: the happens-before trace
         #: (``verify``), the telemetry event stream (``obs``), and the
         #: injected clock — see :mod:`repro.obs.schedule`.
         self.sched = ScheduleTracer(
-            clock=clock, verify=verify, trace=tracer, obs=obs, node=-1, scope="task"
+            clock=clock, verify=config.verify, trace=tracer, obs=obs, node=-1, scope="task"
         )
         self.clock = self.sched.clock
         self.metrics = metrics
@@ -249,17 +214,14 @@ class MasterPart:
             bind_rescue(self._write_checkpoint)
         #: task -> epoch of commits recovered from a journal (resume);
         #: these are replayed into the DAG parser, never re-dispatched.
-        self._prior_commits: Dict[TaskId, int] = dict(completed) if completed else {}
-        self._initial_state = initial_state
+        self._prior_commits: Dict[TaskId, int] = (
+            dict(resume.committed) if resume is not None else {}
+        )
+        self._initial_state = resume.state if resume is not None else None
 
         #: Result-integrity policy (:mod:`repro.integrity`): receive-side
         #: digest verification plus the audit/vote SDC defenses.
-        self.integrity = IntegrityPolicy(
-            mode=integrity,
-            audit_fraction=audit_fraction,
-            vote_k=vote_k,
-            quarantine_threshold=quarantine_threshold,
-        )
+        self.integrity = config.integrity_policy
         #: Only when digests are on is the rolling run digest folded and
         #: any hash computed at all — the disabled path stays hash-free.
         self._digest_on = self.integrity.digest_on
@@ -271,24 +233,14 @@ class MasterPart:
         #: a result), is never held while taking either of those,
         #: ``master.state`` or a stack condition, and the actions a call
         #: returns are performed after it is released.
-        self.core = DispatchCore(
+        self.core = DispatchCore.from_config(
+            config,
             len(self.channels),
-            task_timeout=task_timeout,
-            max_retries=max_retries,
-            retry_backoff=retry_backoff,
-            retry_backoff_max=retry_backoff_max,
-            blacklist_threshold=blacklist_threshold,
-            heartbeat_interval=heartbeat_interval,
-            lease_factor=lease_factor,
-            integrity=self.integrity,
-            fold_digests=self._digest_on,
             pattern=partition.abstract,
             recording=self.sched.enabled,
+            fold_digests=self._digest_on,
             stats=self.stats,
-            attempts=attempts,
-            committed=self._prior_commits,
-            run_digest=run_digest,
-            commit_digests=commit_digests,
+            resume=resume,
         )
         self._core_lock = make_lock("master.core")
         #: ``(ready_at, tiebreak, task_id)`` re-dispatches held by backoff.
@@ -306,12 +258,6 @@ class MasterPart:
         #: membership lock together with ``channels`` growth.
         self._extra_threads: List[threading.Thread] = []
         self._membership_lock = make_lock("master.membership")
-
-    @property
-    def tracer(self) -> Optional[TraceRecorder]:
-        """The happens-before trace recorder (None unless verifying or
-        injected) — kept for callers of the pre-obs API."""
-        return self.sched.trace
 
     def _make_depth_observer(self):
         """Queue-depth instrumentation for the computable stack (None —
@@ -396,7 +342,7 @@ class MasterPart:
                         break
                 if parser.is_done() and not self.core.audits_pending:
                     break
-                task_id = self._finished.pop(timeout=self.poll_interval)
+                task_id = self._finished.pop(timeout=self.config.poll_interval)
                 if task_id is None:
                     continue
                 with self._results_lock:
@@ -776,7 +722,7 @@ class MasterPart:
         """
         t0 = self.clock.now() if self.sched.observing else 0.0
         assigns = [first]
-        while len(assigns) < self.max_batch:
+        while len(assigns) < self.config.max_batch:
             nxt = self._prepare_assign(worker_id, block=False)
             if nxt is None:
                 break
@@ -796,7 +742,7 @@ class MasterPart:
         ended = False
         while not (self._end.is_set() and ended):
             try:
-                msg = channel.recv(timeout=self.poll_interval)
+                msg = channel.recv(timeout=self.config.poll_interval)
             except ChannelTimeout:
                 if self._end.is_set():
                     # The slave is quiet (possibly hung); deliver the end
@@ -847,7 +793,7 @@ class MasterPart:
                     ended = True
                     continue
                 outgoing = (
-                    self._gather_wave(worker_id, first) if self.batch_wave else first
+                    self._gather_wave(worker_id, first) if self.config.batch_wave else first
                 )
                 if outgoing is None:
                     # Retired mid-gather; the whole wave was evicted.
@@ -947,13 +893,13 @@ class MasterPart:
     def _abort(self, exc: BaseException) -> None:
         """Record a fatal failure and wake every blocked thread."""
         if isinstance(exc, FaultToleranceExhausted) and exc.job_id is None:
-            exc.job_id = self.job_id
+            exc.job_id = self.config.run_id
         if self.sched.observing:
             self.sched.record(
                 "abort", None, -1,
                 reason=str(exc)[:300],
                 exc_type=type(exc).__name__,
-                job_id=self.job_id,
+                job_id=self.config.run_id,
             )
         self._failure.append(exc)
         self._end.set()
@@ -974,7 +920,7 @@ class MasterPart:
         """
         if self._end.is_set() or self._failure:
             return False
-        self._abort(FaultToleranceExhausted(reason, job_id=self.job_id))
+        self._abort(FaultToleranceExhausted(reason, job_id=self.config.run_id))
         return True
 
     def _fault_tolerance(self) -> None:
@@ -989,20 +935,20 @@ class MasterPart:
             self._stack.push_many(due)
             if not self._apply(actions):
                 return
-            if self.speculate:
+            if self.config.speculate:
                 self._scan_stragglers(now)
-            if idle and now - self._last_progress > self.stall_timeout:
+            if idle and now - self._last_progress > self.config.effective_stall_timeout:
                 # Nothing live, nothing queued for retry, and nothing has
                 # moved for a whole stall window: every worker is presumed
                 # lost. Abort cleanly instead of hanging.
                 self._abort(
                     FaultToleranceExhausted(
-                        f"no scheduling progress for {self.stall_timeout:.1f}s "
+                        f"no scheduling progress for {self.config.effective_stall_timeout:.1f}s "
                         "with no live dispatches (all workers presumed lost)"
                     )
                 )
                 return
-            time.sleep(self.poll_interval)
+            time.sleep(self.config.poll_interval)
 
     # -- elastic membership -----------------------------------------------------
 
@@ -1047,9 +993,9 @@ class MasterPart:
         if len(durations) < 8:
             return  # not enough signal for a stable quantile yet
         cutoff = max(
-            self.speculative_factor
-            * float(np.quantile(np.asarray(durations, dtype=float), self.speculative_quantile)),
-            10.0 * self.poll_interval,
+            SPECULATIVE_FACTOR
+            * float(np.quantile(np.asarray(durations, dtype=float), SPECULATIVE_QUANTILE)),
+            10.0 * self.config.poll_interval,
         )
         with self._core_lock:
             actions = [

@@ -9,6 +9,8 @@ one level down (``docs/fault_tolerance.md`` §Dispatch core): on a
 sub-sub-task timeout this shell re-pushes the lost sub-sub-task and
 *restarts the computing thread* (Fig 12).
 
+Knobs are read from the run's ``RunConfig`` (``docs/configuration.md``).
+
 The same class serves the threads backend (slaves are threads of the
 master process) and the processes backend (slaves are ``multiprocessing``
 workers started on :func:`slave_process_main`) — only the channel differs.
@@ -31,7 +33,7 @@ import numpy as np
 
 from repro.algorithms.problem import DPProblem
 from repro.check.lock_lint import make_lock
-from repro.cluster.faults import FaultPlan, WorkerFaultPlan, io_policy
+from repro.cluster.faults import io_policy
 from repro.comm.messages import (
     BatchAssign,
     BatchResult,
@@ -49,6 +51,7 @@ from repro.obs.clock import Clock, ensure_clock
 from repro.obs.recorder import EventRecorder
 from repro.obs.schedule import ScheduleTracer
 from repro.runtime import dispatch as core_mod
+from repro.runtime.config import RunConfig
 from repro.runtime.worker_pool import ComputableStack, FinishedStack
 from repro.schedulers.policy import make_policy
 from repro.utils.errors import WorkerLeakWarning
@@ -74,65 +77,41 @@ class SlavePart:
         channel: Channel,
         problem: DPProblem,
         partition: Partition,
-        thread_partition: BlockShape,
-        n_threads: int,
+        config: RunConfig,
         *,
-        thread_scheduler: str = "dynamic",
-        subtask_timeout: float = 10.0,
-        max_retries: int = 3,
-        poll_interval: float = 0.02,
-        fault_plan: Optional[FaultPlan] = None,
-        thread_fault_plan: Optional[FaultPlan] = None,
-        worker_fault_plan: Optional[WorkerFaultPlan] = None,
-        hang_duration: float = 1.0,
+        thread_size: Optional[BlockShape] = None,
         stop_event: Optional[threading.Event] = None,
-        verify: bool = False,
         clock: Optional[Clock] = None,
         obs: Optional[EventRecorder] = None,
-        heartbeat_interval: Optional[float] = None,
         leave_after: Optional[int] = None,
-        integrity: str = "digest",
     ) -> None:
         self.slave_id = slave_id
         self.channel = channel
         self.problem = problem
         self.partition = partition
-        self.thread_partition = thread_partition
-        self.n_threads = max(1, int(n_threads))
-        self.thread_scheduler = thread_scheduler
-        self.subtask_timeout = subtask_timeout
-        self.max_retries = max_retries
-        self.poll_interval = poll_interval
-        self.fault_plan = fault_plan or FaultPlan.none()
-        self.thread_fault_plan = thread_fault_plan or FaultPlan.none()
-        self.worker_fault_plan = worker_fault_plan or WorkerFaultPlan.none()
-        self.hang_duration = hang_duration
+        #: The run's one declaration of every knob; read where it is used.
+        self.config = config
+        #: Resolved thread-level partition size (the assembly passes the
+        #: one it already computed).
+        self.thread_size = (
+            thread_size if thread_size is not None else config.partitions_for(problem)[1]
+        )
         self.stop_event = stop_event or threading.Event()
-        #: Validate each sub-task's thread-level schedule against the inner
-        #: DAG with the happens-before checker (``RunConfig.verify``).
-        self.verify = verify
         #: Clock for deadlines and subtask-scope telemetry (injected so
         #: the instrumentation is clock-domain agnostic).
         self.clock = ensure_clock(clock)
         #: Telemetry stream for thread-level events; only wired when the
         #: slave shares the recorder's process (threads backend).
         self.obs = obs
-        #: Seconds between liveness beacons; None = no heartbeat thread
-        #: (the paper's protocol). The beacon runs on its own thread and
-        #: keeps beating *while computing* — exactly when the idle loop
-        #: goes quiet.
-        self.heartbeat_interval = heartbeat_interval
         #: Leave the pool cleanly (WorkerLeave) after computing this many
         #: sub-tasks — elastic-membership departure, used by tests and
         #: scale-down scenarios. None = serve until the end signal.
         self.leave_after = leave_after
-        #: Integrity mode (``RunConfig.integrity``). Anything but "off"
-        #: makes this slave verify the digest on every TaskAssign (a
-        #: mismatch is discarded; the master's timeout redistributes) and
-        #: stamp a digest on every TaskResult. "off" computes no digests
-        #: at all — the zero-cost path.
-        self.integrity = integrity
-        self._digest_on = integrity != "off"
+        #: Any integrity mode but "off" makes this slave verify the digest
+        #: on every TaskAssign (a mismatch is discarded; the master's
+        #: timeout redistributes) and stamp a digest on every TaskResult.
+        #: "off" computes no digests at all — the zero-cost path.
+        self._digest_on = config.integrity != "off"
         #: The channel is shared between the protocol loop and the
         #: heartbeat thread; pipe/queue sends are not atomic, so every
         #: send goes through this lock.
@@ -163,17 +142,17 @@ class SlavePart:
         """Serve sub-tasks until the end signal (or stop event)."""
         from repro.comm.serialization import content_digest
 
-        death_point = self.worker_fault_plan.death_point(self.slave_id)
-        slow_factor = self.worker_fault_plan.slow_factor(self.slave_id)
-        lie_point = self.worker_fault_plan.lie_point(self.slave_id)
+        death_point = self.config.worker_fault_plan.death_point(self.slave_id)
+        slow_factor = self.config.worker_fault_plan.slow_factor(self.slave_id)
+        lie_point = self.config.worker_fault_plan.lie_point(self.slave_id)
         # Re-announce idleness when no reply arrives in time: an idle
         # signal (or its answer) lost in transit would otherwise silence
         # this slave forever. Duplicated announcements are safe — the
         # master just assigns more work, served sequentially.
-        resend = max(0.1, 10.0 * self.poll_interval)
+        resend = max(0.1, 10.0 * self.config.poll_interval)
         hb_stop = threading.Event()
         hb_thread: Optional[threading.Thread] = None
-        if self.heartbeat_interval is not None:
+        if self.config.heartbeat_interval is not None:
             hb_thread = threading.Thread(
                 target=self._heartbeat_loop, args=(hb_stop,), daemon=True,
                 name=f"slave{self.slave_id}-heartbeat",
@@ -229,7 +208,7 @@ class SlavePart:
                         )
                         died = True
                         break
-                    fault = self.fault_plan.lookup(assign.task_id, assign.epoch)
+                    fault = self.config.fault_plan.lookup(assign.task_id, assign.epoch)
                     if fault is not None and fault.kind == "crash":
                         # The process "dies" without replying; the master's
                         # overtime check will redistribute. We come back up on
@@ -238,7 +217,7 @@ class SlavePart:
                     if fault is not None and fault.kind == "hang":
                         # Stall past the master's deadline, then answer late —
                         # the epoch check must discard this result.
-                        time.sleep(self.hang_duration)
+                        time.sleep(self.config.hang_duration)
                     self._current = (assign.task_id, assign.epoch)
                     started = time.perf_counter()
                     outputs = self._compute(assign)
@@ -308,9 +287,11 @@ class SlavePart:
         return self.stats
 
     def _heartbeat_loop(self, hb_stop: threading.Event) -> None:
-        """Periodic liveness beacon (its own thread; see Heartbeat)."""
-        assert self.heartbeat_interval is not None
-        while not hb_stop.wait(self.heartbeat_interval):
+        """Periodic liveness beacon (see Heartbeat). It runs on its own
+        thread so it keeps beating *while computing* — exactly when the
+        idle loop goes quiet."""
+        assert self.config.heartbeat_interval is not None
+        while not hb_stop.wait(self.config.heartbeat_interval):
             if self.stop_event.is_set():
                 return
             current = self._current
@@ -328,14 +309,14 @@ class SlavePart:
         waited = 0.0
         while not self.stop_event.is_set():
             try:
-                return self.channel.recv(timeout=self.poll_interval)
+                return self.channel.recv(timeout=self.config.poll_interval)
             except ChannelTimeout:
                 if self._parent_pid is not None and os.getppid() != self._parent_pid:
                     # The master died (kill -9): sibling slaves hold copies
                     # of the pipe ends, so EOF alone never arrives.
                     self.stop_event.set()
                     return None
-                waited += self.poll_interval
+                waited += self.config.poll_interval
                 if max_wait is not None and waited >= max_wait:
                     return None
         return None
@@ -344,24 +325,25 @@ class SlavePart:
 
     def _compute(self, assign: TaskAssign) -> Dict[str, object]:
         evaluator = self.problem.evaluator(self.partition, assign.task_id, assign.inputs)
-        inner = self.partition.sub_partition(assign.task_id, self.thread_partition)
+        inner = self.partition.sub_partition(assign.task_id, self.thread_size)
         self.stats.subtasks += inner.n_blocks
-        if self.n_threads == 1 and not self.thread_fault_plan:
+        if self.config.threads_per_node == 1 and not self.config.thread_fault_plan:
             return evaluator.run_serial(inner)
         return self._run_pool(evaluator, inner)
 
     def _run_pool(self, evaluator, inner: Partition) -> Dict[str, object]:
+        n_threads = self.config.threads_per_node
         parser = DAGParser(inner.abstract)
         stack = ComputableStack()
         finished = FinishedStack()
         policy = make_policy(
-            self.thread_scheduler, self.n_threads, inner.grid.n_block_cols
+            self.config.thread_scheduler, n_threads, inner.grid.n_block_cols
         )
         stack.push_many(parser.computable())
         failure: list[BaseException] = []
         sched = ScheduleTracer(
             clock=self.clock,
-            verify=self.verify,
+            verify=self.config.verify,
             obs=self.obs,
             node=self.slave_id,
             scope="subtask",
@@ -369,9 +351,14 @@ class SlavePart:
         # The same dispatch core as the master's, one level down (Fig 12):
         # computing threads are its workers, sub-sub-tasks its tasks.
         core = core_mod.DispatchCore(
-            self.n_threads,
-            task_timeout=self.subtask_timeout,
-            max_retries=self.max_retries,
+            n_threads,
+            task_timeout=self.config.subtask_timeout,
+            max_retries=self.config.max_retries,
+            # Fig 12 re-pushes at once: no backoff, no blacklist, no lease.
+            retry_backoff=0.0,
+            retry_backoff_max=0.0,
+            blacklist_threshold=None,
+            lease_duration=None,
             noun="sub-sub-task",
             recording=sched.enabled,
         )
@@ -386,7 +373,7 @@ class SlavePart:
                     epoch = core.dispatch(sub, worker_id, self.clock.now()).epoch
                 if sched.enabled:
                     sched.record("assign", sub, epoch, worker_id)
-                injected = self.thread_fault_plan.lookup(sub, epoch)
+                injected = self.config.thread_fault_plan.lookup(sub, epoch)
                 if injected is not None:
                     # The computing thread dies mid-task (Fig 12's fault):
                     # exit without reporting; the FT check restarts us.
@@ -413,7 +400,7 @@ class SlavePart:
                 target=compute_worker, args=(k,), daemon=True,
                 name=f"slave{self.slave_id}-ct{k}",
             )
-            for k in range(self.n_threads)
+            for k in range(n_threads)
         ]
         for t in threads:
             t.start()
@@ -421,7 +408,7 @@ class SlavePart:
         # Slave scheduling thread (this thread): drain finished sub-sub-tasks,
         # update the slave DAG pattern, and watch the overtime queue.
         while not parser.is_done():
-            sub = finished.pop(timeout=self.poll_interval)
+            sub = finished.pop(timeout=self.config.poll_interval)
             if sub is not None:
                 stack.push_many(parser.complete(sub))
             with core_lock:
@@ -438,7 +425,7 @@ class SlavePart:
                     stack.push(act.task)
                     replacement = threading.Thread(
                         target=compute_worker,
-                        args=(len(threads) % self.n_threads,),
+                        args=(len(threads) % n_threads,),
                         daemon=True,
                         name=f"slave{self.slave_id}-ct-restart{self.stats.thread_restarts}",
                     )
@@ -498,15 +485,16 @@ def slave_process_main(
     slave_id: int,
     conn,
     problem: DPProblem,
-    process_partition: BlockShape,
-    thread_partition: BlockShape,
-    n_threads: int,
-    options: dict,
+    config: RunConfig,
+    shm_prefix: Optional[str],
 ) -> None:
     """Entry point of a slave running as a separate OS process.
 
-    Rebuilds the partition locally (patterns are cheap value objects) so
-    only the problem and scalars cross the process boundary.
+    Receives the run's config (free under ``fork``, one small pickle
+    under ``spawn``) and rebuilds the partition locally — patterns are
+    cheap value objects. ``shm_prefix`` is the master's segment namespace
+    when the zero-copy data plane is on (a standalone run draws it fresh,
+    so it cannot be derived from the config here).
     """
     import multiprocessing
     import signal
@@ -525,9 +513,6 @@ def slave_process_main(
     except (OSError, AttributeError):
         pass
 
-    options = dict(options)
-    shm_prefix = options.pop("shm_prefix", None)
-    io_fault_plan = options.pop("io_fault_plan", None)
     channel = PipeChannel(conn)
     store = None
     if shm_prefix is not None:
@@ -539,18 +524,18 @@ def slave_process_main(
         from repro.comm.shm import BlockStore, ShmChannel
 
         store = BlockStore(
-            shm_prefix, io_policy=io_policy(io_fault_plan, f"shm-slave{slave_id}")
+            shm_prefix,
+            io_policy=io_policy(config.io_fault_plan, f"shm-slave{slave_id}"),
         )
         channel = ShmChannel(channel, store)
-    partition = problem.build_partition(process_partition)
+    proc_size, thread_size = config.partitions_for(problem)
     part = SlavePart(
-        slave_id=slave_id,
-        channel=channel,
-        problem=problem,
-        partition=partition,
-        thread_partition=thread_partition,
-        n_threads=n_threads,
-        **options,
+        slave_id,
+        channel,
+        problem,
+        problem.build_partition(proc_size),
+        config,
+        thread_size=thread_size,
     )
     part._parent_pid = parent_pid
     try:

@@ -67,6 +67,9 @@ class AdmissionController:
         self.capacity = capacity
         self._cond = make_condition("serve.admission")
         self._queue: List[JobRecord] = []
+        #: Admitted with ``hold=True`` and not yet published: each holds
+        #: its queue slot but the scheduler cannot pop it.
+        self._held: Dict[str, JobRecord] = {}
         self._draining = False
         self.shed_by_tenant: Dict[str, int] = {}
         self.admitted = 0
@@ -78,8 +81,15 @@ class AdmissionController:
 
     # -- submission side -------------------------------------------------
 
-    def admit(self, record: JobRecord) -> AdmissionDecision:
-        """Enqueue ``record`` or shed it, never blocking the caller."""
+    def admit(self, record: JobRecord, *, hold: bool = False) -> AdmissionDecision:
+        """Enqueue ``record`` or shed it, never blocking the caller.
+
+        ``hold=True`` reserves the slot without making the record
+        poppable: the daemon holds a job until its write-ahead submission
+        record is durable, then :meth:`publish`-es it (or :meth:`cancel`-s
+        it when the write fails), so a job whose acceptance could not be
+        journaled can never have been launched.
+        """
         with self._cond:
             if self._draining:
                 self._shed(record)
@@ -96,18 +106,33 @@ class AdmissionController:
                     return AdmissionDecision(
                         False, None, pressure, len(self._queue)
                     )
-            if len(self._queue) >= self.capacity:
+            depth = len(self._queue) + len(self._held)
+            if depth >= self.capacity:
                 self._shed(record)
                 return AdmissionDecision(
                     False, None,
-                    f"{SHED_QUEUE_FULL}: depth {len(self._queue)} >= cap "
+                    f"{SHED_QUEUE_FULL}: depth {depth} >= cap "
                     f"{self.capacity}; retry later",
-                    len(self._queue),
+                    depth,
                 )
-            self._queue.append(record)
             self.admitted += 1
+            if hold:
+                self._held[record.job_id] = record
+            else:
+                self._queue.append(record)
+                self._cond.notify_all()
+            return AdmissionDecision(True, record.job_id, "accepted", depth + 1)
+
+    def publish(self, record: JobRecord) -> bool:
+        """Queue a held record for the scheduler. False when the daemon
+        began draining meanwhile (the caller cancels the job, as the
+        drain would have) or the hold was already cancelled."""
+        with self._cond:
+            if self._held.pop(record.job_id, None) is None or self._draining:
+                return False
+            self._queue.append(record)
             self._cond.notify_all()
-            return AdmissionDecision(True, record.job_id, "accepted", len(self._queue))
+            return True
 
     def _shed(self, record: JobRecord) -> None:
         tenant = record.spec.tenant
@@ -169,8 +194,11 @@ class AdmissionController:
             return self._cond.wait(timeout)
 
     def cancel(self, job_id: str) -> Optional[JobRecord]:
-        """Remove a still-queued job; None if it is not in the queue."""
+        """Remove a still-queued (or held) job; None if it is neither."""
         with self._cond:
+            held = self._held.pop(job_id, None)
+            if held is not None:
+                return held
             for record in self._queue:
                 if record.job_id == job_id:
                     self._queue.remove(record)
@@ -194,7 +222,7 @@ class AdmissionController:
     @property
     def depth(self) -> int:
         with self._cond:
-            return len(self._queue)
+            return len(self._queue) + len(self._held)
 
     def snapshot(self) -> Tuple[JobRecord, ...]:
         with self._cond:

@@ -226,22 +226,16 @@ class ServeDaemon:
         try:
             cost = self._estimate_cost(spec)
         except ConfigError as exc:
-            self._count_shed(spec.tenant)
-            return AdmissionDecision(
-                False, None, f"{SHED_INVALID}: {exc}", self.admission.depth
-            )
+            return self._shed(spec, f"{SHED_INVALID}: {exc}")
         record = JobRecord(
             next_job_id(self.job_prefix), spec,
             submitted_at=self.clock.now(), est_cost=cost,
         )
-        decision = self.admission.admit(record)
+        # Held, not queued: the scheduler cannot pop the job until its
+        # submission record is durable (a shed costs no WAL write).
+        decision = self.admission.admit(record, hold=True)
         if not decision.accepted:
-            self._count_shed(spec.tenant)
-            if decision.reason.startswith(SHED_RESOURCE):
-                self.metrics.counter(
-                    "serve.resource_sheds", tenant=spec.tenant
-                ).inc()
-            return decision
+            return self._shed(spec, decision.reason)
         with self._lock:
             self._records[record.job_id] = record
             self._order.append(record.job_id)
@@ -256,24 +250,17 @@ class ServeDaemon:
                 # with a resource reason instead of acknowledging a job a
                 # crash would silently lose.
                 reason = f"{SHED_RESOURCE}:wal-write"
-                self._count_shed(spec.tenant)
-                self.metrics.counter(
-                    "serve.resource_sheds", tenant=spec.tenant
-                ).inc()
                 if self.admission.cancel(record.job_id) is not None:
                     self._finish(
                         record, "cancelled",
                         f"revoked: submission WAL write failed: {exc}",
                         reason=reason,
                     )
-                else:
-                    # The scheduler already popped it; abort it cleanly.
-                    self.cancel(
-                        record.job_id, f"submission WAL write failed: {exc}"
-                    )
-                return AdmissionDecision(
-                    False, None, f"{reason}: {exc}", self.admission.depth
-                )
+                return self._shed(spec, f"{reason}: {exc}")
+        if not self.admission.publish(record) and not record.terminal:
+            # The daemon began draining during the write: cancel the job
+            # here, as the drain would have had it been queued.
+            self._finish(record, "cancelled", "cancelled: daemon drained before start")
         self.metrics.counter("serve.jobs_submitted", tenant=spec.tenant).inc()
         self.metrics.gauge("serve.queue_depth").set(self.admission.depth)
         return decision
@@ -300,8 +287,12 @@ class ServeDaemon:
         self._cost_cache[key] = cost
         return cost
 
-    def _count_shed(self, tenant: str) -> None:
-        self.metrics.counter("serve.jobs_shed", tenant=tenant).inc()
+    def _shed(self, spec: JobSpec, reason: str) -> AdmissionDecision:
+        """Count one shed submission and word its decision."""
+        self.metrics.counter("serve.jobs_shed", tenant=spec.tenant).inc()
+        if reason.startswith(SHED_RESOURCE):
+            self.metrics.counter("serve.resource_sheds", tenant=spec.tenant).inc()
+        return AdmissionDecision(False, None, reason, self.admission.depth)
 
     # -- cancellation ----------------------------------------------------
 

@@ -41,20 +41,70 @@ def test_serial_backend_sends_nothing():
 
 
 def test_simulated_wire_counters_reproduce():
-    """The simulator is deterministic: the committed wire counters must
-    reproduce exactly, or the protocol's on-wire behaviour changed and
-    the baseline needs a new entry."""
+    """The simulator is deterministic: the committed wire counters and
+    the simulated makespan must reproduce exactly (tolerance 0 — the
+    refactor oracle), or the protocol's on-wire behaviour or the cost
+    model changed and the baseline needs a new entry."""
     from benchmarks.bench_baseline import measure_backend
 
     doc = json.loads(BASELINE.read_text())
     recorded = doc["entries"][-1]["backends"]["simulated"]
     current = measure_backend("simulated")
-    for key in ("messages", "bytes_to_slaves", "bytes_to_master"):
+    for key in ("messages", "bytes_to_slaves", "bytes_to_master", "makespan_s"):
         assert current[key] == recorded[key], (
             f"simulated {key} drifted from the committed baseline: "
             f"{recorded[key]} -> {current[key]}; if intentional, record a "
             "new entry with benchmarks/bench_baseline.py --write"
         )
+
+
+def _entry(**simulated):
+    quiet = {"messages": 0, "bytes_to_slaves": 0, "bytes_to_master": 0, "makespan_s": 1.0}
+    sim = {"messages": 108, "bytes_to_slaves": 25632, "bytes_to_master": 463104,
+           "makespan_s": 0.00564}
+    return {"serial": dict(quiet), "simulated": {**sim, **simulated}}
+
+
+def test_exact_check_passes_on_an_identical_measurement():
+    from repro.analysis.trajectory import exact_drift
+
+    # Serial wall time is not part of the oracle; only sim-time is.
+    current = _entry()
+    current["serial"]["makespan_s"] = 3.0
+    assert exact_drift(_entry(), current) == []
+
+
+@pytest.mark.parametrize(
+    "changed",
+    [{"bytes_to_slaves": 25633}, {"messages": 107}, {"makespan_s": 0.005641}],
+    ids=["bytes", "messages", "makespan"],
+)
+def test_exact_check_names_every_drifted_value(changed):
+    """Tolerance 0, both directions: one more byte, one fewer message or
+    a microsecond of simulated makespan is a drift."""
+    from repro.analysis.trajectory import exact_drift
+
+    (line,) = exact_drift(_entry(), _entry(**changed))
+    (key,) = changed
+    assert line.startswith(f"simulated.{key}: baseline ")
+
+
+def test_check_without_entries_is_a_setup_error(tmp_path):
+    from repro.analysis.trajectory import latest_entry
+    from repro.utils.errors import ConfigError
+
+    with pytest.raises(ConfigError, match="no baseline entries"):
+        latest_entry(str(tmp_path / "missing.json"))
+
+
+def test_write_appends_an_entry_and_check_reads_the_newest(tmp_path):
+    from repro.analysis.trajectory import append_entry, latest_entry
+
+    path = tmp_path / "BENCH_BASELINE.json"
+    append_entry(str(path), label="base", measured=_entry())
+    append_entry(str(path), label="next", measured=_entry(messages=1))
+    assert [e["label"] for e in json.loads(path.read_text())["entries"]] == ["base", "next"]
+    assert latest_entry(str(path))["backends"]["simulated"]["messages"] == 1
 
 
 def test_workload_is_pinned():

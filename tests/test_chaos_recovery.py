@@ -191,7 +191,7 @@ class TestSpeculation:
         plan = FaultPlan([FaultRule("hang", (2, 2), 0)])
         run = EasyHPS(
             cfg(fault_plan=plan, task_timeout=10.0, hang_duration=1.0,
-                speculate=True, speculative_factor=2.0)
+                speculate=True)
         ).run(problem)
         assert run.value.distance == problem.reference()
         assert run.report.speculative_redispatches >= 1

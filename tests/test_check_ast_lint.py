@@ -1,4 +1,4 @@
-"""The lock-, clock-discipline and sans-I/O source lints."""
+"""The lock-, clock-discipline, sans-I/O and dead-knob source lints."""
 
 import pytest
 
@@ -6,8 +6,10 @@ from repro.check import diagnostics as D
 from repro.check.ast_lint import (
     SANS_IO_MODULES,
     check_clock_discipline,
+    check_config_fields,
     check_lock_discipline,
     lint_clock_discipline,
+    lint_config_fields,
     lint_lock_discipline,
     lint_sans_io,
     source_root,
@@ -109,6 +111,43 @@ class TestSansIoLint:
         bad.write_text("import time\n" + source, encoding="utf-8")
         report = check_clock_discipline(root=str(tmp_path), subdirs=("runtime",))
         assert report.has(D.SANS_IO_VIOLATION)
+
+
+class TestConfigFieldLint:
+    CONFIG = (
+        "class RunConfig:\n"
+        "    a: int = 1\n"
+        "    b: int = 2\n"
+        "    c: int = 3\n"
+        "    def __post_init__(self):\n"
+        "        assert self.c > 0\n"
+        "    @property\n"
+        "    def derived(self):\n"
+        "        return self.b * 2\n"
+    )
+
+    def test_direct_and_derived_reads_count_validation_does_not(self):
+        readers = ["def f(config):\n    return config.a + config.derived\n"]
+        assert lint_config_fields(self.CONFIG, readers) == [(4, "c")]
+
+    def test_a_derived_member_nobody_reads_keeps_nothing_alive(self):
+        readers = ["def f(config):\n    return config.a\n"]
+        assert [name for _, name in lint_config_fields(self.CONFIG, readers)] == ["b", "c"]
+
+    def test_the_package_has_no_dead_knob_and_a_spliced_one_is_caught(self, tmp_path):
+        report = check_config_fields()
+        assert report.ok, [d.message for d in report.diagnostics]
+        config = tmp_path / "runtime" / "config.py"
+        config.parent.mkdir()
+        with open(f"{source_root()}/runtime/config.py", encoding="utf-8") as fh:
+            source = fh.read()
+        marker = "    #: Total nodes including the master"
+        assert source.count(marker) == 1
+        config.write_text(source.replace(marker, "    linger: float = 0.5\n" + marker))
+        (tmp_path / "reader.py").write_text("def f(c):\n    return c.nodes\n")
+        report = check_config_fields(root=str(tmp_path))
+        assert report.has(D.CONFIG_FIELD_UNREAD)
+        assert any("RunConfig.linger" in d.message for d in report.diagnostics)
 
 
 class TestTreeWideChecks:

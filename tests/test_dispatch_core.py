@@ -239,7 +239,7 @@ ROWS = [
         ("is_retired", (0,), False),
     ]),
     # -- worker standing: leases ------------------------------------------------------
-    ("lease-grant-and-expire", dict(task_timeout=60.0, max_retries=9, heartbeat_interval=1.0, lease_factor=2.0), [
+    ("lease-grant-and-expire", dict(task_timeout=60.0, max_retries=9, lease_duration=2.0), [
         ("dispatch", (A, 1, 10.0), EPOCH(1, 0, 70.0, 12.0)),
         ("tick", (11.0,), []),
         ("lease_expired", (A, 0, 11.0), []),
@@ -248,7 +248,7 @@ ROWS = [
         ("stats", "lease_expirations", 1),
     ]),
     ("lease-renewed-by-any-message", dict(task_timeout=60.0, max_retries=9,
-                                          heartbeat_interval=0.5, lease_factor=2.0), [
+                                          lease_duration=1.0), [
         ("dispatch", (A, 1, 0.0), EPOCH(1, 0, 60.0, 1.0)),
         ("dispatch", (B, 1, 0.0), EPOCH(1, 0, 60.0, 1.0)),
         ("dispatch", ((0, 2), 2, 0.0), EPOCH(2, 0, 60.0, 1.0)),
@@ -257,18 +257,18 @@ ROWS = [
         ("tick", (2.0,), [Requeue(A), Requeue(B)]),
     ]),
     ("lease-settles-with-its-epoch", dict(task_timeout=60.0, max_retries=9,
-                                          heartbeat_interval=0.5, lease_factor=2.0), [
+                                          lease_duration=1.0), [
         ("dispatch", (A, 1, 0.0), EPOCH(1, 0, 60.0, 1.0)),
         ("lease_expired", (A, 7, 5.0), []),  # stale epoch: not this dispatch's lease
         ("is_live", (A, 0), True),
         ("result", (A, 0, 1), []),
         ("lease_expired", (A, 0, 5.0), []),  # settled: nothing left to expire
     ]),
-    ("lease-unknown-task", dict(task_timeout=60.0, max_retries=9, heartbeat_interval=0.5, lease_factor=2.0), [
+    ("lease-unknown-task", dict(task_timeout=60.0, max_retries=9, lease_duration=1.0), [
         ("lease_expired", ((9, 9), 0, 5.0), []),
         ("heard_from", (3, 5.0), None),
     ]),
-    ("lease-regrant-replaces", dict(task_timeout=60.0, max_retries=9, heartbeat_interval=0.5, lease_factor=2.0), [
+    ("lease-regrant-replaces", dict(task_timeout=60.0, max_retries=9, lease_duration=1.0), [
         ("dispatch", (A, 1, 0.0), EPOCH(1, 0, 60.0, 1.0)),
         ("lease_expired", (A, 0, 1.0), [Requeue(A)]),
         ("dispatch", (A, 2, 5.0), EPOCH(2, 1, 65.0, 6.0)),
@@ -413,11 +413,20 @@ def _step(core: DispatchCore, event, args, expected) -> None:
     assert _matches(got, expected), f"{event}{args} -> {got!r}"
 
 
+def bare_core(n_workers: int, **kwargs) -> DispatchCore:
+    """A core with every knob a row does not name switched off — the core
+    itself has no defaults (``RunConfig`` declares them)."""
+    bare = dict(
+        retry_backoff=0.0, retry_backoff_max=2.0, blacklist_threshold=None, lease_duration=None
+    )
+    return DispatchCore(n_workers, **{**bare, **kwargs})
+
+
 def run_row(name: str) -> None:
     (row,) = [r for r in ROWS if r[0] == name]
     _, kwargs, steps = row
     kwargs = dict(kwargs)
-    core = DispatchCore(kwargs.pop("n_workers", 3), **kwargs)
+    core = bare_core(kwargs.pop("n_workers", 3), **kwargs)
     for event, args, expected in steps:
         _step(core, event, args, expected)
 
@@ -438,7 +447,7 @@ def test_records_only_when_recording():
     kw = dict(task_timeout=1.0, max_retries=9, retry_backoff=0.25, blacklist_threshold=1)
     outs = []
     for recording in (False, True):
-        core = DispatchCore(2, recording=recording, **kw)
+        core = bare_core(2, recording=recording, **kw)
         core.dispatch(A, 0, 0.0)
         core.dispatch(B, 0, 0.0)
         outs.append(core.deadline(A, 0, 1.0) + core.result(B, 0, 0))
@@ -459,8 +468,8 @@ def test_fingerprint_is_clock_shift_invariant():
     change a future decision changes the fingerprint."""
 
     def play(t0: float) -> DispatchCore:
-        core = DispatchCore(
-            2, task_timeout=5.0, max_retries=1, blacklist_threshold=2, heartbeat_interval=0.5, lease_factor=2.0
+        core = bare_core(
+            2, task_timeout=5.0, max_retries=1, blacklist_threshold=2, lease_duration=1.0
         )
         core.heard_from(0, t0)
         core.dispatch(A, 0, t0)

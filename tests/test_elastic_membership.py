@@ -11,50 +11,21 @@ import pytest
 from repro import EasyHPS, RunConfig
 from repro.algorithms import EditDistance
 from repro.comm.transport import channel_pair
-from repro.runtime.master import MasterPart
-from repro.runtime.slave import SlavePart
-from repro.runtime.dispatch import DispatchCore
+from repro.runtime.assembly import RunAssembly
 from repro.schedulers.policy import make_policy
 from repro.utils.errors import SchedulerError
-from tests.test_dispatch_core import run_row
+from tests.test_dispatch_core import bare_core, run_row
 
 
 def build_parts(problem, config, *, leave_after=None):
-    """Threads-backend wiring by hand so tests can reach SlavePart knobs
-    (leave_after) and the live MasterPart (attach_worker)."""
-    proc_size, thread_size = config.partitions_for(problem)
-    partition = problem.build_partition(proc_size)
-    policy = make_policy(
-        config.scheduler, config.n_slaves, partition.grid.n_block_cols
-    )
+    """The threads backend's own wiring (``RunAssembly``), taken apart so
+    tests can reach the live MasterPart (attach_worker) and have worker 0
+    leave early (``leave_after``)."""
+    asm = RunAssembly(config, problem)
     stop = threading.Event()
-    slaves, master_channels = [], []
-    for k in range(config.n_slaves):
-        master_end, slave_end = channel_pair()
-        master_channels.append(master_end)
-        slaves.append(
-            SlavePart(
-                slave_id=k,
-                channel=slave_end,
-                problem=problem,
-                partition=partition,
-                thread_partition=thread_size,
-                n_threads=config.threads_per_node,
-                stop_event=stop,
-                heartbeat_interval=config.heartbeat_interval,
-                leave_after=leave_after if k == 0 else None,
-            )
-        )
-    master = MasterPart(
-        problem,
-        partition,
-        master_channels,
-        policy,
-        task_timeout=config.task_timeout,
-        heartbeat_interval=config.heartbeat_interval,
-        lease_factor=config.lease_factor,
-    )
-    return master, slaves, partition, thread_size, stop
+    master_channels, slaves = asm.inprocess_slaves(stop)
+    slaves[0].leave_after = leave_after
+    return asm.master(master_channels), slaves, asm, stop
 
 
 def run_parts(master, slaves, stop):
@@ -84,7 +55,7 @@ class TestPolicyElasticity:
     def test_attach_worker_rejected_by_static_policy(self):
         problem = EditDistance.random(32, 32, seed=0)
         config = RunConfig(backend="threads", nodes=3, scheduler="bcw")
-        master, slaves, _, _, stop = build_parts(problem, config)
+        master, slaves, _, stop = build_parts(problem, config)
         master_end, _slave_end = channel_pair()
         with pytest.raises(SchedulerError):
             master.attach_worker(master_end)
@@ -96,22 +67,14 @@ class TestMidRunJoin:
         problem = EditDistance.random(64, 64, seed=11)
         oracle = EasyHPS(RunConfig(backend="serial")).run(problem)
         config = RunConfig(backend="threads", nodes=3)
-        master, slaves, partition, thread_size, stop = build_parts(problem, config)
+        master, slaves, asm, stop = build_parts(problem, config)
 
         joiner_box = {}
 
         def join_late():
             master_end, slave_end = channel_pair()
             worker_id = master.attach_worker(master_end)
-            joiner = SlavePart(
-                slave_id=worker_id,
-                channel=slave_end,
-                problem=problem,
-                partition=partition,
-                thread_partition=thread_size,
-                n_threads=config.threads_per_node,
-                stop_event=stop,
-            )
+            joiner = asm.slave(worker_id, slave_end, stop)
             joiner_box["thread"] = threading.Thread(
                 target=joiner.run, daemon=True, name=f"slave{worker_id}"
             )
@@ -136,7 +99,7 @@ class TestMidRunJoin:
     def test_attach_worker_after_run_raises(self):
         problem = EditDistance.random(32, 32, seed=12)
         config = RunConfig(backend="threads", nodes=3)
-        master, slaves, _, _, stop = build_parts(problem, config)
+        master, slaves, _, stop = build_parts(problem, config)
         run_parts(master, slaves, stop)
         master_end, _ = channel_pair()
         with pytest.raises(SchedulerError):
@@ -148,7 +111,7 @@ class TestCleanDeparture:
         problem = EditDistance.random(64, 64, seed=13)
         oracle = EasyHPS(RunConfig(backend="serial")).run(problem)
         config = RunConfig(backend="threads", nodes=4)
-        master, slaves, _, _, stop = build_parts(problem, config, leave_after=1)
+        master, slaves, _, stop = build_parts(problem, config, leave_after=1)
         state = run_parts(master, slaves, stop)
         for key in oracle.state:
             assert np.array_equal(oracle.state[key], state[key])
@@ -167,7 +130,7 @@ class TestRegisterTableConcurrency:
         run_row("resume-priming")
 
     def test_prime_sets_next_epoch(self):
-        core = DispatchCore(2, task_timeout=1.0, max_retries=0, attempts={(0, 0): 3})
+        core = bare_core(2, task_timeout=1.0, max_retries=0, attempts={(0, 0): 3})
         assert core.dispatch((0, 0), 1, 0.0).epoch == 3
 
     def test_live_snapshot_under_concurrent_retire_and_join(self):
@@ -175,7 +138,7 @@ class TestRegisterTableConcurrency:
         simulated mid-run joiner) the way the master shell does — every
         call under one lock — while a reader snapshots: snapshots stay
         internally consistent and no attempt count is lost."""
-        core = DispatchCore(8, task_timeout=1e9, max_retries=0)
+        core = bare_core(8, task_timeout=1e9, max_retries=0)
         lock = threading.Lock()
         stop = threading.Event()
         errors = []

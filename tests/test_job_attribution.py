@@ -16,15 +16,12 @@ from repro.utils.errors import FaultToleranceExhausted
 
 def _master(job_id=None, obs=None):
     problem = EditDistance.random(16, 16, seed=0)
-    config = RunConfig(backend="threads", nodes=2)
+    config = RunConfig(backend="threads", nodes=2, task_timeout=1.0, run_id=job_id)
     proc_size, _ = config.partitions_for(problem)
     partition = problem.build_partition(proc_size)
     policy = make_policy("dynamic", 1, partition.grid.n_block_cols)
     master_end, slave_end = channel_pair()
-    master = MasterPart(
-        problem, partition, [master_end], policy,
-        task_timeout=1.0, job_id=job_id, obs=obs,
-    )
+    master = MasterPart(problem, partition, [master_end], policy, config, obs=obs)
     return master, slave_end
 
 

@@ -13,6 +13,7 @@ from repro.algorithms import EditDistance
 from repro.comm.messages import EndSignal, IdleSignal, TaskAssign, TaskResult
 from repro.comm.transport import ChannelTimeout, channel_pair
 from repro.dag.partition import partition_pattern
+from repro.runtime.config import RunConfig
 from repro.runtime.master import MasterPart
 from repro.schedulers.policy import DynamicPolicy, make_policy
 from repro.utils.errors import SchedulerError
@@ -35,8 +36,7 @@ def start_master(problem, n_slaves=1, **kw):
         partition,
         masters,
         make_policy("dynamic", n_slaves, partition.grid.n_block_cols),
-        poll_interval=0.005,
-        **kw,
+        RunConfig(poll_interval=0.005, **kw),
     )
     state_box = {}
 
@@ -139,7 +139,7 @@ class TestProtocol:
         master = MasterPart(
             problem, partition, [channel_pair()[0]],
             make_policy("dynamic", 1, partition.grid.n_block_cols),
-            integrity="audit",
+            RunConfig(integrity="audit"),
         )
         master.state = problem.make_state()
         master.core.commit((0, 0), 0, 0, None)
@@ -158,6 +158,7 @@ class TestProtocol:
         master = MasterPart(
             problem, partition, [channel_pair()[0]],
             make_policy("dynamic", 1, partition.grid.n_block_cols),
+            RunConfig(),
         )
         epoch = master.core.dispatch((0, 0), 0, 0.0).epoch
         msg = TaskResult((0, 0), epoch, 0, {"block": None}, digest=None)
@@ -174,12 +175,12 @@ class TestProtocol:
         partition = partition_pattern(problem.pattern(), 10)
         m, _ = channel_pair()
         with pytest.raises(SchedulerError, match="sized for"):
-            MasterPart(problem, partition, [m], DynamicPolicy(3))
+            MasterPart(problem, partition, [m], DynamicPolicy(3), RunConfig())
 
     def test_no_channels_rejected(self, problem):
         partition = partition_pattern(problem.pattern(), 10)
         with pytest.raises(SchedulerError, match="at least one"):
-            MasterPart(problem, partition, [], DynamicPolicy(1))
+            MasterPart(problem, partition, [], DynamicPolicy(1), RunConfig())
 
 
 def obedient_slave_from(first_assign, problem, partition, channel, slave_id=0):

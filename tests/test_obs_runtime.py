@@ -119,7 +119,7 @@ class TestOverheadGuard:
         partition = problem.build_partition(proc_size)
         policy = make_policy("dynamic", 2, partition.grid.n_block_cols)
         channels = [channel_pair()[0] for _ in range(2)]
-        master = MasterPart(problem, partition, channels, policy)
+        master = MasterPart(problem, partition, channels, policy, cfg)
         assert master.sched.obs is NULL_RECORDER
         assert all(ch._obs is NULL_RECORDER for ch in channels)
 

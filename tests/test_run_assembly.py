@@ -3,24 +3,32 @@ the daemon's jobs are wired exactly like a threads-backend run, and the
 structure that guarantees it cannot quietly fork again."""
 
 import ast
+import dataclasses
+import threading
 from pathlib import Path
 
 import repro
+from repro.algorithms import EditDistance
 from repro.backends.threads import run_threads
+from repro.cluster.faults import FaultPlan, FaultRule
+from repro.comm.messages import TaskAssign
+from repro.runtime.assembly import RunAssembly
+from repro.runtime.config import RunConfig
 from repro.runtime.master import MasterPart
 from repro.serve import JobSpec, ServeDaemon, build_problem
 
 SRC = Path(repro.__file__).parent
+KNOBS = {f.name for f in dataclasses.fields(RunConfig)}
 
 
 def knobs(master):
-    """Every plain-valued setting a MasterPart carries, plus how its
-    policy and journal were chosen."""
+    """Every plain-valued knob of the config a MasterPart reads, plus
+    how its policy and journal were chosen."""
     plain = (bool, int, float, str, type(None))
     out = {
         name: value
-        for name, value in vars(master).items()
-        if isinstance(value, plain) and not name.startswith("_")
+        for name, value in vars(master.config).items()
+        if isinstance(value, plain)
     }
     out["policy"] = (type(master.policy).__name__, master.policy.n_workers)
     out["journal"] = type(master.journal).__name__
@@ -57,8 +65,41 @@ class TestDaemonParity:
         run_threads(build_problem(spec), config)
 
         served, direct = built
-        assert served.batch_wave is True and served.max_batch == 3
+        assert served.config.batch_wave is True and served.config.max_batch == 3
         assert knobs(served) == knobs(direct)
+
+    def test_parts_observe_exactly_the_configured_values(self):
+        """One declaration per knob: what ``RunConfig`` says is what the
+        master, every slave and the dispatch core run with — no layer in
+        between to forget one (hand-assembled parts used to fall back to
+        their constructors' own defaults)."""
+        config = RunConfig(
+            backend="threads", nodes=3, process_partition=12, thread_partition=6,
+            max_retries=7, subtask_timeout=0.05, task_timeout=4.0,
+            retry_backoff=0.1, retry_backoff_max=0.7, blacklist_threshold=4,
+            heartbeat_interval=0.2, lease_factor=5.0, hang_duration=0.3,
+            integrity="audit", audit_fraction=0.5, quarantine_threshold=3,
+            # One computing thread dies on each of its first seven tries.
+            thread_fault_plan=FaultPlan([FaultRule("crash", (1, 1), e) for e in range(7)]),
+        )
+        problem = EditDistance.random(24, 24, seed=1)
+        asm = RunAssembly(config, problem)
+        channels, slaves = asm.inprocess_slaves(threading.Event())
+        master = asm.master(channels)
+        assert master.config is config and all(s.config is config for s in slaves)
+        core = master.core
+        assert (
+            core.task_timeout, core.max_retries, core.retry_backoff,
+            core.retry_backoff_max, core.blacklist_threshold, core.lease_duration,
+        ) == (4.0, 7, 0.1, 0.7, 4, 1.0)
+        assert core.integrity == config.integrity_policy == master.integrity
+        assert (core.integrity.audit_fraction, core.integrity.quarantine_threshold) == (0.5, 3)
+        # The slave's thread-level core got the same budget: seven
+        # restarts are absorbed (the constructor default was three).
+        bid = next(iter(asm.partition.block_ids()))
+        inputs = problem.extract_inputs(problem.make_state(), asm.partition, bid)
+        slaves[0]._compute(TaskAssign(bid, 0, inputs))
+        assert slaves[0].stats.thread_restarts == 7
 
 
 def call_names(tree):
@@ -96,6 +137,107 @@ class TestStructure:
         assert not offenders, (
             "build masters/slaves through repro.runtime.assembly: " + ", ".join(offenders)
         )
+
+    def test_parts_take_the_config_and_redeclare_no_knob(self):
+        for rel, cls in (("runtime/master.py", "MasterPart"), ("runtime/slave.py", "SlavePart")):
+            tree = ast.parse((SRC / rel).read_text(), filename=rel)
+            (init,) = [
+                fn
+                for node in ast.walk(tree)
+                if isinstance(node, ast.ClassDef) and node.name == cls
+                for fn in node.body
+                if isinstance(fn, ast.FunctionDef) and fn.name == "__init__"
+            ]
+            params = {a.arg for a in init.args.args + init.args.kwonlyargs}
+            assert "config" in params and init.args.kwarg is None, cls
+            assert not params & KNOBS, (cls, sorted(params & KNOBS))
+
+    def test_derived_rules_are_written_once(self):
+        """The stall rule (``2 * task_timeout + 1``) lives only in
+        ``RunConfig.effective_stall_timeout``, and nobody outside
+        ``integrity.py`` builds an ``IntegrityPolicy`` from loose keywords
+        (``config.integrity_policy`` resolves it)."""
+        stall, loose = [], []
+        for path in sorted(SRC.rglob("*.py")):
+            rel = path.relative_to(SRC).as_posix()
+            tree = ast.parse(path.read_text(), filename=rel)
+            for node in ast.walk(tree):
+                if (
+                    isinstance(node, ast.BinOp)
+                    and isinstance(node.op, ast.Add)
+                    and isinstance(node.right, ast.Constant)
+                    and isinstance(node.left, ast.BinOp)
+                    and isinstance(node.left.op, ast.Mult)
+                    and "task_timeout" in ast.unparse(node.left)
+                ):
+                    stall.append(rel)
+                if (
+                    isinstance(node, ast.Call)
+                    and getattr(node.func, "id", "") == "IntegrityPolicy"
+                    and node.keywords
+                ):
+                    loose.append(rel)
+        assert stall == ["runtime/config.py"] and not loose
+
+    def test_no_constructor_carries_its_own_default_for_a_knob(self):
+        """A numeric default for a ``RunConfig`` field name in any
+        ``__init__`` under runtime/ or backends/ is a second declaration."""
+        copies = []
+        for sub in ("runtime", "backends"):
+            for path in sorted((SRC / sub).glob("*.py")):
+                rel = path.relative_to(SRC).as_posix()
+                if rel == "runtime/config.py":
+                    continue
+                tree = ast.parse(path.read_text(), filename=rel)
+                for fn in ast.walk(tree):
+                    if not (isinstance(fn, ast.FunctionDef) and fn.name == "__init__"):
+                        continue
+                    a = fn.args
+                    positional = a.posonlyargs + a.args
+                    pairs = list(zip(positional[len(positional) - len(a.defaults):], a.defaults))
+                    pairs += [(k, d) for k, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+                    copies += [
+                        f"{rel}:{fn.lineno} {arg.arg}={default.value!r}"
+                        for arg, default in pairs
+                        if arg.arg in KNOBS
+                        and isinstance(default, ast.Constant)
+                        and type(default.value) in (int, float)
+                    ]
+        assert not copies, copies
+
+    def test_the_core_is_built_from_a_config_in_exactly_one_function(self):
+        """``DispatchCore.from_config`` is the one RunConfig -> core
+        mapping (master shell and simulator both call it); the only other
+        construction is the slave pool's thread-level core, which takes
+        ``subtask_timeout`` and ``max_retries`` and nothing else."""
+        built, users = [], []
+        for path in sorted(SRC.rglob("*.py")):
+            rel = path.relative_to(SRC).as_posix()
+            tree = ast.parse(path.read_text(), filename=rel)
+            for call in (n for n in ast.walk(tree) if isinstance(n, ast.Call)):
+                func = call.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+                # ``lease_duration`` is a keyword only the core takes.
+                if name == "DispatchCore" or "lease_duration" in {kw.arg for kw in call.keywords}:
+                    read = {
+                        kw.value.attr
+                        for kw in call.keywords
+                        if isinstance(kw.value, ast.Attribute) and kw.value.attr in KNOBS
+                    }
+                    built.append((rel, name, read))
+                owner = getattr(func, "value", None)
+                if name == "from_config" and "DispatchCore" in (
+                    getattr(owner, "id", ""), getattr(owner, "attr", "")
+                ):
+                    users.append(rel)
+        assert built == [
+            ("runtime/dispatch.py", "cls", {
+                "task_timeout", "max_retries", "retry_backoff", "retry_backoff_max",
+                "blacklist_threshold",
+            }),
+            ("runtime/slave.py", "DispatchCore", {"subtask_timeout", "max_retries"}),
+        ]
+        assert users == ["backends/simulated.py", "runtime/master.py"]
 
     def test_open_journal_lives_in_the_assembly(self):
         import repro.backends.threads as threads_mod

@@ -72,6 +72,22 @@ class TestQueueOps:
         assert ctrl.cancel("a") is None
         assert ctrl.depth == 0
 
+    def test_held_record_keeps_its_slot_but_cannot_be_popped(self):
+        """The daemon holds a job until its WAL submit record is durable."""
+        ctrl = AdmissionController(2)
+        fifo = make_ordering_policy("fifo")
+        a, b = _record("a"), _record("b")
+        assert ctrl.admit(a, hold=True).accepted and ctrl.admit(b, hold=True).accepted
+        assert ctrl.depth == 2 and not ctrl.admit(_record("c")).accepted
+        assert ctrl.pop_next(fifo, 0.0) is None and not ctrl.wait_for_work(0.0)
+        assert ctrl.publish(a) and ctrl.pop_next(fifo, 0.0) is a
+        # A revoked hold frees the slot; a hold overtaken by a drain is
+        # handed back to the submitter to cancel.
+        assert ctrl.cancel("b") is b and not ctrl.publish(b) and ctrl.depth == 0
+        d = _record("d")
+        ctrl.admit(d, hold=True)
+        assert ctrl.drain() == () and not ctrl.publish(d) and ctrl.depth == 0
+
     def test_requeue_goes_to_head(self):
         ctrl = AdmissionController(4)
         ctrl.admit(_record("a"))

@@ -10,9 +10,7 @@ import pytest
 from repro import EasyHPS, RunConfig
 from repro.algorithms import EditDistance
 from repro.comm.transport import channel_pair
-from repro.runtime.master import MasterPart
-from repro.runtime.slave import SlavePart
-from repro.schedulers.policy import make_policy
+from repro.runtime.assembly import RunAssembly
 from repro.serve.fleet import WorkerFleet
 from repro.utils.errors import ConfigError, SchedulerError
 
@@ -81,38 +79,16 @@ class TestFleetBasics:
 
 
 def _wire_job(problem, config, fleet, worker_ids, *, leave_after=None):
-    """Wire one master over fleet workers (the daemon's launch path,
-    by hand, so the test holds the live MasterPart)."""
-    proc_size, thread_size = config.partitions_for(problem)
-    partition = problem.build_partition(proc_size)
-    policy = make_policy(config.scheduler, len(worker_ids), partition.grid.n_block_cols)
+    """Wire one master over fleet workers — the daemon's launch path
+    (``RunAssembly``), taken apart so the test holds the live MasterPart."""
+    asm = RunAssembly(config, problem)
     stop = threading.Event()
-    master_channels = []
+    master_channels, slaves = asm.inprocess_slaves(stop)
+    assert len(slaves) == len(worker_ids)
+    slaves[0].leave_after = leave_after
     for k, worker_id in enumerate(worker_ids):
-        master_end, slave_end = channel_pair()
-        master_channels.append(master_end)
-        slave = SlavePart(
-            slave_id=k,
-            channel=slave_end,
-            problem=problem,
-            partition=partition,
-            thread_partition=thread_size,
-            n_threads=config.threads_per_node,
-            stop_event=stop,
-            heartbeat_interval=config.heartbeat_interval,
-            leave_after=leave_after if k == 0 else None,
-        )
-        fleet.assign(worker_id, slave.run, label=f"job/slave{k}")
-    master = MasterPart(
-        problem,
-        partition,
-        master_channels,
-        policy,
-        task_timeout=config.task_timeout,
-        heartbeat_interval=config.heartbeat_interval,
-        lease_factor=config.lease_factor,
-    )
-    return master, partition, thread_size, stop
+        fleet.assign(worker_id, slaves[k].run, label=f"job/slave{k}")
+    return asm.master(master_channels), asm, stop
 
 
 class TestSharedFleetChurn:
@@ -139,10 +115,10 @@ class TestSharedFleetChurn:
             for i, problem in enumerate(problems):
                 ids = fleet.acquire(2)
                 assert ids is not None and len(ids) == 2
-                master, partition, thread_size, stop = _wire_job(
+                master, asm, stop = _wire_job(
                     problem, config, fleet, ids, leave_after=1
                 )
-                jobs.append((i, problem, master, partition, thread_size, stop))
+                jobs.append((i, master, asm, stop))
 
             def run_master(i, master, stop):
                 try:
@@ -156,7 +132,7 @@ class TestSharedFleetChurn:
                 threading.Thread(
                     target=run_master, args=(i, master, stop), daemon=True
                 )
-                for (i, _p, master, _pt, _ts, stop) in jobs
+                for (i, master, _asm, stop) in jobs
             ]
             for t in runners:
                 t.start()
@@ -170,21 +146,13 @@ class TestSharedFleetChurn:
                 if ids is None:
                     continue
                 attached = False
-                for (i, problem, master, partition, thread_size, stop) in jobs:
+                for (i, master, asm, stop) in jobs:
                     master_end, slave_end = channel_pair()
                     try:
                         new_id = master.attach_worker(master_end)
                     except SchedulerError:
                         continue  # that job already ended
-                    joiner = SlavePart(
-                        slave_id=new_id,
-                        channel=slave_end,
-                        problem=problem,
-                        partition=partition,
-                        thread_partition=thread_size,
-                        n_threads=config.threads_per_node,
-                        stop_event=stop,
-                    )
+                    joiner = asm.slave(new_id, slave_end, stop)
                     fleet.assign(ids[0], joiner.run, label=f"job{i}/join{new_id}")
                     attached = True
                     break
@@ -195,7 +163,7 @@ class TestSharedFleetChurn:
                 t.join(timeout=30.0)
             assert not any(t.is_alive() for t in runners), "a master hung"
         finally:
-            for (_i, _p, _m, _pt, _ts, stop) in jobs:
+            for (_i, _m, _asm, stop) in jobs:
                 stop.set()
 
         assert not errors, errors
@@ -207,9 +175,9 @@ class TestSharedFleetChurn:
                     f"job {i} diverged from its oracle"
                 )
         # Each job's worker 0 left cleanly; joins happened across jobs.
-        total_left = sum(m.stats.workers_left for (_i, _p, m, _pt, _ts, _s) in jobs)
+        total_left = sum(m.stats.workers_left for (_i, m, _asm, _s) in jobs)
         total_joined = sum(
-            m.stats.workers_joined for (_i, _p, m, _pt, _ts, _s) in jobs
+            m.stats.workers_joined for (_i, m, _asm, _s) in jobs
         )
         assert total_left == n_jobs
         assert total_joined >= 1

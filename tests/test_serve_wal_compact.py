@@ -1,6 +1,7 @@
 """ServeJournal compaction, I/O fault injection, and daemon WAL bounds."""
 
 import os
+import time
 
 import pytest
 
@@ -168,6 +169,45 @@ class TestDaemonIntegration:
             assert all(r["status"] == "cancelled" for r in records)
         finally:
             daemon.fleet.unreserve(held)
+            daemon.drain(10.0)
+
+    def test_failed_submission_write_is_cancelled_even_with_the_scheduler_free(
+        self, tmp_path
+    ):
+        """The submitter is parked *inside* the failing WAL write with an
+        idle worker and a free scheduler loop. Were the job already
+        poppable (it used to be, from admission on), the scheduler would
+        launch it and the revoke would find nothing to cancel: the job ran
+        un-journaled and ended done/aborted while the caller was told it
+        was shed. Held until its submission record is durable, it can
+        only end ``cancelled``."""
+        daemon = ServeDaemon(workers=1, queue_cap=8, wal_path=str(tmp_path / "serve.srvj"))
+
+        class ParkedWrite(IoPolicy):
+            def fault(self, op):
+                rule = super().fault(op)
+                if rule is not None:
+                    deadline = time.monotonic() + 0.5
+                    while time.monotonic() < deadline and all(
+                        job["status"] == "queued" for job in daemon.jobs()
+                    ):
+                        time.sleep(0.005)
+                return rule
+
+        daemon.start()
+        try:
+            daemon._wal.log.io_policy = ParkedWrite(
+                IoFaultPlan([IoFaultRule("write", "enospc", index=0)]), "serve-wal"
+            )
+            decision = daemon.submit(JobSpec(algo="lcs", size=16, nodes=2))
+            assert not decision.accepted
+            assert decision.reason.startswith("resource-pressure:wal-write")
+            assert daemon.wait_idle(30.0)
+            (record,) = daemon.jobs()
+            assert record["status"] == "cancelled"
+            assert record["reason"] == "resource-pressure:wal-write"
+            assert daemon.admission.depth == 0
+        finally:
             daemon.drain(10.0)
 
     def test_lost_wal_handle_sheds_like_any_other_write_failure(self, tmp_path):

@@ -16,6 +16,7 @@ from repro.cluster.faults import FaultPlan, FaultRule
 from repro.comm.messages import EndSignal, IdleSignal, TaskAssign, TaskResult
 from repro.comm.transport import channel_pair
 from repro.dag.partition import partition_pattern
+from repro.runtime.config import RunConfig
 from repro.runtime.slave import SlavePart
 
 
@@ -27,18 +28,10 @@ def setup():
     return problem, partition, master_end, slave_end
 
 
-def make_slave(problem, partition, channel, **kw):
-    base = dict(
-        slave_id=0,
-        channel=channel,
-        problem=problem,
-        partition=partition,
-        thread_partition=6,
-        n_threads=2,
-        poll_interval=0.005,
-    )
-    base.update(kw)
-    return SlavePart(**base)
+def make_slave(problem, partition, channel, *, stop_event=None, **knobs):
+    knobs.setdefault("threads_per_node", 2)
+    config = RunConfig(thread_partition=6, poll_interval=0.005, **knobs)
+    return SlavePart(0, channel, problem, partition, config, stop_event=stop_event)
 
 
 def run_slave_async(slave):
@@ -138,7 +131,7 @@ class TestSlaveWorkerPool:
         inputs = problem.extract_inputs(state, partition, bid)
         outputs = slave._compute(TaskAssign(bid, 0, inputs))
         expected = problem.evaluator(partition, bid, inputs).run_serial(
-            partition.sub_partition(bid, slave.thread_partition)
+            partition.sub_partition(bid, slave.thread_size)
         )
         assert np.array_equal(outputs["block"], expected["block"])
         return slave
@@ -146,13 +139,13 @@ class TestSlaveWorkerPool:
     @pytest.mark.parametrize("n_threads", [1, 2, 4])
     def test_pool_sizes(self, setup, n_threads):
         problem, partition, _, _ = setup
-        self._compute_direct(problem, partition, (0, 0), n_threads=n_threads)
+        self._compute_direct(problem, partition, (0, 0), threads_per_node=n_threads)
 
     @pytest.mark.parametrize("thread_scheduler", ["dynamic", "bcw", "cw"])
     def test_pool_schedulers(self, setup, thread_scheduler):
         problem, partition, _, _ = setup
         slave = self._compute_direct(
-            problem, partition, (0, 0), thread_scheduler=thread_scheduler, n_threads=2
+            problem, partition, (0, 0), thread_scheduler=thread_scheduler
         )
         assert slave.stats.subtasks == 4  # 12x12 block over 6 -> 2x2
 
@@ -161,6 +154,6 @@ class TestSlaveWorkerPool:
         plan = FaultPlan([FaultRule("crash", (1, 1), 0)])
         slave = self._compute_direct(
             problem, partition, (0, 0),
-            thread_fault_plan=plan, subtask_timeout=0.2, n_threads=2,
+            thread_fault_plan=plan, subtask_timeout=0.2,
         )
         assert slave.stats.thread_restarts >= 1
