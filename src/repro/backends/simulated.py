@@ -29,6 +29,17 @@ decision is taken by the same
 link/CPU cost model, the fault-plan lookups and the ``EventQueue``
 scheduling, and performs the core's actions in sim-time.
 
+Dispatch is one path (``docs/simulator.md`` §Dispatch): an idle node is
+sent a *wave* — up to ``max_batch`` ready tasks under ``batch_wave``,
+otherwise one — in ONE envelope and ONE transfer, computes its elements
+in sequence (task and worker faults apply per element, in the order of
+the real slave's loop) and answers with ONE result envelope whose
+elements land one by one. ``batch_wave`` decides only what it decides on
+the real wire: how many elements share the α term, the master overhead
+and the 2+1 messages; the message-type name the fault plan is asked
+about; and whether ``batch-assemble`` is recorded. ``prefetch`` reserves
+the next wave of one ahead, on the same path, while the node computes.
+
 Chaos (:mod:`repro.chaos`) is modeled as faults on the simulated
 transfers and nodes: a dropped assignment leaves the node free and the
 registration to time out; a dropped result leaves the registration to
@@ -160,9 +171,9 @@ class _Node:
     busy_until: float = 0.0
     parked_since: Optional[float] = None
     tasks_done: int = 0
-    #: Prefetched-but-not-yet-computing task (prefetch mode):
-    #: (bid, epoch, transfer_start, transfer_done).
-    pending: Optional[Tuple[TaskId, int, float, float]] = None
+    #: Reserved-but-not-yet-computing wave (prefetch mode): the
+    #: (bid, epoch) elements that reached the node, and transfer_done.
+    pending: Optional[Tuple[List[Tuple[TaskId, int]], float]] = None
     #: Permanently out of service (worker-death fault or blacklisted).
     dead: bool = False
     #: Per-node message counters keying the message-fault plan.
@@ -381,26 +392,29 @@ class _SimulatedRun:
             return
         self.core.heard_from(k, self.evq.now)  # the idle announcement
         if node.pending is not None:
-            # Promote the prefetched task (its input already transferred).
-            bid, epoch, xfer_start, xfer_done = node.pending
+            # Promote the prefetched wave (its input already transferred).
+            parts, xfer_done = node.pending
             node.pending = None
             node.parked_since = None
-            if self.core.is_live(bid, epoch):
-                self._begin_compute(k, bid, epoch, xfer_start, max(self.evq.now, xfer_done))
+            parts = [p for p in parts if self.core.is_live(*p)]
+            if parts:
+                self._begin_wave_compute(k, parts, max(self.evq.now, xfer_done))
                 self._try_prefetch(k)
                 return
             # Cancelled (timed out) while waiting: fall through to fresh work.
-        if self.config.batch_wave:
-            self._dispatch_wave(k)
-            return
-        idx = self.policy.select_index(k, self.ready)
-        picked: Optional[TaskId] = None if idx is None else self.ready.pop(idx)
-        if picked is None:
+        wave = self._gather_wave(k)
+        if not wave:
             node.parked_since = self.evq.now
             return
         node.parked_since = None
-        self._dispatch(k, picked)
-        self._try_prefetch(k)
+        parts, xfer_done = self._send_wave(k, wave)
+        if parts:
+            self._begin_wave_compute(k, parts, xfer_done)
+            self._try_prefetch(k)
+        else:
+            # Nothing arrived: the node stays free, idle again once the
+            # wasted transfer slot passes.
+            self.evq.at(xfer_done, lambda k=k: self._node_idle(k), label=("idle", k))
 
     def _register(self, k: int, bid: TaskId) -> int:
         """Register one dispatch with the core, record it, and arm its
@@ -429,140 +443,42 @@ class _SimulatedRun:
             )
         return epoch
 
-    def _reserve_transfer(self, k: int, bid: TaskId) -> Tuple[int, float, float]:
-        """Register a dispatch and reserve its input transfer; returns
-        (epoch, transfer_start, transfer_done)."""
-        now = self.evq.now
-        node = self.nodes[k]
-        epoch = self._register(k, bid)
-        if self.config.data_reuse:
-            in_bytes = self.problem.cached_input_bytes(self.partition, bid, self.node_done[k])
-        else:
-            in_bytes = self.problem.input_bytes(self.partition, bid)
-        in_bytes += MESSAGE_ENVELOPE_BYTES
-        self.master_cpu_free = max(self.master_cpu_free, now) + self.cluster.master_overhead
-        start = max(self.master_cpu_free, self.master_nic_free, node.nic_free)
-        xfer = self.cluster.link.transfer_time(in_bytes)
-        self.master_nic_free = start + xfer
-        node.nic_free = start + xfer
-        self.messages += 2  # idle signal + assignment
-        self.bytes_to_slaves += in_bytes
-        if self.sched.observing:
-            # The input transfer occupies [start, start + xfer) on the
-            # link — recorded as a reserved span in sim-time.
-            self.sched.record(
-                "send", bid, epoch, k, node=k, ts=start,
-                t0=start, t1=start + xfer, nbytes=in_bytes,
-            )
-        return epoch, start, start + xfer
-
-    def _dispatch(self, k: int, bid: TaskId) -> None:
-        epoch, start, xfer_done = self._reserve_transfer(k, bid)
-        node = self.nodes[k]
-        rule = None
-        if self.config.message_fault_plan:
-            rule = self.config.message_fault_plan.decide(
-                "send", "TaskAssign", bid, node.sent_index, endpoint=k
-            )
-            node.sent_index += 1
-        if rule is not None:
-            self._note_msg_fault(rule.kind, bid, epoch, k, "TaskAssign")
-            if rule.kind == "drop" or (
-                rule.kind == "corrupt" and self.integrity.digest_on
-            ):
-                # The assignment never arrives — dropped outright, or
-                # mutated with a now-stale digest that the slave verifies
-                # and rejects. Either way the node stays free (idle again
-                # once the wasted transfer slot passes) and the
-                # registration rides the overtime check to redistribution.
-                if rule.kind == "corrupt" and self.obs is not None:
-                    self.obs.emit(
-                        "digest-reject", bid, epoch=epoch, node=k,
-                        scope="message", hop="assign",
-                    )
-                self.evq.at(xfer_done, lambda k=k: self._node_idle(k), label=("idle", k))
-                return
-            if rule.kind in ("corrupt", "bitflip"):
-                # Undetected input mutation: ``corrupt`` with digests off
-                # is consumed unverified; ``bitflip`` restamps a
-                # self-consistent digest either way. The node computes on
-                # garbage — its result will be wrong.
-                self.live_taint[(bid, epoch)] = f"assign-{rule.kind}"
-            if rule.kind == "delay":
-                xfer_done += rule.delay
-            elif rule.kind == "duplicate":
-                # The slave computes the copy too, but its second result
-                # is epoch-stale; one extra message models it.
-                self.messages += 1
-        self._begin_compute(k, bid, epoch, start, xfer_done)
-
     def _try_prefetch(self, k: int) -> None:
-        """Overlap the next task's transfer with the running compute
-        (one-deep, prefetch mode only; batching already ships the whole
-        computable wave at once, so the two modes do not compose)."""
+        """Overlap the next task's transfer with the running compute:
+        reserve a wave of one ahead (one-deep, prefetch mode only;
+        batching already ships the whole computable wave at once, so the
+        two modes do not compose)."""
         if not self.config.prefetch or self.config.batch_wave:
             return
         node = self.nodes[k]
         if node.dead or node.pending is not None or node.busy_until <= self.evq.now:
             return
-        idx = self.policy.select_index(k, self.ready)
-        if idx is None:
-            return
-        bid = self.ready.pop(idx)
-        epoch, start, xfer_done = self._reserve_transfer(k, bid)
-        node.pending = (bid, epoch, start, xfer_done)
+        wave = self._gather_wave(k)
+        if wave:
+            parts, xfer_done = self._send_wave(k, wave)
+            if parts:
+                node.pending = (parts, xfer_done)
 
-    def _begin_compute(
-        self, k: int, bid: TaskId, epoch: int, xfer_start: float, compute_start: float
-    ) -> None:
-        node = self.nodes[k]
-        fault = self.config.fault_plan.lookup(bid, epoch)
-        compute, busy, nsub = self._inner(bid, node.spec)
-        compute += self.cluster.slave_overhead
-        slow = self.config.worker_fault_plan.slow_factor(k)
-        if slow > 1.0:
-            compute *= slow
-            if not node.slow_noted:
-                node.slow_noted = True
-                self.faults_injected += 1
-                if self.obs is not None:
-                    self.obs.emit(
-                        "worker-slow", bid, epoch=epoch, node=k, worker=k,
-                        scope="task", factor=slow,
-                    )
-        if fault is not None and fault.kind == "crash":
-            crash_at = compute_start + 0.5 * compute
-            node.busy_until = crash_at
-            self.evq.at(crash_at, lambda k=k: self._node_idle(k), label=("idle", k))
-        elif fault is not None and fault.kind == "hang":
-            recover_at = compute_start + 2.0 * self.config.task_timeout
-            node.busy_until = recover_at
-            self.evq.at(recover_at, lambda k=k: self._node_idle(k), label=("idle", k))
-        else:
-            done = compute_start + compute
-            node.busy_until = done
-            if self.sched.observing:
-                self.sched.record(
-                    "compute", bid, epoch, k, node=k, ts=done,
-                    t0=compute_start, t1=done,
-                )
-            self.busy_thread_seconds += busy
-            self.n_subtasks += nsub
-            # NIC reservation for the result transfer happens when compute
-            # finishes, not now — reserving a future slot at dispatch time
-            # would wrongly serialize every other node's input transfer
-            # behind this task.
-            self.evq.at(
-                done,
-                lambda bid=bid, epoch=epoch, k=k: self._compute_done(bid, epoch, k),
-                label=("compute-done", bid, epoch, k),
-            )
+    # -- dispatch: one path, a lone assignment is a wave of one ------------------
 
-    # -- batched wavefront dispatch (``config.batch_wave``) -----------------------
+    def _gather_wave(self, k: int) -> List[TaskId]:
+        """Pop what one envelope to node ``k`` carries: up to ``max_batch``
+        eligible ready tasks under ``batch_wave``, else one."""
+        limit = self.config.max_batch if self.config.batch_wave else 1
+        wave: List[TaskId] = []
+        while len(wave) < limit:
+            idx = self.policy.select_index(k, self.ready)
+            if idx is None:
+                break
+            wave.append(self.ready.pop(idx))
+        return wave
 
-    def _dispatch_wave(self, k: int) -> None:
-        """Assign one BatchAssign-equivalent: up to ``max_batch`` eligible
-        ready tasks in ONE modeled envelope and ONE input transfer.
+    def _send_wave(
+        self, k: int, wave: List[TaskId]
+    ) -> Tuple[List[Tuple[TaskId, int]], float]:
+        """Assign ``wave`` in ONE modeled envelope and ONE input transfer;
+        returns the (bid, epoch) elements that reach the node — none when
+        the envelope is lost — and the instant the transfer is over.
 
         Per-subtask semantics are preserved exactly as in the real master:
         every element registers its own epoch, gets its own timeout watch,
@@ -571,16 +487,6 @@ class _SimulatedRun:
         whole wave instead of 2 per task) is amortized.
         """
         node = self.nodes[k]
-        wave: List[TaskId] = []
-        while len(wave) < self.config.max_batch:
-            idx = self.policy.select_index(k, self.ready)
-            if idx is None:
-                break
-            wave.append(self.ready.pop(idx))
-        if not wave:
-            node.parked_since = self.evq.now
-            return
-        node.parked_since = None
         now = self.evq.now
         in_bytes = MESSAGE_ENVELOPE_BYTES  # ONE envelope for the wave
         in_each: List[int] = []
@@ -599,55 +505,63 @@ class _SimulatedRun:
         xfer = self.cluster.link.transfer_time(in_bytes)
         self.master_nic_free = start + xfer
         node.nic_free = start + xfer
-        self.messages += 2  # idle signal + the batch assignment
+        self.messages += 2  # idle signal + the assignment envelope
         self.bytes_to_slaves += in_bytes
+        xfer_done = start + xfer
         if self.sched.observing:
-            self.sched.record(
-                "batch-assemble", None, -1, k, node=k, ts=now,
-                t0=now, t1=now, n_tasks=len(parts),
-            )
+            if self.config.batch_wave:
+                self.sched.record(
+                    "batch-assemble", None, -1, k, node=k, ts=now,
+                    t0=now, t1=now, n_tasks=len(parts),
+                )
+            # The input transfer occupies [start, xfer_done) on the link —
+            # recorded as reserved spans in sim-time. The envelope's own
+            # bytes ride on the first element, so the spans of a wave add
+            # up to what ``bytes_to_slaves`` was charged for it.
+            in_each[0] += MESSAGE_ENVELOPE_BYTES
             for (bid, epoch), nb in zip(parts, in_each):
                 self.sched.record(
                     "send", bid, epoch, k, node=k, ts=start,
-                    t0=start, t1=start + xfer, nbytes=nb,
+                    t0=start, t1=xfer_done, nbytes=nb,
                 )
-        xfer_done = start + xfer
         rule = None
         if self.config.message_fault_plan:
+            mtype = "BatchAssign" if self.config.batch_wave else "TaskAssign"
             rule = self.config.message_fault_plan.decide(
-                "send", "BatchAssign", wave[0], node.sent_index, endpoint=k
+                "send", mtype, wave[0], node.sent_index, endpoint=k
             )
             node.sent_index += 1
         if rule is not None:
             bid0, ep0 = parts[0]
-            self._note_msg_fault(rule.kind, bid0, ep0, k, "BatchAssign")
+            self._note_msg_fault(rule.kind, bid0, ep0, k, mtype)
             if rule.kind == "drop":
                 # The whole envelope never arrives: every registration
                 # rides the overtime check to redistribution.
-                self.evq.at(xfer_done, lambda k=k: self._node_idle(k), label=("idle", k))
-                return
+                return [], xfer_done
             if rule.kind == "corrupt" and self.integrity.digest_on:
-                # The slave verifies per-subtask digests and rejects only
-                # the mutated element; the rest of the wave computes.
+                # The mutated element's digest is now stale: the slave
+                # verifies per-subtask digests and rejects only that one
+                # (it rides the overtime check like a drop); the rest of
+                # the wave computes.
                 if self.obs is not None:
                     self.obs.emit(
                         "digest-reject", bid0, epoch=ep0, node=k,
                         scope="message", hop="assign",
                     )
                 parts = parts[1:]
-                if not parts:
-                    self.evq.at(
-                        xfer_done, lambda k=k: self._node_idle(k), label=("idle", k)
-                    )
-                    return
             elif rule.kind in ("corrupt", "bitflip"):
-                # Undetected input mutation of one element of the wave.
+                # Undetected input mutation of one element: ``corrupt``
+                # with digests off is consumed unverified; ``bitflip``
+                # restamps a self-consistent digest either way. The node
+                # computes on garbage — its result will be wrong.
                 self.live_taint[(bid0, ep0)] = f"assign-{rule.kind}"
             if rule.kind == "delay":
                 xfer_done += rule.delay
             elif rule.kind == "duplicate":
+                # The slave computes the copy too, but its second result
+                # is epoch-stale; one extra message models it.
                 self.messages += 1
-        self._begin_wave_compute(k, parts, xfer_done)
+        return parts, xfer_done
 
     def _begin_wave_compute(
         self, k: int, parts: List[Tuple[TaskId, int]], compute_start: float
@@ -679,7 +593,7 @@ class _SimulatedRun:
                 continue
             if fault is not None and fault.kind == "hang":
                 # The element stalls past the deadline; skipped, recovered
-                # by its own timeout like the single-dispatch hang.
+                # by its own timeout.
                 t += 2.0 * self.config.task_timeout
                 continue
             if self.sched.observing:
@@ -695,6 +609,10 @@ class _SimulatedRun:
         if not survivors:
             self.evq.at(t, lambda k=k: self._node_idle(k), label=("idle", k))
             return
+        # NIC reservation for the result transfer happens when compute
+        # finishes, not now — reserving a future slot at dispatch time
+        # would wrongly serialize every other node's input transfer
+        # behind this wave.
         self.evq.at(
             t,
             lambda: self._wave_done(k, survivors),
@@ -702,13 +620,14 @@ class _SimulatedRun:
         )
 
     def _wave_done(self, k: int, parts: List[Tuple[TaskId, int]]) -> None:
-        """The wave finished computing: ship ONE BatchResult envelope."""
+        """The wave finished computing: ship ONE result envelope (Fig 11 g/h)."""
         self._account()
         node = self.nodes[k]
         lie_point = self.config.worker_fault_plan.lie_point(k)
         if lie_point is not None and node.tasks_done >= lie_point:
             # Past its lie point the node perturbs every element it
-            # returns; each stays self-consistent on the wire.
+            # returns *before* digesting, so each stays self-consistent on
+            # the wire — only audit or vote can convict it.
             self.faults_injected += 1
             for bid, epoch in parts:
                 self.live_taint[(bid, epoch)] = "worker-liar"
@@ -728,16 +647,17 @@ class _SimulatedRun:
         self.messages += 1  # ONE result envelope for the whole wave
         self.bytes_to_master += out_bytes
         arrive = send_start + out_xfer
+        bid0, ep0 = parts[0]
         reject: Optional[Tuple[TaskId, int]] = None
         rule = None
         if self.config.message_fault_plan:
+            mtype = "BatchResult" if self.config.batch_wave else "TaskResult"
             rule = self.config.message_fault_plan.decide(
-                "recv", "BatchResult", parts[0][0], node.recv_index, endpoint=k
+                "recv", mtype, bid0, node.recv_index, endpoint=k
             )
             node.recv_index += 1
         if rule is not None:
-            bid0, ep0 = parts[0]
-            self._note_msg_fault(rule.kind, bid0, ep0, k, "BatchResult")
+            self._note_msg_fault(rule.kind, bid0, ep0, k, mtype)
             if rule.kind == "drop":
                 # The whole envelope is lost; every element rides the
                 # overtime check while the node serves on.
@@ -745,9 +665,10 @@ class _SimulatedRun:
                 return
             if rule.kind == "corrupt":
                 if self.integrity.digest_on:
-                    # The master verifies per-subtask digests: the mutated
-                    # element is rejected (charged requeue), the rest of
-                    # the wave commits normally.
+                    # The master verifies per-subtask digests on receive:
+                    # the mutated element is rejected (charged to the retry
+                    # budget and requeued at once — no overtime wait), the
+                    # rest of the wave commits normally.
                     reject = (bid0, ep0)
                     parts = parts[1:]
                 else:
@@ -757,11 +678,14 @@ class _SimulatedRun:
             if rule.kind == "delay":
                 arrive += rule.delay
             elif rule.kind == "duplicate":
-                self.messages += 1  # the echo lands element-wise stale
+                # The second copy lands behind the first, element by
+                # element, and finds every epoch already settled.
+                self.messages += 1
+                parts = parts * 2
         self.evq.at(
             arrive,
             lambda: self._batch_arrival(k, parts, reject),
-            label=("batch-result", k, parts[0][0] if parts else None),
+            label=("result", k, bid0, ep0),
         )
 
     def _batch_arrival(
@@ -770,98 +694,15 @@ class _SimulatedRun:
         parts: List[Tuple[TaskId, int]],
         reject: Optional[Tuple[TaskId, int]] = None,
     ) -> None:
-        """One BatchResult landed: commit every element, then go idle once."""
+        """One result envelope landed: commit every element, then go idle once."""
         self._account()
         self.core.heard_from(k, self.evq.now)
         if reject is not None:
             self._apply(self.core.digest_reject(reject[0], reject[1], k))
-        for bid, epoch in parts:
-            self._commit_result(bid, epoch, k)
-        self._node_idle(k)
-
-    def _compute_done(self, bid: TaskId, epoch: int, k: int) -> None:
-        """Compute finished on node ``k``: ship the result back (Fig 11 g/h)."""
-        self._account()
-        node = self.nodes[k]
-        lie_point = self.config.worker_fault_plan.lie_point(k)
-        if lie_point is not None and node.tasks_done >= lie_point:
-            # The lying node perturbs its outputs *before* digesting, so
-            # the result is self-consistent on the wire — only audit or
-            # vote can convict it.
-            self.faults_injected += 1
-            self.live_taint[(bid, epoch)] = "worker-liar"
-            if self.obs is not None:
-                self.obs.emit(
-                    "worker-liar", bid, epoch=epoch, node=k, worker=k,
-                    scope="task", after_tasks=lie_point,
-                )
-        out_bytes = self.problem.output_bytes(self.partition, bid) + MESSAGE_ENVELOPE_BYTES
-        send_start = max(self.evq.now, node.nic_free, self.master_nic_free)
-        out_xfer = self.cluster.link.transfer_time(out_bytes)
-        node.nic_free = send_start + out_xfer
-        self.master_nic_free = send_start + out_xfer
-        node.busy_until = send_start + out_xfer
-        self.messages += 1
-        self.bytes_to_master += out_bytes
-        arrive = send_start + out_xfer
-        rule = None
-        if self.config.message_fault_plan:
-            rule = self.config.message_fault_plan.decide(
-                "recv", "TaskResult", bid, node.recv_index, endpoint=k
-            )
-            node.recv_index += 1
-        if rule is not None:
-            self._note_msg_fault(rule.kind, bid, epoch, k, "TaskResult")
-            if rule.kind == "drop":
-                # The result never reaches the master: the registration
-                # rides the overtime check; the node itself serves on.
-                self.evq.at(arrive, lambda k=k: self._node_idle(k), label=("idle", k))
-                return
-            if rule.kind == "corrupt":
-                if self.integrity.digest_on:
-                    # The master verifies the result digest on receive:
-                    # reject, charge the retry budget, requeue at once —
-                    # no overtime wait.
-                    self.evq.at(
-                        arrive,
-                        lambda: self._digest_reject(bid, epoch, k),
-                        label=("digest-reject", bid, epoch, k),
-                    )
-                    return
-                self.live_taint[(bid, epoch)] = "result-corrupt"
-            elif rule.kind == "bitflip":
-                self.live_taint[(bid, epoch)] = "result-bitflip"
-            if rule.kind == "delay":
-                arrive += rule.delay
-            elif rule.kind == "duplicate":
-                self.messages += 1
-                self.evq.at(
-                    arrive,
-                    lambda: self._result_echo(bid, epoch, k),
-                    label=("result-echo", bid, epoch, k),
-                )
-        self.evq.at(
-            arrive, lambda: self._result(bid, epoch, k), label=("result", bid, epoch, k)
-        )
-
-    def _result_echo(self, bid: TaskId, epoch: int, k: int) -> None:
-        """The second copy of a duplicated result: always epoch-stale by
-        the time it lands (the first copy deregistered the task)."""
-        if not self.core.is_live(bid, epoch):
-            self._apply(self.core.result(bid, epoch, k))
-
-    def _digest_reject(self, bid: TaskId, epoch: int, k: int) -> None:
-        """A mutated result whose digest went stale lands at the master,
-        which rejects it at receive; the node serves on."""
-        self._account()
-        self.core.heard_from(k, self.evq.now)
-        self._apply(self.core.digest_reject(bid, epoch, k))
-        self._node_idle(k)
-
-    def _result(self, bid: TaskId, epoch: int, k: int) -> None:
-        self._account()
-        self.core.heard_from(k, self.evq.now)
-        self._commit_result(bid, epoch, k)
+        for i, (bid, epoch) in enumerate(parts):
+            # As on the assign side, the envelope's own bytes ride on the
+            # first element's span.
+            self._commit_result(bid, epoch, k, 0 if i else MESSAGE_ENVELOPE_BYTES)
         self._node_idle(k)  # the node serves on (also after a stale drop)
 
     # -- performing the core's actions ------------------------------------------------
@@ -899,10 +740,11 @@ class _SimulatedRun:
             None, self.core.committed, self.core.attempts_snapshot()
         )
 
-    def _commit_result(self, bid: TaskId, epoch: int, k: int) -> None:
-        """Land one result at the master: stale-drop or journal + commit +
-        integrity check + ready-wake. Shared between the single-result
-        path and a batch arrival; the caller idles the node afterwards."""
+    def _commit_result(self, bid: TaskId, epoch: int, k: int, envelope: int) -> None:
+        """Land one element of a result envelope at the master: stale-drop
+        or journal + commit + integrity check + ready-wake. ``envelope`` is
+        the share of the envelope's bytes its ``result`` span carries; the
+        caller idles the node afterwards."""
         stale = self.core.result(bid, epoch, k)
         if stale:
             self._apply(stale)
@@ -929,9 +771,7 @@ class _SimulatedRun:
         self.core.commit(bid, epoch, k)
         if self.sched.enabled:
             if self.sched.observing:
-                out_bytes = (
-                    self.problem.output_bytes(self.partition, bid) + MESSAGE_ENVELOPE_BYTES
-                )
+                out_bytes = self.problem.output_bytes(self.partition, bid) + envelope
                 self.sched.record("result", bid, epoch, k, node=k, nbytes=out_bytes)
             # Before parser.complete so successors' assigns serialize
             # after this commit in the event log.

@@ -343,21 +343,13 @@ def _execute_one(
             config, run_id=f"chaos-{backend}-s{seed}-p{os.getpid()}"
         )
     problem = _build_problem(spec)
-    box: Dict[str, object] = {}
-
-    def target() -> None:
-        try:
-            box["run"] = EasyHPS(config).run(problem)
-        except BaseException as exc:  # classified below, never swallowed
-            box["exc"] = exc
-
     started = time.perf_counter()
-    t = threading.Thread(target=target, daemon=True, name=f"chaos-{backend}-{seed}")
-    t.start()
-    t.join(timeout=spec.run_timeout)
+    box = _run_boxed(
+        spec, f"chaos-{backend}-{seed}", lambda: EasyHPS(config).run(problem)
+    )
     elapsed = time.perf_counter() - started
 
-    if t.is_alive():
+    if not box:
         # The one outcome the design promises cannot happen. The runner
         # abandons the daemon thread and reports it.
         return RunOutcome(
@@ -370,16 +362,10 @@ def _execute_one(
         # reclaimed every block segment this master parked. (The hang
         # path above legitimately still holds segments, so it returns
         # before this check.)
-        from repro.comm.shm import leaked_segments, run_prefix, sweep_segments
-
-        prefix = run_prefix(config.run_id)
-        leaks = leaked_segments(prefix)
-        if leaks:
-            sweep_segments(prefix)  # don't poison later seeds
+        leaked = _shm_leak(config.run_id)
+        if leaked:
             return RunOutcome(
-                backend, seed, "invariant-violation",
-                detail=f"{len(leaks)} shm segments leaked: {leaks[:3]}",
-                elapsed=elapsed,
+                backend, seed, "invariant-violation", detail=leaked, elapsed=elapsed
             )
     exc = box.get("exc")
     if isinstance(exc, FaultToleranceExhausted):
@@ -442,6 +428,20 @@ def _execute_one(
         )
         outcome.trace_path = path
     return outcome
+
+
+def _shm_leak(run_id: str) -> Optional[str]:
+    """What a settled run left in its shm namespace, as a finding (None
+    when clean); leaked segments are swept so they don't poison later
+    seeds."""
+    from repro.comm.shm import leaked_segments, run_prefix, sweep_segments
+
+    prefix = run_prefix(run_id)
+    leaks = leaked_segments(prefix)
+    if not leaks:
+        return None
+    sweep_segments(prefix)
+    return f"{len(leaks)} shm segments leaked: {leaks[:3]}"
 
 
 def _run_boxed(spec: CampaignSpec, name: str, fn: Callable[[], object]) -> Dict[str, object]:

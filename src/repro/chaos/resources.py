@@ -34,6 +34,7 @@ from repro.chaos.campaign import (
     RunOutcome,
     _build_problem,
     _run_boxed,
+    _shm_leak,
     _states_equal,
     chaos_config,
 )
@@ -111,13 +112,9 @@ def _execute_resource(
             except JournalError as exc:
                 problems.append(f"journal unrecoverable: {exc}")
         if backend == "processes":
-            from repro.comm.shm import leaked_segments, run_prefix, sweep_segments
-
-            prefix = run_prefix(config.run_id)
-            leaks = leaked_segments(prefix)
-            if leaks:
-                sweep_segments(prefix)  # don't poison later seeds
-                problems.append(f"{len(leaks)} shm segments leaked: {leaks[:3]}")
+            leaked = _shm_leak(config.run_id)
+            if leaked:
+                problems.append(leaked)
         if problems and outcome.status in ("ok", "aborted"):
             outcome.status = "invariant-violation"
             outcome.detail = (f"{detail}; " + "; ".join(problems))[:300]

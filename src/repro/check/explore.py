@@ -411,9 +411,7 @@ def _fingerprint(run: Any) -> Tuple[Any, ...]:
             n.dead,
             n.tasks_done,
             n.parked_since is not None,
-            None
-            if n.pending is None
-            else (n.pending[0], n.pending[1], _rel(n.pending[2], now), _rel(n.pending[3], now)),
+            None if n.pending is None else (tuple(n.pending[0]), _rel(n.pending[1], now)),
             n.sent_index,
             n.recv_index,
             n.beacon_index,
@@ -864,17 +862,15 @@ def reorder_double_commit_model() -> type[Any]:
     from repro.backends.simulated import _SimulatedRun
 
     class _ReorderDoubleCommitRun(_SimulatedRun):
-        def _result(self, bid: Any, epoch: int, k: int) -> None:
+        def _commit_result(self, bid: Any, epoch: int, k: int, envelope: int) -> None:
             core = self.core
             stale = not core.is_live(bid, epoch)
             if stale and core.attempts(bid) and core.committed.get(bid) != epoch:
                 # Defect: merge the stale result instead of dropping it.
-                self._account()
                 core.committed.setdefault(bid, epoch)
                 if self.sched.enabled:
                     self.sched.record("commit", bid, epoch, k)
-                self._node_idle(k)
                 return
-            super()._result(bid, epoch, k)
+            super()._commit_result(bid, epoch, k, envelope)
 
     return _ReorderDoubleCommitRun

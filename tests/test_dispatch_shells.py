@@ -184,6 +184,14 @@ PLANS = {
         ),
         ("blacklist", "quarantine", "abort"),
     ),
+    # T's result is delivered twice: the second copy lands behind the
+    # first, finds the epoch settled and is dropped as stale.
+    "duplicated-result": (
+        lambda: dict(
+            message_fault_plan=MessageFaultPlan([Once("duplicate", **result_of(T))])
+        ),
+        (*DECISIONS, "abort"),
+    ),
 }
 
 

@@ -322,3 +322,36 @@ class TestStructure:
                 and n.value.id == owner
             ]
             assert not copies, copies
+
+    def test_the_simulator_dispatches_one_way(self):
+        """``_SimulatedRun`` has no method reachable only with
+        ``batch_wave`` off, and reads the knob only where it sizes the
+        wave, names the envelope, records ``batch-assemble`` or gates
+        prefetch — what the knob decides on the real wire."""
+        rel = "backends/simulated.py"
+        tree = ast.parse((SRC / rel).read_text(), filename=rel)
+        (run,) = [
+            n for n in ast.walk(tree)
+            if isinstance(n, ast.ClassDef) and n.name == "_SimulatedRun"
+        ]
+        methods = {fn.name: fn for fn in run.body if isinstance(fn, ast.FunctionDef)}
+        single_only = {"_dispatch", "_begin_compute", "_compute_done", "_result", "_digest_reject"}
+        assert not single_only & set(methods)
+
+        reads = sorted(
+            (name, n.lineno)
+            for name, fn in methods.items()
+            for n in ast.walk(fn)
+            if isinstance(n, ast.Attribute) and n.attr == "batch_wave"
+        )
+        everywhere = [
+            n for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr == "batch_wave"
+        ]
+        assert len(everywhere) == len(reads)  # none outside the class
+        assert [name for name, _ in reads] == [
+            "_gather_wave",  # sizes the wave
+            "_send_wave",  # records batch-assemble
+            "_send_wave",  # names the assign envelope
+            "_try_prefetch",  # gates prefetch
+            "_wave_done",  # names the result envelope
+        ]
