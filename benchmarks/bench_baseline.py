@@ -11,6 +11,7 @@ Three verbs::
 
     python benchmarks/bench_baseline.py              # measure and print
     python benchmarks/bench_baseline.py --write --label <rev>   # append
+    python benchmarks/bench_baseline.py --write --label <pr> --bench claim.json
     python benchmarks/bench_baseline.py --check      # compare vs latest
 
 What is comparable: the byte/message counters of the serial and
@@ -19,12 +20,15 @@ simulated backends and the simulated makespan are fully deterministic
 requires them equal to the latest recorded entry — the refactor oracle.
 The threads/processes backends' message counts depend on poll timing and
 their wall times on machine load; those are recorded, never compared
-(timing is ``bench/``'s job).
+(timing is ``bench/``'s job). A PR that claims a gain passes ``--bench``:
+a JSON file ``{workload: {metric: {median, runs, bound, parent_median}}}``
+of ``bench/run.py``'s numbers, stored on the entry as its ``bench`` object.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 
@@ -47,8 +51,16 @@ __all__ = ["BASELINE_PATH", "STANDARD", "measure", "measure_backend"]
 BASELINE_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_BASELINE.json")
 
 
-def cmd_write(label: str) -> int:
-    entry = append_entry(BASELINE_PATH, label=label)
+def cmd_write(label: str, bench_path: str | None) -> int:
+    bench = None
+    if bench_path is not None:
+        with open(bench_path, encoding="utf-8") as fh:
+            bench = json.load(fh)
+    try:
+        entry = append_entry(BASELINE_PATH, label=label, bench=bench)
+    except ConfigError as exc:
+        print(exc, file=sys.stderr)
+        return 1
     print(f"recorded entry {entry['label']!r} -> {os.path.normpath(BASELINE_PATH)}")
     print(format_measurement(entry["backends"]))
     return 0
@@ -84,9 +96,18 @@ def main() -> int:
         default=None,
         help="entry label for --write (defaults to `git describe` output)",
     )
+    ap.add_argument(
+        "--bench",
+        default=None,
+        metavar="JSON",
+        help="with --write: file holding the entry's bench object (a claimed gain)",
+    )
     args = ap.parse_args()
+    if args.bench is not None and not args.write:
+        ap.error("--bench only goes with --write")
     if args.write:
-        return cmd_write(args.label if args.label is not None else git_describe_label())
+        label = args.label if args.label is not None else git_describe_label()
+        return cmd_write(label, args.bench)
     if args.check:
         return cmd_check()
     print(format_measurement(measure()))

@@ -8,9 +8,10 @@ transport round-trips. pytest-benchmark reports ops/sec.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from repro.algorithms import EditDistance, Nussinov
-from repro.algorithms.kernels import edit_distance_region, nussinov_region
+from repro.algorithms.kernels import edit_distance_region, nussinov_region, swgg_region
 from repro.comm.messages import TaskAssign
 from repro.comm.transport import channel_pair
 from repro.dag.library import TriangularPattern, WavefrontPattern
@@ -36,14 +37,44 @@ def test_partition_triangular_paper_scale(benchmark):
     assert part.n_blocks == 50 * 51 // 2
 
 
-def test_edit_distance_kernel_cells_per_second(benchmark):
-    block = 256
-    D = np.zeros((block + 1, block + 1))
-    D[0, :] = np.arange(block + 1)
-    D[:, 0] = np.arange(block + 1)
-    sub = np.random.default_rng(0).random((block, block)).round()
+def _ns_per_cell(benchmark, capsys, kernel: str, region: int) -> None:
+    """Cost per cell is set by region size (numpy calls per row), so the
+    kernel rows are a curve over it; print the point next to the table,
+    which is per call."""
+    if benchmark.stats is None:  # --benchmark-disable: ran once, untimed
+        return
+    ns = benchmark.stats["mean"] * 1e9 / (region * region)
+    with capsys.disabled():
+        print(f"\n  {kernel} r={region}: {ns:.1f} ns/cell")
 
-    benchmark(lambda: edit_distance_region(D, sub, range(block), range(block)))
+
+@pytest.mark.parametrize("region", [25, 62, 250])
+def test_edit_distance_kernel_cells_per_second(benchmark, capsys, region):
+    """Thread-partition (25, 62) and process-partition (250) region sizes
+    of edit distance n = 800 / 2000."""
+    D = np.zeros((region + 1, region + 1))
+    D[0, :] = np.arange(region + 1)
+    D[:, 0] = np.arange(region + 1)
+    sub = np.random.default_rng(0).random((region, region)).round()
+
+    benchmark(lambda: edit_distance_region(D, sub, range(region), range(region)))
+    _ns_per_cell(benchmark, capsys, "edit_distance_region", region)
+
+
+@pytest.mark.parametrize("region", [12, 50])
+def test_swgg_kernel_cells_per_second(benchmark, capsys, region):
+    """A region of a mid-matrix 50 x 50 block of SWGG n = 400 (200-cell
+    row and column prefixes), at the thread and process partition sizes."""
+    block, origin = 50, 200
+    rng = np.random.default_rng(0)
+    Hloc = rng.random((block + 1, block + 1))
+    Hrow, Hcol = rng.random((block, origin)), rng.random((origin, block))
+    sub = rng.random((block, block))
+    gap = 2.0 + 0.5 * np.arange(origin + block + 2)
+    rows = cols = range(region)
+
+    benchmark(lambda: swgg_region(Hloc, Hrow, Hcol, sub, gap, origin, origin, rows, cols))
+    _ns_per_cell(benchmark, capsys, "swgg_region", region)
 
 
 def test_nussinov_kernel_block(benchmark):

@@ -6,26 +6,61 @@ matrix) so the same code serves serial whole-block evaluation and
 thread-level sub-block evaluation; callers guarantee the DAG ordering that
 makes the reads safe.
 
-Vectorization strategy follows the HPC guides: anti-diagonal sweeps turn
-the 2D/0D recurrences into O(h+w) numpy calls instead of O(h·w)
-interpreted steps, and the O(n) per-cell scans of the 2D/1D recurrences
-(general-gap Smith-Waterman, Nussinov bifurcation) are single ``np.max``
-reductions over contiguous slices.
+Cost per cell is set by how many numpy calls a region takes, not by the
+recurrence, so every kernel is written to make a handful of calls per
+*row* (or per span-diagonal) over contiguous or strided views, never per
+cell and never through index arrays:
+
+- edit distance and LCS scan each row once: the in-row dependency
+  ``D[b] = min(t[b], D[b-1] + 1)`` is a prefix minimum of ``t[b] - b``
+  (``np.minimum.accumulate``), and the LCS one a plain prefix maximum;
+- Needleman-Wunsch keeps the anti-diagonal order (a real-valued gap makes
+  the prefix form round differently) but addresses each diagonal as a
+  strided slice of the flat local matrix;
+- general-gap Smith-Waterman reduces the column scan and the
+  left-of-region part of the row scan as one 2-D reduction per source
+  array per row, leaving only the in-region row dependency as a loop;
+- Nussinov and matrix-chain sweep a region by increasing span ``j - i``:
+  the cells of one span-diagonal are independent, and their split scans
+  are the rows of two strided windows over the working matrix.
+
+Two rules hold for every kernel. Each store into the shared matrix is the
+cell's *final* value — intermediates live in temporaries, never parked in
+place between two numpy calls — because the thread level re-pushes a late
+sub-sub-task while the thread that holds it may still be computing
+(Fig 12; ``SlavePart._run_pool``), so a region can be computed twice at
+once and once more after its successors started reading it. And every
+formulation reproduces, bit for bit in ``float64``, the per-cell
+recurrence it replaces on every input a problem class can produce;
+``tests/test_kernel_differential.py`` holds them to that against the
+per-cell and per-anti-diagonal originals, and ``docs/algorithms.md``
+(section "Region kernels") gives the argument and the precondition for
+each.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-NEG_INF = float(-1e30)
+
+def _windows(buf: np.ndarray, start: int, shape: tuple, steps: tuple) -> np.ndarray:
+    """Overlapping-window view of a contiguous array:
+    ``out[p, q] = buf.flat[start + p * steps[0] + q * steps[1]]``.
+
+    The ``ndarray`` constructor checks the extent against the buffer and
+    refuses a non-contiguous one, so a bad index raises ``ValueError``
+    instead of reading foreign memory (and it costs a tenth of
+    ``as_strided``, which matters at 1 x 1 regions).
+    """
+    size = buf.itemsize
+    return np.ndarray(shape, buf.dtype, buf, start * size, (steps[0] * size, steps[1] * size))
 
 
-def antidiagonal_indices(h: int, w: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row/col index arrays of anti-diagonal ``d`` of an ``h x w`` region."""
-    a0 = max(0, d - w + 1)
-    a1 = min(h - 1, d)
-    rows = np.arange(a0, a1 + 1)
-    return rows, d - rows
+def _flat(M: np.ndarray) -> np.ndarray:
+    """Flat writable view of a C-contiguous working matrix."""
+    if not M.flags.c_contiguous:
+        raise ValueError("the working matrix must be C-contiguous")
+    return M.reshape(-1)
 
 
 def edit_distance_region(D: np.ndarray, sub: np.ndarray, rows: range, cols: range) -> None:
@@ -36,33 +71,54 @@ def edit_distance_region(D: np.ndarray, sub: np.ndarray, rows: range, cols: rang
     the 0/1 mismatch matrix for the whole block. ``rows``/``cols`` are
     0-based cell ranges within the block; cell ``(a, b)`` lives at
     ``D[a+1, b+1]``.
+
+    One scan per row: with ``t[b] = min(up + 1, diag + sub)`` the row is
+    ``D[b] = min_{k <= b} t[k] + (b - k)``, i.e. a prefix minimum of
+    ``t[k] - k`` plus ``b``. The scan carries the row in that shifted form
+    (``y[k] = D[k] - k``). Precondition: boundary and ``sub`` values are
+    integers (below 2**53), so the shifts are exact and the result equals
+    the cell-by-cell recurrence bit for bit.
     """
     h, w = len(rows), len(cols)
+    if h == 0 or w == 0:
+        return
     r0, c0 = rows.start, cols.start
     V = D[r0 : r0 + h + 1, c0 : c0 + w + 1]
-    S = sub[r0 : r0 + h, c0 : c0 + w]
-    for d in range(h + w - 1):
-        a, b = antidiagonal_indices(h, w, d)
-        V[a + 1, b + 1] = np.minimum(
-            np.minimum(V[a, b + 1] + 1, V[a + 1, b] + 1),
-            V[a, b] + S[a, b],
-        )
+    # diag + sub in shifted form: (D[k-1] - (k-1)) + (sub - 1) = D[k-1] + sub - k.
+    S1 = sub[r0 : r0 + h, c0 : c0 + w] - 1.0
+    k = np.arange(w + 1, dtype=np.float64)
+    y = V[0] - k
+    for a in range(h):
+        diag = y[:-1] + S1[a]
+        np.minimum(y[1:] + 1.0, diag, out=y[1:])
+        y[0] = V[a + 1, 0]
+        np.minimum.accumulate(y, out=y)
+        np.add(y[1:], k[1:], out=V[a + 1, 1:])
 
 
 def lcs_region(D: np.ndarray, match: np.ndarray, rows: range, cols: range) -> None:
     """Fill a longest-common-subsequence region in place (same layout as
-    :func:`edit_distance_region`, ``match`` boolean)."""
+    :func:`edit_distance_region`, ``match`` boolean).
+
+    One scan per row: ``D[b] = max(D[b-1], up, diag + match)`` as a prefix
+    maximum. Precondition: the boundaries come from an LCS table, which is
+    monotone with unit steps (``diag <= up, left <= diag + 1``). Then on a
+    match ``diag + 1`` dominates and on a mismatch ``diag`` is dominated,
+    which is the textbook ``match ? diag + 1 : max(up, left)``; the values
+    are integers, so the two agree bit for bit.
+    """
     h, w = len(rows), len(cols)
+    if h == 0 or w == 0:
+        return
     r0, c0 = rows.start, cols.start
     V = D[r0 : r0 + h + 1, c0 : c0 + w + 1]
     M = match[r0 : r0 + h, c0 : c0 + w]
-    for d in range(h + w - 1):
-        a, b = antidiagonal_indices(h, w, d)
-        V[a + 1, b + 1] = np.where(
-            M[a, b],
-            V[a, b] + 1,
-            np.maximum(V[a, b + 1], V[a + 1, b]),
-        )
+    for a in range(h):
+        t = V[a, :-1] + M[a]
+        np.maximum(t, V[a, 1:], out=t)
+        if V[a + 1, 0] > t[0]:  # the left boundary heads the prefix maximum
+            t[0] = V[a + 1, 0]
+        np.maximum.accumulate(t, out=V[a + 1, 1:])
 
 
 def needleman_wunsch_region(
@@ -72,17 +128,35 @@ def needleman_wunsch_region(
 
     Same layout as :func:`edit_distance_region`; ``scores`` holds the
     per-cell substitution scores and ``gap`` the (positive) per-symbol
-    gap penalty. Max-form recurrence.
+    gap penalty. Max-form recurrence. ``D`` must be C-contiguous.
+
+    ``gap`` is any float, so ``accumulate(t + gap * k) - gap * k`` would
+    round differently from the recurrence; the region is swept by
+    anti-diagonals instead, each one a slice of the flat matrix with step
+    ``ncols - 1`` (one cell down, one cell left), and every cell is the
+    recurrence's own three operations.
     """
     h, w = len(rows), len(cols)
+    if h == 0 or w == 0:
+        return
     r0, c0 = rows.start, cols.start
-    V = D[r0 : r0 + h + 1, c0 : c0 + w + 1]
-    S = scores[r0 : r0 + h, c0 : c0 + w]
+    nd, ns = D.shape[1], scores.shape[1]
+    flat, sflat = _flat(D), scores.reshape(-1)
+    step, sstep = nd - 1, (ns - 1) or 1  # a one-column block has one-cell diagonals
     for d in range(h + w - 1):
-        a, b = antidiagonal_indices(h, w, d)
-        V[a + 1, b + 1] = np.maximum(
-            np.maximum(V[a, b + 1] - gap, V[a + 1, b] - gap),
-            V[a, b] + S[a, b],
+        a0 = max(0, d - w + 1)
+        n = min(h - 1, d) - a0 + 1
+        # Flat index of D[r0 + a0 + 1, c0 + (d - a0) + 1], the diagonal's top cell.
+        cell = (r0 + a0 + 1) * nd + c0 + d - a0 + 1
+        span = (n - 1) * step + 1
+        score = (r0 + a0) * ns + c0 + d - a0
+        up = flat[cell - nd : cell - nd + span : step]
+        left = flat[cell - 1 : cell - 1 + span : step]
+        diag = flat[cell - nd - 1 : cell - nd - 1 + span : step]
+        np.maximum(
+            np.maximum(up - gap, left - gap),
+            diag + sflat[score : score + (n - 1) * sstep + 1 : sstep],
+            out=flat[cell : cell + span : step],
         )
 
 
@@ -149,35 +223,81 @@ def swgg_region(
     - ``Hcol``  — ``(r0, w)``: full column prefixes ``H[0:r0, c0..]``.
     - ``sub``   — ``(h, w)`` substitution scores for the block's cells.
     - ``gap``   — ``gap[d]`` = penalty of a gap of length ``d`` (``gap[0]``
-      unused); length must cover ``max(m, n)``.
+      unused); contiguous, length must cover ``max(m, n)``.
 
     Recurrence (paper Section VI's SWGG): ``H[i,j] = max(0, H[i-1,j-1] +
     s(a_i, b_j), max_k H[i,k] - gap(j-k), max_k H[k,j] - gap(i-k))`` — the
     two scans are why the pattern is :class:`RowColPrefixPattern`.
+
+    A region row is computed at once. Everything above it and everything
+    left of the region is final, so the column scan is one ``(w x rows
+    above)`` reduction per source array (``Hcol``, ``Hloc``) and the row
+    scan over the columns left of the region one ``(w x columns)``
+    reduction per source array (``Hrow``, ``Hloc``) against ``T[b, k] =
+    gap[j_b - k]``, Toeplitz views of ``gap`` made once per region. What
+    is left is the row's dependency on itself: each finished cell pushes
+    ``H - gap`` onto the cells to its right. Every candidate is the same
+    ``H - gap`` subtraction as cell by cell and ``max`` is exact, so the
+    result is identical. Temporaries are one ``(w x prefix)`` array per
+    reduction, never a cube over the region's rows.
     """
+    h, w = len(rows), len(cols)
+    if h == 0 or w == 0:
+        return
+    cs, ce = cols.start, cols.stop
+    # T[b, k] = gap[j_b - k]: region column b (global j_b = c0 + cs + b)
+    # against global columns k < c0, then against block columns k < cs.
+    if c0:
+        Trow = _windows(gap, c0 + cs, (w, c0), (1, -1))
+    if cs:
+        Tloc = _windows(gap, cs, (w, cs), (1, -1))
+    above = Hcol.T[cs:ce]
+    push = gap[1:w]
     for a in rows:
         i = r0 + a
-        row_local = Hloc[a + 1]
-        for b in cols:
-            j = c0 + b
-            # E: gaps ending in the row, H[i, k] - gap(j - k).
-            # Global prefix k = 0..c0-1 maps to gap indices j..b+1, i.e.
-            # the reversed slice gap[j:b:-1] (length c0 since j = c0 + b);
-            # the local part k = c0..j-1 maps to gap[b:0:-1].
-            e = NEG_INF
-            if c0 > 0:
-                e = float(np.max(Hrow[a, :] - gap[j:b:-1]))
-            if b > 0:
-                e = max(e, float(np.max(row_local[1 : b + 1] - gap[b:0:-1])))
-            # F: gaps ending in the column, H[k, j] - gap(i - k); same
-            # split with rows (global stop index a, since i = r0 + a).
-            f = NEG_INF
-            if r0 > 0:
-                f = float(np.max(Hcol[:, b] - gap[i:a:-1]))
-            if a > 0:
-                f = max(f, float(np.max(Hloc[1 : a + 1, b + 1] - gap[a:0:-1])))
-            diag = Hloc[a, b] + sub[a, b]
-            row_local[b + 1] = max(0.0, diag, e, f)
+        best = np.maximum(Hloc[a, cs:ce] + sub[a, cs:ce], 0.0)
+        if r0:
+            np.maximum(best, (above - gap[i:a:-1]).max(axis=1), out=best)
+        if a:
+            within = Hloc[1 : a + 1, cs + 1 : ce + 1] - gap[a:0:-1, None]
+            np.maximum(best, within.max(axis=0), out=best)
+        if c0:
+            np.maximum(best, (Hrow[a] - Trow).max(axis=1), out=best)
+        if cs:
+            np.maximum(best, (Hloc[a + 1, 1 : cs + 1] - Tloc).max(axis=1), out=best)
+        for b in range(1, w):
+            right = best[b:]
+            np.maximum(right, best[b - 1] - push[: w - b], out=right)
+        Hloc[a + 1, cs + 1 : ce + 1] = best
+
+
+def _span_sweep(flat: np.ndarray, step: int, offset: int, rows: range, cols: range):
+    """Visit the cells ``i <= j`` of a region of a triangular window by
+    increasing span ``s = j - i``.
+
+    ``flat`` is the flat view of the ``N x N`` window and ``step = N + 1``
+    its diagonal stride. Every cell a span recurrence reads has a smaller
+    span, so this order is valid, and the cells of one span are
+    independent. Cells with ``s == 0`` are set to 0 here (the empty-span
+    value of both recurrences); for each longer span with cells ``(i0 + c,
+    i0 + c + s)``, ``c < n``, yields ``(s, i0, first, cells, splits)``:
+    ``first`` the flat index of cell 0, ``cells`` the writable slice of
+    all ``n`` and ``splits[c, t] = W[i, i+t] + W[i+t+1, j]`` the ``n x s``
+    sums of the two halves at every split point ``k = i + t``.
+    """
+    for s in range(max(0, cols.start - rows.stop + 1), cols.stop - rows.start):
+        i0 = max(rows.start, cols.start - s)
+        n = min(rows.stop, cols.stop - s) - i0
+        if n <= 0:
+            continue
+        first = (i0 - offset) * step + s
+        cells = flat[first : first + (n - 1) * step + 1 : step]
+        if s == 0:
+            cells[:] = 0.0
+            continue
+        left = _windows(flat, first - s, (n, s), (step, 1))
+        down = _windows(flat, first + step - 1, (n, s), (step, step - 1))
+        yield s, i0, first, cells, left + down
 
 
 def nussinov_region(
@@ -190,37 +310,35 @@ def nussinov_region(
 ) -> None:
     """Nussinov maximum base-pairing, one region of a window in place.
 
-    ``W`` is the block's working window: ``W[i - offset, j - offset]``
-    holds ``F[i, j]``; entries below the diagonal are fixed at 0 (empty
-    spans), which makes the recurrence uniform. ``can_pair[i - offset,
-    j - offset]`` says whether global bases i, j pair. ``rows``/``cols``
-    are *global* index ranges of the region; only cells with ``i <= j``
-    are computed. ``min_sep`` is the minimum hairpin separation: bases
-    pair only when ``j - i > min_sep``.
+    ``W`` is the block's working window (C-contiguous): ``W[i - offset,
+    j - offset]`` holds ``F[i, j]``; the diagonal and the entries below it
+    are 0 (empty spans), which makes the recurrence uniform.
+    ``can_pair[i - offset, j - offset]`` (boolean; copied per call unless
+    contiguous) says whether global bases i, j pair. ``rows``/``cols`` are
+    *global* index ranges of the region; only cells with ``i <= j`` are
+    computed. ``min_sep`` is the minimum hairpin separation: bases pair
+    only when ``j - i > min_sep``.
 
     Per cell: ``F[i,j] = max(F[i+1,j], F[i,j-1], F[i+1,j-1] + pair(i,j),
-    max_{i<=k<j} F[i,k] + F[k+1,j])`` — the bifurcation max is a single
-    vector reduction, which is also the O(n) data dependency that makes
-    Nussinov 2D/1D.
+    max_{i<=k<j} F[i,k] + F[k+1,j])`` — the bifurcation max is the O(n)
+    data dependency that makes Nussinov 2D/1D. The region is swept by span
+    (:func:`_span_sweep`), one row-wise reduction per span-diagonal. The
+    two unpaired cases are the splits ``k = i`` and ``k = j - 1`` (the
+    other half is an empty span, and ``x + 0.0`` is ``x``), so the scan
+    covers them.
     """
-    for i in reversed(rows):
-        li = i - offset
-        for j in cols:
-            if j < i:
-                continue
-            lj = j - offset
-            if j == i:
-                W[li, lj] = 0.0
-                continue
-            best = max(W[li + 1, lj], W[li, lj - 1])
-            if j - i > min_sep and can_pair[li, lj]:
-                best = max(best, W[li + 1, lj - 1] + 1.0)
-            # Bifurcation: k from i to j-1 (k == i duplicates the
-            # "unpaired i" case harmlessly since W[li, li] == 0).
-            if lj > li + 1:
-                ks = W[li, li : lj] + W[li + 1 : lj + 1, lj]
-                best = max(best, float(np.max(ks)))
-            W[li, lj] = best
+    flat = _flat(W)
+    step = W.shape[1] + 1
+    pairs = can_pair.reshape(-1)
+    pstep = can_pair.shape[1] + 1
+    for s, i0, first, cells, splits in _span_sweep(flat, step, offset, rows, cols):
+        best = splits.max(axis=1)
+        if s > min_sep:
+            last = len(cells) - 1
+            inner = flat[first + step - 2 : first + step - 1 + last * step : step]  # F[i+1, j-1]
+            p = (i0 - offset) * pstep + s
+            np.maximum(best, inner + 1.0, out=best, where=pairs[p : p + last * pstep + 1 : pstep])
+        cells[:] = best
 
 
 def matrix_chain_region(
@@ -232,24 +350,16 @@ def matrix_chain_region(
 ) -> None:
     """Matrix-chain-order cost, one region of a window in place.
 
-    Same window layout as :func:`nussinov_region` with min instead of max:
+    Same window layout and span sweep as :func:`nussinov_region` with min
+    instead of max:
     ``m[i,j] = min_{i<=k<j} m[i,k] + m[k+1,j] + dims[i]*dims[k+1]*dims[j+1]``
-    and ``m[i,i] = 0``. ``dims`` is the full dimension vector (length
-    ``n + 1`` for ``n`` matrices).
+    and ``m[i,i] = 0``. ``dims`` is the full dimension vector (contiguous,
+    length ``n + 1`` for ``n`` matrices). Sums and products associate as
+    written here, cell by cell or diagonal by diagonal.
     """
-    for i in reversed(rows):
-        li = i - offset
-        for j in cols:
-            if j < i:
-                continue
-            lj = j - offset
-            if j == i:
-                W[li, lj] = 0.0
-                continue
-            ks = np.arange(i, j)
-            costs = (
-                W[li, li : lj]
-                + W[li + 1 : lj + 1, lj]
-                + dims[i] * dims[ks + 1] * dims[j + 1]
-            )
-            W[li, lj] = float(np.min(costs))
+    for s, i0, _, cells, splits in _span_sweep(_flat(W), W.shape[1] + 1, offset, rows, cols):
+        n = len(cells)
+        di = dims[i0 : i0 + n, None]
+        dk = _windows(dims, i0 + 1, (n, s), (1, 1))  # dims[k + 1] at k = i + t
+        dj = dims[i0 + s + 1 : i0 + s + 1 + n, None]
+        cells[:] = (splits + di * dk * dj).min(axis=1)

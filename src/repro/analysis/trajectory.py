@@ -16,7 +16,8 @@ backends. This module owns that file's schema and the operations on it
 Wall times of the real backends are recorded but never compared: one
 un-repeated sub-second run cannot gate anything. Timing regressions are
 ``bench/``'s job (repeats, reference-block normalisation, a noise-derived
-bound — ``BENCHMARK.json``).
+bound — ``BENCHMARK.json``). An entry that records a claimed gain carries
+``bench/``'s numbers for it as a ``bench`` object (:data:`BENCH_CLAIM_KEYS`).
 """
 
 from __future__ import annotations
@@ -54,6 +55,32 @@ EXACT = tuple(
     for backend in DETERMINISTIC
     for key in ("messages", "bytes_to_slaves", "bytes_to_master")
 ) + (("simulated", "makespan_s"),)
+
+
+#: What a ``bench`` object records for each claimed (workload, metric):
+#: ``entry["bench"][workload][metric]`` maps exactly these keys — the median
+#: of ``bench/run.py``'s runs of the change, how many runs, the metric's
+#: regression bound from ``BENCHMARK.json`` and the parent commit's median.
+BENCH_CLAIM_KEYS = ("median", "runs", "bound", "parent_median")
+
+
+def check_bench(bench: object) -> None:
+    """Raise :class:`ConfigError` unless ``bench`` is a well-formed
+    ``{workload: {metric: {median, runs, bound, parent_median}}}``."""
+    if not isinstance(bench, dict) or not bench:
+        raise ConfigError("bench must be a non-empty {workload: {metric: claim}} mapping")
+    for workload, metrics in bench.items():
+        if not isinstance(metrics, dict) or not metrics:
+            raise ConfigError(f"bench[{workload!r}] must be a non-empty {{metric: claim}} mapping")
+        for metric, claim in metrics.items():
+            where = f"bench[{workload!r}][{metric!r}]"
+            if not isinstance(claim, dict) or set(claim) != set(BENCH_CLAIM_KEYS):
+                raise ConfigError(f"{where} must have exactly the keys {BENCH_CLAIM_KEYS}")
+            numbers = all(type(v) in (int, float) and v > 0 for v in claim.values())
+            if not numbers or type(claim["runs"]) is not int:
+                raise ConfigError(
+                    f"{where}: every value must be a positive number and runs a whole one: {claim}"
+                )
 
 
 def measure_backend(backend: str) -> Dict[str, object]:
@@ -122,8 +149,15 @@ def append_entry(
     path: str,
     label: Optional[str] = None,
     measured: Optional[Dict[str, Dict[str, object]]] = None,
+    bench: Optional[Dict[str, Dict[str, Dict[str, float]]]] = None,
 ) -> Dict[str, object]:
-    """Measure (unless given) and append one trajectory entry; returns it."""
+    """Measure (unless given) and append one trajectory entry; returns it.
+
+    ``bench`` is the record of a claimed gain (see :func:`check_bench`);
+    a malformed one raises before anything is measured or written.
+    """
+    if bench is not None:
+        check_bench(bench)
     doc = load_trajectory(path)
     doc["schema"] = SCHEMA
     doc["workload"] = dict(STANDARD)
@@ -131,6 +165,8 @@ def append_entry(
         "label": label or git_describe_label(os.path.dirname(path) or None),
         "backends": measured if measured is not None else measure(),
     }
+    if bench is not None:
+        entry["bench"] = bench
     doc.setdefault("entries", []).append(entry)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from repro.algorithms.kernels import (
-    antidiagonal_indices,
     edit_distance_region,
     lcs_region,
     matrix_chain_region,
     nussinov_region,
 )
+from tests.oracle_kernels import antidiagonal_indices
 
 
 class TestAntidiagonalIndices:

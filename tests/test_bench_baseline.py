@@ -18,6 +18,8 @@ def _repo_on_path():
 
 
 def test_baseline_file_is_committed_and_well_formed():
+    from repro.analysis.trajectory import check_bench
+
     doc = json.loads(BASELINE.read_text())
     assert doc["schema"] == "repro-bench-baseline-1"
     assert doc["entries"], "baseline must have at least one recorded entry"
@@ -30,6 +32,8 @@ def test_baseline_file_is_committed_and_well_formed():
             assert m["messages"] >= 0
             assert m["bytes_to_slaves"] >= 0
             assert m["bytes_to_master"] >= 0
+        if "bench" in entry:
+            check_bench(entry["bench"])  # raises on a malformed claim record
 
 
 def test_serial_backend_sends_nothing():
@@ -105,6 +109,45 @@ def test_write_appends_an_entry_and_check_reads_the_newest(tmp_path):
     append_entry(str(path), label="next", measured=_entry(messages=1))
     assert [e["label"] for e in json.loads(path.read_text())["entries"]] == ["base", "next"]
     assert latest_entry(str(path))["backends"]["simulated"]["messages"] == 1
+
+
+CLAIM = {"median": 0.35, "runs": 10, "bound": 0.25, "parent_median": 1.37}
+
+
+def test_a_claimed_gain_is_recorded_as_the_entrys_bench_object(tmp_path):
+    """CONTRIBUTING, performance claims: per workload and claimed metric,
+    the change's median, the run count, the bound and the parent's median."""
+    from repro.analysis.trajectory import append_entry
+
+    path = tmp_path / "BENCH_BASELINE.json"
+    append_entry(str(path), label="base", measured=_entry())
+    append_entry(str(path), label="gain", measured=_entry(), bench={"ed-coarse": {"wall_s": CLAIM}})
+    base, gain = json.loads(path.read_text())["entries"]
+    assert "bench" not in base
+    assert gain["bench"] == {"ed-coarse": {"wall_s": CLAIM}}
+
+
+@pytest.mark.parametrize(
+    "bench",
+    [
+        {},
+        {"ed-coarse": {}},
+        {"ed-coarse": {"wall_s": {k: v for k, v in CLAIM.items() if k != "parent_median"}}},
+        {"ed-coarse": {"wall_s": {**CLAIM, "speedup": 3.9}}},
+        {"ed-coarse": {"wall_s": {**CLAIM, "runs": 9.5}}},
+        {"ed-coarse": {"wall_s": {**CLAIM, "median": "0.35"}}},
+        {"ed-coarse": {"wall_s": {**CLAIM, "bound": 0}}},
+    ],
+    ids=["empty", "no-metric", "missing-key", "extra-key", "fractional-runs", "string", "zero"],
+)
+def test_a_malformed_bench_object_is_refused_before_anything_is_written(tmp_path, bench):
+    from repro.analysis.trajectory import append_entry
+    from repro.utils.errors import ConfigError
+
+    path = tmp_path / "BENCH_BASELINE.json"
+    with pytest.raises(ConfigError, match="bench"):
+        append_entry(str(path), label="gain", measured=_entry(), bench=bench)
+    assert not path.exists()
 
 
 def test_workload_is_pinned():

@@ -28,14 +28,16 @@ def repro_env():
 @pytest.mark.slow
 def test_sigkill_master_then_resume_matches_oracle(tmp_path):
     journal = str(tmp_path / "master.journal")
-    # Big enough that the run is still in flight when we pull the trigger;
-    # fsync off keeps the smoke fast on slow CI disks.
+    # Big enough that the run is still in flight when we pull the trigger
+    # (64 blocks of 250 x 250, seconds of compute left after the second
+    # commit; the margin is asserted below, not assumed); fsync off keeps
+    # the smoke fast on slow CI disks.
     env = repro_env()
     env["REPRO_JOURNAL_FSYNC"] = "0"
     proc = subprocess.Popen(
         repro_cmd(
             "run", "--backend", "processes", "--nodes", "3",
-            "--algo", "edit-distance", "--size", "600",
+            "--algo", "edit-distance", "--size", "2000",
             "--journal", journal,
         ),
         env=env,
@@ -65,6 +67,13 @@ def test_sigkill_master_then_resume_matches_oracle(tmp_path):
 
     scan = scan_journal(journal)
     assert 0 < scan.n_committed and not scan.ended
+    # The kill landed mid-flight with room to spare: a faster kernel or a
+    # slower poll shows up here long before it loses the race above.
+    proc_size, _ = scan.config.partitions_for(scan.problem)
+    n_blocks = scan.problem.build_partition(proc_size).n_blocks
+    assert scan.n_committed < n_blocks / 2, (
+        f"{scan.n_committed} of {n_blocks} blocks committed at the kill - instance too small"
+    )
 
     resumed = subprocess.run(
         repro_cmd("resume", journal, "--check-oracle"),

@@ -123,7 +123,10 @@ class TestFaultIsolation:
         daemon = _daemon(poll_interval=0.01)
         daemon.start()
         try:
-            spec = JobSpec(algo="edit-distance", size=96, seed=0, nodes=2,
+            # The watchdog looks every 5 polls (50 ms), so the abort lands
+            # 50-100 ms in: the job must run several times that long
+            # (~0.8 s here) whatever the kernels cost.
+            spec = JobSpec(algo="edit-distance", size=2000, seed=0, nodes=2,
                            deadline=0.05)
             job_id = daemon.submit(spec).job_id
             assert daemon.wait_idle(60.0)
