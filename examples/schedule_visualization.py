@@ -20,16 +20,17 @@ def main() -> None:
     for scheduler in ("dynamic", "bcw", "cw"):
         cfg = RunConfig.experiment(
             4, 19, scheduler=scheduler, thread_scheduler=scheduler if scheduler != "cw" else "dynamic",
-            process_partition=300, thread_partition=30, trace=True,
+            process_partition=300, thread_partition=30, observe=True,
         )
         report = runner.run(problem, cfg).report
         print(f"\n=== {scheduler}: makespan {report.makespan:.2f}s, "
               f"idle-while-ready {report.idle_while_ready:.2f}s")
-        print(render_gantt(report.trace, width=72, makespan=report.makespan))
-        fractions = busy_fraction(report.trace, report.makespan)
+        trace = report.trace  # derived from the observed events on access
+        print(render_gantt(trace, width=72, makespan=report.makespan))
+        fractions = busy_fraction(trace, report.makespan)
         print("busy fractions:", {k: f"{v:.0%}" for k, v in fractions.items()})
 
-    cfg = RunConfig.experiment(4, 19, process_partition=300, thread_partition=30, trace=True)
+    cfg = RunConfig.experiment(4, 19, process_partition=300, thread_partition=30, observe=True)
     report = runner.run(problem, cfg).report
     print("\nLast finishers under the dynamic pool (end-game tail):")
     for e in critical_tail(report.trace, k=4):

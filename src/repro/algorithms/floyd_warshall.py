@@ -27,7 +27,7 @@ from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
-from repro.algorithms.problem import ELEMENT_BYTES, BlockEvaluator, DPProblem
+from repro.algorithms.problem import BlockEvaluator, DPProblem, InputRegion, Region
 from repro.dag.library import IndependentGridPattern
 from repro.dag.partition import BlockGrid, Partition, _as_pair, partition_pattern
 from repro.dag.pattern import DAGPattern, VertexId
@@ -299,40 +299,29 @@ class FloydWarshall(DPProblem):
     def make_state(self) -> Dict[str, np.ndarray]:
         return {"W": self.weights.copy()}
 
-    def extract_inputs(
-        self, state: Dict[str, np.ndarray], partition: Partition, bid: VertexId
-    ) -> Dict[str, np.ndarray]:
-        t, i, j = bid
-        W = state["W"]
+    def input_regions(self, partition: Partition, bid: VertexId) -> Dict[str, InputRegion]:
         rows, cols = partition.block_ranges(bid)
-        pivot_rows = partition.grid.row_range(t)
-        inputs = {"self": W[rows.start : rows.stop, cols.start : cols.stop].copy()}
+        pivot = partition.grid.row_range(bid[0])
+        r, c, p = (rows.start, rows.stop), (cols.start, cols.stop), (pivot.start, pivot.stop)
+        regions = {"self": ("W", *r, *c, None)}
         kind = fw_block_type(bid)
         if kind in ("row", "col"):
-            inputs["pivot"] = W[
-                pivot_rows.start : pivot_rows.stop, pivot_rows.start : pivot_rows.stop
-            ].copy()
+            regions["pivot"] = ("W", *p, *p, None)
         elif kind == "phase3":
             # W[i, k] strip: this block's rows against the pivot columns.
-            inputs["col"] = W[rows.start : rows.stop, pivot_rows.start : pivot_rows.stop].copy()
+            regions["col"] = ("W", *r, *p, None)
             # W[k, j] strip: the pivot rows against this block's columns.
-            inputs["row"] = W[pivot_rows.start : pivot_rows.stop, cols.start : cols.stop].copy()
-        return inputs
+            regions["row"] = ("W", *p, *c, None)
+        return regions
+
+    def output_regions(self, partition: Partition, bid: VertexId) -> Dict[str, Region]:
+        rows, cols = partition.block_ranges(bid)
+        return {"block": ("W", rows.start, rows.stop, cols.start, cols.stop)}
 
     def evaluator(
         self, partition: Partition, bid: VertexId, inputs: Dict[str, np.ndarray]
     ) -> _FWEvaluator:
         return _FWEvaluator(fw_block_type(bid), inputs)
-
-    def apply_result(
-        self,
-        state: Dict[str, np.ndarray],
-        partition: Partition,
-        bid: VertexId,
-        outputs: Dict[str, np.ndarray],
-    ) -> None:
-        rows, cols = partition.block_ranges(bid)
-        state["W"][rows.start : rows.stop, cols.start : cols.stop] = outputs["block"]
 
     def finalize(self, state: Dict[str, np.ndarray]) -> FWResult:
         dist = state["W"]
@@ -364,16 +353,6 @@ class FloydWarshall(DPProblem):
     def block_cost_class(self, partition: Partition, bid: VertexId) -> object:
         rows, cols = partition.block_ranges(bid)
         return (len(rows), len(cols), self._pivot_width(partition, bid[0]), fw_block_type(bid))
-
-    def input_bytes(self, partition: Partition, bid: VertexId) -> int:
-        rows, cols = partition.block_ranges(bid)
-        h, w = len(rows), len(cols)
-        b = self._pivot_width(partition, bid[0])
-        kind = fw_block_type(bid)
-        extra = {"pivot": b * b, "row": b * b, "col": b * b, "phase3": h * b + b * w}[kind]
-        if kind == "pivot":
-            extra = 0
-        return ELEMENT_BYTES * (h * w + extra)
 
     def __repr__(self) -> str:
         return f"FloydWarshall(n={self.n})"

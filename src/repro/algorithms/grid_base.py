@@ -18,7 +18,7 @@ from typing import Any, Callable, Dict
 import numpy as np
 
 from repro.algorithms.compaction import BoundaryStore, CompactScoreResult
-from repro.algorithms.problem import ELEMENT_BYTES, BlockEvaluator, DPProblem
+from repro.algorithms.problem import ELEMENT_BYTES, BlockEvaluator, DPProblem, InputRegion, Region
 from repro.dag.library import WavefrontPattern
 from repro.dag.partition import Partition
 from repro.dag.pattern import VertexId
@@ -105,17 +105,26 @@ class PairwiseGridProblem(DPProblem):
         D[:, 0] = self.boundary_col()
         return {"D": D}
 
+    def input_regions(self, partition: Partition, bid: VertexId) -> Dict[str, InputRegion]:
+        rows, cols = partition.block_ranges(bid)
+        return {
+            "top": ("D", rows.start, None, cols.start, cols.stop + 1, None),
+            "left": ("D", rows.start + 1, rows.stop + 1, cols.start, None, None),
+        }
+
+    def output_regions(self, partition: Partition, bid: VertexId) -> Dict[str, Region]:
+        rows, cols = partition.block_ranges(bid)
+        return {"block": ("D", rows.start + 1, rows.stop + 1, cols.start + 1, cols.stop + 1)}
+
+    # Boundary retention is a different *store*, not a different mapping:
+    # these two overrides return / accept exactly the declared regions' arrays.
+
     def extract_inputs(
         self, state: Dict[str, np.ndarray], partition: Partition, bid: VertexId
     ) -> Dict[str, np.ndarray]:
         if self.retain == "boundary":
             return self._extract_from_boundary(state["boundary"], partition, bid)
-        rows, cols = partition.block_ranges(bid)
-        D = state["D"]
-        return {
-            "top": D[rows.start, cols.start : cols.stop + 1].copy(),
-            "left": D[rows.start + 1 : rows.stop + 1, cols.start].copy(),
-        }
+        return super().extract_inputs(state, partition, bid)
 
     def _extract_from_boundary(
         self, store: BoundaryStore, partition: Partition, bid: VertexId
@@ -166,10 +175,7 @@ class PairwiseGridProblem(DPProblem):
                 store.final = float(outputs["block"][-1, -1])
             store.mark_complete(partition, bid)
             return
-        rows, cols = partition.block_ranges(bid)
-        state["D"][rows.start + 1 : rows.stop + 1, cols.start + 1 : cols.stop + 1] = outputs[
-            "block"
-        ]
+        super().apply_result(state, partition, bid, outputs)
 
     def dense_bytes(self) -> int:
         """What the full DP matrix costs — the compaction baseline."""
@@ -196,10 +202,6 @@ class PairwiseGridProblem(DPProblem):
 
     def region_flops(self, rows: range, cols: range, diagonal: bool = False) -> float:
         return self.FLOPS_PER_CELL * len(rows) * len(cols)
-
-    def input_bytes(self, partition: Partition, bid: VertexId) -> int:
-        rows, cols = partition.block_ranges(bid)
-        return ELEMENT_BYTES * (len(rows) + len(cols) + 1)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(m={self.m}, n={self.n})"

@@ -14,7 +14,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.algorithms.problem import ELEMENT_BYTES, BlockEvaluator, DPProblem
+from repro.algorithms.problem import ELEMENT_BYTES, BlockEvaluator, DPProblem, InputRegion, Region
 from repro.dag.library import ChainPattern
 from repro.dag.partition import Partition
 from repro.dag.pattern import VertexId
@@ -34,10 +34,11 @@ class KnapsackResult:
 class _KnapsackEvaluator(BlockEvaluator):
     """Computes DP rows for a block of items given the previous row."""
 
-    def __init__(self, problem: "Knapsack", t_range: range, prev: np.ndarray) -> None:
+    def __init__(self, problem: "Knapsack", t_range: range, prev: np.ndarray | None) -> None:
         self._p = problem
         self._t_range = t_range
-        self._prev = prev
+        # The first block is shipped no row: before item 0 every capacity is worth 0.
+        self._prev = np.zeros(problem.capacity + 1) if prev is None else prev
         self._rows = np.empty((len(t_range), problem.capacity + 1), dtype=np.float64)
 
     def run_subblock(self, local_rows: range, local_cols: range) -> None:
@@ -94,29 +95,21 @@ class Knapsack(DPProblem):
     def make_state(self) -> Dict[str, np.ndarray]:
         return {"D": np.zeros((self.n_items, self.capacity + 1), dtype=np.float64)}
 
-    def extract_inputs(
-        self, state: Dict[str, np.ndarray], partition: Partition, bid: VertexId
-    ) -> Dict[str, np.ndarray]:
+    def input_regions(self, partition: Partition, bid: VertexId) -> Dict[str, InputRegion]:
         rows, _ = partition.block_ranges(bid)
         if rows.start == 0:
-            return {"prev": np.zeros(self.capacity + 1, dtype=np.float64)}
-        return {"prev": state["D"][rows.start - 1].copy()}
+            return {}
+        return {"prev": ("D", rows.start - 1, None, 0, self.capacity + 1, None)}
+
+    def output_regions(self, partition: Partition, bid: VertexId) -> Dict[str, Region]:
+        rows, _ = partition.block_ranges(bid)
+        return {"rows": ("D", rows.start, rows.stop, 0, self.capacity + 1)}
 
     def evaluator(
         self, partition: Partition, bid: VertexId, inputs: Dict[str, np.ndarray]
     ) -> _KnapsackEvaluator:
         rows, _ = partition.block_ranges(bid)
-        return _KnapsackEvaluator(self, rows, inputs["prev"])
-
-    def apply_result(
-        self,
-        state: Dict[str, np.ndarray],
-        partition: Partition,
-        bid: VertexId,
-        outputs: Dict[str, np.ndarray],
-    ) -> None:
-        rows, _ = partition.block_ranges(bid)
-        state["D"][rows.start : rows.stop] = outputs["rows"]
+        return _KnapsackEvaluator(self, rows, inputs.get("prev"))
 
     def finalize(self, state: Dict[str, np.ndarray]) -> KnapsackResult:
         D = state["D"]
@@ -146,10 +139,6 @@ class Knapsack(DPProblem):
 
     def region_flops(self, rows: range, cols: range, diagonal: bool = False) -> float:
         return float(len(rows)) * (self.capacity + 1)
-
-    def input_bytes(self, partition: Partition, bid: VertexId) -> int:
-        rows, _ = partition.block_ranges(bid)
-        return 0 if rows.start == 0 else ELEMENT_BYTES * (self.capacity + 1)
 
     def output_bytes(self, partition: Partition, bid: VertexId) -> int:
         rows, _ = partition.block_ranges(bid)

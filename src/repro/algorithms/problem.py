@@ -1,13 +1,14 @@
 """The DPProblem interface — what an application must provide to EasyHPS.
 
 This is the Python rendering of the paper's user API (Table I): a problem
-binds a DAG Pattern Model, a data-mapping rule (which cells belong to
-which DAG vertex), and a ``process`` function (here
+binds a DAG Pattern Model, a data-mapping rule (which cells a DAG vertex
+reads and writes: :meth:`DPProblem.input_regions` /
+:meth:`DPProblem.output_regions`, from which the data movement and its
+byte model are derived), and a ``process`` function (here
 :meth:`DPProblem.evaluator` + :meth:`BlockEvaluator.run_subblock`). On top
 of the paper's C API we also require an explicit *cost model*
-(:meth:`DPProblem.block_flops`, :meth:`DPProblem.input_bytes`, ...)
-because the performance experiments run on a simulated cluster — see
-DESIGN.md's substitution table.
+(:meth:`DPProblem.block_flops`, ...) because the performance experiments
+run on a simulated cluster — see DESIGN.md's substitution table.
 
 Execution contract
 ------------------
@@ -26,7 +27,7 @@ user-facing answer (score, alignment, structure...).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Dict, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -35,6 +36,21 @@ from repro.dag.pattern import DAGPattern, VertexId
 
 #: Bytes per DP matrix element shipped over the (simulated) wire.
 ELEMENT_BYTES = 8
+
+#: One rectangle of one state array, ``(key, r0, r1, c0, c1)``: the cells
+#: ``state[key][r0:r1, c0:c1]``. ``r1`` (``c1``) ``None`` selects the single
+#: row ``r0`` (column ``c0``) and drops that axis, so the array on the wire
+#: is 1-D. Plain tuples: the simulator sizes the regions of every dispatch.
+Region = Tuple[str, int, Optional[int], int, Optional[int]]
+#: An input region also names its *holder*: the predecessor block whose
+#: executor has all of these cells in memory once it ran (it was shipped
+#: them or computed them), or ``None`` when no single block does.
+InputRegion = Tuple[str, int, Optional[int], int, Optional[int], Optional[VertexId]]
+
+
+def region_index(r0: int, r1: Optional[int], c0: int, c1: Optional[int]) -> tuple:
+    """The numpy index selecting a region's cells out of its state array."""
+    return (r0 if r1 is None else slice(r0, r1), c0 if c1 is None else slice(c0, c1))
 
 
 class BlockEvaluator(ABC):
@@ -109,6 +125,20 @@ class DPProblem(ABC):
         """Allocate the global DP state (matrices with boundary conditions)."""
 
     @abstractmethod
+    def input_regions(self, partition: Partition, bid: VertexId) -> Dict[str, InputRegion]:
+        """The cells block ``bid`` reads, by input name (Table I's
+        ``data_mapping_function``, read side).
+
+        Must be *sufficient* — cover every cell the evaluator touches
+        outside its own block — and every cell must be boundary data or
+        written by an ancestor of ``bid``; ``repro check`` verifies the
+        latter against :meth:`output_regions` and the abstract DAG.
+        """
+
+    @abstractmethod
+    def output_regions(self, partition: Partition, bid: VertexId) -> Dict[str, Region]:
+        """The cells block ``bid`` writes, by :meth:`BlockEvaluator.outputs` name."""
+
     def extract_inputs(
         self, state: Dict[str, np.ndarray], partition: Partition, bid: VertexId
     ) -> Dict[str, np.ndarray]:
@@ -117,8 +147,11 @@ class DPProblem(ABC):
         The returned arrays are copies (a real master would serialize them
         onto the wire), so a slave can never scribble on master state.
         """
+        return {
+            name: state[key][region_index(r0, r1, c0, c1)].copy()
+            for name, (key, r0, r1, c0, c1, _) in self.input_regions(partition, bid).items()
+        }
 
-    @abstractmethod
     def apply_result(
         self,
         state: Dict[str, np.ndarray],
@@ -127,6 +160,8 @@ class DPProblem(ABC):
         outputs: Dict[str, np.ndarray],
     ) -> None:
         """Merge a finished block back into the global state."""
+        for name, (key, r0, r1, c0, c1) in self.output_regions(partition, bid).items():
+            state[key][region_index(r0, r1, c0, c1)] = outputs[name]
 
     @abstractmethod
     def finalize(self, state: Dict[str, np.ndarray]) -> Any:
@@ -198,32 +233,30 @@ class DPProblem(ABC):
         return (len(rows), len(cols), partition.is_diagonal_block(bid))
 
     def input_bytes(self, partition: Partition, bid: VertexId) -> int:
-        """Bytes the master must ship to the slave for block ``bid``.
-
-        Default: measure the actual extracted arrays against a fresh
-        state. Subclasses override with closed forms when extraction is
-        expensive.
-        """
-        state = self.make_state()
-        return sum(
-            int(np.asarray(v).nbytes) for v in self.extract_inputs(state, partition, bid).values()
-        )
+        """Bytes the master must ship to the slave for block ``bid``: the
+        cells of its declared input regions."""
+        return self.cached_input_bytes(partition, bid, ())
 
     def output_bytes(self, partition: Partition, bid: VertexId) -> int:
-        """Bytes the slave returns: the block's computed cells."""
+        """Bytes the slave returns: the block's computed cells.
+
+        Charged per DP cell, not per declared output cell: a diagonal
+        block of a triangular partition returns its whole square (zeros
+        below the diagonal included) but is charged its triangle. Sizing
+        it from :meth:`output_regions` would move the Fig 14/16/17
+        makespans; ``tests/test_data_mapping.py`` pins the difference.
+        """
         return ELEMENT_BYTES * partition.cell_count(bid)
 
-    def cached_input_bytes(
-        self, partition: Partition, bid: VertexId, node_history
-    ) -> int:
+    def cached_input_bytes(self, partition: Partition, bid: VertexId, node_history) -> int:
         """Bytes to ship when the target node already executed the blocks
-        in ``node_history`` (affinity scheduling, simulated backend).
-
-        Default: no reuse modeled. Problems whose inputs are dominated by
-        data a precedence neighbor already holds (SWGG's prefixes, the
-        triangular strips) override this with the reduced volume.
-        """
-        return self.input_bytes(partition, bid)
+        in ``node_history`` (affinity scheduling, simulated backend):
+        every input region but those whose holder the node has run."""
+        cells = 0
+        for _, r0, r1, c0, c1, holder in self.input_regions(partition, bid).values():
+            if holder not in node_history:
+                cells += (1 if r1 is None else r1 - r0) * (1 if c1 is None else c1 - c0)
+        return ELEMENT_BYTES * cells
 
     def total_flops(self, partition: Partition) -> float:
         """Total work of the instance under this partition."""

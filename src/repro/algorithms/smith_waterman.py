@@ -20,7 +20,7 @@ from typing import Callable, Dict, Optional, Tuple
 import numpy as np
 
 from repro.algorithms.kernels import swgg_region
-from repro.algorithms.problem import ELEMENT_BYTES, BlockEvaluator, DPProblem
+from repro.algorithms.problem import BlockEvaluator, DPProblem, InputRegion, Region
 from repro.dag.library import RowColPrefixPattern
 from repro.dag.partition import Partition
 from repro.dag.pattern import VertexId
@@ -146,18 +146,22 @@ class SmithWatermanGG(DPProblem):
     def make_state(self) -> Dict[str, np.ndarray]:
         return {"H": np.zeros((self.m + 1, self.n + 1), dtype=np.float64)}
 
-    def extract_inputs(
-        self, state: Dict[str, np.ndarray], partition: Partition, bid: VertexId
-    ) -> Dict[str, np.ndarray]:
+    def input_regions(self, partition: Partition, bid: VertexId) -> Dict[str, InputRegion]:
+        """Prefix reuse: a node that computed the W (resp. N) neighbor
+        already holds this block's full row (resp. column) prefix."""
         rows, cols = partition.block_ranges(bid)
-        H = state["H"]
-        R0, R1 = rows.start + 1, rows.stop  # inclusive matrix rows R0..R1
-        C0, C1 = cols.start + 1, cols.stop
+        I, J = bid
+        R0, R1 = rows.start + 1, rows.stop + 1  # matrix rows R0..R1-1
+        C0, C1 = cols.start + 1, cols.stop + 1
         return {
-            "row_prefix": H[R0 : R1 + 1, 0:C0].copy(),
-            "col_prefix": H[0:R0, C0 : C1 + 1].copy(),
-            "top": H[R0 - 1, C0 - 1 : C1 + 1].copy(),
+            "row_prefix": ("H", R0, R1, 0, C0, (I, J - 1) if J else None),
+            "col_prefix": ("H", 0, R0, C0, C1, (I - 1, J) if I else None),
+            "top": ("H", R0 - 1, None, C0 - 1, C1, None),
         }
+
+    def output_regions(self, partition: Partition, bid: VertexId) -> Dict[str, Region]:
+        rows, cols = partition.block_ranges(bid)
+        return {"block": ("H", rows.start + 1, rows.stop + 1, cols.start + 1, cols.stop + 1)}
 
     def evaluator(
         self, partition: Partition, bid: VertexId, inputs: Dict[str, np.ndarray]
@@ -170,18 +174,6 @@ class SmithWatermanGG(DPProblem):
             matrix_r0=rows.start + 1,
             matrix_c0=cols.start + 1,
         )
-
-    def apply_result(
-        self,
-        state: Dict[str, np.ndarray],
-        partition: Partition,
-        bid: VertexId,
-        outputs: Dict[str, np.ndarray],
-    ) -> None:
-        rows, cols = partition.block_ranges(bid)
-        state["H"][rows.start + 1 : rows.stop + 1, cols.start + 1 : cols.stop + 1] = outputs[
-            "block"
-        ]
 
     def finalize(self, state: Dict[str, np.ndarray]) -> SWGGResult:
         H = state["H"]
@@ -251,27 +243,6 @@ class SmithWatermanGG(DPProblem):
         block grid share their inner cost structure exactly."""
         rows, cols = partition.block_ranges(bid)
         return (len(rows), len(cols), rows.start + cols.start)
-
-    def input_bytes(self, partition: Partition, bid: VertexId) -> int:
-        rows, cols = partition.block_ranges(bid)
-        h, w = len(rows), len(cols)
-        R0, C0 = rows.start + 1, cols.start + 1
-        return ELEMENT_BYTES * (h * C0 + R0 * w + (w + 1))
-
-    def cached_input_bytes(self, partition: Partition, bid: VertexId, node_history) -> int:
-        """Prefix reuse: a node that computed the W (resp. N) neighbor
-        already holds this block's full row (resp. column) prefix."""
-        rows, cols = partition.block_ranges(bid)
-        h, w = len(rows), len(cols)
-        R0, C0 = rows.start + 1, cols.start + 1
-        row_prefix = h * C0
-        col_prefix = R0 * w
-        I, J = bid
-        if (I, J - 1) in node_history:
-            row_prefix = 0
-        if (I - 1, J) in node_history:
-            col_prefix = 0
-        return ELEMENT_BYTES * (row_prefix + col_prefix + (w + 1))
 
     def __repr__(self) -> str:
         return f"SmithWatermanGG(m={self.m}, n={self.n})"

@@ -17,7 +17,7 @@ from typing import Any, Callable, Dict
 
 import numpy as np
 
-from repro.algorithms.problem import ELEMENT_BYTES, BlockEvaluator, DPProblem
+from repro.algorithms.problem import BlockEvaluator, DPProblem, InputRegion, Region
 from repro.dag.library import TriangularPattern
 from repro.dag.partition import Partition
 from repro.dag.pattern import VertexId
@@ -105,20 +105,26 @@ class TriangularProblem(DPProblem):
     def make_state(self) -> Dict[str, np.ndarray]:
         return {"F": np.zeros((self.n, self.n), dtype=self.matrix_dtype)}
 
-    def extract_inputs(
-        self, state: Dict[str, np.ndarray], partition: Partition, bid: VertexId
-    ) -> Dict[str, np.ndarray]:
+    def input_regions(self, partition: Partition, bid: VertexId) -> Dict[str, InputRegion]:
+        """Strip reuse: the W neighbor's executor holds this row strip,
+        the S neighbor's executor holds this column strip (a diagonal
+        block's strips are empty, its "neighbors" outside the triangle)."""
         rows, cols = partition.block_ranges(bid)
-        F = state["F"]
-        inputs = {
-            "row_strip": F[rows.start : rows.stop, rows.start : cols.start].copy(),
-            "col_strip": F[rows.stop : cols.stop, cols.start : cols.stop].copy(),
+        r0, r1, c0, c1 = rows.start, rows.stop, cols.start, cols.stop
+        i, j = bid
+        regions = {
+            "row_strip": ("F", r0, r1, r0, c0, (i, j - 1)),
+            "col_strip": ("F", r1, c1, c0, c1, (i + 1, j)),
         }
-        if not partition.is_diagonal_block(bid):
+        if i != j:
             # The inward-diagonal corner F[r1, c0-1]: needed by the paired
             # term of the block's bottom-left cell, covered by neither strip.
-            inputs["corner"] = F[rows.stop : rows.stop + 1, cols.start - 1 : cols.start].copy()
-        return inputs
+            regions["corner"] = ("F", r1, r1 + 1, c0 - 1, c0, None)
+        return regions
+
+    def output_regions(self, partition: Partition, bid: VertexId) -> Dict[str, Region]:
+        rows, cols = partition.block_ranges(bid)
+        return {"block": ("F", rows.start, rows.stop, cols.start, cols.stop)}
 
     def evaluator(
         self, partition: Partition, bid: VertexId, inputs: Dict[str, np.ndarray]
@@ -134,16 +140,6 @@ class TriangularProblem(DPProblem):
             corner=inputs.get("corner"),
             dtype=self.matrix_dtype,
         )
-
-    def apply_result(
-        self,
-        state: Dict[str, np.ndarray],
-        partition: Partition,
-        bid: VertexId,
-        outputs: Dict[str, np.ndarray],
-    ) -> None:
-        rows, cols = partition.block_ranges(bid)
-        state["F"][rows.start : rows.stop, cols.start : cols.stop] = outputs["block"]
 
     def finalize(self, state: Dict[str, np.ndarray]) -> Any:
         raise NotImplementedError
@@ -166,29 +162,6 @@ class TriangularProblem(DPProblem):
         offset of the block grid share their inner cost structure."""
         rows, cols = partition.block_ranges(bid)
         return (len(rows), len(cols), cols.start - rows.start, partition.is_diagonal_block(bid))
-
-    def input_bytes(self, partition: Partition, bid: VertexId) -> int:
-        rows, cols = partition.block_ranges(bid)
-        h, w = len(rows), len(cols)
-        row_strip = h * (cols.start - rows.start)
-        col_strip = (cols.stop - rows.stop) * w
-        corner = 0 if partition.is_diagonal_block(bid) else 1
-        return ELEMENT_BYTES * (row_strip + col_strip + corner)
-
-    def cached_input_bytes(self, partition: Partition, bid: VertexId, node_history) -> int:
-        """Strip reuse: the W neighbor's executor holds this row strip,
-        the S neighbor's executor holds this column strip."""
-        rows, cols = partition.block_ranges(bid)
-        h, w = len(rows), len(cols)
-        row_strip = h * (cols.start - rows.start)
-        col_strip = (cols.stop - rows.stop) * w
-        corner = 0 if partition.is_diagonal_block(bid) else 1
-        i, j = bid
-        if (i, j - 1) in node_history:
-            row_strip = 0
-        if (i + 1, j) in node_history:
-            col_strip = 0
-        return ELEMENT_BYTES * (row_strip + col_strip + corner)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(n={self.n})"

@@ -16,7 +16,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from repro.algorithms.problem import ELEMENT_BYTES, BlockEvaluator, DPProblem
+from repro.algorithms.problem import ELEMENT_BYTES, BlockEvaluator, DPProblem, InputRegion, Region
 from repro.dag.library import ChainPattern
 from repro.dag.partition import Partition
 from repro.dag.pattern import VertexId
@@ -33,7 +33,9 @@ class ViterbiResult:
 class _ViterbiEvaluator(BlockEvaluator):
     """Computes delta/psi rows for one time block given the previous row."""
 
-    def __init__(self, problem: "ViterbiDecoding", t_range: range, prev: np.ndarray) -> None:
+    def __init__(
+        self, problem: "ViterbiDecoding", t_range: range, prev: np.ndarray | None
+    ) -> None:
         self._p = problem
         self._t_range = t_range
         self._prev = prev
@@ -126,30 +128,24 @@ class ViterbiDecoding(DPProblem):
             "psi": np.zeros((self.T, self.n_states), dtype=np.int64),
         }
 
-    def extract_inputs(
-        self, state: Dict[str, np.ndarray], partition: Partition, bid: VertexId
-    ) -> Dict[str, np.ndarray]:
+    def input_regions(self, partition: Partition, bid: VertexId) -> Dict[str, InputRegion]:
         rows, _ = partition.block_ranges(bid)
         if rows.start == 0:
-            return {"prev": np.zeros(0, dtype=np.float64)}
-        return {"prev": state["delta"][rows.start - 1].copy()}
+            return {}  # t = 0 starts from log_pi, not from a previous row
+        return {"prev": ("delta", rows.start - 1, None, 0, self.n_states, None)}
+
+    def output_regions(self, partition: Partition, bid: VertexId) -> Dict[str, Region]:
+        rows, _ = partition.block_ranges(bid)
+        return {
+            "delta": ("delta", rows.start, rows.stop, 0, self.n_states),
+            "psi": ("psi", rows.start, rows.stop, 0, self.n_states),
+        }
 
     def evaluator(
         self, partition: Partition, bid: VertexId, inputs: Dict[str, np.ndarray]
     ) -> _ViterbiEvaluator:
         rows, _ = partition.block_ranges(bid)
-        return _ViterbiEvaluator(self, rows, inputs["prev"])
-
-    def apply_result(
-        self,
-        state: Dict[str, np.ndarray],
-        partition: Partition,
-        bid: VertexId,
-        outputs: Dict[str, np.ndarray],
-    ) -> None:
-        rows, _ = partition.block_ranges(bid)
-        state["delta"][rows.start : rows.stop] = outputs["delta"]
-        state["psi"][rows.start : rows.stop] = outputs["psi"]
+        return _ViterbiEvaluator(self, rows, inputs.get("prev"))
 
     def finalize(self, state: Dict[str, np.ndarray]) -> ViterbiResult:
         delta, psi = state["delta"], state["psi"]
@@ -176,10 +172,6 @@ class ViterbiDecoding(DPProblem):
 
     def region_flops(self, rows: range, cols: range, diagonal: bool = False) -> float:
         return float(len(rows)) * self.n_states * self.n_states
-
-    def input_bytes(self, partition: Partition, bid: VertexId) -> int:
-        rows, _ = partition.block_ranges(bid)
-        return ELEMENT_BYTES * (0 if rows.start == 0 else self.n_states)
 
     def output_bytes(self, partition: Partition, bid: VertexId) -> int:
         rows, _ = partition.block_ranges(bid)

@@ -65,11 +65,7 @@ class RunReport:
     total_flops: float = 0.0
     #: Total cores in the paper's accounting (Y), when derivable.
     total_cores: Optional[int] = None
-    #: Per-sub-task schedule trace (any backend with trace=True); a
-    #: tuple of :class:`repro.analysis.gantt.TraceEvent` derived from the
-    #: telemetry event stream.
-    trace: Optional[tuple] = None
-    #: Raw telemetry stream (``RunConfig.observe``/``trace``): a tuple of
+    #: Raw telemetry stream (``RunConfig.observe``): a tuple of
     #: :class:`repro.obs.recorder.ObsEvent` covering the sub-task
     #: lifecycle; export with :func:`repro.obs.export.write_trace`.
     events: Optional[tuple] = None
@@ -90,6 +86,14 @@ class RunReport:
     tainted_recomputes: int = 0
     #: Workers quarantined for divergent results.
     quarantined_workers: Tuple[int, ...] = ()
+
+    @property
+    def trace(self) -> Optional[tuple]:
+        """Per-sub-task schedule trace: :class:`repro.analysis.gantt.TraceEvent`
+        rows derived from ``events``; None when nothing was observed."""
+        from repro.obs.export import to_gantt_trace
+
+        return None if self.events is None else to_gantt_trace(self.events)
 
     def speedup_vs(self, serial_makespan: float) -> float:
         """Speedup relative to a serial makespan of the same instance."""

@@ -43,6 +43,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.algorithms import make_problem
 from repro.cluster.faults import (
     DETECTABLE_MESSAGE_KINDS,
     MESSAGE_FAULT_KINDS,
@@ -301,16 +302,7 @@ def _oracle_state(spec: CampaignSpec) -> Optional[Dict[str, np.ndarray]]:
 
 
 def _build_problem(spec: CampaignSpec):
-    from repro.cli import ALGORITHMS, _register_algorithms
-
-    _register_algorithms()
-    try:
-        factory = ALGORITHMS[spec.algo]
-    except KeyError:
-        raise ChaosError(
-            f"unknown algorithm {spec.algo!r}; choose from {', '.join(sorted(ALGORITHMS))}"
-        ) from None
-    return factory(spec.size, spec.problem_seed)
+    return make_problem(spec.algo, spec.size, spec.problem_seed)
 
 
 def _states_equal(

@@ -21,6 +21,8 @@ VIEW_MISMATCH = "view-mismatch"
 DATA_SUPERSET_VIOLATION = "data-superset-violation"
 PARTITION_EDGE_LOST = "partition-edge-lost"
 PARTITION_SIZE_MISMATCH = "partition-size-mismatch"
+MAPPING_READS_NON_ANCESTOR = "mapping-reads-non-ancestor"
+MAPPING_WRITES_OUTSIDE_BLOCK = "mapping-writes-outside-block"
 
 # -- happens-before trace codes -----------------------------------------------
 EARLY_ASSIGN = "early-assign"

@@ -1,6 +1,6 @@
 """Seeded defect fixtures — known-bad inputs every check pass must catch.
 
-Eighteen fixtures, one per diagnostic family the verifier exists for:
+Nineteen fixtures, one per diagnostic family the verifier exists for:
 
 1.  a cyclic "pattern"                          -> ``pattern-cycle``
 2.  a pattern with an out-of-bounds dependency  -> ``dep-out-of-bounds``
@@ -28,6 +28,8 @@ Eighteen fixtures, one per diagnostic family the verifier exists for:
     takes a lock itself                         -> ``sans-io-violation``
 18. a ``RunConfig`` field only its own validator
     mentions                                    -> ``config-field-unread``
+19. a data mapping whose ``top`` input reaches
+    into a block the DAG does not order first   -> ``mapping-reads-non-ancestor``
 
 They serve two purposes: negative-path tests (each must be *rejected*,
 with the named diagnostic), and the ``repro check --selftest`` CLI verb,
@@ -397,6 +399,24 @@ def dead_knob_snippet_report() -> CheckReport:
     return report
 
 
+def overreaching_mapping_report() -> CheckReport:
+    """An edit distance whose ``top`` input is declared one cell too wide:
+    its last cell is the bottom-left cell of block ``(I-1, J+1)``, which
+    the wavefront DAG runs *concurrently* with ``(I, J)``."""
+    from repro.algorithms import EditDistance
+    from repro.check.pattern_check import check_data_mapping
+
+    class Overreaching(EditDistance):
+        def input_regions(self, partition, bid):
+            regions = super().input_regions(partition, bid)
+            key, r0, r1, c0, c1, holder = regions["top"]
+            regions["top"] = (key, r0, r1, c0, c1 + 1, holder)
+            return regions
+
+    problem = Overreaching.random(12, 12, seed=0)
+    return check_data_mapping(problem, problem.build_partition(4))
+
+
 #: name -> (expected diagnostic code, runner returning the CheckReport).
 SELFTEST: Dict[str, Tuple[str, Callable[[], CheckReport]]] = {
     "cyclic-pattern": (D.PATTERN_CYCLE, lambda: check_pattern(cyclic_pattern())),
@@ -447,6 +467,7 @@ SELFTEST: Dict[str, Tuple[str, Callable[[], CheckReport]]] = {
     "uninjected-clock": (D.UNINJECTED_CLOCK, raw_clock_snippet_report),
     "io-in-dispatch-core": (D.SANS_IO_VIOLATION, io_in_core_snippet_report),
     "dead-config-knob": (D.CONFIG_FIELD_UNREAD, dead_knob_snippet_report),
+    "overreaching-data-mapping": (D.MAPPING_READS_NON_ANCESTOR, overreaching_mapping_report),
 }
 
 

@@ -11,6 +11,10 @@ The verifier answers two questions the runtime otherwise takes on faith:
    edge that crosses a block boundary must be covered by ancestry in the
    coarse (abstract) DAG — otherwise the master could ship a block whose
    inputs were never computed (paper Fig 6).
+3. *Does the problem's data mapping agree with that DAG?* Every cell a
+   block declares it reads must be initial data or written by an ancestor,
+   and every block must write its own cells only (Table I's
+   ``data_mapping_function``, :func:`check_data_mapping`).
 
 Small patterns are checked exhaustively; large ones by randomized probing
 (vertex reservoir sampling plus bounded backward random walks for cycle
@@ -20,7 +24,9 @@ detection), so the verifier is usable on cell-level grids too.
 from __future__ import annotations
 
 import random
-from typing import Dict, FrozenSet, List, Set
+from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
+
+import numpy as np
 
 from repro.check import diagnostics as D
 from repro.check.diagnostics import CheckReport
@@ -276,4 +282,74 @@ def check_partition(
                     repr(cell),
                 )
         report.checked += 1
+    return report
+
+
+def _span(lo: int, hi: Optional[int]) -> Tuple[int, int]:
+    """Half-open extent of one region axis (``hi`` None: the single index ``lo``)."""
+    return (lo, lo + 1 if hi is None else hi)
+
+
+def check_data_mapping(
+    problem: Any, partition: Partition, *, samples: int = 512, seed: int = 0
+) -> CheckReport:
+    """Verify ``problem``'s declared data mapping against the abstract DAG.
+
+    Writes: every output region must sit at the same place relative to its
+    block's cell ranges (the state array's one origin), i.e. cover the
+    block's own cells and nothing else. Reads: every cell of every input
+    region must be written by no block at all (boundary / initial data),
+    by an ancestor of the reader — the only blocks the master guarantees
+    are committed at dispatch — or by the reader itself (an in-place
+    update). Writers are taken from every block; readers are sampled like
+    :func:`check_partition` samples blocks. On a staged partition
+    (``FWPartition``: one writer per cell *per round*) this proves some
+    version of each cell is committed before it is read; *which* round's
+    version is the pattern's anti-dependence edges' job, not the mapping's.
+    """
+    report = CheckReport(title=f"data-mapping-check({problem.name})")
+    blocks = list(partition.block_ids())
+    origin: Dict[str, Tuple[int, ...]] = {}
+    writes: List[Tuple[VertexId, str, int, int, int, int]] = []
+    for bid in blocks:
+        rows, cols = partition.block_ranges(bid)
+        for name, (key, r0, r1, c0, c1) in problem.output_regions(partition, bid).items():
+            (r0, r1), (c0, c1) = _span(r0, r1), _span(c0, c1)
+            writes.append((bid, key, r0, r1, c0, c1))
+            at = (r0 - rows.start, r1 - rows.stop)
+            if partition.kind != "chain":  # a chain block owns whole rows
+                at += (c0 - cols.start, c1 - cols.stop)
+            if at != origin.setdefault(name, at):
+                report.add(
+                    D.MAPPING_WRITES_OUTSIDE_BLOCK,
+                    f"output {name!r} = {key}[{r0}:{r1}, {c0}:{c1}] is displaced {at} from "
+                    f"the block's cells, other blocks' by {origin[name]}",
+                    repr(bid),
+                )
+        report.checked += 1
+
+    rng = random.Random(seed)
+    anc_cache: Dict[VertexId, FrozenSet[VertexId]] = {}
+    for bid in blocks if len(blocks) <= samples else rng.sample(blocks, samples):
+        committed = _ancestors(partition.abstract, bid, anc_cache) | {bid}
+        for name, (key, r0, r1, c0, c1, _) in problem.input_regions(partition, bid).items():
+            (r0, r1), (c0, c1) = _span(r0, r1), _span(c0, c1)
+            written = np.zeros((r1 - r0, c1 - c0), dtype=bool)
+            safe = written.copy()
+            for writer, wkey, wr0, wr1, wc0, wc1 in writes:
+                if wkey == key and wr0 < r1 and r0 < wr1 and wc0 < c1 and c0 < wc1:
+                    overlap = np.s_[max(wr0, r0) - r0 : min(wr1, r1) - r0,
+                                    max(wc0, c0) - c0 : min(wc1, c1) - c0]
+                    written[overlap] = True
+                    if writer in committed:
+                        safe[overlap] = True
+            early = np.argwhere(written & ~safe)
+            if len(early):
+                report.add(
+                    D.MAPPING_READS_NON_ANCESTOR,
+                    f"input {name!r} reads {key}[{early[0][0] + r0}, {early[0][1] + c0}] "
+                    f"(and {len(early) - 1} more cells) that no ancestor of the block writes",
+                    repr(bid),
+                )
+            report.checked += 1
     return report

@@ -3,8 +3,8 @@
 ``run_builtin_checks`` sweeps the whole built-in surface — every library
 pattern at several shapes (including the reversed-row and diagonal
 variants the triangular partition relies on), every bundled algorithm's
-cell-level pattern, its process-level partition, and one thread-level
-sub-partition — through the static verifier. This is what
+cell-level pattern, its process-level partition, its data mapping, and
+one thread-level sub-partition — through the static verifier. This is what
 ``repro check --all-builtin`` and the parametrized test suite run; a new
 pattern or algorithm is covered automatically once registered.
 """
@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Tuple
 
 from repro.check.diagnostics import CheckReport, merge_reports
-from repro.check.pattern_check import check_partition, check_pattern
+from repro.check.pattern_check import check_data_mapping, check_partition, check_pattern
 from repro.dag.partition import Partition
 from repro.dag.pattern import DAGPattern
 
@@ -48,24 +48,14 @@ def builtin_pattern_cases() -> Dict[str, Callable[[], DAGPattern]]:
     }
 
 
-def builtin_algorithm_cases(size: int = 24, seed: int = 0) -> Dict[str, Callable[[], object]]:
-    """name -> factory for a small instance of every bundled algorithm."""
-    from repro.cli import ALGORITHMS, _register_algorithms
-
-    _register_algorithms()
-    return {
-        name: (lambda factory=factory: factory(size, seed))
-        for name, factory in sorted(ALGORITHMS.items())
-    }
-
-
 def check_algorithm(problem: Any, *, block: int = 7, thread_block: int = 3) -> CheckReport:
-    """Verify one algorithm's pattern, partition, and a sub-partition."""
+    """Verify one algorithm's pattern, partition, data mapping, and a sub-partition."""
     reports: List[CheckReport] = []
     pattern = problem.pattern()
     reports.append(check_pattern(pattern))
     partition: Partition = problem.build_partition(block)
     reports.append(check_partition(partition))
+    reports.append(check_data_mapping(problem, partition))
     # One thread-level sub-partition: the first schedulable block.
     first = next(iter(partition.block_ids()))
     reports.append(check_partition(partition.sub_partition(first, thread_block)))
@@ -75,6 +65,7 @@ def check_algorithm(problem: Any, *, block: int = 7, thread_block: int = 3) -> C
 
 def run_builtin_checks(*, algo_size: int = 24, seed: int = 0) -> List[Tuple[str, CheckReport]]:
     """Verify every built-in pattern and algorithm; returns (name, report)."""
+    from repro.algorithms import ALGORITHMS, make_problem
     from repro.check.ast_lint import (
         check_clock_discipline,
         check_config_fields,
@@ -85,8 +76,9 @@ def run_builtin_checks(*, algo_size: int = 24, seed: int = 0) -> List[Tuple[str,
     results: List[Tuple[str, CheckReport]] = []
     for name, factory in builtin_pattern_cases().items():
         results.append((f"pattern:{name}", check_pattern(factory(), samples=128)))
-    for name, factory in builtin_algorithm_cases(algo_size, seed).items():
-        results.append((f"algorithm:{name}", check_algorithm(factory())))
+    for name in sorted(ALGORITHMS):
+        problem = make_problem(name, algo_size, seed)
+        results.append((f"algorithm:{name}", check_algorithm(problem)))
     # Source-level discipline lints and the wire-protocol spec analyses
     # ride every --all-builtin sweep: they are static (no run needed) and
     # cheap next to the pattern checks above.

@@ -55,11 +55,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Dict
 
 from repro import EasyHPS, RunConfig, __version__
-from repro.algorithms.problem import DPProblem
-from repro.utils.errors import FaultToleranceExhausted
+from repro.algorithms import ALGORITHMS, DPProblem, make_problem
+from repro.utils.errors import ConfigError, FaultToleranceExhausted
 
 #: Exit code of ``run``/``simulate``/``chaos`` runs that ended in a clean
 #: :class:`FaultToleranceExhausted` abort (documented above).
@@ -70,48 +69,12 @@ EXIT_FAULT_EXHAUSTED = 3
 #: rejection is printed; retrying later is the client's call.
 EXIT_SHED = 4
 
-#: name -> factory(size, seed) for CLI-runnable algorithm instances.
-ALGORITHMS: Dict[str, Callable[[int, int], DPProblem]] = {}
-
-
-def _register_algorithms() -> None:
-    from repro.algorithms import (
-        CYKParsing,
-        EditDistance,
-        FloydWarshall,
-        Knapsack,
-        LongestCommonSubsequence,
-        MatrixChainOrder,
-        NeedlemanWunsch,
-        Nussinov,
-        OptimalBST,
-        SmithWatermanGG,
-        ViterbiDecoding,
-    )
-
-    ALGORITHMS.update(
-        {
-            "edit-distance": lambda size, seed: EditDistance.random(size, size, seed=seed),
-            "lcs": lambda size, seed: LongestCommonSubsequence.random(size, size, seed=seed),
-            "needleman-wunsch": lambda size, seed: NeedlemanWunsch.random(size, size, seed=seed),
-            "swgg": lambda size, seed: SmithWatermanGG.random(size, seed=seed),
-            "nussinov": lambda size, seed: Nussinov.random(size, seed=seed),
-            "matrix-chain": lambda size, seed: MatrixChainOrder.random(size, seed=seed),
-            "cyk": lambda size, seed: CYKParsing.random(size, seed=seed),
-            "viterbi": lambda size, seed: ViterbiDecoding.random(size, seed=seed),
-            "floyd-warshall": lambda size, seed: FloydWarshall.random(size, seed=seed),
-            "optimal-bst": lambda size, seed: OptimalBST.random(size, seed=seed),
-            "knapsack": lambda size, seed: Knapsack.random(size, seed=seed),
-        }
-    )
-
 
 def cmd_info(_args: argparse.Namespace) -> int:
     from repro.dag.library import PATTERN_LIBRARY
     from repro.runtime.config import BACKENDS
     from repro.schedulers.policy import POLICIES
 
-    _register_algorithms()
     print(f"repro {__version__} — EasyHPS reproduction (IPPS 2013)")
     print(f"  backends   : {', '.join(BACKENDS)}")
     print(f"  schedulers : {', '.join(POLICIES)}")
@@ -121,14 +84,10 @@ def cmd_info(_args: argparse.Namespace) -> int:
 
 
 def _build_problem(args: argparse.Namespace) -> DPProblem:
-    _register_algorithms()
     try:
-        factory = ALGORITHMS[args.algo]
-    except KeyError:
-        raise SystemExit(
-            f"unknown algorithm {args.algo!r}; choose from {', '.join(sorted(ALGORITHMS))}"
-        )
-    return factory(args.size, args.seed)
+        return make_problem(args.algo, args.size, args.seed)
+    except ConfigError as exc:
+        raise SystemExit(str(exc)) from None
 
 
 def _export_trace(report, trace_out: str | None, extra_meta: dict | None = None) -> None:
@@ -288,13 +247,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         args.nodes,
         args.cores,
         scheduler=args.scheduler,
-        trace=args.gantt,
         verify=args.verify,
-        observe=args.observe or bool(args.trace_out),
+        observe=args.observe or args.gantt or bool(args.trace_out),
     )
     run = EasyHPS(config).run(problem)
     print(run.report.summary())
-    if args.gantt and run.report.trace:
+    if args.gantt:
         from repro.analysis.gantt import render_gantt
 
         print(render_gantt(run.report.trace, width=72, makespan=run.report.makespan))
@@ -330,7 +288,6 @@ def _pattern_from_meta(meta: dict | None):
     pp = meta.get("process_partition")
     if algo is None or size is None or pp is None:
         return None
-    _register_algorithms()
     factory = ALGORITHMS.get(str(algo))
     if factory is None:
         return None
@@ -388,11 +345,7 @@ def cmd_perf(args: argparse.Namespace) -> int:
 
 def cmd_check(args: argparse.Namespace) -> int:
     """Static verification; exit 0 iff everything checked out clean."""
-    from repro.check.runner import (
-        builtin_algorithm_cases,
-        check_algorithm,
-        run_builtin_checks,
-    )
+    from repro.check.runner import check_algorithm, run_builtin_checks
 
     failed = 0
     checked = 0
@@ -435,12 +388,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             raise SystemExit(f"cannot build pattern {args.pattern!r}: {exc}") from exc
         show(f"pattern:{args.pattern}-{args.size}", pattern.check())
     elif args.algo is not None:
-        cases = builtin_algorithm_cases(args.size, args.seed)
-        if args.algo not in cases:
-            raise SystemExit(
-                f"unknown algorithm {args.algo!r}; choose from {', '.join(sorted(cases))}"
-            )
-        show(f"algorithm:{args.algo}", check_algorithm(cases[args.algo]()))
+        show(f"algorithm:{args.algo}", check_algorithm(_build_problem(args)))
     elif args.protocol:
         from repro.check.protocol import check_protocol_spec, conformance_cases
 

@@ -16,8 +16,7 @@ One subsystem, four pieces (see ``docs/observability.md``):
 - **profiling** (:mod:`repro.obs.prof`) — post-hoc critical-path
   analysis, time attribution, and what-if replay (``repro perf``).
 
-Enable end to end with ``RunConfig(observe=True)`` (or ``trace=True``,
-which implies event recording) and export with
+Enable end to end with ``RunConfig(observe=True)`` and export with
 ``repro run ... --trace-out trace.json`` / ``repro stats trace.json``.
 """
 

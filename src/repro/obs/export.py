@@ -10,7 +10,7 @@ One event stream (:mod:`repro.obs.recorder`), several consumers:
 - :func:`to_sched_events` — feeds the happens-before validator
   (:func:`repro.check.trace_check.check_trace`) from the same stream;
 - :func:`to_gantt_trace` — feeds :mod:`repro.analysis.gantt`, which is
-  how ``RunConfig.trace`` now works on *every* backend, not just the
+  how ``RunReport.trace`` works on *every* backend, not just the
   simulated one.
 
 Timestamps: Chrome wants microseconds; event ``ts`` values are seconds

@@ -26,7 +26,7 @@ from repro.comm.transport import Channel, channel_pair
 from repro.dag.partition import Partition
 from repro.durable.degrade import JournalGuard
 from repro.durable.journal import CommitJournal
-from repro.obs import EventRecorder, MetricsRegistry, to_gantt_trace
+from repro.obs import EventRecorder, MetricsRegistry
 from repro.obs.clock import Clock
 from repro.runtime.config import BCW_BLOCK_COLS, RunConfig
 from repro.runtime.master import MasterPart
@@ -114,14 +114,11 @@ class RunAssembly:
 
     def finish(self, report: RunReport) -> RunReport:
         """Report epilogue shared by all four backends: the recorded
-        event stream, the metrics snapshot and (``config.trace``) the
-        Gantt trace."""
+        event stream and the metrics snapshot."""
         if self.recorder is not None:
             report.events = self.recorder.events()
             if self.metrics is not None:
                 report.metrics = self.metrics.snapshot()
-            if self.config.trace:
-                report.trace = to_gantt_trace(report.events)
         return report
 
     def master_channel(

@@ -204,13 +204,10 @@ class RunConfig:
     lease_factor: float = field(default_factory=_env("REPRO_LEASE_FACTOR", 3.0, float))
     #: Simulated-cluster description; None derives one from nodes/threads.
     cluster: Optional[ClusterSpec] = None
-    #: Record a per-sub-task schedule trace on any backend; the report's
-    #: ``trace`` then feeds :mod:`repro.analysis.gantt`. Implies
-    #: ``observe`` (the trace is derived from the telemetry stream).
-    trace: bool = False
     #: Record runtime telemetry (:mod:`repro.obs`): the task-lifecycle
     #: event stream and the metrics snapshot land on the report's
-    #: ``events`` / ``metrics`` and can be exported to Perfetto JSON via
+    #: ``events`` / ``metrics`` (its Gantt ``trace`` derives from the
+    #: events) and can be exported to Perfetto JSON via
     #: ``repro run --trace-out``. Off by default — the disabled path is
     #: a shared no-op recorder with no per-task cost.
     observe: bool = False
@@ -297,7 +294,6 @@ class RunConfig:
                 f"journal_retries must be >= 0, got {self.journal_retries}"
             )
         check_type("verify", self.verify, bool)
-        check_type("trace", self.trace, bool)
         check_type("observe", self.observe, bool)
         if self.cluster is not None:
             check_type("cluster", self.cluster, ClusterSpec)
@@ -383,9 +379,8 @@ class RunConfig:
 
     @property
     def observing(self) -> bool:
-        """True when any telemetry consumer is on (``observe`` or the
-        derived-from-telemetry schedule ``trace``)."""
-        return self.observe or self.trace
+        """True when the run records telemetry."""
+        return self.observe
 
     def partitions_for(self, problem) -> Tuple[Tuple[int, int], Tuple[int, int]]:
         """Resolve the (process, thread) partition sizes for a problem."""

@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import heapq
 import threading
-import time
 import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -948,7 +947,9 @@ class MasterPart:
                     )
                 )
                 return
-            time.sleep(self.config.poll_interval)
+            # Wakes at once when the run ends, so ``run()``'s join of this
+            # thread does not wait out the rest of a tick.
+            self._end.wait(self.config.poll_interval)
 
     # -- elastic membership -----------------------------------------------------
 

@@ -38,6 +38,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.algorithms import make_problem
 from repro.check.lock_lint import make_lock
 from repro.obs.clock import Clock, ensure_clock
 from repro.obs.metrics import MetricsRegistry
@@ -68,17 +69,7 @@ def build_problem(spec: JobSpec) -> Any:
     Deterministic by construction (seeded factories), which is what lets
     the WAL store only ``(algo, size, seed)`` instead of pickled state.
     """
-    from repro.cli import ALGORITHMS, _register_algorithms
-
-    _register_algorithms()
-    try:
-        factory = ALGORITHMS[spec.algo]
-    except KeyError:
-        raise ConfigError(
-            f"unknown algorithm {spec.algo!r}; choose from "
-            f"{', '.join(sorted(ALGORITHMS))}"
-        ) from None
-    return factory(spec.size, spec.seed)
+    return make_problem(spec.algo, spec.size, spec.seed)
 
 
 @dataclass

@@ -241,29 +241,6 @@ class TestCostModel:
         )
         assert whole == pytest.approx(nussinov_small.total_flops(part), rel=0.02)
 
-    def test_input_bytes_match_extracted_arrays(self, swgg_small):
-        part = partition_pattern(swgg_small.pattern(), 8)
-        state = swgg_small.make_state()
-        for bid in [(0, 0), (1, 2), (2, 1)]:
-            measured = sum(
-                v.nbytes for v in swgg_small.extract_inputs(state, part, bid).values()
-            )
-            assert swgg_small.input_bytes(part, bid) == measured
-
-    def test_triangular_input_bytes_match(self, nussinov_small):
-        part = partition_pattern(nussinov_small.pattern(), 8)
-        state = nussinov_small.make_state()
-        for bid in part.block_ids():
-            measured = sum(
-                v.nbytes for v in nussinov_small.extract_inputs(state, part, bid).values()
-            )
-            assert nussinov_small.input_bytes(part, bid) == measured
-
-    def test_output_bytes(self, nussinov_small):
-        part = partition_pattern(nussinov_small.pattern(), 8)
-        for bid in part.block_ids():
-            assert nussinov_small.output_bytes(part, bid) == 8 * part.cell_count(bid)
-
     def test_cost_class_groups_identical_blocks(self, swgg_small):
         part = partition_pattern(swgg_small.pattern(), 8)
         # Blocks on the same anti-diagonal with same shape share the class.

@@ -8,14 +8,15 @@ defect is rejected with its named diagnostic.
 import pytest
 
 from repro.check import diagnostics as D
+from repro.algorithms import ALGORITHMS, EditDistance, FloydWarshall, make_problem
 from repro.check.fixtures import (
     cyclic_pattern,
     data_gap_pattern,
     out_of_bounds_pattern,
+    overreaching_mapping_report,
 )
-from repro.check.pattern_check import check_partition, check_pattern
+from repro.check.pattern_check import check_data_mapping, check_partition, check_pattern
 from repro.check.runner import (
-    builtin_algorithm_cases,
     builtin_pattern_cases,
     check_algorithm,
     run_builtin_checks,
@@ -25,7 +26,6 @@ from repro.dag.partition import Partition, partition_pattern
 from repro.utils.errors import CheckError
 
 PATTERN_CASES = builtin_pattern_cases()
-ALGO_CASES = builtin_algorithm_cases(size=24, seed=0)
 
 
 class TestBuiltinsClean:
@@ -35,14 +35,14 @@ class TestBuiltinsClean:
         assert report.ok, report.summary()
         assert report.checked > 0
 
-    @pytest.mark.parametrize("name", sorted(ALGO_CASES))
+    @pytest.mark.parametrize("name", sorted(ALGORITHMS))
     def test_algorithm_stack_verifies(self, name):
-        report = check_algorithm(ALGO_CASES[name]())
+        report = check_algorithm(make_problem(name, 24, 0))
         assert report.ok, report.summary()
 
     def test_run_builtin_checks_all_ok(self):
         results = run_builtin_checks(algo_size=16)
-        assert len(results) >= len(PATTERN_CASES) + len(ALGO_CASES) - 1
+        assert len(results) >= len(PATTERN_CASES) + len(ALGORITHMS) - 1
         bad = [name for name, report in results if not report.ok]
         assert not bad, bad
 
@@ -80,6 +80,47 @@ class TestSeededDefects:
         )
         report = check_partition(bad)
         assert report.has(D.PARTITION_EDGE_LOST), report.summary()
+
+    def test_mapping_reading_a_concurrent_block_detected(self):
+        report = overreaching_mapping_report()
+        assert set(report.codes()) == {D.MAPPING_READS_NON_ANCESTOR}, report.summary()
+        # Row 0 reads boundary data and the last column reads past the
+        # matrix: only the four interior-edge blocks reach a live block.
+        assert len(report.diagnostics) == 4
+
+    def test_mapping_writing_outside_its_block_detected(self):
+        class Spilling(EditDistance):
+            def output_regions(self, partition, bid):
+                regions = super().output_regions(partition, bid)
+                if bid == (1, 1):
+                    key, r0, r1, c0, c1 = regions["block"]
+                    regions["block"] = (key, r0 - 1, r1, c0, c1)  # into (0, 1)'s last row
+                return regions
+
+        problem = Spilling.random(12, 12, seed=0)
+        report = check_data_mapping(problem, problem.build_partition(4))
+        assert [d.subject for d in report.diagnostics] == ["(1, 1)"]
+        assert report.has(D.MAPPING_WRITES_OUTSIDE_BLOCK), report.summary()
+
+    def test_staged_mapping_reading_next_rounds_pivot_detected(self):
+        """Floyd-Warshall cells have one writer per round; a round-0 block
+        declared to read round 1's pivot region reads what no ancestor
+        wrote yet."""
+
+        class Eager(FloydWarshall):
+            def input_regions(self, partition, bid):
+                regions = super().input_regions(partition, bid)
+                if "pivot" in regions and bid[0] == 0:
+                    p = partition.grid.row_range(1)
+                    regions["pivot"] = ("W", p.start, p.stop, p.start, p.stop, None)
+                return regions
+
+        problem = Eager.random(12, seed=0)
+        report = check_data_mapping(problem, problem.build_partition(4))
+        assert report.has(D.MAPPING_READS_NON_ANCESTOR), report.summary()
+        assert {d.subject for d in report.diagnostics} == {
+            "(0, 0, 1)", "(0, 0, 2)", "(0, 1, 0)", "(0, 2, 0)"
+        }
 
 
 class TestSampledPath:

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cli import ALGORITHMS, _register_algorithms, build_parser, main
+from repro.algorithms import ALGORITHMS
+from repro.cli import build_parser, main
 
 
 class TestParser:
@@ -66,7 +67,6 @@ class TestCommands:
     def test_registry_factories_produce_problems(self):
         from repro.algorithms.problem import DPProblem
 
-        _register_algorithms()
         for name, factory in ALGORITHMS.items():
             problem = factory(12, 0)
             assert isinstance(problem, DPProblem), name

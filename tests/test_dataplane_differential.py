@@ -27,10 +27,8 @@ import numpy as np
 import pytest
 
 from repro import EasyHPS, RunConfig
-from repro.cli import ALGORITHMS, _register_algorithms
+from repro.algorithms import ALGORITHMS, make_problem
 from repro.comm.shm import leaked_segments
-
-_register_algorithms()
 
 SIZE = 32
 SEED = 0
@@ -42,7 +40,7 @@ PROCESS_TIER1_ALGOS = ("lcs", "nussinov")
 
 
 def _problem(name):
-    return ALGORITHMS[name](SIZE, SEED)
+    return make_problem(name, SIZE, SEED)
 
 
 def _config(backend, **overrides):

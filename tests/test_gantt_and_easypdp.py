@@ -21,7 +21,7 @@ class TestTraceRecording:
     def test_trace_covers_every_task(self):
         sw = SmithWatermanGG.random(400, seed=1)
         cfg = RunConfig.experiment(3, 11, process_partition=100, thread_partition=25,
-                                   trace=True)
+                                   observe=True)
         _, rep = run_simulated(sw, cfg)
         assert rep.trace is not None
         assert len(rep.trace) == rep.n_tasks
@@ -30,7 +30,7 @@ class TestTraceRecording:
     def test_trace_events_ordered_and_within_makespan(self):
         sw = SmithWatermanGG.random(400, seed=1)
         cfg = RunConfig.experiment(3, 11, process_partition=100, thread_partition=25,
-                                   trace=True)
+                                   observe=True)
         _, rep = run_simulated(sw, cfg)
         for e in rep.trace:
             assert 0 <= e.transfer_start <= e.compute_start <= e.compute_end <= e.result_at
@@ -41,7 +41,7 @@ class TestTraceRecording:
         disjoint."""
         sw = SmithWatermanGG.random(600, seed=2)
         cfg = RunConfig.experiment(4, 13, process_partition=100, thread_partition=25,
-                                   trace=True)
+                                   observe=True)
         _, rep = run_simulated(sw, cfg)
         by_node = {}
         for e in rep.trace:
@@ -55,7 +55,7 @@ class TestTraceRecording:
         sw = SmithWatermanGG.random(400, seed=1)
         plan = FaultPlan([FaultRule("crash", (0, 0), 0)])
         cfg = RunConfig.experiment(3, 11, process_partition=100, thread_partition=25,
-                                   trace=True, fault_plan=plan, task_timeout=1.0)
+                                   observe=True, fault_plan=plan, task_timeout=1.0)
         _, rep = run_simulated(sw, cfg)
         # (0,0) appears exactly once — the successful retry.
         assert sum(1 for e in rep.trace if e.task_id == (0, 0)) == 1
@@ -95,7 +95,7 @@ class TestGanttRendering:
     def test_render_real_schedule(self):
         sw = SmithWatermanGG.random(600, seed=2)
         cfg = RunConfig.experiment(4, 13, process_partition=100, thread_partition=25,
-                                   trace=True)
+                                   observe=True)
         _, rep = run_simulated(sw, cfg)
         out = render_gantt(rep.trace, width=60, makespan=rep.makespan)
         assert out.count("node") == 3

@@ -77,7 +77,7 @@ class TestCrossBackendIdentity:
         from repro.analysis.gantt import render_gantt
 
         for backend in BACKENDS:
-            res = _run(backend, trace=True)
+            res = _run(backend, observe=True)
             trace = res.report.trace
             assert trace is not None and len(trace) == res.report.n_tasks, backend
             for row in trace:

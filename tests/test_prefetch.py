@@ -44,7 +44,7 @@ class TestPrefetch:
         assert a == b
 
     def test_trace_still_consistent(self, problem):
-        rep = run(problem, prefetch=True, trace=True)
+        rep = run(problem, prefetch=True, observe=True)
         assert len(rep.trace) == rep.n_tasks
         by_node = {}
         for e in rep.trace:

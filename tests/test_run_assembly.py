@@ -179,6 +179,26 @@ class TestStructure:
                     loose.append(rel)
         assert stall == ["runtime/config.py"] and not loose
 
+    def test_the_data_mapping_is_derived_in_one_place(self):
+        """A problem family declares ``input_regions`` / ``output_regions``;
+        the byte model is written in ``problem.py`` only, data movement
+        there and in ``grid_base.py`` (the boundary *store*) only — a
+        closed form beside the derived one is how the copies drifted."""
+        homes = {
+            "input_bytes": {"problem.py"},
+            "cached_input_bytes": {"problem.py"},
+            "extract_inputs": {"problem.py", "grid_base.py"},
+            "apply_result": {"problem.py", "grid_base.py"},
+        }
+        found = {name: set() for name in homes}
+        for path in sorted((SRC / "algorithms").glob("*.py")):
+            tree = ast.parse(path.read_text(), filename=path.name)
+            for fn in ast.walk(tree):
+                if isinstance(fn, ast.FunctionDef) and fn.name in homes:
+                    found[fn.name].add(path.name)
+                    assert "make_state" not in {n for n, _ in call_names(fn)}, (path.name, fn.name)
+        assert found == homes
+
     def test_no_constructor_carries_its_own_default_for_a_knob(self):
         """A numeric default for a ``RunConfig`` field name in any
         ``__init__`` under runtime/ or backends/ is a second declaration."""
