@@ -114,6 +114,18 @@ def simulate_level(
     length, summed worker busy seconds, and summed worker-seconds spent
     idle while at least one ready task existed that the worker's policy
     forbade (zero under the dynamic policy by construction).
+
+    Deliberately its own list scheduler, not a shell around
+    :class:`~repro.runtime.dispatch.DispatchCore`: this level is
+    fault-free and revocation-free by construction (no timeout, epoch,
+    retirement or taint can occur), so a dispatch ledger would have
+    nothing to decide; it runs once per distinct block cost signature
+    (``_SimulatedRun._inner`` memoizes it) yet schedules 10^6
+    sub-sub-tasks per ``sim-fig13`` configuration, where a registration
+    per task would move ``sim.events_per_s``. The thread level's *faulted*
+    path (Fig 12) is the core's — ``SlavePart._run_pool`` on the real
+    backends — and is what the subtask-scope trace replay checks under
+    ``verify`` (``docs/simulator.md`` §Dispatch).
     """
     import heapq
 
@@ -272,17 +284,13 @@ class _SimulatedRun:
             # Replay the journal's committed prefix straight into the DAG
             # parser. The committed set is downward-closed (tasks commit
             # only after their predecessors), so topological order never
-            # hits a blocked vertex. Synthetic commit records go to the
-            # happens-before trace only — the obs stream distinguishes
-            # journaled from live commits for the resume invariants.
+            # hits a blocked vertex. No commit records are synthesized —
+            # the obs stream distinguishes journaled from live commits for
+            # the resume invariants, and the trace replay is primed with
+            # the same prefix (``journaled`` at ``sched.check``).
             for bid in self.partition.abstract.topological_order():
-                if bid not in resume.committed:
-                    continue
-                self.parser.complete(bid)
-                if self.sched.trace is not None:
-                    self.sched.trace.record(
-                        "commit", bid, resume.committed[bid], -1, 0.0
-                    )
+                if bid in resume.committed:
+                    self.parser.complete(bid)
             if self.obs is not None:
                 self.obs.emit(
                     "resume", None, node=-1, scope="task",
@@ -944,7 +952,11 @@ class _SimulatedRun:
             raise SchedulerError(
                 f"simulation stalled with {self.parser.n_remaining} sub-tasks left"
             )
-        self.sched.check(self.partition.abstract, title=f"simulated-trace({self.problem.name})")
+        self.sched.check(
+            self.partition.abstract,
+            title=f"simulated-trace({self.problem.name})",
+            journaled=None if self.asm.resume is None else self.asm.resume.committed,
+        )
         if self.metrics is not None:
             self.metrics.counter("sim.messages").inc(self.messages)
             self.metrics.counter("sim.bytes_to_slaves").inc(self.bytes_to_slaves)

@@ -11,7 +11,8 @@ backends and classifies every run:
 - ``wrong-answer``        — finished with state differing from the oracle;
 - ``invariant-violation`` — finished but the telemetry stream violates a
   fault-tolerance invariant (commit after blacklist, fault without
-  reassign-or-abort);
+  reassign-or-abort), or disagrees with the dispatch core it is replayed
+  into (:func:`repro.check.trace_check.check_trace`);
 - ``hang``                — neither finished nor aborted within the run
   deadline;
 - ``error``               — any other exception escaped the runtime.
@@ -397,6 +398,7 @@ def _execute_one(
     if outcome.status == "ok" and report.events is not None:
         from repro.check.chaos_check import check_fault_invariants
         from repro.check.integrity_check import check_integrity_invariants
+        from repro.check.trace_check import check_trace
 
         check = check_fault_invariants(report.events, aborted=False)
         check.extend(
@@ -404,6 +406,8 @@ def _execute_one(
                 report.events, metrics=report.metrics, aborted=False
             )
         )
+        proc_size, _ = config.partitions_for(problem)
+        check.extend(check_trace(report.events, problem.build_partition(proc_size).abstract))
         if not check.ok:
             outcome.status = "invariant-violation"
             outcome.detail = "; ".join(
@@ -576,9 +580,13 @@ def _execute_kill_master(
             return fail("wrong-answer", diff, trace_events=report.events)
     if report.events is not None:
         from repro.check.durable_check import check_resume_invariants
+        from repro.check.trace_check import check_trace
 
         check = check_resume_invariants(
             report.events, rec.scan.committed, pattern=partition.abstract
+        )
+        check.extend(
+            check_trace(report.events, partition.abstract, journaled=rec.scan.committed)
         )
         if not check.ok:
             why = "; ".join(f"[{d.code}] {d.message}" for d in check.diagnostics)

@@ -8,9 +8,11 @@ else in this package. ``repro.check`` is the layer that verifies it:
   Models and partitions (acyclicity, in-bounds dependencies, view
   consistency, the Fig-7 data ⊇ topological invariant, coarse-DAG edge
   preservation);
-- :mod:`repro.check.trace_check` — a happens-before validator over
-  runtime/simulator scheduling traces (early commits, duplicate commits
-  from fault-tolerance races, lost updates);
+- :mod:`repro.check.trace_check` — the replay of a recorded run (any
+  backend, the simulator, the explorer) into a fresh ``DispatchCore``:
+  every point where the stream and the core disagree, plus the
+  happens-before rules (early commits, duplicate commits from
+  fault-tolerance races, lost updates) as queries on that core;
 - :mod:`repro.check.lock_lint` — an instrumented lock layer that records
   the acquisition-order graph across runtime threads and reports cycles
   and blocking channel calls made under a lock;
@@ -26,9 +28,9 @@ else in this package. ``repro.check`` is the layer that verifies it:
   recomputed; no commit without digest verification), asserted by every
   SDC campaign run;
 - :mod:`repro.check.protocol` — a machine-checked state-machine
-  specification of the master/slave wire protocol, static analyses over
-  it (reachability, unhandled messages, commit-without-verify), and
-  trace conformance replaying observed runs against the spec;
+  specification of what the dispatch core does not own (the slave and
+  master message loops, the message vocabulary) and static analyses over
+  it (reachability, unhandled messages, conflicting transitions);
 - :mod:`repro.check.explore` — a systematic concurrency explorer that
   drives the simulated backend through every message-delivery order
   (with partial-order reduction and bounded fault injection), checking
@@ -53,10 +55,9 @@ from repro.check.protocol import (
     ProtocolSpec,
     Transition,
     build_protocol_spec,
-    check_protocol_conformance,
     check_protocol_spec,
 )
-from repro.check.trace_check import SchedEvent, TraceRecorder, check_trace
+from repro.check.trace_check import LEDGER_KINDS, SchedEvent, TraceRecorder, check_trace
 
 # NOTE: repro.check.explore is deliberately NOT imported here. It needs
 # repro.cluster.faults at module level, which pulls repro.comm and (via
@@ -68,6 +69,7 @@ from repro.check.trace_check import SchedEvent, TraceRecorder, check_trace
 __all__ = [
     "CheckReport",
     "Diagnostic",
+    "LEDGER_KINDS",
     "LockLint",
     "ProtocolSpec",
     "SchedEvent",
@@ -80,7 +82,6 @@ __all__ = [
     "check_lock_discipline",
     "check_partition",
     "check_pattern",
-    "check_protocol_conformance",
     "check_protocol_spec",
     "check_resume_invariants",
     "check_trace",

@@ -53,12 +53,12 @@ BLOCKING_WHILE_LOCKED = "blocking-while-locked"
 # -- protocol-spec static analysis codes ----------------------------------------
 PROTOCOL_UNREACHABLE_STATE = "protocol-unreachable-state"
 PROTOCOL_UNHANDLED_MESSAGE = "protocol-unhandled-message"
-PROTOCOL_COMMIT_WITHOUT_VERIFY = "protocol-commit-without-verify"
 PROTOCOL_CONFLICT = "protocol-conflicting-transitions"
 PROTOCOL_MESSAGE_MISMATCH = "protocol-message-mismatch"
 
-# -- protocol trace-conformance codes -------------------------------------------
+# -- trace-replay codes (the recorded stream and the dispatch core disagree) -----
 PROTOCOL_ILLEGAL_TRANSITION = "protocol-illegal-transition"
+PROTOCOL_COMMIT_WITHOUT_VERIFY = "protocol-commit-without-verify"
 
 # -- interleaving-explorer codes ------------------------------------------------
 EXPLORE_DEADLOCK = "explore-deadlock"

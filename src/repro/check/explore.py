@@ -50,16 +50,19 @@ Search strategy (stateless replay DFS):
   situations with different block ids). Further scenarios re-run a
   reduced fault set under batched wavefront dispatch (envelope faults),
   kill a journaled master mid-wave and resume it (one chooser spans
-  both phases), and tie a result to its own lease expiry behind a lost
-  heartbeat.
+  both phases), tie a result to its own lease expiry behind a lost
+  heartbeat, and convict a lying worker under full audit (taint
+  closure and recompute).
 
 Every completed interleaving is checked for: clean termination (no
 deadlock, no unexpected abort), an oracle-identical result (every block
-committed exactly once, zero surviving taint), the happens-before trace
-invariants (:mod:`repro.check.trace_check`), the chaos and integrity
-invariants, and strict conformance to the protocol state machines
-(:mod:`repro.check.protocol`). A violating interleaving is exported as
-a replayable counterexample: the standard obs-trace JSON with the
+committed exactly once, zero surviving taint), the replay of its recorded
+stream into a fresh dispatch core with the happens-before rules
+(:func:`repro.check.trace_check.check_trace`), and the chaos and
+integrity invariants. What the campaign *reaches* is measured, not
+declared: :class:`ExplorationResult` carries the ledger kinds the
+explored runs recorded. A violating interleaving is exported as a
+replayable counterexample: the standard obs-trace JSON with the
 choice prefix in its ``meta``, so ``replay_counterexample`` (or
 ``repro check --explore --replay``) can re-execute exactly that
 delivery order under a debugger.
@@ -85,8 +88,7 @@ from typing import (
 
 from repro.check import diagnostics as D
 from repro.check.diagnostics import CheckReport, merge_reports
-from repro.check.protocol import check_protocol_conformance
-from repro.check.trace_check import check_trace
+from repro.check.trace_check import LEDGER_KINDS, check_trace
 from repro.cluster.faults import (
     MessageFaultPlan,
     MessageFaultRule,
@@ -313,6 +315,12 @@ def default_scenarios(cfg: ExploreConfig) -> List[Scenario]:
             scenarios.append(
                 Scenario(f"lease-race-n{k}", plan, config=lease, grid=(2, 2))
             )
+    # A worker that lies from its second block on, every commit audited:
+    # conviction, taint closure, recompute — the one path on which a
+    # committed block leaves the ledger again.
+    liar = WorkerFaultPlan((WorkerFaultRule("liar", worker_id=cfg.workers - 1, after_tasks=1),))
+    audit = (("integrity", "audit"), ("audit_fraction", 1.0))
+    scenarios.append(Scenario("liar-audit", None, liar, config=audit, grid=(2, 2)))
     return scenarios
 
 
@@ -514,14 +522,16 @@ def _check_interleaving(
     run: Any,
     scenario: Scenario,
     error: Optional[BaseException],
+    reached: Set[str],
     *,
     partial: bool = False,
     journaled: Optional[Dict[Any, int]] = None,
 ) -> CheckReport:
     """All per-interleaving invariants on one (possibly truncated) run.
-    ``journaled`` is the committed prefix a resumed run started from."""
-    from repro.check.trace_check import SchedEvent
-    from repro.obs.export import to_sched_events
+    ``journaled`` is the committed prefix a resumed run started from;
+    ``reached`` collects the ledger kinds the run recorded."""
+    from repro.check.chaos_check import check_fault_invariants
+    from repro.check.integrity_check import check_integrity_invariants
     from repro.utils.errors import FaultToleranceExhausted
 
     report = CheckReport(title=f"explore:{scenario.name}")
@@ -550,22 +560,12 @@ def _check_interleaving(
                 scenario.name,
             )
     events = run.obs.events() if run.obs is not None else ()
-    sched = to_sched_events(events)
+    reached.update(e.kind for e in events if e.kind in LEDGER_KINDS and e.scope == "task")
     if journaled is not None:
         from repro.check.durable_check import check_resume_invariants
 
-        # The replayed prefix is not in the resumed stream: give the
-        # happens-before check its commits, and hold the stream to the
-        # resume invariants (no journaled task commits again).
-        prior = [
-            SchedEvent("commit", t, journaled[t], -1)
-            for t in run.partition.abstract.topological_order()
-            if t in journaled
-        ]
-        sched = [
-            SchedEvent(e.kind, e.task_id, e.epoch, e.worker, seq=i, time=e.time)
-            for i, e in enumerate(prior + sched)
-        ]
+        # Hold the resumed stream to the resume invariants (no journaled
+        # task commits again); the replay below is primed with the prefix.
         report.extend(
             check_resume_invariants(
                 events, journaled, pattern=run.partition.abstract, aborted=aborted
@@ -573,18 +573,15 @@ def _check_interleaving(
         )
     report.extend(
         check_trace(
-            sched,
+            events,
             run.partition.abstract,
             require_complete=complete,
+            journaled=journaled,
             title=f"explore-trace:{scenario.name}",
         )
     )
-    from repro.check.chaos_check import check_fault_invariants
-    from repro.check.integrity_check import check_integrity_invariants
-
     report.extend(check_fault_invariants(events, aborted=aborted))
     report.extend(check_integrity_invariants(events, None, aborted=aborted))
-    report.extend(check_protocol_conformance(events, strict=True))
     return report
 
 
@@ -613,6 +610,9 @@ class ExplorationResult:
     #: True when every scenario's DFS drained within the caps.
     exhaustive: bool = True
     per_scenario: Dict[str, int] = field(default_factory=dict)
+    #: Ledger kinds (:data:`~repro.check.trace_check.LEDGER_KINDS`) some
+    #: explored run recorded — what the campaign reaches, measured.
+    reached: Set[str] = field(default_factory=set)
 
     def report(self, title: str = "explore") -> CheckReport:
         out = merge_reports(title, [ce.report for ce in self.violations])
@@ -625,9 +625,12 @@ class ExplorationResult:
     def summary(self) -> str:
         status = "OK" if not self.violations else f"{len(self.violations)} violating"
         tail = "exhaustive" if self.exhaustive else "CAPPED"
+        never = [k for k in LEDGER_KINDS if k not in self.reached]
         return (
             f"{self.scenarios} scenarios, {self.interleavings} interleavings "
-            f"({self.pruned} merged, {tail}): {status}"
+            f"({self.pruned} merged, {tail}): {status}; reached "
+            f"{', '.join(k for k in LEDGER_KINDS if k in self.reached)}; "
+            f"never reached {', '.join(never) or 'nothing'}"
         )
 
 
@@ -679,6 +682,7 @@ def _run_once(
     prefix: Sequence[int],
     visited: Set[Tuple[Any, ...]],
     model_factory: Optional[Callable[[], type[Any]]],
+    reached: Set[str],
 ) -> Tuple[Any, _ReplayChooser, CheckReport]:
     """Execute one interleaving and check its invariants. A ``kill_after``
     scenario journals into a scratch directory, and when the kill switch
@@ -709,7 +713,7 @@ def _run_once(
             try:
                 run.execute()
             except MasterCrash:
-                reports.append(_check_interleaving(run, scenario, None, partial=True))
+                reports.append(_check_interleaving(run, scenario, None, reached, partial=True))
                 rec = recover(config.journal_path)
                 journaled = dict(rec.committed)
                 chooser.phase = 1
@@ -721,7 +725,7 @@ def _run_once(
             error = exc
     reports.append(
         _check_interleaving(
-            run, scenario, error, partial=chooser.pruned, journaled=journaled
+            run, scenario, error, reached, partial=chooser.pruned, journaled=journaled
         )
     )
     return run, chooser, merge_reports(f"explore:{scenario.name}", reports)
@@ -763,7 +767,7 @@ def run_exploration(
                 break
             prefix = stack.pop()
             run, chooser, report = _run_once(
-                problem, config, scenario, prefix, visited, model_factory
+                problem, config, scenario, prefix, visited, model_factory, result.reached
             )
             explored += 1
             result.interleavings += 1
@@ -812,7 +816,7 @@ def replay_counterexample(
     problem, config = _make_instance(cfg, scenario)
     # An over-long prefix (e.g. a hand-edited file) diverges loudly via
     # the chooser's bounds check rather than silently exploring.
-    return _run_once(problem, config, scenario, choices, set(), model_factory)[2]
+    return _run_once(problem, config, scenario, choices, set(), model_factory, set())[2]
 
 
 def scenario_by_name(cfg: ExploreConfig, name: str) -> Scenario:

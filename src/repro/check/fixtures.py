@@ -15,9 +15,10 @@ Nineteen fixtures, one per diagnostic family the verifier exists for:
 10. a protocol spec that forgot to handle
     TaskAssign                                  -> ``protocol-unhandled-message``
 11. a spec whose compute path was disconnected  -> ``protocol-unreachable-state``
-12. a spec with digest verification removed     -> ``protocol-commit-without-verify``
-13. an event stream committing a cancelled
-    dispatch                                    -> ``protocol-illegal-transition``
+12. an event stream committing an epoch whose
+    digest check failed                         -> ``protocol-commit-without-verify``
+13. an event stream re-dispatching at a
+    cancelled dispatch's epoch                  -> ``protocol-illegal-transition``
 14. a master that merges reordering-delayed
     stale results — caught only by systematic
     interleaving exploration                    -> ``duplicate-commit``
@@ -36,8 +37,10 @@ with the named diagnostic), and the ``repro check --selftest`` CLI verb,
 which proves in CI that the verifier still has teeth. The broken
 patterns subclass :class:`DAGPattern` directly because the public
 constructors (by design) refuse to build them; the broken protocol
-specs are built by the surgery helpers in :mod:`repro.check.protocol`;
-fixture 14 re-runs the bounded explorer against a seeded-defect master
+specs are built by the surgery helper in :mod:`repro.check.protocol`;
+fixtures 12 and 13 are recorded streams replayed into the dispatch core
+(:func:`repro.check.trace_check.check_trace`); fixture 14 re-runs the
+bounded explorer against a seeded-defect master
 (:func:`repro.check.explore.reorder_double_commit_model`) whose bug a
 randomized chaos campaign provably cannot time.
 """
@@ -59,13 +62,7 @@ from repro.check.diagnostics import CheckReport
 from repro.check.integrity_check import check_integrity_invariants
 from repro.check.lock_lint import lock_lint_session, make_lock
 from repro.check.pattern_check import check_pattern
-from repro.check.protocol import (
-    build_protocol_spec,
-    check_protocol_conformance,
-    check_protocol_spec,
-    drop_transitions,
-    strip_guard,
-)
+from repro.check.protocol import build_protocol_spec, check_protocol_spec, drop_transitions
 from repro.check.trace_check import SchedEvent, check_trace
 from repro.dag.library import WavefrontPattern
 from repro.dag.pattern import DAGPattern, VertexId
@@ -186,8 +183,8 @@ def abba_lock_report() -> CheckReport:
 class _ObsLike:
     """Minimal stand-in for :class:`~repro.obs.recorder.ObsEvent` — the
     integrity checker consumes the *telemetry* stream, whose kinds
-    (``quarantine``, ``taint-invalidate``, ...) the stricter
-    :class:`SchedEvent` schema rejects by design."""
+    (``audit-convict``, ...) the stricter :class:`SchedEvent` schema
+    rejects by design."""
 
     kind: str
     task_id: object
@@ -272,26 +269,38 @@ def disconnected_compute_spec_report() -> CheckReport:
     return check_protocol_spec(spec, title="fixture:disconnected-compute")
 
 
-def unverified_commit_spec_report() -> CheckReport:
-    """The digest-verified guard deleted everywhere: commits become
-    reachable on unverified payloads."""
-    spec = strip_guard(build_protocol_spec(), "digest-verified")
-    return check_protocol_spec(spec, title="fixture:unverified-commit-spec")
-
-
-def cancelled_commit_stream_report() -> CheckReport:
-    """An observed stream that commits an epoch fault tolerance already
-    cancelled — illegal in the master-dispatch machine."""
-
-    def ev(seq: int, kind: str, epoch: int, worker: int) -> _ObsLike:
-        return _ObsLike(kind=kind, task_id=(0, 0), epoch=epoch, worker=worker, seq=seq)
-
+def _one_task_stream_report(title: str, *steps: Tuple[str, int, int]) -> CheckReport:
+    """Replay ``(kind, epoch, worker)`` steps about the one task of a 1x1
+    wavefront into the dispatch core."""
     stream = [
-        ev(0, "assign", 0, 0),
-        ev(1, "redistribute", 0, -1),
-        ev(2, "commit", 0, 0),  # the cancelled dispatch lands anyway
+        _ObsLike(kind=kind, task_id=(0, 0), epoch=epoch, worker=worker, seq=seq)
+        for seq, (kind, epoch, worker) in enumerate(steps)
     ]
-    return check_protocol_conformance(stream, title="fixture:cancelled-commit")
+    return check_trace(stream, WavefrontPattern(1, 1), require_complete=False, title=title)
+
+
+def unverified_commit_stream_report() -> CheckReport:
+    """An observed stream that merges a payload the receive-side digest
+    check had refused: the epoch the core ``digest-reject``ed commits."""
+    return _one_task_stream_report(
+        "fixture:unverified-commit",
+        ("assign", 0, 0),
+        ("digest-reject", 0, 0),
+        ("redistribute", 0, -1),
+        ("commit", 0, 0),  # the corrupt result lands anyway
+    )
+
+
+def reused_epoch_stream_report() -> CheckReport:
+    """An observed stream that re-dispatches a cancelled task at the
+    epoch it already used — a late result of the first dispatch would
+    then pass the epoch check. The core hands out epoch 1 here."""
+    return _one_task_stream_report(
+        "fixture:reused-epoch",
+        ("assign", 0, 0),
+        ("redistribute", 0, -1),
+        ("assign", 0, 1),  # same epoch, another worker
+    )
 
 
 def reorder_double_commit_report() -> CheckReport:
@@ -453,11 +462,11 @@ SELFTEST: Dict[str, Tuple[str, Callable[[], CheckReport]]] = {
     ),
     "protocol-unverified-commit": (
         D.PROTOCOL_COMMIT_WITHOUT_VERIFY,
-        unverified_commit_spec_report,
+        unverified_commit_stream_report,
     ),
-    "protocol-cancelled-commit-stream": (
+    "protocol-reused-epoch-stream": (
         D.PROTOCOL_ILLEGAL_TRANSITION,
-        cancelled_commit_stream_report,
+        reused_epoch_stream_report,
     ),
     "explore-reorder-double-commit": (
         D.DUPLICATE_COMMIT,

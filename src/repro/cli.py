@@ -755,7 +755,7 @@ def build_parser() -> argparse.ArgumentParser:
     target.add_argument(
         "--protocol",
         action="store_true",
-        help="check the wire-protocol spec and replay observed runs against it",
+        help="check the wire-protocol spec and replay observed runs into the dispatch core",
     )
     target.add_argument(
         "--explore",

@@ -10,9 +10,9 @@ One subsystem, four pieces (see ``docs/observability.md``):
 - **metrics** (:mod:`repro.obs.metrics`) — counters/gauges/histograms
   snapshot into the run report;
 - **exporters** (:mod:`repro.obs.export`, :mod:`repro.obs.stats`) —
-  Perfetto/Chrome JSON, the ``repro stats`` digest, and bridges feeding
-  :mod:`repro.analysis.gantt` and :mod:`repro.check.trace_check` from
-  the same stream;
+  Perfetto/Chrome JSON, the ``repro stats`` digest, and the bridge
+  feeding :mod:`repro.analysis.gantt`
+  (:func:`repro.check.trace_check.check_trace` reads the stream as is);
 - **profiling** (:mod:`repro.obs.prof`) — post-hoc critical-path
   analysis, time attribution, and what-if replay (``repro perf``).
 
@@ -25,7 +25,6 @@ from repro.obs.export import (
     read_trace,
     to_chrome_trace,
     to_gantt_trace,
-    to_sched_events,
     write_trace,
 )
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
@@ -60,7 +59,6 @@ __all__ = [
     "read_trace",
     "to_chrome_trace",
     "to_gantt_trace",
-    "to_sched_events",
     "write_trace",
     "Counter",
     "Gauge",

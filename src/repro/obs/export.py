@@ -7,8 +7,6 @@ One event stream (:mod:`repro.obs.recorder`), several consumers:
   The file also embeds the raw event list and the metrics snapshot
   under ``reproEvents`` / ``reproMetrics`` (Perfetto ignores unknown
   top-level keys), so :func:`read_trace` round-trips losslessly;
-- :func:`to_sched_events` — feeds the happens-before validator
-  (:func:`repro.check.trace_check.check_trace`) from the same stream;
 - :func:`to_gantt_trace` — feeds :mod:`repro.analysis.gantt`, which is
   how ``RunReport.trace`` works on *every* backend, not just the
   simulated one.
@@ -23,7 +21,6 @@ from __future__ import annotations
 import json
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.check.trace_check import EVENT_KINDS, SchedEvent
 from repro.comm.messages import TaskId
 from repro.obs.recorder import ObsEvent
 
@@ -199,30 +196,6 @@ def read_trace(path: str) -> Tuple[Tuple[ObsEvent, ...], Optional[Dict], Dict]:
 
 
 # -- bridges -----------------------------------------------------------------------
-
-
-def to_sched_events(events: Iterable[ObsEvent], scope: str = "task") -> List[SchedEvent]:
-    """Project the stream onto the happens-before validator's schema.
-
-    Only lifecycle kinds the validator understands survive; ordering (by
-    ``seq``) is preserved, so a stream recorded inside the runtime's
-    critical sections stays a sound linearization.
-    """
-    out: List[SchedEvent] = []
-    for ev in sorted(events, key=lambda e: e.seq):
-        if ev.scope != scope or ev.kind not in EVENT_KINDS or ev.task_id is None:
-            continue
-        out.append(
-            SchedEvent(
-                kind=ev.kind,
-                task_id=ev.task_id,
-                epoch=ev.epoch,
-                worker=ev.worker,
-                seq=len(out),
-                time=ev.ts,
-            )
-        )
-    return out
 
 
 def to_gantt_trace(events: Iterable[ObsEvent]) -> Tuple:

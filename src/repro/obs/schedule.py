@@ -11,8 +11,8 @@ wall-time on the real backends and sim-time on the simulated one.
 
 One ``record`` call fans out to both consumers:
 
-- the happens-before validator's :class:`TraceRecorder` (when
-  ``verify`` is on) for the kinds it understands;
+- the trace replay's :class:`TraceRecorder` (when ``verify`` is on) for
+  the ledger kinds :func:`check_trace` feeds the dispatch core;
 - the :mod:`repro.obs` event stream (when observing) for every kind,
   carrying the richer lifecycle taxonomy (``send``, ``compute``,
   ``result``, byte counts, span extents).
@@ -20,16 +20,15 @@ One ``record`` call fans out to both consumers:
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional
 
-from repro.check.trace_check import EVENT_KINDS, TraceRecorder, check_trace
+from repro.check.trace_check import LEDGER_KINDS, TraceRecorder, check_trace
 from repro.comm.messages import TaskId
 from repro.dag.pattern import DAGPattern
 from repro.obs.clock import Clock, ensure_clock
 from repro.obs.recorder import NULL_RECORDER, EventRecorder
 
-#: obs kind -> validator kind, for kinds both understand.
-_CHECK_KINDS = frozenset(EVENT_KINDS)
+_CHECK_KINDS = frozenset(LEDGER_KINDS)
 
 
 class ScheduleTracer:
@@ -77,7 +76,7 @@ class ScheduleTracer:
     def record(
         self,
         kind: str,
-        task_id: TaskId,
+        task_id: Optional[TaskId],
         epoch: int,
         worker: int = -1,
         *,
@@ -109,11 +108,16 @@ class ScheduleTracer:
 
     # -- epilogue --------------------------------------------------------------
 
-    def check(self, pattern: DAGPattern, title: str) -> None:
-        """Run the happens-before validator when verifying (raises
-        :class:`~repro.utils.errors.CheckError` on violations)."""
+    def check(
+        self, pattern: DAGPattern, title: str, journaled: Optional[Dict[TaskId, int]] = None
+    ) -> None:
+        """Replay the trace into a fresh dispatch core when verifying
+        (raises :class:`~repro.utils.errors.CheckError` on violations);
+        ``journaled`` is the committed prefix a resumed run started from."""
         if self.verify and self.trace is not None:
-            check_trace(self.trace.events(), pattern, title=title).raise_if_failed()
+            check_trace(
+                self.trace.events(), pattern, journaled=journaled, title=title
+            ).raise_if_failed()
 
     def __repr__(self) -> str:
         return (

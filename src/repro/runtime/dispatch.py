@@ -7,8 +7,9 @@ on it (retry budgets, backoff, blacklist, leases, quarantine, audit lag,
 votes, taint closure). Events go in with ``now`` passed alongside; plain
 :class:`Action` values come out, and the *shell* that owns the threads,
 channels, event queue, payloads and journal performs them. The vocabulary
-and the four shells (master, slave pool, simulator, explorer) are
-described once in ``docs/fault_tolerance.md`` §Dispatch core.
+and the five drivers (master, slave pool, simulator, explorer, and the
+trace replay that checks them) are described once in
+``docs/fault_tolerance.md`` §Dispatch core.
 
 The module touches no thread, clock, channel, journal file or payload, so
 it needs no lock of its own: each shell serializes its calls (the master
@@ -385,7 +386,12 @@ class DispatchCore:
         self._live[task] = reg
         return reg
 
-    def _cancel(self, task: TaskId, epoch: int) -> Optional[Registration]:
+    def cancel(self, task: TaskId, epoch: int) -> Optional[Registration]:
+        """Take ``(task, epoch)`` off the dispatch ledger: its registration,
+        or None when that epoch is not the live one. Every settling
+        decision below goes through here; the trace replay
+        (:func:`repro.check.trace_check.check_trace`) feeds a recorded
+        ``redistribute`` through it."""
         reg = self._live.get(task)
         if reg is None or reg.epoch != epoch:
             return None
@@ -395,7 +401,7 @@ class DispatchCore:
     def result(self, task: TaskId, epoch: int, worker: int) -> List[Action]:
         """Fig 9 step h: a result is accepted (``[]``) only while its
         epoch is the live registration; anything else is :class:`Stale`."""
-        if self._cancel(task, epoch) is None:
+        if self.cancel(task, epoch) is None:
             self.stats.stale_results += 1
             return [Stale(task, epoch, worker)]
         return []
@@ -433,7 +439,7 @@ class DispatchCore:
 
     def _cancel_exempt(self, task: TaskId, epoch: int, out: List[Action]) -> bool:
         """Budget-free cancel: the task did nothing wrong."""
-        if self._cancel(task, epoch) is None:
+        if self.cancel(task, epoch) is None:
             return False
         self._exempt[task] = self._exempt.get(task, 0) + 1
         self._rec(out, "redistribute", task, epoch)
@@ -485,7 +491,7 @@ class DispatchCore:
         self.stats.digest_rejects += 1
         out: List[Action] = []
         self._rec(out, "digest-reject", task, epoch, worker, hop="result")
-        if self._cancel(task, epoch) is not None:
+        if self.cancel(task, epoch) is not None:
             self._redistribute(
                 task, epoch, out, "rejected for digest mismatch on", backoff=False
             )
@@ -531,7 +537,10 @@ class DispatchCore:
                 self.stats.faults_recovered += 1
                 out.append(Requeue(task))
 
-    def _retire(self, worker: int, kind: str, out: List[Action], **data: object) -> None:
+    def retire(self, worker: int, kind: str, out: List[Action], **data: object) -> None:
+        """``worker`` gets no further dispatch, and what it holds is
+        evicted — the one step behind blacklist, quarantine and leave
+        (and how the trace replay feeds a recorded retirement)."""
         self._retired.add(worker)
         out.append(Retire(worker, kind))
         self._rec(out, kind, None, -1, worker, **data)
@@ -556,7 +565,7 @@ class DispatchCore:
             # silence still trips the threshold on a later failure.
             return
         blacklisted.append(worker)
-        self._retire(worker, "blacklist", out, failures=n)
+        self.retire(worker, "blacklist", out, failures=n)
 
     def worker_left(self, worker: int) -> List[Action]:
         """A clean departure (WorkerLeave)."""
@@ -564,7 +573,7 @@ class DispatchCore:
         if worker not in self.left:
             self.left.add(worker)
             self.stats.workers_left += 1
-            self._retire(worker, "worker-leave", out)
+            self.retire(worker, "worker-leave", out)
         return out
 
     def convict(self, worker: int) -> List[Action]:
@@ -581,7 +590,7 @@ class DispatchCore:
         if worker in quarantined or n < self.integrity.quarantine_threshold:
             return out
         quarantined.append(worker)
-        self._retire(worker, "quarantine", out, divergences=n)
+        self.retire(worker, "quarantine", out, divergences=n)
         if len(self._retired) >= self.n_workers:
             out.append(
                 Abort(

@@ -30,11 +30,6 @@ worker lost, every message dropped) aborts with a clean
 :class:`FaultToleranceExhausted` rather than hanging — and the
 straggler *cutoff* (a multiple of the observed duration quantile; the
 cancel itself is the core's ``straggler`` event).
-
-Note that a taint recompute legitimately commits a task twice; the
-strict happens-before trace validator (``verify=True``) flags the second
-commit as a duplicate, so verification and audit-mode convictions are
-not meant to be combined — chaos campaigns run with ``observe`` instead.
 """
 
 from __future__ import annotations
@@ -227,11 +222,13 @@ class MasterPart:
         #: The protocol's decisions (:mod:`repro.runtime.dispatch`): the
         #: dispatch ledger, worker standing and commit ledger, primed from
         #: the journal on resume. Guarded — together with the backoff heap
-        #: below — by ``master.core``, a leaf lock: it may be taken under
-        #: ``master.membership`` (attach) or ``master.results`` (accepting
-        #: a result), is never held while taking either of those,
-        #: ``master.state`` or a stack condition, and the actions a call
-        #: returns are performed after it is released.
+        #: below — by ``master.core``, a leaf lock but for the recorders'
+        #: own: it may be taken under ``master.membership`` (attach) or
+        #: ``master.results`` (accepting a result), is never held while
+        #: taking either of those, ``master.state`` or a stack condition,
+        #: and the actions a call returns are performed after it is
+        #: released — except the ledger records, written under it
+        #: (:meth:`_note`).
         self.core = DispatchCore.from_config(
             config,
             len(self.channels),
@@ -319,7 +316,7 @@ class MasterPart:
 
         workers = [
             threading.Thread(
-                target=self._serve_slave, args=(k,), daemon=True, name=f"master-worker{k}"
+                target=self._serve_slave, args=(k,), daemon=True, name=f"master-service{k}"
             )
             for k in range(len(self.channels))
         ]
@@ -395,29 +392,25 @@ class MasterPart:
         if self._failure:
             raise self._failure[0]
         self.sched.check(
-            self.partition.abstract, title=f"master-trace({self.problem.name})"
+            self.partition.abstract,
+            title=f"master-trace({self.problem.name})",
+            journaled=self._prior_commits,
         )
         return self.state
 
     def _replay_prior_commits(self, parser: DAGParser) -> None:
-        """Prime the DAG parser (and the happens-before trace) with the
-        commits recovered from the journal.
+        """Prime the DAG parser with the commits recovered from the journal.
 
         The committed set is downward-closed — a task only commits after
         its predecessors — so completing it in topological order never
-        hits a blocked vertex. The trace gets synthetic commit records
-        (the telemetry stream does NOT: resume invariants distinguish
-        journaled commits from live ones) so the validator sees resumed
-        tasks' dependencies as satisfied.
+        hits a blocked vertex. Neither the trace nor the telemetry stream
+        gets a record of them (resume invariants distinguish journaled
+        commits from live ones): the trace replay is primed with the same
+        prefix instead (``journaled`` in :meth:`run`'s epilogue).
         """
         for task_id in self.partition.abstract.topological_order():
-            if task_id not in self._prior_commits:
-                continue
-            parser.complete(task_id)
-            if self.sched.trace is not None:
-                self.sched.trace.record(
-                    "commit", task_id, self._prior_commits[task_id], -1, self.clock.now()
-                )
+            if task_id in self._prior_commits:
+                parser.complete(task_id)
         self.stats.resumed_commits = len(self._prior_commits)
         if self.sched.observing:
             self.sched.record(
@@ -450,15 +443,34 @@ class MasterPart:
 
     # -- performing the core's actions ---------------------------------------------------
 
+    def _note(self, actions):
+        """Write the ledger records of what a core event returned — called
+        with ``master.core`` still held, so the trace's ``seq`` order is
+        the order the core decided in. That is what lets ``check_trace``
+        replay a recorded run into a fresh core: recorded after the lock,
+        a timeout's ``redistribute`` and the ``stale-drop`` of the result
+        it beat could land in either order. Returns ``actions``."""
+        if self.sched.enabled:
+            for act in actions:
+                if isinstance(act, core_mod.Record):
+                    self.sched.record(act.kind, act.task, act.epoch, act.worker, **act.data)
+                elif isinstance(act, core_mod.Stale):
+                    self.sched.record("stale-drop", act.task, act.epoch, act.worker)
+        return actions
+
+    def _decide(self, event, *args):
+        """One core event under ``master.core``, its records noted."""
+        with self._core_lock:
+            return self._note(event(*args))
+
     def _apply(self, actions, parser: Optional[DAGParser] = None) -> bool:
         """Perform what a core event returned, in order (the core lock is
-        NOT held). False once an abort was among them. ``parser`` is only
-        needed by events that can revoke commits (scheduling thread)."""
+        NOT held; the records are already written). False once an abort
+        was among them. ``parser`` is only needed by events that can
+        revoke commits (scheduling thread)."""
         ok = True
         for act in actions:
-            if isinstance(act, core_mod.Record):
-                self.sched.record(act.kind, act.task, act.epoch, act.worker, **act.data)
-            elif isinstance(act, core_mod.Requeue):
+            if isinstance(act, core_mod.Requeue):
                 # Released before any re-queue push, so a fresh dispatch
                 # can never park new segments that this release would
                 # then tear out from under it.
@@ -471,9 +483,6 @@ class MasterPart:
                         )
                 else:
                     self._stack.push(act.task)
-            elif isinstance(act, core_mod.Stale):
-                if self.sched.enabled:
-                    self.sched.record("stale-drop", act.task, act.epoch, act.worker)
             elif isinstance(act, core_mod.Invalidate):
                 for task_id, _epoch in act.dropped:
                     self._release_blocks(task_id)
@@ -544,8 +553,7 @@ class MasterPart:
                 self._recompute(task_id), task_id, epoch, worker_id, "audit"
             )
             got = self._timed_digest(outputs, task_id, epoch, worker_id, "audit")
-            with self._core_lock:
-                actions = self.core.audit(task_id, epoch, worker_id, expected == got)
+            actions = self._decide(self.core.audit, task_id, epoch, worker_id, expected == got)
             self._apply(actions, parser)
 
     def _recompute(self, task_id: TaskId):
@@ -597,8 +605,7 @@ class MasterPart:
             if digest is None:
                 digest = self._timed_digest(outputs, task_id, epoch, worker_id, "vote")
             self._vote_outputs.setdefault(task_id, {})[worker_id] = outputs
-            with self._core_lock:
-                actions = self.core.vote(task_id, epoch, worker_id, digest, candidates)
+            actions = self._decide(self.core.vote, task_id, epoch, worker_id, digest, candidates)
             self._apply(actions)
             last = actions[-1]
             if isinstance(last, core_mod.Decide):
@@ -672,6 +679,10 @@ class MasterPart:
         with self._core_lock:
             reg = self.core.dispatch(task_id, worker_id, self.clock.now())
             retired = reg is None and self.core.is_retired(worker_id)
+            if reg is not None and self.sched.enabled:
+                # Under the lock, like every ledger record (``_note``): an
+                # eviction chasing this dispatch must not be logged first.
+                self._record_assign(task_id, reg.epoch, worker_id)
         if retired:
             # Retired while we were popping: this worker never runs the
             # task (the no-commit-after-blacklist invariant).
@@ -682,18 +693,6 @@ class MasterPart:
             # registration: forget it (the parser re-emits it) and look on.
             return self._prepare_assign(worker_id, block)
         epoch = reg.epoch
-        if self.sched.observing:
-            # queue-wait span first, so the task's "assign" (which
-            # closes the wait) serializes after it in the stream.
-            now = self.clock.now()
-            ready_at = self._ready_at.pop(task_id, None)
-            if ready_at is not None:
-                self.sched.record(
-                    "queue-wait", task_id, epoch, worker_id,
-                    ts=now, t0=ready_at, t1=now,
-                )
-        if self.sched.enabled:
-            self.sched.record("assign", task_id, epoch, worker_id)
         with self._state_lock:
             inputs = self.problem.extract_inputs(self.state, self.partition, task_id)
         return TaskAssign(
@@ -707,6 +706,19 @@ class MasterPart:
                 else None
             ),
         )
+
+    def _record_assign(self, task_id: TaskId, epoch: int, worker_id: int) -> None:
+        if self.sched.observing:
+            # queue-wait span first, so the task's "assign" (which
+            # closes the wait) serializes after it in the stream.
+            now = self.clock.now()
+            ready_at = self._ready_at.pop(task_id, None)
+            if ready_at is not None:
+                self.sched.record(
+                    "queue-wait", task_id, epoch, worker_id,
+                    ts=now, t0=ready_at, t1=now,
+                )
+        self.sched.record("assign", task_id, epoch, worker_id)
 
     def _gather_wave(self, worker_id: int, first: TaskAssign):
         """Grow one dispatch into a whole computable wave (``batch_wave``).
@@ -763,9 +775,7 @@ class MasterPart:
             if isinstance(msg, WorkerLeave):
                 # Elastic departure: retire the worker, re-queue its
                 # in-flight work budget-free, and let it exit cleanly.
-                with self._core_lock:
-                    actions = self.core.worker_left(worker_id)
-                self._apply(actions)
+                self._apply(self._decide(self.core.worker_left, worker_id))
                 self._try_send_end(channel)
                 ended = True
                 continue
@@ -840,15 +850,17 @@ class MasterPart:
             # into state. The retry is charged like a timeout, so
             # a link that corrupts the same task every time ends
             # in a clean budget-exhausted abort, not a livelock.
-            with self._core_lock:
-                actions = self.core.digest_reject(msg.task_id, msg.epoch, worker_id)
-            return self._apply(actions)
+            return self._apply(
+                self._decide(self.core.digest_reject, msg.task_id, msg.epoch, worker_id)
+            )
         with self._results_lock:
             # Accepting and buffering are one step under the results
             # lock, so a taint (which purges the buffer under it) sees
             # every result accepted before it.
             with self._core_lock:
-                actions = self.core.result(msg.task_id, msg.epoch, worker_id)
+                actions = self._note(self.core.result(msg.task_id, msg.epoch, worker_id))
+                if not actions and self.sched.enabled:
+                    self._record_result(msg, worker_id)
             if not actions:
                 if self._digest_on and msg.digest is not None:
                     self._digests_verified += 1
@@ -860,6 +872,19 @@ class MasterPart:
                 )
         if actions:
             return self._apply(actions)  # stale epoch: dropped
+        self._finished.push(msg.task_id)
+        self._last_progress = self.clock.now()
+        self._durations.append(max(0.0, msg.elapsed))
+        self.stats.tasks_per_worker[worker_id] = (
+            self.stats.tasks_per_worker.get(worker_id, 0) + 1
+        )
+        return True
+
+    def _record_result(self, msg: TaskResult, worker_id: int) -> None:
+        """The accept of one result — a ledger record like the others
+        (``_note``): a taint may purge the buffered result before it ever
+        commits, and the replay must know the dispatch had settled."""
+        data = {}
         if self.sched.observing:
             # The compute span is synthesized on the master's clock from
             # the slave-reported duration, so the same events exist
@@ -869,17 +894,8 @@ class MasterPart:
                 "compute", msg.task_id, msg.epoch, node=worker_id,
                 ts=now, t0=now - max(0.0, msg.elapsed), t1=now,
             )
-            self.sched.record(
-                "result", msg.task_id, msg.epoch, worker_id,
-                nbytes=message_nbytes(msg), elapsed=msg.elapsed,
-            )
-        self._finished.push(msg.task_id)
-        self._last_progress = self.clock.now()
-        self._durations.append(max(0.0, msg.elapsed))
-        self.stats.tasks_per_worker[worker_id] = (
-            self.stats.tasks_per_worker.get(worker_id, 0) + 1
-        )
-        return True
+            data = dict(nbytes=message_nbytes(msg), elapsed=msg.elapsed)
+        self.sched.record("result", msg.task_id, msg.epoch, worker_id, **data)
 
     def _try_send_end(self, channel: Channel) -> None:
         try:
@@ -929,7 +945,7 @@ class MasterPart:
                 due = []
                 while self._delayed and self._delayed[0][0] <= now:
                     due.append(heapq.heappop(self._delayed)[2])
-                actions = self.core.tick(now)
+                actions = self._note(self.core.tick(now))
                 idle = not self._delayed and self.core.n_live == 0
             self._stack.push_many(due)
             if not self._apply(actions):
@@ -978,7 +994,7 @@ class MasterPart:
             self.policy.n_workers = worker_id + 1
             thread = threading.Thread(
                 target=self._serve_slave, args=(worker_id,), daemon=True,
-                name=f"master-worker{worker_id}",
+                name=f"master-service{worker_id}",
             )
             self._extra_threads.append(thread)
         self.stats.workers_joined += 1
@@ -999,10 +1015,12 @@ class MasterPart:
             10.0 * self.config.poll_interval,
         )
         with self._core_lock:
-            actions = [
-                act
-                for task_id, reg in self.core.live_items()
-                if now - reg.registered_at > cutoff
-                for act in self.core.straggler(task_id, reg.epoch, now)
-            ]
+            actions = self._note(
+                [
+                    act
+                    for task_id, reg in self.core.live_items()
+                    if now - reg.registered_at > cutoff
+                    for act in self.core.straggler(task_id, reg.epoch, now)
+                ]
+            )
         self._apply(actions)

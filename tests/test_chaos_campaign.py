@@ -225,3 +225,27 @@ class TestLiveCampaign:
         # Fault plans are seeded: the same campaign classifies identically.
         again = run_campaign(spec)
         assert [o.status for o in again.outcomes] == [o.status for o in result.outcomes]
+
+    def test_surviving_runs_are_held_to_the_core_replay(self, monkeypatch):
+        from repro.check import trace_check
+
+        real, patterns = trace_check.check_trace, []
+
+        def spy(events, pattern, **kw):
+            patterns.append(pattern)
+            report = real(events, pattern, **kw)
+            assert report.ok and report.checked > 0, report.summary()
+            if len(patterns) == 2:  # a disagreement on the second survivor
+                report.add("protocol-illegal-transition", "seeded finding")
+            return report
+
+        monkeypatch.setattr(trace_check, "check_trace", spy)
+        spec = CampaignSpec(
+            backends=("simulated",), seeds=3, size=32, nodes=3, run_timeout=30.0,
+            task_fault_p=0.0, worker_p_die=0.0,  # every run survives
+        )
+        result = run_campaign(spec)
+        # The process-level pattern: 4 x 4 blocks of the 32 x 32 instance.
+        assert [p.n_vertices() for p in patterns] == [16, 16, 16]
+        assert [o.status for o in result.outcomes] == ["ok", "invariant-violation", "ok"]
+        assert "[protocol-illegal-transition] seeded finding" in result.outcomes[1].detail

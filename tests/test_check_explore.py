@@ -125,6 +125,9 @@ class TestExploration:
             # A result tied with its own lease expiry: one order expires
             # the lease and drops the result as stale, the other commits.
             ("lease-race-n0", {"lease-expired", "stale-drop"}, False),
+            # A liar convicted by a full audit: its commit leaves the
+            # ledger again (the path the old shadow ledger had drifted on).
+            ("liar-audit", {"audit-convict", "taint-invalidate", "quarantine"}, False),
         ],
     )
     def test_new_scenarios_reach_the_paths_they_name(
@@ -151,9 +154,9 @@ class TestExploration:
         halves = []
         real = explore._check_interleaving
 
-        def spy(run, scenario, error, *, partial=False, journaled=None):
+        def spy(run, scenario, error, reached, *, partial=False, journaled=None):
             halves.append((journaled, len(run.core.committed), partial))
-            return real(run, scenario, error, partial=partial, journaled=journaled)
+            return real(run, scenario, error, reached, partial=partial, journaled=journaled)
 
         monkeypatch.setattr(explore, "_check_interleaving", spy)
         result = run_exploration(
@@ -169,6 +172,18 @@ class TestExploration:
         # Resumed runs finish all four blocks (unless merged into a state
         # another interleaving already explored).
         assert any(n == 4 and not partial for _, n, partial in resumed)
+
+    def test_reach_census_is_pinned(self):
+        # What the campaign reaches is measured from the explored runs; a
+        # scenario edit that silently loses a ledger kind fails here.
+        _, result = check_exploration(TINY)
+        assert result.reached == {
+            "assign", "result", "commit", "redistribute", "stale-drop",
+            "lease-expired", "worker-death", "resume",
+            "taint-invalidate", "quarantine",  # the liar-audit scenario
+        }
+        never = result.summary().split("never reached ")[1]
+        assert never == "speculate, digest-reject, backoff, blacklist, worker-leave"
 
     def test_scenario_by_name_round_trips(self):
         for s in default_scenarios(TINY):

@@ -1,4 +1,5 @@
-"""The machine-checked wire-protocol spec and its analyses."""
+"""The hand-written wire-protocol spec and its analyses, and recorded
+streams replayed into the dispatch core (``check_trace``)."""
 
 from dataclasses import dataclass
 
@@ -7,13 +8,14 @@ import pytest
 from repro.check import diagnostics as D
 from repro.check.protocol import (
     build_protocol_spec,
-    check_protocol_conformance,
     check_protocol_spec,
     conformance_cases,
+    conformance_configs,
     drop_transitions,
-    strip_guard,
     wire_message_kinds,
 )
+from repro.check.trace_check import check_trace
+from repro.dag.library import WavefrontPattern
 
 
 @dataclass
@@ -26,10 +28,19 @@ class Ev:
     epoch: int = 0
     worker: int = -1
     scope: str = "task"
+    node: int = -1
 
 
 def stream(*specs):
     return [Ev(seq=i, **spec) for i, spec in enumerate(specs)]
+
+
+ONE_TASK = WavefrontPattern(1, 1)
+
+
+def replay(*specs, pattern=ONE_TASK, complete=False):
+    """Feed a doctored stream to the one replay, as a recorded run is."""
+    return check_trace(stream(*specs), pattern, require_complete=complete)
 
 
 class TestSpecStatics:
@@ -46,8 +57,10 @@ class TestSpecStatics:
         # Indirectly covered by the clean run; assert the analysis is
         # actually exercised by checking the counter moves per state.
         spec = build_protocol_spec()
-        n_states = sum(len(r.states) for r in spec.roles)
-        assert n_states >= 15
+        # The slave loop and the master session loop; the per-dispatch and
+        # per-worker machines are the dispatch core's, not hand-written.
+        assert [r.name for r in spec.roles] == ["slave", "master-control"]
+        assert sum(len(r.states) for r in spec.roles) == 8
 
     def test_dropped_handler_flags_unhandled_message(self):
         spec = drop_transitions(build_protocol_spec(), "slave", "awaiting", "TaskAssign")
@@ -61,11 +74,6 @@ class TestSpecStatics:
         report = check_protocol_spec(spec)
         assert report.has(D.PROTOCOL_UNREACHABLE_STATE)
 
-    def test_stripped_verify_guard_flags_commit(self):
-        spec = strip_guard(build_protocol_spec(), "digest-verified")
-        report = check_protocol_spec(spec)
-        assert report.has(D.PROTOCOL_COMMIT_WITHOUT_VERIFY)
-
     def test_phantom_message_flags_mismatch(self):
         from dataclasses import replace
 
@@ -78,123 +86,295 @@ class TestSpecStatics:
         spec = build_protocol_spec()
         n = len(spec.transitions)
         drop_transitions(spec, "slave", "awaiting", "TaskAssign")
-        strip_guard(spec, "digest-verified")
         assert len(spec.transitions) == n
         assert check_protocol_spec(spec).ok
 
 
 class TestStrictConformance:
+    """Streams the hand-written ``master-dispatch`` table used to walk,
+    now replayed into a fresh ``DispatchCore``."""
+
     def test_clean_dispatch_cycle(self):
-        events = stream(
+        assert replay(
             dict(kind="assign", task_id=(0, 0), worker=0),
             dict(kind="result", task_id=(0, 0), worker=0),
             dict(kind="commit", task_id=(0, 0), worker=0),
-        )
-        assert check_protocol_conformance(events).ok
+            complete=True,
+        ).ok
 
     def test_commit_of_cancelled_epoch_flags(self):
-        events = stream(
+        report = replay(
             dict(kind="assign", task_id=(0, 0), worker=0),
             dict(kind="redistribute", task_id=(0, 0)),
             dict(kind="commit", task_id=(0, 0), worker=0),
         )
-        report = check_protocol_conformance(events)
-        assert report.has(D.PROTOCOL_ILLEGAL_TRANSITION)
+        assert report.codes() == (D.STALE_COMMIT,)
 
     def test_reassign_after_cancel_needs_fresh_epoch(self):
-        ok = stream(
+        assert replay(
             dict(kind="assign", task_id=(0, 0), worker=0),
             dict(kind="redistribute", task_id=(0, 0)),
             dict(kind="assign", task_id=(0, 0), epoch=1, worker=1),
             dict(kind="commit", task_id=(0, 0), epoch=1, worker=1),
-        )
-        assert check_protocol_conformance(ok).ok
-        stale = stream(
+            complete=True,
+        ).ok
+        reused = replay(
             dict(kind="assign", task_id=(0, 0), worker=0),
             dict(kind="redistribute", task_id=(0, 0)),
             dict(kind="assign", task_id=(0, 0), epoch=0, worker=1),
         )
-        assert check_protocol_conformance(stale).has(D.PROTOCOL_ILLEGAL_TRANSITION)
+        assert reused.codes() == (D.PROTOCOL_ILLEGAL_TRANSITION,)
 
     def test_stale_drop_is_legal_everywhere_settled(self):
-        events = stream(
+        assert replay(
             dict(kind="assign", task_id=(0, 0), worker=0),
             dict(kind="redistribute", task_id=(0, 0)),
             dict(kind="assign", task_id=(0, 0), epoch=1, worker=1),
             dict(kind="commit", task_id=(0, 0), epoch=1, worker=1),
             dict(kind="stale-drop", task_id=(0, 0), epoch=0, worker=0),
-        )
-        assert check_protocol_conformance(events).ok
+            complete=True,
+        ).ok
 
     def test_dispatch_to_retired_worker_flags(self):
-        events = stream(
+        report = replay(
             dict(kind="quarantine", worker=1),
             dict(kind="assign", task_id=(0, 0), worker=1),
         )
-        report = check_protocol_conformance(events)
-        assert report.has(D.PROTOCOL_ILLEGAL_TRANSITION)
+        assert report.codes() == (D.PROTOCOL_ILLEGAL_TRANSITION,)
 
     def test_taint_invalidate_reopens_dispatch(self):
-        events = stream(
+        assert replay(
             dict(kind="assign", task_id=(0, 0), worker=0),
             dict(kind="commit", task_id=(0, 0), worker=0),
             dict(kind="taint-invalidate", task_id=(0, 0)),
             dict(kind="assign", task_id=(0, 0), epoch=1, worker=1),
             dict(kind="commit", task_id=(0, 0), epoch=1, worker=1),
-        )
-        assert check_protocol_conformance(events).ok
+            complete=True,
+        ).ok
 
     def test_subtask_scope_events_are_out_of_scope(self):
         # Thread-level (subtask) kinds share names with the task-level
-        # protocol but belong to a different machine: never replayed.
-        events = stream(
+        # protocol but belong to another core (the slave pool's, replayed
+        # from its own recorder): never fed to this one.
+        assert replay(
             dict(kind="assign", task_id=(0, 0), worker=0),
             dict(kind="commit", task_id=(0, 0), worker=0, scope="subtask"),
             dict(kind="commit", task_id=(0, 0), worker=0),
-        )
-        assert check_protocol_conformance(events).ok
+            complete=True,
+        ).ok
 
 
 class TestRelaxedConformance:
-    def test_racy_record_order_tolerated(self):
-        # FT thread logs the redistribute before the assign it chased;
-        # relaxed mode must not flag the order, only real violations.
-        events = stream(
-            dict(kind="redistribute", task_id=(0, 0), epoch=0),
-            dict(kind="assign", task_id=(0, 0), epoch=0, worker=0),
-            dict(kind="assign", task_id=(0, 0), epoch=1, worker=1),
-            dict(kind="commit", task_id=(0, 0), epoch=1, worker=1),
-        )
-        assert check_protocol_conformance(events, strict=False).ok
+    """The rules the order-insensitive walker kept for real backends;
+    the one replay holds every backend to them (and to the order)."""
 
     def test_commit_of_redistributed_epoch_still_flags(self):
-        events = stream(
+        report = replay(
             dict(kind="assign", task_id=(0, 0), worker=0),
             dict(kind="redistribute", task_id=(0, 0)),
-            dict(kind="commit", task_id=(0, 0), worker=0),
+            dict(kind="commit", task_id=(0, 0), worker=-1),
         )
-        report = check_protocol_conformance(events, strict=False)
-        assert report.has(D.PROTOCOL_ILLEGAL_TRANSITION)
+        assert report.codes() == (D.STALE_COMMIT,)
 
     def test_never_assigned_commit_flags(self):
-        events = stream(dict(kind="commit", task_id=(0, 0), worker=0))
-        report = check_protocol_conformance(events, strict=False)
-        assert report.has(D.PROTOCOL_ILLEGAL_TRANSITION)
+        # The real master's commit records carry worker -1; the old rule
+        # keyed on ``worker >= 0`` and never fired there.
+        report = replay(dict(kind="commit", task_id=(0, 0), worker=-1))
+        assert report.codes() == (D.PROTOCOL_ILLEGAL_TRANSITION,)
 
     def test_double_commit_without_taint_flags(self):
-        events = stream(
+        report = replay(
             dict(kind="assign", task_id=(0, 0), worker=0),
             dict(kind="commit", task_id=(0, 0), worker=0),
             dict(kind="assign", task_id=(0, 0), epoch=1, worker=1),
             dict(kind="commit", task_id=(0, 0), epoch=1, worker=1),
         )
-        report = check_protocol_conformance(events, strict=False)
-        assert report.has(D.PROTOCOL_ILLEGAL_TRANSITION)
+        assert report.codes() == (D.DUPLICATE_COMMIT,)
+
+
+#: Streams neither hand-written walker could judge: (events, pattern,
+#: codes the replay must report — none when the run is legal).
+REPLAY_CASES = {
+    # The duplicate of an accepted result lands before its commit: the old
+    # table had no state for *accepted, awaiting commit*.
+    "stale-drop-while-awaiting-commit": (
+        [
+            dict(kind="assign", task_id=(0, 0), worker=0),
+            dict(kind="result", task_id=(0, 0), worker=0),
+            dict(kind="stale-drop", task_id=(0, 0), worker=0),
+            dict(kind="commit", task_id=(0, 0)),
+        ],
+        WavefrontPattern(1, 1),
+        (),
+    ),
+    "stale-drop-of-a-live-epoch": (
+        [
+            dict(kind="assign", task_id=(0, 0), worker=0),
+            dict(kind="stale-drop", task_id=(0, 0), worker=0),
+            dict(kind="assign", task_id=(0, 0), epoch=1, worker=1),
+            dict(kind="commit", task_id=(0, 0), epoch=1),
+        ],
+        WavefrontPattern(1, 1),
+        (D.PROTOCOL_ILLEGAL_TRANSITION,),
+    ),
+    "redistribute-of-a-committed-epoch": (
+        [
+            dict(kind="assign", task_id=(0, 0), worker=0),
+            dict(kind="commit", task_id=(0, 0)),
+            dict(kind="redistribute", task_id=(0, 0)),
+        ],
+        WavefrontPattern(1, 1),
+        (D.PROTOCOL_ILLEGAL_TRANSITION,),
+    ),
+    # A conviction revokes the liar's block and its committed dependent;
+    # both recompute at fresh epochs (check_trace used to call the
+    # recommits duplicates).
+    "taint-closure-recomputes": (
+        [
+            dict(kind="assign", task_id=(0, 0), worker=1),
+            dict(kind="commit", task_id=(0, 0)),
+            dict(kind="assign", task_id=(0, 1), worker=0),
+            dict(kind="commit", task_id=(0, 1)),
+            dict(kind="taint-invalidate", task_id=(0, 0)),
+            dict(kind="taint-invalidate", task_id=(0, 1)),
+            dict(kind="quarantine", worker=1),
+            dict(kind="assign", task_id=(0, 0), epoch=1, worker=0),
+            dict(kind="commit", task_id=(0, 0), epoch=1),
+            dict(kind="assign", task_id=(0, 1), epoch=1, worker=0),
+            dict(kind="commit", task_id=(0, 1), epoch=1),
+        ],
+        WavefrontPattern(1, 2),
+        (),
+    ),
+    "taint-closure-member-never-recorded": (
+        [
+            dict(kind="assign", task_id=(0, 0), worker=1),
+            dict(kind="commit", task_id=(0, 0)),
+            dict(kind="assign", task_id=(0, 1), worker=0),
+            dict(kind="commit", task_id=(0, 1)),
+            dict(kind="taint-invalidate", task_id=(0, 0)),
+            dict(kind="assign", task_id=(0, 0), epoch=1, worker=0),
+            dict(kind="commit", task_id=(0, 0), epoch=1),
+        ],
+        WavefrontPattern(1, 2),
+        # The core revoked (0, 1) too; the run shows neither that nor its
+        # recompute.
+        (D.PROTOCOL_ILLEGAL_TRANSITION, D.LOST_UPDATE),
+    ),
+    "retirement-evicts-what-the-worker-holds": (
+        [
+            dict(kind="assign", task_id=(0, 0), worker=1),
+            dict(kind="worker-leave", worker=1),
+            dict(kind="redistribute", task_id=(0, 0)),
+            dict(kind="assign", task_id=(0, 0), epoch=1, worker=0),
+            dict(kind="commit", task_id=(0, 0), epoch=1),
+        ],
+        WavefrontPattern(1, 1),
+        (),
+    ),
+    "retirement-without-eviction": (
+        [
+            dict(kind="assign", task_id=(0, 0), worker=1),
+            dict(kind="worker-leave", worker=1),
+            dict(kind="commit", task_id=(0, 0)),  # the departed worker's result lands
+        ],
+        WavefrontPattern(1, 1),
+        (D.STALE_COMMIT, D.PROTOCOL_ILLEGAL_TRANSITION),
+    ),
+    "digest-rejected-epoch-commits": (
+        [
+            dict(kind="assign", task_id=(0, 0), worker=0),
+            dict(kind="digest-reject", task_id=(0, 0), worker=0),
+            dict(kind="redistribute", task_id=(0, 0)),
+            dict(kind="commit", task_id=(0, 0)),
+        ],
+        WavefrontPattern(1, 1),
+        (D.PROTOCOL_COMMIT_WITHOUT_VERIFY,),
+    ),
+    # integrity="vote": the accepted result is held as a ballot while the
+    # task is re-offered; the quorum then commits the first epoch.
+    "vote-reoffer-of-an-accepted-epoch": (
+        [
+            dict(kind="assign", task_id=(0, 0), worker=0),
+            dict(kind="result", task_id=(0, 0), worker=0),
+            dict(kind="redistribute", task_id=(0, 0)),
+            dict(kind="assign", task_id=(0, 0), epoch=1, worker=1),
+            dict(kind="result", task_id=(0, 0), epoch=1, worker=1),
+            dict(kind="commit", task_id=(0, 0), epoch=0),
+        ],
+        WavefrontPattern(1, 1),
+        (),
+    ),
+    "second-speculation-of-one-task": (
+        [
+            dict(kind="assign", task_id=(0, 0), worker=0),
+            dict(kind="speculate", task_id=(0, 0), worker=0),
+            dict(kind="assign", task_id=(0, 0), epoch=1, worker=1),
+            dict(kind="speculate", task_id=(0, 0), epoch=1, worker=1),
+            dict(kind="commit", task_id=(0, 0), epoch=1),
+        ],
+        WavefrontPattern(1, 1),
+        (D.PROTOCOL_ILLEGAL_TRANSITION,),
+    ),
+    # A slave announcing its own departure (node >= 0) is not the
+    # master's decision: results it sent first may still be accepted.
+    "slave-side-announcement-is-not-a-decision": (
+        [
+            dict(kind="assign", task_id=(0, 0), worker=1),
+            dict(kind="worker-leave", worker=1, node=1),
+            dict(kind="result", task_id=(0, 0), worker=1),
+            dict(kind="worker-leave", worker=1),
+            dict(kind="commit", task_id=(0, 0)),
+        ],
+        WavefrontPattern(1, 1),
+        (),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPLAY_CASES))
+def test_replay_stream(name):
+    specs, pattern, codes = REPLAY_CASES[name]
+    report = replay(*specs, pattern=pattern, complete=True)
+    assert report.codes() == codes, report.summary()
+
+
+def test_resumed_stream_is_primed_with_the_journaled_prefix():
+    events = stream(
+        # Epochs keep counting across the crash: (0, 1) was dispatched
+        # twice before it, so its first recorded epoch is 2.
+        dict(kind="assign", task_id=(0, 1), epoch=2, worker=0),
+        dict(kind="commit", task_id=(0, 1), epoch=2),
+    )
+    pattern = WavefrontPattern(1, 2)
+    assert check_trace(events, pattern, journaled={(0, 0): 0}).ok
+    assert check_trace(events, pattern).codes() == (
+        D.EARLY_ASSIGN, D.EARLY_COMMIT, D.LOST_UPDATE,
+    )
 
 
 @pytest.mark.slow
 class TestObservedRuns:
     def test_real_backends_conform(self):
-        for name, report in conformance_cases(size=20, seed=0):
+        cases = conformance_cases(size=20, seed=0)
+        assert [name.rsplit(":", 1)[1] for name, _ in cases] == [
+            "simulated", "threads", "processes", "threads-faulted",
+        ]
+        for name, report in cases:
             assert report.ok, (name, [d.message for d in report.diagnostics])
             assert report.checked > 0
+
+    def test_faulted_case_reaches_the_awaiting_commit_window(self):
+        # The duplicated result must land as a stale-drop of the very
+        # epoch that then commits, and the dropped one must time out —
+        # or the faulted conformance case exercises nothing.
+        from repro import EasyHPS
+        from repro.algorithms.edit_distance import EditDistance
+
+        name, config = conformance_configs(20)[-1]
+        assert name == "threads-faulted"
+        events = EasyHPS(config).run(EditDistance.random(20, seed=0)).report.events
+        dropped = {(e.task_id, e.epoch) for e in events if e.kind == "stale-drop"}
+        committed = {(e.task_id, e.epoch) for e in events if e.kind == "commit"}
+        assert dropped & committed
+        assert any(e.kind == "redistribute" for e in events)

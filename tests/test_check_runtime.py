@@ -10,7 +10,7 @@ import pytest
 
 from repro import EasyHPS, RunConfig
 from repro.algorithms import EditDistance, Nussinov
-from repro.cluster.faults import FaultPlan, FaultRule
+from repro.cluster.faults import FaultPlan, FaultRule, WorkerFaultPlan, WorkerFaultRule
 from repro.utils.errors import ConfigError
 
 
@@ -91,6 +91,22 @@ class TestVerifiedFaultTolerance:
         )
         run = EasyHPS(config).run(problem)
         assert run.report.faults_recovered >= 1
+
+    @pytest.mark.parametrize("backend", ["threads", "processes", "simulated"])
+    def test_convicted_liar_taint_recompute_verifies(self, backend):
+        # A taint recompute commits a block twice with an invalidation
+        # between — legal, and the validator used to call it a duplicate.
+        problem = EditDistance.random(24, 24, seed=0)
+        liar = WorkerFaultPlan([WorkerFaultRule("liar", worker_id=1, after_tasks=1)])
+        run = EasyHPS(
+            cfg(
+                backend=backend, process_partition=6, thread_partition=3,
+                integrity="audit", audit_fraction=1.0, worker_fault_plan=liar,
+            )
+        ).run(problem)
+        assert run.report.tainted_recomputes >= 1
+        if backend != "simulated":
+            assert run.value.distance == problem.reference()
 
 
 class TestConfigValidation:

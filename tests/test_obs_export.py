@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.check.trace_check import EVENT_KINDS, check_trace
+from repro.check.trace_check import LEDGER_KINDS, check_trace
 from repro.dag.library import get_pattern
 from repro.obs.export import (
     TRACE_FORMAT,
@@ -13,7 +13,6 @@ from repro.obs.export import (
     read_trace,
     to_chrome_trace,
     to_gantt_trace,
-    to_sched_events,
     write_trace,
 )
 from repro.obs.clock import ManualClock
@@ -95,14 +94,16 @@ class TestRoundTrip:
 
 
 class TestBridges:
-    def test_to_sched_events_feeds_check_trace(self):
+    def test_obs_stream_feeds_check_trace(self):
+        # The replay reads the telemetry stream as is: ledger kinds at
+        # task scope (assign+commit of the 1x2 chain), nothing else.
         events = _lifecycle_stream()
-        sched = to_sched_events(events)
-        assert all(s.kind in EVENT_KINDS for s in sched)
-        # Two tasks of the 1x2 chain: assign+commit each.
-        assert [s.kind for s in sched] == ["assign", "commit", "assign", "commit"]
         pattern = get_pattern("wavefront", 1, 2)
-        check_trace(sched, pattern, title="bridge").raise_if_failed()
+        report = check_trace(events, pattern, title="bridge")
+        report.raise_if_failed()
+        assert report.checked == sum(
+            e.kind in LEDGER_KINDS and e.scope == "task" for e in events
+        )
 
     def test_to_gantt_trace_rows(self):
         rows = to_gantt_trace(_lifecycle_stream())

@@ -7,7 +7,7 @@ import pytest
 
 from repro.algorithms import SmithWatermanGG
 from repro.check.trace_check import check_trace
-from repro.obs.export import read_trace, to_sched_events, write_trace
+from repro.obs.export import read_trace, write_trace
 from repro.obs.recorder import LIFECYCLE_KINDS, NULL_RECORDER
 from repro.runtime.config import RunConfig
 from repro.runtime.system import EasyHPS
@@ -69,8 +69,7 @@ class TestCrossBackendIdentity:
             cfg = RunConfig(nodes=3, threads_per_node=2, backend=backend)
             proc_size, _ = cfg.partitions_for(problem)
             pattern = problem.build_partition(proc_size).abstract
-            sched = to_sched_events(res.report.events)
-            report = check_trace(sched, pattern, title=f"obs-{backend}")
+            report = check_trace(res.report.events, pattern, title=f"obs-{backend}")
             assert report.ok, f"{backend}: {report.diagnostics}"
 
     def test_trace_flag_yields_gantt_rows_on_every_backend(self):
@@ -139,7 +138,7 @@ class TestTraceFileEndToEnd:
         cfg = RunConfig(nodes=3, threads_per_node=2, backend="processes")
         proc_size, _ = cfg.partitions_for(problem)
         pattern = problem.build_partition(proc_size).abstract
-        check_trace(to_sched_events(events), pattern, title="file").raise_if_failed()
+        check_trace(events, pattern, title="file").raise_if_failed()
         assert metrics["counters"]
 
     def test_file_is_perfetto_loadable_json(self, tmp_path):

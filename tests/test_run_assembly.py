@@ -228,8 +228,9 @@ class TestStructure:
     def test_the_core_is_built_from_a_config_in_exactly_one_function(self):
         """``DispatchCore.from_config`` is the one RunConfig -> core
         mapping (master shell and simulator both call it); the only other
-        construction is the slave pool's thread-level core, which takes
-        ``subtask_timeout`` and ``max_retries`` and nothing else."""
+        constructions are the slave pool's thread-level core, which takes
+        ``subtask_timeout`` and ``max_retries`` and nothing else, and the
+        trace replay's neutral core, which reads no knob at all."""
         built, users = [], []
         for path in sorted(SRC.rglob("*.py")):
             rel = path.relative_to(SRC).as_posix()
@@ -251,6 +252,7 @@ class TestStructure:
                 ):
                     users.append(rel)
         assert built == [
+            ("check/trace_check.py", "DispatchCore", set()),
             ("runtime/dispatch.py", "cls", {
                 "task_timeout", "max_retries", "retry_backoff", "retry_backoff_max",
                 "blacklist_threshold",
