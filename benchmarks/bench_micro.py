@@ -48,10 +48,12 @@ def _ns_per_cell(benchmark, capsys, kernel: str, region: int) -> None:
         print(f"\n  {kernel} r={region}: {ns:.1f} ns/cell")
 
 
-@pytest.mark.parametrize("region", [25, 62, 250])
+@pytest.mark.parametrize("region", [25, 62, 125, 250])
 def test_edit_distance_kernel_cells_per_second(benchmark, capsys, region):
-    """Thread-partition (25, 62) and process-partition (250) region sizes
-    of edit distance n = 800 / 2000."""
+    """Edit distance n = 2000 (250-wide blocks): the default thread
+    partition at one (250) and two (125) computing threads a node, beside
+    the quarter block (62) it was before and n = 800's quarter block (25).
+    The default rests on this curve only falling as regions grow."""
     D = np.zeros((region + 1, region + 1))
     D[0, :] = np.arange(region + 1)
     D[:, 0] = np.arange(region + 1)
@@ -61,10 +63,11 @@ def test_edit_distance_kernel_cells_per_second(benchmark, capsys, region):
     _ns_per_cell(benchmark, capsys, "edit_distance_region", region)
 
 
-@pytest.mark.parametrize("region", [12, 50])
+@pytest.mark.parametrize("region", [12, 25, 50])
 def test_swgg_kernel_cells_per_second(benchmark, capsys, region):
     """A region of a mid-matrix 50 x 50 block of SWGG n = 400 (200-cell
-    row and column prefixes), at the thread and process partition sizes."""
+    row and column prefixes): the default thread partition at one (50) and
+    two (25) computing threads a node, beside the old quarter block (12)."""
     block, origin = 50, 200
     rng = np.random.default_rng(0)
     Hloc = rng.random((block + 1, block + 1))

@@ -290,9 +290,9 @@ class FloydWarshall(DPProblem):
         block, _ = _as_pair(process_partition)
         return FWPartition(self.n, block)
 
-    def default_partition_sizes(self) -> Tuple[int, int]:
-        proc = max(1, self.n // 4)
-        return (proc, max(1, proc // 2))
+    def default_partition_sizes(self, threads=1, process_partition=None):
+        proc = process_partition or max(1, self.n // 4)
+        return super().default_partition_sizes(threads, proc)
 
     # -- data flow -----------------------------------------------------------------
 

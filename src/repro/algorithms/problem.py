@@ -31,7 +31,7 @@ from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.dag.partition import Partition
+from repro.dag.partition import BlockShape, Partition, _as_pair
 from repro.dag.pattern import DAGPattern, VertexId
 
 #: Bytes per DP matrix element shipped over the (simulated) wire.
@@ -110,13 +110,22 @@ class DPProblem(ABC):
 
         return partition_pattern(self.pattern(), process_partition)
 
-    def default_partition_sizes(self) -> Tuple[int, int]:
-        """Reasonable (process, thread) partition sizes for this instance size."""
-        shape = getattr(self.pattern(), "shape", None)
-        n = shape[0] if shape else getattr(self.pattern(), "n")
-        proc = max(1, n // 8)
-        thread = max(1, proc // 4)
-        return (proc, thread)
+    def default_partition_sizes(
+        self, threads: int = 1, process_partition: Optional[BlockShape] = None
+    ) -> Tuple[Tuple[int, int], Tuple[int, int]]:
+        """(process, thread) sizes, as ``(rows, cols)`` pairs, of a run that
+        names no thread size (``process_partition``: its process size when it
+        names one). Per axis a block is cut into as many regions as its node
+        has computing ``threads`` (Fig 11 step e) — the whole block for one,
+        else the coarsest split whose widest anti-diagonal feeds them all:
+        cost per cell only falls as regions grow (``repro calibrate``). An
+        override decides the process-level default alone and passes it up."""
+        if process_partition is None:
+            shape = getattr(self.pattern(), "shape", None)
+            n = shape[0] if shape else getattr(self.pattern(), "n")
+            process_partition = max(1, n // 8)
+        proc = _as_pair(process_partition)
+        return proc, (max(1, proc[0] // threads), max(1, proc[1] // threads))
 
     # -- master-side state ----------------------------------------------------
 

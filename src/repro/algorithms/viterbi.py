@@ -116,9 +116,9 @@ class ViterbiDecoding(DPProblem):
     def pattern(self) -> ChainPattern:
         return ChainPattern(self.T)
 
-    def default_partition_sizes(self) -> Tuple[int, int]:
-        proc = max(1, self.T // 8)
-        return (proc, max(1, proc // 4))
+    def default_partition_sizes(self, threads=1, process_partition=None):
+        proc = process_partition or max(1, self.T // 8)
+        return super().default_partition_sizes(threads, proc)
 
     # -- data flow ----------------------------------------------------------------
 

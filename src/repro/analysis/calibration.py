@@ -88,6 +88,17 @@ def measure_blocks(
     return samples
 
 
+def ns_per_cell(
+    problem: DPProblem, process_partition: BlockShape, thread_partition: BlockShape, repeats: int = 1
+) -> float:
+    """Kernel nanoseconds per block cell at one thread-level grain: the curve
+    the default thread partition assumes falls as regions grow."""
+    partition = problem.build_partition(process_partition)
+    samples = measure_blocks(problem, process_partition, thread_partition, repeats=repeats)
+    spans = [partition.block_ranges(s.bid) for s in samples]
+    return 1e9 * sum(s.seconds for s in samples) / sum(len(r) * len(c) for r, c in spans)
+
+
 def fit_rate(samples: Sequence[CalibrationSample]) -> float:
     """Aggregate work-per-second over all samples (total flops / total s)."""
     if not samples:

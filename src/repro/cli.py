@@ -229,15 +229,20 @@ def cmd_resume(args: argparse.Namespace) -> int:
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
-    """Fit the simulator's node rate to this machine's real kernels."""
-    from repro.analysis.calibration import calibrate_node, calibration_report
+    """Fit the simulator's node rate to this machine's real kernels, and
+    print the cost-per-cell curve the default thread partition rests on."""
+    from repro.analysis.calibration import calibrate_node, calibration_report, ns_per_cell
 
     problem = _build_problem(args)
-    proc, thread = problem.default_partition_sizes()
+    proc, thread = RunConfig(threads_per_node=1).partitions_for(problem)
     spec, samples = calibrate_node(problem, proc, thread, repeats=args.repeats)
     print(calibration_report(samples))
     print(f"calibrated NodeSpec: flops_per_second={spec.flops_per_second:.4g}")
     print("use it via RunConfig(cluster=ClusterSpec(compute_nodes=(spec, ...)))")
+    for label, threads in (("whole", 1), ("half", 2), ("quarter", 4)):
+        _, thread = RunConfig(threads_per_node=threads).partitions_for(problem)
+        ns = ns_per_cell(problem, proc, thread, repeats=args.repeats)
+        print(f"{label}-block regions {thread} ({threads} thread(s) a node): {ns:.1f} ns/cell")
     return 0
 
 

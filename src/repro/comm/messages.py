@@ -67,6 +67,8 @@ class TaskResult(Message):
     outputs: Dict[str, Any] = field(compare=False)
     #: Slave-side wall-clock seconds spent computing (reporting only).
     elapsed: float = 0.0
+    #: Thread-level regions the slave ran for it (reporting only).
+    subtasks: int = 0
     #: Canonical content digest of ``outputs``; None when integrity is off.
     digest: Optional[str] = None
 

@@ -210,7 +210,7 @@ class RunAssembly:
             makespan=elapsed,
             wall_time=elapsed,
             n_tasks=self.partition.n_blocks,
-            n_subtasks=sum(s.subtasks for s in slave_stats),
+            n_subtasks=stats.subtasks,
             messages=stats.messages,
             bytes_to_slaves=stats.bytes_to_slaves,
             bytes_to_master=stats.bytes_to_master,

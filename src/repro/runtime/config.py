@@ -94,7 +94,8 @@ class RunConfig:
     #: Process-level partition size (cells per sub-task side); None picks
     #: the problem's default.
     process_partition: Optional[BlockShape] = None
-    #: Thread-level partition size; None picks the problem's default.
+    #: Thread-level partition size; None cuts a block, per axis, into one
+    #: region per computing thread (:meth:`partitions_for`).
     thread_partition: Optional[BlockShape] = None
     #: Seconds before a dispatched sub-task is declared failed (Fig 10).
     #: Overridable via ``REPRO_TASK_TIMEOUT``.
@@ -383,11 +384,20 @@ class RunConfig:
         return self.observe
 
     def partitions_for(self, problem) -> Tuple[Tuple[int, int], Tuple[int, int]]:
-        """Resolve the (process, thread) partition sizes for a problem."""
-        proc, thread = problem.default_partition_sizes()
-        p = self.process_partition if self.process_partition is not None else proc
-        t = self.thread_partition if self.thread_partition is not None else thread
-        return _as_pair(p), _as_pair(t)
+        """Resolve the (process, thread) partition sizes for a problem. An
+        unset thread size follows the computing threads a block is shared
+        among: one on the serial backend, else the widest node of an
+        explicit ``cluster``, else ``threads_per_node``."""
+        if self.backend == "serial":
+            threads = 1
+        elif self.cluster is not None:
+            threads = max(node.threads for node in self.cluster.compute_nodes)
+        else:
+            threads = self.threads_per_node
+        proc, thread = problem.default_partition_sizes(threads, self.process_partition)
+        if self.thread_partition is not None:
+            thread = _as_pair(self.thread_partition)
+        return proc, thread
 
     def cluster_spec(self) -> ClusterSpec:
         """The simulated cluster: explicit spec, or one derived from

@@ -93,6 +93,8 @@ class MasterStats(core_mod.Counters):
 
     tasks_per_worker: Dict[int, int] = field(default_factory=dict)
     messages: int = 0
+    #: Thread-level regions behind the accepted results (slave-reported).
+    subtasks: int = 0
     bytes_to_slaves: int = 0
     bytes_to_master: int = 0
     #: Service/fault-tolerance threads that outlived their join timeout.
@@ -875,6 +877,7 @@ class MasterPart:
         self._finished.push(msg.task_id)
         self._last_progress = self.clock.now()
         self._durations.append(max(0.0, msg.elapsed))
+        self.stats.subtasks += msg.subtasks
         self.stats.tasks_per_worker[worker_id] = (
             self.stats.tasks_per_worker.get(worker_id, 0) + 1
         )

@@ -219,6 +219,7 @@ class SlavePart:
                         # the epoch check must discard this result.
                         time.sleep(self.config.hang_duration)
                     self._current = (assign.task_id, assign.epoch)
+                    regions_before = self.stats.subtasks
                     started = time.perf_counter()
                     outputs = self._compute(assign)
                     elapsed = time.perf_counter() - started
@@ -256,6 +257,7 @@ class SlavePart:
                             slave_id=self.slave_id,
                             outputs=outputs,
                             elapsed=elapsed,
+                            subtasks=self.stats.subtasks - regions_before,
                             digest=content_digest(outputs) if self._digest_on else None,
                         )
                     )

@@ -18,6 +18,7 @@ from repro.algorithms import (
 )
 from repro.dag.library import RowColPrefixPattern, TriangularPattern, WavefrontPattern
 from repro.dag.partition import partition_pattern
+from repro.runtime.config import RunConfig
 
 
 def run_blocked(problem, proc, thread):
@@ -66,8 +67,8 @@ class TestEditDistance:
         ed = EditDistance("AAAA", "CCC")
         assert isinstance(ed.pattern(), WavefrontPattern)
         assert ed.pattern().shape == (4, 3)
-        proc, thread = ed.default_partition_sizes()
-        assert proc >= 1 and thread >= 1
+        proc, thread = RunConfig().partitions_for(ed)
+        assert min(proc) >= 1 and min(thread) >= 1
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValueError):
