@@ -72,6 +72,10 @@ class PairwiseGridProblem(DPProblem):
         #: O(wavefront) master memory — see repro.algorithms.compaction).
         self.retain = retain
 
+    @property
+    def recomputable(self) -> bool:
+        return self.retain == "full"
+
     # -- structure --------------------------------------------------------
 
     def pattern(self) -> WavefrontPattern:

@@ -90,6 +90,11 @@ class DPProblem(ABC):
 
     #: Human-readable algorithm name (used in reports and benchmarks).
     name: str = "dp-problem"
+    #: Whether a committed block's inputs can be extracted from the state
+    #: again for the rest of the run — what an audit recompute, and the
+    #: taint recompute a conviction starts, read. A store that frees
+    #: consumed blocks as it goes (``retain="boundary"``) says no.
+    recomputable: bool = True
 
     # -- structure ----------------------------------------------------------
 

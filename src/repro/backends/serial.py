@@ -19,6 +19,7 @@ from repro.comm.serialization import (
     content_digest,
     payload_nbytes,
 )
+from repro.durable.journal import snapshot_state
 from repro.integrity import fold_commit, run_digest_hex
 from repro.runtime.assembly import RunAssembly
 from repro.runtime.config import RunConfig
@@ -143,10 +144,9 @@ def _drain(
         problem.apply_result(state, partition, bid, outputs)
         committed[bid] = 0
         if journal is not None and journal.should_checkpoint():
-            snapshot = {k: np.array(v, copy=True) for k, v in state.items()}
             c0 = recorder.clock.now() if recorder is not None else 0.0
             nbytes = journal.checkpoint(
-                snapshot, committed, {t: 1 for t in committed},
+                snapshot_state(state), committed, {t: 1 for t in committed},
                 run_digest=run_digest_hex(digest_acc) if digest_on else None,
                 commit_digests=dict(digests) if digest_on else None,
             )

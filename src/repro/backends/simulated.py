@@ -29,16 +29,17 @@ decision is taken by the same
 link/CPU cost model, the fault-plan lookups and the ``EventQueue``
 scheduling, and performs the core's actions in sim-time.
 
-Dispatch is one path (``docs/simulator.md`` §Dispatch): an idle node is
-sent a *wave* — up to ``max_batch`` ready tasks under ``batch_wave``,
-otherwise one — in ONE envelope and ONE transfer, computes its elements
-in sequence (task and worker faults apply per element, in the order of
-the real slave's loop) and answers with ONE result envelope whose
-elements land one by one. ``batch_wave`` decides only what it decides on
-the real wire: how many elements share the α term, the master overhead
-and the 2+1 messages; the message-type name the fault plan is asked
-about; and whether ``batch-assemble`` is recorded. ``prefetch`` reserves
-the next wave of one ahead, on the same path, while the node computes.
+Dispatch is one path, as on the real wire (``docs/simulator.md``
+§Dispatch): an idle node is sent a *wave* — up to ``max_batch`` ready
+tasks under ``batch_wave``, otherwise one — in ONE ``BatchAssign``
+envelope and ONE transfer, computes its elements in sequence (task and
+worker faults apply per element, in the order of the real slave's loop)
+and answers with ONE ``BatchResult`` envelope whose elements land one by
+one. ``batch_wave`` decides only what it decides on the real wire: how
+many elements share the α term, the master overhead and the 2+1
+messages, and whether ``batch-assemble`` is recorded. ``prefetch``
+reserves the next wave of one ahead, on the same path, while the node
+computes.
 
 Chaos (:mod:`repro.chaos`) is modeled as faults on the simulated
 transfers and nodes: a dropped assignment leaves the node free and the
@@ -220,21 +221,9 @@ class _SimulatedRun:
         self.partition: Partition = self.asm.partition
         self.thread_size = self.asm.thread_size
         self.cluster: ClusterSpec = config.cluster_spec()
-        #: Per-node sets of completed task ids (affinity + cache model).
+        #: Per-node sets of completed task ids (the input-cache model).
         self.node_done: List[set] = [set() for _ in self.cluster.compute_nodes]
-        if config.scheduler == "dynamic-affinity":
-            from repro.schedulers.policy import AffinityDynamicPolicy
-
-            self.policy: SchedulingPolicy = AffinityDynamicPolicy(
-                self.cluster.n_compute_nodes,
-                neighbor_fn=self.partition.abstract.predecessors,
-                history={k: s for k, s in enumerate(self.node_done)},
-            )
-        else:
-            self.policy = self.asm.policy(
-                self.cluster.n_compute_nodes,
-                cost_fn=lambda bid: problem.block_flops(self.partition, bid),
-            )
+        self.policy: SchedulingPolicy = self.asm.policy(self.cluster.n_compute_nodes)
 
         self.nodes = [_Node(spec=s) for s in self.cluster.compute_nodes]
         self.master_nic_free = 0.0
@@ -534,14 +523,13 @@ class _SimulatedRun:
                 )
         rule = None
         if self.config.message_fault_plan:
-            mtype = "BatchAssign" if self.config.batch_wave else "TaskAssign"
             rule = self.config.message_fault_plan.decide(
-                "send", mtype, wave[0], node.sent_index, endpoint=k
+                "send", "BatchAssign", wave[0], node.sent_index, endpoint=k
             )
             node.sent_index += 1
         if rule is not None:
             bid0, ep0 = parts[0]
-            self._note_msg_fault(rule.kind, bid0, ep0, k, mtype)
+            self._note_msg_fault(rule.kind, bid0, ep0, k, "BatchAssign")
             if rule.kind == "drop":
                 # The whole envelope never arrives: every registration
                 # rides the overtime check to redistribution.
@@ -659,13 +647,12 @@ class _SimulatedRun:
         reject: Optional[Tuple[TaskId, int]] = None
         rule = None
         if self.config.message_fault_plan:
-            mtype = "BatchResult" if self.config.batch_wave else "TaskResult"
             rule = self.config.message_fault_plan.decide(
-                "recv", mtype, bid0, node.recv_index, endpoint=k
+                "recv", "BatchResult", bid0, node.recv_index, endpoint=k
             )
             node.recv_index += 1
         if rule is not None:
-            self._note_msg_fault(rule.kind, bid0, ep0, k, mtype)
+            self._note_msg_fault(rule.kind, bid0, ep0, k, "BatchResult")
             if rule.kind == "drop":
                 # The whole envelope is lost; every element rides the
                 # overtime check while the node serves on.
@@ -796,6 +783,7 @@ class _SimulatedRun:
                 )
         self.nodes[k].tasks_done += 1
         self.node_done[k].add(bid)
+        self.policy.completed(k, bid)
         self.makespan = max(self.makespan, self.evq.now)
         if taint is not None:
             self.tainted_commits[bid] = taint

@@ -18,8 +18,9 @@ Drive from the CLI with ``repro chaos --seeds 20 --backend simulated
 --backend threads``. Kill-master campaigns (``repro chaos
 --kill-master-at 0.5``) crash the journaling master at a seeded commit,
 ``repro resume`` the write-ahead journal, and assert the resumed run is
-oracle-identical with the :mod:`repro.check.durable_check` resume
-invariants intact.
+oracle-identical and that its recorded stream replays cleanly into the
+dispatch core primed with the journal
+(:func:`repro.check.trace_check.check_trace`, ``journaled=``).
 """
 
 from repro.chaos.campaign import (

@@ -30,7 +30,8 @@ per-endpoint ``chaos.*`` metrics.
 
 The wrapper is deliberately protocol-agnostic: it never inspects message
 semantics beyond the class name and optional ``task_id`` used for rule
-matching.
+matching — for an assignment or result envelope (``BatchAssign`` /
+``BatchResult``) that is its first element's, on every backend.
 """
 
 from __future__ import annotations
@@ -38,14 +39,34 @@ from __future__ import annotations
 import heapq
 import time
 from collections import deque
-from dataclasses import replace
-from typing import Deque, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.cluster.faults import MessageFaultPlan
-from repro.comm.messages import BatchAssign, BatchResult, Message, TaskAssign, TaskResult
+from repro.comm.messages import Message
+from repro.comm.serialization import content_digest
 from repro.comm.transport import Channel, ChannelTimeout, DelegatingChannel
+
+
+def _flip_first_array(payload: Dict[str, Any]) -> Optional[Dict[str, Any]]:
+    """``payload`` with the first byte of its first non-empty array
+    flipped; None when it holds no array bytes."""
+    flipped = False
+    mutated = {}
+    for key, value in payload.items():
+        if not flipped and isinstance(value, np.ndarray) and value.size:
+            raw = bytearray(np.ascontiguousarray(value).tobytes())
+            raw[0] ^= 0xFF
+            mutated[key] = (
+                np.frombuffer(bytes(raw), dtype=value.dtype)
+                .reshape(value.shape)
+                .copy()
+            )
+            flipped = True
+        else:
+            mutated[key] = value
+    return mutated if flipped else None
 
 
 class ChaosChannel(DelegatingChannel):
@@ -119,58 +140,29 @@ class ChaosChannel(DelegatingChannel):
     def _mutate_payload(self, msg: Message, restamp: bool) -> Optional[Message]:
         """Flip one byte of the message's first array payload.
 
-        ``restamp`` (the ``bitflip`` kind) recomputes the content digest
-        over the mutated payload so receive-side verification passes —
+        An envelope corrupts like a wire frame would: one byte in one
+        element — the first that carries array bytes; the other elements
+        of the wave pass verification untouched. ``restamp`` (the
+        ``bitflip`` kind) recomputes that element's content digest over
+        the mutated payload so receive-side verification passes —
         corruption upstream of the checksum. Without it (``corrupt``) the
         stamped digest goes stale and the receiver detects the mismatch.
         Returns None when the message carries no array bytes to flip (a
         bare signal or an empty input set); the caller degrades the fault
         to a drop.
         """
-        if isinstance(msg, (BatchAssign, BatchResult)):
-            # A batch envelope corrupts like a wire frame would: one byte
-            # in one element. Mutate the first element that carries array
-            # bytes (its own digest goes stale / is restamped); the other
-            # elements of the wave pass verification untouched.
-            field_name = "assigns" if isinstance(msg, BatchAssign) else "results"
-            parts = getattr(msg, field_name)
-            for i, part in enumerate(parts):
-                mutated_part = self._mutate_payload(part, restamp)
-                if mutated_part is not None:
-                    return replace(
-                        msg,
-                        **{field_name: parts[:i] + (mutated_part,) + parts[i + 1:]},
-                    )
-            return None
-        if isinstance(msg, TaskAssign):
-            field_name = "inputs"
-        elif isinstance(msg, TaskResult):
-            field_name = "outputs"
-        else:
-            return None
-        payload = getattr(msg, field_name)
-        flipped = False
-        mutated = {}
-        for key, value in payload.items():
-            if not flipped and isinstance(value, np.ndarray) and value.size:
-                raw = bytearray(np.ascontiguousarray(value).tobytes())
-                raw[0] ^= 0xFF
-                mutated[key] = (
-                    np.frombuffer(bytes(raw), dtype=value.dtype)
-                    .reshape(value.shape)
-                    .copy()
-                )
-                flipped = True
-            else:
-                mutated[key] = value
-        if not flipped:
-            return None
-        fields = {field_name: mutated}
-        if restamp and msg.digest is not None:
-            from repro.comm.serialization import content_digest
-
-            fields["digest"] = content_digest(mutated)
-        return replace(msg, **fields)
+        parts = msg.elements
+        for i, part in enumerate(parts):
+            mutated = _flip_first_array(part.payload)
+            if mutated is None:
+                continue
+            fields = {}
+            if restamp and part.digest is not None:
+                fields["digest"] = content_digest(mutated)
+            return msg.with_elements(
+                parts[:i] + (part.with_payload(mutated, **fields),) + parts[i + 1:]
+            )
+        return None
 
     # -- transport hooks -------------------------------------------------------
 

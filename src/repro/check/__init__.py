@@ -12,17 +12,15 @@ else in this package. ``repro.check`` is the layer that verifies it:
   backend, the simulator, the explorer) into a fresh ``DispatchCore``:
   every point where the stream and the core disagree, plus the
   happens-before rules (early commits, duplicate commits from
-  fault-tolerance races, lost updates) as queries on that core;
+  fault-tolerance races, lost updates) as queries on that core — primed
+  with the journal's committed prefix (``journaled=``) they are also the
+  resume invariants every kill-master campaign run is held to;
 - :mod:`repro.check.lock_lint` — an instrumented lock layer that records
   the acquisition-order graph across runtime threads and reports cycles
   and blocking channel calls made under a lock;
 - :mod:`repro.check.chaos_check` — fault-tolerance invariants over the
   telemetry stream (no commit after blacklist; every fault followed by
   reassign-or-abort), asserted by every chaos-campaign run;
-- :mod:`repro.check.durable_check` — resume invariants over a resumed
-  run's telemetry stream against its write-ahead journal (no
-  double-commit, frontier consistent with the journal, full coverage),
-  asserted by every kill-master campaign run;
 - :mod:`repro.check.integrity_check` — result-integrity invariants over
   the telemetry stream (no dispatch after quarantine; every taint
   recomputed; no commit without digest verification), asserted by every
@@ -47,7 +45,6 @@ by setting ``REPRO_VERIFY=1`` / ``RunConfig(verify=True)``.
 from repro.check.ast_lint import check_clock_discipline, check_lock_discipline
 from repro.check.chaos_check import check_fault_invariants
 from repro.check.diagnostics import CheckReport, Diagnostic
-from repro.check.durable_check import check_resume_invariants
 from repro.check.integrity_check import check_integrity_invariants
 from repro.check.lock_lint import LockLint, lock_lint_session, make_condition, make_lock, note_blocking
 from repro.check.pattern_check import check_partition, check_pattern
@@ -83,7 +80,6 @@ __all__ = [
     "check_partition",
     "check_pattern",
     "check_protocol_spec",
-    "check_resume_invariants",
     "check_trace",
     "lock_lint_session",
     "make_condition",

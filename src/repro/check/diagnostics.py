@@ -36,11 +36,6 @@ UNKNOWN_TASK = "unknown-task"
 COMMIT_AFTER_BLACKLIST = "commit-after-blacklist"
 UNHANDLED_FAULT = "fault-not-reassigned"
 
-# -- durable-resume invariant codes (kill-master campaigns) ---------------------
-RESUME_DOUBLE_COMMIT = "resume-double-commit"
-RESUME_FRONTIER_MISMATCH = "resume-frontier-mismatch"
-RESUME_INCOMPLETE = "resume-incomplete"
-
 # -- result-integrity invariant codes (SDC campaigns) ---------------------------
 DISPATCH_AFTER_QUARANTINE = "dispatch-after-quarantine"
 TAINT_NOT_RECOMPUTED = "taint-not-recomputed"

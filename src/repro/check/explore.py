@@ -561,16 +561,8 @@ def _check_interleaving(
             )
     events = run.obs.events() if run.obs is not None else ()
     reached.update(e.kind for e in events if e.kind in LEDGER_KINDS and e.scope == "task")
-    if journaled is not None:
-        from repro.check.durable_check import check_resume_invariants
-
-        # Hold the resumed stream to the resume invariants (no journaled
-        # task commits again); the replay below is primed with the prefix.
-        report.extend(
-            check_resume_invariants(
-                events, journaled, pattern=run.partition.abstract, aborted=aborted
-            )
-        )
+    # Primed with the journaled prefix, the replay holds a resumed stream
+    # to the resume invariants too (no journaled task commits again).
     report.extend(
         check_trace(
             events,

@@ -13,7 +13,7 @@ Nineteen fixtures, one per diagnostic family the verifier exists for:
 8.  a tainted commit never recomputed           -> ``taint-not-recomputed``
 9.  more worker commits than digest checks      -> ``commit-without-verify``
 10. a protocol spec that forgot to handle
-    TaskAssign                                  -> ``protocol-unhandled-message``
+    BatchAssign                                 -> ``protocol-unhandled-message``
 11. a spec whose compute path was disconnected  -> ``protocol-unreachable-state``
 12. an event stream committing an epoch whose
     digest check failed                         -> ``protocol-commit-without-verify``
@@ -257,9 +257,9 @@ def unverified_commit_case() -> Tuple[List[_ObsLike], Dict[str, Dict[str, int]]]
 
 
 def unhandled_taskassign_spec_report() -> CheckReport:
-    """A slave that forgot its TaskAssign handler: the receivable
+    """A slave that forgot its assignment handler: the receivable
     declaration survives, the transitions are gone."""
-    spec = drop_transitions(build_protocol_spec(), "slave", "awaiting", "TaskAssign")
+    spec = drop_transitions(build_protocol_spec(), "slave", "awaiting", "BatchAssign")
     return check_protocol_spec(spec, title="fixture:unhandled-taskassign")
 
 

@@ -89,15 +89,19 @@ class ProtocolSpec:
 
 
 def wire_message_kinds() -> Tuple[str, ...]:
-    """The real wire vocabulary: every concrete ``Message`` subclass."""
+    """The real wire vocabulary: every concrete ``Message`` subclass the
+    master and slave loops exchange — signals and envelopes. An
+    envelope's elements (``TaskAssign`` / ``TaskResult``) are payload,
+    not vocabulary: no loop receives a bare one."""
     from repro.comm import messages as M
 
     found: List[str] = []
     stack = list(M.Message.__subclasses__())
     while stack:
         cls = stack.pop()
-        found.append(cls.__name__)
         stack.extend(cls.__subclasses__())
+        if cls is not M.Envelope and not issubclass(cls, M.Element):
+            found.append(cls.__name__)
     return tuple(sorted(found))
 
 
@@ -109,22 +113,19 @@ def build_protocol_spec() -> ProtocolSpec:
         name="slave",
         initial="announcing",
         states=("announcing", "awaiting", "computing", "reporting", "stopped"),
-        receivable=(("awaiting", ("TaskAssign", "BatchAssign", "EndSignal")),),
+        receivable=(("awaiting", ("BatchAssign", "EndSignal")),),
     )
     master_control = RoleSpec(
         name="master-control",
         initial="serving",
         states=("serving", "draining", "stopped"),
         receivable=(
-            ("serving", ("IdleSignal", "TaskResult", "BatchResult",
-                         "Heartbeat", "WorkerLeave")),
-            ("draining", ("IdleSignal", "TaskResult", "BatchResult",
-                          "Heartbeat", "WorkerLeave")),
+            ("serving", ("IdleSignal", "BatchResult", "Heartbeat", "WorkerLeave")),
+            ("draining", ("IdleSignal", "BatchResult", "Heartbeat", "WorkerLeave")),
         ),
         ignores=(
             # Shutdown tail: late results/heartbeats after the DAG is done
             # are dropped on the floor by design (the journal has ended).
-            ("draining", "TaskResult"),
             ("draining", "BatchResult"),
             ("draining", "Heartbeat"),
         ),
@@ -133,14 +134,12 @@ def build_protocol_spec() -> ProtocolSpec:
         # -- slave service loop (Fig 9/11) --------------------------------
         Transition("slave", "announcing", "announce", "awaiting",
                    action="send:IdleSignal", message="IdleSignal"),
-        Transition("slave", "awaiting", "TaskAssign", "computing",
-                   guard="digest-ok", message="TaskAssign"),
-        Transition("slave", "awaiting", "TaskAssign", "announcing",
-                   guard="digest-mismatch", action="reject", message="TaskAssign"),
-        # Batched wavefront dispatch (``batch_wave``): one envelope holds
-        # a whole anti-diagonal wave. Digest verification is per-element —
-        # a mismatched element is rejected individually while the rest of
-        # the wave still computes, so both guards lead to ``computing``.
+        # One envelope holds a wave: one sub-task, or under ``batch_wave``
+        # a whole anti-diagonal. Digest verification is per-element — a
+        # mismatched element is rejected individually while the rest of
+        # the wave still computes (a wave all of whose elements are
+        # rejected computes nothing and reports nothing), so both guards
+        # lead to ``computing``.
         Transition("slave", "awaiting", "BatchAssign", "computing",
                    guard="digest-ok", message="BatchAssign"),
         Transition("slave", "awaiting", "BatchAssign", "computing",
@@ -152,8 +151,6 @@ def build_protocol_spec() -> ProtocolSpec:
                    action="send:WorkerLeave", message="WorkerLeave"),
         Transition("slave", "computing", "compute-done", "reporting"),
         Transition("slave", "reporting", "report", "announcing",
-                   action="send:TaskResult", message="TaskResult"),
-        Transition("slave", "reporting", "report-batch", "announcing",
                    action="send:BatchResult", message="BatchResult"),
         # Heartbeat side thread: emits in every serving state.
         Transition("slave", "awaiting", "heartbeat-tick", "awaiting",
@@ -163,8 +160,6 @@ def build_protocol_spec() -> ProtocolSpec:
         # -- master session loop ------------------------------------------
         Transition("master-control", "serving", "IdleSignal", "serving",
                    action="dispatch-or-park", message="IdleSignal"),
-        Transition("master-control", "serving", "TaskResult", "serving",
-                   action="route-to-dispatch", message="TaskResult"),
         Transition("master-control", "serving", "BatchResult", "serving",
                    action="route-each-to-dispatch", message="BatchResult"),
         Transition("master-control", "serving", "Heartbeat", "serving",
@@ -347,10 +342,10 @@ def conformance_configs(size: int = 24) -> List[Tuple[str, Any]]:
     )
     faults = MessageFaultPlan(
         (
-            MessageFaultRule("duplicate", "recv", "TaskResult", task_id=(1, 1)),
+            MessageFaultRule("duplicate", "recv", "BatchResult", task_id=(1, 1)),
             # Each slave's second message: the first result of whoever
             # was handed block (0, 0).
-            MessageFaultRule("drop", "recv", "TaskResult", index=1),
+            MessageFaultRule("drop", "recv", "BatchResult", index=1),
         )
     )
     return [

@@ -214,10 +214,11 @@ class MessageFaultRule:
 
     ``direction`` is as seen from the wrapped endpoint (the master side):
     ``"send"`` = master → slave, ``"recv"`` = slave → master, ``None`` =
-    both. ``message_type`` matches the message class name
-    (``"TaskAssign"``, ``"TaskResult"``, ``"IdleSignal"``, ``"EndSignal"``);
-    ``index`` is the per-endpoint, per-direction message counter; ``None``
-    fields match anything.
+    both. ``message_type`` matches the class name of what the wire
+    carries (``"BatchAssign"``, ``"BatchResult"``, ``"IdleSignal"``,
+    ``"EndSignal"``, ...); ``task_id`` the task an envelope's first
+    element names; ``index`` is the per-endpoint, per-direction message
+    counter; ``None`` fields match anything.
     """
 
     kind: str

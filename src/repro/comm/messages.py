@@ -1,13 +1,20 @@
 """Typed protocol messages of the EasyHPS master/slave loops.
 
-The protocol is exactly the paper's Figs 9 and 11:
+The protocol is the one exchange of the paper's Figs 9 and 11:
 
 1. a slave announces itself idle (:class:`IdleSignal`, Fig 11 step a);
-2. the master answers with a computable sub-task and its necessary data
-   (:class:`TaskAssign`, Fig 9 step d) or with :class:`EndSignal`
-   (Fig 9 step i);
-3. the slave computes and replies (:class:`TaskResult`, Fig 11 / Fig 9
-   step e).
+2. the master answers with computable sub-tasks and their necessary data
+   (one :class:`BatchAssign` envelope of :class:`TaskAssign` elements,
+   Fig 9 step d) or with :class:`EndSignal` (Fig 9 step i);
+3. the slave computes and replies (one :class:`BatchResult` envelope of
+   :class:`TaskResult` elements, Fig 11 / Fig 9 step e).
+
+A lone assignment is a wave of one: the runtime only ever sends
+envelopes, and everything that handles a payload (byte model, shm
+encoding, chaos mutation) goes through :attr:`Message.elements` /
+:meth:`Message.with_elements`, so it is written once. The elements stay
+:class:`Message` instances — a raw channel carries a bare one as a
+message of one element (the transport probes do).
 
 ``epoch`` implements the fault-tolerance bookkeeping of the sub-task
 register table: every (re)dispatch of a task bumps its epoch, and the
@@ -18,8 +25,8 @@ a rerun's result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Any, ClassVar, Dict, Optional, Sequence, Tuple
 
 #: Sub-task identifier: a vertex of the abstract (process-level) DAG.
 TaskId = Tuple[int, ...]
@@ -28,6 +35,64 @@ TaskId = Tuple[int, ...]
 @dataclass(frozen=True)
 class Message:
     """Base class for all protocol messages (picklable value objects)."""
+
+    @property
+    def elements(self) -> Tuple["Element", ...]:
+        """The per-sub-task elements this message carries: an envelope's,
+        a bare element itself, none for a signal."""
+        return ()
+
+    def with_elements(self, elements: Sequence["Element"]) -> "Message":
+        """This message carrying ``elements`` instead of its own."""
+        return self
+
+
+class Element(Message):
+    """One sub-task's share of an envelope: its own epoch, lease and
+    digest (Fig 10 semantics are per element), and one payload dict."""
+
+    #: Name of the field holding the payload dict.
+    payload_field: ClassVar[str]
+
+    @property
+    def payload(self) -> Dict[str, Any]:
+        return getattr(self, self.payload_field)
+
+    def with_payload(self, payload: Dict[str, Any], **fields: Any) -> "Element":
+        return replace(self, **{self.payload_field: payload}, **fields)
+
+    @property
+    def elements(self) -> Tuple["Element", ...]:
+        return (self,)
+
+    def with_elements(self, elements: Sequence["Element"]) -> "Message":
+        (only,) = elements
+        return only
+
+
+class Envelope(Message):
+    """What the wire carries between master and slave: the elements of
+    one wave. Its identity — what a fault rule targets and per-message
+    telemetry attributes to — is its first element's, the key the
+    simulator uses."""
+
+    #: Name of the field holding the element tuple.
+    elements_field: ClassVar[str]
+
+    @property
+    def elements(self) -> Tuple[Element, ...]:
+        return getattr(self, self.elements_field)
+
+    def with_elements(self, elements: Sequence[Element]) -> "Message":
+        return replace(self, **{self.elements_field: tuple(elements)})
+
+    @property
+    def task_id(self) -> Optional[TaskId]:
+        return self.elements[0].task_id if self.elements else None
+
+    @property
+    def epoch(self) -> int:
+        return self.elements[0].epoch if self.elements else -1
 
 
 @dataclass(frozen=True)
@@ -38,14 +103,17 @@ class IdleSignal(Message):
 
 
 @dataclass(frozen=True)
-class TaskAssign(Message):
-    """Master -> slave: one computable sub-task with its necessary data.
+class TaskAssign(Element):
+    """Master -> slave: one computable sub-task with its necessary data
+    (an element of :class:`BatchAssign`).
 
     ``lease`` is the heartbeat lease the master granted for this dispatch
     (seconds; 0 when the lease protocol is off): the slave must be heard
     from — any message, heartbeats included — within each lease window or
     the dispatch is cancelled and redistributed before its hard timeout.
     """
+
+    payload_field = "inputs"
 
     task_id: TaskId
     epoch: int
@@ -58,8 +126,11 @@ class TaskAssign(Message):
 
 
 @dataclass(frozen=True)
-class TaskResult(Message):
-    """Slave -> master: a finished sub-task's computed data."""
+class TaskResult(Element):
+    """Slave -> master: a finished sub-task's computed data (an element
+    of :class:`BatchResult`)."""
+
+    payload_field = "outputs"
 
     task_id: TaskId
     epoch: int
@@ -96,8 +167,9 @@ class BlockRef:
 
 
 @dataclass(frozen=True)
-class BatchAssign(Message):
-    """Master -> slave: one computable anti-diagonal wave in one envelope.
+class BatchAssign(Envelope):
+    """Master -> slave: the assignment envelope — one sub-task, or under
+    ``batch_wave`` a computable anti-diagonal wave of up to ``max_batch``.
 
     Each element is a fully-formed :class:`TaskAssign` — registered,
     leased, and digest-stamped individually — so retry/lease/journal
@@ -105,18 +177,22 @@ class BatchAssign(Message):
     message envelope for the whole wave, the α term of the link model).
     """
 
+    elements_field = "assigns"
+
     assigns: Tuple[TaskAssign, ...]
 
 
 @dataclass(frozen=True)
-class BatchResult(Message):
-    """Slave -> master: every finished sub-task of one assigned wave.
+class BatchResult(Envelope):
+    """Slave -> master: every finished sub-task of one assignment envelope.
 
     Mirrors :class:`BatchAssign`: each element is a complete
     :class:`TaskResult` (own epoch, elapsed, digest) and the master
     verifies/commits them one by one; a worker that dies mid-wave simply
     never sends the envelope and every registered subtask times out.
     """
+
+    elements_field = "results"
 
     slave_id: int
     results: Tuple[TaskResult, ...]

@@ -21,18 +21,11 @@ import hashlib
 import pickle
 import struct
 from numbers import Number
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.comm.messages import (
-    BatchAssign,
-    BatchResult,
-    BlockRef,
-    Message,
-    TaskAssign,
-    TaskResult,
-)
+from repro.comm.messages import BlockRef, Message
 
 #: Fixed per-message envelope (headers, task id, epoch) in bytes.
 MESSAGE_ENVELOPE_BYTES = 64
@@ -116,15 +109,6 @@ def content_digest(obj: Any) -> str:
     return h.hexdigest()
 
 
-def message_digest(msg: Message) -> Optional[str]:
-    """Digest of the data payload a message carries, None for bare signals."""
-    if isinstance(msg, TaskAssign):
-        return content_digest(msg.inputs)
-    if isinstance(msg, TaskResult):
-        return content_digest(msg.outputs)
-    return None
-
-
 def payload_nbytes(obj: Any) -> int:
     """Recursively estimate the wire size of a message payload."""
     if obj is None:
@@ -150,25 +134,12 @@ def payload_nbytes(obj: Any) -> int:
 
 
 def message_nbytes(msg: Message) -> int:
-    """Wire size of a protocol message: envelope plus data payload.
-
-    A batch costs ONE envelope plus the payloads of every subtask it
-    carries — the α-amortization the batching exists for: n messages
-    collapse to one, their β·size payload cost is unchanged.
+    """Wire size of a protocol message: ONE envelope plus the payload of
+    every element it carries (none for a signal) — the α-amortization
+    batching exists for: n messages collapse to one, their β·size payload
+    cost is unchanged, and a wave of one costs what its lone element does.
     """
-    if isinstance(msg, TaskAssign):
-        return MESSAGE_ENVELOPE_BYTES + payload_nbytes(msg.inputs)
-    if isinstance(msg, TaskResult):
-        return MESSAGE_ENVELOPE_BYTES + payload_nbytes(msg.outputs)
-    if isinstance(msg, BatchAssign):
-        return MESSAGE_ENVELOPE_BYTES + sum(
-            payload_nbytes(a.inputs) for a in msg.assigns
-        )
-    if isinstance(msg, BatchResult):
-        return MESSAGE_ENVELOPE_BYTES + sum(
-            payload_nbytes(r.outputs) for r in msg.results
-        )
-    return MESSAGE_ENVELOPE_BYTES
+    return MESSAGE_ENVELOPE_BYTES + sum(payload_nbytes(e.payload) for e in msg.elements)
 
 
 # -- pickle protocol-5 out-of-band buffer round-trip ------------------------------

@@ -40,20 +40,13 @@ import os
 import time
 import uuid
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.comm.messages import (
-    BatchAssign,
-    BatchResult,
-    BlockRef,
-    Message,
-    TaskAssign,
-    TaskResult,
-)
+from repro.comm.messages import BlockRef, Message
 from repro.comm.transport import Channel, ChannelTimeout, DelegatingChannel
 
 #: Arrays below this many bytes stay inline in the message (env override
@@ -443,21 +436,12 @@ class ShmChannel(DelegatingChannel):
     # -- encode (send side) --------------------------------------------------
 
     def _encode(self, msg: Message) -> Message:
-        if isinstance(msg, TaskAssign):
-            inputs, degraded = _encode_payload(self.store, msg.inputs, msg.task_id)
+        parts = []
+        for part in msg.elements:
+            payload, degraded = _encode_payload(self.store, part.payload, part.task_id)
             self._degraded += degraded
-            return replace(msg, inputs=inputs)
-        if isinstance(msg, TaskResult):
-            outputs, degraded = _encode_payload(self.store, msg.outputs, msg.task_id)
-            self._degraded += degraded
-            return replace(msg, outputs=outputs)
-        if isinstance(msg, BatchAssign):
-            return BatchAssign(assigns=tuple(self._encode(a) for a in msg.assigns))
-        if isinstance(msg, BatchResult):
-            return replace(
-                msg, results=tuple(self._encode(r) for r in msg.results)
-            )
-        return msg
+            parts.append(part.with_payload(payload))
+        return msg.with_elements(parts)
 
     def _send(self, msg: Message) -> None:
         self._degraded = 0
@@ -480,19 +464,12 @@ class ShmChannel(DelegatingChannel):
     # -- decode (recv side) --------------------------------------------------
 
     def _decode(self, msg: Message) -> Message:
-        if isinstance(msg, TaskAssign):
-            inputs, n = _decode_payload(msg.inputs)
+        parts = []
+        for part in msg.elements:
+            payload, n = _decode_payload(part.payload)
             self._attached += n
-            return replace(msg, inputs=inputs) if n else msg
-        if isinstance(msg, TaskResult):
-            outputs, n = _decode_payload(msg.outputs)
-            self._attached += n
-            return replace(msg, outputs=outputs) if n else msg
-        if isinstance(msg, BatchAssign):
-            return BatchAssign(assigns=tuple(self._decode(a) for a in msg.assigns))
-        if isinstance(msg, BatchResult):
-            return replace(msg, results=tuple(self._decode(r) for r in msg.results))
-        return msg
+            parts.append(part.with_payload(payload) if n else part)
+        return msg.with_elements(parts) if self._attached else msg
 
     def _recv(self, timeout: Optional[float]) -> Message:
         msg = self.inner._recv(timeout)

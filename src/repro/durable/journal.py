@@ -47,6 +47,7 @@ exactly as ``kill -9`` would, deterministically and seedably.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -56,6 +57,13 @@ from repro.utils.errors import JournalError, MasterCrash
 
 #: File magic, versioned: bump the byte on incompatible format changes.
 MAGIC = b"REPRO-WALJ\x01\n"
+
+
+def snapshot_state(state: Dict[str, Any]) -> Dict[str, Any]:
+    """A copy of the DP state for :meth:`CommitJournal.checkpoint` to
+    write while the run keeps merging into the original — the arrays, or
+    whatever store the problem keeps instead (``retain="boundary"``)."""
+    return copy.deepcopy(state)
 
 
 class CommitJournal:

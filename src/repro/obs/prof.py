@@ -47,7 +47,8 @@ class TaskProfile:
     #: Seconds the task sat dispatchable before assignment.
     queue_wait: float = 0.0
     #: Input-transfer seconds (sim: reserved link span; real backends:
-    #: serialize + transport handoff of the ``TaskAssign`` message).
+    #: serialize + transport handoff of the ``BatchAssign`` envelope,
+    #: attributed to its first element).
     comm_in: float = 0.0
     #: Compute span (t0, t1) and its duration in seconds.
     compute: float = 0.0
@@ -131,7 +132,8 @@ def build_profile(
     journal: Dict[int, float] = {}
     digest: Dict[int, float] = {}
     compute: Dict[int, float] = {}
-    # Real-backend input-transfer costs keyed by task (TaskAssign sends).
+    # Real-backend input-transfer costs keyed by the assignment envelope's
+    # identity (its first element's task and epoch).
     assign_cost: Dict[Tuple[TaskKey, int], Tuple[float, int]] = {}
 
     for ev in events:
@@ -145,7 +147,7 @@ def build_profile(
                     serialize += t_ser
                 if (
                     ev.data is not None
-                    and ev.data.get("type") == "TaskAssign"
+                    and ev.data.get("type") == "BatchAssign"
                     and ev.task_id is not None
                 ):
                     nbytes = int(_get_float(ev, "nbytes") or 0)

@@ -15,7 +15,8 @@ else, re-spells a knob per layer.
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.algorithms.problem import DPProblem
 from repro.analysis.report import RunReport
@@ -32,6 +33,7 @@ from repro.runtime.config import BCW_BLOCK_COLS, RunConfig
 from repro.runtime.master import MasterPart
 from repro.runtime.slave import SlavePart, SlaveStats
 from repro.schedulers.policy import SchedulingPolicy, make_policy
+from repro.utils.errors import ConfigError
 
 
 class RunAssembly:
@@ -51,6 +53,12 @@ class RunAssembly:
         resume: Any = None,
         clock: Optional[Clock] = None,
     ) -> None:
+        if config.integrity == "audit" and not problem.recomputable:
+            raise ConfigError(
+                f"integrity='audit' recomputes committed blocks from the master's "
+                f"state, which {problem.name} frees as it goes (retain='boundary'); "
+                "run it with retain='full', or with integrity 'digest' or 'vote'"
+            )
         self.config = config
         self.problem = problem
         self.resume = resume
@@ -59,8 +67,8 @@ class RunAssembly:
         # One shared recorder/registry spans the master, any in-process
         # slaves, and the channel endpoints; nothing is built when
         # nothing observes — the zero-cost path.
-        self.recorder = EventRecorder(clock) if config.observing else None
-        self.metrics = MetricsRegistry() if config.observing else None
+        self.recorder = EventRecorder(clock) if config.observe else None
+        self.metrics = MetricsRegistry() if config.observe else None
 
     def open_journal(self) -> Optional[JournalGuard]:
         """The run's write-ahead journal, if any.
@@ -102,14 +110,17 @@ class RunAssembly:
             guard.begin(self.problem, config)
         return guard
 
-    def policy(self, n_workers: int, cost_fn: Optional[Callable] = None) -> SchedulingPolicy:
-        """The processor-level scheduling policy ``config.scheduler`` names."""
+    def policy(self, n_workers: int) -> SchedulingPolicy:
+        """The processor-level scheduling policy ``config.scheduler``
+        names — the same object, built the same way, for the real master's
+        ready stack and the simulator's ready list."""
         return make_policy(
             self.config.scheduler,
             n_workers,
             self.partition.grid.n_block_cols,
             block_cols=BCW_BLOCK_COLS,
-            cost_fn=cost_fn,
+            cost_fn=partial(self.problem.block_flops, self.partition),
+            neighbor_fn=self.partition.abstract.predecessors,
         )
 
     def finish(self, report: RunReport) -> RunReport:

@@ -50,23 +50,22 @@ _ENV_KINDS = {
     str: (str, "a string"),
     bool: (lambda raw: raw.lower() in ("1", "true", "yes", "on"), "a boolean"),
     int: (int, "an integer"),
-    float: (float, "a number"),
 }
 
 
 def _env(name: str, default, kind: type = str):
     """Default factory: a knob overridable via its ``REPRO_*`` env var.
 
-    Unset or blank keeps ``default``; a ``None`` default (the optional
-    knobs) additionally reads a literal ``none`` as unset. Lets an entire
-    test suite or CI job flip a knob — ``REPRO_VERIFY=1 pytest`` —
-    without touching any call site.
+    Unset or blank keeps ``default``. Lets an entire test suite or CI job
+    flip a knob — ``REPRO_VERIFY=1 pytest`` — without touching any call
+    site. Only the six knobs something sets this way have one
+    (``docs/configuration.md``).
     """
     parse, described = _ENV_KINDS[kind]
 
     def factory():
         raw = os.environ.get(name, "").strip()
-        if not raw or (default is None and raw.lower() == "none"):
+        if not raw:
             return default
         try:
             return parse(raw)
@@ -87,9 +86,13 @@ class RunConfig:
     threads_per_node: int = 2
     #: Execution backend: "serial", "threads", "processes" or "simulated".
     backend: str = "threads"
-    #: Processor-level scheduling policy: "dynamic" (EasyHPS), "bcw", "cw".
+    #: Processor-level scheduling policy: "dynamic" (EasyHPS), "bcw", "cw",
+    #: or the extensions "dynamic-lcf" / "dynamic-affinity" — honoured the
+    #: same way by the real master's ready stack and the simulator's.
     scheduler: str = "dynamic"
-    #: Thread-level scheduling policy.
+    #: Thread-level scheduling policy (there "dynamic-lcf" and
+    #: "dynamic-affinity" are the plain dynamic pool:
+    #: :func:`~repro.schedulers.policy.make_policy`).
     thread_scheduler: str = "dynamic"
     #: Process-level partition size (cells per sub-task side); None picks
     #: the problem's default.
@@ -98,8 +101,7 @@ class RunConfig:
     #: region per computing thread (:meth:`partitions_for`).
     thread_partition: Optional[BlockShape] = None
     #: Seconds before a dispatched sub-task is declared failed (Fig 10).
-    #: Overridable via ``REPRO_TASK_TIMEOUT``.
-    task_timeout: float = field(default_factory=_env("REPRO_TASK_TIMEOUT", 30.0, float))
+    task_timeout: float = 30.0
     #: Seconds before a sub-sub-task restarts its computing thread (Fig 12).
     subtask_timeout: float = 10.0
     #: Re-dispatches allowed per sub-task before the run aborts.
@@ -127,15 +129,12 @@ class RunConfig:
     #: and retries once more before aborting; ``"memory"`` drops
     #: durability — the journal file is removed, the run continues
     #: in-memory-only, and the degradation is recorded as a
-    #: ``resource-degrade`` obs event. Overridable via
-    #: ``REPRO_JOURNAL_DEGRADE``.
-    journal_degrade: str = field(
-        default_factory=_env("REPRO_JOURNAL_DEGRADE", "abort")
-    )
+    #: ``resource-degrade`` obs event.
+    journal_degrade: str = "abort"
     #: In-place retries of a failed journal/WAL record write before the
     #: :attr:`journal_degrade` policy engages (transient ENOSPC/EIO
-    #: absorb here). Overridable via ``REPRO_JOURNAL_RETRIES``.
-    journal_retries: int = field(default_factory=_env("REPRO_JOURNAL_RETRIES", 2, int))
+    #: absorb here).
+    journal_retries: int = 2
     #: How long a "hang" fault sleeps before replying late, seconds.
     hang_duration: float = 1.0
     #: Base delay before re-dispatching a timed-out sub-task, seconds;
@@ -161,29 +160,21 @@ class RunConfig:
     #: when no dispatch is live and no progress happened for this many
     #: seconds (all workers presumed lost) — the guarantee that a fault
     #: storm ends in a clean abort, never a hang. None derives
-    #: ``2 * task_timeout + 1``. Overridable via ``REPRO_STALL_TIMEOUT``.
-    stall_timeout: Optional[float] = field(
-        default_factory=_env("REPRO_STALL_TIMEOUT", None, float)
-    )
+    #: ``2 * task_timeout + 1``.
+    stall_timeout: Optional[float] = None
     #: Path of the write-ahead commit journal (:mod:`repro.durable`); the
     #: master writes through on every commit and ``repro resume`` can
     #: reconstruct the run after a master crash. None disables journaling.
     journal_path: Optional[str] = None
     #: Commits between compacted journal checkpoints (snapshot of the
-    #: committed DP region + retry budgets). Overridable via
-    #: ``REPRO_CHECKPOINT_INTERVAL``.
-    checkpoint_interval: int = field(
-        default_factory=_env("REPRO_CHECKPOINT_INTERVAL", 32, int)
-    )
+    #: committed DP region + retry budgets).
+    checkpoint_interval: int = 32
     #: fsync the journal after every record (survives OS crashes, not just
     #: process death). Overridable via ``REPRO_JOURNAL_FSYNC``.
     journal_fsync: bool = field(default_factory=_env("REPRO_JOURNAL_FSYNC", True, bool))
     #: Modeled per-record journal write latency charged to the master in
-    #: sim-time (simulated backend only). Overridable via
-    #: ``REPRO_JOURNAL_LATENCY``.
-    journal_latency: float = field(
-        default_factory=_env("REPRO_JOURNAL_LATENCY", 0.0005, float)
-    )
+    #: sim-time (simulated backend only).
+    journal_latency: float = 0.0005
     #: Chaos kill switch: raise :class:`~repro.utils.errors.MasterCrash`
     #: after this many journal commit records — the in-process equivalent
     #: of ``kill -9`` of the master at a commit boundary. None disables.
@@ -195,14 +186,11 @@ class RunConfig:
     #: lease liveness protocol (leases expire after
     #: ``heartbeat_interval * lease_factor`` of silence and drive
     #: re-dispatch before the hard timeout). None keeps the paper's
-    #: inference-only liveness. Overridable via ``REPRO_HEARTBEAT_INTERVAL``.
-    heartbeat_interval: Optional[float] = field(
-        default_factory=_env("REPRO_HEARTBEAT_INTERVAL", None, float)
-    )
+    #: inference-only liveness.
+    heartbeat_interval: Optional[float] = None
     #: Lease duration as a multiple of the heartbeat interval (tolerates
-    #: ``lease_factor - 1`` consecutive lost heartbeats). Overridable via
-    #: ``REPRO_LEASE_FACTOR``.
-    lease_factor: float = field(default_factory=_env("REPRO_LEASE_FACTOR", 3.0, float))
+    #: ``lease_factor - 1`` consecutive lost heartbeats).
+    lease_factor: float = 3.0
     #: Simulated-cluster description; None derives one from nodes/threads.
     cluster: Optional[ClusterSpec] = None
     #: Record runtime telemetry (:mod:`repro.obs`): the task-lifecycle
@@ -237,32 +225,26 @@ class RunConfig:
     #: on divergence). Overridable via ``REPRO_INTEGRITY``.
     integrity: str = field(default_factory=_env("REPRO_INTEGRITY", "digest"))
     #: Fraction of commits audited under ``integrity="audit"`` (a
-    #: deterministic per-task sample, budget-exempt). Overridable via
-    #: ``REPRO_AUDIT_FRACTION``.
-    audit_fraction: float = field(
-        default_factory=_env("REPRO_AUDIT_FRACTION", 0.125, float)
-    )
+    #: deterministic per-task sample, budget-exempt).
+    audit_fraction: float = 0.125
     #: Agreeing results required per commit under ``integrity="vote"``.
-    #: Overridable via ``REPRO_VOTE_K``.
-    vote_k: int = field(default_factory=_env("REPRO_VOTE_K", 2, int))
+    vote_k: int = 2
     #: Quarantine a worker after this many divergence convictions (audit
     #: mismatches or lost votes). Distinct from the liveness blacklist:
     #: a lying worker still heartbeats, so only conviction removes it.
-    #: Overridable via ``REPRO_QUARANTINE_THRESHOLD``.
-    quarantine_threshold: int = field(
-        default_factory=_env("REPRO_QUARANTINE_THRESHOLD", 2, int)
-    )
-    #: Batched wavefront dispatch: an idle worker gets an entire
-    #: computable anti-diagonal wave (up to :attr:`max_batch` sub-tasks)
-    #: in one ``BatchAssign`` envelope and answers with one
-    #: ``BatchResult`` — amortizing the per-message α cost the cluster
-    #: link model charges. Every subtask keeps its own epoch, lease,
-    #: digest, and journal commit, so retry/durability/SDC semantics are
-    #: unchanged. Off by default (one task per message, the paper's
-    #: protocol). Overridable via ``REPRO_BATCH_WAVE``.
+    quarantine_threshold: int = 2
+    #: Batched wavefront dispatch: the ``BatchAssign`` envelope an idle
+    #: worker is answered with carries an entire computable anti-diagonal
+    #: wave (up to :attr:`max_batch` sub-tasks) instead of one, and its
+    #: ``BatchResult`` answers for all of them — amortizing the
+    #: per-message α cost the cluster link model charges. Every subtask
+    #: keeps its own epoch, lease, digest, and journal commit, so
+    #: retry/durability/SDC semantics are unchanged. Off by default (a
+    #: wave of one: one task per message, the paper's protocol).
+    #: Overridable via ``REPRO_BATCH_WAVE``.
     batch_wave: bool = field(default_factory=_env("REPRO_BATCH_WAVE", False, bool))
-    #: Largest wave one ``BatchAssign`` may carry. Overridable via
-    #: ``REPRO_MAX_BATCH``.
+    #: Largest wave one ``BatchAssign`` may carry under
+    #: :attr:`batch_wave`. Overridable via ``REPRO_MAX_BATCH``.
     max_batch: int = field(default_factory=_env("REPRO_MAX_BATCH", 8, int))
     #: Zero-copy shared-memory data plane (processes backend only):
     #: large block payloads move through ``multiprocessing.shared_memory``
@@ -377,11 +359,6 @@ class RunConfig:
         from repro.integrity import IntegrityPolicy
 
         return IntegrityPolicy.from_config(self)
-
-    @property
-    def observing(self) -> bool:
-        """True when the run records telemetry."""
-        return self.observe
 
     def partitions_for(self, problem) -> Tuple[Tuple[int, int], Tuple[int, int]]:
         """Resolve the (process, thread) partition sizes for a problem. An

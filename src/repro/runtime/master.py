@@ -61,7 +61,7 @@ from repro.comm.shm import BlockStore
 from repro.comm.transport import Channel, ChannelClosed, ChannelTimeout
 from repro.dag.parser import DAGParser
 from repro.dag.partition import Partition
-from repro.durable.journal import CommitJournal
+from repro.durable.journal import CommitJournal, snapshot_state
 from repro.durable.recovery import RecoveredRun
 from repro.obs.clock import Clock
 from repro.obs.metrics import MetricsRegistry
@@ -423,7 +423,7 @@ class MasterPart:
         """Compact the journal around a snapshot of the committed state."""
         assert self.journal is not None
         with self._state_lock:
-            snapshot = {k: np.array(v, copy=True) for k, v in self.state.items()}
+            snapshot = snapshot_state(self.state)
         t0 = self.clock.now() if self.sched.observing else 0.0
         with self._core_lock:
             committed = dict(self.core.committed)
@@ -664,10 +664,10 @@ class MasterPart:
     def _prepare_assign(self, worker_id: int, block: bool):
         """Pop one eligible task and build its fully-dressed TaskAssign.
 
-        "Fully dressed" means everything a single dispatch gets: a fresh
+        "Fully dressed" means everything a dispatch gets: a fresh
         registration (epoch, deadline, lease), the queue-wait/assign
-        records, the extracted inputs, and the content digest — batching
-        amortizes only the envelope, never the semantics.
+        records, the extracted inputs, and the content digest — a wave
+        shares only the envelope, never the semantics.
 
         Returns the assign; None when no task is currently eligible
         (``block=False`` polls, ``block=True`` waits for work or close);
@@ -722,27 +722,32 @@ class MasterPart:
                 )
         self.sched.record("assign", task_id, epoch, worker_id)
 
-    def _gather_wave(self, worker_id: int, first: TaskAssign):
-        """Grow one dispatch into a whole computable wave (``batch_wave``).
+    def _gather_wave(self, worker_id: int) -> Optional[BatchAssign]:
+        """Pop what one envelope to ``worker_id`` carries — the simulator's
+        rule: up to ``max_batch`` eligible sub-tasks under ``batch_wave``
+        (the anti-diagonal the DAG currently exposes to this worker),
+        else one — blocking for the first element only.
 
-        Non-blocking pops drain whatever is computable *right now*, up to
-        ``max_batch`` — the anti-diagonal the DAG currently exposes to
-        this worker. Returns a BatchAssign (single-task waves still ship
-        as a batch so the wire shape is knob-determined, not size-
-        determined), or None when the worker was retired mid-gather —
-        which already evicted (cancelled and re-offered) every element
-        registered to it so far, so nothing is sent.
+        Returns None when this worker gets no more work: the pool closed
+        (end of schedule) before a first element turned up, or the worker
+        was retired mid-gather — which already evicted (cancelled and
+        re-offered) every element registered to it so far, so nothing is
+        sent.
         """
+        first = self._prepare_assign(worker_id, block=True)
+        if first is None or first is _RETIRED:
+            return None
         t0 = self.clock.now() if self.sched.observing else 0.0
         assigns = [first]
-        while len(assigns) < self.config.max_batch:
+        limit = self.config.max_batch if self.config.batch_wave else 1
+        while len(assigns) < limit:
             nxt = self._prepare_assign(worker_id, block=False)
             if nxt is None:
                 break
             if nxt is _RETIRED:
                 return None
             assigns.append(nxt)
-        if self.sched.observing:
+        if self.config.batch_wave and self.sched.observing:
             t1 = self.clock.now()
             self.sched.record(
                 "batch-assemble", None, -1, worker_id,
@@ -796,33 +801,18 @@ class MasterPart:
                     # the overtime check cancels it, and the next
                     # announcement is admitted.
                     continue
-                first = self._prepare_assign(worker_id, block=True)
-                if first is None or first is _RETIRED:
-                    # Pool closed (end of schedule) or the worker retired
-                    # mid-pop; either way this worker gets no more work.
-                    self._try_send_end(channel)
-                    ended = True
-                    continue
-                outgoing = (
-                    self._gather_wave(worker_id, first) if self.config.batch_wave else first
-                )
-                if outgoing is None:
-                    # Retired mid-gather; the whole wave was evicted.
+                wave = self._gather_wave(worker_id)
+                if wave is None:
                     self._try_send_end(channel)
                     ended = True
                     continue
                 self._last_progress = self.clock.now()
                 try:
-                    channel.send(outgoing)
+                    channel.send(wave)
                 except ChannelClosed:
                     return
                 if self.sched.observing:
-                    parts = (
-                        outgoing.assigns
-                        if isinstance(outgoing, BatchAssign)
-                        else (outgoing,)
-                    )
-                    for a in parts:
+                    for a in wave.assigns:
                         self.sched.record(
                             "send", a.task_id, a.epoch, worker_id,
                             nbytes=message_nbytes(a),
@@ -831,13 +821,9 @@ class MasterPart:
                 for part in msg.results:
                     if not self._handle_result(part, worker_id):
                         return
-            elif isinstance(msg, TaskResult):
-                if not self._handle_result(msg, worker_id):
-                    return
 
     def _handle_result(self, msg: TaskResult, worker_id: int) -> bool:
-        """Verify and buffer one TaskResult (possibly one element of a
-        BatchResult envelope — identical semantics either way). Returns
+        """Verify and buffer one element of a BatchResult envelope. Returns
         False when the run was aborted by a budget-exhausted reject."""
         if (
             self._digest_on
@@ -874,6 +860,7 @@ class MasterPart:
                 )
         if actions:
             return self._apply(actions)  # stale epoch: dropped
+        self.policy.completed(worker_id, msg.task_id)
         self._finished.push(msg.task_id)
         self._last_progress = self.clock.now()
         self._durations.append(max(0.0, msg.elapsed))

@@ -54,7 +54,7 @@ from repro.runtime import dispatch as core_mod
 from repro.runtime.config import RunConfig
 from repro.runtime.worker_pool import ComputableStack, FinishedStack
 from repro.schedulers.policy import make_policy
-from repro.utils.errors import WorkerLeakWarning
+from repro.utils.errors import TransportError, WorkerLeakWarning
 
 
 @dataclass
@@ -108,7 +108,7 @@ class SlavePart:
         #: scale-down scenarios. None = serve until the end signal.
         self.leave_after = leave_after
         #: Any integrity mode but "off" makes this slave verify the digest
-        #: on every TaskAssign (a mismatch is discarded; the master's
+        #: on every TaskAssign element (a mismatch is discarded; the master's
         #: timeout redistributes) and stamp a digest on every TaskResult.
         #: "off" computes no digests at all — the zero-cost path.
         self._digest_on = config.integrity != "off"
@@ -171,18 +171,15 @@ class SlavePart:
                     continue  # nothing heard within the window: announce again
                 if isinstance(msg, EndSignal):
                     break
-                if isinstance(msg, BatchAssign):
-                    assigns = msg.assigns
-                else:
-                    assert isinstance(msg, TaskAssign), f"unexpected message {msg!r}"
-                    assigns = (msg,)
+                if not isinstance(msg, BatchAssign):
+                    raise TransportError(f"slave {self.slave_id}: unexpected message {msg!r}")
                 # One envelope, per-subtask semantics: every fault hook
                 # (digest reject, death, crash, hang, slow, lie) fires per
-                # element exactly as it would for a lone TaskAssign — only
-                # the reply envelope is shared.
+                # element, whether the wave holds one or ``max_batch`` —
+                # only the reply envelope is shared.
                 results = []
                 died = False
-                for assign in assigns:
+                for assign in msg.assigns:
                     if (
                         self._digest_on
                         and assign.digest is not None
@@ -264,13 +261,8 @@ class SlavePart:
                 if died:
                     break
                 if results:
-                    reply = (
-                        BatchResult(slave_id=self.slave_id, results=tuple(results))
-                        if isinstance(msg, BatchAssign)
-                        else results[0]
-                    )
                     try:
-                        self._send(reply)
+                        self._send(BatchResult(self.slave_id, tuple(results)))
                     except ChannelClosed:
                         break
                 if self.leave_after is not None and self.stats.tasks >= self.leave_after:

@@ -3,7 +3,7 @@
 Two of the paper's four pool structures live here:
 
 - :class:`ComputableStack` — LIFO of computable sub-task ids; idle workers
-  pop the first entry their scheduling policy lets them take;
+  pop the entry their scheduling policy selects for them;
 - :class:`FinishedStack` — LIFO of finished sub-task ids drained by the
   scheduling thread to update the DAG pattern.
 
@@ -82,21 +82,24 @@ class ComputableStack:
         policy: SchedulingPolicy,
         timeout: Optional[float] = None,
     ) -> Optional[TaskId]:
-        """Pop the newest task ``worker_id`` may take (LIFO scan).
+        """Pop the task ``policy.select_index`` picks for ``worker_id`` —
+        the one question the simulator asks of its ready list (newest
+        eligible by default, costliest for ``dynamic-lcf``, ...).
 
         Blocks until an eligible task appears, the pool closes (returns
         None), or ``timeout`` elapses (returns None). Static policies can
         therefore leave a worker waiting here while other tasks sit on the
-        stack — exactly the BCW pathology the evaluation measures.
+        stack — exactly the BCW pathology the evaluation measures. The
+        policy runs under the stack's condition, like the observers.
         """
         with self._cond:
             while True:
-                for idx in range(len(self._items) - 1, -1, -1):
-                    if policy.eligible(worker_id, self._items[idx]):
-                        picked = self._items.pop(idx)
-                        if self._depth_observer is not None:
-                            self._depth_observer(len(self._items))
-                        return picked
+                idx = policy.select_index(worker_id, self._items)
+                if idx is not None:
+                    picked = self._items.pop(idx)
+                    if self._depth_observer is not None:
+                        self._depth_observer(len(self._items))
+                    return picked
                 if self._closed:
                     return None
                 if not self._cond.wait(timeout=timeout):

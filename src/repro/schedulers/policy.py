@@ -43,23 +43,23 @@ class SchedulingPolicy(ABC):
         o = self.owner(task_id)
         return o is None or o == worker_id
 
-    def select(self, worker_id: int, ready: Sequence[TaskId]) -> Optional[TaskId]:
-        """First task in ``ready`` (schedule order) this worker may take."""
-        for task_id in ready:
-            if self.eligible(worker_id, task_id):
-                return task_id
-        return None
-
     def select_index(self, worker_id: int, ready: Sequence[TaskId]) -> Optional[int]:
-        """Index into ``ready`` of the task this worker should take next.
+        """Index into ``ready`` of the task this worker should take next —
+        what every shell asks (:meth:`ComputableStack.pop_eligible
+        <repro.runtime.worker_pool.ComputableStack.pop_eligible>` on the
+        real backends, the simulator over its ready list).
 
-        The default scans from the end — LIFO over the computable stack,
-        matching the real worker pool. Cost-aware policies override.
+        The default scans from the end — LIFO over the computable stack.
+        Cost- and locality-aware policies override.
         """
         for idx in range(len(ready) - 1, -1, -1):
             if self.eligible(worker_id, ready[idx]):
                 return idx
         return None
+
+    def completed(self, worker_id: int, task_id: TaskId) -> None:
+        """Told by the shell that ``worker_id`` finished ``task_id``; only
+        history-steered policies keep it."""
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(workers={self.n_workers})"
@@ -81,9 +81,9 @@ class CostAwareDynamicPolicy(DynamicPolicy):
     Same eligibility as the dynamic pool, but an idle worker takes the
     *heaviest* ready task instead of the newest. Classic LPT-style
     heuristic: starting long tasks early shortens the end-game tail when
-    block costs vary (SWGG, Nussinov). Only the simulated backend honors
-    the ordering; the real pools pop LIFO (ordering needs costs the
-    slave-side stack does not carry).
+    block costs vary (SWGG, Nussinov). Processor level only, on every
+    backend: the thread level carries no cost function
+    (:func:`make_policy`).
     """
 
     name = "dynamic-lcf"
@@ -107,20 +107,25 @@ class AffinityDynamicPolicy(DynamicPolicy):
     for a ready task one of whose precedence neighbors it executed
     itself: the big prefix/strip inputs of that task are then already in
     the worker's memory and need not be re-shipped (the simulator models
-    the saving via :meth:`DPProblem.cached_input_bytes`). Falls back to
+    the saving via :meth:`DPProblem.cached_input_bytes`; the real master
+    re-sends per task, so there it only orders the pops). Falls back to
     LIFO when nothing local is ready, so it never idles while work exists.
     """
 
     name = "dynamic-affinity"
 
-    def __init__(self, n_workers: int, neighbor_fn, history) -> None:
+    def __init__(self, n_workers: int, neighbor_fn, history=None) -> None:
         super().__init__(n_workers)
         if not callable(neighbor_fn):
             raise ConfigError("dynamic-affinity needs a callable neighbor_fn(task_id)")
         self.neighbor_fn = neighbor_fn
-        #: worker id -> set of task ids that worker completed (shared,
-        #: mutated by the executing backend).
-        self.history = history
+        #: worker id -> set of task ids that worker completed, grown by
+        #: :meth:`completed`. A worker's entry is only touched on that
+        #: worker's own service thread (its pops and its results).
+        self.history = {} if history is None else history
+
+    def completed(self, worker_id: int, task_id: TaskId) -> None:
+        self.history.setdefault(worker_id, set()).add(task_id)
 
     def select_index(self, worker_id: int, ready: Sequence[TaskId]) -> Optional[int]:
         done = self.history.get(worker_id, ())
@@ -185,9 +190,17 @@ def make_policy(
     n_columns: int,
     block_cols: int = 1,
     cost_fn=None,
+    neighbor_fn=None,
 ) -> SchedulingPolicy:
     """Instantiate a policy by name (``n_columns`` feeds CW, ``cost_fn``
-    feeds dynamic-lcf; without a cost function lcf degrades to dynamic)."""
+    dynamic-lcf, ``neighbor_fn`` dynamic-affinity).
+
+    The processor level supplies both functions on every backend
+    (:meth:`RunAssembly.policy <repro.runtime.assembly.RunAssembly.policy>`).
+    The thread level has neither — regions of one block carry no cost
+    model and share one node's memory — so there, and only there,
+    ``dynamic-lcf`` and ``dynamic-affinity`` are the plain dynamic pool.
+    """
     if name == "dynamic":
         return DynamicPolicy(n_workers)
     if name == "dynamic-lcf":
@@ -195,10 +208,9 @@ def make_policy(
             return DynamicPolicy(n_workers)
         return CostAwareDynamicPolicy(n_workers, cost_fn)
     if name == "dynamic-affinity":
-        # Needs execution history the factory cannot supply; backends that
-        # track it construct AffinityDynamicPolicy directly, everything
-        # else degrades to the plain dynamic pool.
-        return DynamicPolicy(n_workers)
+        if neighbor_fn is None:
+            return DynamicPolicy(n_workers)
+        return AffinityDynamicPolicy(n_workers, neighbor_fn)
     if name == "bcw":
         return BlockCyclicWavefrontPolicy(n_workers, block_cols=block_cols)
     if name == "cw":

@@ -169,7 +169,7 @@ class TestChaosConfig:
         real = chaos_config("threads", 0, spec)
         assert sim.backend == "simulated" and real.backend == "threads"
         assert real.task_timeout < sim.task_timeout
-        assert sim.observing and real.observing
+        assert sim.observe and real.observe
 
     def test_recovery_knobs_are_on(self):
         cfg = chaos_config("threads", 0, CampaignSpec())

@@ -113,7 +113,7 @@ class TestWorkerDeath:
 class TestMessageLoss:
     def test_dropped_assign_redistributed(self, problem):
         plan = MessageFaultPlan(
-            [MessageFaultRule("drop", direction="send", message_type="TaskAssign", index=0)]
+            [MessageFaultRule("drop", direction="send", message_type="BatchAssign", index=0)]
         )
         run = EasyHPS(cfg(message_fault_plan=plan)).run(problem)
         assert run.value.distance == problem.reference()
@@ -122,7 +122,7 @@ class TestMessageLoss:
         assert_invariants(run)
 
     def test_dropped_result_redistributed(self, problem):
-        plan = MessageFaultPlan([DropOnce("drop", direction="recv", message_type="TaskResult")])
+        plan = MessageFaultPlan([DropOnce("drop", direction="recv", message_type="BatchResult")])
         run = EasyHPS(cfg(message_fault_plan=plan)).run(problem)
         assert run.value.distance == problem.reference()
         assert run.report.faults_recovered >= 1
@@ -130,7 +130,7 @@ class TestMessageLoss:
 
     def test_duplicated_result_is_idempotent(self, problem):
         plan = MessageFaultPlan(
-            [MessageFaultRule("duplicate", direction="recv", message_type="TaskResult",
+            [MessageFaultRule("duplicate", direction="recv", message_type="BatchResult",
                               index=None, task_id=(0, 0))]
         )
         run = EasyHPS(cfg(message_fault_plan=plan)).run(problem)
@@ -138,9 +138,9 @@ class TestMessageLoss:
         assert_invariants(run)
 
     def test_total_assign_loss_aborts_not_hangs(self, problem):
-        # Every TaskAssign is lost: the retry budget must exhaust cleanly.
+        # Every assignment envelope is lost: the retry budget must exhaust cleanly.
         plan = MessageFaultPlan(
-            [MessageFaultRule("drop", direction="send", message_type="TaskAssign")]
+            [MessageFaultRule("drop", direction="send", message_type="BatchAssign")]
         )
         config = cfg(nodes=2, message_fault_plan=plan, task_timeout=0.2, max_retries=2)
         with pytest.raises(FaultToleranceExhausted):

@@ -63,7 +63,7 @@ class TestSpecStatics:
         assert sum(len(r.states) for r in spec.roles) == 8
 
     def test_dropped_handler_flags_unhandled_message(self):
-        spec = drop_transitions(build_protocol_spec(), "slave", "awaiting", "TaskAssign")
+        spec = drop_transitions(build_protocol_spec(), "slave", "awaiting", "BatchAssign")
         report = check_protocol_spec(spec)
         assert report.has(D.PROTOCOL_UNHANDLED_MESSAGE)
 
@@ -85,7 +85,7 @@ class TestSpecStatics:
     def test_surgery_helpers_do_not_mutate_input(self):
         spec = build_protocol_spec()
         n = len(spec.transitions)
-        drop_transitions(spec, "slave", "awaiting", "TaskAssign")
+        drop_transitions(spec, "slave", "awaiting", "BatchAssign")
         assert len(spec.transitions) == n
         assert check_protocol_spec(spec).ok
 

@@ -17,6 +17,7 @@ from repro.algorithms import EditDistance, LongestCommonSubsequence, NeedlemanWu
 from repro.algorithms.compaction import BoundaryStore
 from repro.cluster.faults import FaultPlan, FaultRule
 from repro.dag.partition import partition_pattern
+from repro.utils.errors import ConfigError
 
 
 def run_blocked(problem, proc, thread):
@@ -102,6 +103,45 @@ class TestMemoryAccounting:
         compact = EditDistance(full.a, full.b, retain="boundary")
         res, _ = run_blocked(compact, proc, max(1, proc // 2))
         assert res.score == full.reference()
+
+
+class TestBoundaryStoreIsAStoreTheRuntimeKnows:
+    """``retain="boundary"`` state is not a dict of arrays; the runtime
+    must not treat it as one (both used to end in a traceback)."""
+
+    @pytest.mark.parametrize("backend", ["serial", "threads"])
+    def test_journaled_boundary_run_resumes_past_a_checkpoint(self, backend, tmp_path):
+        from repro.durable import recover, resume_run
+        from repro.utils.errors import MasterCrash
+
+        full = EditDistance.random(64, 64, seed=11)
+        compact = EditDistance(full.a, full.b, retain="boundary")
+        path = str(tmp_path / "j")
+        config = RunConfig(
+            backend=backend, nodes=3, journal_path=path, journal_fsync=False,
+            checkpoint_interval=4, journal_kill_after=20,
+        )
+        with pytest.raises(MasterCrash):
+            EasyHPS(config).run(compact)
+        rec = recover(path)  # IndexError here: the checkpoint held a 0-d object array
+        assert isinstance(rec.state["boundary"], BoundaryStore)
+        assert 0 < rec.n_committed < rec.n_tasks
+        _, run = resume_run(path)
+        assert run.value.score == full.reference()
+
+    @pytest.mark.parametrize("backend", ["threads", "simulated"])
+    def test_audit_is_refused_before_the_run_starts(self, backend):
+        # An audit (and the taint recompute a conviction starts) re-reads
+        # inputs the store has freed: KeyError((0, 0)) from the scheduling
+        # thread, before this was a ConfigError.
+        full = EditDistance.random(64, 64, seed=11)
+        compact = EditDistance(full.a, full.b, retain="boundary")
+        config = RunConfig(backend=backend, nodes=3, integrity="audit", audit_fraction=1.0)
+        with pytest.raises(ConfigError, match="integrity='audit'.*retain='boundary'"):
+            EasyHPS(config).run(compact)
+        # The other integrity modes never re-read a committed block's inputs.
+        vote = RunConfig(backend="threads", nodes=3, integrity="vote")
+        assert EasyHPS(vote).run(compact).value.score == full.reference()
 
 
 class TestBoundaryStoreUnit:

@@ -90,7 +90,7 @@ class TestSimulatorDriftFixes:
         # Every node's first result is lost; the nodes themselves serve
         # on, so the timeouts are message loss, not worker death.
         plan = MessageFaultPlan(
-            [MessageFaultRule("drop", direction="recv", message_type="TaskResult", index=0)]
+            [MessageFaultRule("drop", direction="recv", message_type="BatchResult", index=0)]
         )
         report = sim(
             problem, message_fault_plan=plan, blacklist_threshold=1, task_timeout=0.5
@@ -142,7 +142,7 @@ T, LAST = (0, 1), (2, 2)
 
 
 def result_of(task):
-    return dict(direction="recv", message_type="TaskResult", task_id=task)
+    return dict(direction="recv", message_type="BatchResult", task_id=task)
 
 
 #: name -> (RunConfig overrides built fresh per run, census keys compared).

@@ -6,13 +6,22 @@ import pytest
 
 from repro import EasyHPS, RunConfig
 from repro.algorithms import EditDistance, Nussinov
-from repro.check import check_resume_invariants
+from repro.check import SchedEvent, check_trace
 from repro.durable import recover, resume_run
 from repro.utils.errors import ConfigError, JournalError, MasterCrash
 
 
 def oracle_state(problem):
     return EasyHPS(RunConfig(backend="serial")).run(problem).state
+
+
+def resumed_stream_report(rec, run, journaled=None, extra=()):
+    """The resume invariants: the resumed run's stream replayed into a
+    dispatch core primed with the journal's committed prefix."""
+    proc_size, _ = rec.config.partitions_for(rec.problem)
+    pattern = rec.problem.build_partition(proc_size).abstract
+    journaled = rec.scan.committed if journaled is None else journaled
+    return check_trace([*run.report.events, *extra], pattern, journaled=journaled)
 
 
 def assert_states_equal(expected, got):
@@ -94,11 +103,7 @@ class TestParallelResume:
         rec, run = resume_run(path)
         assert_states_equal(oracle_state(problem), run.state)
         assert run.report.events is not None
-        proc_size, _ = rec.config.partitions_for(rec.problem)
-        pattern = rec.problem.build_partition(proc_size).abstract
-        report = check_resume_invariants(
-            run.report.events, rec.scan.committed, pattern=pattern
-        )
+        report = resumed_stream_report(rec, run)
         assert report.ok, report.summary()
 
     def test_resume_primes_epochs_past_crash(self, tmp_path):
@@ -162,7 +167,7 @@ class TestParallelResume:
         rec2, run = resume_run(path)
         assert_states_equal(oracle_state(problem), run.state)
         assert leaked_segments(f"repro-{os.getpid()}-") == []
-        report = check_resume_invariants(run.report.events, rec2.scan.committed)
+        report = resumed_stream_report(rec2, run)
         assert report.ok, report.summary()
 
 
@@ -179,12 +184,42 @@ class TestSimulatedResume:
         rec = recover(path)
         assert rec.state is None  # the simulator computes no values
         rec2, run = resume_run(path)
-        proc_size, _ = rec2.config.partitions_for(rec2.problem)
-        pattern = rec2.problem.build_partition(proc_size).abstract
-        report = check_resume_invariants(
-            run.report.events, rec2.scan.committed, pattern=pattern
-        )
+        report = resumed_stream_report(rec2, run)
         assert report.ok, report.summary()
+
+    def crashed_then_resumed(self, tmp_path):
+        path = str(tmp_path / "j")
+        config = RunConfig(
+            backend="simulated", nodes=4, journal_path=path, journal_fsync=False,
+            journal_kill_after=9, observe=True,
+        )
+        with pytest.raises(MasterCrash):
+            EasyHPS(config).run(EditDistance.random(48, 48, seed=5))
+        return resume_run(path)
+
+    def test_journaled_task_committed_live_again_is_duplicate_commit(self, tmp_path):
+        rec, run = self.crashed_then_resumed(tmp_path)
+        task, epoch = next(iter(rec.scan.committed.items()))
+        last = max(e.seq for e in run.report.events)
+        again = SchedEvent("commit", task, epoch, seq=last + 1)
+        report = resumed_stream_report(rec, run, extra=[again])
+        assert [d.code for d in report.diagnostics] == ["duplicate-commit"]
+
+    def test_assign_ahead_of_an_unjournaled_predecessor_is_early_assign(self, tmp_path):
+        rec, run = self.crashed_then_resumed(tmp_path)
+        assigned = {e.task_id for e in run.report.events if e.kind == "assign"}
+        pattern = rec.problem.build_partition(
+            rec.config.partitions_for(rec.problem)[0]
+        ).abstract
+        # A journaled block the resumed frontier builds on, un-journaled.
+        lost = next(
+            t for t in rec.scan.committed
+            if any(s in assigned for s in pattern.successors(t))
+        )
+        journaled = {t: e for t, e in rec.scan.committed.items() if t != lost}
+        report = resumed_stream_report(rec, run, journaled=journaled)
+        codes = {d.code for d in report.diagnostics}
+        assert "early-assign" in codes and codes <= {"early-assign", "early-commit", "lost-update"}
 
     def test_journal_latency_charged_in_sim_time(self, tmp_path):
         problem = EditDistance.random(48, 48, seed=5)
@@ -214,31 +249,37 @@ class TestDurableKnobs:
             RunConfig(journal_fsync="yes")
 
     def test_env_overrides(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHECKPOINT_INTERVAL", "7")
-        monkeypatch.setenv("REPRO_HEARTBEAT_INTERVAL", "0.25")
-        monkeypatch.setenv("REPRO_LEASE_FACTOR", "5.0")
+        # The six overrides that have a user: one of each parsed kind.
         monkeypatch.setenv("REPRO_JOURNAL_FSYNC", "0")
-        monkeypatch.setenv("REPRO_JOURNAL_LATENCY", "0.001")
+        monkeypatch.setenv("REPRO_BATCH_WAVE", "yes")
+        monkeypatch.setenv("REPRO_MAX_BATCH", "5")
+        monkeypatch.setenv("REPRO_INTEGRITY", "audit")
         config = RunConfig()
-        assert config.checkpoint_interval == 7
-        assert config.heartbeat_interval == 0.25
-        assert config.lease_factor == 5.0
         assert config.journal_fsync is False
-        assert config.journal_latency == 0.001
-        assert config.lease_duration == 1.25
+        assert config.batch_wave is True
+        assert config.max_batch == 5
+        assert config.integrity == "audit"
 
     def test_env_overrides_match_existing_knob_conventions(self, monkeypatch):
-        # the pre-existing knobs use the same default_factory pattern
+        # Blank is unset; an explicit argument beats the environment.
+        monkeypatch.setenv("REPRO_MAX_BATCH", "  ")
+        monkeypatch.setenv("REPRO_SHM", "1")
+        config = RunConfig(shm=False)
+        assert config.max_batch == 8
+        assert config.shm is False
+        # The knobs that lost their override are plain defaults now.
         monkeypatch.setenv("REPRO_TASK_TIMEOUT", "12.5")
         monkeypatch.setenv("REPRO_STALL_TIMEOUT", "none")
         config = RunConfig()
-        assert config.task_timeout == 12.5
+        assert config.task_timeout == 30.0
         assert config.stall_timeout is None
 
     def test_bad_env_value_raises_config_error(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHECKPOINT_INTERVAL", "not-an-int")
-        with pytest.raises(ConfigError):
-            RunConfig()
+        # ``none`` is not a value either: no surviving override is optional.
+        for raw in ("not-an-int", "none"):
+            monkeypatch.setenv("REPRO_MAX_BATCH", raw)
+            with pytest.raises(ConfigError, match="REPRO_MAX_BATCH must be an integer"):
+                RunConfig()
 
     def test_lease_duration_none_without_heartbeat(self):
         assert RunConfig().lease_duration is None

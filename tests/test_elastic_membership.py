@@ -66,7 +66,9 @@ class TestMidRunJoin:
     def test_worker_joins_mid_run_and_computes(self):
         problem = EditDistance.random(64, 64, seed=11)
         oracle = EasyHPS(RunConfig(backend="serial")).run(problem)
-        config = RunConfig(backend="threads", nodes=3)
+        # 256 blocks: ~0.2 s of run for the 0.05 s join timer to land in
+        # (the default 64 blocks finish in ~0.04 s since PR 22).
+        config = RunConfig(backend="threads", nodes=3, process_partition=4)
         master, slaves, asm, stop = build_parts(problem, config)
 
         joiner_box = {}

@@ -108,7 +108,7 @@ class TestStaleDigestCorruption:
         budget exhausts — a clean abort, never a wrong answer."""
         plan = MessageFaultPlan([
             MessageFaultRule(
-                "corrupt", direction="recv", message_type="TaskResult",
+                "corrupt", direction="recv", message_type="BatchResult",
                 task_id=(0, 0),
             )
         ])

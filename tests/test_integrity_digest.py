@@ -18,8 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.comm.messages import EndSignal, IdleSignal, TaskAssign, TaskResult
-from repro.comm.serialization import CONTENT_DIGEST_BYTES, content_digest, message_digest
+from repro.comm.serialization import CONTENT_DIGEST_BYTES, content_digest
 from repro.integrity import fold_commit, run_digest_hex
 
 scalars = st.one_of(
@@ -119,18 +118,6 @@ class TestSensitivity:
     def test_unsupported_type_raises(self):
         with pytest.raises(TypeError):
             content_digest(object())
-
-
-class TestMessageDigest:
-    def test_data_hops_digest_their_payload(self):
-        inputs = {"west": np.ones(5)}
-        outputs = {"block": np.zeros((2, 2))}
-        assert message_digest(TaskAssign((0, 0), 0, inputs)) == content_digest(inputs)
-        assert message_digest(TaskResult((0, 0), 0, 1, outputs)) == content_digest(outputs)
-
-    def test_bare_signals_have_no_digest(self):
-        assert message_digest(IdleSignal(slave_id=0)) is None
-        assert message_digest(EndSignal()) is None
 
 
 class TestRunFold:

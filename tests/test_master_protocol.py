@@ -10,7 +10,14 @@ import threading
 import pytest
 
 from repro.algorithms import EditDistance
-from repro.comm.messages import EndSignal, IdleSignal, TaskAssign, TaskResult
+from repro.comm.messages import (
+    BatchAssign,
+    BatchResult,
+    EndSignal,
+    IdleSignal,
+    TaskAssign,
+    TaskResult,
+)
 from repro.comm.transport import ChannelTimeout, channel_pair
 from repro.dag.partition import partition_pattern
 from repro.runtime.config import RunConfig
@@ -48,6 +55,18 @@ def start_master(problem, n_slaves=1, **kw):
     return master, partition, slaves, thread, state_box
 
 
+def lone_assign(envelope):
+    """The one element of an unbatched assignment envelope."""
+    assert isinstance(envelope, BatchAssign)
+    (assign,) = envelope.assigns
+    assert isinstance(assign, TaskAssign)
+    return assign
+
+
+def send_result(channel, task_id, epoch, slave_id, outputs):
+    channel.send(BatchResult(slave_id, (TaskResult(task_id, epoch, slave_id, outputs),)))
+
+
 def obedient_slave(problem, partition, channel, slave_id=0):
     """Play the protocol correctly until the end signal."""
     while True:
@@ -55,18 +74,17 @@ def obedient_slave(problem, partition, channel, slave_id=0):
         msg = channel.recv(timeout=5.0)
         if isinstance(msg, EndSignal):
             return
-        assert isinstance(msg, TaskAssign)
+        msg = lone_assign(msg)
         ev = problem.evaluator(partition, msg.task_id, msg.inputs)
         outputs = ev.run_serial(partition.sub_partition(msg.task_id, 5))
-        channel.send(TaskResult(msg.task_id, msg.epoch, slave_id, outputs))
+        send_result(channel, msg.task_id, msg.epoch, slave_id, outputs)
 
 
 class TestProtocol:
     def test_idle_gets_first_computable_task(self, problem):
         master, partition, (ch,), thread, _ = start_master(problem)
         ch.send(IdleSignal(0))
-        msg = ch.recv(timeout=5.0)
-        assert isinstance(msg, TaskAssign)
+        msg = lone_assign(ch.recv(timeout=5.0))
         assert msg.task_id == (0, 0)  # the only source of the wavefront
         assert msg.epoch == 0
         assert set(msg.inputs) == {"top", "left"}
@@ -85,12 +103,12 @@ class TestProtocol:
     def test_stale_epoch_result_rejected(self, problem):
         master, partition, (ch,), thread, _ = start_master(problem)
         ch.send(IdleSignal(0))
-        assign = ch.recv(timeout=5.0)
+        assign = lone_assign(ch.recv(timeout=5.0))
         # Reply with a WRONG epoch: must be dropped, task stays live.
         fake = problem.evaluator(partition, assign.task_id, assign.inputs).run_serial(
             partition.sub_partition(assign.task_id, 5)
         )
-        ch.send(TaskResult(assign.task_id, assign.epoch + 7, 0, fake))
+        send_result(ch, assign.task_id, assign.epoch + 7, 0, fake)
         # The master never completes (0,0) from that; give it a moment.
         import time
 
@@ -98,7 +116,7 @@ class TestProtocol:
         assert master.stats.stale_results == 1
         assert master.core.is_live(assign.task_id)
         # Now answer correctly and drain.
-        ch.send(TaskResult(assign.task_id, assign.epoch, 0, fake))
+        send_result(ch, assign.task_id, assign.epoch, 0, fake)
         obedient_slave(problem, partition, ch)
         thread.join(timeout=10.0)
         assert not thread.is_alive()
@@ -189,11 +207,12 @@ def obedient_slave_from(first_assign, problem, partition, channel, slave_id=0):
     while True:
         ev = problem.evaluator(partition, msg.task_id, msg.inputs)
         outputs = ev.run_serial(partition.sub_partition(msg.task_id, 5))
-        channel.send(TaskResult(msg.task_id, msg.epoch, slave_id, outputs))
+        send_result(channel, msg.task_id, msg.epoch, slave_id, outputs)
         channel.send(IdleSignal(slave_id))
         msg = channel.recv(timeout=5.0)
         if isinstance(msg, EndSignal):
             return
+        msg = lone_assign(msg)
 
 
 class TestBackendConsistency:

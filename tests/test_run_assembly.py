@@ -348,8 +348,8 @@ class TestStructure:
     def test_the_simulator_dispatches_one_way(self):
         """``_SimulatedRun`` has no method reachable only with
         ``batch_wave`` off, and reads the knob only where it sizes the
-        wave, names the envelope, records ``batch-assemble`` or gates
-        prefetch — what the knob decides on the real wire."""
+        wave, records ``batch-assemble`` or gates prefetch — what the
+        knob decides on the real wire."""
         rel = "backends/simulated.py"
         tree = ast.parse((SRC / rel).read_text(), filename=rel)
         (run,) = [
@@ -373,7 +373,5 @@ class TestStructure:
         assert [name for name, _ in reads] == [
             "_gather_wave",  # sizes the wave
             "_send_wave",  # records batch-assemble
-            "_send_wave",  # names the assign envelope
             "_try_prefetch",  # gates prefetch
-            "_wave_done",  # names the result envelope
         ]

@@ -19,10 +19,10 @@ class TestDynamic:
                 assert p.eligible(w, t)
                 assert p.owner(t) is None
 
-    def test_select_takes_first(self):
+    def test_select_index_takes_newest(self):
         p = DynamicPolicy(2)
-        assert p.select(0, [(1, 1), (0, 2)]) == (1, 1)
-        assert p.select(0, []) is None
+        assert p.select_index(0, [(1, 1), (0, 2)]) == 1  # LIFO over the stack
+        assert p.select_index(0, []) is None
 
     def test_worker_range_checked(self):
         p = DynamicPolicy(2)
@@ -45,12 +45,12 @@ class TestBCW:
     def test_select_respects_ownership(self):
         p = BlockCyclicWavefrontPolicy(2)
         ready = [(0, 0), (0, 1), (0, 2)]
-        assert p.select(0, ready) == (0, 0)
-        assert p.select(1, ready) == (0, 1)
+        assert p.select_index(0, ready) == 2  # the newest of its columns 0 and 2
+        assert p.select_index(1, ready) == 1
 
     def test_worker_with_nothing_eligible_idles(self):
         p = BlockCyclicWavefrontPolicy(3)
-        assert p.select(2, [(0, 0), (0, 1)]) is None  # owns column 2 only
+        assert p.select_index(2, [(0, 0), (0, 1)]) is None  # owns column 2 only
 
     def test_invalid_block_cols(self):
         with pytest.raises(ConfigError):

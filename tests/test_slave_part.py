@@ -13,7 +13,14 @@ import pytest
 
 from repro.algorithms import EditDistance
 from repro.cluster.faults import FaultPlan, FaultRule
-from repro.comm.messages import EndSignal, IdleSignal, TaskAssign, TaskResult
+from repro.comm.messages import (
+    BatchAssign,
+    BatchResult,
+    EndSignal,
+    IdleSignal,
+    TaskAssign,
+    TaskResult,
+)
 from repro.comm.transport import channel_pair
 from repro.dag.partition import partition_pattern
 from repro.runtime.config import RunConfig
@@ -34,6 +41,20 @@ def make_slave(problem, partition, channel, *, stop_event=None, **knobs):
     return SlavePart(0, channel, problem, partition, config, stop_event=stop_event)
 
 
+def send_assign(master, task_id, epoch, inputs):
+    """One sub-task the way the master ships it: a wave of one."""
+    master.send(BatchAssign((TaskAssign(task_id, epoch, inputs),)))
+
+
+def recv_result(master):
+    """The one element of the result envelope answering a wave of one."""
+    envelope = master.recv(timeout=5.0)
+    assert isinstance(envelope, BatchResult)
+    (result,) = envelope.results
+    assert isinstance(result, TaskResult)
+    return result
+
+
 def run_slave_async(slave):
     thread = threading.Thread(target=slave.run, daemon=True)
     thread.start()
@@ -49,9 +70,8 @@ class TestProtocolSide:
         assert isinstance(master.recv(timeout=5.0), IdleSignal)
         state = problem.make_state()
         inputs = problem.extract_inputs(state, partition, (0, 0))
-        master.send(TaskAssign((0, 0), 0, inputs))
-        result = master.recv(timeout=5.0)
-        assert isinstance(result, TaskResult)
+        send_assign(master, (0, 0), 0, inputs)
+        result = recv_result(master)
         assert result.task_id == (0, 0)
         assert result.epoch == 0
         assert result.elapsed > 0
@@ -69,8 +89,8 @@ class TestProtocolSide:
         master.recv(timeout=5.0)
         state = problem.make_state()
         inputs = problem.extract_inputs(state, partition, (0, 0))
-        master.send(TaskAssign((0, 0), 0, inputs))
-        result = master.recv(timeout=5.0)
+        send_assign(master, (0, 0), 0, inputs)
+        result = recv_result(master)
         expected = problem.evaluator(partition, (0, 0), inputs).run_serial(
             partition.sub_partition((0, 0), 6)
         )
@@ -109,14 +129,13 @@ class TestProtocolSide:
         master.recv(timeout=5.0)
         state = problem.make_state()
         inputs = problem.extract_inputs(state, partition, (0, 0))
-        master.send(TaskAssign((0, 0), 0, inputs))
+        send_assign(master, (0, 0), 0, inputs)
         # No result: the next message is the fresh idle signal.
         msg = master.recv(timeout=5.0)
         assert isinstance(msg, IdleSignal)
         # Re-dispatch (epoch 1) succeeds: the rule only matched attempt 0.
-        master.send(TaskAssign((0, 0), 1, inputs))
-        result = master.recv(timeout=5.0)
-        assert isinstance(result, TaskResult)
+        send_assign(master, (0, 0), 1, inputs)
+        result = recv_result(master)
         assert result.epoch == 1
         master.recv(timeout=5.0)
         master.send(EndSignal())
