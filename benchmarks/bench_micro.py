@@ -136,6 +136,29 @@ def test_block_evaluation_edit_distance(benchmark):
     benchmark(evaluate)
 
 
+@pytest.mark.parametrize("mode", ["inline", "pool"])
+@pytest.mark.parametrize("edge", [2, 32, 250])
+def test_block_inline_vs_pool(benchmark, edge, mode):
+    """One edit-distance block on a two-thread slave: left whole and
+    computed by the thread that received it, vs cut 2 x 2 and handed to the
+    worker pool (explicit thread sizes: the default cuts only the 250). The
+    difference / 4 is the handoff a region has to cover; ``repro calibrate``
+    prints the same."""
+    from repro.runtime.config import RunConfig
+    from repro.runtime.slave import SlavePart
+
+    ed = EditDistance.random(8 * edge, 8 * edge, seed=0)
+    thread_partition = edge if mode == "inline" else edge // 2
+    config = RunConfig(threads_per_node=2, thread_partition=thread_partition)
+    proc, thread = config.partitions_for(ed)
+    assert proc == (edge, edge)
+    part = partition_pattern(ed.pattern(), proc)
+    slave = SlavePart(0, channel_pair()[0], ed, part, config, thread_size=thread)
+    assign = TaskAssign((0, 0), 0, ed.extract_inputs(ed.make_state(), part, (0, 0)))
+
+    benchmark(lambda: slave._compute(assign))
+
+
 def test_block_evaluation_nussinov(benchmark):
     nu = Nussinov.random(256, seed=0)
     part = partition_pattern(nu.pattern(), 64)

@@ -47,6 +47,17 @@ Region = Tuple[str, int, Optional[int], int, Optional[int]]
 #: them or computed them), or ``None`` when no single block does.
 InputRegion = Tuple[str, int, Optional[int], int, Optional[int], Optional[VertexId]]
 
+#: Smallest region edge the default thread-level cut produces from a larger
+#: block: the edge at which a region's kernel time first covers the pool
+#: handoff it costs. Measured on a 2-core box (``repro calibrate``, edit
+#: distance): a block cut 2 x 2 and drained by the slave worker pool costs
+#: 0.06-0.2 ms a region more than the same regions run inline (threads
+#: started, dispatch core, stack and finished-queue round trip), and one
+#: region runs in 0.03-0.06 ms at 16 x 16, 0.07-0.2 ms at 32 x 32, 0.25-0.45
+#: at 64 x 64. A dearer kernel covers it earlier (SWGG from 8 x 8); one
+#: constant, set for the cheap kernels, costs those nothing the pool buys.
+MIN_REGION_EDGE = 32
+
 
 def region_index(r0: int, r1: Optional[int], c0: int, c1: Optional[int]) -> tuple:
     """The numpy index selecting a region's cells out of its state array."""
@@ -123,14 +134,17 @@ class DPProblem(ABC):
         names one). Per axis a block is cut into as many regions as its node
         has computing ``threads`` (Fig 11 step e) — the whole block for one,
         else the coarsest split whose widest anti-diagonal feeds them all:
-        cost per cell only falls as regions grow (``repro calibrate``). An
+        cost per cell only falls as regions grow (``repro calibrate``) — but
+        never into regions under ``MIN_REGION_EDGE``, which could not pay for
+        their own handoff: a block too small to share stays whole. An
         override decides the process-level default alone and passes it up."""
         if process_partition is None:
             shape = getattr(self.pattern(), "shape", None)
             n = shape[0] if shape else getattr(self.pattern(), "n")
             process_partition = max(1, n // 8)
         proc = _as_pair(process_partition)
-        return proc, (max(1, proc[0] // threads), max(1, proc[1] // threads))
+        cuts = [max(1, min(threads, edge // MIN_REGION_EDGE)) for edge in proc]
+        return proc, (proc[0] // cuts[0], proc[1] // cuts[1])
 
     # -- master-side state ----------------------------------------------------
 

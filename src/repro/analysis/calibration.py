@@ -70,6 +70,8 @@ def measure_blocks(
     needed = set(block_ids)
     samples: List[CalibrationSample] = []
     for bid in order:
+        if len(samples) == len(needed):
+            break  # nothing measured depends on the rest
         inputs = problem.extract_inputs(state, partition, bid)
         inner = partition.sub_partition(bid, thread_partition)
         if bid in needed:
@@ -97,6 +99,80 @@ def ns_per_cell(
     samples = measure_blocks(problem, process_partition, thread_partition, repeats=repeats)
     spans = [partition.block_ranges(s.bid) for s in samples]
     return 1e9 * sum(s.seconds for s in samples) / sum(len(r) * len(c) for r, c in spans)
+
+
+def pool_handoff_seconds(
+    problem: DPProblem, process_partition: BlockShape, repeats: int = 3
+) -> Tuple[float, float]:
+    """What the slave worker pool costs beyond the kernels it runs, on the
+    first block of ``process_partition`` with two computing threads:
+    ``(one, per_region)`` — seconds to build and drain the pool for a block
+    left as one region, and the pool's seconds per region handed off when
+    the block is cut 2 x 2 (each net of ``run_serial`` over the same
+    regions, so whatever the two threads overlap is already credited). The
+    floor under the default thread-level cut (``MIN_REGION_EDGE``) is the
+    region edge whose kernel time covers ``per_region``.
+
+    Measured through ``SlavePart._compute``, the pool's one call site: a
+    thread-level fault plan naming no region of the block asks for Fig 12's
+    path without ever firing.
+    """
+    import threading
+
+    from repro.cluster.faults import FaultPlan, FaultRule
+    from repro.comm.messages import TaskAssign
+    from repro.comm.transport import channel_pair
+    from repro.dag.partition import _as_pair
+    from repro.runtime.assembly import RunAssembly
+    from repro.runtime.config import RunConfig
+
+    if repeats < 1:
+        raise ConfigError(f"repeats must be >= 1, got {repeats}")
+    proc = _as_pair(process_partition)
+    half = (max(1, proc[0] // 2), max(1, proc[1] // 2))
+    partition = problem.build_partition(proc)
+    bid = next(iter(partition.abstract.topological_order()))
+    inputs = problem.extract_inputs(problem.make_state(), partition, bid)
+    assign = TaskAssign(task_id=bid, epoch=0, inputs=inputs)
+    never = FaultPlan([FaultRule("crash", ("no-such-region",), 0)])
+
+    def seconds(thread_size, **knobs) -> float:
+        config = RunConfig(process_partition=proc, thread_partition=thread_size, **knobs)
+        part = RunAssembly(config, problem).slave(0, channel_pair()[0], threading.Event())
+        best = float("inf")
+        for _ in range(repeats):
+            started = time.perf_counter()
+            part._compute(assign)
+            best = min(best, time.perf_counter() - started)
+        return best
+
+    pooled = dict(threads_per_node=2, thread_fault_plan=never)
+    one = seconds(proc, **pooled) - seconds(proc, threads_per_node=1)
+    cut = seconds(half, **pooled) - seconds(half, threads_per_node=1)
+    return one, cut / partition.sub_partition(bid, half).n_blocks
+
+
+def region_seconds(
+    problem: DPProblem, process_partition: BlockShape, edges: Sequence[int], repeats: int = 3
+) -> List[Tuple[int, float]]:
+    """Kernel seconds of one ``edge x edge`` region, for each of ``edges``:
+    the head region of the first block of ``process_partition`` (the one
+    region of a block that needs nothing but the block's own inputs)."""
+    partition = problem.build_partition(process_partition)
+    bid = next(iter(partition.abstract.topological_order()))
+    inputs = problem.extract_inputs(problem.make_state(), partition, bid)
+    timed = []
+    for edge in edges:
+        inner = partition.sub_partition(bid, edge)
+        rows, cols = inner.block_ranges(next(iter(inner.abstract.topological_order())))
+        best = float("inf")
+        for _ in range(repeats):
+            evaluator = problem.evaluator(partition, bid, inputs)
+            started = time.perf_counter()
+            evaluator.run_subblock(rows, cols)
+            best = min(best, time.perf_counter() - started)
+        timed.append((edge, best))
+    return timed
 
 
 def fit_rate(samples: Sequence[CalibrationSample]) -> float:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import os
 import tempfile
+import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -167,6 +168,17 @@ def _make_daemon(spec: ServeCampaignSpec, tmp: str, resume: bool) -> ServeDaemon
     )
 
 
+def _wait_mid_batch(daemon: ServeDaemon, timeout: float) -> None:
+    """Return once some job has finished while another has not (or every
+    job has, or ``timeout`` passed)."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        live = [snap["status"] in ("queued", "running") for snap in daemon.jobs()]
+        if not all(live) or not live:
+            return
+        time.sleep(0.001)
+
+
 def _spec_for(spec: ServeCampaignSpec, event: ArrivalEvent) -> JobSpec:
     sabotaged = event.tenant == spec.sabotage_tenant
     chaos: Dict[str, float] = {"seed": float(spec.seed * 7919 + event.seed)}
@@ -232,9 +244,13 @@ def run_serve_campaign(
     killed = False
     for i, event in enumerate(trace):
         if kill_after is not None and not killed and i == kill_after:
-            # Let some of the accepted backlog reach RUNNING so the
-            # resume exercises per-job commit journals, then kill.
-            daemon.wait_idle(0.3)
+            # Kill mid-batch by construction, not after a fixed sleep: the
+            # moment the first job of the backlog has finished while
+            # others are still running or queued, so the resume sees
+            # finished history, per-job commit journals and never-started
+            # jobs whatever a job's duration is. (A backlog that drains
+            # completely first is killed idle, as a sleep would have.)
+            _wait_mid_batch(daemon, timeout=spec.job_timeout)
             say(f"killing daemon after {i} submissions")
             daemon.kill()
             killed = True

@@ -230,8 +230,16 @@ def cmd_resume(args: argparse.Namespace) -> int:
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
     """Fit the simulator's node rate to this machine's real kernels, and
-    print the cost-per-cell curve the default thread partition rests on."""
-    from repro.analysis.calibration import calibrate_node, calibration_report, ns_per_cell
+    print the two measurements the default thread partition rests on: the
+    cost-per-cell curve and the cost of a pool handoff."""
+    from repro.algorithms.problem import MIN_REGION_EDGE
+    from repro.analysis.calibration import (
+        calibrate_node,
+        calibration_report,
+        ns_per_cell,
+        pool_handoff_seconds,
+        region_seconds,
+    )
 
     problem = _build_problem(args)
     proc, thread = RunConfig(threads_per_node=1).partitions_for(problem)
@@ -241,8 +249,27 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     print("use it via RunConfig(cluster=ClusterSpec(compute_nodes=(spec, ...)))")
     for label, threads in (("whole", 1), ("half", 2), ("quarter", 4)):
         _, thread = RunConfig(threads_per_node=threads).partitions_for(problem)
+        cuts = tuple(-(-edge // t) for edge, t in zip(proc, thread))
         ns = ns_per_cell(problem, proc, thread, repeats=args.repeats)
-        print(f"{label}-block regions {thread} ({threads} thread(s) a node): {ns:.1f} ns/cell")
+        print(
+            f"{label}-block regions {thread} ({threads} thread(s) a node, "
+            f"{cuts[0]} x {cuts[1]} a block): {ns:.1f} ns/cell"
+        )
+    one, per_region = pool_handoff_seconds(problem, proc, repeats=args.repeats)
+    print(
+        f"pool handoff on a {proc} block, 2 threads, pool - inline: {one * 1e3:.3f} ms "
+        f"for one region, {per_region * 1e3:.3f} ms a region of a 2 x 2 cut"
+    )
+    edges = [e for e in (2, 4, 8, 16, 32, 64, 128, 256) if e < min(proc)] + [min(proc)]
+    timed = region_seconds(problem, proc, edges, repeats=args.repeats)
+    print("one region: " + ", ".join(f"{e}: {s * 1e3:.3f} ms" for e, s in timed))
+    covers = next((e for e, s in timed if s >= per_region), None)
+    print(
+        f"a region first covers its handoff at edge {covers}"
+        if covers is not None
+        else f"no region of a {proc} block covers its handoff",
+        f"(MIN_REGION_EDGE = {MIN_REGION_EDGE})",
+    )
     return 0
 
 
@@ -920,7 +947,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="attach idle workers to running jobs "
                               "(elastic membership)")
     serve_p.add_argument("--threads", type=int, default=2,
-                         help="computing threads per fleet worker")
+                         help="computing threads a block is shared among when "
+                              "it is big enough to share (a smaller block is "
+                              "computed by the fleet worker that received it)")
     serve_p.add_argument("--task-timeout", type=float, default=10.0,
                          help="per-task timeout inside each job")
     serve_p.add_argument("--job-timeout", type=float, default=None,

@@ -2,12 +2,14 @@
 
 A slave part loops: announce idle, receive a sub-task with its data,
 initialize the slave DAG Data Driven Model for it (the thread-level
-partition), drain the inner DAG with a pool of computing threads, return
-the result, repeat until the end signal. Thread-level fault tolerance is
-the same :class:`~repro.runtime.dispatch.DispatchCore` the master runs,
-one level down (``docs/fault_tolerance.md`` §Dispatch core): on a
-sub-sub-task timeout this shell re-pushes the lost sub-sub-task and
-*restarts the computing thread* (Fig 12).
+partition), drain the inner DAG with a pool of computing threads — or, when
+the block is a single region or the node has a single computing thread,
+compute it on this thread: a pool is built only where there is something
+to share — return the result, repeat until the end signal. Thread-level
+fault tolerance is the same :class:`~repro.runtime.dispatch.DispatchCore`
+the master runs, one level down (``docs/fault_tolerance.md`` §Dispatch
+core): on a sub-sub-task timeout this shell re-pushes the lost
+sub-sub-task and *restarts the computing thread* (Fig 12).
 
 Knobs are read from the run's ``RunConfig`` (``docs/configuration.md``).
 
@@ -321,9 +323,13 @@ class SlavePart:
         evaluator = self.problem.evaluator(self.partition, assign.task_id, assign.inputs)
         inner = self.partition.sub_partition(assign.task_id, self.thread_size)
         self.stats.subtasks += inner.n_blocks
-        if self.config.threads_per_node == 1 and not self.config.thread_fault_plan:
-            return evaluator.run_serial(inner)
-        return self._run_pool(evaluator, inner)
+        # A pool only where there is something to share (several regions,
+        # several computing threads) or Fig 12's fault path is asked for;
+        # otherwise this thread computes the block it received.
+        shared = inner.n_blocks > 1 and self.config.threads_per_node > 1
+        if shared or self.config.thread_fault_plan:
+            return self._run_pool(evaluator, inner)
+        return evaluator.run_serial(inner)
 
     def _run_pool(self, evaluator, inner: Partition) -> Dict[str, object]:
         n_threads = self.config.threads_per_node

@@ -435,8 +435,8 @@ class ServeDaemon:
             target=self._run_job, args=(ctx,), daemon=True,
             name=f"serve-{record.job_id}",
         )
-        ctx.runner = runner
         runner.start()
+        ctx.runner = runner  # published started: drain and kill join it
 
     def _run_job(self, ctx: _JobContext) -> None:
         """Per-job runner thread: the job's whole fault domain ends here."""
@@ -698,6 +698,10 @@ class ServeDaemon:
         if self._wal is not None:
             self._wal.abandon()
         self.admission.drain()
+        # The loops first: a launch in flight has registered its context
+        # but not started its runner, which the snapshot below would miss.
+        for t in self._threads:
+            t.join(timeout=5.0)
         with self._lock:
             contexts = list(self._contexts.values())
         for ctx in contexts:
@@ -707,5 +711,3 @@ class ServeDaemon:
             if ctx.runner is not None:
                 ctx.runner.join(timeout=10.0)
         self.fleet.stop()
-        for t in self._threads:
-            t.join(timeout=5.0)

@@ -10,6 +10,8 @@ from repro.analysis.calibration import (
     calibration_report,
     fit_rate,
     measure_blocks,
+    pool_handoff_seconds,
+    region_seconds,
 )
 from repro.cluster.machine import NodeSpec
 from repro.utils.errors import ConfigError
@@ -56,6 +58,27 @@ class TestMeasureBlocks:
         ed = EditDistance.random(20, 20, seed=4)
         with pytest.raises(ConfigError):
             measure_blocks(ed, 10, 5, repeats=0)
+
+
+class TestPoolHandoff:
+    """The two numbers ``MIN_REGION_EDGE`` rests on (``repro calibrate``)."""
+
+    def test_the_pool_costs_more_than_the_thread_that_received_the_block(self):
+        """Blocks of 4 cells hold no kernel time to overlap: what is left is
+        the pool itself. Best of 5, so one preempted run cannot flip it."""
+        ed = EditDistance.random(16, 16, seed=1)
+        one, per_region = pool_handoff_seconds(ed, 2, repeats=5)
+        assert one > 0 and per_region > 0
+
+    def test_rejects_bad_repeats(self):
+        with pytest.raises(ConfigError):
+            pool_handoff_seconds(EditDistance.random(16, 16, seed=1), 2, repeats=0)
+
+    def test_region_seconds_times_the_head_region_at_each_edge(self):
+        ed = EditDistance.random(256, 256, seed=2)
+        timed = region_seconds(ed, 64, [4, 64], repeats=3)
+        assert [edge for edge, _ in timed] == [4, 64]
+        assert 0 < timed[0][1] < timed[1][1]  # 16 cells vs 4096
 
 
 class TestCalibrateNode:

@@ -59,6 +59,11 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "fitted rate" in out
         assert "calibrated NodeSpec" in out
+        # Blocks of 10 stay whole at any thread count; the handoff line and
+        # the floor it justifies are printed beside the curve.
+        assert "quarter-block regions (10, 10) (4 thread(s) a node, 1 x 1 a block)" in out
+        assert "pool handoff on a (10, 10) block" in out
+        assert "MIN_REGION_EDGE = 32" in out
 
     def test_unknown_algorithm(self):
         with pytest.raises(SystemExit, match="unknown algorithm"):

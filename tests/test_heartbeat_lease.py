@@ -6,7 +6,7 @@ import numpy as np
 
 from repro import EasyHPS, RunConfig
 from repro.algorithms import EditDistance
-from repro.cluster.faults import WorkerFaultPlan, WorkerFaultRule
+from repro.cluster.faults import FaultPlan, FaultRule, WorkerFaultPlan, WorkerFaultRule
 from tests.test_dispatch_core import run_row
 
 
@@ -79,9 +79,13 @@ class TestHeartbeatProtocol:
     def test_processes_backend_heartbeats(self):
         problem = EditDistance.random(40, 40, seed=9)
         oracle = EasyHPS(RunConfig(backend="serial")).run(problem)
+        # One sub-task stalls for four heartbeat intervals (well inside its
+        # timeout), so a beacon is due by construction — the run used to
+        # outlast one interval only because every block paid for a pool.
         config = RunConfig(
             backend="processes", nodes=3,
             heartbeat_interval=0.05, observe=True,
+            fault_plan=FaultPlan([FaultRule("hang", (0, 0), 0)]), hang_duration=0.2,
         )
         result = EasyHPS(config).run(problem)
         assert result.value.distance == oracle.value.distance

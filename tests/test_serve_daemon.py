@@ -1,6 +1,8 @@
 """The serve daemon end to end: multi-tenant correctness, job-level
 fault isolation, deadlines, cancellation, kill -9 + resume, drain."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -166,14 +168,24 @@ class TestFaultIsolation:
 
 class TestKillResume:
     def test_kill_resume_completes_all_acknowledged_jobs(self, tmp_path):
-        daemon = _daemon(tmp_path, workers=2)
+        # One worker serves the six jobs in turn, and the kill lands the
+        # moment one is running with another still queued: mid-batch by
+        # construction, however fast a job is (a fixed 0.2 s wait used to
+        # stand here, and passed only while six jobs took longer than that).
+        daemon = _daemon(tmp_path, workers=1)
         daemon.start()
         specs = {}
         for i in range(6):
             spec = JobSpec(tenant="a", algo="lcs", size=24, seed=i, nodes=2)
             decision = daemon.submit(spec)
             specs[decision.job_id] = spec
-        daemon.wait_idle(0.2)  # let a couple of jobs start
+        deadline = time.monotonic() + 30.0
+        while True:
+            statuses = {daemon.get(job_id).status for job_id in specs}
+            if {"running", "queued"} <= statuses:
+                break
+            assert time.monotonic() < deadline, f"never mid-batch: {statuses}"
+            time.sleep(0.001)
         daemon.kill()
 
         resumed = _daemon(tmp_path, workers=2, resume=True)
