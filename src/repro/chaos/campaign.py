@@ -9,10 +9,11 @@ backends and classifies every run:
   :class:`~repro.utils.errors.FaultToleranceExhausted` (the budget or
   every worker was genuinely exhausted — an *allowed* outcome);
 - ``wrong-answer``        — finished with state differing from the oracle;
-- ``invariant-violation`` — finished but the telemetry stream violates a
-  fault-tolerance invariant (commit after blacklist, fault without
-  reassign-or-abort), or disagrees with the dispatch core it is replayed
-  into (:func:`repro.check.trace_check.check_trace`);
+- ``invariant-violation`` — finished but the telemetry stream disagrees
+  with the dispatch core it is replayed into
+  (:func:`repro.check.trace_check.check_trace`), whose rules include the
+  fault-tolerance invariants (no commit after blacklist, every fault
+  re-assigned);
 - ``hang``                — neither finished nor aborted within the run
   deadline;
 - ``error``               — any other exception escaped the runtime.
@@ -27,11 +28,11 @@ the *silent* tier — lying workers (``worker_p_lie``) and digest-evading
 mode. Classification tightens accordingly: real-backend states still
 diff against the serial oracle, the simulator's omniscient
 ``sim.undetected_corruptions`` counter classifies taint that survived to
-the end as ``wrong-answer``, and the integrity invariants (no dispatch
-after quarantine, every taint recomputed, no commit without digest
-verification) join the fault invariants. Running the same seeds with
-``integrity='off'`` demonstrates the failure the defenses exist for: the
-campaign reports ``wrong-answer``.
+the end as ``wrong-answer``, and the same replay holds the run to the
+integrity invariants (no dispatch after quarantine, every taint
+recomputed, no commit without digest verification). Running the same
+seeds with ``integrity='off'`` demonstrates the failure the defenses
+exist for: the campaign reports ``wrong-answer``.
 """
 
 from __future__ import annotations
@@ -396,18 +397,17 @@ def _execute_one(
                 "(simulated taint)"
             )
     if outcome.status == "ok" and report.events is not None:
-        from repro.check.chaos_check import check_fault_invariants
-        from repro.check.integrity_check import check_integrity_invariants
         from repro.check.trace_check import check_trace
 
-        check = check_fault_invariants(report.events, aborted=False)
-        check.extend(
-            check_integrity_invariants(
-                report.events, metrics=report.metrics, aborted=False
-            )
+        verified = (report.metrics or {}).get("counters", {}).get(
+            "integrity.digests_verified"
         )
         proc_size, _ = config.partitions_for(problem)
-        check.extend(check_trace(report.events, problem.build_partition(proc_size).abstract))
+        check = check_trace(
+            report.events,
+            problem.build_partition(proc_size).abstract,
+            verified=None if verified is None else int(verified),
+        )
         if not check.ok:
             outcome.status = "invariant-violation"
             outcome.detail = "; ".join(

@@ -14,17 +14,14 @@ else in this package. ``repro.check`` is the layer that verifies it:
   happens-before rules (early commits, duplicate commits from
   fault-tolerance races, lost updates) as queries on that core — primed
   with the journal's committed prefix (``journaled=``) they are also the
-  resume invariants every kill-master campaign run is held to;
+  resume invariants every kill-master campaign run is held to, and they
+  hold every chaos and SDC campaign run to the fault and integrity
+  invariants (no commit after blacklist, no dispatch after quarantine,
+  every fault re-assigned, every taint recomputed, no commit without a
+  digest check when given ``verified=``);
 - :mod:`repro.check.lock_lint` — an instrumented lock layer that records
   the acquisition-order graph across runtime threads and reports cycles
   and blocking channel calls made under a lock;
-- :mod:`repro.check.chaos_check` — fault-tolerance invariants over the
-  telemetry stream (no commit after blacklist; every fault followed by
-  reassign-or-abort), asserted by every chaos-campaign run;
-- :mod:`repro.check.integrity_check` — result-integrity invariants over
-  the telemetry stream (no dispatch after quarantine; every taint
-  recomputed; no commit without digest verification), asserted by every
-  SDC campaign run;
 - :mod:`repro.check.protocol` — a machine-checked state-machine
   specification of what the dispatch core does not own (the slave and
   master message loops, the message vocabulary) and static analyses over
@@ -43,9 +40,7 @@ by setting ``REPRO_VERIFY=1`` / ``RunConfig(verify=True)``.
 """
 
 from repro.check.ast_lint import check_clock_discipline, check_lock_discipline
-from repro.check.chaos_check import check_fault_invariants
 from repro.check.diagnostics import CheckReport, Diagnostic
-from repro.check.integrity_check import check_integrity_invariants
 from repro.check.lock_lint import LockLint, lock_lint_session, make_condition, make_lock, note_blocking
 from repro.check.pattern_check import check_partition, check_pattern
 from repro.check.protocol import (
@@ -54,7 +49,7 @@ from repro.check.protocol import (
     build_protocol_spec,
     check_protocol_spec,
 )
-from repro.check.trace_check import LEDGER_KINDS, SchedEvent, TraceRecorder, check_trace
+from repro.check.trace_check import LEDGER_KINDS, check_trace
 
 # NOTE: repro.check.explore is deliberately NOT imported here. It needs
 # repro.cluster.faults at module level, which pulls repro.comm and (via
@@ -69,13 +64,9 @@ __all__ = [
     "LEDGER_KINDS",
     "LockLint",
     "ProtocolSpec",
-    "SchedEvent",
-    "TraceRecorder",
     "Transition",
     "build_protocol_spec",
     "check_clock_discipline",
-    "check_fault_invariants",
-    "check_integrity_invariants",
     "check_lock_discipline",
     "check_partition",
     "check_pattern",

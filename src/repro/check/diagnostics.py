@@ -31,14 +31,7 @@ DUPLICATE_COMMIT = "duplicate-commit"
 STALE_COMMIT = "stale-commit"
 LOST_UPDATE = "lost-update"
 UNKNOWN_TASK = "unknown-task"
-
-# -- fault-tolerance invariant codes (chaos campaigns) --------------------------
-COMMIT_AFTER_BLACKLIST = "commit-after-blacklist"
-UNHANDLED_FAULT = "fault-not-reassigned"
-
-# -- result-integrity invariant codes (SDC campaigns) ---------------------------
-DISPATCH_AFTER_QUARANTINE = "dispatch-after-quarantine"
-TAINT_NOT_RECOMPUTED = "taint-not-recomputed"
+#: More worker commits than receive-side digest checks (``verified``).
 COMMIT_WITHOUT_VERIFY = "commit-without-verify"
 
 # -- lock lint codes ----------------------------------------------------------

@@ -9,8 +9,8 @@ Nineteen fixtures, one per diagnostic family the verifier exists for:
 5.  a trace committing a block twice            -> ``duplicate-commit``
 6.  a deliberate ABBA lock inversion            -> ``lock-cycle``
 7.  a liar worker re-dispatched after its
-    quarantine                                  -> ``dispatch-after-quarantine``
-8.  a tainted commit never recomputed           -> ``taint-not-recomputed``
+    quarantine                                  -> ``protocol-illegal-transition``
+8.  a tainted commit never recomputed           -> ``lost-update``
 9.  more worker commits than digest checks      -> ``commit-without-verify``
 10. a protocol spec that forgot to handle
     BatchAssign                                 -> ``protocol-unhandled-message``
@@ -38,7 +38,9 @@ which proves in CI that the verifier still has teeth. The broken
 patterns subclass :class:`DAGPattern` directly because the public
 constructors (by design) refuse to build them; the broken protocol
 specs are built by the surgery helper in :mod:`repro.check.protocol`;
-fixtures 12 and 13 are recorded streams replayed into the dispatch core
+fixtures 4, 5, 7-9, 12 and 13 are recorded streams — lists of
+:class:`~repro.obs.recorder.ObsEvent`, the one event type — each judged
+by one replay into the dispatch core
 (:func:`repro.check.trace_check.check_trace`); fixture 14 re-runs the
 bounded explorer against a seeded-defect master
 (:func:`repro.check.explore.reorder_double_commit_model`) whose bug a
@@ -48,8 +50,7 @@ randomized chaos campaign provably cannot time.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.check import diagnostics as D
 from repro.check.ast_lint import (
@@ -59,13 +60,24 @@ from repro.check.ast_lint import (
     lint_sans_io,
 )
 from repro.check.diagnostics import CheckReport
-from repro.check.integrity_check import check_integrity_invariants
 from repro.check.lock_lint import lock_lint_session, make_lock
 from repro.check.pattern_check import check_pattern
 from repro.check.protocol import build_protocol_spec, check_protocol_spec, drop_transitions
-from repro.check.trace_check import SchedEvent, check_trace
+from repro.check.trace_check import check_trace
 from repro.dag.library import WavefrontPattern
 from repro.dag.pattern import DAGPattern, VertexId
+from repro.obs.recorder import ObsEvent
+
+#: One recorded step: ``(kind, task, epoch, worker)``.
+Step = Tuple[str, Optional[VertexId], int, int]
+
+
+def stream(*steps: Step) -> List[ObsEvent]:
+    """A recorded stream, ``seq`` in the order given."""
+    return [
+        ObsEvent(kind, 0.0, task, epoch, worker=worker, seq=seq)
+        for seq, (kind, task, epoch, worker) in enumerate(steps)
+    ]
 
 
 class _ListPattern(DAGPattern):
@@ -119,39 +131,33 @@ def data_gap_pattern() -> DAGPattern:
     return _DataGapPattern()
 
 
-def early_commit_trace() -> Tuple[List[SchedEvent], DAGPattern]:
+def early_commit_trace() -> Tuple[List[ObsEvent], DAGPattern]:
     """A 2x2 wavefront trace where (1, 1) commits before (0, 1)/(1, 0)."""
-    pattern = WavefrontPattern(2, 2)
-
-    def ev(seq: int, kind: str, task: Tuple[int, int]) -> SchedEvent:
-        return SchedEvent(kind=kind, task_id=task, epoch=0, worker=0, seq=seq)
-
-    events = [
-        ev(0, "assign", (0, 0)),
-        ev(1, "commit", (0, 0)),
-        ev(2, "assign", (0, 1)),
-        ev(3, "assign", (1, 0)),
-        ev(4, "commit", (1, 1)),  # neither (0, 1) nor (1, 0) landed yet
-        ev(5, "commit", (0, 1)),
-        ev(6, "commit", (1, 0)),
-    ]
-    return events, pattern
+    events = stream(
+        ("assign", (0, 0), 0, 0),
+        ("commit", (0, 0), 0, 0),
+        ("assign", (0, 1), 0, 0),
+        ("assign", (1, 0), 0, 0),
+        ("commit", (1, 1), 0, 0),  # neither (0, 1) nor (1, 0) landed yet
+        ("commit", (0, 1), 0, 0),
+        ("commit", (1, 0), 0, 0),
+    )
+    return events, WavefrontPattern(2, 2)
 
 
-def duplicate_commit_trace() -> Tuple[List[SchedEvent], DAGPattern]:
+def duplicate_commit_trace() -> Tuple[List[ObsEvent], DAGPattern]:
     """A fault-tolerance race: both epochs of (0, 1) commit."""
-    pattern = WavefrontPattern(1, 2)
-    events = [
-        SchedEvent(kind="assign", task_id=(0, 0), epoch=0, worker=0, seq=0),
-        SchedEvent(kind="commit", task_id=(0, 0), epoch=0, worker=0, seq=1),
-        SchedEvent(kind="assign", task_id=(0, 1), epoch=0, worker=0, seq=2),
-        SchedEvent(kind="redistribute", task_id=(0, 1), epoch=0, seq=3),
-        SchedEvent(kind="assign", task_id=(0, 1), epoch=1, worker=1, seq=4),
-        SchedEvent(kind="commit", task_id=(0, 1), epoch=1, worker=1, seq=5),
+    events = stream(
+        ("assign", (0, 0), 0, 0),
+        ("commit", (0, 0), 0, 0),
+        ("assign", (0, 1), 0, 0),
+        ("redistribute", (0, 1), 0, -1),
+        ("assign", (0, 1), 1, 1),
+        ("commit", (0, 1), 1, 1),
         # The timed-out epoch-0 result lands anyway and is wrongly merged:
-        SchedEvent(kind="commit", task_id=(0, 1), epoch=0, worker=0, seq=6),
-    ]
-    return events, pattern
+        ("commit", (0, 1), 0, 0),
+    )
+    return events, WavefrontPattern(1, 2)
 
 
 def abba_lock_report() -> CheckReport:
@@ -179,81 +185,57 @@ def abba_lock_report() -> CheckReport:
         return lint.report()
 
 
-@dataclass(frozen=True)
-class _ObsLike:
-    """Minimal stand-in for :class:`~repro.obs.recorder.ObsEvent` — the
-    integrity checker consumes the *telemetry* stream, whose kinds
-    (``audit-convict``, ...) the stricter :class:`SchedEvent` schema
-    rejects by design."""
-
-    kind: str
-    task_id: object
-    epoch: int
-    worker: int
-    seq: int
-
-
-def liar_quarantine_trace() -> List[_ObsLike]:
+def liar_quarantine_trace() -> Tuple[List[ObsEvent], DAGPattern]:
     """A liar worker convicted, quarantined — then wrongly re-dispatched.
 
     Worker 1 lies about (0, 1); the audit convicts it, the taint
     recompute lands on worker 0, and the quarantine retires worker 1.
     The defect: the master assigns (0, 3) to the quarantined worker
-    anyway (an eligibility check that forgot the quarantine set).
+    anyway (an eligibility check that forgot the quarantine set) — the
+    core, fed the same quarantine, refuses that dispatch.
     """
-
-    def ev(seq: int, kind: str, task: object, worker: int, epoch: int = 0) -> _ObsLike:
-        return _ObsLike(kind=kind, task_id=task, epoch=epoch, worker=worker, seq=seq)
-
-    return [
-        ev(0, "assign", (0, 0), 0),
-        ev(1, "commit", (0, 0), 0),
-        ev(2, "assign", (0, 1), 1),
-        ev(3, "commit", (0, 1), 1),
-        ev(4, "audit-convict", (0, 1), 1),
-        ev(5, "taint-invalidate", (0, 1), -1),
-        ev(6, "quarantine", None, 1),
-        ev(7, "assign", (0, 1), 0, epoch=1),
-        ev(8, "commit", (0, 1), 0, epoch=1),
-        ev(9, "assign", (0, 2), 0),
-        ev(10, "commit", (0, 2), 0),
-        ev(11, "assign", (0, 3), 1),  # the defect: worker 1 is quarantined
-        ev(12, "commit", (0, 3), 1),
-    ]
+    events = stream(
+        ("assign", (0, 0), 0, 0),
+        ("commit", (0, 0), 0, 0),
+        ("assign", (0, 1), 0, 1),
+        ("commit", (0, 1), 0, 1),
+        ("audit-convict", (0, 1), 0, 1),
+        ("taint-invalidate", (0, 1), 0, -1),
+        ("quarantine", None, 0, 1),
+        ("assign", (0, 1), 1, 0),
+        ("commit", (0, 1), 1, 0),
+        ("assign", (0, 2), 0, 0),
+        ("commit", (0, 2), 0, 0),
+        ("assign", (0, 3), 0, 1),  # the defect: worker 1 is quarantined
+        ("commit", (0, 3), 0, 1),
+    )
+    return events, WavefrontPattern(1, 4)
 
 
-def taint_without_recompute_trace() -> List[_ObsLike]:
+def taint_without_recompute_trace() -> Tuple[List[ObsEvent], DAGPattern]:
     """A conviction whose invalidated block is never recomputed: the run
     'finishes' with the tainted region simply missing from the state."""
-
-    def ev(seq: int, kind: str, task: object, worker: int, epoch: int = 0) -> _ObsLike:
-        return _ObsLike(kind=kind, task_id=task, epoch=epoch, worker=worker, seq=seq)
-
-    return [
-        ev(0, "assign", (0, 0), 0),
-        ev(1, "commit", (0, 0), 0),
-        ev(2, "audit-convict", (0, 0), 0),
-        ev(3, "taint-invalidate", (0, 0), -1),
+    events = stream(
+        ("assign", (0, 0), 0, 0),
+        ("commit", (0, 0), 0, 0),
+        ("audit-convict", (0, 0), 0, 0),
+        ("taint-invalidate", (0, 0), 0, -1),
         # No later commit of (0, 0): the frontier push was dropped.
-    ]
+    )
+    return events, WavefrontPattern(1, 1)
 
 
-def unverified_commit_case() -> Tuple[List[_ObsLike], Dict[str, Dict[str, int]]]:
+def unverified_commit_report() -> CheckReport:
     """Three worker commits but only two receive-side digest checks."""
-
-    def ev(seq: int, kind: str, task: object, worker: int) -> _ObsLike:
-        return _ObsLike(kind=kind, task_id=task, epoch=0, worker=worker, seq=seq)
-
-    events = [
-        ev(0, "assign", (0, 0), 0),
-        ev(1, "commit", (0, 0), 0),
-        ev(2, "assign", (0, 1), 1),
-        ev(3, "commit", (0, 1), 1),
-        ev(4, "assign", (0, 2), 0),
-        ev(5, "commit", (0, 2), 0),
-    ]
-    metrics = {"counters": {"integrity.digests_verified": 2}}
-    return events, metrics
+    events = stream(
+        ("assign", (0, 0), 0, 0),
+        ("commit", (0, 0), 0, 0),
+        ("assign", (0, 1), 0, 1),
+        ("commit", (0, 1), 0, 1),
+        ("assign", (0, 2), 0, 0),
+        ("commit", (0, 2), 0, 0),
+    )
+    return check_trace(events, WavefrontPattern(1, 3), verified=2)
 
 
 def unhandled_taskassign_spec_report() -> CheckReport:
@@ -272,11 +254,8 @@ def disconnected_compute_spec_report() -> CheckReport:
 def _one_task_stream_report(title: str, *steps: Tuple[str, int, int]) -> CheckReport:
     """Replay ``(kind, epoch, worker)`` steps about the one task of a 1x1
     wavefront into the dispatch core."""
-    stream = [
-        _ObsLike(kind=kind, task_id=(0, 0), epoch=epoch, worker=worker, seq=seq)
-        for seq, (kind, epoch, worker) in enumerate(steps)
-    ]
-    return check_trace(stream, WavefrontPattern(1, 1), require_complete=False, title=title)
+    events = stream(*((kind, (0, 0), epoch, worker) for kind, epoch, worker in steps))
+    return check_trace(events, WavefrontPattern(1, 1), require_complete=False, title=title)
 
 
 def unverified_commit_stream_report() -> CheckReport:
@@ -441,17 +420,14 @@ SELFTEST: Dict[str, Tuple[str, Callable[[], CheckReport]]] = {
     ),
     "abba-lock-cycle": (D.LOCK_CYCLE, abba_lock_report),
     "liar-quarantine-dispatch": (
-        D.DISPATCH_AFTER_QUARANTINE,
-        lambda: check_integrity_invariants(liar_quarantine_trace()),
+        D.PROTOCOL_ILLEGAL_TRANSITION,
+        lambda: check_trace(*liar_quarantine_trace()),
     ),
     "taint-never-recomputed": (
-        D.TAINT_NOT_RECOMPUTED,
-        lambda: check_integrity_invariants(taint_without_recompute_trace()),
+        D.LOST_UPDATE,
+        lambda: check_trace(*taint_without_recompute_trace()),
     ),
-    "commit-without-verify": (
-        D.COMMIT_WITHOUT_VERIFY,
-        lambda: check_integrity_invariants(*unverified_commit_case()),
-    ),
+    "commit-without-verify": (D.COMMIT_WITHOUT_VERIFY, unverified_commit_report),
     "protocol-unhandled-taskassign": (
         D.PROTOCOL_UNHANDLED_MESSAGE,
         unhandled_taskassign_spec_report,

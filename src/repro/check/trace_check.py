@@ -10,29 +10,30 @@ ledger of its own: :func:`check_trace` feeds a run's recorded ledger
 events, in ``seq`` order, into a fresh core and reports every point where
 the stream and the core disagree.
 
-Events carry ``(kind, task_id, epoch, worker, seq)`` — a
-:class:`SchedEvent`, an :class:`~repro.obs.recorder.ObsEvent` or any
-stand-in; ``kind`` is one of :data:`LEDGER_KINDS`. ``seq`` is a
-per-recorder monotone counter assigned under the recorder's lock; because
-every producer records *inside* the runtime's own critical sections (the
-master under ``master.core``), the ``seq`` order is the order the core
-took its decisions in — which is what makes replaying it sound.
+Events are :class:`~repro.obs.recorder.ObsEvent` records (or any
+stand-in carrying ``kind, task_id, epoch, worker, seq`` and optionally
+``node`` / ``scope``); kinds outside :data:`LEDGER_KINDS` are ignored.
+``seq`` is a per-recorder monotone counter assigned under the recorder's
+lock; because every producer records *inside* the runtime's own critical
+sections (the master under ``master.core``), the ``seq`` order is the
+order the core took its decisions in — which is what makes replaying it
+sound.
 
-:class:`TraceRecorder` is the cheap thread-safe collector the runtime and
-the simulator both feed; :func:`check_trace` is the validator. Enable end
-to end with ``RunConfig(verify=True)`` or ``REPRO_VERIFY=1``.
+The same replay judges every recorded run: a ``verify`` run's own
+recorder (:class:`~repro.obs.schedule.ScheduleTracer`), each explorer
+interleaving, each surviving chaos-campaign run and ``repro check
+--protocol``. Enable it end to end with ``RunConfig(verify=True)`` or
+``REPRO_VERIFY=1``.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.check import diagnostics as D
 from repro.check.diagnostics import CheckReport
-from repro.check.lock_lint import make_lock
 from repro.dag.pattern import DAGPattern
 
 if TYPE_CHECKING:
@@ -45,7 +46,7 @@ if TYPE_CHECKING:
 #: Worker retirements the core decides (``DispatchCore.retire``).
 RETIRE_KINDS = ("blacklist", "quarantine", "worker-leave")
 #: The record kinds that describe the dispatch ledger — one tuple, shared:
-#: what a verifying run's :class:`TraceRecorder` collects, what
+#: what a verifying run's trace recorder collects, what
 #: :func:`check_trace` replays, and what the explorer's reach census
 #: counts. ``backoff`` and ``resume`` are carried for the census only.
 LEDGER_KINDS = (
@@ -59,72 +60,14 @@ LEDGER_KINDS = (
 _ANNOUNCED = (*RETIRE_KINDS, "digest-reject", "worker-death")
 
 
-@dataclass(frozen=True)
-class SchedEvent:
-    """One ledger event observed by a :class:`TraceRecorder`."""
-
-    kind: str
-    task_id: Optional[TaskId]
-    epoch: int
-    worker: int = -1
-    seq: int = 0
-    time: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.kind not in LEDGER_KINDS:
-            raise ValueError(f"event kind must be one of {LEDGER_KINDS}, got {self.kind!r}")
-
-    def __str__(self) -> str:
-        return (
-            f"#{self.seq} {self.kind} task={self.task_id} epoch={self.epoch} "
-            f"worker={self.worker} t={self.time:.6f}"
-        )
-
-
-class TraceRecorder:
-    """Thread-safe append-only scheduling trace.
-
-    Recording happens inside the runtime's own critical sections, so the
-    sequence numbers this class assigns form a linearization of the run.
-    The recorder is cheap enough to leave on in tests: one lock
-    acquisition and a tuple append per scheduling event.
-    """
-
-    def __init__(self) -> None:
-        self._events: List[SchedEvent] = []
-        self._lock = make_lock("check.trace_recorder")
-
-    def record(
-        self,
-        kind: str,
-        task_id: Optional[TaskId],
-        epoch: int,
-        worker: int = -1,
-        time: float = 0.0,
-    ) -> SchedEvent:
-        with self._lock:
-            ev = SchedEvent(
-                kind=kind, task_id=task_id, epoch=epoch, worker=worker,
-                seq=len(self._events), time=time,
-            )
-            self._events.append(ev)
-            return ev
-
-    def events(self) -> Tuple[SchedEvent, ...]:
-        with self._lock:
-            return tuple(self._events)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._events)
-
-
 def check_trace(
     events: Iterable[Any],
     pattern: DAGPattern,
     *,
     require_complete: bool = True,
     journaled: Optional[Dict[TaskId, int]] = None,
+    verified: Optional[int] = None,
+    scope: str = "task",
     title: str = "trace-check",
 ) -> CheckReport:
     """Replay a recorded run into a fresh ``DispatchCore`` and report
@@ -136,17 +79,18 @@ def check_trace(
     ``committed`` from ``journaled``, the prefix a resumed run started
     from. This function is one more shell around it: ``accepted`` is its
     result buffer, ``owed`` the records the core decided that the stream
-    has yet to show. Task scope only; a slave pool's thread-level trace
-    is replayed from its own :class:`TraceRecorder` (events without scope).
+    has yet to show. Only events of ``scope`` are fed (events without one
+    count as ``task``): a slave pool replays its own thread-level trace
+    with ``scope="subtask"``.
 
     ``protocol-illegal-transition`` (all ``error`` severity) is any
-    disagreement: the core refuses the dispatch or hands out another
-    epoch, calls a recorded ``result`` stale or a ``stale-drop`` live,
-    finds a ``redistribute`` / ``speculate`` / ``lease-expired`` of
-    something not live or a ``taint-invalidate`` of something not
-    committed, or — with ``require_complete`` — decided an eviction or a
-    taint closure the run never recorded. The happens-before rules are
-    queries on the same core:
+    disagreement: the core refuses the dispatch (to a worker it retired,
+    say) or hands out another epoch, calls a recorded ``result`` stale or
+    a ``stale-drop`` live, finds a ``redistribute`` / ``speculate`` /
+    ``lease-expired`` of something not live or a ``taint-invalidate`` of
+    something not committed, or — with ``require_complete`` — decided an
+    eviction or a taint closure the run never recorded. The
+    happens-before rules are queries on the same core:
 
     - ``early-assign``     — a task dispatched before its inputs were
       committed (the race that corrupts cells);
@@ -154,11 +98,20 @@ def check_trace(
     - ``duplicate-commit`` — a second commit with no invalidation between
       (fault-tolerance race: two epochs both landed);
     - ``stale-commit``     — a commit from an epoch fault tolerance had
-      already cancelled;
+      already cancelled, e.g. one a blacklist or quarantine evicted
+      (a result the core accepted *before* the retirement stays good);
     - ``protocol-commit-without-verify`` — a commit from an epoch a
       ``digest-reject`` refused;
     - ``lost-update``      — with ``require_complete``, a task of the
-      pattern that was never committed (or never even assigned);
+      pattern that was never committed (or never even assigned): also
+      every fault never followed by a re-assign and every taint never
+      recomputed. A run that aborted cleanly passes
+      ``require_complete=False``;
+    - ``commit-without-verify`` — with ``verified`` (the run's
+      ``integrity.digests_verified`` counter), more distinct worker
+      commits than receive-side digest checks. A worker commit is one of
+      an epoch the replay accepted from a worker; a commit the master
+      made of its own (never dispatched) is not wire traffic;
     - ``unknown-task``     — an event naming a vertex outside the pattern.
     """
     from repro.runtime.dispatch import DispatchCore, Invalidate, Record
@@ -168,7 +121,7 @@ def check_trace(
     stream = sorted(
         (
             e for e in events
-            if e.kind in LEDGER_KINDS and getattr(e, "scope", "task") == "task"
+            if e.kind in LEDGER_KINDS and getattr(e, "scope", "task") == scope
         ),
         key=lambda e: e.seq,
     )
@@ -191,6 +144,8 @@ def check_trace(
     rejected: Set[Tuple[TaskId, int]] = set()
     #: Nodes the simulator's shell took out of service (``worker-death``).
     dead: Set[int] = set()
+    #: Distinct ``(task, epoch)`` commits of a worker-delivered result.
+    worker_commits: Set[Tuple[TaskId, int]] = set()
     owed: List[Tuple[str, Any, int]] = []
 
     def flag(ev: Any, what: str, code: str = D.PROTOCOL_ILLEGAL_TRANSITION) -> None:
@@ -265,6 +220,8 @@ def check_trace(
                 flag(ev, "commit from an epoch fault tolerance cancelled", D.STALE_COMMIT)
             elif (task, epoch) not in accepted:
                 flag(ev, "commit of an epoch that was never dispatched")
+            else:
+                worker_commits.add((task, epoch))
             if not core.inputs_committed(task):
                 flag(ev, "committed before predecessors committed", D.EARLY_COMMIT)
             accepted.difference_update([k for k in accepted if k[0] == task])
@@ -296,4 +253,11 @@ def check_trace(
             if vid not in core.committed:
                 how = "assigned but its result never" if core.attempts(vid) else "never assigned,"
                 report.add(D.LOST_UPDATE, f"task {vid!r} {how} committed", repr(vid))
+    if verified is not None and len(worker_commits) > verified:
+        report.add(
+            D.COMMIT_WITHOUT_VERIFY,
+            f"{len(worker_commits)} distinct worker commits but only {verified} "
+            "results passed digest verification — some result was committed "
+            "without a receive-side check",
+        )
     return report

@@ -2,17 +2,20 @@
 
 Before this module existed, ``runtime/master.py`` and
 ``runtime/slave.py`` each carried their own copy of the same three
-blocks: build a :class:`~repro.check.trace_check.TraceRecorder` when
-verifying, stamp every event with a hardcoded ``time.monotonic()``, and
-run the ``check_trace(...).raise_if_failed()`` epilogue. A
+blocks: build a trace recorder when verifying, stamp every event with a
+hardcoded ``time.monotonic()``, and run the
+``check_trace(...).raise_if_failed()`` epilogue. A
 :class:`ScheduleTracer` owns all three behind one ``record``/``check``
 pair, with the clock injected — so the identical instrumentation records
 wall-time on the real backends and sim-time on the simulated one.
 
-One ``record`` call fans out to both consumers:
+One ``record`` call fans out to two ordinary
+:class:`~repro.obs.recorder.EventRecorder` streams:
 
-- the trace replay's :class:`TraceRecorder` (when ``verify`` is on) for
-  the ledger kinds :func:`check_trace` feeds the dispatch core;
+- the verify trace (when ``verify`` is on): this level's own recorder,
+  holding only the ledger kinds :func:`check_trace` feeds the dispatch
+  core — its ``seq`` order is this level's decision order, undiluted by
+  other levels' or other slaves' events;
 - the :mod:`repro.obs` event stream (when observing) for every kind,
   carrying the richer lifecycle taxonomy (``send``, ``compute``,
   ``result``, byte counts, span extents).
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.check.trace_check import LEDGER_KINDS, TraceRecorder, check_trace
+from repro.check.trace_check import LEDGER_KINDS, check_trace
 from repro.comm.messages import TaskId
 from repro.dag.pattern import DAGPattern
 from repro.obs.clock import Clock, ensure_clock
@@ -34,24 +37,20 @@ _CHECK_KINDS = frozenset(LEDGER_KINDS)
 class ScheduleTracer:
     """Clock-injected scheduling instrumentation for one DAG level."""
 
-    __slots__ = ("clock", "verify", "trace", "obs", "node", "scope")
+    __slots__ = ("clock", "trace", "obs", "node", "scope")
 
     def __init__(
         self,
         *,
         clock: Optional[Clock] = None,
         verify: bool = False,
-        trace: Optional[TraceRecorder] = None,
         obs: Optional[EventRecorder] = None,
         node: int = -1,
         scope: str = "task",
     ) -> None:
         self.clock = ensure_clock(clock)
-        self.verify = verify
-        #: Happens-before trace for :func:`check_trace`. Always present
-        #: when verifying; callers may inject a shared recorder to merge
-        #: traces across components.
-        self.trace = trace if trace is not None else (TraceRecorder() if verify else None)
+        #: The verify trace :meth:`check` replays; None when not verifying.
+        self.trace = EventRecorder(self.clock) if verify else None
         #: Telemetry event stream; the shared null recorder when off.
         self.obs = obs if obs is not None else NULL_RECORDER
         self.node = node
@@ -92,14 +91,18 @@ class ScheduleTracer:
         future spans).
         """
         stamp = self.clock.now() if ts is None else ts
+        where = self.node if node is None else node
         if self.trace is not None and kind in _CHECK_KINDS:
-            self.trace.record(kind, task_id, epoch, worker, stamp)
+            self.trace.emit(
+                kind, task_id, epoch=epoch, node=where, worker=worker,
+                scope=self.scope, ts=stamp,
+            )
         if self.obs.enabled:
             self.obs.emit(
                 kind,
                 task_id,
                 epoch=epoch,
-                node=self.node if node is None else node,
+                node=where,
                 worker=worker,
                 scope=self.scope,
                 ts=stamp,
@@ -111,16 +114,18 @@ class ScheduleTracer:
     def check(
         self, pattern: DAGPattern, title: str, journaled: Optional[Dict[TaskId, int]] = None
     ) -> None:
-        """Replay the trace into a fresh dispatch core when verifying
-        (raises :class:`~repro.utils.errors.CheckError` on violations);
-        ``journaled`` is the committed prefix a resumed run started from."""
-        if self.verify and self.trace is not None:
+        """Replay the verify trace into a fresh dispatch core (raises
+        :class:`~repro.utils.errors.CheckError` on violations); a no-op
+        when not verifying. ``journaled`` is the committed prefix a
+        resumed run started from."""
+        if self.trace is not None:
             check_trace(
-                self.trace.events(), pattern, journaled=journaled, title=title
+                self.trace.events(), pattern, journaled=journaled,
+                scope=self.scope, title=title,
             ).raise_if_failed()
 
     def __repr__(self) -> str:
         return (
             f"ScheduleTracer(scope={self.scope!r}, node={self.node}, "
-            f"verify={self.verify}, observing={self.observing})"
+            f"verify={self.trace is not None}, observing={self.observing})"
         )

@@ -44,7 +44,6 @@ import numpy as np
 
 from repro.algorithms.problem import DPProblem
 from repro.check.lock_lint import make_lock
-from repro.check.trace_check import TraceRecorder
 from repro.comm.messages import (
     BatchAssign,
     BatchResult,
@@ -133,7 +132,6 @@ class MasterPart:
         clock: Optional[Clock] = None,
         obs: Optional[EventRecorder] = None,
         metrics: Optional[MetricsRegistry] = None,
-        tracer: Optional[TraceRecorder] = None,
         block_store: Optional[BlockStore] = None,
     ) -> None:
         if not channels:
@@ -165,7 +163,7 @@ class MasterPart:
         #: (``verify``), the telemetry event stream (``obs``), and the
         #: injected clock — see :mod:`repro.obs.schedule`.
         self.sched = ScheduleTracer(
-            clock=clock, verify=config.verify, trace=tracer, obs=obs, node=-1, scope="task"
+            clock=clock, verify=config.verify, obs=obs, node=-1, scope="task"
         )
         self.clock = self.sched.clock
         self.metrics = metrics

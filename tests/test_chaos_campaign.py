@@ -1,8 +1,9 @@
 """Tests for the chaos campaign runner and the fault-trace invariants.
 
-The invariant checker is exercised on synthetic event streams (every
-violation class, plus the waivers); the campaign machinery on its spec
-validation, config derivation, and a small live simulated campaign.
+The invariants are rules of the one replay (``check_trace``), exercised
+here on synthetic event streams (every violation class, plus the
+waivers); the campaign machinery on its spec validation, config
+derivation, and a small live simulated campaign.
 """
 
 from dataclasses import dataclass
@@ -19,8 +20,9 @@ from repro.chaos.campaign import (
     chaos_config,
     run_campaign,
 )
-from repro.check.chaos_check import blacklisted_workers, check_fault_invariants
-from repro.check.diagnostics import COMMIT_AFTER_BLACKLIST, UNHANDLED_FAULT
+from repro.check.diagnostics import LOST_UPDATE, STALE_COMMIT
+from repro.check.trace_check import check_trace
+from repro.dag.library import WavefrontPattern
 from repro.utils.errors import ChaosError
 
 
@@ -36,6 +38,16 @@ class Ev:
     scope: str = "task"
 
 
+#: The one task most streams below are about.
+ONE = WavefrontPattern(1, 1)
+
+
+def replay(events, pattern=ONE, aborted=False):
+    """What the campaign holds a run to; an aborted run is not held to
+    finishing what it started."""
+    return check_trace(events, pattern, require_complete=not aborted)
+
+
 class TestFaultInvariants:
     def test_clean_stream_passes(self):
         events = [
@@ -44,27 +56,29 @@ class TestFaultInvariants:
             Ev(2, "assign", (1, 0), 0, worker=2),
             Ev(3, "commit", (1, 0), 0),
         ]
-        report = check_fault_invariants(events)
+        report = replay(events, WavefrontPattern(2, 1))
         assert report.ok and report.checked >= 2
 
     def test_commit_after_blacklist_detected_via_assign_map(self):
-        # Master-side commits carry worker == -1; attribution must come
-        # from the matching assign record.
+        # Master-side commits carry worker == -1; the blacklist evicted
+        # the epoch the assign record named.
         events = [
             Ev(0, "assign", (0, 0), 0, worker=1),
             Ev(1, "blacklist", worker=1),
-            Ev(2, "commit", (0, 0), 0, worker=-1),
+            Ev(2, "redistribute", (0, 0), 0),
+            Ev(3, "commit", (0, 0), 0, worker=-1),
         ]
-        report = check_fault_invariants(events)
-        assert report.has(COMMIT_AFTER_BLACKLIST)
+        assert replay(events).codes() == (STALE_COMMIT,)
 
     def test_commit_after_blacklist_detected_with_stamped_worker(self):
         # Simulator-style streams stamp the worker on the commit itself.
         events = [
-            Ev(0, "blacklist", worker=2),
-            Ev(1, "commit", (3, 3), 0, worker=2),
+            Ev(0, "assign", (0, 0), 0, worker=2),
+            Ev(1, "blacklist", worker=2),
+            Ev(2, "redistribute", (0, 0), 0),
+            Ev(3, "commit", (0, 0), 0, worker=2),
         ]
-        assert check_fault_invariants(events).has(COMMIT_AFTER_BLACKLIST)
+        assert replay(events).has(STALE_COMMIT)
 
     def test_commit_before_blacklist_is_fine(self):
         events = [
@@ -72,7 +86,7 @@ class TestFaultInvariants:
             Ev(1, "commit", (0, 0), 0),
             Ev(2, "blacklist", worker=1),
         ]
-        assert check_fault_invariants(events).ok
+        assert replay(events).ok
 
     def test_commit_from_other_worker_after_blacklist_is_fine(self):
         events = [
@@ -80,7 +94,7 @@ class TestFaultInvariants:
             Ev(1, "blacklist", worker=2),
             Ev(2, "commit", (0, 0), 0),
         ]
-        assert check_fault_invariants(events).ok
+        assert replay(events).ok
 
     @pytest.mark.parametrize("fault_kind", ["redistribute", "speculate"])
     def test_fault_followed_by_reassign_is_fine(self, fault_kind):
@@ -90,7 +104,7 @@ class TestFaultInvariants:
             Ev(2, "assign", (0, 0), 1, worker=2),
             Ev(3, "commit", (0, 0), 1),
         ]
-        assert check_fault_invariants(events).ok
+        assert replay(events).ok
 
     @pytest.mark.parametrize("fault_kind", ["redistribute", "speculate"])
     def test_fault_without_reassign_is_a_violation(self, fault_kind):
@@ -98,15 +112,14 @@ class TestFaultInvariants:
             Ev(0, "assign", (0, 0), 0, worker=1),
             Ev(1, fault_kind, (0, 0), 0),
         ]
-        report = check_fault_invariants(events)
-        assert report.has(UNHANDLED_FAULT)
+        assert replay(events).codes() == (LOST_UPDATE,)
 
     def test_abort_waives_trailing_faults(self):
         events = [
             Ev(0, "assign", (0, 0), 0, worker=1),
             Ev(1, "redistribute", (0, 0), 0),
         ]
-        assert check_fault_invariants(events, aborted=True).ok
+        assert replay(events, aborted=True).ok
 
     def test_earlier_assign_does_not_satisfy_reassign(self):
         # The re-assign must come *after* the fault.
@@ -114,15 +127,16 @@ class TestFaultInvariants:
             Ev(0, "assign", (0, 0), 0, worker=1),
             Ev(5, "redistribute", (0, 0), 0),
         ]
-        assert check_fault_invariants(events).has(UNHANDLED_FAULT)
+        assert replay(events).has(LOST_UPDATE)
 
     def test_out_of_order_streams_are_sorted_by_seq(self):
         events = [
-            Ev(2, "commit", (0, 0), 0, worker=-1),
+            Ev(3, "commit", (0, 0), 0, worker=-1),
+            Ev(2, "redistribute", (0, 0), 0),
             Ev(0, "assign", (0, 0), 0, worker=1),
             Ev(1, "blacklist", worker=1),
         ]
-        assert check_fault_invariants(events).has(COMMIT_AFTER_BLACKLIST)
+        assert replay(events).has(STALE_COMMIT)
 
     def test_non_task_scope_is_ignored(self):
         events = [
@@ -130,11 +144,7 @@ class TestFaultInvariants:
             Ev(1, "assign", (0, 0), 0, worker=1),
             Ev(2, "commit", (0, 0), 0),
         ]
-        assert check_fault_invariants(events).ok
-
-    def test_blacklisted_workers_helper(self):
-        events = [Ev(0, "blacklist", worker=3), Ev(1, "blacklist", worker=5)]
-        assert blacklisted_workers(events) == {3, 5}
+        assert replay(events).ok
 
 
 class TestCampaignSpec:

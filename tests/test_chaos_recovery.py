@@ -13,7 +13,7 @@ import pytest
 
 from repro import EasyHPS, RunConfig
 from repro.algorithms import EditDistance
-from repro.check.chaos_check import check_fault_invariants
+from repro.check.trace_check import check_trace
 from repro.cluster.faults import (
     FaultPlan,
     FaultRule,
@@ -51,12 +51,16 @@ def problem():
     return EditDistance.random(50, 50, seed=4)
 
 
+#: Every run below cuts 16-cell process-level blocks.
+PROCESS_PARTITION = 16
+
+
 def cfg(**kw):
     base = dict(
         nodes=3,
         threads_per_node=1,
         backend="threads",
-        process_partition=16,
+        process_partition=PROCESS_PARTITION,
         thread_partition=8,
         task_timeout=0.4,
         poll_interval=0.005,
@@ -67,8 +71,11 @@ def cfg(**kw):
     return RunConfig(**base)
 
 
-def assert_invariants(run, aborted=False):
-    report = check_fault_invariants(run.report.events, aborted=aborted)
+def assert_invariants(run, problem):
+    """What the chaos campaign holds a surviving run to: its stream
+    replayed into the dispatch core at the process-level pattern."""
+    pattern = problem.build_partition(PROCESS_PARTITION).abstract
+    report = check_trace(run.report.events, pattern)
     assert report.ok, report.summary()
 
 
@@ -79,7 +86,7 @@ class TestWorkerDeath:
         assert run.value.distance == problem.reference()
         # The dead worker's in-flight dispatch timed out and moved on.
         assert run.report.tasks_per_worker.get(0, 0) <= 1
-        assert_invariants(run)
+        assert_invariants(run, problem)
 
     def test_all_slaves_dead_aborts_cleanly(self, problem):
         # Every worker dies before serving anything: the stall watchdog
@@ -96,7 +103,7 @@ class TestWorkerDeath:
         plan = WorkerFaultPlan([WorkerFaultRule("die", worker_id=1, after_tasks=1)])
         config = RunConfig(
             nodes=3, threads_per_node=2, backend="simulated",
-            process_partition=16, thread_partition=4,
+            process_partition=PROCESS_PARTITION, thread_partition=4,
             task_timeout=5.0, worker_fault_plan=plan, observe=True,
         )
         run = EasyHPS(config).run(problem)
@@ -107,7 +114,7 @@ class TestWorkerDeath:
         assert "worker-death" in kinds
         # The dead node served at most its one pre-death task.
         assert run.report.tasks_per_worker.get(1, 0) <= 1
-        assert_invariants(run)
+        assert_invariants(run, problem)
 
 
 class TestMessageLoss:
@@ -119,14 +126,14 @@ class TestMessageLoss:
         assert run.value.distance == problem.reference()
         assert run.report.faults_recovered >= 1
         assert run.report.faults_injected >= 1
-        assert_invariants(run)
+        assert_invariants(run, problem)
 
     def test_dropped_result_redistributed(self, problem):
         plan = MessageFaultPlan([DropOnce("drop", direction="recv", message_type="BatchResult")])
         run = EasyHPS(cfg(message_fault_plan=plan)).run(problem)
         assert run.value.distance == problem.reference()
         assert run.report.faults_recovered >= 1
-        assert_invariants(run)
+        assert_invariants(run, problem)
 
     def test_duplicated_result_is_idempotent(self, problem):
         plan = MessageFaultPlan(
@@ -135,7 +142,7 @@ class TestMessageLoss:
         )
         run = EasyHPS(cfg(message_fault_plan=plan)).run(problem)
         assert run.value.distance == problem.reference()
-        assert_invariants(run)
+        assert_invariants(run, problem)
 
     def test_total_assign_loss_aborts_not_hangs(self, problem):
         # Every assignment envelope is lost: the retry budget must exhaust cleanly.
@@ -157,7 +164,7 @@ class TestBackoff:
         assert run.report.faults_recovered >= 2
         kinds = {ev.kind for ev in run.report.events}
         assert "backoff" in kinds
-        assert_invariants(run)
+        assert_invariants(run, problem)
 
 
 class TestBlacklist:
@@ -197,7 +204,7 @@ class TestSpeculation:
         assert run.report.speculative_redispatches >= 1
         kinds = {ev.kind for ev in run.report.events}
         assert "speculate" in kinds
-        assert_invariants(run)
+        assert_invariants(run, problem)
 
 
 class TestWorkerLeakSurfacing:
@@ -235,7 +242,7 @@ class TestCrossBackendInvariants:
     def test_seeded_mix_holds_invariant(self, backend, problem):
         config = RunConfig(
             nodes=2, threads_per_node=2, backend=backend,
-            process_partition=16, thread_partition=4,
+            process_partition=PROCESS_PARTITION, thread_partition=4,
             task_timeout=5.0 if backend in ("serial", "simulated") else 0.5,
             subtask_timeout=5.0 if backend in ("serial", "simulated") else 2.0,
             poll_interval=0.005,
@@ -252,13 +259,13 @@ class TestCrossBackendInvariants:
             return  # a clean abort satisfies the invariant
         if run.value is not None:  # the simulator schedules without values
             assert run.value.distance == problem.reference()
-        assert_invariants(run)
+        assert_invariants(run, problem)
 
     @pytest.mark.slow
     def test_seeded_mix_holds_invariant_processes(self, problem):
         config = RunConfig(
             nodes=2, threads_per_node=2, backend="processes",
-            process_partition=16, thread_partition=4,
+            process_partition=PROCESS_PARTITION, thread_partition=4,
             task_timeout=0.75, subtask_timeout=2.0, poll_interval=0.01,
             fault_plan=FaultPlan.random(0.1, seed=3),
             message_fault_plan=MessageFaultPlan.random(0.05, seed=3),
@@ -269,4 +276,4 @@ class TestCrossBackendInvariants:
         except FaultToleranceExhausted:
             return
         assert run.value.distance == problem.reference()
-        assert_invariants(run)
+        assert_invariants(run, problem)

@@ -128,6 +128,12 @@ class TestExploration:
             # A liar convicted by a full audit: its commit leaves the
             # ledger again (the path the old shadow ledger had drifted on).
             ("liar-audit", {"audit-convict", "taint-invalidate", "quarantine"}, False),
+            # A corrupted result is refused by its digest check and
+            # re-offered (one order merges into an explored state between
+            # the corruption and its arrival, so is cut short before it).
+            ("corrupt-result-n0-i0", {"msg-corrupt", "digest-reject", "redistribute"}, False),
+            # A hang on a one-strike blacklist: retired, retried after backoff.
+            ("hang-blacklist", {"blacklist", "backoff", "redistribute"}, True),
         ],
     )
     def test_new_scenarios_reach_the_paths_they_name(
@@ -181,9 +187,24 @@ class TestExploration:
             "assign", "result", "commit", "redistribute", "stale-drop",
             "lease-expired", "worker-death", "resume",
             "taint-invalidate", "quarantine",  # the liar-audit scenario
+            "digest-reject",  # corrupt-result-n0-i0
+            "backoff", "blacklist",  # hang-blacklist
         }
+        # Never reached, by construction: speculation is a no-op in the
+        # simulator (only the real master runs the straggler scan
+        # ``RunConfig.speculate`` turns on), and the simulator does not
+        # model a worker leaving.
         never = result.summary().split("never reached ")[1]
-        assert never == "speculate, digest-reject, backoff, blacklist, worker-leave"
+        assert never == "speculate, worker-leave"
+
+    def test_scenario_config_overrides_the_explorer_defaults(self):
+        # ``retry_backoff`` is one of the explorer's own defaults (0.0); a
+        # scenario naming it used to raise "got multiple values".
+        from repro.check.explore import _make_config
+
+        config = _make_config(TINY, Scenario("backoff", config=(("retry_backoff", 0.5),)))
+        assert config.retry_backoff == 0.5
+        assert config.task_timeout == TINY.task_timeout
 
     def test_scenario_by_name_round_trips(self):
         for s in default_scenarios(TINY):

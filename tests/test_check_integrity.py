@@ -1,8 +1,10 @@
-"""Tests for the result-integrity invariant pass and its seeded defects.
+"""The result-integrity invariants as rules of the one replay, and their
+seeded defects.
 
-Synthetic event streams exercise each diagnostic both ways (violating
-and clean); the fixture section proves ``repro check --selftest`` still
-catches every seeded defect, including the three integrity ones.
+Synthetic event streams exercise each rule both ways (violating and
+clean) through ``check_trace``; the fixture section proves ``repro check
+--selftest`` still catches every seeded defect, including the three
+integrity ones.
 """
 
 from dataclasses import dataclass
@@ -11,17 +13,17 @@ import pytest
 
 from repro.check.diagnostics import (
     COMMIT_WITHOUT_VERIFY,
-    DISPATCH_AFTER_QUARANTINE,
-    TAINT_NOT_RECOMPUTED,
+    LOST_UPDATE,
+    PROTOCOL_ILLEGAL_TRANSITION,
 )
 from repro.check.fixtures import (
     SELFTEST,
     liar_quarantine_trace,
     run_selftest,
     taint_without_recompute_trace,
-    unverified_commit_case,
 )
-from repro.check.integrity_check import check_integrity_invariants, quarantined_workers
+from repro.check.trace_check import check_trace
+from repro.dag.library import WavefrontPattern
 
 
 @dataclass
@@ -39,10 +41,25 @@ def stream(*specs):
     return [Ev(seq=i, **spec) for i, spec in enumerate(specs)]
 
 
+def three_worker_commits():
+    return stream(
+        dict(kind="assign", task_id=(0, 0), worker=0),
+        dict(kind="commit", task_id=(0, 0), worker=0),
+        dict(kind="assign", task_id=(0, 1), worker=1),
+        dict(kind="commit", task_id=(0, 1), worker=1),
+        dict(kind="assign", task_id=(0, 2), worker=0),
+        dict(kind="commit", task_id=(0, 2), worker=0),
+    )
+
+
+ROW3 = WavefrontPattern(1, 3)
+
+
 class TestDispatchAfterQuarantine:
     def test_violation_detected(self):
-        report = check_integrity_invariants(liar_quarantine_trace())
-        assert report.has(DISPATCH_AFTER_QUARANTINE)
+        report = check_trace(*liar_quarantine_trace())
+        assert report.has(PROTOCOL_ILLEGAL_TRANSITION)
+        assert any("retired" in d.message for d in report.diagnostics)
 
     def test_clean_run_passes(self):
         events = stream(
@@ -52,25 +69,25 @@ class TestDispatchAfterQuarantine:
             dict(kind="assign", task_id=(0, 1), worker=0),
             dict(kind="commit", task_id=(0, 1), worker=0),
         )
-        report = check_integrity_invariants(events)
+        report = check_trace(events, WavefrontPattern(1, 2))
         assert report.ok and report.checked > 0
 
     def test_assign_before_quarantine_is_legal(self):
+        # The result was accepted before the quarantine: retirement
+        # evicts live dispatches only, so its commit still lands.
         events = stream(
             dict(kind="assign", task_id=(0, 0), worker=1),
+            dict(kind="result", task_id=(0, 0), worker=1),
             dict(kind="quarantine", worker=1),
-            dict(kind="commit", task_id=(0, 0), worker=1),
+            dict(kind="commit", task_id=(0, 0)),
         )
-        assert check_integrity_invariants(events).ok
-
-    def test_quarantined_workers_helper(self):
-        assert set(quarantined_workers(liar_quarantine_trace())) == {1}
+        assert check_trace(events, WavefrontPattern(1, 1)).ok
 
 
 class TestTaintRecompute:
     def test_violation_detected(self):
-        report = check_integrity_invariants(taint_without_recompute_trace())
-        assert report.has(TAINT_NOT_RECOMPUTED)
+        report = check_trace(*taint_without_recompute_trace())
+        assert report.has(LOST_UPDATE)
 
     def test_recommit_satisfies_the_taint(self):
         events = stream(
@@ -80,55 +97,54 @@ class TestTaintRecompute:
             dict(kind="assign", task_id=(0, 0), epoch=1, worker=1),
             dict(kind="commit", task_id=(0, 0), epoch=1, worker=1),
         )
-        assert check_integrity_invariants(events).ok
+        assert check_trace(events, WavefrontPattern(1, 1)).ok
 
     def test_aborted_run_waives_trailing_taints(self):
-        report = check_integrity_invariants(
-            taint_without_recompute_trace(), aborted=True
-        )
+        report = check_trace(*taint_without_recompute_trace(), require_complete=False)
         assert report.ok
 
     def test_commit_before_the_taint_does_not_count(self):
         events = stream(
+            dict(kind="assign", task_id=(0, 0), worker=0),
             dict(kind="commit", task_id=(0, 0), worker=0),
+            dict(kind="assign", task_id=(0, 1), worker=0),
             dict(kind="commit", task_id=(0, 1), worker=0),
+            # The conviction revokes (0, 0) and its committed successor.
             dict(kind="taint-invalidate", task_id=(0, 0)),
+            dict(kind="taint-invalidate", task_id=(0, 1)),
         )
-        report = check_integrity_invariants(events)
-        assert report.has(TAINT_NOT_RECOMPUTED)
+        report = check_trace(events, WavefrontPattern(1, 2))
+        assert report.codes() == (LOST_UPDATE, LOST_UPDATE)
 
 
 class TestCommitWithoutVerify:
     def test_violation_detected(self):
-        events, metrics = unverified_commit_case()
-        report = check_integrity_invariants(events, metrics=metrics)
-        assert report.has(COMMIT_WITHOUT_VERIFY)
+        report = check_trace(three_worker_commits(), ROW3, verified=2)
+        assert report.codes() == (COMMIT_WITHOUT_VERIFY,)
 
     def test_matching_counts_pass(self):
-        events, _ = unverified_commit_case()
-        metrics = {"counters": {"integrity.digests_verified": 3}}
-        assert check_integrity_invariants(events, metrics=metrics).ok
+        assert check_trace(three_worker_commits(), ROW3, verified=3).ok
 
     def test_rule_dormant_without_the_counter(self):
-        events, _ = unverified_commit_case()
-        assert check_integrity_invariants(events, metrics=None).ok
-        assert check_integrity_invariants(events, metrics={"counters": {}}).ok
+        assert check_trace(three_worker_commits(), ROW3).ok
+        assert check_trace(three_worker_commits(), ROW3, verified=None).ok
 
     def test_masterside_commits_exempt(self):
-        # A replayed/arbiter commit has no assign record: not wire traffic.
+        # A commit of an epoch no worker delivered is not wire traffic: the
+        # replay flags it on its own grounds, never against ``verified``.
         events = stream(
             dict(kind="commit", task_id=(0, 0), worker=-1),
             dict(kind="assign", task_id=(0, 1), worker=0),
             dict(kind="commit", task_id=(0, 1), worker=0),
         )
-        metrics = {"counters": {"integrity.digests_verified": 1}}
-        assert check_integrity_invariants(events, metrics=metrics).ok
+        report = check_trace(events, WavefrontPattern(1, 2), verified=1)
+        assert report.codes() == (PROTOCOL_ILLEGAL_TRANSITION,)
 
 
 class TestSelftest:
     def test_all_fixtures_detected(self):
         results = run_selftest()
-        assert len(results) >= 12  # issue floor; currently 16
+        assert len(results) >= 12  # issue floor; currently 19
         missed = [name for name, _, detected in results if not detected]
         assert not missed, f"selftest blind to: {missed}"
 

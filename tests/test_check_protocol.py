@@ -192,8 +192,11 @@ class TestRelaxedConformance:
         assert report.codes() == (D.DUPLICATE_COMMIT,)
 
 
-#: Streams neither hand-written walker could judge: (events, pattern,
-#: codes the replay must report — none when the run is legal).
+#: Streams neither hand-written walker could judge, and the fault and
+#: integrity invariants the campaigns hold every run to: (events, pattern,
+#: codes the replay must report — none when the run is legal[, further
+#: ``check_trace`` options]). Replayed with ``require_complete`` unless
+#: the options say otherwise (a run that aborted cleanly).
 REPLAY_CASES = {
     # The duplicate of an accepted result lands before its commit: the old
     # table had no state for *accepted, awaiting commit*.
@@ -329,13 +332,136 @@ REPLAY_CASES = {
         WavefrontPattern(1, 1),
         (),
     ),
+    # A result the core accepted before its worker's blacklist commits
+    # after it: retirement evicts live dispatches only. (The old
+    # fault-invariant pass flagged any commit later in ``seq`` than the
+    # blacklist, accepted or not.)
+    "result-accepted-before-blacklist-commits-after": (
+        [
+            dict(kind="assign", task_id=(0, 0), worker=1),
+            dict(kind="result", task_id=(0, 0), worker=1),
+            dict(kind="blacklist", worker=1),
+            dict(kind="commit", task_id=(0, 0)),
+        ],
+        WavefrontPattern(1, 1),
+        (),
+    ),
+    "result-after-blacklist": (
+        [
+            dict(kind="assign", task_id=(0, 0), worker=1),
+            dict(kind="blacklist", worker=1),
+            dict(kind="redistribute", task_id=(0, 0)),
+            dict(kind="result", task_id=(0, 0), worker=1),  # evicted: stale
+            dict(kind="commit", task_id=(0, 0)),
+        ],
+        WavefrontPattern(1, 1),
+        (D.PROTOCOL_ILLEGAL_TRANSITION, D.STALE_COMMIT),
+    ),
+    "assign-after-quarantine": (
+        [
+            dict(kind="assign", task_id=(0, 0), worker=1),
+            dict(kind="commit", task_id=(0, 0)),
+            dict(kind="quarantine", worker=1),
+            dict(kind="assign", task_id=(0, 1), worker=1),
+            dict(kind="assign", task_id=(0, 1), worker=0),
+            dict(kind="commit", task_id=(0, 1)),
+        ],
+        WavefrontPattern(1, 2),
+        (D.PROTOCOL_ILLEGAL_TRANSITION,),
+    ),
+    "redistribute-never-reassigned": (
+        [
+            dict(kind="assign", task_id=(0, 0), worker=0),
+            dict(kind="redistribute", task_id=(0, 0)),
+        ],
+        WavefrontPattern(1, 1),
+        (D.LOST_UPDATE,),
+    ),
+    "redistribute-never-reassigned-run-aborted": (
+        [
+            dict(kind="assign", task_id=(0, 0), worker=0),
+            dict(kind="redistribute", task_id=(0, 0)),
+        ],
+        WavefrontPattern(1, 1),
+        (),
+        dict(require_complete=False),
+    ),
+    "speculate-never-reassigned": (
+        [
+            dict(kind="assign", task_id=(0, 0), worker=0),
+            dict(kind="speculate", task_id=(0, 0), worker=0),
+        ],
+        WavefrontPattern(1, 1),
+        (D.LOST_UPDATE,),
+    ),
+    "speculate-never-reassigned-run-aborted": (
+        [
+            dict(kind="assign", task_id=(0, 0), worker=0),
+            dict(kind="speculate", task_id=(0, 0), worker=0),
+        ],
+        WavefrontPattern(1, 1),
+        (),
+        dict(require_complete=False),
+    ),
+    "taint-never-recommitted": (
+        [
+            dict(kind="assign", task_id=(0, 0), worker=0),
+            dict(kind="commit", task_id=(0, 0)),
+            dict(kind="taint-invalidate", task_id=(0, 0)),
+        ],
+        WavefrontPattern(1, 1),
+        (D.LOST_UPDATE,),
+    ),
+    "verified-below-worker-commits": (
+        [
+            dict(kind="assign", task_id=(0, 0), worker=0),
+            dict(kind="result", task_id=(0, 0), worker=0),
+            dict(kind="commit", task_id=(0, 0)),
+            dict(kind="assign", task_id=(0, 1), worker=1),
+            dict(kind="commit", task_id=(0, 1), worker=1),
+        ],
+        WavefrontPattern(1, 2),
+        (D.COMMIT_WITHOUT_VERIFY,),
+        dict(verified=1),
+    ),
+    # A recomputed taint is a second worker commit of the task, and the
+    # vote's arbiter commit (worker -1) of an accepted epoch is one commit
+    # however many ballots were verified.
+    "verified-counts-distinct-epochs": (
+        [
+            dict(kind="assign", task_id=(0, 0), worker=0),
+            dict(kind="commit", task_id=(0, 0), worker=0),
+            dict(kind="taint-invalidate", task_id=(0, 0)),
+            dict(kind="assign", task_id=(0, 0), epoch=1, worker=1),
+            dict(kind="result", task_id=(0, 0), epoch=1, worker=1),
+            dict(kind="redistribute", task_id=(0, 0), epoch=1),
+            dict(kind="assign", task_id=(0, 0), epoch=2, worker=0),
+            dict(kind="result", task_id=(0, 0), epoch=2, worker=0),
+            dict(kind="commit", task_id=(0, 0), epoch=2, worker=-1),
+        ],
+        WavefrontPattern(1, 1),
+        (),
+        dict(verified=2),
+    ),
+    # A commit no worker delivered (never dispatched) is the replay's own
+    # finding, not counted against the digest checks.
+    "master-side-commit-exempt-from-verified": (
+        [
+            dict(kind="commit", task_id=(0, 0), worker=-1),
+            dict(kind="assign", task_id=(0, 1), worker=0),
+            dict(kind="commit", task_id=(0, 1), worker=0),
+        ],
+        WavefrontPattern(1, 2),
+        (D.PROTOCOL_ILLEGAL_TRANSITION,),
+        dict(verified=1),
+    ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(REPLAY_CASES))
 def test_replay_stream(name):
-    specs, pattern, codes = REPLAY_CASES[name]
-    report = replay(*specs, pattern=pattern, complete=True)
+    specs, pattern, codes, *options = REPLAY_CASES[name]
+    report = check_trace(stream(*specs), pattern, **{"require_complete": True, **dict(*options)})
     assert report.codes() == codes, report.summary()
 
 

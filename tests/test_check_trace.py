@@ -5,16 +5,17 @@ fault-tolerance machinery could produce must surface with its named
 diagnostic; a faithful schedule must verify clean.
 """
 
-import pytest
-
 from repro.check import diagnostics as D
 from repro.check.fixtures import duplicate_commit_trace, early_commit_trace
-from repro.check.trace_check import SchedEvent, TraceRecorder, check_trace
+from repro.check.trace_check import check_trace
 from repro.dag.library import WavefrontPattern
+from repro.obs.clock import ManualClock
+from repro.obs.recorder import ObsEvent
+from repro.obs.schedule import ScheduleTracer
 
 
 def ev(kind, task, epoch, seq, worker=0):
-    return SchedEvent(kind=kind, task_id=task, epoch=epoch, worker=worker, seq=seq)
+    return ObsEvent(kind, 0.0, task, epoch, worker=worker, seq=seq)
 
 
 def clean_2x2_trace():
@@ -94,15 +95,37 @@ class TestViolations:
 
 
 class TestRecorder:
+    """A verifying tracer records into an ordinary EventRecorder."""
+
     def test_sequence_numbers_are_dense(self):
-        rec = TraceRecorder()
-        rec.record("assign", (0, 0), 0, worker=2)
-        rec.record("commit", (0, 0), 0, worker=2)
-        events = rec.events()
+        sched = ScheduleTracer(verify=True)
+        sched.record("assign", (0, 0), 0, worker=2)
+        sched.record("commit", (0, 0), 0, worker=2)
+        events = sched.trace.events()
         assert [e.seq for e in events] == [0, 1]
         assert events[0].worker == 2
-        assert len(rec) == 2
+        assert len(sched.trace) == 2
 
     def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError):
-            SchedEvent(kind="teleport", task_id=(0, 0), epoch=0)
+        # Only ledger kinds reach the verify trace; the rest is telemetry.
+        sched = ScheduleTracer(verify=True)
+        sched.record("send", (0, 0), 0, nbytes=64)
+        sched.record("teleport", (0, 0), 0)
+        assert len(sched.trace) == 0
+
+    def test_events_carry_the_tracer_scope_and_clock(self):
+        clock = ManualClock(2.5)
+        sched = ScheduleTracer(clock=clock, verify=True, node=1, scope="subtask")
+        sched.record("assign", (0, 0), 0, worker=1)
+        (e,) = sched.trace.events()
+        assert (e.scope, e.node, e.ts) == ("subtask", 1, 2.5)
+
+    def test_subtask_trace_replays_at_its_own_scope(self):
+        # A slave pool's trace is all subtask scope; replayed at task scope
+        # every region would read lost-update.
+        sched = ScheduleTracer(verify=True, node=0, scope="subtask")
+        sched.record("assign", (0, 0), 0, worker=0)
+        sched.record("commit", (0, 0), 0, worker=0)
+        sched.check(WavefrontPattern(1, 1), title="pool")  # raises on violations
+        report = check_trace(sched.trace.events(), WavefrontPattern(1, 1))
+        assert report.codes() == (D.LOST_UPDATE,)

@@ -6,8 +6,9 @@ import pytest
 
 from repro import EasyHPS, RunConfig
 from repro.algorithms import EditDistance, Nussinov
-from repro.check import SchedEvent, check_trace
+from repro.check import check_trace
 from repro.durable import recover, resume_run
+from repro.obs.recorder import ObsEvent
 from repro.utils.errors import ConfigError, JournalError, MasterCrash
 
 
@@ -201,7 +202,7 @@ class TestSimulatedResume:
         rec, run = self.crashed_then_resumed(tmp_path)
         task, epoch = next(iter(rec.scan.committed.items()))
         last = max(e.seq for e in run.report.events)
-        again = SchedEvent("commit", task, epoch, seq=last + 1)
+        again = ObsEvent("commit", 0.0, task, epoch, seq=last + 1)
         report = resumed_stream_report(rec, run, extra=[again])
         assert [d.code for d in report.diagnostics] == ["duplicate-commit"]
 

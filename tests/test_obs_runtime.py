@@ -113,13 +113,15 @@ class TestOverheadGuard:
         from repro.schedulers.policy import make_policy
 
         problem = _swgg()
-        cfg = RunConfig(nodes=3, threads_per_node=2, backend="threads")
+        cfg = RunConfig(nodes=3, threads_per_node=2, backend="threads", verify=False)
         proc_size, _ = cfg.partitions_for(problem)
         partition = problem.build_partition(proc_size)
         policy = make_policy("dynamic", 2, partition.grid.n_block_cols)
         channels = [channel_pair()[0] for _ in range(2)]
         master = MasterPart(problem, partition, channels, policy, cfg)
         assert master.sched.obs is NULL_RECORDER
+        # Nor a verify trace: with both off the tracer is disabled outright.
+        assert master.sched.trace is None and not master.sched.enabled
         assert all(ch._obs is NULL_RECORDER for ch in channels)
 
     def test_null_emit_allocates_no_event(self):
