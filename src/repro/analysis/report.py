@@ -45,7 +45,7 @@ class RunReport:
     thread_restarts: int = 0
     #: Stale results discarded via the register-table epoch check.
     stale_results: int = 0
-    #: Straggler dispatches cancelled early and re-queued (``speculate``).
+    #: Always 0 (no speculation); bench/workloads.py reads it until ROADMAP item 4 re-records.
     speculative_redispatches: int = 0
     #: Workers retired for exceeding ``blacklist_threshold`` failures.
     blacklisted_workers: Tuple[int, ...] = ()
@@ -118,10 +118,9 @@ class RunReport:
             )
         if self.faults_injected:
             lines.append(f"  chaos         : {self.faults_injected} faults injected")
-        if self.speculative_redispatches or self.blacklisted_workers or self.worker_leaks:
+        if self.blacklisted_workers or self.worker_leaks:
             lines.append(
-                f"  recovery      : {self.speculative_redispatches} speculative, "
-                f"blacklisted {list(self.blacklisted_workers)}, "
+                f"  recovery      : blacklisted {list(self.blacklisted_workers)}, "
                 f"{self.worker_leaks} leaked threads"
             )
         if self.utilization:

@@ -53,8 +53,7 @@ idle like the real slave's resend loop, which is what the blacklist's
 last-heard oracle sees. A run that can no longer finish (every node
 dead) ends in a clean :class:`FaultToleranceExhausted` — the simulator
 cannot hang by construction (the event queue drains), so the abort path
-is the whole guarantee. Speculation is a no-op here: stragglers are
-deterministic and the plain timeout recovers them.
+is the whole guarantee.
 
 Silent data corruption is modeled as *taint*: the simulator computes no
 cell values, so it tracks which commits would be wrong instead. A live

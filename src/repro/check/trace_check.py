@@ -50,7 +50,7 @@ RETIRE_KINDS = ("blacklist", "quarantine", "worker-leave")
 #: :func:`check_trace` replays, and what the explorer's reach census
 #: counts. ``backoff`` and ``resume`` are carried for the census only.
 LEDGER_KINDS = (
-    "assign", "result", "stale-drop", "commit", "redistribute", "speculate",
+    "assign", "result", "stale-drop", "commit", "redistribute",
     "digest-reject", "lease-expired", "backoff", *RETIRE_KINDS,
     "taint-invalidate", "worker-death", "resume",
 )
@@ -86,9 +86,9 @@ def check_trace(
     ``protocol-illegal-transition`` (all ``error`` severity) is any
     disagreement: the core refuses the dispatch (to a worker it retired,
     say) or hands out another epoch, calls a recorded ``result`` stale or
-    a ``stale-drop`` live, finds a ``redistribute`` / ``speculate`` /
-    ``lease-expired`` of something not live or a ``taint-invalidate`` of
-    something not committed, or — with ``require_complete`` — decided an
+    a ``stale-drop`` live, finds a ``redistribute`` / ``lease-expired``
+    of something not live or a ``taint-invalidate`` of something not
+    committed, or — with ``require_complete`` — decided an
     eviction or a taint closure the run never recorded. The
     happens-before rules are queries on the same core:
 
@@ -230,9 +230,6 @@ def check_trace(
             # A vote re-offer names an accepted epoch, held as a ballot.
             if core.cancel(task, epoch) is None and (task, epoch) not in accepted:
                 flag(ev, "redistribute of an epoch that is not live")
-        elif kind == "speculate":
-            if not core.straggler(task, epoch, 0.0):
-                flag(ev, "speculation on an epoch that is not live (or a second one)")
         elif kind == "lease-expired":
             if not core.is_live(task, epoch):
                 flag(ev, "lease expiry of an epoch that is not live")

@@ -1,25 +1,22 @@
-"""DAG Data Driven Model — pattern + two-level partition + data mapping.
+"""DAG Data Driven Model — pattern + two-level partition.
 
 This object is what gets "initialized at the beginning of DP problem
 parallelization" (Section IV-D): the programmer picks or defines a DAG
-Pattern Model, sets ``dag_size``, the two ``partition_size`` values and a
-``data_mapping_function``; everything else (abstract DAGs, degrees,
-rect_size) is derived automatically, matching Table I's promise that
-"other data members will be set automatically during initialization".
+Pattern Model and sets ``dag_size`` and the two ``partition_size``
+values; everything else (abstract DAGs, degrees, rect_size) is derived
+automatically, matching Table I's promise that "other data members will
+be set automatically during initialization". Table I's
+``data_mapping_function`` is executed by the problem, not described
+here: ``DPProblem.input_regions`` / ``output_regions``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple
+from typing import Tuple
 
 from repro.dag.partition import BlockShape, Partition, _as_pair, partition_pattern
 from repro.dag.pattern import DAGPattern, VertexId
 from repro.utils.errors import PartitionError
-
-#: Maps an abstract-DAG vertex (sub-task id) to a description of the data
-#: region it owns. The default mapping returns the block's global
-#: ``(row_range, col_range)``.
-DataMapping = Callable[[VertexId], object]
 
 
 class DAGDataDrivenModel:
@@ -36,7 +33,6 @@ class DAGDataDrivenModel:
         pattern: DAGPattern,
         process_partition_size: BlockShape,
         thread_partition_size: BlockShape,
-        data_mapping: Optional[DataMapping] = None,
     ) -> None:
         self.pattern = pattern
         self.process_partition_size: Tuple[int, int] = _as_pair(process_partition_size)
@@ -49,7 +45,6 @@ class DAGDataDrivenModel:
                 f"{self.thread_partition_size} > {self.process_partition_size}"
             )
         self._process_level = partition_pattern(pattern, self.process_partition_size)
-        self._data_mapping: DataMapping = data_mapping or self._default_mapping
 
     # -- Table I derived fields ------------------------------------------------
 
@@ -88,15 +83,6 @@ class DAGDataDrivenModel:
         """The slave-level partition of sub-task ``bid``: sub-sub-tasks
         scheduled across threads within one node (paper step e/f)."""
         return self._process_level.sub_partition(bid, self.thread_partition_size)
-
-    # -- data mapping ---------------------------------------------------------------
-
-    def data_mapping(self, bid: VertexId) -> object:
-        """Apply the (possibly user-supplied) data mapping function."""
-        return self._data_mapping(bid)
-
-    def _default_mapping(self, bid: VertexId) -> Tuple[range, range]:
-        return self._process_level.block_ranges(bid)
 
     def __repr__(self) -> str:
         return (

@@ -52,10 +52,9 @@ MESSAGE_KINDS = ("msg-send", "msg-recv")
 
 #: Fault-injection and hardened-recovery kinds (:mod:`repro.chaos`):
 #: message faults at the channel boundary, worker-level faults, and the
-#: recovery actions the master takes (speculative re-dispatch, backoff,
-#: blacklisting) plus leak detection. These ride the same stream so every
-#: fault and every recovery action is visible next to the lifecycle it
-#: disrupted.
+#: recovery actions the master takes (backoff, blacklisting) plus leak
+#: detection. These ride the same stream so every fault and every
+#: recovery action is visible next to the lifecycle it disrupted.
 CHAOS_KINDS = (
     "msg-drop",
     "msg-duplicate",
@@ -66,7 +65,6 @@ CHAOS_KINDS = (
     "worker-slow",
     "worker-liar",
     "worker-leak",
-    "speculate",
     "backoff",
     "blacklist",
 )

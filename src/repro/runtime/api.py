@@ -6,7 +6,9 @@ pattern type, ``dag_size``, the two ``partition_size`` values, and a
 (``rect_size``, ``dag_pos``, per-vertex degrees). :class:`DagPatternSpec`
 is that struct; :meth:`DagPatternSpec.build` performs the "other data
 members are set automatically" initialization and returns the
-:class:`~repro.dag.model.DAGDataDrivenModel`.
+:class:`~repro.dag.model.DAGDataDrivenModel`. The data mapping is not a
+field here: a problem executes it (``DPProblem.input_regions`` /
+``output_regions``).
 
 :func:`table1_rows` introspects the live data structures to regenerate
 Table I — the benchmark ``bench_table1_api.py`` prints it and the test
@@ -16,7 +18,7 @@ suite pins it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.dag.library import PATTERN_LIBRARY, get_pattern
 from repro.dag.model import DAGDataDrivenModel
@@ -43,8 +45,6 @@ class DagPatternSpec:
     thread_partition_size: BlockShape = 1
     #: Explicit user-defined pattern (overrides pattern_type/dag_size).
     pattern: Optional[DAGPattern] = None
-    #: Maps an abstract vertex to its data block; None = automatic.
-    data_mapping_function: Optional[Callable] = None
 
     def build(self) -> DAGDataDrivenModel:
         """Initialize the DAG Data Driven Model (Section IV-D)."""
@@ -65,10 +65,7 @@ class DagPatternSpec:
             else:
                 pattern = get_pattern(self.pattern_type, rows, cols)
         return DAGDataDrivenModel(
-            pattern,
-            self.process_partition_size,
-            self.thread_partition_size,
-            data_mapping=self.data_mapping_function,
+            pattern, self.process_partition_size, self.thread_partition_size
         )
 
 
@@ -110,6 +107,8 @@ def table1_rows() -> List[Tuple[str, str, str, bool]]:
             or name == "partition_size"  # split into process/thread sizes
             or name == "dag_pattern_element"  # DAGPattern.element materializes these
             or name == "dag_pattern_type"  # DagPatternSpec.pattern_type / PatternType
+            # executed by the problem: DPProblem.input_regions / output_regions
+            or name == "data_mapping_function"
         )
         rows.append((name, ctype, desc, implemented))
     return rows

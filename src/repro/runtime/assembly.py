@@ -230,7 +230,6 @@ class RunAssembly:
             stale_results=stats.stale_results,
             tasks_per_worker=dict(stats.tasks_per_worker),
             total_flops=self.problem.total_flops(self.partition),
-            speculative_redispatches=stats.speculative_redispatches,
             blacklisted_workers=tuple(stats.blacklisted_workers),
             worker_leaks=stats.worker_leaks
             + int(sum(s.extras.get("worker_leaks", 0) for s in slave_stats)),

@@ -32,24 +32,20 @@ BACKENDS = ("serial", "threads", "processes", "simulated")
 JOURNAL_DEGRADE_MODES = ("abort", "checkpoint", "memory")
 
 
-#: Quantile of completed task durations the straggler detector
-#: (``RunConfig.speculate``) takes as its baseline.
-SPECULATIVE_QUANTILE = 0.95
-
-#: Straggler multiple over that quantile that triggers speculation.
-SPECULATIVE_FACTOR = 2.0
-
 #: BCW column grouping (the baseline's ``block_col`` argument) every run
 #: uses; :class:`~repro.schedulers.policy.BlockCyclicWavefrontPolicy`
 #: itself still takes any grouping.
 BCW_BLOCK_COLS = 1
 
 
+#: Spellings of a boolean override; any other (a typo) is an error, not False.
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
+
 #: kind -> (parser, how the :class:`ConfigError` words a rejected value).
 _ENV_KINDS = {
     str: (str, "a string"),
-    bool: (lambda raw: raw.lower() in ("1", "true", "yes", "on"), "a boolean"),
-    int: (int, "an integer"),
+    bool: (lambda raw: _BOOLS[raw.lower()], "a boolean (1/true/yes/on or 0/false/no/off)"),
 }
 
 
@@ -58,7 +54,7 @@ def _env(name: str, default, kind: type = str):
 
     Unset or blank keeps ``default``. Lets an entire test suite or CI job
     flip a knob — ``REPRO_VERIFY=1 pytest`` — without touching any call
-    site. Only the six knobs something sets this way have one
+    site. Only the five knobs something sets this way have one
     (``docs/configuration.md``).
     """
     parse, described = _ENV_KINDS[kind]
@@ -69,7 +65,7 @@ def _env(name: str, default, kind: type = str):
             return default
         try:
             return parse(raw)
-        except ValueError:
+        except KeyError:
             raise ConfigError(f"env var {name} must be {described}, got {raw!r}")
 
     return factory
@@ -144,13 +140,6 @@ class RunConfig:
     retry_backoff: float = 0.0
     #: Ceiling of the exponential retry backoff, seconds.
     retry_backoff_max: float = 2.0
-    #: Speculatively re-dispatch straggler sub-tasks: a live dispatch older
-    #: than :data:`SPECULATIVE_FACTOR` x the :data:`SPECULATIVE_QUANTILE`
-    #: of completed task durations is cancelled and re-queued before its
-    #: timeout. Speculative re-dispatches do not count against the retry
-    #: budget. Real backends only (the simulator's stragglers are modeled
-    #: deterministically and recovered by the plain timeout).
-    speculate: bool = False
     #: Blacklist a worker after this many timeout-attributed failures;
     #: its in-flight work is re-queued and it receives no further tasks.
     #: Degrades gracefully: the last healthy worker is never blacklisted.
@@ -244,8 +233,8 @@ class RunConfig:
     #: Overridable via ``REPRO_BATCH_WAVE``.
     batch_wave: bool = field(default_factory=_env("REPRO_BATCH_WAVE", False, bool))
     #: Largest wave one ``BatchAssign`` may carry under
-    #: :attr:`batch_wave`. Overridable via ``REPRO_MAX_BATCH``.
-    max_batch: int = field(default_factory=_env("REPRO_MAX_BATCH", 8, int))
+    #: :attr:`batch_wave`.
+    max_batch: int = 8
     #: Zero-copy shared-memory data plane (processes backend only):
     #: large block payloads move through ``multiprocessing.shared_memory``
     #: segments as :class:`~repro.comm.messages.BlockRef` handles instead

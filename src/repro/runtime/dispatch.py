@@ -109,7 +109,6 @@ class Registration:
 
     worker_id: int
     epoch: int
-    registered_at: float
     deadline: float
     lease_expires: float
 
@@ -127,8 +126,6 @@ class Counters:
 
     faults_recovered: int = 0
     stale_results: int = 0
-    #: Straggler dispatches cancelled and re-queued before their timeout.
-    speculative_redispatches: int = 0
     #: Workers retired for exceeding the failure threshold, in order.
     blacklisted_workers: List[int] = field(default_factory=list)
     #: Dispatches cancelled because their liveness lease expired.
@@ -218,12 +215,9 @@ class DispatchCore:
         # dispatch outpaces a result a surviving slave still holds.
         self._live: Dict[TaskId, Registration] = {}
         self._attempts: Dict[TaskId, int] = dict(attempts) if attempts else {}
-        #: Cancels that do NOT charge the retry budget (speculation,
-        #: evictions, taint, vote escalation): the exhaustion check uses
-        #: ``attempts - exempt``.
+        #: Cancels that do NOT charge the retry budget (evictions, taint,
+        #: vote escalation): the exhaustion check uses ``attempts - exempt``.
         self._exempt: Dict[TaskId, int] = {}
-        #: Tasks already speculated once (capped at one per task).
-        self._speculated: set = set()
 
         # Worker standing.
         self._failures: Dict[int, int] = {}
@@ -380,7 +374,7 @@ class DispatchCore:
         epoch = self._attempts.get(task, 0)
         self._attempts[task] = epoch + 1
         reg = Registration(
-            worker, epoch, now, now + self.task_timeout,
+            worker, epoch, now + self.task_timeout,
             float("inf") if self.lease_duration is None else now + self.lease_duration,
         )
         self._live[task] = reg
@@ -495,21 +489,6 @@ class DispatchCore:
             self._redistribute(
                 task, epoch, out, "rejected for digest mismatch on", backoff=False
             )
-        return out
-
-    def straggler(self, task: TaskId, epoch: int, now: float) -> List[Action]:
-        """Speculative re-dispatch of one aged dispatch: budget-free, at
-        most once per task."""
-        reg = self._live.get(task)
-        if reg is None or reg.epoch != epoch or task in self._speculated:
-            return []
-        del self._live[task]
-        self._speculated.add(task)
-        self._exempt[task] = self._exempt.get(task, 0) + 1
-        self.stats.speculative_redispatches += 1
-        out: List[Action] = []
-        self._rec(out, "speculate", task, epoch, reg.worker_id, age=now - reg.registered_at)
-        out.append(Requeue(task))
         return out
 
     # -- worker standing events ----------------------------------------------------

@@ -10,7 +10,7 @@ Thread layout follows the paper:
   newly computable sub-tasks onto the computable stack;
 - the *fault-tolerance thread* ticks the dispatch core for overdue
   deadlines and expired leases, releases backoff-held re-dispatches,
-  scans for stragglers, and runs the stall watchdog.
+  and runs the stall watchdog.
 
 Every register / budget / backoff / blacklist / quarantine / lease /
 vote / taint *decision* is taken by
@@ -19,17 +19,14 @@ vote / taint *decision* is taken by
 the threads, the channels, the two stacks, payload extraction, digest
 hashing, journal writes and the audit/arbiter recompute. The event →
 action vocabulary and the hardening it carries (retry budgets, backoff,
-speculation, blacklist, leases, digest / audit / vote / quarantine, taint
-recompute) are described in ``docs/fault_tolerance.md`` §Dispatch core.
+blacklist, leases, digest / audit / vote / quarantine, taint recompute) are described in ``docs/fault_tolerance.md`` §Dispatch core.
 Every knob is read from the run's ``RunConfig`` where it is used
 (``docs/configuration.md``); the constructor takes objects, not values.
 
-Shell-only mechanisms: the **stall watchdog** — nothing live, nothing
+Shell-only mechanism: the **stall watchdog** — nothing live, nothing
 held for retry and no progress for ``stall_timeout`` seconds (every
 worker lost, every message dropped) aborts with a clean
-:class:`FaultToleranceExhausted` rather than hanging — and the
-straggler *cutoff* (a multiple of the observed duration quantile; the
-cancel itself is the core's ``straggler`` event).
+:class:`FaultToleranceExhausted` rather than hanging.
 """
 
 from __future__ import annotations
@@ -67,7 +64,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.recorder import EventRecorder
 from repro.obs.schedule import ScheduleTracer
 from repro.runtime import dispatch as core_mod
-from repro.runtime.config import SPECULATIVE_FACTOR, SPECULATIVE_QUANTILE, RunConfig
+from repro.runtime.config import RunConfig
 from repro.runtime.dispatch import DispatchCore
 from repro.runtime.worker_pool import ComputableStack, FinishedStack
 from repro.schedulers.policy import SchedulingPolicy
@@ -185,9 +182,6 @@ class MasterPart:
         self._finished = FinishedStack()
         self._end = threading.Event()
         self._failure: List[BaseException] = []
-        #: Completed compute durations (seconds) feeding the speculation
-        #: quantile. Appends are GIL-atomic; the scanner copies.
-        self._durations: List[float] = []
         #: Clock reading of the last dispatch or accepted result; the
         #: stall watchdog aborts when this goes quiet too long. Float
         #: assignment is GIL-atomic.
@@ -642,9 +636,6 @@ class MasterPart:
             ch.publish_metrics(self.metrics)
         self.metrics.counter("master.faults_recovered").inc(self.stats.faults_recovered)
         self.metrics.counter("master.stale_results").inc(self.stats.stale_results)
-        self.metrics.counter("master.speculative_redispatches").inc(
-            self.stats.speculative_redispatches
-        )
         self.metrics.counter("master.blacklisted_workers").inc(
             len(self.stats.blacklisted_workers)
         )
@@ -861,7 +852,6 @@ class MasterPart:
         self.policy.completed(worker_id, msg.task_id)
         self._finished.push(msg.task_id)
         self._last_progress = self.clock.now()
-        self._durations.append(max(0.0, msg.elapsed))
         self.stats.subtasks += msg.subtasks
         self.stats.tasks_per_worker[worker_id] = (
             self.stats.tasks_per_worker.get(worker_id, 0) + 1
@@ -938,8 +928,6 @@ class MasterPart:
             self._stack.push_many(due)
             if not self._apply(actions):
                 return
-            if self.config.speculate:
-                self._scan_stragglers(now)
             if idle and now - self._last_progress > self.config.effective_stall_timeout:
                 # Nothing live, nothing queued for retry, and nothing has
                 # moved for a whole stall window: every worker is presumed
@@ -990,25 +978,3 @@ class MasterPart:
             self.sched.record("worker-join", None, -1, worker_id)
         thread.start()
         return worker_id
-
-    def _scan_stragglers(self, now: float) -> None:
-        """Speculative re-dispatch: offer the core every live dispatch
-        aged past a multiple of the observed duration quantile."""
-        durations = self._durations
-        if len(durations) < 8:
-            return  # not enough signal for a stable quantile yet
-        cutoff = max(
-            SPECULATIVE_FACTOR
-            * float(np.quantile(np.asarray(durations, dtype=float), SPECULATIVE_QUANTILE)),
-            10.0 * self.config.poll_interval,
-        )
-        with self._core_lock:
-            actions = self._note(
-                [
-                    act
-                    for task_id, reg in self.core.live_items()
-                    if now - reg.registered_at > cutoff
-                    for act in self.core.straggler(task_id, reg.epoch, now)
-                ]
-            )
-        self._apply(actions)

@@ -227,8 +227,7 @@ class SlavePart:
                         # Slow-node degradation: stretch the apparent compute
                         # time by (factor - 1) x elapsed, bounded so a single
                         # task can at most look one second slower. Enough to
-                        # trip the master's speculation/timeout paths, never a
-                        # hard hang.
+                        # trip the master's timeout path, never a hard hang.
                         penalty = min((slow_factor - 1.0) * elapsed, 1.0)
                         self._emit(
                             "worker-slow", assign.task_id, assign.epoch,

@@ -66,15 +66,6 @@ class TestDagPatternSpec:
         )
         assert spec.build().rect_size == (2, 2)
 
-    def test_custom_data_mapping_threads_through(self):
-        spec = DagPatternSpec(
-            pattern=WavefrontPattern(20, 20),
-            process_partition_size=10,
-            thread_partition_size=5,
-            data_mapping_function=lambda bid: ("custom", bid),
-        )
-        assert spec.build().data_mapping((1, 1)) == ("custom", (1, 1))
-
     def test_missing_pattern_info_rejected(self):
         with pytest.raises(ConfigError):
             DagPatternSpec(pattern_type="wavefront").build()

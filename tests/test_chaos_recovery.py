@@ -191,22 +191,6 @@ class TestBlacklist:
         run_row("blacklist-disabled")
 
 
-class TestSpeculation:
-    def test_straggler_dispatch_speculatively_redispatched(self, problem):
-        # One mid-run task hangs for 1s under a 10s timeout: only the
-        # straggler scan can recover it quickly.
-        plan = FaultPlan([FaultRule("hang", (2, 2), 0)])
-        run = EasyHPS(
-            cfg(fault_plan=plan, task_timeout=10.0, hang_duration=1.0,
-                speculate=True)
-        ).run(problem)
-        assert run.value.distance == problem.reference()
-        assert run.report.speculative_redispatches >= 1
-        kinds = {ev.kind for ev in run.report.events}
-        assert "speculate" in kinds
-        assert_invariants(run, problem)
-
-
 class TestWorkerLeakSurfacing:
     def _stub(self):
         class StubSched:

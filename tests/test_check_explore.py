@@ -190,12 +190,10 @@ class TestExploration:
             "digest-reject",  # corrupt-result-n0-i0
             "backoff", "blacklist",  # hang-blacklist
         }
-        # Never reached, by construction: speculation is a no-op in the
-        # simulator (only the real master runs the straggler scan
-        # ``RunConfig.speculate`` turns on), and the simulator does not
-        # model a worker leaving.
+        # Never reached, by construction: the simulator does not model a
+        # worker leaving (elastic leave is a serve-fleet path only).
         never = result.summary().split("never reached ")[1]
-        assert never == "speculate, worker-leave"
+        assert never == "worker-leave"
 
     def test_scenario_config_overrides_the_explorer_defaults(self):
         # ``retry_backoff`` is one of the explorer's own defaults (0.0); a

@@ -308,17 +308,6 @@ REPLAY_CASES = {
         WavefrontPattern(1, 1),
         (),
     ),
-    "second-speculation-of-one-task": (
-        [
-            dict(kind="assign", task_id=(0, 0), worker=0),
-            dict(kind="speculate", task_id=(0, 0), worker=0),
-            dict(kind="assign", task_id=(0, 0), epoch=1, worker=1),
-            dict(kind="speculate", task_id=(0, 0), epoch=1, worker=1),
-            dict(kind="commit", task_id=(0, 0), epoch=1),
-        ],
-        WavefrontPattern(1, 1),
-        (D.PROTOCOL_ILLEGAL_TRANSITION,),
-    ),
     # A slave announcing its own departure (node >= 0) is not the
     # master's decision: results it sent first may still be accepted.
     "slave-side-announcement-is-not-a-decision": (
@@ -381,23 +370,6 @@ REPLAY_CASES = {
         [
             dict(kind="assign", task_id=(0, 0), worker=0),
             dict(kind="redistribute", task_id=(0, 0)),
-        ],
-        WavefrontPattern(1, 1),
-        (),
-        dict(require_complete=False),
-    ),
-    "speculate-never-reassigned": (
-        [
-            dict(kind="assign", task_id=(0, 0), worker=0),
-            dict(kind="speculate", task_id=(0, 0), worker=0),
-        ],
-        WavefrontPattern(1, 1),
-        (D.LOST_UPDATE,),
-    ),
-    "speculate-never-reassigned-run-aborted": (
-        [
-            dict(kind="assign", task_id=(0, 0), worker=0),
-            dict(kind="speculate", task_id=(0, 0), worker=0),
         ],
         WavefrontPattern(1, 1),
         (),

@@ -50,16 +50,8 @@ class TestLevels:
 
 class TestDataMapping:
     def test_default_mapping_is_block_ranges(self):
+        """A sub-task owns its block's cell ranges; which of them it reads
+        and writes is the problem's executed mapping
+        (``tests/test_data_mapping.py``)."""
         m = DAGDataDrivenModel(WavefrontPattern(40, 40), 10, 5)
-        assert m.data_mapping((1, 2)) == (range(10, 20), range(20, 30))
-
-    def test_custom_mapping_function(self):
-        calls = []
-
-        def mapping(bid):
-            calls.append(bid)
-            return f"region-{bid}"
-
-        m = DAGDataDrivenModel(WavefrontPattern(20, 20), 10, 5, data_mapping=mapping)
-        assert m.data_mapping((0, 1)) == "region-(0, 1)"
-        assert calls == [(0, 1)]
+        assert m.process_level.block_ranges((1, 2)) == (range(10, 20), range(20, 30))

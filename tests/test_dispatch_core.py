@@ -170,14 +170,6 @@ ROWS = [
         ("digest_reject", (A, 1, 0), [ABORT("rejected for digest mismatch on 2 budgeted")]),
         ("stats", "digest_rejects", 3),
     ]),
-    ("straggler-once-and-exempt", dict(task_timeout=10.0, max_retries=0), [
-        ("dispatch", (A, 0, 0.0), EPOCH(0, 0, 10.0)),
-        ("straggler", (A, 0, 3.0), [Requeue(A)]),
-        ("dispatch", (A, 1, 3.0), EPOCH(1, 1, 13.0)),
-        ("straggler", (A, 1, 9.0), []),  # capped at one speculation per task
-        ("deadline", (A, 1, 13.0), [Requeue(A)]),  # 2 dispatches, 1 charged
-        ("stats", "speculative_redispatches", 1),
-    ]),
     # -- worker standing: blacklist ---------------------------------------------------
     ("blacklist-below-threshold", dict(task_timeout=0.3, max_retries=9,
                                        blacklist_threshold=3), [

@@ -250,37 +250,42 @@ class TestDurableKnobs:
             RunConfig(journal_fsync="yes")
 
     def test_env_overrides(self, monkeypatch):
-        # The six overrides that have a user: one of each parsed kind.
+        # The five overrides that have a user: one of each parsed kind.
         monkeypatch.setenv("REPRO_JOURNAL_FSYNC", "0")
         monkeypatch.setenv("REPRO_BATCH_WAVE", "yes")
-        monkeypatch.setenv("REPRO_MAX_BATCH", "5")
         monkeypatch.setenv("REPRO_INTEGRITY", "audit")
         config = RunConfig()
         assert config.journal_fsync is False
         assert config.batch_wave is True
-        assert config.max_batch == 5
         assert config.integrity == "audit"
 
     def test_env_overrides_match_existing_knob_conventions(self, monkeypatch):
         # Blank is unset; an explicit argument beats the environment.
-        monkeypatch.setenv("REPRO_MAX_BATCH", "  ")
+        monkeypatch.setenv("REPRO_INTEGRITY", "  ")
         monkeypatch.setenv("REPRO_SHM", "1")
         config = RunConfig(shm=False)
-        assert config.max_batch == 8
+        assert config.integrity == "digest"
         assert config.shm is False
         # The knobs that lost their override are plain defaults now.
+        monkeypatch.setenv("REPRO_MAX_BATCH", "5")
         monkeypatch.setenv("REPRO_TASK_TIMEOUT", "12.5")
         monkeypatch.setenv("REPRO_STALL_TIMEOUT", "none")
         config = RunConfig()
+        assert config.max_batch == 8
         assert config.task_timeout == 30.0
         assert config.stall_timeout is None
 
     def test_bad_env_value_raises_config_error(self, monkeypatch):
-        # ``none`` is not a value either: no surviving override is optional.
-        for raw in ("not-an-int", "none"):
-            monkeypatch.setenv("REPRO_MAX_BATCH", raw)
-            with pytest.raises(ConfigError, match="REPRO_MAX_BATCH must be an integer"):
+        # A boolean typo is an error, not False (``REPRO_VERIFY=ture`` used
+        # to switch verification off silently). ``none`` is not a value
+        # either: no surviving override is optional.
+        for name, raw in (
+            ("REPRO_VERIFY", "ture"), ("REPRO_SHM", "enabled"), ("REPRO_BATCH_WAVE", "none"),
+        ):
+            monkeypatch.setenv(name, raw)
+            with pytest.raises(ConfigError, match=f"{name} must be a boolean"):
                 RunConfig()
+            monkeypatch.delenv(name)
 
     def test_lease_duration_none_without_heartbeat(self):
         assert RunConfig().lease_duration is None

@@ -168,9 +168,10 @@ class TestGoldenBytes:
 class TestLegacyBeginRecord:
     def test_config_pickled_with_the_removed_fields_still_recovers(self, tmp_path):
         """Journals written before ``speculative_quantile``,
-        ``bcw_block_cols``, ``speculative_factor`` and ``trace`` left
-        RunConfig carry them in the pickled begin record; recovery must
-        shrug the extra attributes off."""
+        ``bcw_block_cols``, ``speculative_factor``, ``trace`` and
+        ``speculate`` left RunConfig carry them in the pickled begin
+        record; recovery must shrug the extra attributes off and resume
+        oracle-identical."""
         path = str(tmp_path / "old.walj")
         problem = EditDistance.random(24, 24, seed=0)
         config = RunConfig(backend="serial", journal_path=path)
@@ -178,6 +179,7 @@ class TestLegacyBeginRecord:
         object.__setattr__(config, "bcw_block_cols", 1)
         object.__setattr__(config, "speculative_factor", 2.0)
         object.__setattr__(config, "trace", True)
+        object.__setattr__(config, "speculate", True)
         journal = CommitJournal.create(path, fsync=False)
         journal.begin(problem, config)
         journal.close()
@@ -187,6 +189,7 @@ class TestLegacyBeginRecord:
         assert not hasattr(rec.config, "bcw_block_cols")
         assert not hasattr(rec.config, "speculative_factor")
         assert not hasattr(rec.config, "trace")
+        assert not hasattr(rec.config, "speculate")
         from repro import EasyHPS
 
         result = EasyHPS(rec.config).run(rec.problem, resume=rec)

@@ -37,11 +37,11 @@ def knobs(master):
 
 class TestDaemonParity:
     def test_job_master_is_exactly_what_run_threads_builds(self, monkeypatch):
-        """``repro serve`` used to drop batch_wave/max_batch (and the
-        speculation knobs) between RunConfig and MasterPart, so
-        REPRO_BATCH_WAVE / REPRO_MAX_BATCH were silently ignored."""
+        """``repro serve`` used to drop knobs such as batch_wave /
+        max_batch between RunConfig and MasterPart, so an override like
+        REPRO_BATCH_WAVE was silently ignored."""
         monkeypatch.setenv("REPRO_BATCH_WAVE", "1")
-        monkeypatch.setenv("REPRO_MAX_BATCH", "3")
+        monkeypatch.setenv("REPRO_SHM", "1")
         built = []
         real_run = MasterPart.run
 
@@ -65,7 +65,7 @@ class TestDaemonParity:
         run_threads(build_problem(spec), config)
 
         served, direct = built
-        assert served.config.batch_wave is True and served.config.max_batch == 3
+        assert served.config.batch_wave is True and served.config.shm is True
         assert knobs(served) == knobs(direct)
 
     def test_parts_observe_exactly_the_configured_values(self):

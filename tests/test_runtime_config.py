@@ -1,8 +1,13 @@
 """Unit tests for RunConfig and the Experiment_X_Y accounting."""
 
+import ast
+import dataclasses
+import inspect
+
 import pytest
 
 from repro.algorithms import EditDistance
+from repro.runtime import config as config_mod
 from repro.runtime.config import RunConfig
 from repro.utils.errors import ConfigError
 
@@ -77,3 +82,34 @@ class TestExperimentFactory:
         spec = cfg.cluster_spec()
         assert spec.n_compute_nodes == 3
         assert all(n.threads == 3 for n in spec.compute_nodes)
+
+
+class TestKnobCount:
+    """The next knob or override is an explicit edit here."""
+
+    def test_field_count_is_pinned(self):
+        assert len(dataclasses.fields(RunConfig)) == 44
+
+    def test_env_overrides_are_exactly_these(self):
+        tree = ast.parse(inspect.getsource(config_mod))
+        names = {
+            node.args[0].value
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "_env"
+        }
+        assert names == {
+            "REPRO_JOURNAL_FSYNC", "REPRO_VERIFY", "REPRO_INTEGRITY",
+            "REPRO_BATCH_WAVE", "REPRO_SHM",
+        }
+
+
+class TestBooleanOverrides:
+    @pytest.mark.parametrize("raw,value", [
+        ("1", True), ("true", True), ("YES", True), ("On", True),
+        ("0", False), ("false", False), ("No", False), ("OFF", False),
+    ])
+    def test_accepted_words(self, monkeypatch, raw, value):
+        # Any other spelling raises: TestDurableKnobs in test_durable_resume.py.
+        monkeypatch.setenv("REPRO_VERIFY", raw)
+        assert RunConfig().verify is value
