@@ -1,8 +1,8 @@
 """Simulated backend: the two-level EasyHPS schedule on a modeled cluster.
 
 This backend replays the paper's experiments without Tianhe-1A: it runs
-the *actual* scheduling machinery (DAG parser, policy objects, register /
-overtime bookkeeping) against a deterministic cost model —
+the *actual* scheduling machinery (the dispatch core's ledgers and
+frontier, policy objects) against a deterministic cost model —
 
 - a sub-task's compute time is the makespan of its thread-level DAG under
   the node's computing threads (:func:`simulate_level`), charged from the
@@ -228,8 +228,6 @@ class _SimulatedRun:
         self.master_nic_free = 0.0
         self.master_cpu_free = 0.0
 
-        self.parser = DAGParser(self.partition.abstract)
-
         self._inner_memo: Dict[tuple, Tuple[float, float]] = {}
         self.makespan = 0.0
         self.busy_thread_seconds = 0.0
@@ -268,23 +266,15 @@ class _SimulatedRun:
             resume=resume,
         )
         self.stats = self.core.stats
-        if resume is not None:
-            # Replay the journal's committed prefix straight into the DAG
-            # parser. The committed set is downward-closed (tasks commit
-            # only after their predecessors), so topological order never
-            # hits a blocked vertex. No commit records are synthesized —
-            # the obs stream distinguishes journaled from live commits for
-            # the resume invariants, and the trace replay is primed with
-            # the same prefix (``journaled`` at ``sched.check``).
-            for bid in self.partition.abstract.topological_order():
-                if bid in resume.committed:
-                    self.parser.complete(bid)
-            if self.obs is not None:
-                self.obs.emit(
-                    "resume", None, node=-1, scope="task",
-                    n_committed=len(resume.committed),
-                )
-        self.ready: List[TaskId] = list(self.parser.computable())
+        if resume is not None and self.obs is not None:
+            # No commit records are synthesized for the journaled prefix
+            # the core was primed with: the trace replay is primed with the
+            # same prefix (``journaled`` at ``sched.check``).
+            self.obs.emit(
+                "resume", None, node=-1, scope="task",
+                n_committed=len(resume.committed),
+            )
+        self.ready: List[TaskId] = self.core.frontier()
         #: The write-ahead journal (None when journaling is off). Journal
         #: writes are charged to the master CPU in sim-time
         #: (``journal_latency``).
@@ -725,7 +715,7 @@ class _SimulatedRun:
             elif isinstance(act, core_mod.Invalidate):
                 for key in act.dropped:
                     self.live_taint.pop(key, None)
-                self._rewind(act.order)
+                self._rewind(act)
             elif isinstance(act, core_mod.Abort) and self.failure is None:
                 self.failure = act.exc
 
@@ -762,13 +752,13 @@ class _SimulatedRun:
                     "journal-write", bid, epoch=epoch, node=-1, scope="task",
                     t0=j0, t1=self.master_cpu_free, nbytes=jbytes,
                 )
-        self.core.commit(bid, epoch, k)
+        fresh, _ = self.core.commit(bid, epoch, k)
         if self.sched.enabled:
             if self.sched.observing:
                 out_bytes = self.problem.output_bytes(self.partition, bid) + envelope
                 self.sched.record("result", bid, epoch, k, node=k, nbytes=out_bytes)
-            # Before parser.complete so successors' assigns serialize
-            # after this commit in the event log.
+            # Before the successors are offered, so their assigns
+            # serialize after this commit in the event log.
             self.sched.record("commit", bid, epoch, k)
         if self.journal is not None and self.journal.should_checkpoint():
             nbytes = self._checkpoint()
@@ -786,7 +776,6 @@ class _SimulatedRun:
         self.makespan = max(self.makespan, self.evq.now)
         if taint is not None:
             self.tainted_commits[bid] = taint
-        fresh = self.parser.complete(bid)
         if fresh:
             self.ready.extend(fresh)
             if self.obs is not None:
@@ -835,22 +824,21 @@ class _SimulatedRun:
             self.master_cpu_free = max(self.master_cpu_free, self.evq.now) + compute
             self._apply(self.core.audit(*due, ok=not own_fault))
 
-    def _rewind(self, order) -> None:
+    def _rewind(self, inv: core_mod.Invalidate) -> None:
         """Perform a taint invalidation the core decided: journal it,
-        re-open the revoked region, and re-offer the recompute frontier."""
+        withdraw what lost its inputs, and offer the recompute frontier."""
         if self.journal is not None:
-            self.journal.invalidate(order)
+            self.journal.invalidate(inv.order)
             self.master_cpu_free = (
                 max(self.master_cpu_free, self.evq.now)
                 + self.config.journal_latency
             )
-        for v in order:
+        for v in inv.order:
             self.tainted_commits.pop(v, None)
-        frontier = self.parser.invalidate(order)
         self.ready = [t for t in self.ready if self.core.inputs_committed(t)]
-        self.ready.extend(frontier)
+        self.ready.extend(inv.frontier)
         if self.obs is not None:
-            for nb in frontier:
+            for nb in inv.frontier:
                 self.ready_at[nb] = self.evq.now
 
     def _timeout(self, bid: TaskId, epoch: int) -> None:
@@ -916,7 +904,7 @@ class _SimulatedRun:
             self.evq.at(0.0, lambda k=k: self._node_idle(k), label=("idle", k))
         try:
             self.evq.run()
-            if self.failure is None and self.parser.is_done():
+            if self.failure is None and not self.core.n_remaining:
                 if self.journal is not None:
                     self.journal.end()
         finally:
@@ -926,18 +914,18 @@ class _SimulatedRun:
                 self.journal.close()
         if self.failure is not None:
             raise self.failure
-        if not self.parser.is_done():
+        if self.core.n_remaining:
             if any(n.dead for n in self.nodes):
                 # Every path forward died with the nodes; the event queue
                 # drained, which is the simulator's version of "no
                 # progress" — abort cleanly, never silently stall.
                 raise FaultToleranceExhausted(
-                    f"simulation out of workers with {self.parser.n_remaining} "
+                    f"simulation out of workers with {self.core.n_remaining} "
                     f"sub-tasks left ({sum(1 for n in self.nodes if n.dead)} "
                     f"of {len(self.nodes)} nodes lost)"
                 )
             raise SchedulerError(
-                f"simulation stalled with {self.parser.n_remaining} sub-tasks left"
+                f"simulation stalled with {self.core.n_remaining} sub-tasks left"
             )
         self.sched.check(
             self.partition.abstract,
@@ -1001,7 +989,7 @@ def run_simulated(
 ) -> Tuple[None, RunReport]:
     """Simulate ``problem`` on ``config``'s cluster; no values are computed.
 
-    ``resume`` replays a journal's committed prefix into the DAG parser
+    ``resume`` primes the dispatch core with a journal's committed prefix
     (no state rebuild — the simulator computes no values) and continues
     the modeled schedule from the recovered frontier.
     """

@@ -27,8 +27,8 @@ def run_threads(
     """Execute ``problem`` with ``config.n_slaves`` slave threads.
 
     ``resume`` (a :class:`~repro.durable.recovery.RecoveredRun`) continues
-    a journaled run: committed sub-tasks are replayed into the DAG parser
-    instead of re-dispatched.
+    a journaled run: committed sub-tasks prime the dispatch core instead
+    of being re-dispatched.
     """
     asm = RunAssembly(config, problem, resume)
     stop = threading.Event()

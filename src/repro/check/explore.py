@@ -459,7 +459,6 @@ def _fingerprint(run: Any) -> Tuple[Any, ...]:
         _rel(run.master_nic_free, now) if run.master_nic_free > now else 0.0,
         _rel(run.master_cpu_free, now) if run.master_cpu_free > now else 0.0,
         run.failure is not None,
-        run.parser.n_remaining,
     )
 
 
@@ -875,8 +874,9 @@ def reorder_double_commit_model() -> type[Any]:
             core = self.core
             stale = not core.is_live(bid, epoch)
             if stale and core.attempts(bid) and core.committed.get(bid) != epoch:
-                # Defect: merge the stale result instead of dropping it.
-                core.committed.setdefault(bid, epoch)
+                # Defect: merge the stale result instead of dropping it,
+                # behind the ledger's back (the core would refuse the
+                # second commit).
                 if self.sched.enabled:
                     self.sched.record("commit", bid, epoch, k)
                 return

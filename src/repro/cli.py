@@ -145,6 +145,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         journal_path=args.journal,
         **overrides,
     )
+    if args.audit_fraction is not None and config.integrity != "audit":
+        raise SystemExit("--audit-fraction requires --integrity audit")
     run = EasyHPS(config).run(problem)
     print(run.report.summary())
     print(f"result: {run.value!r}"[:500])

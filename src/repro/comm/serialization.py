@@ -18,10 +18,9 @@ receive rather than silently merged into the DP table.
 from __future__ import annotations
 
 import hashlib
-import pickle
 import struct
 from numbers import Number
-from typing import Any, List, Sequence, Tuple
+from typing import Any
 
 import numpy as np
 
@@ -141,23 +140,3 @@ def message_nbytes(msg: Message) -> int:
     """
     return MESSAGE_ENVELOPE_BYTES + sum(payload_nbytes(e.payload) for e in msg.elements)
 
-
-# -- pickle protocol-5 out-of-band buffer round-trip ------------------------------
-
-
-def oob_dumps(obj: Any) -> Tuple[bytes, List[bytes]]:
-    """Pickle ``obj`` with protocol 5, extracting payload buffers out-of-band.
-
-    Returns ``(payload, buffers)``: the pickle stream plus the raw buffer
-    blocks (contiguous ndarray data, large bytes objects) that a
-    zero-copy transport can ship separately — e.g. written straight into
-    a shared-memory segment instead of being copied into the stream.
-    """
-    buffers: List[pickle.PickleBuffer] = []
-    payload = pickle.dumps(obj, protocol=5, buffer_callback=buffers.append)
-    return payload, [b.raw().tobytes() for b in buffers]
-
-
-def oob_loads(payload: bytes, buffers: Sequence[Any]) -> Any:
-    """Inverse of :func:`oob_dumps`; ``buffers`` may be bytes or memoryviews."""
-    return pickle.loads(payload, buffers=buffers)

@@ -1,16 +1,19 @@
-"""Runtime DAG parsing — discovering computable sub-tasks (paper Section IV-E).
+"""DAG parsing — discovering computable sub-tasks (paper Section IV-E).
 
 Parsing is incremental topological sorting (Fig 8): a vertex becomes
 *computable* when it has no unfinished predecessors; completing a vertex
 "removes" it and its outgoing edges, possibly making successors
-computable. The parser is the piece both the master scheduling thread
-(Fig 9 step c) and the slave scheduling thread (Fig 11 step e) consult.
+computable. This is the section's reference parser. The scheduling
+threads of Figs 9 and 11 ask the dispatch core instead
+(:class:`~repro.runtime.dispatch.DispatchCore`), which derives the same
+frontier from its commit ledger, in this module's schedule order
+(:func:`_default_order_key`); the parser serves the simulator's
+thread-level list scheduler, :mod:`repro.dag.visualize` and the tests
+that hold the core to it.
 
-The parser itself is not thread-safe — the worker pools own the locking —
-but it is strict: completing an unknown, not-yet-computable, or
-already-finished vertex raises :class:`SchedulerError`, which is how the
-fault-tolerance path's "is it still registered?" check (Fig 9 step h)
-stays honest.
+The parser is not thread-safe, and it is strict: completing an unknown,
+not-yet-computable, or already-finished vertex raises
+:class:`SchedulerError`.
 """
 
 from __future__ import annotations
@@ -116,51 +119,6 @@ class DAGParser:
                 raise SchedulerError(f"indegree of {s!r} went negative — duplicate edge removal")
         fresh.sort(key=self._order_key)
         return fresh
-
-    def invalidate(self, vids) -> List[VertexId]:
-        """Un-complete a downward-closed set of DONE vertices (taint recompute).
-
-        ``vids`` must contain every DONE successor of each of its members
-        (the tainted block's committed dependent closure) — otherwise a
-        DONE vertex would depend on an un-done one and the parse would be
-        inconsistent, which raises :class:`SchedulerError`. Returns the
-        members that are computable again (the recompute frontier), in
-        schedule order; the rest re-surface through :meth:`complete` as
-        their predecessors recommit.
-        """
-        revoked = set(vids)
-        for vid in revoked:
-            if self.state(vid) is not VertexState.DONE:
-                raise SchedulerError(f"cannot invalidate {vid!r}: not completed")
-        for vid in revoked:
-            for succ in self.pattern.successors(vid):
-                if succ in revoked:
-                    continue
-                if self._state[succ] is VertexState.DONE:
-                    raise SchedulerError(
-                        f"invalidation set is not downward-closed: {succ!r} is "
-                        f"DONE but its predecessor {vid!r} is being invalidated"
-                    )
-                # The edge vid -> succ is restored; a computable successor
-                # is blocked again until the recompute recommits.
-                self._indegree[succ] += 1
-                self._state[succ] = VertexState.BLOCKED
-        frontier: List[VertexId] = []
-        for vid in revoked:
-            self._n_done -= 1
-            deg = sum(
-                1
-                for pred in self.pattern.predecessors(vid)
-                if pred in revoked or self._state[pred] is not VertexState.DONE
-            )
-            self._indegree[vid] = deg
-            if deg == 0:
-                self._state[vid] = VertexState.COMPUTABLE
-                frontier.append(vid)
-            else:
-                self._state[vid] = VertexState.BLOCKED
-        frontier.sort(key=self._order_key)
-        return frontier
 
     def run_all(self) -> List[VertexId]:
         """Drain the whole DAG serially; returns the completion order.

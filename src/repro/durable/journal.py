@@ -20,7 +20,7 @@ described there, once). This module owns only the record vocabulary:
   sub-tasks (an audit convicted a block; its committed dependent closure
   is invalidated and recomputed). A resume after a crash mid-recompute
   must not resurrect the tainted commits, so the revocation is journaled
-  before the parser frontier is rewound;
+  before the recompute frontier is offered;
 - ``checkpoint`` — a compacted snapshot: the committed DP state arrays,
   the committed task set, the per-task attempt counts, the rolling run
   digest (an order-independent XOR-fold over per-commit content digests,
@@ -187,9 +187,9 @@ class CommitJournal:
     def invalidate(self, task_ids) -> None:
         """Append a taint-revocation of previously committed sub-tasks.
 
-        Written *before* the in-memory commit map and parser frontier are
-        rewound, so a crash mid-recompute recovers without the tainted
-        commits (the scan subtracts them from the committed set).
+        Written *before* the recompute frontier is offered, so a crash
+        mid-recompute recovers without the tainted commits (the scan
+        subtracts them from the committed set).
         """
         self.log.append(encode({"type": "invalidate", "tasks": tuple(task_ids)}))
 

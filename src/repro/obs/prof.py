@@ -27,6 +27,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.obs.metrics import Histogram
 from repro.obs.recorder import ObsEvent
+from repro.obs.stats import _ev_float
 from repro.utils.errors import ConfigError
 
 TaskKey = object  # block ids are tuples; keep the profiler shape-agnostic
@@ -94,18 +95,6 @@ class PerfProfile:
         return sorted(k for k in self.attribution if k >= 0)
 
 
-def _get_float(ev: ObsEvent, key: str) -> Optional[float]:
-    if ev.data is None:
-        return None
-    raw = ev.data.get(key)
-    if raw is None:
-        return None
-    try:
-        return float(raw)  # type: ignore[arg-type]
-    except (TypeError, ValueError):
-        return None
-
-
 def build_profile(
     events: Iterable[ObsEvent], pattern=None
 ) -> PerfProfile:
@@ -139,8 +128,8 @@ def build_profile(
     for ev in events:
         if ev.scope == "message":
             if ev.kind == "msg-send":
-                t_wire = _get_float(ev, "t_wire")
-                t_ser = _get_float(ev, "t_ser")
+                t_wire = _ev_float(ev, "t_wire")
+                t_ser = _ev_float(ev, "t_ser")
                 if t_wire is not None:
                     wire += t_wire
                 if t_ser is not None:
@@ -150,7 +139,7 @@ def build_profile(
                     and ev.data.get("type") == "BatchAssign"
                     and ev.task_id is not None
                 ):
-                    nbytes = int(_get_float(ev, "nbytes") or 0)
+                    nbytes = int(_ev_float(ev, "nbytes") or 0)
                     secs = (t_wire or 0.0) + (t_ser or 0.0)
                     assign_cost[(ev.task_id, ev.epoch)] = (secs, nbytes)
             elif ev.kind == "msg-recv":
@@ -159,10 +148,10 @@ def build_profile(
                 # serialization work. Counting both keeps the inline
                 # path and the zero-copy path (whose rehydration lands
                 # below as ``shm-attach``) attributed symmetrically.
-                t_read = _get_float(ev, "t_read")
+                t_read = _ev_float(ev, "t_read")
                 if t_read is not None:
                     wire += t_read
-                t_deser = _get_float(ev, "t_deser")
+                t_deser = _ev_float(ev, "t_deser")
                 if t_deser is not None:
                     serialize += t_deser
             elif ev.kind == "shm-attach":
@@ -191,7 +180,7 @@ def build_profile(
             # task-scope span on the receiving node.
             tp = pending.setdefault(key, TaskProfile(ev.task_id, ev.epoch))
             tp.comm_in = span[1] - span[0]
-            tp.nbytes_in = int(_get_float(ev, "nbytes") or 0)
+            tp.nbytes_in = int(_ev_float(ev, "nbytes") or 0)
             wire += span[1] - span[0]
         elif ev.kind == "compute" and span is not None:
             tp = pending.setdefault(key, TaskProfile(ev.task_id, ev.epoch))

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.comm.messages import TaskId
+from repro.dag.parser import _default_order_key
 from repro.integrity import IntegrityPolicy, fold_commit, run_digest_hex
 from repro.utils.errors import FaultToleranceExhausted, SchedulerError
 
@@ -72,14 +73,17 @@ class Record(NamedTuple):
 
 class Invalidate(NamedTuple):
     """``order`` (topological) left the committed set: journal the
-    invalidation, rewind the DAG parser, and purge queued tasks and
-    buffered results for which :meth:`DispatchCore.inputs_committed` no
-    longer holds. ``dropped`` are the live ``(task, epoch)`` dispatches
-    cancelled with them *without* being re-offered (the parser re-emits
-    them): release what the shell holds for each."""
+    invalidation, purge queued tasks and buffered results for which
+    :meth:`DispatchCore.inputs_committed` no longer holds, and offer
+    ``frontier`` — the revoked tasks computable again, in schedule order
+    (the commits that recompute them release the rest). ``dropped`` are
+    the live ``(task, epoch)`` dispatches cancelled with them *without*
+    being re-offered (a later commit releases them again): release what
+    the shell holds for each."""
 
     order: Tuple[TaskId, ...]
     dropped: Tuple[Tuple[TaskId, int], ...] = ()
+    frontier: Tuple[TaskId, ...] = ()
 
 
 class Arbitrate(NamedTuple):
@@ -161,8 +165,10 @@ class Counters:
 class DispatchCore:
     """Dispatch ledger + worker standing + commit ledger of one DAG level.
 
-    ``pattern`` is only needed for the taint closure (``None`` at the
-    thread level, where nothing is ever revoked). ``recording`` False
+    ``pattern`` is the level's DAG: the commit ledger and it are the one
+    answer to "what is computable" (:meth:`frontier`, what a
+    :meth:`commit` releases, an :class:`Invalidate`'s frontier) — the
+    DAG parser of Section IV-E, in its schedule order. ``recording`` False
     suppresses :class:`Record` actions — the zero-cost path when neither
     the trace validator nor telemetry listens.
 
@@ -317,6 +323,21 @@ class DispatchCore:
         return all(p in committed for p in self.pattern.predecessors(task))
 
     @property
+    def n_remaining(self) -> int:
+        """Tasks of the pattern not (or no longer) committed."""
+        return self.pattern.n_vertices() - len(self.committed)
+
+    def frontier(self) -> List[TaskId]:
+        """Every computable task — uncommitted, inputs committed — in
+        schedule order: the first offer of a run, resumed ones included."""
+        committed = self.committed
+        return sorted(
+            (v for v in self.pattern.vertices()
+             if v not in committed and self.inputs_committed(v)),
+            key=_default_order_key,
+        )
+
+    @property
     def run_digest(self) -> Optional[str]:
         return run_digest_hex(self._run_digest_acc) if self.fold_digests else None
 
@@ -366,7 +387,7 @@ class DispatchCore:
         None when it must not happen: ``worker`` is retired (the
         no-commit-after-blacklist invariant; the shell re-offers the
         task), or a taint revoked the task's inputs after the shell took
-        it off offer (the shell forgets it; the DAG parser re-emits it)."""
+        it off offer (the shell forgets it; a later commit releases it)."""
         if worker in self._retired or (self._revoked and not self.inputs_committed(task)):
             return None
         if task in self._live:
@@ -585,18 +606,28 @@ class DispatchCore:
 
     def commit(
         self, task: TaskId, epoch: int, worker: int, digest: Optional[str] = None
-    ) -> bool:
-        """Fold one accepted result into the ledger; True when the commit
-        was sampled for a (lagged) audit."""
-        self.committed[task] = epoch
+    ) -> Tuple[List[TaskId], bool]:
+        """Fold one accepted result into the ledger. Returns the
+        successors it made computable, in schedule order, and whether the
+        commit was sampled for a (lagged) audit. A commit ahead of its
+        inputs is taken as given (the trace replay reports it)."""
+        committed = self.committed
+        if task in committed:
+            raise SchedulerError(f"{self.noun} {task!r} committed twice")
+        committed[task] = epoch
         if self.fold_digests:
             self._run_digest_acc = fold_commit(self._run_digest_acc, task, digest)
             self.commit_digests[task] = digest
         self._commit_count += 1
-        if self.integrity.audit_on and self.integrity.should_audit(task):
+        fresh = sorted(
+            (s for s in self.pattern.successors(task)
+             if s not in committed and self.inputs_committed(s)),
+            key=_default_order_key,
+        )
+        sampled = self.integrity.audit_on and self.integrity.should_audit(task)
+        if sampled:
             self._audit_pending.append((self._commit_count, task, epoch, worker))
-            return True
-        return False
+        return fresh, sampled
 
     def next_audit(self, force: bool) -> Optional[Tuple[TaskId, int, int]]:
         """Pop the next audit old enough to run (any, when forced):
@@ -626,6 +657,8 @@ class DispatchCore:
         """Revoke a convicted commit and its committed dependent closure;
         live dispatches built on revoked inputs are cancelled budget-free
         and half-gathered votes on them forgotten."""
+        if root not in self.committed:
+            raise SchedulerError(f"cannot taint {self.noun} {root!r}: not committed")
         pattern = self.pattern
         tainted = {root}
         frontier = [root]
@@ -657,7 +690,10 @@ class DispatchCore:
         for task in [t for t in self._votes if not self.inputs_committed(t)]:
             del self._votes[task]
             self._vote_need.pop(task, None)
-        out.append(Invalidate(order, dropped))
+        frontier = sorted(
+            (v for v in order if self.inputs_committed(v)), key=_default_order_key
+        )
+        out.append(Invalidate(order, dropped, tuple(frontier)))
         return out
 
     def vote(

@@ -55,7 +55,6 @@ from repro.comm.messages import (
 from repro.comm.serialization import content_digest, message_nbytes
 from repro.comm.shm import BlockStore
 from repro.comm.transport import Channel, ChannelClosed, ChannelTimeout
-from repro.dag.parser import DAGParser
 from repro.dag.partition import Partition
 from repro.durable.journal import CommitJournal, snapshot_state
 from repro.durable.recovery import RecoveredRun
@@ -200,8 +199,8 @@ class MasterPart:
             # be rescued by compacting the journal around a full state
             # checkpoint, which needs this master's state snapshot.
             bind_rescue(self._write_checkpoint)
-        #: task -> epoch of commits recovered from a journal (resume);
-        #: these are replayed into the DAG parser, never re-dispatched.
+        #: task -> epoch of commits recovered from a journal (resume): the
+        #: core is primed with them, so they are never re-dispatched.
         self._prior_commits: Dict[TaskId, int] = (
             dict(resume.committed) if resume is not None else {}
         )
@@ -303,10 +302,16 @@ class MasterPart:
             if self._initial_state is None
             else self._initial_state
         )
-        parser = DAGParser(self.partition.abstract)
         if self._prior_commits:
-            self._replay_prior_commits(parser)
-        self._stack.push_many(parser.computable())
+            # Neither the trace nor the telemetry stream gets a record of
+            # the journaled commits: the trace replay is primed with the
+            # same prefix instead (``journaled`` in the epilogue).
+            self.stats.resumed_commits = len(self._prior_commits)
+            if self.sched.observing:
+                self.sched.record(
+                    "resume", None, -1, n_committed=len(self._prior_commits)
+                )
+        self._stack.push_many(self.core.frontier())
 
         workers = [
             threading.Thread(
@@ -321,16 +326,16 @@ class MasterPart:
 
         try:
             # Master scheduling thread (Fig 9 steps c & h). The loop only
-            # ends once the parser is drained AND every deferred audit ran
-            # — a late conviction re-opens the parser via taint recompute.
+            # ends once every task is committed AND every deferred audit
+            # ran — a late conviction re-opens the DAG via taint recompute.
             while True:
                 if self._failure:
                     break
                 if self.core.audits_pending:
-                    self._run_due_audits(parser, force=parser.is_done())
+                    self._run_due_audits(force=not self.core.n_remaining)
                     if self._failure:
                         break
-                if parser.is_done() and not self.core.audits_pending:
+                if not self.core.n_remaining and not self.core.audits_pending:
                     break
                 task_id = self._finished.pop(timeout=self.config.poll_interval)
                 if task_id is None:
@@ -347,8 +352,8 @@ class MasterPart:
                         # Quorum not reached yet — or the deciding tally
                         # quarantined the whole pool.
                         continue
-                self._commit(parser, task_id, *entry)
-            if self.journal is not None and not self._failure and parser.is_done():
+                self._commit(task_id, *entry)
+            if self.journal is not None and not self._failure and not self.core.n_remaining:
                 self.journal.end(run_digest=self.core.run_digest)
         finally:
             # Fig 9 step i: tear down pools and signal every slave to end.
@@ -391,25 +396,6 @@ class MasterPart:
             journaled=self._prior_commits,
         )
         return self.state
-
-    def _replay_prior_commits(self, parser: DAGParser) -> None:
-        """Prime the DAG parser with the commits recovered from the journal.
-
-        The committed set is downward-closed — a task only commits after
-        its predecessors — so completing it in topological order never
-        hits a blocked vertex. Neither the trace nor the telemetry stream
-        gets a record of them (resume invariants distinguish journaled
-        commits from live ones): the trace replay is primed with the same
-        prefix instead (``journaled`` in :meth:`run`'s epilogue).
-        """
-        for task_id in self.partition.abstract.topological_order():
-            if task_id in self._prior_commits:
-                parser.complete(task_id)
-        self.stats.resumed_commits = len(self._prior_commits)
-        if self.sched.observing:
-            self.sched.record(
-                "resume", None, -1, n_committed=len(self._prior_commits)
-            )
 
     def _write_checkpoint(self) -> None:
         """Compact the journal around a snapshot of the committed state."""
@@ -457,11 +443,10 @@ class MasterPart:
         with self._core_lock:
             return self._note(event(*args))
 
-    def _apply(self, actions, parser: Optional[DAGParser] = None) -> bool:
+    def _apply(self, actions) -> bool:
         """Perform what a core event returned, in order (the core lock is
         NOT held; the records are already written). False once an abort
-        was among them. ``parser`` is only needed by events that can
-        revoke commits (scheduling thread)."""
+        was among them."""
         ok = True
         for act in actions:
             if isinstance(act, core_mod.Requeue):
@@ -480,7 +465,7 @@ class MasterPart:
             elif isinstance(act, core_mod.Invalidate):
                 for task_id, _epoch in act.dropped:
                     self._release_blocks(task_id)
-                self._rewind(parser, act.order)
+                self._rewind(act)
             elif isinstance(act, core_mod.Abort):
                 self._abort(act.exc)
                 ok = False
@@ -490,7 +475,6 @@ class MasterPart:
 
     def _commit(
         self,
-        parser: DAGParser,
         task_id: TaskId,
         outputs,
         epoch: int,
@@ -515,7 +499,7 @@ class MasterPart:
         with self._state_lock:
             self.problem.apply_result(self.state, self.partition, task_id, outputs)
         with self._core_lock:
-            audited = self.core.commit(task_id, epoch, worker_id, digest)
+            fresh, audited = self.core.commit(task_id, epoch, worker_id, digest)
         if audited:
             self._audit_outputs[task_id, epoch] = outputs
         self._release_blocks(task_id)
@@ -523,11 +507,11 @@ class MasterPart:
             # Recorded before push_many so a successor's "assign" always
             # serializes after its dependencies' commits.
             self.sched.record("commit", task_id, epoch)
-        self._stack.push_many(parser.complete(task_id))
+        self._stack.push_many(fresh)
         if self.journal is not None and self.journal.should_checkpoint():
             self._write_checkpoint()
 
-    def _run_due_audits(self, parser: DAGParser, force: bool) -> None:
+    def _run_due_audits(self, force: bool) -> None:
         """Run every pending audit old enough (all of them when forced):
         recompute the committed block and hand the core the verdict.
 
@@ -547,8 +531,9 @@ class MasterPart:
                 self._recompute(task_id), task_id, epoch, worker_id, "audit"
             )
             got = self._timed_digest(outputs, task_id, epoch, worker_id, "audit")
-            actions = self._decide(self.core.audit, task_id, epoch, worker_id, expected == got)
-            self._apply(actions, parser)
+            self._apply(
+                self._decide(self.core.audit, task_id, epoch, worker_id, expected == got)
+            )
 
     def _recompute(self, task_id: TaskId):
         """The master's own serial evaluation of one sub-task, from the
@@ -561,13 +546,13 @@ class MasterPart:
         inner = self.partition.sub_partition(task_id, (len(rows), len(cols)))
         return evaluator.run_serial(inner)
 
-    def _rewind(self, parser: DAGParser, order) -> None:
-        """Perform a taint invalidation the core decided: journal it,
-        re-open the revoked region in the parser, and drop everything
-        queued on revoked inputs — buffered results, half-gathered votes,
-        stacked tasks (they re-surface as the closure recommits)."""
+    def _rewind(self, inv: core_mod.Invalidate) -> None:
+        """Perform a taint invalidation the core decided: journal it, drop
+        everything queued on revoked inputs — buffered results,
+        half-gathered votes, stacked tasks (they re-surface as the closure
+        recommits) — and offer the recompute frontier."""
         if self.journal is not None:
-            self.journal.invalidate(order)
+            self.journal.invalidate(inv.order)
         # The commit ledger is written only by this (the scheduling)
         # thread, so it reads it here without the core lock.
         ready = self.core.inputs_committed
@@ -578,9 +563,8 @@ class MasterPart:
             del self._vote_outputs[task_id]
         for key in [k for k in self._audit_outputs if k[0] not in self.core.committed]:
             del self._audit_outputs[key]
-        recompute_frontier = parser.invalidate(order)
         self._stack.retain(ready)
-        self._stack.push_many(recompute_frontier)
+        self._stack.push_many(inv.frontier)
 
     def _record_vote(
         self, task_id: TaskId, outputs, epoch: int, worker_id: int, digest: Optional[str]
@@ -681,7 +665,8 @@ class MasterPart:
             return _RETIRED
         if reg is None:
             # A taint revoked the task's inputs between the pop and the
-            # registration: forget it (the parser re-emits it) and look on.
+            # registration: forget it (a later commit releases it again)
+            # and look on.
             return self._prepare_assign(worker_id, block)
         epoch = reg.epoch
         with self._state_lock:

@@ -47,7 +47,6 @@ from repro.comm.messages import (
     WorkerLeave,
 )
 from repro.comm.transport import Channel, ChannelClosed, ChannelTimeout
-from repro.dag.parser import DAGParser
 from repro.dag.partition import BlockShape, Partition
 from repro.obs.clock import Clock, ensure_clock
 from repro.obs.recorder import EventRecorder
@@ -332,13 +331,11 @@ class SlavePart:
 
     def _run_pool(self, evaluator, inner: Partition) -> Dict[str, object]:
         n_threads = self.config.threads_per_node
-        parser = DAGParser(inner.abstract)
         stack = ComputableStack()
         finished = FinishedStack()
         policy = make_policy(
             self.config.thread_scheduler, n_threads, inner.grid.n_block_cols
         )
-        stack.push_many(parser.computable())
         failure: list[BaseException] = []
         sched = ScheduleTracer(
             clock=self.clock,
@@ -358,10 +355,12 @@ class SlavePart:
             retry_backoff_max=0.0,
             blacklist_threshold=None,
             lease_duration=None,
+            pattern=inner.abstract,
             noun="sub-sub-task",
             recording=sched.enabled,
         )
         core_lock = make_lock("slave.core")
+        stack.push_many(core.frontier())
 
         def compute_worker(worker_id: int) -> None:
             while True:
@@ -392,7 +391,7 @@ class SlavePart:
                         # Before finished.push so successors' assigns
                         # serialize after this commit in the trace.
                         sched.record("commit", sub, epoch, worker_id)
-                    finished.push(sub)
+                    finished.push((sub, epoch, worker_id))
 
         threads = [
             threading.Thread(
@@ -405,13 +404,13 @@ class SlavePart:
             t.start()
 
         # Slave scheduling thread (this thread): drain finished sub-sub-tasks,
-        # update the slave DAG pattern, and watch the overtime queue.
-        while not parser.is_done():
-            sub = finished.pop(timeout=self.config.poll_interval)
-            if sub is not None:
-                stack.push_many(parser.complete(sub))
+        # commit them to the slave DAG pattern, and watch the overtime queue.
+        while core.n_remaining:
+            done = finished.pop(timeout=self.config.poll_interval)
             with core_lock:
+                fresh = core.commit(*done)[0] if done is not None else ()
                 actions = core.tick(self.clock.now())
+            stack.push_many(fresh)
             for act in actions:
                 if isinstance(act, core_mod.Record):
                     sched.record(act.kind, act.task, act.epoch, act.worker, **act.data)
@@ -454,7 +453,7 @@ class SlavePart:
                 self._emit("worker-leak", thread=t.name)
         if failure:
             raise failure[0]
-        if parser.is_done() and not self.stop_event.is_set():
+        if not core.n_remaining and not self.stop_event.is_set():
             sched.check(inner.abstract, title=f"slave{self.slave_id}-trace")
         return evaluator.outputs()
 

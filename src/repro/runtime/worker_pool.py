@@ -131,7 +131,8 @@ class ComputableStack:
 
 
 class FinishedStack:
-    """Blocking LIFO of finished sub-task ids."""
+    """Blocking LIFO of finished sub-tasks: ids on the master (results
+    are buffered beside it), ``(id, epoch, worker)`` in the slave pool."""
 
     def __init__(self) -> None:
         self._items: List[TaskId] = []

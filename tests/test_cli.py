@@ -69,6 +69,18 @@ class TestCommands:
         with pytest.raises(SystemExit, match="unknown algorithm"):
             main(["run", "--algo", "quicksort"])
 
+    def test_audit_fraction_requires_audit_mode(self, monkeypatch):
+        # Outside audit mode nothing is ever audited: the flag would be
+        # silently ignored, so the run is refused instead.
+        monkeypatch.delenv("REPRO_INTEGRITY", raising=False)
+        with pytest.raises(SystemExit, match="--integrity audit"):
+            main(["run", "--algo", "lcs", "--size", "20", "--audit-fraction", "0.5"])
+        with pytest.raises(SystemExit, match="--integrity audit"):
+            main(["run", "--algo", "lcs", "--size", "20", "--integrity", "vote",
+                  "--audit-fraction", "0.5"])
+        assert main(["run", "--algo", "lcs", "--size", "20", "--integrity", "audit",
+                     "--audit-fraction", "0.5"]) == 0
+
     def test_registry_factories_produce_problems(self):
         from repro.algorithms.problem import DPProblem
 

@@ -71,6 +71,8 @@ def _matches(got, expected) -> bool:
 
 BUDGET = dict(task_timeout=10.0, max_retries=1)
 WAVE = WavefrontPattern(3, 3)
+#: Holds the far row ``(9, i)`` the audit-lag row commits ahead of its inputs.
+LAG = WavefrontPattern(10, AUDIT_LAG)
 AUDIT = IntegrityPolicy("audit", audit_fraction=1.0, quarantine_threshold=2)
 VOTE = IntegrityPolicy("vote", vote_k=2, quarantine_threshold=1)
 
@@ -322,10 +324,10 @@ ROWS = [
         ("vote", (A, 0, 0, "x", [0, 1]), [Arbitrate(A, 0)]),
     ]),
     # -- commit ledger: audits, taint ------------------------------------------------------
-    ("audit-lag", dict(task_timeout=10.0, max_retries=0, integrity=AUDIT, pattern=WAVE), [
-        ("commit", (A, 0, 1), True),
+    ("audit-lag", dict(task_timeout=10.0, max_retries=0, integrity=AUDIT, pattern=LAG), [
+        ("commit", (A, 0, 1), ([B, C], True)),
         ("next_audit", (False,), None),
-        *[("commit", ((9, i), 0, 1), True) for i in range(AUDIT_LAG)],
+        *[("commit", ((9, i), 0, 1), ([], True)) for i in range(AUDIT_LAG)],
         ("next_audit", (False,), (A, 0, 1)),
         ("next_audit", (False,), None),  # (9, 0) is only AUDIT_LAG - 1 commits old
         ("next_audit", (True,), ((9, 0), 0, 1)),  # forced at end of run
@@ -336,15 +338,16 @@ ROWS = [
     ("audit-convict-taints-and-convicts", dict(task_timeout=10.0, max_retries=0,
                                                integrity=AUDIT, pattern=WAVE,
                                                fold_digests=True), [
-        ("commit", (A, 0, 1, "da"), True),
-        ("commit", (B, 0, 1, "db"), True),
-        ("commit", (C, 0, 0, "dc"), True),
-        ("commit", (D, 0, 1, "dd"), True),
+        ("commit", (A, 0, 1, "da"), ([B, C], True)),
+        ("commit", (B, 0, 1, "db"), ([(0, 2)], True)),
+        ("commit", (C, 0, 0, "dc"), ([D, (2, 0)], True)),
+        ("commit", (D, 0, 1, "dd"), ([], True)),
         ("dispatch", ((0, 2), 0, 0.0), EPOCH(0, 0, 10.0)),  # built on B
         ("dispatch", ((2, 0), 1, 0.0), EPOCH(1, 0, 10.0)),  # built on C only
         ("vote", ((0, 2), 0, 0, "v", [0, 1, 2]), lambda out: True),
         ("audit", (B, 0, 1, False),
-         [Invalidate((B, D), (((0, 2), 0),))]),  # closure B -> D; (0, 2) dropped
+         # Closure B -> D; (0, 2) dropped; B alone is computable again.
+         [Invalidate((B, D), (((0, 2), 0),), (B,))]),
         ("committed", None, {A: 0, C: 0}),
         ("is_live", ((0, 2),), False),
         ("is_live", ((2, 0),), True),
@@ -365,7 +368,7 @@ ROWS = [
         ("next_audit", (True,), None),
         # Once B recommits, (0, 2) goes out again: its cancel was
         # budget-free and its half-gathered vote forgotten.
-        ("commit", (B, 1, 2, "db'"), True),
+        ("commit", (B, 1, 2, "db'"), ([(0, 2), D], True)),
         ("dispatch", ((0, 2), 0, 1.0), EPOCH(0, 1, 11.0)),
         ("deadline", ((0, 2), 1, 11.0), [Requeue((0, 2))]),
         ("vote", ((0, 2), 2, 0, "v", [0]), [Arbitrate((0, 2), 2)]),
@@ -376,6 +379,9 @@ ROWS = [
                             run_digest=run_digest_hex(fold_commit(0, A, "da")),
                             commit_digests={A: "da"}), [
         ("attempts_snapshot", (), {A: 3, B: 1}),
+        ("frontier", (), [B, C]),
+        ("n_remaining", None, 8),
+        ("commit", (A, 3, 1), RAISES(SchedulerError)),  # journaled: never twice
         # Epochs keep counting: any post-resume dispatch outpaces a result
         # a surviving slave still holds.
         ("dispatch", (A, 1, 0.0), EPOCH(1, 3, 10.0)),
@@ -383,7 +389,7 @@ ROWS = [
         ("attempts_snapshot", (), {A: 4, B: 2}),
         ("inputs_committed", (B,), True),
         ("inputs_committed", (D,), False),
-        ("commit", (B, 1, 0, "db"), False),
+        ("commit", (B, 1, 0, "db"), ([(0, 2)], False)),
         ("run_digest", None, run_digest_hex(fold_commit(fold_commit(0, A, "da"), B, "db"))),
     ]),
 ]

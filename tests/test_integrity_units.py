@@ -1,5 +1,5 @@
-"""Unit tests for the integrity policy, taint invalidation in the DAG
-parser, and taint-revocation records in the durable journal."""
+"""Unit tests for the integrity policy, taint recompute frontiers in the
+dispatch core, and taint-revocation records in the durable journal."""
 
 import numpy as np
 import pytest
@@ -8,10 +8,11 @@ from repro import RunConfig
 from repro.algorithms import EditDistance
 from repro.comm.serialization import content_digest
 from repro.dag.library import WavefrontPattern
-from repro.dag.parser import DAGParser, VertexState
+from repro.dag.parser import DAGParser
 from repro.durable import CommitJournal, scan_journal
 from repro.integrity import IntegrityPolicy, fold_commit, run_digest_hex
 from repro.utils.errors import ConfigError, SchedulerError
+from tests.test_dispatch_core import bare_core
 
 
 class TestIntegrityPolicy:
@@ -60,49 +61,46 @@ class TestIntegrityPolicy:
         assert not any(off.should_audit(t) for t in tasks)
 
 
-class TestParserInvalidate:
-    def make_parser(self, rows=3, cols=3):
-        return DAGParser(WavefrontPattern(rows, cols))
+class TestCoreTaint:
+    """Taint recompute frontiers: the dispatch core's, after a full drain."""
 
-    def drain(self, parser):
-        return parser.run_all()
+    def drained_core(self):
+        pattern = WavefrontPattern(3, 3)
+        core = bare_core(1, task_timeout=1.0, max_retries=0, pattern=pattern)
+        for vid in DAGParser(pattern).run_all():
+            core.commit(vid, 0, 0)
+        return core
 
-    def test_invalidate_single_sink_restores_computability(self):
-        parser = self.make_parser()
-        self.drain(parser)
-        assert parser.is_done()
-        frontier = parser.invalidate([(2, 2)])
-        assert frontier == [(2, 2)]
-        assert parser.state((2, 2)) is VertexState.COMPUTABLE
-        assert parser.n_remaining == 1
-        assert parser.complete((2, 2)) == []
-        assert parser.is_done()
+    def test_taint_single_sink_restores_computability(self):
+        core = self.drained_core()
+        assert not core.n_remaining
+        (inv,) = core.taint((2, 2))
+        assert inv.frontier == ((2, 2),)
+        assert core.frontier() == [(2, 2)]
+        assert core.n_remaining == 1
+        assert core.commit((2, 2), 1, 0) == ([], False)
+        assert not core.n_remaining
 
-    def test_invalidate_closure_recomputes_in_dependency_order(self):
-        parser = self.make_parser()
-        self.drain(parser)
-        # Closure of (1, 1): itself plus all DONE successors.
-        closure = [(1, 1), (1, 2), (2, 1), (2, 2)]
-        frontier = parser.invalidate(closure)
-        assert frontier == [(1, 1)]  # only the root is computable again
-        for vid in closure[1:]:
-            assert parser.state(vid) is VertexState.BLOCKED
-        # Recommitting the root unblocks the rest, exactly as a fresh parse.
-        order = self.drain(parser)
+    def test_taint_closure_recomputes_in_dependency_order(self):
+        core = self.drained_core()
+        # Closure of (1, 1): itself plus all committed successors.
+        closure = {(1, 1), (1, 2), (2, 1), (2, 2)}
+        (inv,) = core.taint((1, 1))
+        assert set(inv.order) == closure
+        assert inv.frontier == ((1, 1),)  # only the root is computable again
+        # Recommitting the root releases the rest, exactly as a fresh parse.
+        order, ready = [], list(inv.frontier)
+        while ready:
+            order.append(ready.pop(0))
+            ready += core.commit(order[-1], 1, 0)[0]
         assert order[0] == (1, 1)
-        assert set(order) == set(closure)
-        assert parser.is_done()
+        assert set(order) == closure
+        assert not core.n_remaining
 
-    def test_invalidate_rejects_non_downward_closed_sets(self):
-        parser = self.make_parser()
-        self.drain(parser)
+    def test_taint_rejects_uncommitted_root(self):
+        core = bare_core(1, task_timeout=1.0, max_retries=0, pattern=WavefrontPattern(3, 3))
         with pytest.raises(SchedulerError):
-            parser.invalidate([(1, 1)])  # (1, 2) etc. are DONE dependents
-
-    def test_invalidate_rejects_uncommitted_vertices(self):
-        parser = self.make_parser()
-        with pytest.raises(SchedulerError):
-            parser.invalidate([(0, 0)])
+            core.taint((0, 0))
 
 
 class TestJournalInvalidate:

@@ -152,7 +152,7 @@ class TestProtocol:
         # The race a service thread can lose: it took (1, 0) off the
         # computable stack, then an audit conviction revoked (0, 0)
         # before the dispatch registered. The core refuses it; the shell
-        # forgets it (the parser re-emits it) and hands out other work.
+        # forgets it (a later commit releases it) and hands out other work.
         partition = partition_pattern(problem.pattern(), 10)
         master = MasterPart(
             problem, partition, [channel_pair()[0]],

@@ -288,9 +288,10 @@ class TestStructure:
             assert not [c for c in call_names(tree) if c[0] in banned], rel
 
     def test_protocol_decisions_exist_only_in_the_dispatch_core(self):
-        """The retry-budget comparison, the backoff formula and the
-        taint-closure walk are written once, in runtime/dispatch.py; the
-        shells and the explorer hold no copy of the ledger they decide on."""
+        """The retry-budget comparison, the backoff formula, the
+        taint-closure walk and the successors a commit releases are written
+        once, in runtime/dispatch.py; the shells and the explorer hold no
+        copy of the ledger they decide on, and walk no DAG of their own."""
         core = "runtime/dispatch.py"
         shells = {
             "runtime/master.py", "runtime/slave.py", "backends/simulated.py",
@@ -322,7 +323,7 @@ class TestStructure:
             if rel in shells | {core}:
                 walks += [rel for name, _ in call_names(tree) if name == "successors"]
         assert set(budget) == {core} and set(backoff) == {core}
-        assert walks == [core] and not tables
+        assert set(walks) == {core} and not tables
 
         tree = ast.parse((SRC / core).read_text(), filename=core)
         banned = ("threading", "time", "repro.comm.transport", "repro.durable", "numpy")
