@@ -10,7 +10,8 @@ Run:  python examples/schedule_visualization.py
 
 from repro import EasyHPS, RunConfig
 from repro.algorithms import SmithWatermanGG
-from repro.analysis.gantt import busy_fraction, critical_tail, render_gantt
+from repro.analysis.gantt import critical_tail, render_gantt
+from repro.obs.prof import build_profile
 
 
 def main() -> None:
@@ -25,9 +26,9 @@ def main() -> None:
         report = runner.run(problem, cfg).report
         print(f"\n=== {scheduler}: makespan {report.makespan:.2f}s, "
               f"idle-while-ready {report.idle_while_ready:.2f}s")
-        trace = report.trace  # derived from the observed events on access
-        print(render_gantt(trace, width=72, makespan=report.makespan))
-        fractions = busy_fraction(trace, report.makespan)
+        prof = build_profile(report.events)  # one fold of the observed events
+        print(render_gantt(prof.gantt_rows(), width=72, makespan=report.makespan))
+        fractions = prof.busy_fraction(report.makespan)
         print("busy fractions:", {k: f"{v:.0%}" for k, v in fractions.items()})
 
     cfg = RunConfig.experiment(4, 19, process_partition=300, thread_partition=30, observe=True)

@@ -166,6 +166,7 @@ class CYKParsing(TriangularProblem):
 
     name = "cyk"
     matrix_dtype = np.uint64
+    size = None  # the sampled sentence's length depends on the seed
 
     def __init__(self, grammar: Grammar, text: str) -> None:
         if not text:

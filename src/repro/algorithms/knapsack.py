@@ -60,6 +60,7 @@ class Knapsack(DPProblem):
     """0/1 knapsack under EasyHPS (chain pattern over item blocks)."""
 
     name = "knapsack"
+    size = property(lambda self: self.n_items)
 
     def __init__(self, weights, values, capacity: int) -> None:
         self.weights = [int(w) for w in weights]

@@ -107,6 +107,14 @@ class DPProblem(ABC):
     #: consumed blocks as it goes (``retain="boundary"``) says no.
     recomputable: bool = True
 
+    @property
+    def size(self) -> Optional[int]:
+        """The ``size`` at which ``ALGORITHMS[name](size, seed)`` has this
+        instance's DAG at every seed — what a trace's workload metadata
+        records, so ``repro perf`` can rebuild the DAG; None when the DAG
+        depends on the seed."""
+        return getattr(self, "n", None)
+
     # -- structure ----------------------------------------------------------
 
     @abstractmethod

@@ -69,6 +69,7 @@ class ViterbiDecoding(DPProblem):
     """
 
     name = "viterbi"
+    size = property(lambda self: self.T)
 
     def __init__(
         self,

@@ -8,7 +8,8 @@ fit quality so a bad cost model is visible instead of silently absorbed.
 
 The communication side is calibrated from *traces* rather than re-runs:
 instrumented channels stamp every ``msg-send`` with measured serialize +
-transport durations, and :func:`fit_link` least-squares those
+transport durations, a trace's profile collects them
+(``PerfProfile.link_samples``), and :func:`fit_link` least-squares those
 latency-vs-size samples into the simulator's alpha+beta
 :class:`~repro.cluster.network.LinkModel`. :func:`link_fit_report` diffs
 the fit against a reference model so a simulated network that no longer
@@ -19,13 +20,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.algorithms.problem import DPProblem
 from repro.cluster.machine import NodeSpec
 from repro.cluster.network import LinkModel
 from repro.dag.partition import BlockShape
 from repro.dag.pattern import VertexId
+from repro.obs.prof import LinkSample
 from repro.utils.errors import ConfigError
 
 
@@ -203,45 +205,6 @@ def calibrate_node(
     rate = fit_rate(samples)
     spec = base or NodeSpec(threads=1)
     return replace(spec, flops_per_second=rate), samples
-
-
-@dataclass(frozen=True)
-class LinkSample:
-    """One observed message: payload size and end-to-end cost seconds."""
-
-    nbytes: int
-    seconds: float
-
-
-def link_samples_from_events(events: Iterable) -> List[LinkSample]:
-    """Extract latency-vs-size samples from a recorded event stream.
-
-    Prefers instrumented-channel ``msg-send`` events (real backends:
-    ``t_ser + t_wire`` measured durations); falls back to the simulated
-    backend's task-scope ``send`` spans (reserved link occupancy). Only
-    samples with positive size and duration survive — the fit divides
-    by byte spread.
-    """
-    real: List[LinkSample] = []
-    sim: List[LinkSample] = []
-    for ev in events:
-        data = getattr(ev, "data", None)
-        if not data:
-            continue
-        if ev.scope == "message" and ev.kind == "msg-send":
-            t_wire = data.get("t_wire")
-            if t_wire is None:
-                continue
-            secs = float(t_wire) + float(data.get("t_ser", 0.0) or 0.0)
-            nbytes = int(data.get("nbytes", 0) or 0)
-            if nbytes > 0 and secs > 0:
-                real.append(LinkSample(nbytes=nbytes, seconds=secs))
-        elif ev.scope == "task" and ev.kind == "send":
-            span = ev.span()
-            nbytes = int(data.get("nbytes", 0) or 0)
-            if span is not None and nbytes > 0 and span[1] > span[0]:
-                sim.append(LinkSample(nbytes=nbytes, seconds=span[1] - span[0]))
-    return real if real else sim
 
 
 def fit_link(samples: Sequence[LinkSample]) -> LinkModel:

@@ -1,10 +1,12 @@
 """Schedule traces and ASCII Gantt rendering.
 
-The simulated backend can record, per sub-task, when its input transfer
-started, when compute began and ended, and when the result landed at the
-master. ``render_gantt`` draws one row per node: ``-`` transfer, ``#``
-compute, ``.`` idle — which makes scheduling pathologies (the static
-schedulers' idle-while-ready holes) directly visible.
+An observed run's profile (:meth:`repro.obs.prof.PerfProfile.gantt_rows`,
+``RunReport.trace`` on any backend) says, per committed sub-task, when its
+input transfer started, when compute began and ended, and when the result
+landed at the master. ``render_gantt`` draws one row per node: ``-``
+transfer, ``#`` compute, ``.`` idle — which makes scheduling pathologies
+(the static schedulers' idle-while-ready holes) directly visible. Busy
+fractions are the profile's too (``PerfProfile.busy_fraction``).
 """
 
 from __future__ import annotations
@@ -62,16 +64,6 @@ def render_gantt(
         lines.append(f"node {node:2d} |{''.join(row)}|")
     lines.append(f"        0{' ' * (width - 10)}{end:.4g}s")
     return "\n".join(lines)
-
-
-def busy_fraction(trace: Sequence[TraceEvent], makespan: float) -> Dict[int, float]:
-    """Per-node fraction of the schedule spent computing."""
-    if makespan <= 0:
-        raise ValueError("makespan must be positive")
-    busy: Dict[int, float] = {}
-    for e in trace:
-        busy[e.node] = busy.get(e.node, 0.0) + (e.compute_end - e.compute_start)
-    return {node: t / makespan for node, t in sorted(busy.items())}
 
 
 def critical_tail(trace: Sequence[TraceEvent], k: int = 5) -> Tuple[TraceEvent, ...]:

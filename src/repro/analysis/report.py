@@ -89,11 +89,12 @@ class RunReport:
 
     @property
     def trace(self) -> Optional[tuple]:
-        """Per-sub-task schedule trace: :class:`repro.analysis.gantt.TraceEvent`
-        rows derived from ``events``; None when nothing was observed."""
-        from repro.obs.export import to_gantt_trace
+        """Per-sub-task schedule trace: the Gantt rows of ``events``'
+        profile (:meth:`repro.obs.prof.PerfProfile.gantt_rows`); None when
+        nothing was observed."""
+        from repro.obs.prof import build_profile
 
-        return None if self.events is None else to_gantt_trace(self.events)
+        return None if self.events is None else build_profile(self.events).gantt_rows()
 
     def speedup_vs(self, serial_makespan: float) -> float:
         """Speedup relative to a serial makespan of the same instance."""

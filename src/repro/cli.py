@@ -117,15 +117,11 @@ def _export_trace(report, trace_out: str | None, extra_meta: dict | None = None)
           f"open at https://ui.perfetto.dev or `repro stats {trace_out}`)")
 
 
-def _workload_meta(args: argparse.Namespace, config: RunConfig, problem: DPProblem) -> dict:
-    """The workload coordinates ``repro perf`` needs to rebuild the DAG."""
+def _workload_meta(config: RunConfig, problem: DPProblem, **coords) -> dict:
+    """The workload coordinates ``repro perf`` needs to rebuild the DAG:
+    ``coords`` (size, seed) plus the run's partitions."""
     proc, thread = config.partitions_for(problem)
-    return {
-        "size": args.size,
-        "seed": args.seed,
-        "process_partition": list(proc),
-        "thread_partition": list(thread),
-    }
+    return dict(coords, process_partition=list(proc), thread_partition=list(thread))
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -152,7 +148,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     print(f"result: {run.value!r}"[:500])
     if args.journal:
         print(f"journal written: {args.journal} (continue with `repro resume {args.journal}`)")
-    _export_trace(run.report, args.trace_out, _workload_meta(args, config, problem))
+    meta = _workload_meta(config, problem, size=args.size, seed=args.seed)
+    _export_trace(run.report, args.trace_out, meta)
     return 0
 
 
@@ -226,7 +223,9 @@ def cmd_resume(args: argparse.Namespace) -> int:
                     )
                     return 1
                 print(f"oracle check: run digest matches ({ours})")
-    _export_trace(run.report, args.trace_out)
+    # The seed is not journaled; the recovered problem's size rebuilds its DAG.
+    meta = _workload_meta(config, rec.problem, size=rec.problem.size)
+    _export_trace(run.report, args.trace_out, meta)
     return 0
 
 
@@ -290,24 +289,30 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         from repro.analysis.gantt import render_gantt
 
         print(render_gantt(run.report.trace, width=72, makespan=run.report.makespan))
-    _export_trace(run.report, args.trace_out, _workload_meta(args, config, problem))
+    meta = _workload_meta(config, problem, size=args.size, seed=args.seed)
+    _export_trace(run.report, args.trace_out, meta)
     return 0
+
+
+def _read_trace(path: str, keys: tuple) -> tuple:
+    """``(events, metrics, meta, label)`` of a trace file, where ``label``
+    joins its metadata values under ``keys`` ("" when it has none)."""
+    from repro.obs import read_trace
+
+    try:
+        events, metrics, meta = read_trace(path)
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"cannot read trace {path!r}: {exc}") from exc
+    label = "/".join(str(meta.get(k)) for k in keys if meta.get(k)) if meta else ""
+    return events, metrics, meta, label
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
     """Digest a saved telemetry trace: ``repro stats trace.json``."""
-    from repro.obs import read_trace, text_summary
+    from repro.obs import text_summary
 
-    try:
-        events, metrics, meta = read_trace(args.trace)
-    except (OSError, ValueError) as exc:
-        raise SystemExit(f"cannot read trace {args.trace!r}: {exc}") from exc
-    title = "run stats"
-    if meta:
-        bits = [str(meta.get(k)) for k in ("algorithm", "backend", "scheduler") if meta.get(k)]
-        if bits:
-            title = "/".join(bits)
-    print(text_summary(events, metrics, title=title))
+    events, metrics, _meta, label = _read_trace(args.trace, ("algorithm", "backend", "scheduler"))
+    print(text_summary(events, metrics, title=label or "run stats"))
     return 0
 
 
@@ -342,9 +347,8 @@ def cmd_perf(args: argparse.Namespace) -> int:
     queue-wait distribution, a link-model fit vs the simulator's
     default, and what-if replay bounds.
     """
-    from repro.analysis.calibration import fit_link, link_fit_report, link_samples_from_events
+    from repro.analysis.calibration import fit_link, link_fit_report
     from repro.cluster.network import INFINIBAND_QDR
-    from repro.obs import read_trace
     from repro.obs.prof import build_profile, format_perf_report
     from repro.utils.errors import ConfigError
 
@@ -352,19 +356,12 @@ def cmd_perf(args: argparse.Namespace) -> int:
         raise SystemExit("nothing to do: give trace files")
 
     for path in args.traces:
-        try:
-            events, _metrics, meta = read_trace(path)
-        except (OSError, ValueError) as exc:
-            raise SystemExit(f"cannot read trace {path!r}: {exc}") from exc
+        events, _metrics, meta, label = _read_trace(path, ("algorithm", "backend"))
         pattern = _pattern_from_meta(meta)
-        title = f"perf {path}"
-        if meta:
-            bits = [str(meta.get(k)) for k in ("algorithm", "backend") if meta.get(k)]
-            if bits:
-                title = f"perf {path} [{'/'.join(bits)}]"
+        title = f"perf {path} [{label}]" if label else f"perf {path}"
         prof = build_profile(events, pattern)
         print(format_perf_report(prof, title=title, pattern=pattern))
-        samples = link_samples_from_events(events)
+        samples = prof.link_samples
         try:
             fit_link(samples)
         except ConfigError:

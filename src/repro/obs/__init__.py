@@ -9,12 +9,13 @@ One subsystem, four pieces (see ``docs/observability.md``):
   with a zero-cost null recorder for disabled runs;
 - **metrics** (:mod:`repro.obs.metrics`) — counters/gauges/histograms
   snapshot into the run report;
-- **exporters** (:mod:`repro.obs.export`, :mod:`repro.obs.stats`) —
-  Perfetto/Chrome JSON, the ``repro stats`` digest, and the bridge
-  feeding :mod:`repro.analysis.gantt`
+- **exporters** (:mod:`repro.obs.export`) — Perfetto/Chrome JSON that
+  round-trips the raw stream
   (:func:`repro.check.trace_check.check_trace` reads the stream as is);
-- **profiling** (:mod:`repro.obs.prof`) — post-hoc critical-path
-  analysis, time attribution, and what-if replay (``repro perf``).
+- **profiling** (:mod:`repro.obs.prof`) — the one post-hoc fold of a
+  stream: critical path, time attribution, what-if replay (``repro
+  perf``), and what the ``repro stats`` digest (:mod:`repro.obs.stats`),
+  the Gantt rows of :mod:`repro.analysis.gantt` and the link fit read.
 
 Enable end to end with ``RunConfig(observe=True)`` and export with
 ``repro run ... --trace-out trace.json`` / ``repro stats trace.json``.
@@ -24,7 +25,6 @@ from repro.obs.clock import MONOTONIC, Clock, ManualClock, MonotonicClock, SimCl
 from repro.obs.export import (
     read_trace,
     to_chrome_trace,
-    to_gantt_trace,
     write_trace,
 )
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
@@ -48,7 +48,7 @@ from repro.obs.recorder import (
     ObsEvent,
 )
 from repro.obs.schedule import ScheduleTracer
-from repro.obs.stats import NodeStats, RunStats, compute_stats, format_stats, text_summary
+from repro.obs.stats import format_stats, text_summary
 
 __all__ = [
     "MONOTONIC",
@@ -58,7 +58,6 @@ __all__ = [
     "SimClock",
     "read_trace",
     "to_chrome_trace",
-    "to_gantt_trace",
     "write_trace",
     "Counter",
     "Gauge",
@@ -80,9 +79,6 @@ __all__ = [
     "NullRecorder",
     "ObsEvent",
     "ScheduleTracer",
-    "NodeStats",
-    "RunStats",
-    "compute_stats",
     "format_stats",
     "text_summary",
 ]

@@ -1,15 +1,12 @@
-"""Trace exporters and event-stream bridges.
+"""Trace export: the event stream as a Chrome/Perfetto trace file.
 
-One event stream (:mod:`repro.obs.recorder`), several consumers:
-
-- :func:`to_chrome_trace` / :func:`write_trace` — Chrome/Perfetto
-  trace-event JSON (open ``ui.perfetto.dev`` and drop the file in).
-  The file also embeds the raw event list and the metrics snapshot
-  under ``reproEvents`` / ``reproMetrics`` (Perfetto ignores unknown
-  top-level keys), so :func:`read_trace` round-trips losslessly;
-- :func:`to_gantt_trace` — feeds :mod:`repro.analysis.gantt`, which is
-  how ``RunReport.trace`` works on *every* backend, not just the
-  simulated one.
+:func:`to_chrome_trace` / :func:`write_trace` render the stream
+(:mod:`repro.obs.recorder`) as Chrome/Perfetto trace-event JSON (open
+``ui.perfetto.dev`` and drop the file in). The file also embeds the raw
+event list and the metrics snapshot under ``reproEvents`` /
+``reproMetrics`` (Perfetto ignores unknown top-level keys), so
+:func:`read_trace` round-trips losslessly — which is what ``repro
+stats`` and ``repro perf`` fold (:func:`repro.obs.prof.build_profile`).
 
 Timestamps: Chrome wants microseconds; event ``ts`` values are seconds
 in the recorder's clock domain (sim-time or ``time.monotonic``), so the
@@ -19,7 +16,7 @@ exporter rebases onto the earliest timestamp in the stream.
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.comm.messages import TaskId
 from repro.obs.recorder import ObsEvent
@@ -193,58 +190,3 @@ def read_trace(path: str) -> Tuple[Tuple[ObsEvent, ...], Optional[Dict], Dict]:
         )
     events = tuple(event_from_json(o) for o in raw)
     return events, doc.get("reproMetrics"), doc.get("otherData", {})
-
-
-# -- bridges -----------------------------------------------------------------------
-
-
-def to_gantt_trace(events: Iterable[ObsEvent]) -> Tuple:
-    """Build :class:`repro.analysis.gantt.TraceEvent` rows from the stream.
-
-    One row per *committed* (task, epoch): crashed or timed-out epochs
-    never commit and are therefore not drawn, matching the simulated
-    backend's historical trace semantics. Real-backend timestamps are
-    clamped into monotone order (the compute span is synthesized from the
-    slave-reported duration, whose clock differs from the master's).
-    """
-    from repro.analysis.gantt import TraceEvent
-
-    sends: Dict[Tuple[TaskId, int], ObsEvent] = {}
-    computes: Dict[Tuple[TaskId, int], ObsEvent] = {}
-    rows: List[TraceEvent] = []
-    for ev in sorted(events, key=lambda e: e.seq):
-        if ev.scope != "task" or ev.task_id is None:
-            continue
-        key = (ev.task_id, ev.epoch)
-        if ev.kind == "send":
-            sends[key] = ev
-        elif ev.kind == "compute":
-            computes[key] = ev
-        elif ev.kind == "commit":
-            compute = computes.get(key)
-            if compute is None:
-                continue
-            span = compute.span()
-            t0, t1 = span if span is not None else (compute.ts, compute.ts)
-            send = sends.get(key)
-            if send is not None:
-                send_span = send.span()
-                transfer_start = send_span[0] if send_span is not None else send.ts
-            else:
-                transfer_start = t0
-            transfer_start = min(transfer_start, t0)
-            compute_start = max(t0, transfer_start)
-            compute_end = max(t1, compute_start)
-            result_at = max(ev.ts, compute_end)
-            node = compute.node if compute.node >= 0 else max(ev.worker, 0)
-            rows.append(
-                TraceEvent(
-                    node=node,
-                    task_id=ev.task_id,
-                    transfer_start=transfer_start,
-                    compute_start=compute_start,
-                    compute_end=compute_end,
-                    result_at=result_at,
-                )
-            )
-    return tuple(rows)

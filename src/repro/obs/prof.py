@@ -1,4 +1,10 @@
-"""Critical-path profiling and time attribution over a recorded trace.
+"""The one post-hoc fold of a recorded trace, and ``repro perf``'s report.
+
+:func:`build_profile` is the only place that walks an event stream for
+reporting: ``repro stats`` (:mod:`repro.obs.stats`), ``repro perf``, the
+Gantt rows behind ``RunReport.trace`` and the link-fit samples all read
+the :class:`PerfProfile` its single pass returns, so they share one
+extent, one node mapping and one join of send, compute and commit.
 
 ``repro perf`` answers the questions a raw event stream leaves open:
 
@@ -27,7 +33,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.obs.metrics import Histogram
 from repro.obs.recorder import ObsEvent
-from repro.obs.stats import _ev_float
 from repro.utils.errors import ConfigError
 
 TaskKey = object  # block ids are tuples; keep the profiler shape-agnostic
@@ -38,12 +43,34 @@ TaskKey = object  # block ids are tuples; keep the profiler shape-agnostic
 BUCKETS = ("compute", "serialize", "wire", "journal", "digest", "idle")
 
 
+def _ev_float(ev: ObsEvent, key: str) -> Optional[float]:
+    """``ev.data[key]`` as a float, or None when absent/malformed."""
+    if ev.data is None:
+        return None
+    raw = ev.data.get(key)
+    if raw is None:
+        return None
+    try:
+        return float(raw)  # type: ignore[arg-type]
+    except (TypeError, ValueError):
+        return None
+
+
+@dataclass(frozen=True)
+class LinkSample:
+    """One observed message: payload size and end-to-end cost seconds."""
+
+    nbytes: int
+    seconds: float
+
+
 @dataclass
 class TaskProfile:
     """Observed costs of one committed sub-task (its committed epoch)."""
 
     task_id: TaskKey
     epoch: int = 0
+    #: Node that computed it; -1 when the trace holds no compute for it.
     node: int = -1
     #: Seconds the task sat dispatchable before assignment.
     queue_wait: float = 0.0
@@ -57,6 +84,11 @@ class TaskProfile:
     t1: float = 0.0
     #: Input payload bytes, when the trace carries them.
     nbytes_in: int = 0
+    #: When its input transfer started (the ``send`` span's start, or the
+    #: instant the master handed the envelope over); None when unseen.
+    transfer_start: Optional[float] = None
+    #: When the master committed it.
+    result_at: float = 0.0
 
     @property
     def cost(self) -> float:
@@ -66,21 +98,50 @@ class TaskProfile:
 
 @dataclass
 class PerfProfile:
-    """Everything ``repro perf`` reports about one trace."""
+    """Everything ``repro perf`` and ``repro stats`` report about one trace."""
 
-    #: Trace extent in seconds (same convention as ``repro stats``).
+    #: Trace extent in seconds: first to last task-scope timestamp.
     extent: float = 0.0
-    n_committed: int = 0
-    #: Committed task -> observed costs.
+    #: Every commit in stream order — a task recomputed after a taint
+    #: appears once per committed epoch.
+    commits: List[TaskProfile] = field(default_factory=list)
+    #: Committed task -> observed costs (its last committed epoch).
     tasks: Dict[TaskKey, TaskProfile] = field(default_factory=dict)
     #: node -> bucket -> seconds. Node -1 is the master lane.
     attribution: Dict[int, Dict[str, float]] = field(default_factory=dict)
+    #: node -> compute spans seen on it, committed epochs or not.
+    computed: Dict[int, int] = field(default_factory=dict)
     #: Queue-wait distribution across assignments (task-state time, not
     #: worker-CPU time — it overlaps other tasks' compute).
     queue_wait: Histogram = field(default_factory=Histogram)
     #: Longest compute+transfer chain through the DAG, root first.
     critical_path: List[TaskKey] = field(default_factory=list)
     critical_path_seconds: float = 0.0
+    #: Protocol messages seen by instrumented endpoints.
+    messages_sent: int = 0
+    messages_received: int = 0
+    #: Payload bytes master -> slaves / slaves -> master: message scope
+    #: when channels were instrumented, else the task-scope ``send`` /
+    #: ``result`` payload accounting (e.g. the simulated backend).
+    bytes_to_slaves: int = 0
+    bytes_to_master: int = 0
+    #: Per-message latency: ``t_ser + t_wire`` of instrumented
+    #: ``msg-send`` events, else the simulator's reserved ``send`` spans.
+    messages: List[LinkSample] = field(default_factory=list)
+    redistributes: int = 0
+    stale_drops: int = 0
+    subtask_events: int = 0
+    #: Coverage: distinct tasks ever assigned, and how many of those
+    #: never reached ``commit`` in this trace (non-zero marks a partial
+    #: trace — an aborted run or a truncated export).
+    tasks_assigned: int = 0
+    tasks_incomplete: int = 0
+    #: Raw event count per kind — the coverage footnote for partial traces.
+    kind_counts: Dict[str, int] = field(default_factory=dict)
+
+    @property
+    def n_committed(self) -> int:
+        return len(self.commits)
 
     @property
     def efficiency(self) -> float:
@@ -91,24 +152,57 @@ class PerfProfile:
             return 0.0
         return min(1.0, self.critical_path_seconds / self.extent)
 
+    @property
+    def link_samples(self) -> List[LinkSample]:
+        """The latency samples a link fit can use: positive size and
+        duration (the fit divides by byte spread)."""
+        return [s for s in self.messages if s.nbytes > 0 and s.seconds > 0]
+
     def worker_nodes(self) -> List[int]:
         return sorted(k for k in self.attribution if k >= 0)
+
+    def busy_fraction(self, makespan: float) -> Dict[int, float]:
+        """Per-node fraction of ``makespan`` spent computing."""
+        if makespan <= 0:
+            raise ValueError("makespan must be positive")
+        return {n: self.attribution[n]["compute"] / makespan for n in sorted(self.computed)}
+
+    def gantt_rows(self) -> tuple:
+        """One :class:`repro.analysis.gantt.TraceEvent` per committed
+        (task, epoch) that was seen computing: crashed or timed-out epochs
+        never commit and are not drawn. Timestamps are clamped into
+        monotone order (a real backend's compute span is synthesized from
+        the slave-reported duration, whose clock differs from the
+        master's)."""
+        from repro.analysis.gantt import TraceEvent
+
+        rows = []
+        for tp in self.commits:
+            if tp.node < 0:
+                continue
+            start = tp.t0 if tp.transfer_start is None else min(tp.transfer_start, tp.t0)
+            end = max(tp.t1, tp.t0)
+            rows.append(
+                TraceEvent(tp.node, tp.task_id, start, tp.t0, end, max(tp.result_at, end))
+            )
+        return tuple(rows)
 
 
 def build_profile(
     events: Iterable[ObsEvent], pattern=None
 ) -> PerfProfile:
-    """Fold a trace into a :class:`PerfProfile`.
+    """Fold a trace into a :class:`PerfProfile`, in one pass.
 
     ``pattern`` is the run's process-level
     :class:`~repro.dag.pattern.DAGPattern`; when given, the critical
     path is computed by joining the observed per-task costs with the
     DAG's dependency edges. Without it the profile still carries
-    attribution and queue-wait (the CLI rebuilds the pattern from the
-    trace's workload metadata when it can).
+    everything else (the CLI rebuilds the pattern from the trace's
+    workload metadata when it can).
 
     Tolerant of partial traces: tasks without commits are dropped from
-    the critical path, missing spans contribute zero, nothing raises.
+    the critical path, missing spans and malformed payload fields
+    contribute zero, nothing raises.
     """
     prof = PerfProfile()
     t_min: Optional[float] = None
@@ -124,14 +218,24 @@ def build_profile(
     # Real-backend input-transfer costs keyed by the assignment envelope's
     # identity (its first element's task and epoch).
     assign_cost: Dict[Tuple[TaskKey, int], Tuple[float, int]] = {}
+    # Payload bytes [to slaves, to master] by message and by task scope.
+    msg_bytes = [0, 0]
+    task_bytes = [0, 0]
+    sim_latency: List[LinkSample] = []
+    assigned: set = set()
 
     for ev in events:
+        prof.kind_counts[ev.kind] = prof.kind_counts.get(ev.kind, 0) + 1
         if ev.scope == "message":
+            nbytes = int(_ev_float(ev, "nbytes") or 0)
             if ev.kind == "msg-send":
+                prof.messages_sent += 1
+                msg_bytes[0] += nbytes
                 t_wire = _ev_float(ev, "t_wire")
                 t_ser = _ev_float(ev, "t_ser")
                 if t_wire is not None:
                     wire += t_wire
+                    prof.messages.append(LinkSample(nbytes, t_wire + (t_ser or 0.0)))
                 if t_ser is not None:
                     serialize += t_ser
                 if (
@@ -139,10 +243,11 @@ def build_profile(
                     and ev.data.get("type") == "BatchAssign"
                     and ev.task_id is not None
                 ):
-                    nbytes = int(_ev_float(ev, "nbytes") or 0)
                     secs = (t_wire or 0.0) + (t_ser or 0.0)
                     assign_cost[(ev.task_id, ev.epoch)] = (secs, nbytes)
             elif ev.kind == "msg-recv":
+                prof.messages_received += 1
+                msg_bytes[1] += nbytes
                 # Receive-side costs (pipe transport): the post-poll
                 # pipe read is the wire copy, the unpickle is
                 # serialization work. Counting both keeps the inline
@@ -162,6 +267,8 @@ def build_profile(
                 if span is not None:
                     serialize += span[1] - span[0]
             continue
+        if ev.scope == "subtask":
+            prof.subtask_events += 1
         if ev.scope != "task":
             continue
         span = ev.span()
@@ -170,31 +277,42 @@ def build_profile(
         t_min = lo if t_min is None or lo < t_min else t_min
         t_max = hi if t_max is None or hi > t_max else t_max
         key = (ev.task_id, ev.epoch)
-        if ev.kind == "queue-wait" and span is not None:
-            prof.queue_wait.observe(span[1] - span[0])
-            pending.setdefault(
-                key, TaskProfile(ev.task_id, ev.epoch)
-            ).queue_wait = span[1] - span[0]
-        elif ev.kind == "send" and span is not None:
-            # Simulated backends record the reserved input transfer as a
-            # task-scope span on the receiving node.
+        kind = ev.kind
+        if kind == "queue-wait" and span is not None:
+            prof.queue_wait.observe(hi - lo)
+            pending.setdefault(key, TaskProfile(ev.task_id, ev.epoch)).queue_wait = hi - lo
+        elif kind == "send":
+            nbytes = int(_ev_float(ev, "nbytes") or 0)
+            task_bytes[0] += nbytes
             tp = pending.setdefault(key, TaskProfile(ev.task_id, ev.epoch))
-            tp.comm_in = span[1] - span[0]
-            tp.nbytes_in = int(_ev_float(ev, "nbytes") or 0)
-            wire += span[1] - span[0]
-        elif ev.kind == "compute" and span is not None:
+            tp.transfer_start = lo
+            if span is not None:
+                # Simulated backends record the reserved input transfer as
+                # a task-scope span on the receiving node.
+                tp.comm_in = hi - lo
+                tp.nbytes_in = nbytes
+                wire += hi - lo
+                sim_latency.append(LinkSample(nbytes, hi - lo))
+        elif kind == "compute":
             tp = pending.setdefault(key, TaskProfile(ev.task_id, ev.epoch))
             tp.node = ev.node
-            tp.compute = span[1] - span[0]
-            tp.t0, tp.t1 = span
-            compute[ev.node] = compute.get(ev.node, 0.0) + (span[1] - span[0])
-        elif ev.kind == "journal-write" and span is not None:
-            journal[ev.node] = journal.get(ev.node, 0.0) + (span[1] - span[0])
-        elif ev.kind == "digest-compute" and span is not None:
-            digest[ev.node] = digest.get(ev.node, 0.0) + (span[1] - span[0])
-        elif ev.kind == "checkpoint" and span is not None:
-            journal[ev.node] = journal.get(ev.node, 0.0) + (span[1] - span[0])
-        elif ev.kind == "commit" and ev.task_id is not None:
+            tp.compute = hi - lo
+            tp.t0, tp.t1 = lo, hi
+            compute[ev.node] = compute.get(ev.node, 0.0) + (hi - lo)
+            prof.computed[ev.node] = prof.computed.get(ev.node, 0) + 1
+        elif kind in ("journal-write", "checkpoint") and span is not None:
+            journal[ev.node] = journal.get(ev.node, 0.0) + (hi - lo)
+        elif kind == "digest-compute" and span is not None:
+            digest[ev.node] = digest.get(ev.node, 0.0) + (hi - lo)
+        elif kind == "assign" and ev.task_id is not None:
+            assigned.add(ev.task_id)
+        elif kind == "result":
+            task_bytes[1] += int(_ev_float(ev, "nbytes") or 0)
+        elif kind == "redistribute":
+            prof.redistributes += 1
+        elif kind == "stale-drop":
+            prof.stale_drops += 1
+        elif kind == "commit" and ev.task_id is not None:
             tp = pending.pop(key, None)
             if tp is None:
                 tp = TaskProfile(ev.task_id, ev.epoch)
@@ -202,11 +320,17 @@ def build_profile(
                 secs, nbytes = assign_cost.get(key, (0.0, 0))
                 tp.comm_in = secs
                 tp.nbytes_in = tp.nbytes_in or nbytes
+            tp.result_at = ev.ts
             prof.tasks[ev.task_id] = tp
-            prof.n_committed += 1
+            prof.commits.append(tp)
 
     if t_min is not None and t_max is not None:
         prof.extent = t_max - t_min
+    messaged = prof.messages_sent or prof.messages_received
+    prof.bytes_to_slaves, prof.bytes_to_master = msg_bytes if messaged else task_bytes
+    prof.messages = prof.messages or sim_latency
+    prof.tasks_assigned = len(assigned)
+    prof.tasks_incomplete = len(assigned.difference(prof.tasks))
 
     # -- attribution table: one row per lane, rows sum to the extent --------
     nodes = set(compute) | set(journal) | set(digest)
@@ -275,7 +399,8 @@ def replay_schedule(
     what-if estimator: ``comm_scale=0`` bounds the zero-communication
     speedup, larger ``n_workers`` bounds the more-hardware speedup. It
     ignores master-side serialization, so it is optimistic — a *bound*,
-    not a prediction.
+    not a prediction. Tasks past a dependency gap (a partial trace) are
+    unreachable and left out of the makespan.
     """
     if n_workers < 1:
         raise ConfigError(f"replay needs >= 1 worker, got {n_workers}")
@@ -293,7 +418,6 @@ def replay_schedule(
     heapq.heapify(workers)
     done_at: Dict[TaskKey, float] = {}
     makespan = 0.0
-    scheduled = 0
     while ready:
         ready_t, _, vid = heapq.heappop(ready)
         free_t = heapq.heappop(workers)
@@ -303,7 +427,6 @@ def replay_schedule(
         heapq.heappush(workers, finish)
         done_at[vid] = finish
         makespan = max(makespan, finish)
-        scheduled += 1
         for succ in pattern.successors(vid):
             if succ not in indegree:
                 continue
@@ -315,10 +438,6 @@ def replay_schedule(
                 )
                 heapq.heappush(ready, (succ_ready, tick, succ))
                 tick += 1
-    if scheduled != len(tasks):
-        # Dependency gap (partial trace): the unscheduled remainder is
-        # unreachable; report what did schedule rather than hanging.
-        pass
     return makespan
 
 

@@ -1,187 +1,24 @@
-"""Post-hoc statistics over a recorded event stream (``repro stats``).
+"""The ``repro stats`` digest of a recorded event stream.
 
 Answers the questions the paper's figures ask of a schedule — who was
 busy, who idled, how much data crossed the wire, how often fault
-tolerance fired — from a saved trace file alone, with no re-run.
+tolerance fired — from a saved trace file alone, with no re-run. The
+numbers come from :func:`repro.obs.prof.build_profile`'s one pass; this
+module only lays them out.
 
-The fold is deliberately tolerant: a *partial* trace (a run that
-aborted, a journal-resumed prefix, a file truncated mid-export) still
-produces a digest, annotated with what is missing, rather than raising.
+A *partial* trace (a run that aborted, a journal-resumed prefix, a file
+truncated mid-export) still produces a digest, annotated with what is
+missing, rather than raising.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
+from repro.analysis.report import _human_bytes
 from repro.obs.metrics import Histogram
+from repro.obs.prof import PerfProfile, build_profile
 from repro.obs.recorder import ObsEvent
-
-
-@dataclass
-class NodeStats:
-    """Per-compute-node digest."""
-
-    tasks: int = 0
-    busy_seconds: float = 0.0
-    idle_seconds: float = 0.0
-
-    @property
-    def busy_fraction(self) -> float:
-        total = self.busy_seconds + self.idle_seconds
-        return self.busy_seconds / total if total > 0 else 0.0
-
-
-@dataclass
-class RunStats:
-    """Digest of one run's telemetry stream."""
-
-    #: Trace extent in seconds (first to last task-scope timestamp).
-    extent: float = 0.0
-    nodes: Dict[int, NodeStats] = field(default_factory=dict)
-    tasks_committed: int = 0
-    redistributes: int = 0
-    stale_drops: int = 0
-    #: Payload bytes master -> slaves / slaves -> master.
-    bytes_to_slaves: int = 0
-    bytes_to_master: int = 0
-    #: Individual protocol messages seen by instrumented endpoints.
-    messages_sent: int = 0
-    messages_received: int = 0
-    subtask_events: int = 0
-    #: Coverage: distinct tasks ever assigned, and how many of those
-    #: never reached ``commit`` in this trace (non-zero marks a partial
-    #: trace — an aborted run or a truncated export).
-    tasks_assigned: int = 0
-    tasks_incomplete: int = 0
-    #: Raw event count per kind — the coverage footnote for partial
-    #: traces, and a cheap sanity check that expected kinds are present.
-    kind_counts: Dict[str, int] = field(default_factory=dict)
-    #: Queue-wait seconds per assignment (``queue-wait`` spans), when
-    #: the trace carries them.
-    queue_wait: Optional[Histogram] = None
-    #: Per-message latency seconds: ``t_ser + t_wire`` from instrumented
-    #: channels, or the simulated backend's reserved ``send`` spans.
-    msg_latency: Optional[Histogram] = None
-
-    @property
-    def tasks_per_second(self) -> float:
-        return self.tasks_committed / self.extent if self.extent > 0 else 0.0
-
-
-def _ev_float(ev: ObsEvent, key: str) -> Optional[float]:
-    """``ev.data[key]`` as a float, or None when absent/malformed."""
-    if ev.data is None:
-        return None
-    raw = ev.data.get(key)
-    if raw is None:
-        return None
-    try:
-        return float(raw)  # type: ignore[arg-type]
-    except (TypeError, ValueError):
-        return None
-
-
-def _ev_nbytes(ev: ObsEvent) -> int:
-    value = _ev_float(ev, "nbytes")
-    return int(value) if value is not None else 0
-
-
-def compute_stats(events: Iterable[ObsEvent]) -> RunStats:
-    """Fold an event stream into a :class:`RunStats`.
-
-    Busy time per node comes from ``compute`` span extents; idle time is
-    the remainder of the trace extent. Bytes on the wire prefer
-    message-scope events (exact, per endpoint) and fall back to the
-    task-scope ``send``/``result`` payload accounting when channels were
-    not instrumented (e.g. the simulated backend).
-
-    Never raises on partial traces: missing spans, absent payload
-    fields, and tasks that never committed all degrade to coverage
-    annotations on the result.
-    """
-    stats = RunStats()
-    t_min: Optional[float] = None
-    t_max: Optional[float] = None
-    msg_sent_bytes = 0
-    msg_recv_bytes = 0
-    task_send_bytes = 0
-    task_result_bytes = 0
-    assigned: set = set()
-    committed: set = set()
-    queue_wait = Histogram()
-    msg_latency = Histogram()
-    sim_send_latency = Histogram()
-
-    for ev in events:
-        stats.kind_counts[ev.kind] = stats.kind_counts.get(ev.kind, 0) + 1
-        if ev.scope == "message":
-            nbytes = _ev_nbytes(ev)
-            if ev.kind == "msg-send":
-                stats.messages_sent += 1
-                msg_sent_bytes += nbytes
-                t_wire = _ev_float(ev, "t_wire")
-                if t_wire is not None:
-                    msg_latency.observe(t_wire + (_ev_float(ev, "t_ser") or 0.0))
-            elif ev.kind == "msg-recv":
-                stats.messages_received += 1
-                msg_recv_bytes += nbytes
-            continue
-        if ev.scope == "subtask":
-            stats.subtask_events += 1
-            continue
-        if ev.scope != "task":
-            continue
-        span = ev.span()
-        lo = span[0] if span is not None else ev.ts
-        hi = span[1] if span is not None else ev.ts
-        t_min = lo if t_min is None or lo < t_min else t_min
-        t_max = hi if t_max is None or hi > t_max else t_max
-        if ev.kind == "compute":
-            node = stats.nodes.setdefault(max(ev.node, 0), NodeStats())
-            node.tasks += 1
-            if span is not None:
-                node.busy_seconds += span[1] - span[0]
-        elif ev.kind == "assign":
-            if ev.task_id is not None:
-                assigned.add(ev.task_id)
-        elif ev.kind == "commit":
-            stats.tasks_committed += 1
-            if ev.task_id is not None:
-                committed.add(ev.task_id)
-        elif ev.kind == "redistribute":
-            stats.redistributes += 1
-        elif ev.kind == "stale-drop":
-            stats.stale_drops += 1
-        elif ev.kind == "queue-wait":
-            if span is not None:
-                queue_wait.observe(span[1] - span[0])
-        elif ev.kind == "send":
-            task_send_bytes += _ev_nbytes(ev)
-            if span is not None:
-                sim_send_latency.observe(span[1] - span[0])
-        elif ev.kind == "result":
-            task_result_bytes += _ev_nbytes(ev)
-
-    if t_min is not None and t_max is not None:
-        stats.extent = t_max - t_min
-    for node in stats.nodes.values():
-        node.idle_seconds = max(0.0, stats.extent - node.busy_seconds)
-    if stats.messages_sent or stats.messages_received:
-        stats.bytes_to_slaves = msg_sent_bytes
-        stats.bytes_to_master = msg_recv_bytes
-    else:
-        stats.bytes_to_slaves = task_send_bytes
-        stats.bytes_to_master = task_result_bytes
-    stats.tasks_assigned = len(assigned)
-    stats.tasks_incomplete = len(assigned - committed)
-    if queue_wait.count:
-        stats.queue_wait = queue_wait
-    if msg_latency.count:
-        stats.msg_latency = msg_latency
-    elif sim_send_latency.count:
-        stats.msg_latency = sim_send_latency
-    return stats
 
 
 def _percentile_line(label: str, hist: Histogram) -> str:
@@ -192,52 +29,49 @@ def _percentile_line(label: str, hist: Histogram) -> str:
     )
 
 
-def format_stats(stats: RunStats, *, title: str = "run stats") -> str:
+def format_stats(prof: PerfProfile, *, title: str = "run stats") -> str:
     """Human-readable multi-line digest (the ``repro stats`` output)."""
+    rate = prof.n_committed / prof.extent if prof.extent > 0 else 0.0
     lines = [
-        f"{title}: {stats.tasks_committed} tasks committed over {stats.extent:.6g} s "
-        f"({stats.tasks_per_second:.4g} tasks/s)",
-        f"  faults        : {stats.redistributes} redistributed, "
-        f"{stats.stale_drops} stale dropped",
-        f"  bytes on wire : {_human_bytes(stats.bytes_to_slaves)} to slaves, "
-        f"{_human_bytes(stats.bytes_to_master)} to master",
+        f"{title}: {prof.n_committed} tasks committed over {prof.extent:.6g} s "
+        f"({rate:.4g} tasks/s)",
+        f"  faults        : {prof.redistributes} redistributed, "
+        f"{prof.stale_drops} stale dropped",
+        f"  bytes on wire : {_human_bytes(prof.bytes_to_slaves)} to slaves, "
+        f"{_human_bytes(prof.bytes_to_master)} to master",
     ]
-    if stats.messages_sent or stats.messages_received:
+    if prof.messages_sent or prof.messages_received:
         lines.append(
-            f"  messages      : {stats.messages_sent} sent, "
-            f"{stats.messages_received} received"
+            f"  messages      : {prof.messages_sent} sent, "
+            f"{prof.messages_received} received"
         )
-    if stats.queue_wait is not None:
-        lines.append(_percentile_line("queue wait    ", stats.queue_wait))
-    if stats.msg_latency is not None:
-        lines.append(_percentile_line("msg latency   ", stats.msg_latency))
-    if stats.subtask_events:
-        lines.append(f"  subtask events: {stats.subtask_events}")
-    if stats.tasks_incomplete:
+    if prof.queue_wait.count:
+        lines.append(_percentile_line("queue wait    ", prof.queue_wait))
+    if prof.messages:
+        latency = Histogram()
+        for sample in prof.messages:
+            latency.observe(sample.seconds)
+        lines.append(_percentile_line("msg latency   ", latency))
+    if prof.subtask_events:
+        lines.append(f"  subtask events: {prof.subtask_events}")
+    if prof.tasks_incomplete:
         lines.append(
-            f"  coverage      : PARTIAL trace — {stats.tasks_incomplete} of "
-            f"{stats.tasks_assigned} assigned tasks never committed"
+            f"  coverage      : PARTIAL trace — {prof.tasks_incomplete} of "
+            f"{prof.tasks_assigned} assigned tasks never committed"
         )
-        kinds = ", ".join(f"{k}={n}" for k, n in sorted(stats.kind_counts.items()))
+        kinds = ", ".join(f"{k}={n}" for k, n in sorted(prof.kind_counts.items()))
         lines.append(f"  event kinds   : {kinds}")
-    if stats.nodes:
+    if prof.computed:
         lines.append("  per-worker busy/idle:")
-        for k in sorted(stats.nodes):
-            n = stats.nodes[k]
+        for k in sorted(prof.computed):
+            busy = prof.attribution[k]["compute"]
+            idle = max(0.0, prof.extent - busy)
+            frac = busy / (busy + idle) if busy + idle > 0 else 0.0
             lines.append(
-                f"    node {k:2d} : busy {n.busy_seconds:.6g} s, "
-                f"idle {n.idle_seconds:.6g} s ({n.busy_fraction:.1%} busy, "
-                f"{n.tasks} tasks)"
+                f"    node {k:2d} : busy {busy:.6g} s, idle {idle:.6g} s "
+                f"({frac:.1%} busy, {prof.computed[k]} tasks)"
             )
     return "\n".join(lines)
-
-
-def _human_bytes(n: float) -> str:
-    for unit in ("B", "KiB", "MiB", "GiB"):
-        if abs(n) < 1024.0:
-            return f"{n:.1f} {unit}"
-        n /= 1024.0
-    return f"{n:.1f} TiB"
 
 
 def text_summary(
@@ -247,7 +81,7 @@ def text_summary(
     title: str = "run stats",
 ) -> str:
     """Stats digest plus a metrics-snapshot appendix."""
-    out = [format_stats(compute_stats(events), title=title)]
+    out = [format_stats(build_profile(events), title=title)]
     if metrics:
         counters = metrics.get("counters") or {}
         gauges = metrics.get("gauges") or {}

@@ -5,9 +5,12 @@ import pytest
 
 from repro import EasyHPS, RunConfig
 from repro.algorithms import EditDistance, Nussinov, SmithWatermanGG
-from repro.analysis.gantt import TraceEvent, busy_fraction, critical_tail, render_gantt
+from repro.analysis.gantt import TraceEvent, critical_tail, render_gantt
 from repro.backends.simulated import run_simulated
 from repro.cluster.faults import FaultPlan, FaultRule
+from repro.obs.clock import ManualClock
+from repro.obs.prof import build_profile
+from repro.obs.recorder import EventRecorder
 from repro.runtime.easypdp import run_easypdp
 
 
@@ -84,7 +87,17 @@ class TestGanttRendering:
             TraceEvent(0, (0, 0), 5.0, 1.0, 2.0, 3.0)
 
     def test_busy_fraction(self):
-        fractions = busy_fraction(self._trace(), makespan=10.0)
+        # The rows as the events that record them; the profile's fold gives
+        # the rows back and sums each node's compute.
+        rec = EventRecorder(ManualClock())
+        for e in self._trace():
+            rec.emit("send", e.task_id, epoch=0, node=e.node, ts=e.transfer_start)
+            rec.emit("compute", e.task_id, epoch=0, node=e.node, ts=e.compute_end,
+                     t0=e.compute_start, t1=e.compute_end)
+            rec.emit("commit", e.task_id, epoch=0, ts=e.result_at)
+        prof = build_profile(rec.events())
+        assert list(prof.gantt_rows()) == self._trace()
+        fractions = prof.busy_fraction(makespan=10.0)
         assert fractions[0] == pytest.approx((4.0 + 4.0) / 10.0)
         assert fractions[1] == pytest.approx(0.3)
 

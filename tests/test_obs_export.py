@@ -1,4 +1,5 @@
-"""Exporter tests: Perfetto JSON schema, lossless round-trip, bridges."""
+"""Exporter tests: Perfetto JSON schema, lossless round-trip, and the
+stream's consumers (the replay, the profile's Gantt rows and digest)."""
 
 import json
 
@@ -12,12 +13,12 @@ from repro.obs.export import (
     event_to_json,
     read_trace,
     to_chrome_trace,
-    to_gantt_trace,
     write_trace,
 )
 from repro.obs.clock import ManualClock
+from repro.obs.prof import build_profile
 from repro.obs.recorder import EventRecorder, ObsEvent
-from repro.obs.stats import compute_stats, format_stats, text_summary
+from repro.obs.stats import format_stats, text_summary
 
 
 def _lifecycle_stream():
@@ -106,7 +107,7 @@ class TestBridges:
         )
 
     def test_to_gantt_trace_rows(self):
-        rows = to_gantt_trace(_lifecycle_stream())
+        rows = build_profile(_lifecycle_stream()).gantt_rows()
         assert len(rows) == 2
         for row in rows:
             assert row.transfer_start <= row.compute_start
@@ -123,32 +124,34 @@ class TestBridges:
         rec.emit("assign", (0, 0), epoch=1, node=1, ts=5.0)
         rec.emit("compute", (0, 0), epoch=1, node=1, ts=6.0, t0=5.0, t1=6.0)
         rec.emit("commit", (0, 0), epoch=1, node=1, ts=6.0)
-        rows = to_gantt_trace(rec.events())
+        rows = build_profile(rec.events()).gantt_rows()
         assert len(rows) == 1
         assert rows[0].node == 1
 
 
 class TestStats:
     def test_compute_stats(self):
-        stats = compute_stats(_lifecycle_stream())
-        assert stats.tasks_committed == 2
-        assert stats.extent == pytest.approx(14.0)
-        assert stats.nodes[0].busy_seconds == pytest.approx(2.0)
-        assert stats.nodes[1].busy_seconds == pytest.approx(2.0)
-        assert stats.nodes[0].idle_seconds == pytest.approx(12.0)
+        prof = build_profile(_lifecycle_stream())
+        assert prof.n_committed == 2
+        assert prof.extent == pytest.approx(14.0)
+        assert prof.computed == {0: 1, 1: 1}
+        assert prof.attribution[0]["compute"] == pytest.approx(2.0)
+        assert prof.attribution[1]["compute"] == pytest.approx(2.0)
         # Message-scope events take precedence for wire accounting.
-        assert stats.messages_sent == 2
-        assert stats.bytes_to_slaves == 216
+        assert prof.messages_sent == 2
+        assert prof.bytes_to_slaves == 216
+        text = format_stats(prof)
+        assert "node  0 : busy 2 s, idle 12 s (14.3% busy, 1 tasks)" in text
 
     def test_task_scope_fallback_for_bytes(self):
         events = tuple(e for e in _lifecycle_stream() if e.scope != "message")
-        stats = compute_stats(events)
-        assert stats.messages_sent == 0
-        assert stats.bytes_to_slaves == 200  # from task-scope send nbytes
-        assert stats.bytes_to_master == 100  # from task-scope result nbytes
+        prof = build_profile(events)
+        assert prof.messages_sent == 0
+        assert prof.bytes_to_slaves == 200  # from task-scope send nbytes
+        assert prof.bytes_to_master == 100  # from task-scope result nbytes
 
     def test_format_stats_mentions_required_lines(self):
-        text = format_stats(compute_stats(_lifecycle_stream()), title="t")
+        text = format_stats(build_profile(_lifecycle_stream()), title="t")
         assert "per-worker busy/idle" in text
         assert "bytes on wire" in text
 

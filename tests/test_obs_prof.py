@@ -1,17 +1,16 @@
 """Profiler tests: PROF kinds round-trip, critical path, attribution,
-link calibration, what-if replay, histogram percentiles, partial traces."""
+link calibration, what-if replay, histogram percentiles, partial traces,
+and the guard that the profile is the stream's only reporting fold."""
 
+import ast
 import json
 import math
+from pathlib import Path
 
 import pytest
 
-from repro.analysis.calibration import (
-    LinkSample,
-    fit_link,
-    link_fit_report,
-    link_samples_from_events,
-)
+import repro
+from repro.analysis.calibration import LinkSample, fit_link, link_fit_report
 from repro.cluster.network import LinkModel
 from repro.dag.library import get_pattern
 from repro.obs.clock import ManualClock
@@ -25,7 +24,7 @@ from repro.obs.prof import (
     what_if,
 )
 from repro.obs.recorder import PROF_KINDS, EventRecorder
-from repro.obs.stats import compute_stats, format_stats
+from repro.obs.stats import format_stats
 from repro.utils.errors import ConfigError
 
 
@@ -226,14 +225,14 @@ class TestLinkCalibration:
         rec.emit("msg-send", (0, 1), epoch=0, scope="message",
                  nbytes=2000, type="TaskAssign", t_wire=2e-5, t_ser=2e-6)
         rec.emit("msg-recv", (0, 0), epoch=0, scope="message", nbytes=500)
-        samples = link_samples_from_events(rec.events())
+        samples = build_profile(rec.events()).link_samples
         assert [s.nbytes for s in samples] == [1000, 2000]
         assert samples[0].seconds == pytest.approx(1.1e-5)
 
     def test_samples_fall_back_to_sim_send_spans(self):
         rec = EventRecorder(ManualClock())
         rec.emit("send", (0, 0), epoch=0, node=0, ts=0.0, t0=0.0, t1=0.25, nbytes=100)
-        samples = link_samples_from_events(rec.events())
+        samples = build_profile(rec.events()).link_samples
         assert samples == [LinkSample(nbytes=100, seconds=0.25)]
 
     def test_report_mentions_reference_diff(self):
@@ -284,32 +283,34 @@ class TestPartialTraces:
     def test_compute_stats_never_raises_on_truncation(self):
         events = _prof_stream()
         for cut in range(len(events) + 1):
-            stats = compute_stats(events[:cut])
-            format_stats(stats)  # must render too
+            prof = build_profile(events[:cut])
+            format_stats(prof)  # must render too
+            prof.gantt_rows()
 
     def test_coverage_note_on_incomplete_tasks(self):
         rec = EventRecorder(ManualClock())
         rec.emit("assign", (0, 0), epoch=0, node=-1, worker=0, ts=0.0)
         rec.emit("assign", (0, 1), epoch=0, node=-1, worker=1, ts=0.5)
         rec.emit("commit", (0, 0), epoch=0, node=-1, worker=0, ts=1.0)
-        stats = compute_stats(rec.events())
-        assert stats.tasks_assigned == 2
-        assert stats.tasks_incomplete == 1
-        text = format_stats(stats)
+        prof = build_profile(rec.events())
+        assert prof.tasks_assigned == 2
+        assert prof.tasks_incomplete == 1
+        text = format_stats(prof)
         assert "PARTIAL" in text
         assert "event kinds" in text
 
     def test_complete_trace_has_no_coverage_note(self):
-        stats = compute_stats(_prof_stream())
-        assert stats.tasks_incomplete == 0
-        assert "PARTIAL" not in format_stats(stats)
+        prof = build_profile(_prof_stream())
+        assert prof.tasks_incomplete == 0
+        assert "PARTIAL" not in format_stats(prof)
 
     def test_malformed_payload_fields_degrade_to_zero(self):
         rec = EventRecorder(ManualClock())
         rec.emit("send", (0, 0), epoch=0, node=0, ts=0.0, nbytes="junk")
         rec.emit("msg-send", (0, 0), epoch=0, scope="message", nbytes=None)
-        stats = compute_stats(rec.events())
-        assert stats.bytes_to_slaves == 0
+        prof = build_profile(rec.events())
+        assert prof.bytes_to_slaves == 0
+        assert prof.link_samples == []
 
     def test_build_profile_tolerates_partial_trace(self):
         events = _prof_stream()
@@ -323,6 +324,61 @@ class TestPartialTraces:
         rec.emit("queue-wait", (0, 0), epoch=0, ts=1.0, t0=0.0, t1=1.0)
         rec.emit("msg-send", (0, 0), epoch=0, scope="message",
                  nbytes=10, t_wire=1e-5, t_ser=1e-6)
-        text = format_stats(compute_stats(rec.events()))
+        text = format_stats(build_profile(rec.events()))
         assert "queue wait" in text
         assert "msg latency" in text
+
+
+SRC = Path(repro.__file__).parent
+
+#: The stream's readers allowed to branch on an event's kind: the fold
+#: itself, the Chrome writer (one slice per event, no join) and the
+#: protocol replay (ledger kinds into a fresh dispatch core).
+STREAM_READERS = ("obs/prof.py", "obs/export.py", "check/trace_check.py")
+#: The lifecycle kinds a fold joins on.
+FOLD_KINDS = {"send", "compute", "commit", "msg-send"}
+
+
+def _names_fold_kind(node: ast.expr) -> bool:
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return any(_names_fold_kind(e) for e in node.elts)
+    return isinstance(node, ast.Constant) and node.value in FOLD_KINDS
+
+
+class TestOneFold:
+    def test_only_the_profile_folds_the_stream(self):
+        """Outside the stream readers no module compares ``<x>.kind`` with
+        a lifecycle kind or reads an event's span: a second fold (its own
+        extent, node mapping or send/compute/commit join) fails here."""
+        found = []
+        for path in sorted(SRC.rglob("*.py")):
+            rel = path.relative_to(SRC).as_posix()
+            if rel in STREAM_READERS:
+                continue
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, ast.Compare):
+                    sides = [node.left, *node.comparators]
+                    if any(
+                        isinstance(s, ast.Attribute) and s.attr == "kind" for s in sides
+                    ) and any(_names_fold_kind(s) for s in sides):
+                        found.append((rel, node.lineno, ast.unparse(node)))
+                elif (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "span"
+                    and not node.args
+                ):
+                    found.append((rel, node.lineno, ast.unparse(node)))
+        assert found == []
+
+    def test_the_retired_folds_are_gone(self):
+        retired = {"compute_stats", "RunStats", "NodeStats", "to_gantt_trace",
+                   "link_samples_from_events", "busy_fraction"}
+        defined = [
+            (path.relative_to(SRC).as_posix(), node.name)
+            for path in sorted(SRC.rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in retired
+        ]
+        # The profile's own busy fraction is a view of its attribution.
+        assert defined == [("obs/prof.py", "busy_fraction")]

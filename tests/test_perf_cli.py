@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro import EasyHPS, RunConfig
+from repro.algorithms import ALGORITHMS, make_problem
 from repro.cli import main
+from repro.utils.errors import MasterCrash
 
 
 class TestPerfTraceReports:
@@ -44,6 +47,39 @@ class TestPerfTraceReports:
         assert main(["perf"] + traces) == 0
         out = capsys.readouterr().out
         assert out.count("time attribution") == 2
+
+    def test_resumed_trace_joins_the_dag(self, tmp_path, capsys):
+        """``repro resume --trace-out`` writes the workload metadata ``repro
+        run`` writes, so the continued run's trace gets a critical path."""
+        journal = str(tmp_path / "run.journal")
+        config = RunConfig(backend="threads", nodes=2, journal_path=journal,
+                           journal_fsync=False, journal_kill_after=10)
+        with pytest.raises(MasterCrash):
+            EasyHPS(config).run(make_problem("edit-distance", 96, 0))
+        trace = tmp_path / "resume.json"
+        assert main(["resume", journal, "--trace-out", str(trace)]) == 0
+        capsys.readouterr()
+        assert main(["perf", str(trace)]) == 0
+        out = capsys.readouterr().out
+        assert "54 committed tasks" in out
+        assert "unavailable" not in out
+        assert "sched efficiency" in out
+
+    @pytest.mark.parametrize("name", sorted(ALGORITHMS))
+    def test_problem_size_rebuilds_its_dag_at_any_seed(self, name):
+        """What a resumed trace records as its size (the seed is not
+        journaled) rebuilds the instance's process-level DAG."""
+        problem = make_problem(name, 40, 3)
+        if name == "cyk":
+            assert problem.size is None  # the sentence's length is seeded
+            return
+        proc, _ = RunConfig().partitions_for(problem)
+        dags = [p.build_partition(proc).abstract
+                for p in (problem, make_problem(name, problem.size, 0))]
+        orders = [list(dag.topological_order()) for dag in dags]
+        assert orders[0] == orders[1]
+        assert all(set(dags[0].predecessors(v)) == set(dags[1].predecessors(v))
+                   for v in orders[0])
 
     def test_usage_error_without_inputs(self):
         with pytest.raises(SystemExit, match="nothing to do"):
