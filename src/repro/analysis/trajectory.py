@@ -17,7 +17,8 @@ Wall times of the real backends are recorded but never compared: one
 un-repeated sub-second run cannot gate anything. Timing regressions are
 ``bench/``'s job (repeats, reference-block normalisation, a noise-derived
 bound — ``BENCHMARK.json``). An entry that records a claimed gain carries
-``bench/``'s numbers for it as a ``bench`` object (:data:`BENCH_CLAIM_KEYS`).
+``bench/``'s numbers for it as a ``bench`` object (:data:`BENCH_CLAIM_KEYS`,
+optionally with every run pair, :data:`BENCH_CLAIM_PAIRS`).
 """
 
 from __future__ import annotations
@@ -63,10 +64,18 @@ EXACT = tuple(
 #: regression bound from ``BENCHMARK.json`` and the parent commit's median.
 BENCH_CLAIM_KEYS = ("median", "runs", "bound", "parent_median")
 
+#: Optional beside them: every alternating run pair, ``[parent, change]``,
+#: one per run.
+BENCH_CLAIM_PAIRS = "pairs"
+
+
+def _positive(v: object) -> bool:
+    return type(v) in (int, float) and v > 0  # type: ignore[operator]
+
 
 def check_bench(bench: object) -> None:
     """Raise :class:`ConfigError` unless ``bench`` is a well-formed
-    ``{workload: {metric: {median, runs, bound, parent_median}}}``."""
+    ``{workload: {metric: {median, runs, bound, parent_median[, pairs]}}}``."""
     if not isinstance(bench, dict) or not bench:
         raise ConfigError("bench must be a non-empty {workload: {metric: claim}} mapping")
     for workload, metrics in bench.items():
@@ -74,12 +83,30 @@ def check_bench(bench: object) -> None:
             raise ConfigError(f"bench[{workload!r}] must be a non-empty {{metric: claim}} mapping")
         for metric, claim in metrics.items():
             where = f"bench[{workload!r}][{metric!r}]"
-            if not isinstance(claim, dict) or set(claim) != set(BENCH_CLAIM_KEYS):
-                raise ConfigError(f"{where} must have exactly the keys {BENCH_CLAIM_KEYS}")
-            numbers = all(type(v) in (int, float) and v > 0 for v in claim.values())
+            if not isinstance(claim, dict) or set(claim) - {BENCH_CLAIM_PAIRS} != set(
+                BENCH_CLAIM_KEYS
+            ):
+                raise ConfigError(
+                    f"{where} must have exactly the keys {BENCH_CLAIM_KEYS} "
+                    f"(and optionally {BENCH_CLAIM_PAIRS!r})"
+                )
+            numbers = all(_positive(claim[k]) for k in BENCH_CLAIM_KEYS)
             if not numbers or type(claim["runs"]) is not int:
                 raise ConfigError(
                     f"{where}: every value must be a positive number and runs a whole one: {claim}"
+                )
+            pairs = claim.get(BENCH_CLAIM_PAIRS)
+            if pairs is not None and not (
+                isinstance(pairs, list)
+                and len(pairs) == claim["runs"]
+                and all(
+                    isinstance(p, list) and len(p) == 2 and all(map(_positive, p))
+                    for p in pairs
+                )
+            ):
+                raise ConfigError(
+                    f"{where}: {BENCH_CLAIM_PAIRS} must list runs [parent, change] "
+                    f"pairs of positive numbers: {pairs}"
                 )
 
 

@@ -678,16 +678,62 @@ class _SimulatedRun:
         parts: List[Tuple[TaskId, int]],
         reject: Optional[Tuple[TaskId, int]] = None,
     ) -> None:
-        """One result envelope landed: commit every element, then go idle once."""
+        """One result envelope landed: journal its live elements as one
+        group, commit every element, then go idle once."""
         self._account()
         self.core.heard_from(k, self.evq.now)
         if reject is not None:
             self._apply(self.core.digest_reject(reject[0], reject[1], k))
+        journaled = self._journal_group(parts) if self.journal is not None else []
+        landed = set()
         for i, (bid, epoch) in enumerate(parts):
             # As on the assign side, the envelope's own bytes ride on the
             # first element's span.
-            self._commit_result(bid, epoch, k, 0 if i else MESSAGE_ENVELOPE_BYTES)
+            if self._commit_result(bid, epoch, k, 0 if i else MESSAGE_ENVELOPE_BYTES):
+                landed.add((bid, epoch))
+        evicted = tuple(b for b, e in journaled if (b, e) not in landed)
+        if evicted:
+            # A conviction earlier in the envelope evicted these after the
+            # group was journaled: revoke their records.
+            self._journal_invalidate(evicted)
+        if self.journal is not None and self.journal.should_checkpoint():
+            # Once per group, after every merge: a checkpoint between two
+            # merges would compact away the rest of the group's records.
+            nbytes = self._checkpoint()
+            c0 = max(self.master_cpu_free, self.evq.now)
+            self.master_cpu_free = c0 + self.config.journal_latency
+            if self.obs is not None:
+                self.obs.emit(
+                    "checkpoint", None, node=-1, scope="task",
+                    t0=c0, t1=self.master_cpu_free,
+                    n_committed=len(self.core.committed), nbytes=nbytes,
+                )
         self._node_idle(k)  # the node serves on (also after a stale drop)
+
+    def _journal_group(self, parts: List[Tuple[TaskId, int]]) -> List[Tuple[TaskId, int]]:
+        """Journal the envelope's live elements, write-ahead of every
+        merge, as one group — one fsync'd append that occupies the master
+        CPU for ``journal_latency`` sim-seconds once, as in the real
+        master. Returns the journaled ``(bid, epoch)`` pairs."""
+        group = list(dict.fromkeys(p for p in parts if self.core.is_live(*p)))
+        if not group:
+            return group
+        jbytes = self.journal.commit_group([(bid, epoch, None, None) for bid, epoch in group])
+        j0 = max(self.master_cpu_free, self.evq.now)
+        self.master_cpu_free = j0 + self.config.journal_latency
+        if self.obs is not None:
+            self.obs.emit(
+                "journal-write", None, node=-1, scope="task",
+                t0=j0, t1=self.master_cpu_free, nbytes=jbytes, n_tasks=len(group),
+            )
+        return group
+
+    def _journal_invalidate(self, order) -> None:
+        """Journal a revocation; the append occupies the master CPU."""
+        self.journal.invalidate(order)
+        self.master_cpu_free = (
+            max(self.master_cpu_free, self.evq.now) + self.config.journal_latency
+        )
 
     # -- performing the core's actions ------------------------------------------------
 
@@ -724,34 +770,22 @@ class _SimulatedRun:
             None, self.core.committed, self.core.attempts_snapshot()
         )
 
-    def _commit_result(self, bid: TaskId, epoch: int, k: int, envelope: int) -> None:
+    def _commit_result(self, bid: TaskId, epoch: int, k: int, envelope: int) -> bool:
         """Land one element of a result envelope at the master: stale-drop
-        or journal + commit + integrity check + ready-wake. ``envelope`` is
-        the share of the envelope's bytes its ``result`` span carries; the
-        caller idles the node afterwards."""
+        or commit + integrity check + ready-wake (its journal record was
+        written with the envelope's group). ``envelope`` is the share of
+        the envelope's bytes its ``result`` span carries; the caller idles
+        the node afterwards. True when the element committed."""
         stale = self.core.result(bid, epoch, k)
         if stale:
             self._apply(stale)
-            return
+            return False
         taint = self.live_taint.pop((bid, epoch), None)
         if taint is None:
             for p in self.partition.abstract.predecessors(bid):
                 if p in self.tainted_commits:
                     taint = "inherited"  # computed from wrong inputs
                     break
-        if self.journal is not None:
-            # Write-ahead of the (modeled) merge; the fsync'd append
-            # occupies the master CPU for ``journal_latency`` sim-seconds.
-            jbytes = self.journal.commit(bid, epoch, None)
-            j0 = max(self.master_cpu_free, self.evq.now)
-            self.master_cpu_free = j0 + self.config.journal_latency
-            if self.obs is not None:
-                # The modeled fsync'd append occupies [j0, j0 + latency)
-                # on the master CPU, in sim-time.
-                self.obs.emit(
-                    "journal-write", bid, epoch=epoch, node=-1, scope="task",
-                    t0=j0, t1=self.master_cpu_free, nbytes=jbytes,
-                )
         fresh, _ = self.core.commit(bid, epoch, k)
         if self.sched.enabled:
             if self.sched.observing:
@@ -760,16 +794,6 @@ class _SimulatedRun:
             # Before the successors are offered, so their assigns
             # serialize after this commit in the event log.
             self.sched.record("commit", bid, epoch, k)
-        if self.journal is not None and self.journal.should_checkpoint():
-            nbytes = self._checkpoint()
-            c0 = self.master_cpu_free
-            self.master_cpu_free += self.config.journal_latency
-            if self.obs is not None:
-                self.obs.emit(
-                    "checkpoint", None, node=-1, scope="task",
-                    t0=c0, t1=self.master_cpu_free,
-                    n_committed=len(self.core.committed), nbytes=nbytes,
-                )
         self.nodes[k].tasks_done += 1
         self.node_done[k].add(bid)
         self.policy.completed(k, bid)
@@ -788,6 +812,7 @@ class _SimulatedRun:
                     self._node_idle(j)
                 else:
                     self._try_prefetch(j)
+        return True
 
     # -- integrity (SDC model) ----------------------------------------------------
 
@@ -828,11 +853,7 @@ class _SimulatedRun:
         """Perform a taint invalidation the core decided: journal it,
         withdraw what lost its inputs, and offer the recompute frontier."""
         if self.journal is not None:
-            self.journal.invalidate(inv.order)
-            self.master_cpu_free = (
-                max(self.master_cpu_free, self.evq.now)
-                + self.config.journal_latency
-            )
+            self._journal_invalidate(inv.order)
         for v in inv.order:
             self.tainted_commits.pop(v, None)
         self.ready = [t for t in self.ready if self.core.inputs_committed(t)]

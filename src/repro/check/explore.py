@@ -870,7 +870,7 @@ def reorder_double_commit_model() -> type[Any]:
     from repro.backends.simulated import _SimulatedRun
 
     class _ReorderDoubleCommitRun(_SimulatedRun):
-        def _commit_result(self, bid: Any, epoch: int, k: int, envelope: int) -> None:
+        def _commit_result(self, bid: Any, epoch: int, k: int, envelope: int) -> bool:
             core = self.core
             stale = not core.is_live(bid, epoch)
             if stale and core.attempts(bid) and core.committed.get(bid) != epoch:
@@ -879,7 +879,7 @@ def reorder_double_commit_model() -> type[Any]:
                 # second commit).
                 if self.sched.enabled:
                     self.sched.record("commit", bid, epoch, k)
-                return
-            super()._commit_result(bid, epoch, k, envelope)
+                return False
+            return super()._commit_result(bid, epoch, k, envelope)
 
     return _ReorderDoubleCommitRun

@@ -24,7 +24,7 @@ torn-committed journal:
 Every backend gets the ladder for free because
 :meth:`~repro.runtime.assembly.RunAssembly.open_journal` wraps its
 journal here; the guard mirrors the :class:`CommitJournal` surface
-(``commit`` / ``invalidate`` / ``checkpoint`` / ``end`` /
+(``commit`` / ``commit_group`` / ``invalidate`` / ``checkpoint`` / ``end`` /
 ``should_checkpoint`` / ``close``), so the master-side call sites are
 unchanged.
 
@@ -41,10 +41,10 @@ untouched.
 from __future__ import annotations
 
 import os
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, Optional, Sequence
 
 from repro.comm.messages import TaskId
-from repro.durable.journal import CommitJournal
+from repro.durable.journal import CommitJournal, CommitRecord
 from repro.utils.errors import JournalIOError, ResourceExhausted
 
 #: Maps the failing journal op to the ``resource`` field of the abort —
@@ -186,10 +186,13 @@ class JournalGuard:
         outputs: Optional[Dict[str, Any]],
         digest: Optional[str] = None,
     ) -> int:
+        return self.commit_group([(task_id, epoch, outputs, digest)])
+
+    def commit_group(self, records: Sequence[CommitRecord]) -> int:
+        # A retry rewrites the whole group: the failed append was already
+        # truncated back to the last good frame.
         return self._guarded(
-            "commit",
-            lambda: self.journal.commit(task_id, epoch, outputs, digest=digest),
-            default=0,
+            "commit", lambda: self.journal.commit_group(records), default=0
         )
 
     def invalidate(self, task_ids) -> None:

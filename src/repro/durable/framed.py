@@ -14,9 +14,11 @@ format- and I/O-shaped lives here, once; ``docs/fault_tolerance.md``
 key). A torn or corrupt tail ends :func:`scan_frames` with a diagnostic,
 never an exception; a failed append is truncated back out before
 :class:`~repro.utils.errors.JournalIOError` is raised; compaction is an
-atomic tmp + fsync + ``os.replace`` rewrite. Every record is flushed
-and, with ``fsync=True``, fsync'd (survives OS crashes, not just process
-death).
+atomic tmp + fsync + ``os.replace`` rewrite. Every append — one record
+or a group of records that land together — is one write and one flush
+and, with ``fsync=True``, one fsync (survives OS crashes, not just
+process death); creation and every rewrite then fsync the parent
+directory too, so the file's name is as durable as its bytes.
 
 Not thread-safe: one writer at a time (the commit journal has exactly
 one by design; the submission log serializes through its own lock).
@@ -92,7 +94,9 @@ class FramedLog:
         fh = open(path, "wb")
         fh.write(magic)
         fh.flush()
-        return cls(path, fh, magic, **kwargs)
+        log = cls(path, fh, magic, **kwargs)
+        log._sync_dir()
+        return log
 
     @classmethod
     def open_resume(
@@ -144,9 +148,24 @@ class FramedLog:
                 self.io_policy.check("fsync")
             os.fsync(fh.fileno())
 
+    def _sync_dir(self) -> None:
+        """Make the log's directory entry durable (``fsync=True`` only): a
+        created file or a rename is not on disk until its parent
+        directory is, so an OS crash could otherwise bring back the
+        pre-compaction file without the records appended after it."""
+        if not self.fsync:
+            return
+        fd = os.open(os.path.dirname(os.path.abspath(self.path)), os.O_RDONLY)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
+
     def append(self, raw: bytes) -> None:
-        """Write one framed record through to the file (flush, then fsync
-        when enabled); on failure repair, then raise ``JournalIOError``."""
+        """Write framed bytes — one record, or a group of whole records —
+        through to the file (one flush, then one fsync when enabled); on
+        failure repair back to the last good frame, then raise
+        ``JournalIOError``."""
         self._check_open()
         fh = self._fh
         if fh is None:
@@ -217,6 +236,12 @@ class FramedLog:
             self._fh = open(self.path, "ab")
         except OSError as exc:
             raise self._io_error("open", exc) from exc
+        try:
+            self._sync_dir()
+        except OSError as exc:
+            # The rename stands and the handle is open; only its
+            # durability is refused, so the caller may retry the rewrite.
+            raise self._io_error(op, exc) from exc
 
     # -- teardown ------------------------------------------------------------
 

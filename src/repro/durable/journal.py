@@ -15,7 +15,8 @@ described there, once). This module owns only the record vocabulary:
   (both pickled), written once at journal creation;
 - ``commit``     — one committed sub-task: ``(task, epoch, outputs)``
   plus, when the run's integrity mode is on, the canonical content
-  digest of the outputs;
+  digest of the outputs. Commits that finished together are appended as
+  one group (:meth:`CommitJournal.commit_group`): one write, one fsync;
 - ``invalidate`` — taint recompute revoked a set of previously committed
   sub-tasks (an audit convicted a block; its committed dependent closure
   is invalidated and recomputed). A resume after a crash mid-recompute
@@ -42,14 +43,16 @@ The **kill switch** (``kill_after`` / ``kill_torn``) is the chaos hook:
 after writing the Nth commit the journal raises
 :class:`~repro.utils.errors.MasterCrash` — optionally after appending a
 deliberately torn frame — which kills the master at a commit boundary
-exactly as ``kill -9`` would, deterministically and seedably.
+exactly as ``kill -9`` would, deterministically and seedably. A group
+that the Nth commit falls inside is cut after it, so the crash lands
+between two records of one group, before any of the group is merged.
 """
 
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.comm.messages import TaskId
 from repro.durable.framed import HEADER, FramedLog, FrameTail, encode, scan_frames
@@ -57,6 +60,10 @@ from repro.utils.errors import JournalError, MasterCrash
 
 #: File magic, versioned: bump the byte on incompatible format changes.
 MAGIC = b"REPRO-WALJ\x01\n"
+
+#: One element of :meth:`CommitJournal.commit_group`:
+#: ``(task, epoch, outputs, digest)``.
+CommitRecord = Tuple[TaskId, int, Optional[Dict[str, Any]], Optional[str]]
 
 
 def snapshot_state(state: Dict[str, Any]) -> Dict[str, Any]:
@@ -160,19 +167,41 @@ class CommitJournal:
         outputs: Optional[Dict[str, Any]],
         digest: Optional[str] = None,
     ) -> int:
-        """Append one committed sub-task (write-ahead of the state merge).
+        """Append one committed sub-task: a group of one
+        (:meth:`commit_group`)."""
+        return self.commit_group([(task_id, epoch, outputs, digest)])
 
-        Returns the framed record size in bytes so callers can account
-        the journal's wire cost (the ``journal-write`` telemetry span).
+    def commit_group(self, records: Sequence[CommitRecord]) -> int:
+        """Append the commit records of sub-tasks that finished together —
+        ``(task, epoch, outputs, digest)`` each — as ONE append: one write
+        and, with ``fsync``, one fsync, write-ahead of every merge.
+
+        Returns the framed bytes written so callers can account the
+        journal's wire cost (the ``journal-write`` telemetry span). A
+        crash mid-append leaves a prefix of whole records and at most one
+        torn frame, which the scan drops. When the kill switch lands
+        inside the group, exactly the records up to it are written
+        (plus the torn frame under ``kill_torn``) before
+        :class:`MasterCrash` is raised.
         """
-        raw = encode({
-            "type": "commit", "task": task_id, "epoch": epoch,
-            "outputs": outputs, "digest": digest,
-        })
+        frames = [
+            encode({
+                "type": "commit", "task": task, "epoch": epoch,
+                "outputs": outputs, "digest": digest,
+            })
+            for task, epoch, outputs, digest in records
+        ]
+        crash = (
+            self.kill_after is not None
+            and self.commits_written + len(frames) >= self.kill_after
+        )
+        if crash:
+            del frames[max(1, self.kill_after - self.commits_written):]
+        raw = b"".join(frames)
         self.log.append(raw)
-        self.commits_written += 1
-        self.commits_since_checkpoint += 1
-        if self.kill_after is not None and self.commits_written >= self.kill_after:
+        self.commits_written += len(frames)
+        self.commits_since_checkpoint += len(frames)
+        if crash:
             if self.kill_torn:
                 # A frame header promising more bytes than follow: the
                 # canonical kill-9-mid-write artifact the CRC/length scan

@@ -107,7 +107,9 @@ DURABLE_KINDS = (
 #: - ``queue-wait`` — the task sat dispatchable on the master's
 #:   computable stack from ``t0`` (pushed) to ``t1`` (assigned);
 #: - ``journal-write`` — one write-ahead journal append (fsync
-#:   included), with the framed record size in ``nbytes``;
+#:   included), with the framed bytes in ``nbytes``; a commit group's
+#:   append (master, simulator) carries no task id and its size in
+#:   ``n_tasks``;
 #: - ``digest-compute`` — one canonical content-digest computation
 #:   (``hop`` says which: ``assign``, ``verify``, ``commit``, ``audit``);
 #: - ``shm-attach`` — one message's shared-memory payload attach+copy on

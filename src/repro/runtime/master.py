@@ -337,22 +337,24 @@ class MasterPart:
                         break
                 if not self.core.n_remaining and not self.core.audits_pending:
                     break
-                task_id = self._finished.pop(timeout=self.config.poll_interval)
-                if task_id is None:
-                    continue
-                with self._results_lock:
-                    entry = self._result_buffer.pop(task_id, None)
-                if entry is None:
-                    continue  # purged by a taint invalidation while queued
-                if task_id in self.core.committed:
-                    continue  # late duplicate of an already-committed task
-                if self.integrity.vote_on:
-                    entry = self._record_vote(task_id, *entry)
-                    if entry is None or self._failure:
-                        # Quorum not reached yet — or the deciding tally
-                        # quarantined the whole pool.
-                        continue
-                self._commit(task_id, *entry)
+                # Everything that finished together commits as one group.
+                group = []
+                for task_id in self._finished.pop_all(timeout=self.config.poll_interval):
+                    with self._results_lock:
+                        entry = self._result_buffer.pop(task_id, None)
+                    if entry is None:
+                        continue  # purged by a taint invalidation while queued
+                    if task_id in self.core.committed:
+                        continue  # late duplicate of an already-committed task
+                    if self.integrity.vote_on:
+                        entry = self._record_vote(task_id, *entry)
+                        if self._failure:
+                            break  # the deciding tally quarantined the pool
+                        if entry is None:
+                            continue  # quorum not reached yet
+                    group.append((task_id, *entry))
+                if group and not self._failure:
+                    self._commit(group)
             if self.journal is not None and not self._failure and not self.core.n_remaining:
                 self.journal.end(run_digest=self.core.run_digest)
         finally:
@@ -473,41 +475,38 @@ class MasterPart:
 
     # -- result integrity (digest / audit / vote / taint recompute) --------------------
 
-    def _commit(
-        self,
-        task_id: TaskId,
-        outputs,
-        epoch: int,
-        worker_id: int,
-        digest: Optional[str],
-    ) -> None:
-        """Journal, merge, and fold one accepted result (scheduling thread)."""
+    def _commit(self, group: Sequence[tuple]) -> None:
+        """Journal, merge, and fold accepted results that finished
+        together — ``(task, outputs, epoch, worker, digest)`` each
+        (scheduling thread)."""
         if self.journal is not None:
-            # Write-ahead: the journal record lands (and fsyncs) before
-            # the state merge, so a crash between the two replays this
-            # commit instead of losing it.
+            # Write-ahead: the whole group lands in one append (one
+            # fsync) before any of it merges, so a crash in between
+            # replays these commits instead of losing them.
+            records = [(t, e, out, d) for t, out, e, _w, d in group]
             if self.sched.observing:
                 j0 = self.clock.now()
-                jbytes = self.journal.commit(task_id, epoch, outputs, digest=digest)
+                jbytes = self.journal.commit_group(records)
                 j1 = self.clock.now()
                 self.sched.record(
-                    "journal-write", task_id, epoch,
-                    ts=j1, t0=j0, t1=j1, nbytes=jbytes,
+                    "journal-write", None, -1,
+                    ts=j1, t0=j0, t1=j1, nbytes=jbytes, n_tasks=len(group),
                 )
             else:
-                self.journal.commit(task_id, epoch, outputs, digest=digest)
-        with self._state_lock:
-            self.problem.apply_result(self.state, self.partition, task_id, outputs)
-        with self._core_lock:
-            fresh, audited = self.core.commit(task_id, epoch, worker_id, digest)
-        if audited:
-            self._audit_outputs[task_id, epoch] = outputs
-        self._release_blocks(task_id)
-        if self.sched.enabled:
-            # Recorded before push_many so a successor's "assign" always
-            # serializes after its dependencies' commits.
-            self.sched.record("commit", task_id, epoch)
-        self._stack.push_many(fresh)
+                self.journal.commit_group(records)
+        for task_id, outputs, epoch, worker_id, digest in group:
+            with self._state_lock:
+                self.problem.apply_result(self.state, self.partition, task_id, outputs)
+            with self._core_lock:
+                fresh, audited = self.core.commit(task_id, epoch, worker_id, digest)
+            if audited:
+                self._audit_outputs[task_id, epoch] = outputs
+            self._release_blocks(task_id)
+            if self.sched.enabled:
+                # Recorded before push_many so a successor's "assign" always
+                # serializes after its dependencies' commits.
+                self.sched.record("commit", task_id, epoch)
+            self._stack.push_many(fresh)
         if self.journal is not None and self.journal.should_checkpoint():
             self._write_checkpoint()
 

@@ -160,6 +160,17 @@ class FinishedStack:
                 if not self._cond.wait(timeout=timeout):
                     return None
 
+    def pop_all(self, timeout: Optional[float] = None) -> List[TaskId]:
+        """Block like :meth:`pop` for one finished id, then take every
+        other one already here too, newest first; empty on close or
+        timeout."""
+        first = self.pop(timeout)
+        if first is None:
+            return []
+        with self._cond:
+            rest, self._items = self._items[::-1], []
+        return [first, *rest]
+
     def __len__(self) -> int:
         with self._cond:
             return len(self._items)

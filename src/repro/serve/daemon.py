@@ -354,6 +354,9 @@ class ServeDaemon:
             poll_interval=self.poll_interval,
             integrity=spec.integrity,
             verify=False,
+            # A wave's results come back in one BatchResult and so commit
+            # as one journal group: one fsync a wave, not one a task.
+            batch_wave=True,
         )
 
     def _job_config(self, record: JobRecord, n_workers: int) -> Any:

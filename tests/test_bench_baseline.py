@@ -127,6 +127,16 @@ def test_a_claimed_gain_is_recorded_as_the_entrys_bench_object(tmp_path):
     assert gain["bench"] == {"ed-coarse": {"wall_s": CLAIM}}
 
 
+def test_a_claim_may_list_every_run_pair(tmp_path):
+    from repro.analysis.trajectory import append_entry
+
+    path = tmp_path / "BENCH_BASELINE.json"
+    claim = {**CLAIM, "pairs": [[0.5, 0.4]] * CLAIM["runs"]}
+    append_entry(str(path), label="gain", measured=_entry(), bench={"ed-coarse": {"wall_s": claim}})
+    (entry,) = json.loads(path.read_text())["entries"]
+    assert entry["bench"]["ed-coarse"]["wall_s"]["pairs"] == claim["pairs"]
+
+
 @pytest.mark.parametrize(
     "bench",
     [
@@ -137,8 +147,13 @@ def test_a_claimed_gain_is_recorded_as_the_entrys_bench_object(tmp_path):
         {"ed-coarse": {"wall_s": {**CLAIM, "runs": 9.5}}},
         {"ed-coarse": {"wall_s": {**CLAIM, "median": "0.35"}}},
         {"ed-coarse": {"wall_s": {**CLAIM, "bound": 0}}},
+        {"ed-coarse": {"wall_s": {**CLAIM, "pairs": [[0.5, 0.4]]}}},
+        {"ed-coarse": {"wall_s": {**CLAIM, "pairs": [[0.5]] * CLAIM["runs"]}}},
     ],
-    ids=["empty", "no-metric", "missing-key", "extra-key", "fractional-runs", "string", "zero"],
+    ids=[
+        "empty", "no-metric", "missing-key", "extra-key", "fractional-runs", "string",
+        "zero", "pairs-not-one-per-run", "pairs-not-pairs",
+    ],
 )
 def test_a_malformed_bench_object_is_refused_before_anything_is_written(tmp_path, bench):
     from repro.analysis.trajectory import append_entry

@@ -39,6 +39,19 @@ class TestKillMasterCampaign:
         # Every seed killed the master and came back — none were skipped.
         assert all(o.status == "ok" for o in result.outcomes), result.summary()
 
+    @pytest.mark.parametrize("backend", ["threads", "processes"])
+    def test_kill_resume_with_batched_group_commits(self, backend):
+        # Under batch_wave a wave's results commit as one journal group,
+        # so the kill point can fall between two records of one group.
+        spec = CampaignSpec(
+            backends=(backend,), seeds=3, size=48, nodes=3, kill_master_at=0.5,
+            batch_wave=True, message_p=0.0, worker_p_die=0.0, worker_p_slow=0.0,
+            task_fault_p=0.0,
+        )
+        result = run_campaign(spec)
+        assert result.ok, result.summary()
+        assert [o.status for o in result.outcomes] == ["ok"] * 3, result.summary()
+
     def test_seeded_kill_points_are_deterministic(self):
         spec = CampaignSpec(
             backends=("simulated",), seeds=2, size=48, kill_master_at=0.4,

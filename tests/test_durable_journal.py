@@ -9,6 +9,7 @@ import pytest
 from repro import RunConfig
 from repro.algorithms import EditDistance
 from repro.durable import MAGIC, CommitJournal, scan_journal
+from repro.durable.framed import HEADER
 from repro.utils.errors import MasterCrash
 
 
@@ -229,3 +230,152 @@ class TestTornTails:
         write_journal(path, [((0, 0), 0)])
         raw = open(path, "rb").read()
         assert raw.startswith(MAGIC)
+
+
+GROUP = [((0, 1), 0), ((1, 0), 0), ((1, 1), 2)]
+
+
+def group_records():
+    """``GROUP`` as ``commit_group`` records."""
+    return [(task, epoch, {"cell": np.full((2, 2), i)}, None)
+            for i, (task, epoch) in enumerate(GROUP)]
+
+
+def begun(path, **options):
+    """A fresh journal with its begin record written."""
+    journal = CommitJournal.create(path, fsync=False, **options)
+    journal.begin(make_problem(), RunConfig(backend="serial"))
+    return journal
+
+
+class TestGroupCommit:
+    def test_group_is_one_append_and_one_fsync(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "j")
+        journal = CommitJournal.create(path, fsync=True)
+        journal.begin(make_problem(), RunConfig(backend="serial"))
+        appends = []
+        real_append = journal.log.append
+        monkeypatch.setattr(
+            journal.log, "append", lambda raw: appends.append(raw) or real_append(raw)
+        )
+        synced = []
+        real_fsync = os.fsync
+        monkeypatch.setattr(os, "fsync", lambda fd: synced.append(fd) or real_fsync(fd))
+        nbytes = journal.commit_group(group_records())
+        journal.close()
+        assert len(appends) == 1 and len(synced) == 1
+        assert nbytes == len(appends[0])
+        assert journal.commits_written == journal.commits_since_checkpoint == 3
+        scan = scan_journal(path)
+        assert scan.committed == dict(GROUP)
+        assert [t for t, _, _ in scan.commits_after_checkpoint] == [t for t, _ in GROUP]
+
+    def test_commit_is_a_group_of_one(self, tmp_path):
+        one, grouped = str(tmp_path / "one"), str(tmp_path / "grouped")
+        for path, write in (
+            (one, lambda j: j.commit((0, 0), 1, {"cell": np.ones(2)}, "ab")),
+            (grouped, lambda j: j.commit_group([((0, 0), 1, {"cell": np.ones(2)}, "ab")])),
+        ):
+            journal = begun(path)
+            write(journal)
+            journal.close()
+        assert open(one, "rb").read() == open(grouped, "rb").read()
+
+    def test_torn_group_recovers_a_prefix_of_whole_records(self, tmp_path):
+        """A group cut at any byte offset scans to the records wholly
+        before the cut — never a partial one, never an exception."""
+        path = str(tmp_path / "full")
+        journal = begun(path)
+        header = os.path.getsize(path)
+        journal.commit_group(group_records())
+        journal.close()
+        full = open(path, "rb").read()
+        ends, offset = [], header  # where each whole record ends
+        while offset < len(full):
+            length, _crc = HEADER.unpack_from(full, offset)
+            offset += HEADER.size + length
+            ends.append(offset)
+        assert len(ends) == 3 and ends[-1] == len(full)
+        trial = str(tmp_path / "trial")
+        for cut in range(header, len(full) + 1):
+            with open(trial, "wb") as fh:
+                fh.write(full[:cut])
+            scan = scan_journal(trial)  # must never raise
+            whole = sum(1 for end in ends if end <= cut)
+            assert list(scan.committed) == [t for t, _ in GROUP[:whole]], cut
+            assert scan.truncated == (cut not in (header, *ends)), cut
+
+    @pytest.mark.parametrize("kill_after", [1, 2, 3])
+    @pytest.mark.parametrize("torn", [False, True])
+    def test_kill_switch_inside_a_group(self, tmp_path, kill_after, torn):
+        path = str(tmp_path / "j")
+        journal = begun(path, kill_after=kill_after + 1, kill_torn=torn)
+        journal.commit((0, 0), 0, None)
+        with pytest.raises(MasterCrash):
+            journal.commit_group(group_records())
+        journal.close()
+        scan = scan_journal(path)
+        # Exactly N records durable: the one before, then the group cut
+        # right after the Nth commit (plus the torn frame when asked).
+        assert list(scan.committed) == [(0, 0)] + [t for t, _ in GROUP[:kill_after]]
+        assert scan.truncated == torn
+
+    def test_master_crashes_before_merging_any_of_the_group(self, tmp_path):
+        from repro.comm.transport import channel_pair
+        from repro.runtime.assembly import RunAssembly
+
+        problem = make_problem(16)
+        config = RunConfig(
+            backend="threads", nodes=3, journal_path=str(tmp_path / "j"),
+            journal_fsync=False, journal_kill_after=2,
+        )
+        master = RunAssembly(config, problem).master(
+            [channel_pair()[0] for _ in range(config.n_slaves)]
+        )
+        master.state = problem.make_state()
+        before = {k: v.copy() for k, v in master.state.items()}
+        group = [(task, None, 0, 0, None) for task in [(0, 0), (0, 1), (1, 0)]]
+        try:
+            with pytest.raises(MasterCrash):
+                master._commit(group)
+        finally:
+            master.journal.close()
+        assert master.core.committed == {}
+        assert all(np.array_equal(before[k], master.state[k]) for k in before)
+        assert scan_journal(str(tmp_path / "j")).committed == {(0, 0): 0, (0, 1): 0}
+
+    def test_failed_group_append_is_retried_whole(self, tmp_path):
+        from repro.cluster.faults import IoFaultPlan, IoFaultRule, IoPolicy
+        from repro.durable.degrade import JournalGuard
+
+        path = str(tmp_path / "j")
+        journal = CommitJournal.create(
+            path, fsync=False,
+            io_policy=IoPolicy(IoFaultPlan([IoFaultRule("write", "partial", index=1)]), "j"),
+        )
+        guard = JournalGuard(journal, retries=1)
+        guard.begin(make_problem(), RunConfig(backend="serial"))
+        guard.commit_group(group_records())
+        guard.close()
+        assert guard.errors_absorbed == 1
+        scan = scan_journal(path)
+        assert scan.committed == dict(GROUP) and not scan.truncated
+
+    def test_batched_threads_run_fsyncs_once_a_wave(self, tmp_path, monkeypatch):
+        """A journaled, fsync'd 16 x 16 run (64 blocks) on threads under
+        ``batch_wave``: one fsync a commit would be 64 + begin + two
+        checkpoints + end = 68; one a wave stays far below."""
+        from repro import EasyHPS
+
+        calls = []
+        real = os.fsync
+        monkeypatch.setattr(os, "fsync", lambda fd: calls.append(fd) or real(fd))
+        problem = make_problem(16)
+        config = RunConfig(
+            backend="threads", nodes=3, threads_per_node=2, batch_wave=True,
+            journal_path=str(tmp_path / "j"), journal_fsync=True,
+        )
+        run = EasyHPS(config).run(problem)
+        assert run.value.distance == problem.reference()
+        assert run.report.n_tasks == 64
+        assert len(calls) < 40, len(calls)

@@ -381,3 +381,54 @@ class TestWriteRepair:
         with pytest.raises(JournalError):
             log.append(encode({"type": "rec", "i": 3}))
         assert os.path.getsize(tmp_path / "l") == size
+
+
+class TestDirectorySync:
+    """With ``fsync=True`` a created log and a compaction's rename are
+    made durable by an fsync of the parent directory; without it, not."""
+
+    @staticmethod
+    def count_syncs(monkeypatch):
+        import stat
+
+        synced = []
+        real = os.fsync
+
+        def spy(fd):
+            synced.append("dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file")
+            return real(fd)
+
+        monkeypatch.setattr(os, "fsync", spy)
+        return synced
+
+    @BOTH_MAGICS
+    def test_create_and_rewrite_sync_the_directory(self, tmp_path, magic, monkeypatch):
+        synced = self.count_syncs(monkeypatch)
+        log = FramedLog.create(str(tmp_path / "l"), magic, fsync=True)
+        assert synced == ["dir"]
+        log.append(encode({"type": "rec", "i": 0}))
+        assert synced == ["dir", "file"]
+        log.rewrite(encode({"type": "rec", "i": 1}), op="compact")
+        # The tmp file's bytes, then the rename's directory entry.
+        assert synced == ["dir", "file", "file", "dir"]
+        log.close()
+        _, frames = scan(tmp_path / "l", magic)
+        assert [rec["i"] for _, _, rec in frames] == [1]
+
+    def test_no_fsync_syncs_nothing(self, tmp_path, monkeypatch):
+        synced = self.count_syncs(monkeypatch)
+        log = write_log(tmp_path / "l", WALJ_MAGIC)
+        log.rewrite(encode({"type": "rec", "i": 9}), op="compact")
+        log.close()
+        assert synced == []
+
+    def test_journal_checkpoint_and_serve_wal_sync_the_directory(self, tmp_path, monkeypatch):
+        synced = self.count_syncs(monkeypatch)
+        journal = CommitJournal.create(str(tmp_path / "j.walj"), fsync=True)
+        journal.begin(EditDistance.random(8, 8, seed=0), RunConfig(backend="serial"))
+        journal.checkpoint(None, {}, {})
+        journal.close()
+        assert synced.count("dir") == 2  # create + the compaction's rename
+        wal = ServeJournal.create(str(tmp_path / "d.srvj"), fsync=True)
+        wal.close()
+        assert synced.count("dir") == 3

@@ -165,3 +165,56 @@ class TestAuditSampling:
             >= counters(full)["sim.undetected_corruptions"]
         )
         assert sampled.audits_convicted <= full.audits_convicted
+
+
+class TestJournaledGroups:
+    def test_journal_recovers_exactly_the_committed_set_after_every_envelope(
+        self, tmp_path, monkeypatch
+    ):
+        """A result envelope is journaled as one group before any element
+        merges; an element a conviction earlier in the same envelope then
+        evicts must have its record revoked, or a crash after it would
+        resume a commit the run never made."""
+        from repro.backends import simulated
+        from repro.durable import scan_journal
+
+        path = str(tmp_path / "j")
+        evicted, checked = [], []
+        run_cls = simulated._SimulatedRun
+        journal_group, commit_result = run_cls._journal_group, run_cls._commit_result
+        batch_arrival = run_cls._batch_arrival
+        envelope = {}
+
+        def spy_group(self, parts):
+            envelope.clear()
+            envelope.update(dict.fromkeys(journal_group(self, parts), False))
+            return list(envelope)
+
+        def spy_commit(self, bid, epoch, k, nbytes):
+            landed = commit_result(self, bid, epoch, k, nbytes)
+            if (bid, epoch) in envelope:
+                envelope[bid, epoch] |= landed
+            return landed
+
+        def spy_arrival(self, *args, **kwargs):
+            envelope.clear()
+            batch_arrival(self, *args, **kwargs)
+            evicted.extend(p for p, landed in envelope.items() if not landed)
+            assert scan_journal(path).committed == self.core.committed
+            checked.append(True)
+
+        monkeypatch.setattr(run_cls, "_journal_group", spy_group)
+        monkeypatch.setattr(run_cls, "_commit_result", spy_commit)
+        monkeypatch.setattr(run_cls, "_batch_arrival", spy_arrival)
+        for seed in range(6):
+            liar = WorkerFaultRule("liar", worker_id=seed % 3, after_tasks=1)
+            try:
+                EasyHPS(RunConfig(
+                    backend="simulated", nodes=4, batch_wave=True,
+                    integrity="audit", audit_fraction=1.0,
+                    worker_fault_plan=WorkerFaultPlan((liar,)),
+                    journal_path=path, journal_fsync=False,
+                )).run(EditDistance.random(48, 48, seed=seed))
+            except FaultToleranceExhausted:
+                pass
+        assert checked and evicted  # the revoke path was exercised
