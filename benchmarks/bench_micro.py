@@ -101,6 +101,51 @@ def test_simulate_level_400_tasks(benchmark):
     benchmark(lambda: simulate_level(pattern, costs, 11, policy))
 
 
+def _swgg_inner_run():
+    """A ``sim-fig13`` configuration's simulated run, before it runs:
+    SWGG n = 10000, 200 / 10 partitions, Experiment_2_14 (11 computing
+    threads on the one computing node)."""
+    from repro.algorithms import SmithWatermanGG
+    from repro.backends.simulated import _SimulatedRun
+    from repro.runtime.config import RunConfig
+
+    problem = SmithWatermanGG.random(10000, seed=1)
+    config = RunConfig.experiment(2, 14, process_partition=200, thread_partition=10)
+    return _SimulatedRun(problem, config)
+
+
+def test_simulate_level_swgg_costs(benchmark):
+    """What ``sim-fig13`` schedules: one 20 x 20 inner DAG with SWGG's
+    i + j sub-block costs (a mid-matrix block) on 11 threads, over a
+    parser compiled once."""
+    run = _swgg_inner_run()
+    bid = (10, 20)
+    parser, ranges, n_cols = run._level(bid)
+    spec = run.nodes[0].spec
+    rate = spec.flops_per_second * spec.thread_efficiency(spec.threads)
+    costs = {
+        sub: run.problem.subblock_flops(run.partition, bid, lr, lc) / rate
+        for sub, (lr, lc) in zip(parser.vertex_ids, ranges)
+    }
+    policy = make_policy("dynamic", spec.threads, n_cols)
+
+    benchmark(lambda: simulate_level(parser, costs, spec.threads, policy))
+
+
+def test_simulated_inner_cold_class(benchmark):
+    """One cold ``_SimulatedRun._inner`` cost class: its 400 sub-block
+    costs plus the schedule (the shape's compile is already paid)."""
+    run = _swgg_inner_run()
+    spec = run.nodes[0].spec
+    run._inner((0, 0), spec)  # compiles the block shape
+
+    def cold():
+        run._inner_memo.clear()
+        return run._inner((10, 20), spec)
+
+    benchmark(cold)
+
+
 def test_queue_channel_round_trip(benchmark):
     a, b = channel_pair()
     payload = {"x": np.zeros(1000)}

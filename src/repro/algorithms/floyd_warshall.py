@@ -181,6 +181,10 @@ class FWPartition(Partition):
         # index: one monolithic sub-sub-task.
         return partition_pattern(IndependentGridPattern(h, w), (h, w))
 
+    def inner_shape_key(self, bid: VertexId) -> Tuple:
+        rows, cols = self.block_ranges(bid)
+        return (len(rows), len(cols), fw_block_type(bid) == "phase3")
+
 
 @dataclass(frozen=True)
 class FWResult:

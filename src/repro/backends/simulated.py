@@ -80,8 +80,10 @@ in for a wrong answer, which chaos campaigns use to classify runs.
 
 from __future__ import annotations
 
+import bisect
+import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.algorithms.problem import DPProblem
 from repro.analysis.report import RunReport
@@ -102,8 +104,8 @@ from repro.utils.errors import FaultToleranceExhausted, SchedulerError
 
 
 def simulate_level(
-    pattern: DAGPattern,
-    costs: Dict[TaskId, float],
+    pattern: Union[DAGPattern, DAGParser],
+    costs: Mapping[TaskId, float],
     n_workers: int,
     policy: SchedulingPolicy,
     overhead: float = 0.0,
@@ -114,6 +116,13 @@ def simulate_level(
     length, summed worker busy seconds, and summed worker-seconds spent
     idle while at least one ready task existed that the worker's policy
     forbade (zero under the dynamic policy by construction).
+
+    ``pattern`` may be a :class:`DAGParser` already compiled from the
+    level's pattern; it is reset and reused, which is how
+    ``_SimulatedRun._inner`` pays for one compile per block shape rather
+    than one per cost class. Idle workers are offered the ready list in
+    worker order, one completion at a time; the policy is not asked while
+    the ready list is empty.
 
     Deliberately its own list scheduler, not a shell around
     :class:`~repro.runtime.dispatch.DispatchCore`: this level is
@@ -127,45 +136,48 @@ def simulate_level(
     backends — and is what the subtask-scope trace replay checks under
     ``verify`` (``docs/simulator.md`` §Dispatch).
     """
-    import heapq
-
-    parser = DAGParser(pattern)
-    ready: List[TaskId] = list(parser.computable())
-    idle_workers: List[int] = list(range(n_workers))
-    running: List[Tuple[float, int, TaskId]] = []  # (finish, worker, task)
+    parser = pattern if isinstance(pattern, DAGParser) else DAGParser(pattern)
+    parser.reset()
+    vids = parser.vertex_ids
+    cost = [costs[vid] for vid in vids]
+    complete = parser.complete_index
+    select = policy.select_index
+    #: The ready tasks by compiled index, and as the policy sees them.
+    ready: List[int] = parser.computable_indices()
+    ready_ids: List[TaskId] = [vids[i] for i in ready]
+    idle: List[int] = list(range(n_workers))  # kept in worker order
+    running: List[Tuple[float, int, int]] = []  # (finish, worker, index)
     now = 0.0
     busy = 0.0
     idle_while_ready = 0.0
-
-    def assign() -> None:
-        nonlocal busy
+    while True:
         # Scan order is the policy's business: LIFO over the computable
         # stack by default, cost-ordered for dynamic-lcf.
         w = 0
-        while w < len(idle_workers):
-            worker = idle_workers[w]
-            idx = policy.select_index(worker, ready)
-            picked: Optional[TaskId] = None if idx is None else ready.pop(idx)
-            if picked is None:
+        while ready and w < len(idle):
+            idx = select(idle[w], ready_ids)
+            if idx is None:
                 w += 1
                 continue
-            idle_workers.pop(w)
-            duration = costs[picked] + overhead
+            worker = idle.pop(w)
+            del ready_ids[idx]
+            task = ready.pop(idx)
+            duration = cost[task] + overhead
             busy += duration
-            heapq.heappush(running, (now + duration, worker, picked))
-
-    assign()
-    while running:
+            heapq.heappush(running, (now + duration, worker, task))
+        if not running:
+            break
         finish, worker, task = heapq.heappop(running)
-        if ready and idle_workers:
+        if ready and idle:
             # Workers idling next to ready-but-ineligible tasks: the
             # static schedulers' pathology, accounted per interval.
-            idle_while_ready += len(idle_workers) * (finish - now)
+            idle_while_ready += len(idle) * (finish - now)
         now = finish
-        idle_workers.append(worker)
-        idle_workers.sort()
-        ready.extend(parser.complete(task))
-        assign()
+        bisect.insort(idle, worker)
+        fresh = complete(task)
+        if fresh:
+            ready.extend(fresh)
+            ready_ids.extend([vids[i] for i in fresh])
     if not parser.is_done():
         raise SchedulerError(
             f"level schedule stalled with {parser.n_remaining} tasks left "
@@ -228,7 +240,9 @@ class _SimulatedRun:
         self.master_nic_free = 0.0
         self.master_cpu_free = 0.0
 
-        self._inner_memo: Dict[tuple, Tuple[float, float]] = {}
+        self._inner_memo: Dict[tuple, Tuple[float, float, int]] = {}
+        #: Block shape -> its thread level (:meth:`_level`).
+        self._levels: Dict[tuple, Tuple[DAGParser, List[Tuple[range, range]], int]] = {}
         self.makespan = 0.0
         self.busy_thread_seconds = 0.0
         self.n_subtasks = 0
@@ -299,7 +313,9 @@ class _SimulatedRun:
         Memoized per (block cost class, node spec, thread policy): two
         blocks with identical shape and per-cell cost profile schedule
         identically, which collapses a regular grid's thousands of blocks
-        into a handful of thread-level simulations.
+        into a handful of thread-level simulations. A new class computes
+        only its sub-block costs and the schedule; the inner DAG and its
+        ranges come from :meth:`_level`.
         """
         t = node.threads
         key = (
@@ -313,20 +329,32 @@ class _SimulatedRun:
         cached = self._inner_memo.get(key)
         if cached is not None:
             return cached
-        inner = self.partition.sub_partition(bid, self.thread_size)
-        costs: Dict[TaskId, float] = {}
+        parser, ranges, n_cols = self._level(bid)
         # Conservative model: all t threads contend while the node works.
         rate = node.flops_per_second * node.thread_efficiency(t)
-        for sub in inner.abstract.vertices():
-            lr, lc = inner.block_ranges(sub)
-            costs[sub] = self.problem.subblock_flops(self.partition, bid, lr, lc) / rate
-        policy = make_policy(self.config.thread_scheduler, t, inner.grid.n_block_cols)
-        makespan, busy, _ = simulate_level(
-            inner.abstract, costs, t, policy, overhead=node.task_overhead
-        )
-        result = (makespan, busy, inner.n_blocks)
+        flops = self.problem.subblock_flops
+        costs = {
+            sub: flops(self.partition, bid, lr, lc) / rate
+            for sub, (lr, lc) in zip(parser.vertex_ids, ranges)
+        }
+        policy = make_policy(self.config.thread_scheduler, t, n_cols)
+        makespan, busy, _ = simulate_level(parser, costs, t, policy, overhead=node.task_overhead)
+        result = (makespan, busy, parser.n_total)
         self._inner_memo[key] = result
         return result
+
+    def _level(self, bid: TaskId) -> Tuple[DAGParser, List[Tuple[range, range]], int]:
+        """The thread level of ``bid``'s block shape, built once per run:
+        the compiled inner DAG, each sub-block's local ranges in its
+        index order, and the inner grid's column count."""
+        key = self.partition.inner_shape_key(bid)
+        level = self._levels.get(key)
+        if level is None:
+            inner = self.partition.sub_partition(bid, self.thread_size)
+            parser = DAGParser(inner.abstract)
+            ranges = [inner.block_ranges(sub) for sub in parser.vertex_ids]
+            level = self._levels[key] = (parser, ranges, inner.grid.n_block_cols)
+        return level
 
     # -- accounting ---------------------------------------------------------------
 
@@ -781,7 +809,7 @@ class _SimulatedRun:
             self._apply(stale)
             return False
         taint = self.live_taint.pop((bid, epoch), None)
-        if taint is None:
+        if taint is None and self.tainted_commits:
             for p in self.partition.abstract.predecessors(bid):
                 if p in self.tainted_commits:
                     taint = "inherited"  # computed from wrong inputs

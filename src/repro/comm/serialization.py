@@ -43,6 +43,9 @@ def _hash_into(h: Any, obj: Any) -> None:
     if obj is None:
         h.update(b"N")
     elif isinstance(obj, np.ndarray):
+        if obj.dtype.hasobject:
+            # Its buffer holds pointers, not content.
+            raise TypeError(f"cannot digest an array of dtype {obj.dtype}")
         h.update(b"A")
         descr = obj.dtype.str.encode()
         h.update(struct.pack("<I", len(descr)))
@@ -50,7 +53,9 @@ def _hash_into(h: Any, obj: Any) -> None:
         h.update(struct.pack("<I", obj.ndim))
         for dim in obj.shape:
             h.update(struct.pack("<q", dim))
-        h.update(np.ascontiguousarray(obj).tobytes())
+        # The C-order bytes through the buffer protocol: an already
+        # contiguous array is hashed in place, not copied.
+        h.update(np.ascontiguousarray(obj))
     elif isinstance(obj, bool):  # before Number: bool subclasses int
         h.update(b"b1" if obj else b"b0")
     elif isinstance(obj, (bytes, bytearray, memoryview)):

@@ -40,6 +40,16 @@ class DAGParser:
     vertices are reported (and therefore pushed onto the computable
     sub-task stack). The default sorts grid vertices by anti-diagonal then
     row, which mirrors wavefront progression.
+
+    The pattern is compiled once, at construction, into integer-indexed
+    tables: :attr:`vertex_ids` (index -> id, in the pattern's vertex
+    order), each vertex's successor indices, its initial in-degree and its
+    rank in schedule order (vertices with equal keys share a rank, so
+    sorting by rank is sorting by key). A :meth:`reset` copies one list,
+    so a caller that parses the same pattern many times — the simulator's
+    thread level, once per block cost class — compiles it once.
+    :meth:`computable_indices` and :meth:`complete_index` are the
+    index-level view of :meth:`computable` and :meth:`complete`.
     """
 
     def __init__(
@@ -49,26 +59,36 @@ class DAGParser:
     ) -> None:
         self.pattern = pattern
         self._order_key = order_key or _default_order_key
-        self._indegree: Dict[VertexId, int] = {}
-        self._state: Dict[VertexId, VertexState] = {}
+        index: Dict[VertexId, int] = {}
+        for vid in pattern.vertices():
+            index.setdefault(vid, len(index))
+        self._index = index
+        self.vertex_ids: Tuple[VertexId, ...] = tuple(index)
+        self._succ = tuple(
+            tuple(index[s] for s in pattern.successors(vid)) for vid in self.vertex_ids
+        )
+        #: In-degree left per vertex: > 0 blocked, 0 computable, -1 done.
+        self._initial = [len(pattern.predecessors(vid)) for vid in self.vertex_ids]
+        keys = [self._order_key(vid) for vid in self.vertex_ids]
+        self._rank = [0] * len(keys)
+        prev: object = None
+        rank = -1
+        for i in sorted(range(len(keys)), key=keys.__getitem__):
+            if rank < 0 or keys[i] != prev:
+                rank, prev = rank + 1, keys[i]
+            self._rank[i] = rank
         self.reset()
 
     def reset(self) -> None:
-        """Rebuild parser state from the pattern; forgets all completions."""
-        self._indegree = {
-            vid: len(self.pattern.predecessors(vid)) for vid in self.pattern.vertices()
-        }
-        self._state = {
-            vid: VertexState.COMPUTABLE if deg == 0 else VertexState.BLOCKED
-            for vid, deg in self._indegree.items()
-        }
+        """Forget all completions."""
+        self._indegree = list(self._initial)
         self._n_done = 0
 
     # -- queries -----------------------------------------------------------
 
     @property
     def n_total(self) -> int:
-        return len(self._indegree)
+        return len(self._initial)
 
     @property
     def n_done(self) -> int:
@@ -82,16 +102,26 @@ class DAGParser:
         """True once every vertex (and hence edge) has been removed."""
         return self._n_done == self.n_total
 
-    def state(self, vid: VertexId) -> VertexState:
+    def _index_of(self, vid: VertexId) -> int:
         try:
-            return self._state[vid]
+            return self._index[vid]
         except KeyError:
             raise SchedulerError(f"{vid!r} is not a vertex of the parsed pattern") from None
 
+    def state(self, vid: VertexId) -> VertexState:
+        left = self._indegree[self._index_of(vid)]
+        if left < 0:
+            return VertexState.DONE
+        return VertexState.COMPUTABLE if left == 0 else VertexState.BLOCKED
+
     def computable(self) -> List[VertexId]:
         """Snapshot of all currently computable vertices, in schedule order."""
-        ready = [v for v, s in self._state.items() if s is VertexState.COMPUTABLE]
-        ready.sort(key=self._order_key)
+        return [self.vertex_ids[i] for i in self.computable_indices()]
+
+    def computable_indices(self) -> List[int]:
+        """:meth:`computable` by compiled index."""
+        ready = [i for i, left in enumerate(self._indegree) if left == 0]
+        ready.sort(key=self._rank.__getitem__)
         return ready
 
     # -- transitions --------------------------------------------------------
@@ -102,22 +132,31 @@ class DAGParser:
         The returned list is sorted with ``order_key`` so callers can push
         it straight onto the computable stack deterministically.
         """
-        state = self.state(vid)
-        if state is VertexState.DONE:
-            raise SchedulerError(f"{vid!r} completed twice")
-        if state is VertexState.BLOCKED:
+        return [self.vertex_ids[s] for s in self.complete_index(self._index_of(vid))]
+
+    def complete_index(self, i: int) -> List[int]:
+        """:meth:`complete` by compiled index: the indices released, in
+        schedule order."""
+        indegree = self._indegree
+        if indegree[i]:
+            vid = self.vertex_ids[i]
+            if indegree[i] < 0:
+                raise SchedulerError(f"{vid!r} completed twice")
             raise SchedulerError(f"{vid!r} completed while still blocked on predecessors")
-        self._state[vid] = VertexState.DONE
+        indegree[i] = -1
         self._n_done += 1
-        fresh: List[VertexId] = []
-        for s in self.pattern.successors(vid):
-            self._indegree[s] -= 1
-            if self._indegree[s] == 0:
-                self._state[s] = VertexState.COMPUTABLE
+        fresh: List[int] = []
+        for s in self._succ[i]:
+            left = indegree[s] - 1
+            indegree[s] = left
+            if left == 0:
                 fresh.append(s)
-            elif self._indegree[s] < 0:
-                raise SchedulerError(f"indegree of {s!r} went negative — duplicate edge removal")
-        fresh.sort(key=self._order_key)
+            elif left < 0:
+                raise SchedulerError(
+                    f"indegree of {self.vertex_ids[s]!r} went negative — duplicate edge removal"
+                )
+        if len(fresh) > 1:
+            fresh.sort(key=self._rank.__getitem__)
         return fresh
 
     def run_all(self) -> List[VertexId]:
@@ -126,14 +165,14 @@ class DAGParser:
         This is the reference "parse until no vertices remain" loop of
         Section IV-E and doubles as an acyclicity check at runtime.
         """
+        rank = self._rank.__getitem__
         order: List[VertexId] = []
-        stack = self.computable()
+        stack = self.computable_indices()
         while stack:
-            vid = stack.pop(0)
-            order.append(vid)
-            for fresh in self.complete(vid):
-                stack.append(fresh)
-            stack.sort(key=self._order_key)
+            i = stack.pop(0)
+            order.append(self.vertex_ids[i])
+            stack.extend(self.complete_index(i))
+            stack.sort(key=rank)
         if not self.is_done():
             raise SchedulerError(
                 f"parse stalled with {self.n_remaining} vertices left — the pattern has a cycle"

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Tuple, Union
 
 from repro.dag.library import (
@@ -56,11 +57,11 @@ class BlockGrid:
         if br <= 0 or bc <= 0:
             raise PartitionError(f"block shape must be positive, got {self.block_shape}")
 
-    @property
+    @cached_property
     def n_block_rows(self) -> int:
         return math.ceil(self.shape[0] / self.block_shape[0])
 
-    @property
+    @cached_property
     def n_block_cols(self) -> int:
         return math.ceil(self.shape[1] / self.block_shape[1])
 
@@ -187,6 +188,15 @@ class Partition:
     def sub_partition(self, bid: VertexId, thread_block_shape: BlockShape) -> "Partition":
         """Partition one sub-task for the thread level (paper step e)."""
         return partition_pattern(self.block_pattern(bid), thread_block_shape)
+
+    def inner_shape_key(self, bid: VertexId) -> Tuple:
+        """Hashable key under which two blocks have the same
+        :meth:`block_pattern`, hence the same :meth:`sub_partition` at any
+        thread block shape: the simulator compiles one thread-level DAG
+        per key. A subclass that overrides :meth:`sub_partition` overrides
+        this with it."""
+        rows, cols = self.block_ranges(bid)
+        return (len(rows), len(cols), self.is_diagonal_block(bid))
 
     def check(self, **kwargs):
         """Run the :mod:`repro.check` partition verifier over this partition.

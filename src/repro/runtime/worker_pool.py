@@ -59,13 +59,19 @@ class ComputableStack:
             self._cond.notify_all()
 
     def push_many(self, task_ids: Iterable[TaskId]) -> None:
+        """Push several tasks with one wake-up. An empty push (the fault-
+        tolerance thread's usual ``due == []``, a commit that releases
+        nothing) wakes nobody and observes no depth."""
         with self._cond:
+            depth = len(self._items)
             if self._push_observer is None:
                 self._items.extend(task_ids)
             else:
                 for task_id in task_ids:
                     self._items.append(task_id)
                     self._push_observer(task_id)
+            if len(self._items) == depth:
+                return
             if self._depth_observer is not None:
                 self._depth_observer(len(self._items))
             self._cond.notify_all()

@@ -7,9 +7,11 @@ message), and array memory layout — while remaining sensitive to any
 actual value, dtype, or shape change.
 """
 
+import hashlib
 import os
 import pathlib
 import pickle
+import struct
 import subprocess
 import sys
 
@@ -18,6 +20,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import EasyHPS, RunConfig
+from repro.algorithms import EditDistance
+from repro.comm import serialization
 from repro.comm.serialization import CONTENT_DIGEST_BYTES, content_digest
 from repro.integrity import fold_commit, run_digest_hex
 
@@ -118,6 +123,118 @@ class TestSensitivity:
     def test_unsupported_type_raises(self):
         with pytest.raises(TypeError):
             content_digest(object())
+
+
+def _copying_array_update(h, a):
+    """Feed ``a`` into ``h`` the way arrays were first encoded: a
+    ``tobytes()`` copy of the C-order array after the dtype / ndim / shape
+    header."""
+    h.update(b"A")
+    descr = a.dtype.str.encode()
+    h.update(struct.pack("<I", len(descr)))
+    h.update(descr)
+    h.update(struct.pack("<I", a.ndim))
+    for dim in a.shape:
+        h.update(struct.pack("<q", dim))
+    h.update(np.ascontiguousarray(a).tobytes())
+
+
+def _copying_array_digest(a):
+    h = hashlib.blake2b(digest_size=CONTENT_DIGEST_BYTES)
+    _copying_array_update(h, a)
+    return h.hexdigest()
+
+
+_BASE = np.arange(24, dtype=np.float64).reshape(4, 6) / 7.0
+
+#: name -> (array, its digest as recorded with the copying encoding).
+PINNED_ARRAYS = {
+    "float64": (_BASE, "f96bfb760147d4b468d05e336946251f"),
+    "int64": (np.arange(-5, 7, dtype=np.int64).reshape(3, 4), "d56f3374b6d979f763cc1c9ad246e953"),
+    "uint8": (np.arange(250, 256, dtype=np.uint8), "1bfcedd8fdafd36ea29236cf1d3493b9"),
+    "bool": (
+        np.array([[True, False, True], [False, False, True]]),
+        "833fd23668a4ec03b72bed1d8970aca1",
+    ),
+    "0-d": (np.array(2.5), "fa9b82427031246f8ea0de774dec1c6a"),
+    "empty": (np.zeros((0, 3)), "88aea9536655a70c62b9132953712e40"),
+    "view": (_BASE[1:, ::2], "039e09f5b232c9dd815407b316c844f9"),
+    "fortran": (np.asfortranarray(_BASE), "f96bfb760147d4b468d05e336946251f"),
+}
+
+
+class TestArrayBuffer:
+    """Arrays are hashed through the buffer protocol, not a ``tobytes()``
+    copy; the digest is bit-identical to the copying encoding."""
+
+    @pytest.mark.parametrize("name", sorted(PINNED_ARRAYS))
+    def test_digest_is_pinned(self, name):
+        a, want = PINNED_ARRAYS[name]
+        assert content_digest(a) == want
+        assert _copying_array_digest(a) == want
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            np.arange(5, dtype=">f8"),
+            np.zeros(3, dtype=[("a", "i4"), ("b", "f8")]),
+            np.array(["2020-01-01", "2021-06-30"], dtype="M8[D]"),
+            np.arange(6, dtype=np.complex128).reshape(2, 3).T,
+            np.array(7, dtype=np.uint8),
+        ],
+        ids=["big-endian", "structured", "datetime", "complex-transposed", "0-d-uint8"],
+    )
+    def test_matches_copying_encoding(self, a):
+        assert content_digest(a) == _copying_array_digest(a)
+
+    def test_object_array_refused(self):
+        with pytest.raises(TypeError):
+            content_digest(np.array([1, None], dtype=object))
+        with pytest.raises(TypeError):
+            content_digest({"x": np.zeros(2, dtype=[("a", "O")])})
+
+    def test_contiguous_array_is_hashed_in_place(self, monkeypatch):
+        fed = []
+        blake2b = hashlib.blake2b
+
+        class Spy:
+            def __init__(self, **kwargs):
+                self._h = blake2b(**kwargs)
+
+            def update(self, data):
+                fed.append(data)
+                self._h.update(data)
+
+            def hexdigest(self):
+                return self._h.hexdigest()
+
+        a = np.arange(1000.0)
+        want = content_digest(a)
+        monkeypatch.setattr(serialization.hashlib, "blake2b", Spy)
+        assert content_digest(a) == want
+        assert any(isinstance(d, np.ndarray) and np.shares_memory(d, a) for d in fed)
+        assert not any(isinstance(d, bytes) and len(d) == a.nbytes for d in fed)
+
+    def test_run_digest_unchanged(self, monkeypatch):
+        """A small edit-distance run folds the run digest recorded with the
+        copying encoding, and the copying encoding still folds it."""
+        problem = EditDistance.random(30, 40, seed=3)
+        config = RunConfig(backend="serial", process_partition=8)
+        run = EasyHPS(config).run(problem)
+        assert run.value.distance == problem.reference()
+        assert run.report.run_digest == "6d7003d1bf0fb5ab"
+
+        buffered = serialization._hash_into
+
+        def copying(h, obj):
+            if isinstance(obj, np.ndarray):
+                _copying_array_update(h, obj)
+            else:
+                buffered(h, obj)
+
+        monkeypatch.setattr(serialization, "_hash_into", copying)
+        again = EasyHPS(config).run(problem)
+        assert again.report.run_digest == run.report.run_digest
 
 
 class TestRunFold:

@@ -53,6 +53,50 @@ class TestComputableStack:
         t.join(timeout=2.0)
         assert result == [(3, 3)]
 
+    def test_empty_push_wakes_nobody(self):
+        """The fault-tolerance thread pushes its ``due`` list every poll,
+        usually empty: that must not re-poll a parked popper's policy,
+        while a real push and ``close()`` still wake it."""
+        depths = []
+        s = ComputableStack(depth_observer=depths.append)
+        asked = threading.Event()
+        calls = []
+
+        class Spy(DynamicPolicy):
+            def select_index(self, worker_id, ready):
+                calls.append(len(ready))
+                asked.set()
+                return super().select_index(worker_id, ready)
+
+        result = []
+
+        def waiter():
+            result.append(s.pop_eligible(0, Spy(1)))
+            result.append(s.pop_eligible(0, Spy(1)))
+
+        t = threading.Thread(target=waiter, daemon=True)
+        t.start()
+        try:
+            assert asked.wait(2.0)  # parked after one look at the empty stack
+            asked.clear()
+            for _ in range(3):
+                s.push_many([])
+                s.push_many(iter(()))
+            assert not asked.wait(0.2)
+            assert calls == [0] and depths == []
+            s.push_many([(2, 2)])
+            assert asked.wait(2.0)  # woken by the real push, then parked again
+            deadline = time.monotonic() + 2.0
+            while len(calls) < 3 and time.monotonic() < deadline:
+                time.sleep(0.01)
+        finally:
+            s.close()
+            t.join(timeout=2.0)
+        assert not t.is_alive()
+        assert result == [(2, 2), None]
+        assert calls[:3] == [0, 1, 0]
+        assert depths == [1, 0]
+
     def test_concurrent_poppers_unique_items(self):
         s = ComputableStack()
         items = [(i, 0) for i in range(200)]
