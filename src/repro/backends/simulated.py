@@ -60,19 +60,18 @@ cell values, so it tracks which commits would be wrong instead. A live
 dispatch becomes tainted by an undetected message mutation (``corrupt``
 with digests off, ``bitflip`` always — its digest is restamped) or by a
 lying node past its ``lie_point``; a commit whose predecessor commit is
-tainted inherits the taint ("garbage in"). The integrity policy then
-mirrors the real master's semantics: digests detect ``corrupt`` at
+tainted inherits the taint ("garbage in"). Digests detect ``corrupt`` at
 receive (assign-side rejects ride the overtime check like a drop;
-result-side rejects charge the retry budget and requeue immediately);
-audits recompute a deterministic sample *from committed inputs*, so they
-convict exactly the own-fault taints — inherited taint recomputes to the
-same wrong values and passes, which is why conviction triggers taint
-recompute of the whole committed dependent closure; voting is modeled as
-full-coverage divergence detection at ``(vote_k - 1)`` extra round trips
-per commit (replicas disagree exactly when the producer's own result is
-wrong). Audits run at their commit (no lag: the master-CPU charge stays
-where a fault-free schedule expects it). Convictions, quarantine and the
-taint closure are the core's.
+result-side rejects charge the retry budget and requeue immediately).
+Everything after receive is the real master's
+:class:`~repro.runtime.landing.Landing` step — votes, group journal,
+commits, lagged audits, taint closure — with the taint label standing in
+for the content digest: a recompute from committed inputs disagrees
+exactly with an own-fault taint, while inherited taint recomputes to the
+same wrong values and agrees, which is why a conviction revokes the whole
+committed dependent closure. A vote's replicas are real dispatches off
+the ready list, and an audit or arbiter recompute occupies the master CPU
+for one inner makespan.
 Taint that survives to the end of the run is counted in the
 ``sim.undetected_corruptions`` metric — the simulator's omniscient stand-
 in for a wrong answer, which chaos campaigns use to classify runs.
@@ -99,6 +98,7 @@ from repro.obs import EventRecorder, MetricsRegistry, ScheduleTracer
 from repro.runtime import dispatch as core_mod
 from repro.runtime.assembly import RunAssembly
 from repro.runtime.config import RunConfig
+from repro.runtime.landing import Accepted, Landing
 from repro.schedulers.policy import SchedulingPolicy, make_policy
 from repro.utils.errors import FaultToleranceExhausted, SchedulerError
 
@@ -280,6 +280,10 @@ class _SimulatedRun:
             resume=resume,
         )
         self.stats = self.core.stats
+        self.landing = Landing(
+            self.core, self.policy, perform=self._apply,
+            merge=self._merge, verdict=self._verdict, journal=self._write_ahead,
+        )
         if resume is not None and self.obs is not None:
             # No commit records are synthesized for the journaled prefix
             # the core was primed with: the trace replay is primed with the
@@ -481,7 +485,7 @@ class _SimulatedRun:
         limit = self.config.max_batch if self.config.batch_wave else 1
         wave: List[TaskId] = []
         while len(wave) < limit:
-            idx = self.policy.select_index(k, self.ready)
+            idx = self.landing.select_index(k, self.ready)
             if idx is None:
                 break
             wave.append(self.ready.pop(idx))
@@ -706,24 +710,20 @@ class _SimulatedRun:
         parts: List[Tuple[TaskId, int]],
         reject: Optional[Tuple[TaskId, int]] = None,
     ) -> None:
-        """One result envelope landed: journal its live elements as one
-        group, commit every element, then go idle once."""
+        """One result envelope landed: accept its live elements, land them
+        as one group, then go idle once."""
         self._account()
         self.core.heard_from(k, self.evq.now)
         if reject is not None:
             self._apply(self.core.digest_reject(reject[0], reject[1], k))
-        journaled = self._journal_group(parts) if self.journal is not None else []
-        landed = set()
+        group = []
         for i, (bid, epoch) in enumerate(parts):
             # As on the assign side, the envelope's own bytes ride on the
             # first element's span.
-            if self._commit_result(bid, epoch, k, 0 if i else MESSAGE_ENVELOPE_BYTES):
-                landed.add((bid, epoch))
-        evicted = tuple(b for b, e in journaled if (b, e) not in landed)
-        if evicted:
-            # A conviction earlier in the envelope evicted these after the
-            # group was journaled: revoke their records.
-            self._journal_invalidate(evicted)
+            if self._accept(bid, epoch, k, 0 if i else MESSAGE_ENVELOPE_BYTES):
+                group.append(Accepted(bid, epoch, k, self.live_taint.pop((bid, epoch), "")))
+        if group:
+            self.landing.land(group)
         if self.journal is not None and self.journal.should_checkpoint():
             # Once per group, after every merge: a checkpoint between two
             # merges would compact away the rest of the group's records.
@@ -738,35 +738,29 @@ class _SimulatedRun:
                 )
         self._node_idle(k)  # the node serves on (also after a stale drop)
 
-    def _journal_group(self, parts: List[Tuple[TaskId, int]]) -> List[Tuple[TaskId, int]]:
-        """Journal the envelope's live elements, write-ahead of every
-        merge, as one group — one fsync'd append that occupies the master
-        CPU for ``journal_latency`` sim-seconds once, as in the real
-        master. Returns the journaled ``(bid, epoch)`` pairs."""
-        group = list(dict.fromkeys(p for p in parts if self.core.is_live(*p)))
-        if not group:
-            return group
-        jbytes = self.journal.commit_group([(bid, epoch, None, None) for bid, epoch in group])
-        j0 = max(self.master_cpu_free, self.evq.now)
-        self.master_cpu_free = j0 + self.config.journal_latency
-        if self.obs is not None:
-            self.obs.emit(
-                "journal-write", None, node=-1, scope="task",
-                t0=j0, t1=self.master_cpu_free, nbytes=jbytes, n_tasks=len(group),
-            )
-        return group
-
-    def _journal_invalidate(self, order) -> None:
-        """Journal a revocation; the append occupies the master CPU."""
-        self.journal.invalidate(order)
-        self.master_cpu_free = (
-            max(self.master_cpu_free, self.evq.now) + self.config.journal_latency
-        )
+    def _accept(self, bid: TaskId, epoch: int, k: int, envelope: int) -> bool:
+        """One element of a result envelope reaches the master: stale-drop
+        it, or accept it (True) and count it as done by node ``k``.
+        ``envelope`` is the share of the envelope's bytes its ``result``
+        span carries."""
+        stale = self.core.result(bid, epoch, k)
+        if stale:
+            self._apply(stale)
+            return False
+        self.nodes[k].tasks_done += 1
+        if self.sched.enabled:
+            data = {}
+            if self.sched.observing:
+                data = dict(nbytes=self.problem.output_bytes(self.partition, bid) + envelope)
+            self.sched.record("result", bid, epoch, k, node=k, **data)
+        return True
 
     # -- performing the core's actions ------------------------------------------------
 
-    def _apply(self, actions) -> None:
-        """Perform what a core event returned, in order, in sim-time."""
+    def _apply(self, actions) -> bool:
+        """Perform what a core event returned, in order, in sim-time; False
+        once the run failed."""
+        rewound = False
         for act in actions:
             if isinstance(act, core_mod.Record):
                 self.sched.record(act.kind, act.task, act.epoch, act.worker, **act.data)
@@ -790,98 +784,84 @@ class _SimulatedRun:
                 for key in act.dropped:
                     self.live_taint.pop(key, None)
                 self._rewind(act)
+                rewound = True
             elif isinstance(act, core_mod.Abort) and self.failure is None:
                 self.failure = act.exc
+        if rewound and self.ready:
+            # After the conviction's retirement, so the frontier is
+            # offered to the nodes that are still in service.
+            self._wake()
+        return self.failure is None
 
     def _checkpoint(self) -> int:
         return self.journal.checkpoint(
             None, self.core.committed, self.core.attempts_snapshot()
         )
 
-    def _commit_result(self, bid: TaskId, epoch: int, k: int, envelope: int) -> bool:
-        """Land one element of a result envelope at the master: stale-drop
-        or commit + integrity check + ready-wake (its journal record was
-        written with the envelope's group). ``envelope`` is the share of
-        the envelope's bytes its ``result`` span carries; the caller idles
-        the node afterwards. True when the element committed."""
-        stale = self.core.result(bid, epoch, k)
-        if stale:
-            self._apply(stale)
-            return False
-        taint = self.live_taint.pop((bid, epoch), None)
-        if taint is None and self.tainted_commits:
+    # -- landing hooks (``repro.runtime.landing``) ----------------------------------
+
+    def _write_ahead(self, commits: Sequence[Accepted], revoked: Sequence[TaskId]) -> None:
+        """Journal a landing group as one fsync'd append that occupies the
+        master CPU for ``journal_latency`` sim-seconds once, as in the
+        real master — or a revocation, charged the same."""
+        if self.journal is None:
+            return
+        j0 = max(self.master_cpu_free, self.evq.now)
+        self.master_cpu_free = j0 + self.config.journal_latency
+        if revoked:
+            self.journal.invalidate(revoked)
+            return
+        jbytes = self.journal.commit_group([(r.task, r.epoch, None, None) for r in commits])
+        if self.obs is not None:
+            self.obs.emit(
+                "journal-write", None, node=-1, scope="task",
+                t0=j0, t1=self.master_cpu_free, nbytes=jbytes, n_tasks=len(commits),
+            )
+
+    def _merge(self, res: Accepted, released: Sequence[TaskId]) -> None:
+        """A result committed: keep its taint (own, or inherited from a
+        tainted predecessor), cache it on its node and offer what it
+        released."""
+        bid, k = res.task, res.worker
+        taint = res.payload
+        if not taint and self.tainted_commits:
             for p in self.partition.abstract.predecessors(bid):
                 if p in self.tainted_commits:
                     taint = "inherited"  # computed from wrong inputs
                     break
-        fresh, _ = self.core.commit(bid, epoch, k)
         if self.sched.enabled:
-            if self.sched.observing:
-                out_bytes = self.problem.output_bytes(self.partition, bid) + envelope
-                self.sched.record("result", bid, epoch, k, node=k, nbytes=out_bytes)
             # Before the successors are offered, so their assigns
             # serialize after this commit in the event log.
-            self.sched.record("commit", bid, epoch, k)
-        self.nodes[k].tasks_done += 1
-        self.node_done[k].add(bid)
-        self.policy.completed(k, bid)
+            self.sched.record("commit", bid, res.epoch, k)
+        if k >= 0:
+            self.node_done[k].add(bid)
+            self.policy.completed(k, bid)
         self.makespan = max(self.makespan, self.evq.now)
-        if taint is not None:
+        if taint:
             self.tainted_commits[bid] = taint
-        if fresh:
-            self.ready.extend(fresh)
+        if released:
+            self.ready.extend(released)
             if self.obs is not None:
-                for nb in fresh:
+                for nb in released:
                     self.ready_at[nb] = self.evq.now
-        self._integrity_check(bid, epoch, k, taint)
         if self.ready:
-            for j, node in enumerate(self.nodes):
-                if node.parked_since is not None:
-                    self._node_idle(j)
-                else:
-                    self._try_prefetch(j)
-        return True
+            self._wake()
 
-    # -- integrity (SDC model) ----------------------------------------------------
-
-    def _integrity_check(self, bid: TaskId, epoch: int, k: int, taint) -> None:
-        """Model the master's post-commit SDC defenses on one commit.
-
-        Both defenses recompute/replicate from *committed* predecessor
-        blocks, so they convict exactly the own-fault taints; inherited
-        taint reproduces the same wrong values and passes undetected —
-        which is why a conviction invalidates the whole committed
-        dependent closure rather than one block.
-        """
-        own_fault = taint is not None and taint != "inherited"
-        pol = self.integrity
-        if pol.vote_on:
-            # Vote model: ``vote_k`` replicas from distinct nodes, paid as
-            # (vote_k - 1) extra assign/result round trips per commit;
-            # replicas disagree exactly when this result is own-fault
-            # wrong. (The real master's escalation-to-arbiter dance is
-            # collapsed into the divergence verdict.)
-            self.messages += 2 * (pol.vote_k - 1)
-            self.stats.votes_cast += pol.vote_k
-            if own_fault:
-                self.stats.vote_divergences += 1
-                if self.sched.observing:
-                    self.sched.record("vote-divergence", bid, epoch, k, node=k)
-                self._apply(self.core.taint(bid) + self.core.convict(k))
-            return
-        due = self.core.next_audit(force=True)
-        if due is not None:
-            # The audit recompute occupies the master CPU for one inner
-            # makespan (the same deterministic sample as the real master).
-            compute, _busy, _n = self._inner(bid, self.nodes[k].spec)
+    def _verdict(self, res: Accepted, recompute: bool) -> Tuple[str, str]:
+        """The taint label stands in for a digest: clean and inherited
+        results agree with a recompute from committed inputs, an own-fault
+        one differs from every other result. A recompute occupies the
+        master CPU for one inner makespan."""
+        if recompute:
+            compute, _busy, _n = self._inner(res.task, self.nodes[max(res.worker, 0)].spec)
             self.master_cpu_free = max(self.master_cpu_free, self.evq.now) + compute
-            self._apply(self.core.audit(*due, ok=not own_fault))
+            return "", ""
+        return res.payload, res.payload and f"{res.payload}@{res.epoch}"
 
     def _rewind(self, inv: core_mod.Invalidate) -> None:
-        """Perform a taint invalidation the core decided: journal it,
-        withdraw what lost its inputs, and offer the recompute frontier."""
-        if self.journal is not None:
-            self._journal_invalidate(inv.order)
+        """Perform a taint invalidation the core decided (the landing step
+        journaled it): withdraw what lost its inputs and offer the
+        recompute frontier."""
         for v in inv.order:
             self.tainted_commits.pop(v, None)
         self.ready = [t for t in self.ready if self.core.inputs_committed(t)]
@@ -937,6 +917,10 @@ class _SimulatedRun:
         self.ready.append(bid)
         if self.obs is not None:
             self.ready_at[bid] = self.evq.now
+        self._wake()
+
+    def _wake(self) -> None:
+        """Offer the ready list to every parked node; prefetch on the rest."""
         for j, node in enumerate(self.nodes):
             if node.parked_since is not None:
                 self._node_idle(j)

@@ -14,10 +14,12 @@ Four project rules exist that no type checker sees:
   makes timeout logic untestable. ``time.perf_counter()`` stays legal —
   it only measures wall-clock cost for reports, it never drives logic.
 - **Sans-I/O core** — the dispatch core (``runtime/dispatch.py``) takes
-  ``now`` as an argument and returns actions; it may import no thread,
-  clock, socket, OS, transport, journal or array module and build no
-  lock, or the simulator and explorer stop running the master's real
-  decisions (``docs/fault_tolerance.md`` §Dispatch core).
+  ``now`` as an argument and returns actions, and the landing step
+  beside it (``runtime/landing.py``) reaches the world only through its
+  shell's hooks; they may import no thread, clock, socket, OS,
+  transport, journal or array module and build no lock, or the
+  simulator and explorer stop running the master's real decisions
+  (``docs/fault_tolerance.md`` §Dispatch core).
 - **No dead knob** — a ``RunConfig`` field is the one declaration of a
   knob (``docs/configuration.md``), so a field nothing in the package
   reads is an option that does nothing: it becomes a constant or goes.
@@ -57,7 +59,10 @@ _SANS_IO_BANNED_IMPORTS = (
 )
 _SANS_IO_BANNED_NAMES = ("make_lock", "make_condition")
 #: Package-relative paths held to the sans-I/O rule.
-SANS_IO_MODULES = (os.path.join("runtime", "dispatch.py"),)
+SANS_IO_MODULES = (
+    os.path.join("runtime", "dispatch.py"),
+    os.path.join("runtime", "landing.py"),
+)
 
 
 class _ImportTracker(ast.NodeVisitor):
@@ -257,7 +262,7 @@ def check_clock_discipline(
             for line, what in lint_sans_io(source, path):
                 report.add(
                     D.SANS_IO_VIOLATION,
-                    f"{what} at {rel}:{line} — the dispatch core is sans-I/O: "
+                    f"{what} at {rel}:{line} — the dispatch core and landing step are sans-I/O: "
                     f"time comes in as `now`, effects go out as actions",
                     f"{rel}:{line}",
                 )

@@ -52,8 +52,11 @@ Search strategy (stateless replay DFS):
   kill a journaled master mid-wave and resume it (one chooser spans
   both phases), tie a result to its own lease expiry behind a lost
   heartbeat, convict a lying worker under full audit (taint closure
-  and recompute), corrupt a result past its digest check, and hang a
-  block on a one-strike blacklist with retry backoff.
+  and recompute; once more on a grid larger than the audit lag, where a
+  closure spans several blocks) and under majority voting (replica
+  dispatches, escalation, the master's arbiter vote), corrupt a result
+  past its digest check, and hang a block on a one-strike blacklist with
+  retry backoff.
 
 Every completed interleaving is checked for: clean termination (no
 deadlock, no unexpected abort), an oracle-identical result (every block
@@ -62,11 +65,11 @@ stream into a fresh dispatch core with the happens-before rules
 (:func:`repro.check.trace_check.check_trace`) — which also holds it to
 the chaos and integrity invariants. What the campaign *reaches* is
 measured, not declared: :class:`ExplorationResult` carries the ledger
-kinds the explored runs recorded. A violating interleaving is exported as a
-replayable counterexample: the standard obs-trace JSON with the
-choice prefix in its ``meta``, so ``replay_counterexample`` (or
-``repro check --explore --replay``) can re-execute exactly that
-delivery order under a debugger.
+kinds and audit / vote verdicts the explored runs recorded. A violating
+interleaving is exported as a replayable counterexample: the standard
+obs-trace JSON with the choice prefix in its ``meta``, so
+``replay_counterexample`` (or ``repro check --explore --replay``) can
+re-execute exactly that delivery order under a debugger.
 
 Everything here imports the heavy runtime lazily — ``repro.check``
 must stay importable before ``repro.comm``/``repro.obs`` (see
@@ -100,6 +103,10 @@ from repro.cluster.faults import (
 )
 from repro.cluster.network import LinkModel
 from repro.cluster.simcore import ControlledEventQueue, SimulationError
+
+#: What the reach census counts: the ledger kinds, plus the audit and vote
+#: verdicts the landing step records (the replay does not read them).
+CENSUS_KINDS = (*LEDGER_KINDS, "audit-pass", "audit-convict", "vote-cast", "vote-divergence")
 
 __all__ = [
     "ExploreConfig",
@@ -324,6 +331,15 @@ def default_scenarios(cfg: ExploreConfig) -> List[Scenario]:
     liar = WorkerFaultPlan((WorkerFaultRule("liar", worker_id=cfg.workers - 1, after_tasks=1),))
     audit = (("integrity", "audit"), ("audit_fraction", 1.0))
     scenarios.append(Scenario("liar-audit", None, liar, config=audit, grid=(2, 2)))
+    # The same liar on a grid with more blocks than the audit lag: a
+    # conviction arrives after the convicted block's dependents committed,
+    # so the taint closure revokes more than one block.
+    scenarios.append(Scenario("liar-audit-lagged", None, liar, config=audit, grid=(3, 3)))
+    # The same liar under majority voting: replicas are real dispatches, a
+    # split tally escalates, and with no fresh voter left the master's own
+    # recompute arbitrates as worker -1.
+    vote = (("integrity", "vote"),)
+    scenarios.append(Scenario("liar-vote", None, liar, config=vote, grid=(2, 2)))
     if cfg.max_drops >= 1:
         # A result whose payload no longer matches its digest: the master
         # rejects it and re-offers the task on the charged budget.
@@ -545,7 +561,7 @@ def _check_interleaving(
 ) -> CheckReport:
     """All per-interleaving invariants on one (possibly truncated) run.
     ``journaled`` is the committed prefix a resumed run started from;
-    ``reached`` collects the ledger kinds the run recorded."""
+    ``reached`` collects the census kinds the run recorded."""
     from repro.utils.errors import FaultToleranceExhausted
 
     report = CheckReport(title=f"explore:{scenario.name}")
@@ -573,7 +589,7 @@ def _check_interleaving(
                 scenario.name,
             )
     events = run.obs.events() if run.obs is not None else ()
-    reached.update(e.kind for e in events if e.kind in LEDGER_KINDS and e.scope == "task")
+    reached.update(e.kind for e in events if e.kind in CENSUS_KINDS and e.scope == "task")
     # Primed with the journaled prefix, the replay holds a resumed stream
     # to the resume invariants too (no journaled task commits again); a
     # truncated or aborted run is not held to finishing what it started.
@@ -614,8 +630,8 @@ class ExplorationResult:
     #: True when every scenario's DFS drained within the caps.
     exhaustive: bool = True
     per_scenario: Dict[str, int] = field(default_factory=dict)
-    #: Ledger kinds (:data:`~repro.check.trace_check.LEDGER_KINDS`) some
-    #: explored run recorded — what the campaign reaches, measured.
+    #: Census kinds (:data:`CENSUS_KINDS`) some explored run recorded —
+    #: what the campaign reaches, measured.
     reached: Set[str] = field(default_factory=set)
 
     def report(self, title: str = "explore") -> CheckReport:
@@ -629,11 +645,11 @@ class ExplorationResult:
     def summary(self) -> str:
         status = "OK" if not self.violations else f"{len(self.violations)} violating"
         tail = "exhaustive" if self.exhaustive else "CAPPED"
-        never = [k for k in LEDGER_KINDS if k not in self.reached]
+        never = [k for k in CENSUS_KINDS if k not in self.reached]
         return (
             f"{self.scenarios} scenarios, {self.interleavings} interleavings "
             f"({self.pruned} merged, {tail}): {status}; reached "
-            f"{', '.join(k for k in LEDGER_KINDS if k in self.reached)}; "
+            f"{', '.join(k for k in CENSUS_KINDS if k in self.reached)}; "
             f"never reached {', '.join(never) or 'nothing'}"
         )
 
@@ -870,7 +886,7 @@ def reorder_double_commit_model() -> type[Any]:
     from repro.backends.simulated import _SimulatedRun
 
     class _ReorderDoubleCommitRun(_SimulatedRun):
-        def _commit_result(self, bid: Any, epoch: int, k: int, envelope: int) -> bool:
+        def _accept(self, bid: Any, epoch: int, k: int, envelope: int) -> bool:
             core = self.core
             stale = not core.is_live(bid, epoch)
             if stale and core.attempts(bid) and core.committed.get(bid) != epoch:
@@ -880,6 +896,6 @@ def reorder_double_commit_model() -> type[Any]:
                 if self.sched.enabled:
                     self.sched.record("commit", bid, epoch, k)
                 return False
-            return super()._commit_result(bid, epoch, k, envelope)
+            return super()._accept(bid, epoch, k, envelope)
 
     return _ReorderDoubleCommitRun

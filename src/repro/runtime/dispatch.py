@@ -242,14 +242,17 @@ class DispatchCore:
             dict(commit_digests) if commit_digests else {}
         )
         self._commit_count = 0
-        #: Whether any commit was ever revoked (dispatches re-check their
-        #: inputs only then).
-        self._revoked = False
+        #: Whether any commit was ever revoked (dispatches and landings
+        #: re-check their inputs only then).
+        self.revoked = False
         #: Deferred audits: ``(commit_count, task, epoch, worker)``.
         self._audit_pending: List[Tuple[int, TaskId, int, int]] = []
         #: task -> worker -> ``(digest, epoch)``; worker -1 = the arbiter.
         self._votes: Dict[TaskId, Dict[int, Tuple[Optional[str], int]]] = {}
         self._vote_need: Dict[TaskId, int] = {}
+        #: task -> worker -> how often an audit convicted it for the task
+        #: (:meth:`passed_over`).
+        self._convicted: Dict[TaskId, Dict[int, int]] = {}
 
     @classmethod
     def from_config(
@@ -345,6 +348,23 @@ class DispatchCore:
     def audits_pending(self) -> bool:
         return bool(self._audit_pending)
 
+    @property
+    def reoffering(self) -> bool:
+        """Whether some task may be on offer for a fresh worker (a vote,
+        or the recompute of a block a worker was convicted for)."""
+        return bool(self._votes or self._convicted)
+
+    def passed_over(self, task: TaskId) -> set:
+        """The workers a re-offer of ``task`` is not for while another
+        worker can take it: those that voted on it so far, and any an
+        audit convicted for it more than once. (Once may be a transient
+        fault, a bit flipped on the wire; twice, and the worker is a liar
+        that would otherwise recompute its own lie for as long as it is
+        the first idle worker.)"""
+        out = set(self._votes.get(task, ()))
+        out.update(w for w, n in self._convicted.get(task, {}).items() if n > 1)
+        return out
+
     def fingerprint(self, now: float) -> Tuple[Any, ...]:
         """Canonical digest of everything here that can influence a
         future decision, times relative to ``now`` (two states differing
@@ -378,6 +398,7 @@ class DispatchCore:
             tuple(sorted(self._divergence.items())),
             tuple((t, e, w, self._commit_count - s) for s, t, e, w in self._audit_pending),
             tuple(sorted((t, tuple(sorted(v.items()))) for t, v in self._votes.items())),
+            tuple(sorted((t, tuple(sorted(c.items()))) for t, c in self._convicted.items())),
         )
 
     # -- dispatch ledger events ----------------------------------------------------
@@ -388,7 +409,7 @@ class DispatchCore:
         no-commit-after-blacklist invariant; the shell re-offers the
         task), or a taint revoked the task's inputs after the shell took
         it off offer (the shell forgets it; a later commit releases it)."""
-        if worker in self._retired or (self._revoked and not self.inputs_committed(task)):
+        if worker in self._retired or (self.revoked and not self.inputs_committed(task)):
             return None
         if task in self._live:
             raise SchedulerError(f"task {task} already registered")
@@ -651,6 +672,9 @@ class DispatchCore:
             return out
         self.stats.audits_convicted += 1
         self._rec(out, "audit-convict", task, epoch, worker)
+        if worker >= 0:
+            counts = self._convicted.setdefault(task, {})
+            counts[worker] = counts.get(worker, 0) + 1
         return out + self.taint(task) + self.convict(worker)
 
     def taint(self, root: TaskId) -> List[Action]:
@@ -669,7 +693,7 @@ class DispatchCore:
                     tainted.add(succ)
                     frontier.append(succ)
         order = tuple(v for v in pattern.topological_order() if v in tainted)
-        self._revoked = True
+        self.revoked = True
         out: List[Action] = []
         for vid in order:
             epoch = self.committed.pop(vid)

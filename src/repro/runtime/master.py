@@ -15,11 +15,15 @@ Thread layout follows the paper:
 Every register / budget / backoff / blacklist / quarantine / lease /
 vote / taint *decision* is taken by
 :class:`~repro.runtime.dispatch.DispatchCore` under the single
-``master.core`` lock and performed here (``_apply``): this module keeps
-the threads, the channels, the two stacks, payload extraction, digest
-hashing, journal writes and the audit/arbiter recompute. The event →
-action vocabulary and the hardening it carries (retry budgets, backoff,
-blacklist, leases, digest / audit / vote / quarantine, taint recompute) are described in ``docs/fault_tolerance.md`` §Dispatch core.
+``master.core`` lock and performed here (``_apply``); what happens to a
+drained group of results — vote, journal, commit, audit, invalidate — is
+the :class:`~repro.runtime.landing.Landing` step the simulator runs too.
+This module keeps the threads, the channels, the two stacks, payload
+extraction, digest hashing, and the landing hooks: the state merge, the
+audit/arbiter recompute and the journal writes. The event → action
+vocabulary and the hardening it carries (retry budgets, backoff,
+blacklist, leases, digest / audit / vote / quarantine, taint recompute)
+are described in ``docs/fault_tolerance.md`` §Dispatch core.
 Every knob is read from the run's ``RunConfig`` where it is used
 (``docs/configuration.md``); the constructor takes objects, not values.
 
@@ -65,6 +69,7 @@ from repro.obs.schedule import ScheduleTracer
 from repro.runtime import dispatch as core_mod
 from repro.runtime.config import RunConfig
 from repro.runtime.dispatch import DispatchCore
+from repro.runtime.landing import Accepted, Landing
 from repro.runtime.worker_pool import ComputableStack, FinishedStack
 from repro.schedulers.policy import SchedulingPolicy
 from repro.utils.errors import (
@@ -168,8 +173,8 @@ class MasterPart:
         self.stats = MasterStats()
         self._state_lock = make_lock("master.state")
         self._results_lock = make_lock("master.results")
-        #: task -> (outputs, epoch, worker_id, digest) awaiting commit.
-        self._result_buffer: Dict[TaskId, tuple] = {}
+        #: Accepted results awaiting their landing, by task.
+        self._result_buffer: Dict[TaskId, Accepted] = {}
         #: task -> clock reading when it became dispatchable (pushed on
         #: the computable stack); consumed at assign time to emit the
         #: ``queue-wait`` profiling span. Only stamped while observing.
@@ -237,11 +242,12 @@ class MasterPart:
         #: TaskResults that passed receive-side digest verification
         #: (guarded by ``_results_lock`` — service threads share it).
         self._digests_verified = 0
-        #: Payloads the core's ledgers refer to, scheduling-thread only:
-        #: outputs of commits awaiting their (lagged) audit, and of votes
-        #: cast so far (task -> worker -> outputs; worker -1 = arbiter).
-        self._audit_outputs: Dict[Tuple[TaskId, int], object] = {}
-        self._vote_outputs: Dict[TaskId, Dict[int, object]] = {}
+        #: What happens to a drained group of results (scheduling thread);
+        #: the service threads pop work through its ``select_index``.
+        self.landing = Landing(
+            self.core, policy, decide=self._decide, perform=self._apply,
+            merge=self._merge, verdict=self._verdict, journal=self._write_ahead,
+        )
 
         #: Service threads for workers attached mid-run; guarded by the
         #: membership lock together with ``channels`` growth.
@@ -325,36 +331,21 @@ class MasterPart:
         ft.start()
 
         try:
-            # Master scheduling thread (Fig 9 steps c & h). The loop only
-            # ends once every task is committed AND every deferred audit
-            # ran — a late conviction re-opens the DAG via taint recompute.
-            while True:
-                if self._failure:
-                    break
-                if self.core.audits_pending:
-                    self._run_due_audits(force=not self.core.n_remaining)
-                    if self._failure:
-                        break
-                if not self.core.n_remaining and not self.core.audits_pending:
-                    break
-                # Everything that finished together commits as one group.
+            # Master scheduling thread (Fig 9 steps c & h). The landing
+            # step drains every deferred audit on the commit that drains
+            # the level, and a late conviction re-opens it (taint
+            # recompute), so the loop ends only once both are done.
+            while not self._failure and self.core.n_remaining:
+                # Everything that finished together lands as one group.
                 group = []
                 for task_id in self._finished.pop_all(timeout=self.config.poll_interval):
                     with self._results_lock:
                         entry = self._result_buffer.pop(task_id, None)
-                    if entry is None:
-                        continue  # purged by a taint invalidation while queued
-                    if task_id in self.core.committed:
-                        continue  # late duplicate of an already-committed task
-                    if self.integrity.vote_on:
-                        entry = self._record_vote(task_id, *entry)
-                        if self._failure:
-                            break  # the deciding tally quarantined the pool
-                        if entry is None:
-                            continue  # quorum not reached yet
-                    group.append((task_id, *entry))
-                if group and not self._failure:
-                    self._commit(group)
+                    if entry is not None:  # else purged by a taint while queued
+                        group.append(entry)
+                if group and self.landing.land(group):
+                    if self.journal is not None and self.journal.should_checkpoint():
+                        self._write_checkpoint()
             if self.journal is not None and not self._failure and not self.core.n_remaining:
                 self.journal.end(run_digest=self.core.run_digest)
         finally:
@@ -425,20 +416,21 @@ class MasterPart:
 
     # -- performing the core's actions ---------------------------------------------------
 
-    def _note(self, actions):
-        """Write the ledger records of what a core event returned — called
+    def _note(self, answer):
+        """Write the ledger records of what a core event answered — called
         with ``master.core`` still held, so the trace's ``seq`` order is
         the order the core decided in. That is what lets ``check_trace``
         replay a recorded run into a fresh core: recorded after the lock,
         a timeout's ``redistribute`` and the ``stale-drop`` of the result
-        it beat could land in either order. Returns ``actions``."""
-        if self.sched.enabled:
-            for act in actions:
+        it beat could land in either order. Returns ``answer`` (only a
+        list of actions carries records)."""
+        if self.sched.enabled and isinstance(answer, list):
+            for act in answer:
                 if isinstance(act, core_mod.Record):
                     self.sched.record(act.kind, act.task, act.epoch, act.worker, **act.data)
                 elif isinstance(act, core_mod.Stale):
                     self.sched.record("stale-drop", act.task, act.epoch, act.worker)
-        return actions
+        return answer
 
     def _decide(self, event, *args):
         """One core event under ``master.core``, its records noted."""
@@ -473,124 +465,70 @@ class MasterPart:
                 ok = False
         return ok
 
-    # -- result integrity (digest / audit / vote / taint recompute) --------------------
+    # -- landing hooks (``repro.runtime.landing``) -------------------------------------
 
-    def _commit(self, group: Sequence[tuple]) -> None:
-        """Journal, merge, and fold accepted results that finished
-        together — ``(task, outputs, epoch, worker, digest)`` each
-        (scheduling thread)."""
-        if self.journal is not None:
-            # Write-ahead: the whole group lands in one append (one
-            # fsync) before any of it merges, so a crash in between
-            # replays these commits instead of losing them.
-            records = [(t, e, out, d) for t, out, e, _w, d in group]
-            if self.sched.observing:
-                j0 = self.clock.now()
-                jbytes = self.journal.commit_group(records)
-                j1 = self.clock.now()
-                self.sched.record(
-                    "journal-write", None, -1,
-                    ts=j1, t0=j0, t1=j1, nbytes=jbytes, n_tasks=len(group),
-                )
-            else:
-                self.journal.commit_group(records)
-        for task_id, outputs, epoch, worker_id, digest in group:
-            with self._state_lock:
-                self.problem.apply_result(self.state, self.partition, task_id, outputs)
-            with self._core_lock:
-                fresh, audited = self.core.commit(task_id, epoch, worker_id, digest)
-            if audited:
-                self._audit_outputs[task_id, epoch] = outputs
-            self._release_blocks(task_id)
-            if self.sched.enabled:
-                # Recorded before push_many so a successor's "assign" always
-                # serializes after its dependencies' commits.
-                self.sched.record("commit", task_id, epoch)
-            self._stack.push_many(fresh)
-        if self.journal is not None and self.journal.should_checkpoint():
-            self._write_checkpoint()
-
-    def _run_due_audits(self, force: bool) -> None:
-        """Run every pending audit old enough (all of them when forced):
-        recompute the committed block and hand the core the verdict.
-
-        The inputs re-extracted are the committed predecessor blocks — a
-        successor never overwrites them — so the recompute sees what the
-        worker saw. A lying *predecessor* makes both sides agree and is
-        caught by its own audit, not this one.
-        """
-        while not self._failure:
-            with self._core_lock:
-                due = self.core.next_audit(force)
-            if due is None:
-                return
-            task_id, epoch, worker_id = due
-            outputs = self._audit_outputs.pop((task_id, epoch))
-            expected = self._timed_digest(
-                self._recompute(task_id), task_id, epoch, worker_id, "audit"
-            )
-            got = self._timed_digest(outputs, task_id, epoch, worker_id, "audit")
-            self._apply(
-                self._decide(self.core.audit, task_id, epoch, worker_id, expected == got)
+    def _write_ahead(self, commits: Sequence[Accepted], revoked: Sequence[TaskId]) -> None:
+        """Journal a landing group — one append, one fsync, before any of
+        it merges, so a crash in between replays these commits instead
+        of losing them — or a revocation."""
+        if self.journal is None:
+            return
+        if revoked:
+            self.journal.invalidate(revoked)
+            return
+        j0 = self.clock.now() if self.sched.observing else 0.0
+        records = [(r.task, r.epoch, r.payload, r.digest) for r in commits]
+        jbytes = self.journal.commit_group(records)
+        if self.sched.observing:
+            j1 = self.clock.now()
+            self.sched.record(
+                "journal-write", None, -1,
+                ts=j1, t0=j0, t1=j1, nbytes=jbytes, n_tasks=len(commits),
             )
 
-    def _recompute(self, task_id: TaskId):
-        """The master's own serial evaluation of one sub-task, from the
-        current committed state, as a single monolithic inner block (the
-        outputs are partition-invariant, so the cheapest shape wins)."""
+    def _merge(self, res: Accepted, released: Sequence[TaskId]) -> None:
+        """Write a committed result into the state and offer what its
+        commit released."""
         with self._state_lock:
-            inputs = self.problem.extract_inputs(self.state, self.partition, task_id)
-        evaluator = self.problem.evaluator(self.partition, task_id, inputs)
-        rows, cols = self.partition.block_ranges(task_id)
-        inner = self.partition.sub_partition(task_id, (len(rows), len(cols)))
-        return evaluator.run_serial(inner)
+            self.problem.apply_result(self.state, self.partition, res.task, res.payload)
+        self._release_blocks(res.task)
+        if self.sched.enabled:
+            # Recorded before push_many so a successor's "assign" always
+            # serializes after its dependencies' commits.
+            self.sched.record("commit", res.task, res.epoch)
+        self._stack.push_many(released)
+
+    def _verdict(self, res: Accepted, recompute: bool):
+        """``(outputs, digest)`` of ``res``, or of the master's own serial
+        evaluation of its block from the committed state, as a single
+        monolithic inner block (the outputs are partition-invariant, so
+        the cheapest shape wins)."""
+        outputs = res.payload
+        if recompute:
+            with self._state_lock:
+                inputs = self.problem.extract_inputs(self.state, self.partition, res.task)
+            evaluator = self.problem.evaluator(self.partition, res.task, inputs)
+            rows, cols = self.partition.block_ranges(res.task)
+            outputs = evaluator.run_serial(
+                self.partition.sub_partition(res.task, (len(rows), len(cols)))
+            )
+        return outputs, self._timed_digest(
+            outputs, res.task, res.epoch, res.worker, self.integrity.mode
+        )
 
     def _rewind(self, inv: core_mod.Invalidate) -> None:
-        """Perform a taint invalidation the core decided: journal it, drop
-        everything queued on revoked inputs — buffered results,
-        half-gathered votes, stacked tasks (they re-surface as the closure
+        """Perform a taint invalidation the core decided (the landing step
+        journaled it): drop everything queued on revoked inputs — buffered
+        results and stacked tasks (they re-surface as the closure
         recommits) — and offer the recompute frontier."""
-        if self.journal is not None:
-            self.journal.invalidate(inv.order)
         # The commit ledger is written only by this (the scheduling)
         # thread, so it reads it here without the core lock.
         ready = self.core.inputs_committed
         with self._results_lock:
             for task_id in [t for t in self._result_buffer if not ready(t)]:
                 del self._result_buffer[task_id]
-        for task_id in [t for t in self._vote_outputs if not ready(t)]:
-            del self._vote_outputs[task_id]
-        for key in [k for k in self._audit_outputs if k[0] not in self.core.committed]:
-            del self._audit_outputs[key]
         self._stack.retain(ready)
         self._stack.push_many(inv.frontier)
-
-    def _record_vote(
-        self, task_id: TaskId, outputs, epoch: int, worker_id: int, digest: Optional[str]
-    ) -> Optional[tuple]:
-        """Cast one worker's result as a vote; returns the winning
-        ``(outputs, epoch, worker, digest)`` once a quorum decides, else
-        None (the task was re-queued for another voter). When no fresh
-        worker can break a tie the master evaluates the block itself and
-        casts the arbiter vote as worker -1."""
-        # A static policy pins each task to one owner, so voting there
-        # degenerates to master arbitration.
-        candidates = [
-            k for k in range(len(self.channels)) if self.policy.eligible(k, task_id)
-        ]
-        while True:
-            if digest is None:
-                digest = self._timed_digest(outputs, task_id, epoch, worker_id, "vote")
-            self._vote_outputs.setdefault(task_id, {})[worker_id] = outputs
-            actions = self._decide(self.core.vote, task_id, epoch, worker_id, digest, candidates)
-            self._apply(actions)
-            last = actions[-1]
-            if isinstance(last, core_mod.Decide):
-                cast = self._vote_outputs.pop(task_id)
-                return (cast[last.worker], last.epoch, last.worker, last.digest)
-            if not isinstance(last, core_mod.Arbitrate):
-                return None
-            outputs, epoch, worker_id, digest = self._recompute(task_id), last.epoch, -1, None
 
     def _surface_leaks(self, threads: Sequence[threading.Thread]) -> None:
         """Warn about (and count) threads that outlived their join timeout.
@@ -646,7 +584,7 @@ class MasterPart:
         or :data:`_RETIRED` when the worker was retired during the pop.
         """
         task_id = self._stack.pop_eligible(
-            worker_id, self.policy, timeout=None if block else 0
+            worker_id, self.landing, timeout=None if block else 0
         )
         if task_id is None:
             return None
@@ -825,10 +763,8 @@ class MasterPart:
             if not actions:
                 if self._digest_on and msg.digest is not None:
                     self._digests_verified += 1
-                self._result_buffer[msg.task_id] = (
-                    msg.outputs,
-                    msg.epoch,
-                    worker_id,
+                self._result_buffer[msg.task_id] = Accepted(
+                    msg.task_id, msg.epoch, worker_id, msg.outputs,
                     msg.digest if self._digest_on else None,
                 )
         if actions:

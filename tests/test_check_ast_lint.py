@@ -1,5 +1,7 @@
 """The lock-, clock-discipline, sans-I/O and dead-knob source lints."""
 
+import os
+
 import pytest
 
 from repro.check import diagnostics as D
@@ -100,17 +102,21 @@ class TestSansIoLint:
         assert not lint_sans_io(src, "<t>")
 
     def test_core_module_is_held_to_it(self, tmp_path):
-        # A copy of the package tree's one sans-I/O module with a clock
-        # read spliced in must fail the tree-wide check.
-        (rel,) = SANS_IO_MODULES
-        with open(f"{source_root()}/{rel}", encoding="utf-8") as fh:
-            source = fh.read()
-        assert not lint_sans_io(source, rel)
-        bad = tmp_path / rel
-        bad.parent.mkdir(parents=True)
-        bad.write_text("import time\n" + source, encoding="utf-8")
-        report = check_clock_discipline(root=str(tmp_path), subdirs=("runtime",))
-        assert report.has(D.SANS_IO_VIOLATION)
+        # A copy of each of the package tree's sans-I/O modules (the
+        # dispatch core and the landing step beside it) with a clock read
+        # spliced in must fail the tree-wide check.
+        assert sorted(os.path.basename(rel) for rel in SANS_IO_MODULES) == [
+            "dispatch.py", "landing.py",
+        ]
+        for i, rel in enumerate(SANS_IO_MODULES):
+            with open(f"{source_root()}/{rel}", encoding="utf-8") as fh:
+                source = fh.read()
+            assert not lint_sans_io(source, rel)
+            bad = tmp_path / str(i) / rel
+            bad.parent.mkdir(parents=True)
+            bad.write_text("import time\n" + source, encoding="utf-8")
+            report = check_clock_discipline(root=str(tmp_path / str(i)), subdirs=("runtime",))
+            assert report.has(D.SANS_IO_VIOLATION)
 
 
 class TestConfigFieldLint:

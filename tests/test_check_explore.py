@@ -154,6 +154,42 @@ class TestExploration:
         assert any(reaches <= kinds for kinds in seen)
         assert all(reaches <= kinds for kinds in seen) == in_every_order
 
+    @staticmethod
+    def _explore_recording(monkeypatch, name):
+        """Explore one default scenario on TINY; every explored run's
+        task-scope events as ``(kind, worker, data)``."""
+        from repro.check import explore
+
+        seen = []
+        real = explore._check_interleaving
+
+        def spy(run, *args, **kw):
+            seen.append(
+                [(ev.kind, ev.worker, ev.data or {}) for ev in run.obs.events()
+                 if ev.scope == "task"]
+            )
+            return real(run, *args, **kw)
+
+        monkeypatch.setattr(explore, "_check_interleaving", spy)
+        result = run_exploration(TINY, scenarios=[scenario_by_name(TINY, name)])
+        assert not result.violations and result.exhaustive and result.interleavings >= 2
+        return seen
+
+    def test_lagged_audit_revokes_a_multi_block_closure(self, monkeypatch):
+        # The audit runs AUDIT_LAG commits after the lie, so the convicted
+        # block's committed dependents are revoked with it.
+        seen = self._explore_recording(monkeypatch, "liar-audit-lagged")
+        assert any(
+            kind == "taint-invalidate" and data["n_tainted"] >= 2
+            for run in seen for kind, _, data in run
+        )
+
+    def test_vote_scenario_tallies_escalates_and_arbitrates(self, monkeypatch):
+        seen = self._explore_recording(monkeypatch, "liar-vote")
+        kinds = {kind for run in seen for kind, _, _ in run}
+        assert {"vote-cast", "vote-divergence", "quarantine"} <= kinds
+        assert any(kind == "vote-cast" and worker == -1 for run in seen for kind, worker, _ in run)
+
     def test_kill_resume_scenario_explores_both_sides_of_the_crash(self, monkeypatch):
         from repro.check import explore
 
@@ -186,7 +222,9 @@ class TestExploration:
         assert result.reached == {
             "assign", "result", "commit", "redistribute", "stale-drop",
             "lease-expired", "worker-death", "resume",
-            "taint-invalidate", "quarantine",  # the liar-audit scenario
+            # liar-audit and liar-audit-lagged
+            "taint-invalidate", "quarantine", "audit-pass", "audit-convict",
+            "vote-cast", "vote-divergence",  # liar-vote
             "digest-reject",  # corrupt-result-n0-i0
             "backoff", "blacklist",  # hang-blacklist
         }

@@ -335,6 +335,21 @@ ROWS = [
         ("stats", "audits_passed", 1),
         ("audits_pending", None, True),
     ]),
+    ("twice-convicted-block-reoffered-to-others", dict(task_timeout=10.0, max_retries=0,
+                                                       integrity=AUDIT, pattern=WAVE), [
+        ("commit", (A, 0, 1), ([B, C], True)),
+        ("reoffering", None, False),
+        ("audit", (A, 0, 1, False), lambda out: isinstance(out[-1], Invalidate)),
+        # Once may be transient: worker 1 may recompute the block.
+        ("passed_over", (A,), set()),
+        ("reoffering", None, True),
+        ("commit", (A, 1, 1), ([B, C], True)),
+        ("audit", (A, 1, 1, False), lambda out: isinstance(out[-1], Retire)),
+        # Twice: the recompute is not for worker 1 while another can take it.
+        ("passed_over", (A,), {1}),
+        ("commit", (A, 2, 0), ([B, C], True)),
+        ("passed_over", (A,), {1}),
+    ]),
     ("audit-convict-taints-and-convicts", dict(task_timeout=10.0, max_retries=0,
                                                integrity=AUDIT, pattern=WAVE,
                                                fold_digests=True), [

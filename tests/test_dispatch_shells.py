@@ -47,15 +47,18 @@ def kinds(report):
 
 # -- (1) simulated-backend drift fixes -------------------------------------------------
 
-#: Node 1 lies from its first task; with every commit audited and a
-#: threshold of one, its first audited commit quarantines it while the
-#: rest of its batched wave is still live — a budget-free eviction.
+#: Node 1 lies from its seventh block on; every commit is audited,
+#: ``AUDIT_LAG`` commits late, with a threshold of one. On an 8 x 8 grid
+#: the conviction of its first lie lands while its next batched wave is
+#: in flight, and the quarantine evicts that wave — a budget-free
+#: eviction whose result later arrives stale.
 QUARANTINE_MID_WAVE = dict(
     batch_wave=True,
+    process_partition=6,
     integrity="audit",
     audit_fraction=1.0,
     quarantine_threshold=1,
-    worker_fault_plan=WorkerFaultPlan([WorkerFaultRule("liar", worker_id=1, after_tasks=0)]),
+    worker_fault_plan=WorkerFaultPlan([WorkerFaultRule("liar", worker_id=1, after_tasks=6)]),
     task_timeout=5.0,
 )
 
@@ -65,7 +68,7 @@ class TestSimulatorDriftFixes:
         report = sim(problem, **QUARANTINE_MID_WAVE)
         assert report.quarantined_workers == (1,)
         evicted = [ev for ev in report.events if ev.kind == "stale-drop"]
-        assert len(evicted) == 1  # the rest of node 1's wave
+        assert len(evicted) == 1  # node 1's in-flight wave
         assert report.faults_recovered == 1
 
     def test_budget_free_eviction_does_not_charge_the_retry_budget(self, problem):
@@ -137,7 +140,9 @@ class TestSimulatorDriftFixes:
 # -- (2) cross-shell differential --------------------------------------------------------
 
 
-DECISIONS = ("redistribute", "blacklist", "quarantine", "stale-drop")
+DECISIONS = (
+    "redistribute", "blacklist", "quarantine", "stale-drop", "vote-cast", "vote-divergence",
+)
 T, LAST = (0, 1), (2, 2)
 
 
@@ -172,9 +177,11 @@ PLANS = {
         ),
         (*DECISIONS, "abort"),
     ),
-    # Every worker lies. Audits run lagged on the master and at commit
-    # in the simulator, so how much is redistributed on the way differs
-    # by design; who is retired and how the run ends does not.
+    # Every worker lies. Both shells audit AUDIT_LAG commits late, but
+    # which dispatches are live when a quarantine lands — so how much it
+    # evicts and how many evicted results come back stale — depends on
+    # thread timing on the master (it varies between reruns of the
+    # threads run alone); who is retired and how the run ends does not.
     "all-liars": (
         lambda: dict(
             integrity="audit", audit_fraction=1.0, quarantine_threshold=1,
@@ -183,6 +190,21 @@ PLANS = {
             ),
         ),
         ("blacklist", "quarantine", "abort"),
+    ),
+    # Worker 1 lies under majority voting and is never quarantined: each
+    # block is re-offered once for the other worker's ballot (a replica
+    # dispatch), the split tally goes to the master's arbiter, and the
+    # run completes. (With quarantine, how many tallies split before it
+    # lands would be thread timing.)
+    "liar-vote": (
+        lambda: dict(
+            integrity="vote",
+            quarantine_threshold=100,
+            worker_fault_plan=WorkerFaultPlan(
+                [WorkerFaultRule("liar", worker_id=1, after_tasks=0)]
+            ),
+        ),
+        (*DECISIONS, "abort"),
     ),
     # T's result is delivered twice: the second copy lands behind the
     # first, finds the epoch settled and is dropped as stale.

@@ -323,6 +323,7 @@ class TestGroupCommit:
     def test_master_crashes_before_merging_any_of_the_group(self, tmp_path):
         from repro.comm.transport import channel_pair
         from repro.runtime.assembly import RunAssembly
+        from repro.runtime.landing import Accepted
 
         problem = make_problem(16)
         config = RunConfig(
@@ -333,14 +334,19 @@ class TestGroupCommit:
             [channel_pair()[0] for _ in range(config.n_slaves)]
         )
         master.state = problem.make_state()
+        # (0, 0) lands alone first (its outputs the master's own
+        # recompute); the kill switch then fires on the second record of
+        # the group it released.
+        first = Accepted((0, 0), 0, 0, None)
+        assert master.landing.land([first._replace(payload=master._verdict(first, True)[0])])
         before = {k: v.copy() for k, v in master.state.items()}
-        group = [(task, None, 0, 0, None) for task in [(0, 0), (0, 1), (1, 0)]]
+        group = [Accepted(task, 0, 0, None) for task in [(0, 1), (1, 0)]]
         try:
             with pytest.raises(MasterCrash):
-                master._commit(group)
+                master.landing.land(group)
         finally:
             master.journal.close()
-        assert master.core.committed == {}
+        assert master.core.committed == {(0, 0): 0}
         assert all(np.array_equal(before[k], master.state[k]) for k in before)
         assert scan_journal(str(tmp_path / "j")).committed == {(0, 0): 0, (0, 1): 0}
 

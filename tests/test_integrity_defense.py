@@ -101,6 +101,20 @@ class TestLiarWorker:
         assert run.report.run_digest == oracle_digest(problem)
 
 
+@pytest.mark.parametrize("backend", ["threads", "processes", "simulated"])
+def test_fault_free_vote_casts_exactly_k_ballots_per_block(problem, backend):
+    """A vote's re-offer goes only to a worker that has not voted on that
+    block yet, so no worker recomputes a block it already voted on: a
+    fault-free run casts ``vote_k`` ballots per block, no more."""
+    run = EasyHPS(
+        cfg(backend=backend, integrity="vote", vote_k=2, process_partition=12,
+            task_timeout=30.0)
+    ).run(problem)
+    assert run.report.n_tasks == 16
+    assert run.report.metrics["counters"]["integrity.votes_cast"] == 2 * 16
+    assert backend == "simulated" or run.value.distance == problem.reference()
+
+
 class TestStaleDigestCorruption:
     def test_persistent_corruption_aborts_cleanly(self, problem):
         """Every result of (0, 0) is mutated in transit with a stale

@@ -66,6 +66,22 @@ class TestLiarTaint:
         assert rep.tainted_recomputes >= 1
         assert counters(rep)["integrity.audits_convicted"] == rep.audits_convicted
 
+    def test_a_never_quarantined_liar_does_not_recompute_its_own_lie(self, problem):
+        """Audits run AUDIT_LAG commits late, so the last lies are
+        convicted as the level drains, with the liar often the first idle
+        node: once convicted twice for a block, the liar is passed over
+        for its recompute, or it would lie on it again forever."""
+        rep = run(
+            problem,
+            integrity="audit",
+            audit_fraction=1.0,
+            quarantine_threshold=10**6,
+            worker_fault_plan=LIAR_1,
+        ).report
+        assert rep.quarantined_workers == ()
+        assert rep.audits_convicted >= 1
+        assert counters(rep)["sim.undetected_corruptions"] == 0
+
     def test_audit_quarantines_a_persistent_liar(self, problem):
         rep = run(
             problem,
@@ -181,20 +197,19 @@ class TestJournaledGroups:
         path = str(tmp_path / "j")
         evicted, checked = [], []
         run_cls = simulated._SimulatedRun
-        journal_group, commit_result = run_cls._journal_group, run_cls._commit_result
+        write_ahead, merge = run_cls._write_ahead, run_cls._merge
         batch_arrival = run_cls._batch_arrival
         envelope = {}
 
-        def spy_group(self, parts):
-            envelope.clear()
-            envelope.update(dict.fromkeys(journal_group(self, parts), False))
-            return list(envelope)
+        def spy_write(self, commits, revoked):
+            if commits:
+                envelope.update(dict.fromkeys(((r.task, r.epoch) for r in commits), False))
+            write_ahead(self, commits, revoked)
 
-        def spy_commit(self, bid, epoch, k, nbytes):
-            landed = commit_result(self, bid, epoch, k, nbytes)
-            if (bid, epoch) in envelope:
-                envelope[bid, epoch] |= landed
-            return landed
+        def spy_merge(self, res, released):
+            if (res.task, res.epoch) in envelope:
+                envelope[res.task, res.epoch] = True
+            merge(self, res, released)
 
         def spy_arrival(self, *args, **kwargs):
             envelope.clear()
@@ -203,8 +218,8 @@ class TestJournaledGroups:
             assert scan_journal(path).committed == self.core.committed
             checked.append(True)
 
-        monkeypatch.setattr(run_cls, "_journal_group", spy_group)
-        monkeypatch.setattr(run_cls, "_commit_result", spy_commit)
+        monkeypatch.setattr(run_cls, "_write_ahead", spy_write)
+        monkeypatch.setattr(run_cls, "_merge", spy_merge)
         monkeypatch.setattr(run_cls, "_batch_arrival", spy_arrival)
         for seed in range(6):
             liar = WorkerFaultRule("liar", worker_id=seed % 3, after_tasks=1)
