@@ -22,17 +22,18 @@ else in this package. ``repro.check`` is the layer that verifies it:
 - :mod:`repro.check.lock_lint` — an instrumented lock layer that records
   the acquisition-order graph across runtime threads and reports cycles
   and blocking channel calls made under a lock;
-- :mod:`repro.check.protocol` — a machine-checked state-machine
-  specification of what the dispatch core does not own (the slave and
-  master message loops, the message vocabulary) and static analyses over
-  it (reachability, unhandled messages, conflicting transitions);
 - :mod:`repro.check.explore` — a systematic concurrency explorer that
   drives the simulated backend through every message-delivery order
   (with partial-order reduction and bounded fault injection), checking
   all of the above invariants on every interleaving;
 - :mod:`repro.check.ast_lint` — source-level lints for the repo's
-  concurrency and clock discipline (no raw ``threading.Lock()``, no
-  direct wall-clock reads in scheduling code).
+  concurrency, clock, config and protocol discipline (no raw
+  ``threading.Lock()``, no direct wall-clock reads in scheduling code, no
+  I/O in the sans-I/O core, no unread ``RunConfig`` field, every wire
+  message kind handled by exactly one of the two receive loops);
+- :mod:`repro.check.runner` — the batch sweeps: every built-in pattern,
+  algorithm and lint (``--all-builtin``), and observed runs of every
+  backend replayed into the dispatch core (``--protocol``).
 
 Run everything from the command line with ``python -m repro check`` (see
 ``docs/static_analysis.md``), or enable the trace validator for any run
@@ -43,12 +44,6 @@ from repro.check.ast_lint import check_clock_discipline, check_lock_discipline
 from repro.check.diagnostics import CheckReport, Diagnostic
 from repro.check.lock_lint import LockLint, lock_lint_session, make_condition, make_lock, note_blocking
 from repro.check.pattern_check import check_partition, check_pattern
-from repro.check.protocol import (
-    ProtocolSpec,
-    Transition,
-    build_protocol_spec,
-    check_protocol_spec,
-)
 from repro.check.trace_check import LEDGER_KINDS, check_trace
 
 # NOTE: repro.check.explore is deliberately NOT imported here. It needs
@@ -63,14 +58,10 @@ __all__ = [
     "Diagnostic",
     "LEDGER_KINDS",
     "LockLint",
-    "ProtocolSpec",
-    "Transition",
-    "build_protocol_spec",
     "check_clock_discipline",
     "check_lock_discipline",
     "check_partition",
     "check_pattern",
-    "check_protocol_spec",
     "check_trace",
     "lock_lint_session",
     "make_condition",

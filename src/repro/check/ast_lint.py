@@ -1,6 +1,7 @@
-"""AST lints enforcing the repo's concurrency, clock and config discipline.
+"""AST lints enforcing the repo's concurrency, clock, config and protocol
+discipline.
 
-Four project rules exist that no type checker sees:
+Five project rules exist that no type checker sees:
 
 - **Lock discipline** — locks and condition variables must come from
   :func:`repro.check.lock_lint.make_lock` / ``make_condition`` so the
@@ -23,6 +24,13 @@ Four project rules exist that no type checker sees:
 - **No dead knob** — a ``RunConfig`` field is the one declaration of a
   knob (``docs/configuration.md``), so a field nothing in the package
   reads is an option that does nothing: it becomes a constant or goes.
+- **Every wire message has a handler** — the two loops that receive
+  messages (``MESSAGE_DISPATCH_LOOPS``: the master's per-slave service
+  loop and the slave's protocol loop) between them test every wire kind
+  of :mod:`repro.comm.messages` with ``isinstance(msg, ...)``, and no
+  kind in both: a kind travels one way. There is no second, hand-written
+  description of the protocol to check instead (``docs/protocol.md``
+  §The two loops says in prose what the loops do).
 
 All lints are source-level (``ast``), so they catch violations in
 code paths tests never execute. Wired into ``repro check
@@ -44,10 +52,13 @@ __all__ = [
     "lint_clock_discipline",
     "lint_sans_io",
     "lint_config_fields",
+    "lint_message_dispatch",
     "check_lock_discipline",
     "check_clock_discipline",
     "check_config_fields",
+    "check_message_dispatch",
     "source_root",
+    "wire_message_kinds",
 ]
 
 _BANNED_LOCK_ATTRS = ("Lock", "Condition")
@@ -62,6 +73,13 @@ _SANS_IO_BANNED_NAMES = ("make_lock", "make_condition")
 SANS_IO_MODULES = (
     os.path.join("runtime", "dispatch.py"),
     os.path.join("runtime", "landing.py"),
+)
+#: The loops that receive wire messages, as (package-relative path,
+#: class, method): the master's per-slave service loop and the slave's
+#: protocol loop. Between them they must handle every wire kind.
+MESSAGE_DISPATCH_LOOPS = (
+    (os.path.join("runtime", "master.py"), "MasterPart", "_serve_slave"),
+    (os.path.join("runtime", "slave.py"), "SlavePart", "run"),
 )
 
 
@@ -199,6 +217,84 @@ def lint_config_fields(
     return [(line, name) for name, line in fields.items() if name not in loaded]
 
 
+def wire_message_kinds() -> Tuple[str, ...]:
+    """The real wire vocabulary: every concrete ``Message`` subclass the
+    master and slave loops exchange — signals and envelopes. An
+    envelope's elements (``TaskAssign`` / ``TaskResult``) are payload,
+    not vocabulary: no loop receives a bare one."""
+    from repro.comm import messages as M
+
+    found: List[str] = []
+    stack = list(M.Message.__subclasses__())
+    while stack:
+        cls = stack.pop()
+        stack.extend(cls.__subclasses__())
+        if cls is not M.Envelope and not issubclass(cls, M.Element):
+            found.append(cls.__name__)
+    return tuple(sorted(found))
+
+
+def _isinstance_kinds(func: ast.AST) -> Set[str]:
+    """Class names ``func`` tests ``msg`` against with ``isinstance``."""
+    kinds: Set[str] = set()
+    for node in ast.walk(func):
+        if not (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance"
+            and len(node.args) == 2
+            and isinstance(node.args[0], ast.Name)
+            and node.args[0].id == "msg"
+        ):
+            continue
+        spec = node.args[1]
+        for cls in spec.elts if isinstance(spec, ast.Tuple) else [spec]:
+            if isinstance(cls, ast.Name):
+                kinds.add(cls.id)
+    return kinds
+
+
+def _find_method(source: str, path: str, cls: str, method: str) -> Optional[ast.AST]:
+    try:
+        tree = ast.parse(source, filename=path)
+    except SyntaxError:
+        return None
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and node.name == cls:
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and item.name == method:
+                    return item
+    return None
+
+
+def lint_message_dispatch(sources: Dict[str, str], kinds: Iterable[str]) -> List[Tuple[str, str]]:
+    """(subject, what) for every receive loop of ``MESSAGE_DISPATCH_LOOPS``
+    that cannot be found, every wire kind no loop tests ``msg`` against,
+    and every kind both loops test. ``sources`` maps each loop's path to
+    the text of that file."""
+    out: List[Tuple[str, str]] = []
+    named: Dict[str, List[str]] = {}
+    for path, cls, method in MESSAGE_DISPATCH_LOOPS:
+        loop = f"{cls}.{method}"
+        func = _find_method(sources.get(path, ""), path, cls, method)
+        if func is None:
+            out.append((f"{path}:{loop}", f"receive loop {loop} not found in {path}"))
+            continue
+        for kind in _isinstance_kinds(func):
+            named.setdefault(kind, []).append(loop)
+    all_loops = " or ".join(f"{cls}.{method}" for _path, cls, method in MESSAGE_DISPATCH_LOOPS)
+    for kind in sorted(kinds):
+        where = named.get(kind, [])
+        if not where:
+            out.append((kind, f"wire message {kind} has no isinstance branch in {all_loops}"))
+        elif len(where) > 1:
+            out.append(
+                (kind, f"wire message {kind} is handled by both {' and '.join(where)} "
+                       f"— a kind travels one way")
+            )
+    return out
+
+
 def source_root() -> str:
     """The installed ``repro`` package directory this lint scans."""
     return os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -301,4 +397,23 @@ def check_config_fields(
             f"the package — a knob nothing reads is a constant or dead",
             f"runtime/config.py:{line}",
         )
+    return report
+
+
+def check_message_dispatch(
+    root: Optional[str] = None, title: str = "lint:message-dispatch"
+) -> CheckReport:
+    """Every wire message kind is handled by exactly one receive loop."""
+    root = root or source_root()
+    report = CheckReport(title=title)
+    sources: Dict[str, str] = {}
+    for path, _cls, _method in MESSAGE_DISPATCH_LOOPS:
+        full = os.path.join(root, path)
+        if os.path.exists(full):
+            with open(full, encoding="utf-8") as fh:
+                sources[path] = fh.read()
+    kinds = wire_message_kinds()
+    report.checked += len(kinds) + len(MESSAGE_DISPATCH_LOOPS)
+    for subject, what in lint_message_dispatch(sources, kinds):
+        report.add(D.PROTOCOL_UNHANDLED_MESSAGE, what, subject)
     return report

@@ -38,12 +38,6 @@ COMMIT_WITHOUT_VERIFY = "commit-without-verify"
 LOCK_CYCLE = "lock-cycle"
 BLOCKING_WHILE_LOCKED = "blocking-while-locked"
 
-# -- protocol-spec static analysis codes ----------------------------------------
-PROTOCOL_UNREACHABLE_STATE = "protocol-unreachable-state"
-PROTOCOL_UNHANDLED_MESSAGE = "protocol-unhandled-message"
-PROTOCOL_CONFLICT = "protocol-conflicting-transitions"
-PROTOCOL_MESSAGE_MISMATCH = "protocol-message-mismatch"
-
 # -- trace-replay codes (the recorded stream and the dispatch core disagree) -----
 PROTOCOL_ILLEGAL_TRANSITION = "protocol-illegal-transition"
 PROTOCOL_COMMIT_WITHOUT_VERIFY = "protocol-commit-without-verify"
@@ -57,6 +51,9 @@ RAW_LOCK_CONSTRUCTION = "raw-lock-construction"
 UNINJECTED_CLOCK = "uninjected-clock"
 SANS_IO_VIOLATION = "sans-io-violation"
 CONFIG_FIELD_UNREAD = "config-field-unread"
+#: A wire message kind no receive loop handles, or both do, or a receive
+#: loop the lint cannot find.
+PROTOCOL_UNHANDLED_MESSAGE = "protocol-unhandled-message"
 
 SEVERITIES = ("error", "warning")
 

@@ -1,6 +1,6 @@
 """Seeded defect fixtures — known-bad inputs every check pass must catch.
 
-Nineteen fixtures, one per diagnostic family the verifier exists for:
+Eighteen fixtures, one per diagnostic family the verifier exists for:
 
 1.  a cyclic "pattern"                          -> ``pattern-cycle``
 2.  a pattern with an out-of-bounds dependency  -> ``dep-out-of-bounds``
@@ -12,39 +12,37 @@ Nineteen fixtures, one per diagnostic family the verifier exists for:
     quarantine                                  -> ``protocol-illegal-transition``
 8.  a tainted commit never recomputed           -> ``lost-update``
 9.  more worker commits than digest checks      -> ``commit-without-verify``
-10. a protocol spec that forgot to handle
-    BatchAssign                                 -> ``protocol-unhandled-message``
-11. a spec whose compute path was disconnected  -> ``protocol-unreachable-state``
-12. an event stream committing an epoch whose
+10. an event stream committing an epoch whose
     digest check failed                         -> ``protocol-commit-without-verify``
-13. an event stream re-dispatching at a
+11. an event stream re-dispatching at a
     cancelled dispatch's epoch                  -> ``protocol-illegal-transition``
-14. a master that merges reordering-delayed
+12. a master that merges reordering-delayed
     stale results — caught only by systematic
     interleaving exploration                    -> ``duplicate-commit``
-15. a raw ``threading.Lock()`` construction     -> ``raw-lock-construction``
-16. a direct ``time.monotonic()`` read in
+13. a raw ``threading.Lock()`` construction     -> ``raw-lock-construction``
+14. a direct ``time.monotonic()`` read in
     scheduling code                             -> ``uninjected-clock``
-17. a dispatch core that reads the clock and
+15. a dispatch core that reads the clock and
     takes a lock itself                         -> ``sans-io-violation``
-18. a ``RunConfig`` field only its own validator
+16. a ``RunConfig`` field only its own validator
     mentions                                    -> ``config-field-unread``
-19. a data mapping whose ``top`` input reaches
+17. a slave loop with no ``EndSignal`` branch,
+    beside the real master loop                 -> ``protocol-unhandled-message``
+18. a data mapping whose ``top`` input reaches
     into a block the DAG does not order first   -> ``mapping-reads-non-ancestor``
 
 They serve two purposes: negative-path tests (each must be *rejected*,
 with the named diagnostic), and the ``repro check --selftest`` CLI verb,
 which proves in CI that the verifier still has teeth. The broken
 patterns subclass :class:`DAGPattern` directly because the public
-constructors (by design) refuse to build them; the broken protocol
-specs are built by the surgery helper in :mod:`repro.check.protocol`;
-fixtures 4, 5, 7-9, 12 and 13 are recorded streams — lists of
-:class:`~repro.obs.recorder.ObsEvent`, the one event type — each judged
-by one replay into the dispatch core
-(:func:`repro.check.trace_check.check_trace`); fixture 14 re-runs the
+constructors (by design) refuse to build them; fixtures 4, 5, 7-11 are
+recorded streams — lists of :class:`~repro.obs.recorder.ObsEvent`, the
+one event type — each judged by one replay into the dispatch core
+(:func:`repro.check.trace_check.check_trace`); fixture 12 re-runs the
 bounded explorer against a seeded-defect master
 (:func:`repro.check.explore.reorder_double_commit_model`) whose bug a
-randomized chaos campaign provably cannot time.
+randomized chaos campaign provably cannot time; fixtures 13-17 are
+source snippets fed to the AST lints.
 """
 
 from __future__ import annotations
@@ -54,15 +52,18 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.check import diagnostics as D
 from repro.check.ast_lint import (
+    MESSAGE_DISPATCH_LOOPS,
     lint_clock_discipline,
     lint_config_fields,
     lint_lock_discipline,
+    lint_message_dispatch,
     lint_sans_io,
+    source_root,
+    wire_message_kinds,
 )
 from repro.check.diagnostics import CheckReport
 from repro.check.lock_lint import lock_lint_session, make_lock
 from repro.check.pattern_check import check_pattern
-from repro.check.protocol import build_protocol_spec, check_protocol_spec, drop_transitions
 from repro.check.trace_check import check_trace
 from repro.dag.library import WavefrontPattern
 from repro.dag.pattern import DAGPattern, VertexId
@@ -238,19 +239,6 @@ def unverified_commit_report() -> CheckReport:
     return check_trace(events, WavefrontPattern(1, 3), verified=2)
 
 
-def unhandled_taskassign_spec_report() -> CheckReport:
-    """A slave that forgot its assignment handler: the receivable
-    declaration survives, the transitions are gone."""
-    spec = drop_transitions(build_protocol_spec(), "slave", "awaiting", "BatchAssign")
-    return check_protocol_spec(spec, title="fixture:unhandled-taskassign")
-
-
-def disconnected_compute_spec_report() -> CheckReport:
-    """Dropping compute-done strands the slave's ``reporting`` state."""
-    spec = drop_transitions(build_protocol_spec(), "slave", "computing", "compute-done")
-    return check_protocol_spec(spec, title="fixture:disconnected-compute")
-
-
 def _one_task_stream_report(title: str, *steps: Tuple[str, int, int]) -> CheckReport:
     """Replay ``(kind, epoch, worker)`` steps about the one task of a 1x1
     wavefront into the dispatch core."""
@@ -354,6 +342,17 @@ def watchdog(config, idle_for):
     return idle_for > config.effective_stall_timeout
 """
 
+_NO_END_SIGNAL_SLAVE = """\
+class SlavePart:
+    def run(self):
+        while True:
+            self._send(IdleSignal(self.slave_id))
+            msg = self._recv()
+            if not isinstance(msg, BatchAssign):
+                continue  # an EndSignal is never told apart: the slave spins
+            self._send(self._compute_wave(msg))
+"""
+
 
 def raw_lock_snippet_report() -> CheckReport:
     report = CheckReport(title="fixture:raw-lock")
@@ -384,6 +383,19 @@ def dead_knob_snippet_report() -> CheckReport:
     for line, name in lint_config_fields(_DEAD_KNOB_CONFIG, [_DEAD_KNOB_READER]):
         report.checked += 1
         report.add(D.CONFIG_FIELD_UNREAD, f"RunConfig.{name} at <fixture>:{line}")
+    return report
+
+
+def unhandled_end_signal_report() -> CheckReport:
+    """The real master loop beside a slave loop that never tests for
+    ``EndSignal``: only that kind is left without a handler."""
+    report = CheckReport(title="fixture:unhandled-end-signal")
+    (master_path, _, _), (slave_path, _, _) = MESSAGE_DISPATCH_LOOPS
+    with open(f"{source_root()}/{master_path}", encoding="utf-8") as fh:
+        sources = {master_path: fh.read(), slave_path: _NO_END_SIGNAL_SLAVE}
+    for subject, what in lint_message_dispatch(sources, wire_message_kinds()):
+        report.checked += 1
+        report.add(D.PROTOCOL_UNHANDLED_MESSAGE, what, subject)
     return report
 
 
@@ -428,14 +440,6 @@ SELFTEST: Dict[str, Tuple[str, Callable[[], CheckReport]]] = {
         lambda: check_trace(*taint_without_recompute_trace()),
     ),
     "commit-without-verify": (D.COMMIT_WITHOUT_VERIFY, unverified_commit_report),
-    "protocol-unhandled-taskassign": (
-        D.PROTOCOL_UNHANDLED_MESSAGE,
-        unhandled_taskassign_spec_report,
-    ),
-    "protocol-disconnected-compute": (
-        D.PROTOCOL_UNREACHABLE_STATE,
-        disconnected_compute_spec_report,
-    ),
     "protocol-unverified-commit": (
         D.PROTOCOL_COMMIT_WITHOUT_VERIFY,
         unverified_commit_stream_report,
@@ -452,6 +456,7 @@ SELFTEST: Dict[str, Tuple[str, Callable[[], CheckReport]]] = {
     "uninjected-clock": (D.UNINJECTED_CLOCK, raw_clock_snippet_report),
     "io-in-dispatch-core": (D.SANS_IO_VIOLATION, io_in_core_snippet_report),
     "dead-config-knob": (D.CONFIG_FIELD_UNREAD, dead_knob_snippet_report),
+    "unhandled-end-signal": (D.PROTOCOL_UNHANDLED_MESSAGE, unhandled_end_signal_report),
     "overreaching-data-mapping": (D.MAPPING_READS_NON_ANCESTOR, overreaching_mapping_report),
 }
 

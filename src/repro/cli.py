@@ -421,10 +421,15 @@ def cmd_check(args: argparse.Namespace) -> int:
     elif args.algo is not None:
         show(f"algorithm:{args.algo}", check_algorithm(_build_problem(args)))
     elif args.protocol:
-        from repro.check.protocol import check_protocol_spec, conformance_cases
+        from repro.check.ast_lint import check_message_dispatch
+        from repro.check.runner import conformance_cases
 
-        show("protocol:spec", check_protocol_spec())
-        for name, report in conformance_cases(size=args.size, seed=args.seed):
+        try:
+            cases = conformance_cases(size=args.size, seed=args.seed)
+        except ConfigError as exc:
+            raise SystemExit(str(exc)) from None
+        show("lint:message-dispatch", check_message_dispatch())
+        for name, report in cases:
             show(name, report)
     elif args.explore or args.replay is not None:
         from repro.check.explore import (
@@ -786,7 +791,7 @@ def build_parser() -> argparse.ArgumentParser:
     target.add_argument(
         "--protocol",
         action="store_true",
-        help="check the wire-protocol spec and replay observed runs into the dispatch core",
+        help="lint the two receive loops and replay observed runs into the dispatch core",
     )
     target.add_argument(
         "--explore",

@@ -1,20 +1,26 @@
-"""The lock-, clock-discipline, sans-I/O and dead-knob source lints."""
+"""The lock-, clock-discipline, sans-I/O, dead-knob and message-dispatch
+source lints."""
 
+import ast
 import os
 
 import pytest
 
 from repro.check import diagnostics as D
 from repro.check.ast_lint import (
+    MESSAGE_DISPATCH_LOOPS,
     SANS_IO_MODULES,
     check_clock_discipline,
     check_config_fields,
     check_lock_discipline,
+    check_message_dispatch,
     lint_clock_discipline,
     lint_config_fields,
     lint_lock_discipline,
+    lint_message_dispatch,
     lint_sans_io,
     source_root,
+    wire_message_kinds,
 )
 
 
@@ -154,6 +160,104 @@ class TestConfigFieldLint:
         report = check_config_fields(root=str(tmp_path))
         assert report.has(D.CONFIG_FIELD_UNREAD)
         assert any("RunConfig.linger" in d.message for d in report.diagnostics)
+
+
+def real_loop_sources():
+    sources = {}
+    for path, _cls, _method in MESSAGE_DISPATCH_LOOPS:
+        with open(f"{source_root()}/{path}", encoding="utf-8") as fh:
+            sources[path] = fh.read()
+    return sources
+
+
+def drop_branch(source, kind):
+    """``source`` without the ``if`` whose test names ``kind`` (its
+    ``elif`` / ``else`` tail is kept)."""
+
+    class Drop(ast.NodeTransformer):
+        def visit_If(self, node):
+            self.generic_visit(node)
+            if any(isinstance(n, ast.Name) and n.id == kind for n in ast.walk(node.test)):
+                return node.orelse or ast.Pass()
+            return node
+
+    return ast.unparse(Drop().visit(ast.parse(source)))
+
+
+class TestMessageDispatchLint:
+    MASTER = (
+        "class MasterPart:\n"
+        "    def _serve_slave(self, worker_id):\n"
+        "        msg = self.recv()\n"
+        "        if isinstance(msg, (IdleSignal, Heartbeat)):\n"
+        "            pass\n"
+        "        elif isinstance(msg, BatchResult):\n"
+        "            pass\n"
+        "        elif isinstance(msg, WorkerLeave):\n"
+        "            pass\n"
+    )
+    SLAVE = (
+        "class SlavePart:\n"
+        "    def run(self):\n"
+        "        msg = self.recv()\n"
+        "        if isinstance(msg, EndSignal):\n"
+        "            return\n"
+        "        if not isinstance(msg, BatchAssign):\n"
+        "            raise TypeError(msg)\n"
+    )
+
+    def lint(self, master=MASTER, slave=SLAVE):
+        (master_path, _, _), (slave_path, _, _) = MESSAGE_DISPATCH_LOOPS
+        return lint_message_dispatch(
+            {master_path: master, slave_path: slave}, wire_message_kinds()
+        )
+
+    def test_wire_kinds_are_the_signals_and_the_envelopes(self):
+        assert wire_message_kinds() == (
+            "BatchAssign", "BatchResult", "EndSignal", "Heartbeat", "IdleSignal", "WorkerLeave",
+        )
+
+    def test_tuples_and_negations_count_as_branches(self):
+        assert self.lint() == []
+
+    def test_the_real_loops_split_the_kinds_between_them(self):
+        report = check_message_dispatch()
+        assert report.ok, [d.message for d in report.diagnostics]
+        assert report.checked == len(wire_message_kinds()) + 2
+
+    @pytest.mark.parametrize(
+        "kind",
+        ["IdleSignal", "BatchResult", "Heartbeat", "WorkerLeave", "BatchAssign", "EndSignal"],
+    )
+    def test_each_real_branch_removed_is_named(self, kind):
+        sources = real_loop_sources()
+        (path,) = [p for p, text in sources.items() if f"isinstance(msg, {kind})" in text]
+        sources[path] = drop_branch(sources[path], kind)
+        assert f"isinstance(msg, {kind})" not in sources[path]
+        hits = lint_message_dispatch(sources, wire_message_kinds())
+        assert [subject for subject, _ in hits] == [kind]
+        assert "no isinstance branch" in hits[0][1]
+
+    def test_a_renamed_loop_is_a_finding_not_a_silent_pass(self, tmp_path):
+        sources = real_loop_sources()
+        (master_path, _, _), (slave_path, _, _) = MESSAGE_DISPATCH_LOOPS
+        renamed = sources[master_path].replace("def _serve_slave(", "def _serve_peer(")
+        assert renamed != sources[master_path]
+        for path, text in ((master_path, renamed), (slave_path, sources[slave_path])):
+            (tmp_path / path).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / path).write_text(text, encoding="utf-8")
+        report = check_message_dispatch(root=str(tmp_path))
+        assert set(report.codes()) == {D.PROTOCOL_UNHANDLED_MESSAGE}
+        assert f"{master_path}:MasterPart._serve_slave" in [d.subject for d in report.diagnostics]
+        (tmp_path / slave_path).unlink()  # a missing file is not found either
+        subjects = [d.subject for d in check_message_dispatch(root=str(tmp_path)).diagnostics]
+        assert f"{slave_path}:SlavePart.run" in subjects
+
+    def test_a_kind_named_in_both_loops_is_a_finding(self):
+        slave = self.SLAVE + "        if isinstance(msg, Heartbeat):\n            pass\n"
+        hits = self.lint(slave=slave)
+        assert [subject for subject, _ in hits] == ["Heartbeat"]
+        assert "both MasterPart._serve_slave and SlavePart.run" in hits[0][1]
 
 
 class TestTreeWideChecks:

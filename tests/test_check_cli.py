@@ -84,16 +84,26 @@ class TestExitCodeContract:
         assert main(["check", "--selftest"]) == 0
         out = capsys.readouterr().out
         fixtures = [line for line in out.splitlines() if "(expects [" in line]
-        assert len(fixtures) >= 12  # issue floor; currently 16
+        assert len(fixtures) >= 12  # issue floor; currently 18
 
 
 class TestProtocolAndExplore:
     def test_protocol_target(self, capsys):
         assert main(["check", "--protocol", "--size", "16"]) == 0
         out = capsys.readouterr().out
-        assert "protocol:spec" in out
+        assert "lint:message-dispatch" in out
         assert "protocol:conformance:simulated" in out
         assert "protocol:conformance:threads" in out
+        assert "5 targets checked, 0 failed" in out
+
+    def test_protocol_target_refuses_a_one_block_size(self, capsys):
+        # At --size 2 the grid is one block, so the faulted run's
+        # duplicate of block (1, 1) could never fire.
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--protocol", "--size", "2"])
+        assert exc.value.code != 0
+        assert "at least 3" in str(exc.value.code)
+        assert "protocol:conformance" not in capsys.readouterr().out
 
     def test_explore_target(self, capsys, tmp_path):
         assert main([

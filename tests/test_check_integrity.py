@@ -144,7 +144,7 @@ class TestCommitWithoutVerify:
 class TestSelftest:
     def test_all_fixtures_detected(self):
         results = run_selftest()
-        assert len(results) >= 12  # issue floor; currently 19
+        assert len(results) >= 12  # issue floor; currently 18
         missed = [name for name, _, detected in results if not detected]
         assert not missed, f"selftest blind to: {missed}"
 

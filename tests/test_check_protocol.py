@@ -1,21 +1,15 @@
-"""The hand-written wire-protocol spec and its analyses, and recorded
-streams replayed into the dispatch core (``check_trace``)."""
+"""Recorded streams replayed into the dispatch core (``check_trace``), and
+the observed runs ``repro check --protocol`` replays."""
 
 from dataclasses import dataclass
 
 import pytest
 
 from repro.check import diagnostics as D
-from repro.check.protocol import (
-    build_protocol_spec,
-    check_protocol_spec,
-    conformance_cases,
-    conformance_configs,
-    drop_transitions,
-    wire_message_kinds,
-)
+from repro.check.runner import MIN_CONFORMANCE_SIZE, conformance_cases, conformance_configs
 from repro.check.trace_check import check_trace
 from repro.dag.library import WavefrontPattern
+from repro.utils.errors import ConfigError
 
 
 @dataclass
@@ -41,53 +35,6 @@ ONE_TASK = WavefrontPattern(1, 1)
 def replay(*specs, pattern=ONE_TASK, complete=False):
     """Feed a doctored stream to the one replay, as a recorded run is."""
     return check_trace(stream(*specs), pattern, require_complete=complete)
-
-
-class TestSpecStatics:
-    def test_real_spec_is_clean(self):
-        report = check_protocol_spec()
-        assert report.ok, [d.message for d in report.diagnostics]
-        assert report.checked > 40
-
-    def test_vocabulary_matches_message_classes(self):
-        spec = build_protocol_spec()
-        assert set(spec.messages) == set(wire_message_kinds())
-
-    def test_every_role_state_reachable(self):
-        # Indirectly covered by the clean run; assert the analysis is
-        # actually exercised by checking the counter moves per state.
-        spec = build_protocol_spec()
-        # The slave loop and the master session loop; the per-dispatch and
-        # per-worker machines are the dispatch core's, not hand-written.
-        assert [r.name for r in spec.roles] == ["slave", "master-control"]
-        assert sum(len(r.states) for r in spec.roles) == 8
-
-    def test_dropped_handler_flags_unhandled_message(self):
-        spec = drop_transitions(build_protocol_spec(), "slave", "awaiting", "BatchAssign")
-        report = check_protocol_spec(spec)
-        assert report.has(D.PROTOCOL_UNHANDLED_MESSAGE)
-
-    def test_disconnected_state_flags_unreachable(self):
-        spec = drop_transitions(
-            build_protocol_spec(), "slave", "computing", "compute-done"
-        )
-        report = check_protocol_spec(spec)
-        assert report.has(D.PROTOCOL_UNREACHABLE_STATE)
-
-    def test_phantom_message_flags_mismatch(self):
-        from dataclasses import replace
-
-        spec = build_protocol_spec()
-        spec = replace(spec, messages=spec.messages + ("GhostPacket",))
-        report = check_protocol_spec(spec)
-        assert report.has(D.PROTOCOL_MESSAGE_MISMATCH)
-
-    def test_surgery_helpers_do_not_mutate_input(self):
-        spec = build_protocol_spec()
-        n = len(spec.transitions)
-        drop_transitions(spec, "slave", "awaiting", "BatchAssign")
-        assert len(spec.transitions) == n
-        assert check_protocol_spec(spec).ok
 
 
 class TestStrictConformance:
@@ -476,3 +423,13 @@ class TestObservedRuns:
         committed = {(e.task_id, e.epoch) for e in events if e.kind == "commit"}
         assert dropped & committed
         assert any(e.kind == "redistribute" for e in events)
+
+
+def test_conformance_rejects_a_size_with_no_block_1_1():
+    # The faulted run duplicates block (1, 1): on a one-block grid only
+    # its drop would fire, and the case would promise what it cannot do.
+    assert MIN_CONFORMANCE_SIZE == 3
+    with pytest.raises(ConfigError, match="at least 3"):
+        conformance_configs(MIN_CONFORMANCE_SIZE - 1)
+    name, config = conformance_configs(MIN_CONFORMANCE_SIZE)[-1]
+    assert name == "threads-faulted" and config.process_partition == 2

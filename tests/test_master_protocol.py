@@ -2,10 +2,13 @@
 
 These drive the master's per-slave worker thread directly over a raw
 channel — no SlavePart — to pin the wire protocol: idle -> assign,
-result -> (new) assign, stale-epoch rejection, end-signal delivery.
+result -> (new) assign, stale-epoch rejection, end-signal delivery, a
+duplicate idle swallowed while a dispatch is live, a retired worker
+sent away.
 """
 
 import threading
+import time
 
 import pytest
 
@@ -110,8 +113,6 @@ class TestProtocol:
         )
         send_result(ch, assign.task_id, assign.epoch + 7, 0, fake)
         # The master never completes (0,0) from that; give it a moment.
-        import time
-
         time.sleep(0.1)
         assert master.stats.stale_results == 1
         assert master.core.is_live(assign.task_id)
@@ -146,6 +147,48 @@ class TestProtocol:
         thread.join(timeout=10.0)
         assert master.stats.faults_recovered >= 1
         assert master.stats.tasks_per_worker.get(1) == 4
+        assert problem.finalize(box["state"]).distance == problem.reference()
+
+    def test_duplicate_idle_gets_nothing_while_a_dispatch_is_live(self, problem):
+        master, partition, (ch,), thread, _ = start_master(problem)
+        ch.send(IdleSignal(0))
+        assign = lone_assign(ch.recv(timeout=5.0))
+        # A re-announcement (the slave's resend window passed) while the
+        # worker still holds (0, 0): swallowed, no second assignment.
+        ch.send(IdleSignal(0))
+        with pytest.raises(ChannelTimeout):
+            ch.recv(timeout=0.3)
+        assert master.core.holds_live(0)
+        # Once the result lands, the next announcement is admitted.
+        outputs = problem.evaluator(partition, assign.task_id, assign.inputs).run_serial(
+            partition.sub_partition(assign.task_id, 5)
+        )
+        send_result(ch, assign.task_id, assign.epoch, 0, outputs)
+        ch.send(IdleSignal(0))
+        obedient_slave_from(lone_assign(ch.recv(timeout=5.0)), problem, partition, ch)
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+        assert master.stats.tasks_per_worker == {0: 4}
+
+    def test_retired_worker_idle_is_answered_with_end_signal(self, problem):
+        master, partition, (ch0, ch1), thread, box = start_master(
+            problem, n_slaves=2, task_timeout=0.3, blacklist_threshold=1
+        )
+        # Slave 0 takes (0, 0) and goes silent past its deadline: one
+        # strike blacklists it (slave 1 stays, so the floor allows it).
+        ch0.send(IdleSignal(0))
+        lone_assign(ch0.recv(timeout=5.0))
+        helper = threading.Thread(target=obedient_slave, args=(problem, partition, ch1, 1))
+        helper.start()
+        deadline = time.monotonic() + 5.0
+        while not master.core.is_retired(0) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert master.core.is_retired(0)
+        ch0.send(IdleSignal(0))
+        assert isinstance(ch0.recv(timeout=5.0), EndSignal)
+        helper.join(timeout=10.0)
+        thread.join(timeout=10.0)
+        assert master.stats.tasks_per_worker == {1: 4}
         assert problem.finalize(box["state"]).distance == problem.reference()
 
     def test_task_offered_before_a_taint_is_not_dispatched_after_it(self, problem):

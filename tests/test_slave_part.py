@@ -17,6 +17,7 @@ from repro.comm.messages import (
     BatchAssign,
     BatchResult,
     EndSignal,
+    Heartbeat,
     IdleSignal,
     TaskAssign,
     TaskResult,
@@ -25,6 +26,7 @@ from repro.comm.transport import channel_pair
 from repro.dag.partition import partition_pattern
 from repro.runtime.config import RunConfig
 from repro.runtime.slave import SlavePart
+from repro.utils.errors import TransportError
 
 
 @pytest.fixture
@@ -119,6 +121,28 @@ class TestProtocolSide:
         thread = run_slave_async(slave)
         thread.join(timeout=5.0)
         assert not thread.is_alive() and slave.stop_event.is_set()
+
+    def test_silence_past_the_resend_window_reannounces_idle(self, setup):
+        # An idle signal (or its answer) lost in transit must not silence
+        # the slave: with nothing heard for max(0.1 s, 10 polls) it
+        # announces again.
+        problem, partition, master, slave_end = setup
+        slave = make_slave(problem, partition, slave_end)
+        thread = run_slave_async(slave)
+        assert isinstance(master.recv(timeout=5.0), IdleSignal)
+        assert isinstance(master.recv(timeout=5.0), IdleSignal)
+        master.send(EndSignal())
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+        assert slave.stats.tasks == 0
+
+    def test_a_message_that_is_no_assignment_nor_end_raises(self, setup):
+        problem, partition, master, slave_end = setup
+        slave = make_slave(problem, partition, slave_end)
+        master.send(Heartbeat(0))  # a master-bound kind, sent the wrong way
+        with pytest.raises(TransportError, match="unexpected message"):
+            slave.run()
+        assert isinstance(master.recv(timeout=5.0), IdleSignal)
 
     def test_crash_fault_drops_task_but_keeps_serving(self, setup):
         problem, partition, master, slave_end = setup
