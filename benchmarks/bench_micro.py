@@ -123,13 +123,21 @@ def test_simulate_level_swgg_costs(benchmark):
     parser, ranges, n_cols = run._level(bid)
     spec = run.nodes[0].spec
     rate = spec.flops_per_second * spec.thread_efficiency(spec.threads)
-    costs = {
-        sub: run.problem.subblock_flops(run.partition, bid, lr, lc) / rate
-        for sub, (lr, lc) in zip(parser.vertex_ids, ranges)
-    }
+    flops = run.problem.subblock_costs(run.partition, bid, ranges)
+    costs = {sub: f / rate for sub, f in zip(parser.vertex_ids, flops)}
     policy = make_policy("dynamic", spec.threads, n_cols)
 
     benchmark(lambda: simulate_level(parser, costs, spec.threads, policy))
+
+
+def test_subblock_costs_swgg_block(benchmark):
+    """One cold cost class's sub-block costs: a single ``subblock_costs``
+    call over the 400 sub-blocks of a mid-matrix 200 / 10 SWGG block."""
+    run = _swgg_inner_run()
+    bid = (10, 20)
+    _parser, ranges, _n_cols = run._level(bid)
+
+    benchmark(lambda: run.problem.subblock_costs(run.partition, bid, ranges))
 
 
 def test_simulated_inner_cold_class(benchmark):

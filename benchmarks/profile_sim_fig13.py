@@ -4,10 +4,12 @@ Runs the twelve Fig 13 configurations of ``bench/``'s ``sim-fig13``
 workload (SWGG n = 10000, 200 / 10 partitions, X in {2, 5} nodes, every
 other paper core count) once and splits the profiled time three ways:
 
-- **thread level** — ``simulate_level`` plus the compile of each inner
-  DAG (``DAGParser.__init__`` called from ``_SimulatedRun._inner``);
+- **thread level** — ``simulate_level`` plus ``_SimulatedRun._level``,
+  which builds each block shape's inner level once (its sub-partition,
+  the compiled inner DAG and the sub-blocks' local ranges);
 - **cost derivation** — the rest of ``_SimulatedRun._inner``: cost
-  classes, sub-partitions, the 400 sub-block costs of each class;
+  classes and the 400 sub-block costs of each class (one
+  ``subblock_costs`` call);
 - **outer per-task path** — everything else: the event queue, the
   dispatch core, waves, transfers, commits.
 
@@ -85,8 +87,9 @@ def main(argv=None) -> int:
     stats = pstats.Stats(prof)
     total = stats.total_tt
     inner = _cum(stats, "_inner")
-    thread = _cum(stats, "simulate_level") + _cum(
-        stats, "__init__", module=os.path.join("dag", "parser.py"), caller="_inner"
+    simulated = os.path.join("backends", "simulated.py")
+    thread = _cum(stats, "simulate_level", module=simulated) + _cum(
+        stats, "_level", module=simulated, caller="_inner"
     )
     cost = inner - thread
     outer = total - inner

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -349,10 +349,11 @@ class FloydWarshall(DPProblem):
         rows, cols = partition.block_ranges(bid)
         return float(len(rows) * len(cols) * self._pivot_width(partition, bid[0]))
 
-    def subblock_flops(
-        self, partition: Partition, bid: VertexId, local_rows: range, local_cols: range
-    ) -> float:
-        return float(len(local_rows) * len(local_cols) * self._pivot_width(partition, bid[0]))
+    def subblock_costs(
+        self, partition: Partition, bid: VertexId, local_ranges: Sequence[Tuple[range, range]]
+    ) -> List[float]:
+        k = self._pivot_width(partition, bid[0])
+        return [float(len(lr) * len(lc) * k) for lr, lc in local_ranges]
 
     def block_cost_class(self, partition: Partition, bid: VertexId) -> object:
         rows, cols = partition.block_ranges(bid)

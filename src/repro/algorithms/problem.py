@@ -27,7 +27,7 @@ user-facing answer (score, alignment, structure...).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -238,23 +238,30 @@ class DPProblem(ABC):
         rows, cols = partition.block_ranges(bid)
         return self.region_flops(rows, cols, partition.is_diagonal_block(bid))
 
-    def subblock_flops(
-        self, partition: Partition, bid: VertexId, local_rows: range, local_cols: range
-    ) -> float:
-        """Work units of one thread-level sub-block of block ``bid``.
+    def subblock_costs(
+        self, partition: Partition, bid: VertexId, local_ranges: Sequence[Tuple[range, range]]
+    ) -> List[float]:
+        """Work units of thread-level sub-blocks of block ``bid``, one per
+        ``(local_rows, local_cols)`` of ``local_ranges``, in that order.
 
         The default translates block-local ranges to global cell ranges
-        and defers to :meth:`region_flops`. Staged algorithms whose cost
+        and defers to :meth:`region_flops`; the block's own ranges are
+        looked up once for the whole batch. Staged algorithms whose cost
         depends on the *stage* rather than cell position (Floyd-Warshall)
         override this directly.
         """
         rows, cols = partition.block_ranges(bid)
-        grows = range(rows.start + local_rows.start, rows.start + local_rows.stop)
-        gcols = range(cols.start + local_cols.start, cols.start + local_cols.stop)
+        r0, c0 = rows.start, cols.start
         # Inner sub-blocks sitting on the problem diagonal (only possible
         # inside a diagonal block of a triangular partition) are triangles.
-        diagonal = partition.is_diagonal_block(bid) and grows == gcols
-        return self.region_flops(grows, gcols, diagonal)
+        diagonal = partition.is_diagonal_block(bid)
+        flops = self.region_flops
+        costs = []
+        for lr, lc in local_ranges:
+            grows = range(r0 + lr.start, r0 + lr.stop)
+            gcols = range(c0 + lc.start, c0 + lc.stop)
+            costs.append(flops(grows, gcols, diagonal and grows == gcols))
+        return costs
 
     def block_cost_class(self, partition: Partition, bid: VertexId) -> object:
         """Hashable key under which two blocks have identical inner cost

@@ -122,7 +122,10 @@ def simulate_level(
     ``_SimulatedRun._inner`` pays for one compile per block shape rather
     than one per cost class. Idle workers are offered the ready list in
     worker order, one completion at a time; the policy is not asked while
-    the ready list is empty.
+    the ready list is empty. The dynamic pool answers each pick in O(1)
+    (the newest ready task, :meth:`DynamicPolicy.select_index
+    <repro.schedulers.policy.DynamicPolicy.select_index>`); the static and
+    history-steered policies scan.
 
     Deliberately its own list scheduler, not a shell around
     :class:`~repro.runtime.dispatch.DispatchCore`: this level is
@@ -336,11 +339,8 @@ class _SimulatedRun:
         parser, ranges, n_cols = self._level(bid)
         # Conservative model: all t threads contend while the node works.
         rate = node.flops_per_second * node.thread_efficiency(t)
-        flops = self.problem.subblock_flops
-        costs = {
-            sub: flops(self.partition, bid, lr, lc) / rate
-            for sub, (lr, lc) in zip(parser.vertex_ids, ranges)
-        }
+        flops = self.problem.subblock_costs(self.partition, bid, ranges)
+        costs = {sub: f / rate for sub, f in zip(parser.vertex_ids, flops)}
         policy = make_policy(self.config.thread_scheduler, t, n_cols)
         makespan, busy, _ = simulate_level(parser, costs, t, policy, overhead=node.task_overhead)
         result = (makespan, busy, parser.n_total)

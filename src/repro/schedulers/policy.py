@@ -36,10 +36,13 @@ class SchedulingPolicy(ABC):
     def owner(self, task_id: TaskId) -> Optional[int]:
         """Static owner of ``task_id``, or None if any worker may run it."""
 
-    def eligible(self, worker_id: int, task_id: TaskId) -> bool:
-        """Whether ``worker_id`` may execute ``task_id``."""
+    def _check_worker(self, worker_id: int) -> None:
         if not 0 <= worker_id < self.n_workers:
             raise SchedulerError(f"worker {worker_id} out of range 0..{self.n_workers - 1}")
+
+    def eligible(self, worker_id: int, task_id: TaskId) -> bool:
+        """Whether ``worker_id`` may execute ``task_id``."""
+        self._check_worker(worker_id)
         o = self.owner(task_id)
         return o is None or o == worker_id
 
@@ -73,6 +76,15 @@ class DynamicPolicy(SchedulingPolicy):
 
     def owner(self, task_id: TaskId) -> Optional[int]:
         return None
+
+    def select_index(self, worker_id: int, ready: Sequence[TaskId]) -> Optional[int]:
+        """The newest ready task, in O(1): every task is eligible, so the
+        base LIFO scan would stop at its first look (and, like it, this
+        checks ``worker_id`` only when there is a task to look at)."""
+        if not ready:
+            return None
+        self._check_worker(worker_id)
+        return len(ready) - 1
 
 
 class CostAwareDynamicPolicy(DynamicPolicy):

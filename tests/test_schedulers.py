@@ -3,12 +3,17 @@
 import pytest
 
 from repro.schedulers.policy import (
+    AffinityDynamicPolicy,
     BlockCyclicWavefrontPolicy,
     ColumnWavefrontPolicy,
     DynamicPolicy,
+    SchedulingPolicy,
     make_policy,
 )
 from repro.utils.errors import ConfigError, SchedulerError
+
+#: Ready lists of every length the thread level sees at its ends.
+READY_LISTS = [[], [(0, 0)], [(1, 1), (0, 2)], [(3, 0), (2, 1), (1, 2), (0, 3)]]
 
 
 class TestDynamic:
@@ -28,6 +33,40 @@ class TestDynamic:
         p = DynamicPolicy(2)
         with pytest.raises(SchedulerError):
             p.eligible(2, (0, 0))
+
+
+class TestDynamicPick:
+    """``DynamicPolicy.select_index`` answers in O(1) what the base class's
+    LIFO scan answers, error included."""
+
+    @pytest.mark.parametrize("ready", READY_LISTS)
+    def test_equals_the_base_scan(self, ready):
+        p = DynamicPolicy(3)
+        for w in range(3):
+            want = SchedulingPolicy.select_index(p, w, ready)
+            assert p.select_index(w, ready) == want
+            assert want == (len(ready) - 1 if ready else None)
+
+    @pytest.mark.parametrize("worker", [-1, 3, 7])
+    def test_out_of_range_worker_raises_only_with_a_task_to_look_at(self, worker):
+        p = DynamicPolicy(3)
+        assert p.select_index(worker, []) is None
+        with pytest.raises(SchedulerError) as override:
+            p.select_index(worker, [(0, 0)])
+        with pytest.raises(SchedulerError) as base:
+            SchedulingPolicy.select_index(p, worker, [(0, 0)])
+        assert str(override.value) == str(base.value)
+
+    def test_grown_pool_admits_the_joiner(self):
+        p = DynamicPolicy(2)
+        p.n_workers = 3  # an elastic join
+        assert p.select_index(2, [(0, 0), (0, 1)]) == 1
+
+    @pytest.mark.parametrize("ready", READY_LISTS)
+    def test_affinity_fallback_is_the_base_scan(self, ready):
+        p = AffinityDynamicPolicy(2, neighbor_fn=lambda t: [], history={0: {(9, 9)}})
+        for w in range(2):
+            assert p.select_index(w, ready) == SchedulingPolicy.select_index(p, w, ready)
 
 
 class TestBCW:

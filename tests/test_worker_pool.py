@@ -16,6 +16,8 @@ class TestComputableStack:
         assert s.pop_eligible(0, p) == (1, 0)
         assert s.pop_eligible(0, p) == (0, 1)
         assert len(s) == 1
+        assert s.pop_eligible(0, p) == (0, 0)
+        assert s.pop_eligible(0, p, timeout=0) is None
 
     def test_policy_filtered_pop(self):
         s = ComputableStack()
