@@ -63,6 +63,23 @@ def test_edit_distance_kernel_cells_per_second(benchmark, capsys, region):
     _ns_per_cell(benchmark, capsys, "edit_distance_region", region)
 
 
+def _swgg_block(origin: int, gap_fn, block: int = 50):
+    """A real ``block x block`` block of an SWGG table at matrix cell
+    ``(origin, origin)``: its strips as the problem class ships them."""
+    rng = np.random.default_rng(0)
+    m = origin + block
+    scores = rng.choice([2.0, -1.0], size=(m, m))
+    gap = gap_fn(np.arange(m + 1.0))
+    gap[0] = 1e30
+    H, Hloc = np.zeros((m + 1, m + 1)), np.zeros((m + 1, m + 1))
+    swgg_region(Hloc, H[1:, 0:1], H[0:1, 1:], scores, gap, 1, 1, range(m), range(m))
+    H[1:, 1:] = Hloc[1:, 1:]
+    o, e = origin, origin + block
+    Hloc = H[o - 1 : e, o - 1 : e].copy()
+    sub = np.ascontiguousarray(scores[o - 1 : e - 1, o - 1 : e - 1])
+    return Hloc, H[o:e, 0:o].copy(), H[0:o, o:e].copy(), sub, gap, o, o
+
+
 @pytest.mark.parametrize("region", [12, 25, 50])
 def test_swgg_kernel_cells_per_second(benchmark, capsys, region):
     """A region of a mid-matrix 50 x 50 block of SWGG n = 400 (200-cell
@@ -78,6 +95,20 @@ def test_swgg_kernel_cells_per_second(benchmark, capsys, region):
 
     benchmark(lambda: swgg_region(Hloc, Hrow, Hcol, sub, gap, origin, origin, rows, cols))
     _ns_per_cell(benchmark, capsys, "swgg_region", region)
+
+
+@pytest.mark.parametrize("gap_name,origin", [("quadratic", 175), ("affine", 350)])
+def test_swgg_kernel_real_block(benchmark, capsys, gap_name, origin):
+    """A whole 50 x 50 block cut from a real table. ``quadratic``
+    (``0.05 d**2``, superadditive) needs more than two sweeps on most rows,
+    so it times the push-loop tail; ``affine`` at 350-cell prefixes times
+    a deep origin, where the two prefix reductions dominate."""
+    gap_fn = {"quadratic": lambda d: 0.05 * d * d, "affine": lambda d: 2.0 + 0.5 * d}[gap_name]
+    Hloc, Hrow, Hcol, sub, gap, c0, r0 = _swgg_block(origin, gap_fn)
+    rows = cols = range(50)
+
+    benchmark(lambda: swgg_region(Hloc, Hrow, Hcol, sub, gap, c0, r0, rows, cols))
+    _ns_per_cell(benchmark, capsys, f"swgg_region {gap_name} prefixes {origin}", 50)
 
 
 def test_nussinov_kernel_block(benchmark):

@@ -19,7 +19,9 @@ cell and never through index arrays:
   strided slice of the flat local matrix;
 - general-gap Smith-Waterman reduces the column scan and the
   left-of-region part of the row scan as one 2-D reduction per source
-  array per row, leaving only the in-region row dependency as a loop;
+  array per row, and solves the in-region row dependency as a fixed
+  point of whole-row sweeps (two for a subadditive gap), handing a row
+  that has not converged after two to the per-cell push loop;
 - Nussinov and matrix-chain sweep a region by increasing span ``j - i``:
   the cells of one span-diagonal are independent, and their split scans
   are the rows of two strided windows over the working matrix.
@@ -234,12 +236,25 @@ def swgg_region(
     above)`` reduction per source array (``Hcol``, ``Hloc``) and the row
     scan over the columns left of the region one ``(w x columns)``
     reduction per source array (``Hrow``, ``Hloc``) against ``T[b, k] =
-    gap[j_b - k]``, Toeplitz views of ``gap`` made once per region. What
-    is left is the row's dependency on itself: each finished cell pushes
-    ``H - gap`` onto the cells to its right. Every candidate is the same
-    ``H - gap`` subtraction as cell by cell and ``max`` is exact, so the
-    result is identical. Temporaries are one ``(w x prefix)`` array per
-    reduction, never a cube over the region's rows.
+    gap[j_b - k]``, Toeplitz views of ``gap`` made once per region.
+
+    What is left is the row's dependency on itself, ``H[b] = max(best[b],
+    max_{k<b} H[k] - gap[b-k])``: a triangular system, so its one solution
+    is the cell-by-cell one. A sweep ``cur = max(best, max_k cur[k] -
+    Tin[b, k])`` (``Tin[b, k] = gap[b-k]`` below the diagonal, ``+inf`` on
+    and above it, whatever ``gap[0]`` is) that returns its input satisfies
+    the system, so it *is* that solution, bit for bit. From ``cur = best``
+    a subadditive gap (affine, concave) needs two sweeps: one closes the
+    row, one confirms it. A gap that has not converged after two finishes
+    with the push loop (each cell, once final, pushes ``H - gap`` onto the
+    cells to its right), which is exact from any start between ``best``
+    and the answer because every value it meets is a candidate ``<= H``;
+    a cell whose final value is the last sweep's input was pushed by that
+    sweep already, so only the others push again. Every candidate is the
+    same ``H - gap`` subtraction as cell by cell and ``max`` is exact, so
+    the result is identical. Temporaries are one ``(w x prefix)`` array per
+    reduction, never a cube over the region's rows, and the row is stored
+    once, final.
     """
     h, w = len(rows), len(cols)
     if h == 0 or w == 0:
@@ -251,6 +266,11 @@ def swgg_region(
         Trow = _windows(gap, c0 + cs, (w, c0), (1, -1))
     if cs:
         Tloc = _windows(gap, cs, (w, cs), (1, -1))
+    # Tin[b, k] = gap[b - k] for k < b, +inf for k >= b: region columns
+    # against each other.
+    padded = np.full(2 * w - 1, np.inf)
+    padded[w:] = gap[1:w]
+    Tin = _windows(padded, w - 1, (w, w), (1, -1))
     above = Hcol.T[cs:ce]
     push = gap[1:w]
     for a in rows:
@@ -265,10 +285,20 @@ def swgg_region(
             np.maximum(best, (Hrow[a] - Trow).max(axis=1), out=best)
         if cs:
             np.maximum(best, (Hloc[a + 1, 1 : cs + 1] - Tloc).max(axis=1), out=best)
-        for b in range(1, w):
-            right = best[b:]
-            np.maximum(right, best[b - 1] - push[: w - b], out=right)
-        Hloc[a + 1, cs + 1 : ce + 1] = best
+        cur = best
+        for _ in range(2):
+            nxt = np.maximum(best, (cur - Tin).max(axis=1))
+            if (nxt == cur).all():
+                break
+            prev, cur = cur, nxt
+        else:
+            # The last sweep already pushed every prev[k]: a cell whose
+            # final value is prev[k] has nothing new to push.
+            for b, pushed in enumerate(prev[:-1].tolist(), 1):
+                if cur[b - 1] != pushed:
+                    right = cur[b:]
+                    np.maximum(right, cur[b - 1] - push[: w - b], out=right)
+        Hloc[a + 1, cs + 1 : ce + 1] = cur
 
 
 def _span_sweep(flat: np.ndarray, step: int, offset: int, rows: range, cols: range):

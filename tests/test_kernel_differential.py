@@ -156,14 +156,23 @@ def test_edit_distance_large_values_stay_exact():
 # -- 2D/1D rectangular: general-gap Smith-Waterman -------------------------------
 
 
-def affine_gap(n: int) -> np.ndarray:
-    gap = 2.0 + 0.5 * np.arange(n + 1.0)
-    gap[0] = 1e30
-    return gap
+#: Gap shapes ``gap(d)``. A subadditive gap (affine, constant, concave
+#: sqrt) closes a row's dependency on itself in two sweeps; a
+#: superadditive quadratic gap, a negative reward and a linear gap with a
+#: non-dyadic slope (its sums round, so subadditivity can fail by an ulp)
+#: may not, and then the push loop finishes the row.
+GAPS = {
+    "affine": lambda d: 2.0 + 0.5 * d,
+    "constant": lambda d: np.full_like(d, 1.5),
+    "sqrt": lambda d: 0.3 + 0.1 * np.sqrt(d),
+    "quadratic": lambda d: 0.05 * d * d,
+    "negative": lambda d: -0.01 * d,
+    "linear-0.1": lambda d: 0.1 * d,
+}
 
 
-def constant_gap(n: int) -> np.ndarray:
-    gap = np.full(n + 1, 1.5)
+def make_gap(shape: str, n: int) -> np.ndarray:
+    gap = GAPS[shape](np.arange(n + 1.0))
     gap[0] = 1e30
     return gap
 
@@ -191,16 +200,16 @@ def swgg_cut(H, scores, R0, C0, h, w):
     )
 
 
-@pytest.mark.parametrize("make_gap", [affine_gap, constant_gap], ids=["affine", "constant"])
+@pytest.mark.parametrize("gap_shape", list(GAPS))
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("shape", GRID_REGIONS, ids=lambda s: f"{s[0]}x{s[1]}-{s[2].start}:{s[2].stop},{s[3].start}:{s[3].stop}")
-def test_swgg_region_on_a_real_table(make_gap, seed, shape):
+def test_swgg_region_on_a_real_table(gap_shape, seed, shape):
     bh, bw, rows, cols = shape
     rng = np.random.default_rng(seed)
     R0, C0 = int(rng.integers(1, 8)), int(rng.integers(1, 8))
     m, n = R0 + bh + 1, C0 + bw + 2
     scores = rng.choice([2.0, -1.0], size=(m, n))
-    gap = make_gap(max(m, n))
+    gap = make_gap(gap_shape, max(m, n))
     H = swgg_table(scores, gap)
     Hloc, Hrow, Hcol, sub = swgg_cut(H, scores, R0, C0, bh, bw)
     Hloc[rows.start + 1 : rows.stop + 1, cols.start + 1 : cols.stop + 1] = np.nan
@@ -211,21 +220,23 @@ def test_swgg_region_on_a_real_table(make_gap, seed, shape):
     same_bytes(got, H[R0 - 1 : R0 + bh, C0 - 1 : C0 + bw])
 
 
-@pytest.mark.parametrize("r0", [0, 1, 37])
-@pytest.mark.parametrize("c0", [0, 1, 41])
-@pytest.mark.parametrize("rows,cols", [
+#: Region rows / cols inside a 6 x 8 block of random strips.
+STRIPS = [
     (range(0, 6), range(0, 8)), (range(2, 6), range(3, 8)), (range(5, 6), range(7, 8)),
     (range(0, 1), range(0, 8)), (range(0, 6), range(4, 5)),
-])
-def test_swgg_origins_on_arbitrary_strips(r0, c0, rows, cols):
+]
+
+
+def swgg_on_strips(r0, c0, rows, cols, gap_shape):
     """The kernel as a pure function of its arrays (what ``bench/probes.py``
-    times): random strips, origins 0 / 1 / deep in the matrix."""
+    times): random strips, and ``gap[0]`` left at whatever the shape gives
+    (0.3 for sqrt, 0 for the quadratic): the kernel must never read it."""
     h, w = 6, 8
     rng = np.random.default_rng(1000 * r0 + c0)
     Hloc = rng.random((h + 1, w + 1)) * 5
     Hrow, Hcol = rng.random((h, c0)) * 5, rng.random((r0, w)) * 5
     sub = rng.choice([2.0, -1.0], size=(h, w))
-    gap = 0.3 + 0.1 * np.sqrt(np.arange(max(r0, c0) + max(h, w) + 2.0))
+    gap = GAPS[gap_shape](np.arange(max(r0, c0) + max(h, w) + 2.0))
     Hloc[rows.start + 1 : rows.stop + 1, cols.start + 1 : cols.stop + 1] = np.nan
     want, got = Hloc.copy(), Hloc.copy()
     oracle.swgg_region(want, Hrow, Hcol, sub, gap, c0, r0, rows, cols)
@@ -234,12 +245,27 @@ def test_swgg_origins_on_arbitrary_strips(r0, c0, rows, cols):
     assert not np.isnan(got).any()
 
 
+@pytest.mark.parametrize("r0", [0, 1, 37])
+@pytest.mark.parametrize("c0", [0, 1, 41])
+@pytest.mark.parametrize("rows,cols", STRIPS)
+def test_swgg_origins_on_arbitrary_strips(r0, c0, rows, cols):
+    """Origins 0 / 1 / deep in the matrix, under the concave sqrt gap."""
+    swgg_on_strips(r0, c0, rows, cols, "sqrt")
+
+
+@pytest.mark.parametrize("gap_shape", [shape for shape in GAPS if shape != "sqrt"])
+@pytest.mark.parametrize("r0,c0", [(0, 0), (1, 41), (37, 0), (37, 41)])
+@pytest.mark.parametrize("rows,cols", STRIPS)
+def test_swgg_strips_under_every_gap_shape(r0, c0, rows, cols, gap_shape):
+    swgg_on_strips(r0, c0, rows, cols, gap_shape)
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_swgg_block_by_regions_equals_one_call(seed):
     rng = np.random.default_rng(200 + seed)
     m = n = 24
     scores = rng.choice([2.0, -1.0], size=(m, n))
-    gap = affine_gap(n)
+    gap = make_gap("affine", n)
     H = swgg_table(scores, gap)
     R0, C0, bh, bw = 6, 9, 10, 13
     Hloc, Hrow, Hcol, sub = swgg_cut(H, scores, R0, C0, bh, bw)
@@ -253,9 +279,34 @@ def test_swgg_block_by_regions_equals_one_call(seed):
     same_bytes(got, want)
 
 
+@pytest.mark.parametrize("rows,cols", [
+    (range(0, 3), range(0, 10)), (range(1, 3), range(3, 10)), (range(2, 3), range(6, 10)),
+])
+def test_swgg_row_two_sweeps_cannot_close(rows, cols):
+    """A row whose answer is a chain of ``w - 1`` one-column gaps: with
+    ``gap(d) = d**2`` the region's first row is ``10 - b``, and a sweep
+    from ``best`` only lengthens its chains by one gap, so two sweeps leave
+    it unfinished and the push loop has to complete it."""
+    h, w, r0, c0 = 3, 10, 2, 3
+    Hloc = np.zeros((h + 1, w + 1))
+    Hrow, Hcol = np.zeros((h, c0)), np.zeros((r0, w))
+    sub = np.full((h, w), -5.0)
+    sub[:, cols.start] = 10.0
+    gap = np.arange(r0 + h + c0 + w + 1.0) ** 2
+    gap[0] = 0.3
+    Hloc[rows.start + 1 : rows.stop + 1, cols.start + 1 : cols.stop + 1] = np.nan
+    want, got = Hloc.copy(), Hloc.copy()
+    oracle.swgg_region(want, Hrow, Hcol, sub, gap, c0, r0, rows, cols)
+    kernels.swgg_region(got, Hrow, Hcol, sub, gap, c0, r0, rows, cols)
+    same_bytes(got, want)
+    first = got[rows.start + 1, cols.start + 1 : cols.stop + 1]
+    assert first.tolist() == (10.0 - np.arange(len(cols))).tolist()
+    assert not np.isnan(got).any()
+
+
 def test_swgg_empty_region_is_a_noop():
     Hloc = np.full((4, 4), np.nan)
-    args = (np.zeros((3, 2)), np.zeros((2, 3)), np.zeros((3, 3)), affine_gap(8), 2, 2)
+    args = (np.zeros((3, 2)), np.zeros((2, 3)), np.zeros((3, 3)), make_gap("affine", 8), 2, 2)
     for rows, cols in [(range(0), range(3)), (range(3), range(0)), (range(1, 1), range(2, 2))]:
         kernels.swgg_region(Hloc, *args, rows, cols)
     assert np.isnan(Hloc).all()
@@ -410,10 +461,14 @@ def _finished_cases():
         local, cells = cut_block(D, data, 3, 5, 30, 30)
         yield name, local, lambda g=grid, m=local, c=cells: g.run(kernels, m, c, range(4, 28), range(2, 29))
     scores = rng.choice([2.0, -1.0], size=(40, 40))
-    gap = affine_gap(40)
+    gap = make_gap("affine", 40)
     Hloc, Hrow, Hcol, sub = swgg_cut(swgg_table(scores, gap), scores, 6, 8, 30, 30)
     yield "swgg", Hloc, lambda: kernels.swgg_region(
         Hloc, Hrow, Hcol, sub, gap, 8, 6, range(3, 27), range(2, 29))
+    qgap = make_gap("quadratic", 40)
+    Qloc, Qrow, Qcol, qsub = swgg_cut(swgg_table(scores, qgap), scores, 6, 8, 30, 30)
+    yield "swgg-quadratic", Qloc, lambda: kernels.swgg_region(
+        Qloc, Qrow, Qcol, qsub, qgap, 8, 6, range(3, 27), range(2, 29))
     for kind, name in ((Nussinov(1), "nussinov"), (MatrixChain(), "matrix_chain")):
         data = kind.data(rng, 36)
         F = tri_table(kind, data, 36)

@@ -2,12 +2,16 @@
 
 Everything else tests SWGG through the problem class; here the kernel is
 driven directly against a brute-force cell evaluator, including partial
-regions, non-zero block origins, and degenerate gap functions.
+regions, non-zero block origins, and degenerate gap functions — and one
+gap the kernel's row sweeps cannot close is run through every real
+backend.
 """
 
 import numpy as np
 import pytest
 
+from repro import EasyHPS, RunConfig
+from repro.algorithms import SmithWatermanGG
 from repro.algorithms.kernels import swgg_region
 
 
@@ -113,3 +117,26 @@ class TestGapFunctionEdgeCases:
         assert np.allclose(block, ref[1:, 1:])
         # The single high score propagates right/down undiminished.
         assert block[4, 2] == 5.0 and block[2, 4] == 5.0
+
+
+class TestQuadraticGapOnEveryBackend:
+    """A superadditive gap: a row's best chain can take many short gaps,
+    so rows need more than the two sweeps a subadditive gap closes in and
+    the kernel finishes them with its push loop. The committed matrix and
+    the run digest must not depend on the backend or on how a block is cut
+    into regions."""
+
+    def test_run_digest_is_the_same_on_serial_threads_and_processes(self):
+        problem = SmithWatermanGG.random(40, seed=5, gap_fn=lambda d: 0.05 * d * d)
+        blocks = dict(process_partition=(10, 10))  # the digest folds per block
+        serial = EasyHPS(RunConfig(backend="serial", **blocks)).run(problem)
+        assert serial.state["H"].tobytes() == problem.reference_matrix().tobytes()
+        assert serial.report.run_digest is not None
+        for backend in ("threads", "processes"):
+            config = RunConfig(
+                backend=backend, nodes=3, threads_per_node=2, poll_interval=0.005,
+                thread_partition=(4, 6), **blocks,
+            )
+            run = EasyHPS(config).run(problem)
+            assert run.state["H"].tobytes() == serial.state["H"].tobytes(), backend
+            assert run.report.run_digest == serial.report.run_digest, backend
