@@ -28,10 +28,11 @@ import os
 import tempfile
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.chaos.campaign import _states_equal
 from repro.runtime.config import RunConfig
 from repro.serve.daemon import ServeDaemon, build_problem
 from repro.serve.job import JobSpec
@@ -140,16 +141,6 @@ def _oracles_for(
             )
             oracles[key] = EasyHPS(RunConfig(backend="serial")).run(problem).state
     return oracles
-
-
-def _states_equal(oracle: Dict[str, Any], state: Dict[str, Any]) -> Optional[str]:
-    if set(oracle) != set(state):
-        return f"state keys differ: {sorted(oracle)} vs {sorted(state)}"
-    for key in sorted(oracle):
-        if not np.array_equal(np.asarray(oracle[key]), np.asarray(state[key])):
-            bad = int(np.sum(np.asarray(oracle[key]) != np.asarray(state[key])))
-            return f"state[{key!r}] differs from oracle in {bad} cells"
-    return None
 
 
 def _make_daemon(spec: ServeCampaignSpec, tmp: str, resume: bool) -> ServeDaemon:

@@ -95,7 +95,13 @@ def _check_vertex(pattern: DAGPattern, vid: VertexId, report: CheckReport) -> No
 
 
 def _check_acyclic_exhaustive(pattern: DAGPattern, report: CheckReport) -> None:
-    """Kahn's peel over the whole pattern; a stall proves a cycle."""
+    """Kahn's peel over the whole pattern; a stall proves a cycle.
+
+    The package's other peel is :class:`~repro.dag.parser.DAGParser`, but
+    this one stays tolerant on purpose: it must diagnose patterns whose
+    edges point outside the pattern, and the compiled parser cannot index
+    those (it skips them here; the per-vertex pass reports them).
+    """
     indegree: Dict[VertexId, int] = {}
     for vid in pattern.vertices():
         indegree[vid] = len(pattern.predecessors(vid))

@@ -3,13 +3,19 @@
 Parsing is incremental topological sorting (Fig 8): a vertex becomes
 *computable* when it has no unfinished predecessors; completing a vertex
 "removes" it and its outgoing edges, possibly making successors
-computable. This is the section's reference parser. The scheduling
-threads of Figs 9 and 11 ask the dispatch core instead
+computable. This is the section's reference parser and the package's one
+topological peel: :meth:`DAGPattern.topological_order
+<repro.dag.pattern.DAGPattern.topological_order>` is :meth:`DAGParser.run_all`
+keyed by vertex id, and :func:`critical_path`, the one longest-chain fold
+(``repro perf`` reads it too), walks that order. The scheduling threads
+of Figs 9 and 11 ask the dispatch core instead
 (:class:`~repro.runtime.dispatch.DispatchCore`), which derives the same
 frontier from its commit ledger, in this module's schedule order
 (:func:`_default_order_key`); the parser serves the simulator's
 thread-level list scheduler, :mod:`repro.dag.visualize` and the tests
-that hold the core to it.
+that hold the core to it. Pattern *validation* is
+:func:`~repro.check.pattern_check.check_pattern`'s, which must also
+diagnose edges that leave the pattern.
 
 The parser is not thread-safe, and it is strict: completing an unknown,
 not-yet-computable, or already-finished vertex raises
@@ -190,26 +196,28 @@ def _default_order_key(vid: VertexId) -> Tuple:
 
 
 def critical_path(
-    pattern: DAGPattern, cost: Callable[[VertexId], float]
+    pattern: DAGPattern, cost: Callable[[VertexId], Optional[float]]
 ) -> Tuple[float, List[VertexId]]:
     """Length and one witness path of the weighted critical path.
 
-    Used by the analysis layer to report how close a schedule's makespan is
-    to the DAG's intrinsic lower bound.
+    ``cost`` returns ``None`` for a vertex no chain passes through (a task
+    a partial trace never committed); a chain restarts past it. The
+    witness follows each vertex's first maximal predecessor. Used by the
+    analysis layer and ``repro perf`` to report how close a schedule's
+    makespan is to the DAG's intrinsic lower bound.
     """
     longest: Dict[VertexId, float] = {}
     parent: Dict[VertexId, Optional[VertexId]] = {}
     best_tail: Optional[VertexId] = None
     for vid in pattern.topological_order():
-        c = float(cost(vid))
-        preds = pattern.predecessors(vid)
-        if preds:
-            best_pred = max(preds, key=lambda p: longest[p])
-            longest[vid] = longest[best_pred] + c
-            parent[vid] = best_pred
-        else:
-            longest[vid] = c
-            parent[vid] = None
+        c = cost(vid)
+        if c is None:
+            continue
+        preds = [p for p in pattern.predecessors(vid) if p in longest]
+        best_pred = max(preds, key=longest.__getitem__, default=None)
+        base = 0.0 if best_pred is None else longest[best_pred]
+        longest[vid] = base + float(c)
+        parent[vid] = best_pred
         if best_tail is None or longest[vid] > longest[best_tail]:
             best_tail = vid
     if best_tail is None:

@@ -23,7 +23,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional, Tuple
 
-from repro.utils.errors import PatternError
+from repro.utils.errors import PatternError, SchedulerError
 
 #: Vertex identifier. Grid patterns use ``(row, col)`` tuples, chain
 #: patterns use ``(index,)``; any hashable tuple works for custom patterns.
@@ -145,80 +145,45 @@ class DAGPattern:
         return {vid: self.predecessors(vid) for vid in self.vertices()}
 
     def validate(self) -> None:
-        """Check structural invariants; raise :class:`PatternError` on failure.
+        """Check every vertex; raise :class:`PatternError` on any defect.
 
-        Verifies that every edge endpoint is a vertex, that predecessor and
-        successor views agree, that data dependencies include topological
-        ones, and that the graph admits a complete topological order (i.e.
-        is acyclic). Cost is O(V + E); call it on coarse patterns, not on
-        hundred-megavertex cell-level grids.
+        The raising form of :func:`~repro.check.pattern_check.check_pattern`,
+        run exhaustively: every edge endpoint and data dependency is a
+        vertex, the predecessor and successor views agree, data
+        dependencies include topological ones, and the graph is acyclic.
+        The message lists every error diagnostic with its code
+        (``pattern-cycle``, ``view-mismatch``, ...). Cost is O(V + E); call
+        it on coarse patterns, not on hundred-megavertex cell-level grids.
         """
-        indegree = {}
-        for vid in self.vertices():
-            preds = self.predecessors(vid)
-            indegree[vid] = len(preds)
-            data_preds = set(self.data_predecessors(vid))
-            for p in preds:
-                if not self.contains(p):
-                    raise PatternError(f"predecessor {p!r} of {vid!r} is not a vertex")
-                if vid not in self.successors(p):
-                    raise PatternError(f"edge {p!r}->{vid!r} missing from successors view")
-                if p not in data_preds:
-                    raise PatternError(
-                        f"topological predecessor {p!r} of {vid!r} absent from data deps"
-                    )
-            for s in self.successors(vid):
-                if not self.contains(s):
-                    raise PatternError(f"successor {s!r} of {vid!r} is not a vertex")
-                if vid not in self.predecessors(s):
-                    raise PatternError(f"edge {vid!r}->{s!r} missing from predecessors view")
-        # Kahn's algorithm: if the peel never stalls, the graph is acyclic.
-        frontier = [v for v, d in indegree.items() if d == 0]
-        seen = 0
-        while frontier:
-            v = frontier.pop()
-            seen += 1
-            for s in self.successors(v):
-                indegree[s] -= 1
-                if indegree[s] == 0:
-                    frontier.append(s)
-        if seen != self.n_vertices():
-            raise PatternError(
-                f"pattern has a cycle: only {seen} of {self.n_vertices()} vertices sortable"
-            )
+        errors = self.check(max_exhaustive=self.n_vertices()).errors()
+        if errors:
+            raise PatternError("; ".join(str(d) for d in errors))
 
     def check(self, **kwargs):
         """Run the :mod:`repro.check` pattern verifier over this pattern.
 
-        Unlike :meth:`validate` this returns a
-        :class:`~repro.check.diagnostics.CheckReport` instead of raising on
-        the first defect, and it scales to huge cell-level patterns by
-        sampling (``samples``/``seed`` keywords).
+        Unlike :meth:`validate`, which is this verifier run exhaustively,
+        this returns a :class:`~repro.check.diagnostics.CheckReport`
+        instead of raising, and by default it scales to huge cell-level
+        patterns by sampling (``samples``/``seed`` keywords).
         """
         from repro.check.pattern_check import check_pattern
 
         return check_pattern(self, **kwargs)
 
     def topological_order(self) -> Iterator[VertexId]:
-        """Yield vertices in one valid topological order (deterministic)."""
-        indegree = {vid: len(self.predecessors(vid)) for vid in self.vertices()}
-        # A sorted stack keeps the order deterministic across runs.
-        frontier = sorted((v for v, d in indegree.items() if d == 0), reverse=True)
-        emitted = 0
-        while frontier:
-            v = frontier.pop()
-            emitted += 1
-            yield v
-            fresh = []
-            for s in self.successors(v):
-                indegree[s] -= 1
-                if indegree[s] == 0:
-                    fresh.append(s)
-            if fresh:
-                frontier.extend(fresh)
-                frontier.sort(reverse=True)
-        if emitted != self.n_vertices():
-            raise PatternError("pattern has a cycle; topological order incomplete")
+        """Iterate vertices in one topological order: smallest computable id first.
+
+        This is :meth:`~repro.dag.parser.DAGParser.run_all` keyed by the
+        vertex id itself, so the serial drain, journals and traces follow
+        one deterministic order. Raises :class:`PatternError` on a cycle.
+        """
+        from repro.dag.parser import DAGParser
+
+        try:
+            return iter(DAGParser(self, order_key=lambda vid: vid).run_all())
+        except SchedulerError as exc:
+            raise PatternError(str(exc)) from None
 
     # -- misc ------------------------------------------------------------------
 

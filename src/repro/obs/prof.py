@@ -31,6 +31,7 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.dag.parser import critical_path
 from repro.obs.metrics import Histogram
 from repro.obs.recorder import ObsEvent
 from repro.utils.errors import ConfigError
@@ -350,39 +351,11 @@ def build_profile(
 
     # -- critical path: longest cost chain through the committed DAG --------
     if pattern is not None and prof.tasks:
-        _critical_path(prof, pattern)
+        tasks = prof.tasks
+        prof.critical_path_seconds, prof.critical_path = critical_path(
+            pattern, lambda vid: tasks[vid].cost if vid in tasks else None
+        )
     return prof
-
-
-def _critical_path(prof: PerfProfile, pattern) -> None:
-    """Longest-chain DP over the committed tasks, in topological order."""
-    cp: Dict[TaskKey, float] = {}
-    parent: Dict[TaskKey, Optional[TaskKey]] = {}
-    best: Optional[TaskKey] = None
-    for vid in pattern.topological_order():
-        tp = prof.tasks.get(vid)
-        if tp is None:
-            continue  # partial trace: chain restarts past the gap
-        base = 0.0
-        arg: Optional[TaskKey] = None
-        for p in pattern.predecessors(vid):
-            got = cp.get(p)
-            if got is not None and got > base:
-                base, arg = got, p
-        cp[vid] = base + tp.cost
-        parent[vid] = arg
-        if best is None or cp[vid] > cp[best]:
-            best = vid
-    if best is None:
-        return
-    chain: List[TaskKey] = []
-    cursor: Optional[TaskKey] = best
-    while cursor is not None:
-        chain.append(cursor)
-        cursor = parent.get(cursor)
-    chain.reverse()
-    prof.critical_path = chain
-    prof.critical_path_seconds = cp[best]
 
 
 def replay_schedule(

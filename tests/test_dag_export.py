@@ -69,6 +69,27 @@ class TestToNetworkx:
             g.add_edge("S", v, w=costs[v])
         assert ours == pytest.approx(nx.dag_longest_path_length(g, weight="w"))
 
+    def test_partial_trace_critical_path_matches_networkx(self):
+        """A ``None`` cost removes a vertex: chains restart past it, so the
+        answer is the longest path of the induced subgraph."""
+        import numpy as np
+
+        rng = np.random.default_rng(5)
+        p = WavefrontPattern(5, 6)
+        removed = {(1, 1), (2, 4), (3, 0), (0, 5)}
+        costs = {v: float(rng.uniform(0.5, 5.0)) for v in p.vertices()}
+        ours, path = critical_path(p, lambda v: None if v in removed else costs[v])
+        assert not removed.intersection(path)
+        assert sum(costs[v] for v in path) == pytest.approx(ours)
+        g = to_networkx(p).subgraph(v for v in p.vertices() if v not in removed).copy()
+        for u, v in g.edges():
+            g.edges[u, v]["w"] = costs[v]
+        g.add_node("S")
+        for v in list(g.nodes):
+            if v != "S":
+                g.add_edge("S", v, w=costs[v])
+        assert ours == pytest.approx(nx.dag_longest_path_length(g, weight="w"))
+
 
 class TestToDot:
     def test_structure(self):

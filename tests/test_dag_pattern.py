@@ -1,7 +1,12 @@
 """Unit tests for the DAG pattern base class and Table I vertex records."""
 
+import heapq
+
 import pytest
 
+from repro.algorithms.floyd_warshall import FloydWarshallPattern
+from repro.check import fixtures
+from repro.check.pattern_check import check_pattern
 from repro.dag.library import (
     ChainPattern,
     CustomPattern,
@@ -74,20 +79,56 @@ class TestDerivedOperations:
         assert len(adj) == p.n_vertices()
 
 
-class TestValidation:
+#: The eight library patterns the validation and pinned-order tests share.
+BUILTINS = [
+    WavefrontPattern(5, 3),
+    WavefrontPattern(4, 4, row_reversed=True),
+    WavefrontPattern(2, 6, diagonal_data_dep=False),
+    RowColPrefixPattern(4, 5),
+    RowColPrefixPattern(5, 4, row_reversed=True),
+    TriangularPattern(6),
+    Full2DPattern(4, 4),
+    ChainPattern(7),
+]
+
+
+def _smallest_first_peel(pattern):
+    """An independent topological peel: always take the smallest ready id."""
+    left = {v: len(pattern.predecessors(v)) for v in pattern.vertices()}
+    ready = [v for v, n in left.items() if n == 0]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        v = heapq.heappop(ready)
+        order.append(v)
+        for s in pattern.successors(v):
+            left[s] -= 1
+            if left[s] == 0:
+                heapq.heappush(ready, s)
+    return order
+
+
+class TestPinnedOrder:
+    """``topological_order`` is the order journals, traces and the serial
+    drain follow: the smallest computable vertex id comes first."""
+
     @pytest.mark.parametrize(
         "pattern",
-        [
-            WavefrontPattern(5, 3),
-            WavefrontPattern(4, 4, row_reversed=True),
-            WavefrontPattern(2, 6, diagonal_data_dep=False),
-            RowColPrefixPattern(4, 5),
-            RowColPrefixPattern(5, 4, row_reversed=True),
-            TriangularPattern(6),
-            Full2DPattern(4, 4),
-            ChainPattern(7),
+        BUILTINS
+        + [
+            FloydWarshallPattern(3),
+            CustomPattern({(0,): [], (1,): [], (2,): [(1,)], (3,): [(0,), (2,)], (4,): [(1,)]}),
         ],
+        ids=repr,
     )
+    def test_order_is_smallest_ready_id_first(self, pattern):
+        expected = _smallest_first_peel(pattern)
+        assert len(expected) == pattern.n_vertices()
+        assert list(pattern.topological_order()) == expected
+
+
+class TestValidation:
+    @pytest.mark.parametrize("pattern", BUILTINS)
     def test_all_builtins_validate(self, pattern):
         pattern.validate()
 
@@ -117,8 +158,28 @@ class TestValidation:
             def data_predecessors(self, vid):
                 return ()
 
-        with pytest.raises(PatternError, match="data deps"):
+        with pytest.raises(PatternError, match="absent from data dependencies"):
             BadData(2, 2).validate()
+
+    @pytest.mark.parametrize(
+        "make",
+        [fixtures.cyclic_pattern, fixtures.out_of_bounds_pattern, fixtures.data_gap_pattern],
+    )
+    def test_validate_names_the_checkers_codes(self, make):
+        codes = set(check_pattern(make()).codes())
+        assert codes
+        with pytest.raises(PatternError) as info:
+            make().validate()
+        for code in codes:
+            assert code in str(info.value)
+
+    def test_data_dependency_outside_the_pattern_rejected(self):
+        class LeakyData(CustomPattern):
+            def data_predecessors(self, vid):
+                return super().data_predecessors(vid) + ((9,),)
+
+        with pytest.raises(PatternError, match="dep-out-of-bounds"):
+            LeakyData({(0,): [], (1,): [(0,)]})
 
 
 class TestPatternTypes:
