@@ -48,12 +48,14 @@ def _ns_per_cell(benchmark, capsys, kernel: str, region: int) -> None:
         print(f"\n  {kernel} r={region}: {ns:.1f} ns/cell")
 
 
-@pytest.mark.parametrize("region", [25, 62, 125, 250])
+@pytest.mark.parametrize("region", [1, 2, 4, 25, 62, 125, 250])
 def test_edit_distance_kernel_cells_per_second(benchmark, capsys, region):
     """Edit distance n = 2000 (250-wide blocks): the default thread
     partition at one (250) and two (125) computing threads a node, beside
     the quarter block (62) it was before and n = 800's quarter block (25).
-    The default rests on this curve only falling as regions grow."""
+    The default rests on this curve only falling as regions grow. 1, 2
+    and 4 are the serve daemon's small-job blocks, where the bit-parallel
+    kernel's fixed cost per call shows."""
     D = np.zeros((region + 1, region + 1))
     D[0, :] = np.arange(region + 1)
     D[:, 0] = np.arange(region + 1)

@@ -172,7 +172,7 @@ class FWPartition(Partition):
         rows, cols = self.block_ranges(bid)
         return IndependentGridPattern(len(rows), len(cols))
 
-    def sub_partition(self, bid: VertexId, thread_block_shape) -> Partition:
+    def build_sub_partition(self, bid: VertexId, thread_block_shape) -> Partition:
         rows, cols = self.block_ranges(bid)
         h, w = len(rows), len(cols)
         if fw_block_type(bid) == "phase3":

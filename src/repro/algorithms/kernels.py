@@ -9,11 +9,13 @@ makes the reads safe.
 Cost per cell is set by how many numpy calls a region takes, not by the
 recurrence, so every kernel is written to make a handful of calls per
 *row* (or per span-diagonal) over contiguous or strided views, never per
-cell and never through index arrays:
+cell and never through index arrays, or none per row at all:
 
-- edit distance and LCS scan each row once: the in-row dependency
-  ``D[b] = min(t[b], D[b-1] + 1)`` is a prefix minimum of ``t[b] - b``
-  (``np.minimum.accumulate``), and the LCS one a plain prefix maximum;
+- edit distance has unit costs, so it runs bit-parallel (Myers): a region
+  row is one carry step on ``w``-bit Python ints, and the whole region is
+  unpacked, summed and stored by a fixed handful of numpy calls;
+- LCS scans each row once, its in-row dependency a prefix maximum
+  (``np.maximum.accumulate``);
 - Needleman-Wunsch keeps the anti-diagonal order (a real-valued gap makes
   the prefix form round differently) but addresses each diagonal as a
   strided slice of the flat local matrix;
@@ -74,28 +76,65 @@ def edit_distance_region(D: np.ndarray, sub: np.ndarray, rows: range, cols: rang
     0-based cell ranges within the block; cell ``(a, b)`` lives at
     ``D[a+1, b+1]``.
 
-    One scan per row: with ``t[b] = min(up + 1, diag + sub)`` the row is
-    ``D[b] = min_{k <= b} t[k] + (b - k)``, i.e. a prefix minimum of
-    ``t[k] - k`` plus ``b``. The scan carries the row in that shifted form
-    (``y[k] = D[k] - k``). Precondition: boundary and ``sub`` values are
-    integers (below 2**53), so the shifts are exact and the result equals
-    the cell-by-cell recurrence bit for bit.
+    Bit-parallel (Myers 1999, in Hyyro's block form with a carry-in): a
+    region of ``h`` rows and ``w`` columns is ``h`` steps over ``w``-bit
+    Python ints, bit ``b`` standing for column ``b``. ``Pv`` / ``Mv`` hold
+    the columns where the current row steps +1 / -1 from its left
+    neighbour (the top boundary's steps to start), ``Eq`` a row's matches
+    and ``hin`` the left boundary's step into the row, which is the carry
+    shifted in at bit 0. Each step yields the row's vertical steps
+    ``Ph`` / ``Mh`` (+1 / -1 from the cell above); after the last row they
+    are unpacked at once, summed down each column, added to the top
+    boundary and stored in one assignment, so every store is the cell's
+    final value.
+
+    Precondition: ``sub`` is a 0/1 mismatch matrix, and the boundary row
+    and column step by -1, 0 or +1 from one cell to the next. Every
+    Levenshtein table meets both (``|D[i][j] - D[i][j-1]| <= 1``), so every
+    block and region ``EditDistance`` ships does. Then every step is an
+    integer in {-1, 0, +1} and every value an integer below 2**53, and the
+    sum equals the cell-by-cell recurrence bit for bit.
     """
     h, w = len(rows), len(cols)
     if h == 0 or w == 0:
         return
     r0, c0 = rows.start, cols.start
     V = D[r0 : r0 + h + 1, c0 : c0 + w + 1]
-    # diag + sub in shifted form: (D[k-1] - (k-1)) + (sub - 1) = D[k-1] + sub - k.
-    S1 = sub[r0 : r0 + h, c0 : c0 + w] - 1.0
-    k = np.arange(w + 1, dtype=np.float64)
-    y = V[0] - k
+    # Rows 0..h-1: the matches; row h / h+1: where the top boundary rises /
+    # falls. One packbits turns all of them into little-endian bit rows
+    # (arguments by position: keywords cost packbits/unpackbits ~0.6 us).
+    bits = np.empty((h + 2, w), dtype=bool)
+    np.equal(sub[r0 : r0 + h, c0 : c0 + w], 0.0, out=bits[:h])
+    np.greater(V[0, 1:], V[0, :-1], out=bits[h])
+    np.less(V[0, 1:], V[0, :-1], out=bits[h + 1])
+    nb = (w + 7) >> 3
+    packed = np.packbits(bits, 1, "little").tobytes()
+    from_bytes = int.from_bytes
+    Pv = from_bytes(packed[h * nb : (h + 1) * nb], "little")
+    Mv = from_bytes(packed[(h + 1) * nb :], "little")
+    mask = (1 << w) - 1
+    left = V[:, 0].tolist()
+    steps = []
+    keep = steps.append
     for a in range(h):
-        diag = y[:-1] + S1[a]
-        np.minimum(y[1:] + 1.0, diag, out=y[1:])
-        y[0] = V[a + 1, 0]
-        np.minimum.accumulate(y, out=y)
-        np.add(y[1:], k[1:], out=V[a + 1, 1:])
+        Eq = from_bytes(packed[a * nb : (a + 1) * nb], "little")
+        hin = left[a + 1] - left[a]
+        Xv = Eq | Mv
+        if hin < 0:
+            Eq |= 1
+        Xh = ((((Eq & Pv) + Pv) & mask) ^ Pv) | Eq
+        Ph = Mv | ((Xh | Pv) ^ mask)
+        Mh = Pv & Xh
+        keep(Ph.to_bytes(nb, "little"))
+        keep(Mh.to_bytes(nb, "little"))
+        Ph = ((Ph << 1) & mask) | (hin > 0)
+        Mh = ((Mh << 1) & mask) | (hin < 0)
+        Pv = Mh | ((Xv | Ph) ^ mask)
+        Mv = Ph & Xv
+    flat = np.frombuffer(b"".join(steps), np.uint8).reshape(h, 2, nb)
+    vert = np.unpackbits(flat, 2, w, "little").view(np.int8)
+    down = np.add.accumulate(np.subtract(vert[:, 0], vert[:, 1]), axis=0, dtype=np.int32)
+    np.add(down, V[:1, 1:], out=V[1:, 1:])
 
 
 def lcs_region(D: np.ndarray, match: np.ndarray, rows: range, cols: range) -> None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Tuple, Union
+from typing import Dict, Iterator, Tuple, Union
 
 from repro.dag.library import (
     ChainPattern,
@@ -109,6 +109,7 @@ class Partition:
         self.abstract = abstract
         self.grid = grid
         self.kind = kind
+        self._inner: Dict[Tuple, "Partition"] = {}
 
     # -- geometry -----------------------------------------------------------
 
@@ -186,15 +187,31 @@ class Partition:
         raise PartitionError(f"unknown partition kind {self.kind!r}")
 
     def sub_partition(self, bid: VertexId, thread_block_shape: BlockShape) -> "Partition":
-        """Partition one sub-task for the thread level (paper step e)."""
+        """Partition one sub-task for the thread level (paper step e).
+
+        Built once per :meth:`inner_shape_key` and thread block shape and
+        shared by every block of that shape, so its pattern's
+        :meth:`~repro.dag.pattern.DAGPattern.topological_order` is drained
+        once too. Partitions are immutable, so sharing is safe; two
+        threads that miss at once build equal copies, and either serves."""
+        key = (self.inner_shape_key(bid), _as_pair(thread_block_shape))
+        inner = self._inner.get(key)
+        if inner is None:
+            inner = self._inner[key] = self.build_sub_partition(bid, thread_block_shape)
+        return inner
+
+    def build_sub_partition(self, bid: VertexId, thread_block_shape: BlockShape) -> "Partition":
+        """A fresh thread-level partition of ``bid``; :meth:`sub_partition`
+        is the cached entry point every caller uses."""
         return partition_pattern(self.block_pattern(bid), thread_block_shape)
 
     def inner_shape_key(self, bid: VertexId) -> Tuple:
         """Hashable key under which two blocks have the same
         :meth:`block_pattern`, hence the same :meth:`sub_partition` at any
-        thread block shape: the simulator compiles one thread-level DAG
-        per key. A subclass that overrides :meth:`sub_partition` overrides
-        this with it."""
+        thread block shape: :meth:`sub_partition` is cached per key, and
+        the simulator compiles one thread-level DAG per key. A subclass
+        that overrides :meth:`build_sub_partition` overrides this with
+        it."""
         rows, cols = self.block_ranges(bid)
         return (len(rows), len(cols), self.is_diagonal_block(bid))
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Optional, Tuple
 
 from repro.utils.errors import PatternError, SchedulerError
@@ -177,11 +178,17 @@ class DAGPattern:
         This is :meth:`~repro.dag.parser.DAGParser.run_all` keyed by the
         vertex id itself, so the serial drain, journals and traces follow
         one deterministic order. Raises :class:`PatternError` on a cycle.
+        The pattern is immutable, so the order is drained once per
+        instance and kept.
         """
+        return iter(self._topological_order)
+
+    @cached_property
+    def _topological_order(self) -> Tuple[VertexId, ...]:
         from repro.dag.parser import DAGParser
 
         try:
-            return iter(DAGParser(self, order_key=lambda vid: vid).run_all())
+            return tuple(DAGParser(self, order_key=lambda vid: vid).run_all())
         except SchedulerError as exc:
             raise PatternError(str(exc)) from None
 

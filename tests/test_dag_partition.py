@@ -149,3 +149,60 @@ class TestTwoLevelRecursion:
         sub = part.sub_partition((2, 2), 4)  # 3x3 remainder block
         assert sub.total_cells() == 9
         assert sub.abstract.shape == (1, 1)
+
+
+class TestInnerPartitionPerShape:
+    """A block's thread-level partition and its drained order are paid for
+    once per block shape: every block of a shape shares them."""
+
+    def _run_block(self, problem, part, state, bid, thread):
+        inputs = problem.extract_inputs(state, part, bid)
+        outputs = problem.evaluator(part, bid, inputs).run_serial(part.sub_partition(bid, thread))
+        problem.apply_result(state, part, bid, outputs)
+
+    def test_a_second_block_of_one_shape_builds_no_partition_or_parser(self, monkeypatch):
+        from repro.algorithms import EditDistance
+        from repro.dag import parser as parser_mod
+        from repro.dag.partition import Partition
+
+        problem = EditDistance.random(40, seed=3)
+        part = partition_pattern(problem.pattern(), 10)
+        state = problem.make_state()
+        self._run_block(problem, part, state, (0, 0), 5)
+        built = []
+
+        def counting(cls):
+            init = cls.__init__
+
+            def __init__(self, *args, **kwargs):
+                built.append(cls.__name__)
+                init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", __init__)
+
+        counting(Partition)
+        counting(parser_mod.DAGParser)
+        self._run_block(problem, part, state, (0, 1), 5)
+        assert built == []
+        assert part.sub_partition((3, 3), (5, 5)) is part.sub_partition((0, 0), 5)
+        part.sub_partition((0, 0), 2)  # another thread grain is another partition
+        assert built == ["Partition"]
+
+    def test_blocks_of_different_shapes_keep_their_own(self):
+        part = partition_pattern(TriangularPattern(30), 10)
+        diag, off = part.sub_partition((1, 1), 5), part.sub_partition((0, 2), 5)
+        assert diag is not off
+        assert isinstance(diag.abstract, TriangularPattern)
+        assert isinstance(off.abstract, RowColPrefixPattern)
+        assert part.sub_partition((2, 2), 5) is diag
+        ragged = partition_pattern(WavefrontPattern(23, 23), 10)
+        assert ragged.sub_partition((2, 2), 4) is not ragged.sub_partition((0, 0), 4)
+        assert ragged.sub_partition((2, 2), 4).abstract.shape == (1, 1)
+
+    def test_the_drained_order_is_kept_per_pattern(self, monkeypatch):
+        from repro.dag import parser as parser_mod
+
+        pattern = WavefrontPattern(4, 5)
+        first = list(pattern.topological_order())
+        monkeypatch.setattr(parser_mod, "DAGParser", None)  # a second drain would fail
+        assert list(pattern.topological_order()) == first

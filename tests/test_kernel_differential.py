@@ -153,6 +153,40 @@ def test_edit_distance_large_values_stay_exact():
     same_bytes(got, want)
 
 
+#: Region widths across the bit packing's byte (8) and word (64) edges.
+ED_WIDTHS = [1, 2, 7, 8, 9, 63, 64, 65, 128, 250]
+
+
+def unit_walk(rng: np.random.Generator, n: int) -> np.ndarray:
+    """``n + 1`` values from 0 by steps in {-1, 0, +1}, with a mix drawn per
+    walk, so long falling and flat runs occur as well as rising ones."""
+    steps = rng.choice([-1.0, 0.0, 1.0], size=n, p=rng.dirichlet([0.5, 0.5, 0.5]))
+    return np.concatenate([[0.0], np.cumsum(steps)])
+
+
+@pytest.mark.parametrize("offset", [0.0, 2.0**40])
+@pytest.mark.parametrize("width", ED_WIDTHS)
+@pytest.mark.parametrize("seed", range(4))
+def test_edit_distance_on_any_unit_step_boundary(seed, width, offset):
+    """The kernel's whole precondition and no more: any boundary row and
+    column that step by -1, 0 or +1 from a shared corner, any 0/1 ``sub``,
+    heights 1 to 70, at an interior origin of a NaN-poisoned block."""
+    rng = np.random.default_rng(1000 * seed + width)
+    h = (1, 70)[seed] if seed < 2 else int(rng.integers(2, 70))
+    R, C = int(rng.integers(0, 4)), int(rng.integers(0, 4))
+    local = np.full((R + h + 3, C + width + 2), np.nan)
+    corner = offset + float(rng.integers(0, 300))
+    local[R, C : C + width + 1] = corner + unit_walk(rng, width)
+    local[R : R + h + 1, C] = corner + unit_walk(rng, h)
+    sub = (rng.random((R + h + 2, C + width + 1)) < rng.random()).astype(np.float64)
+    rows, cols = range(R, R + h), range(C, C + width)
+    want, got = local.copy(), local.copy()
+    oracle.edit_distance_region(want, sub, rows, cols)
+    kernels.edit_distance_region(got, sub, rows, cols)
+    same_bytes(got, want)
+    assert not np.isnan(got[R + 1 : R + h + 1, C + 1 : C + width + 1]).any()
+
+
 # -- 2D/1D rectangular: general-gap Smith-Waterman -------------------------------
 
 
