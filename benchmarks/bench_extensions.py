@@ -2,9 +2,8 @@
 
 - boundary-retention memory mode: peak master memory vs the dense matrix
   (the paper's stated future-work item, quantified);
-- largest-cost-first dynamic scheduling: no gain at paper configurations
-  (precedence already orders work by cost) — recorded as a negative
-  ablation result;
+- slave-side input caching (``data_reuse``, with and without the
+  affinity pool): bytes shipped to slaves;
 - the chain pattern (Viterbi) as a parallelization negative control:
   adding nodes must NOT help a pure chain.
 """
@@ -13,7 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from benchmarks.common import BENCH_SEQ_LEN, PAPER_PARTITION, nussinov_instance
+from benchmarks.common import BENCH_SEQ_LEN, PAPER_PARTITION
 from repro import RunConfig
 from repro.algorithms import EditDistance, ViterbiDecoding
 from repro.analysis.tables import ascii_table
@@ -40,16 +39,6 @@ def boundary_memory_rows(n: int = 2000):
     ]
 
 
-def lcf_rows(seq_len: int):
-    problem = nussinov_instance(seq_len)
-    rows = []
-    for name in ("dynamic", "dynamic-lcf"):
-        cfg = RunConfig.experiment(5, 33, scheduler=name, **PAPER_PARTITION)
-        _, rep = run_simulated(problem, cfg)
-        rows.append([name, rep.makespan])
-    return rows
-
-
 def reuse_rows(seq_len: int):
     from benchmarks.common import swgg_instance
 
@@ -63,25 +52,6 @@ def reuse_rows(seq_len: int):
         cfg = RunConfig.experiment(5, 33, **PAPER_PARTITION, **kw)
         _, rep = run_simulated(problem, cfg)
         rows.append([label, rep.makespan, round(rep.bytes_to_slaves / 1e9, 2)])
-    return rows
-
-
-def prefetch_rows(seq_len: int):
-    from benchmarks.common import swgg_instance
-    from repro.cluster.network import GIGABIT_ETHERNET
-
-    problem = swgg_instance(seq_len)
-    rows = []
-    for link_label, link in (("infiniband", None), ("gigabit", GIGABIT_ETHERNET)):
-        for pf in (False, True):
-            cfg = RunConfig.experiment(5, 33, prefetch=pf, **PAPER_PARTITION)
-            if link is not None:
-                cfg = RunConfig.experiment(
-                    5, 33, prefetch=pf, cluster=cfg.cluster_spec().with_link(link),
-                    **PAPER_PARTITION,
-                )
-            _, rep = run_simulated(problem, cfg)
-            rows.append([link_label, "prefetch" if pf else "serial slave loop", rep.makespan])
     return rows
 
 
@@ -104,22 +74,10 @@ def test_boundary_memory_reduction(benchmark):
     assert stats["boundary peak bytes"] * 5 < stats["dense matrix bytes"]
 
 
-def test_lcf_matches_dynamic_at_paper_configs(benchmark):
-    rows = benchmark.pedantic(lambda: lcf_rows(BENCH_SEQ_LEN), rounds=1, iterations=1)
-    t = {r[0]: r[1] for r in rows}
-    assert t["dynamic-lcf"] <= t["dynamic"] * 1.02
-
-
 def test_data_reuse_halves_swgg_traffic(benchmark):
     rows = benchmark.pedantic(lambda: reuse_rows(BENCH_SEQ_LEN), rounds=1, iterations=1)
     t = {r[0]: r[2] for r in rows}
     assert t["data_reuse"] < t["no reuse (paper model)"] * 0.75
-
-
-def test_prefetch_never_slower(benchmark):
-    rows = benchmark.pedantic(lambda: prefetch_rows(BENCH_SEQ_LEN), rounds=1, iterations=1)
-    by = {(r[0], r[1]): r[2] for r in rows}
-    assert by[("infiniband", "prefetch")] <= by[("infiniband", "serial slave loop")] + 1e-9
 
 
 def test_chain_gains_nothing_from_nodes(benchmark):
@@ -136,21 +94,14 @@ def main(seq_len: int = BENCH_SEQ_LEN) -> str:
         "Boundary-retention memory mode (edit distance, n=2000, blocks 200/50):",
         ascii_table(["metric", "value"], boundary_memory_rows()),
         "",
-        "Largest-cost-first dynamic pool (Nussinov, Experiment_5_33):",
-        ascii_table(["scheduler", "makespan (s)"], lcf_rows(seq_len)),
-        "",
         "Slave-side input caching (SWGG, Experiment_5_33):",
         ascii_table(["mode", "makespan (s)", "bytes to slaves (GB)"], reuse_rows(seq_len)),
-        "",
-        "Transfer/compute overlap (SWGG, Experiment_5_33):",
-        ascii_table(["link", "slave loop", "makespan (s)"], prefetch_rows(seq_len)),
         "",
         "Chain-pattern negative control (Viterbi, T=5000, 8 states):",
         ascii_table(["nodes", "cores", "makespan (s)"], chain_rows()),
         "",
         "Readings: compaction reduces master memory by the block-grid",
-        "factor; lcf cannot beat dynamic when precedence already orders",
-        "work by cost; a chain DP gains nothing from more nodes.",
+        "factor; a chain DP gains nothing from more nodes.",
     ]
     out = "\n".join(blocks)
     print(out)

@@ -30,16 +30,16 @@ link/CPU cost model, the fault-plan lookups and the ``EventQueue``
 scheduling, and performs the core's actions in sim-time.
 
 Dispatch is one path, as on the real wire (``docs/simulator.md``
-§Dispatch): an idle node is sent a *wave* — up to ``max_batch`` ready
-tasks under ``batch_wave``, otherwise one — in ONE ``BatchAssign``
-envelope and ONE transfer, computes its elements in sequence (task and
-worker faults apply per element, in the order of the real slave's loop)
-and answers with ONE ``BatchResult`` envelope whose elements land one by
-one. ``batch_wave`` decides only what it decides on the real wire: how
-many elements share the α term, the master overhead and the 2+1
-messages, and whether ``batch-assemble`` is recorded. ``prefetch``
-reserves the next wave of one ahead, on the same path, while the node
-computes.
+§Dispatch): an idle node is handed what the real master's
+:class:`~repro.runtime.offering.Offering` step hands a slave — a *wave*
+of up to ``max_batch`` ready tasks under ``batch_wave``, otherwise one —
+in ONE ``BatchAssign`` envelope and ONE transfer, computes its elements
+in sequence (task and worker faults apply per element, in the order of
+the real slave's loop) and answers with ONE ``BatchResult`` envelope
+whose elements land one by one. ``batch_wave`` decides only what it
+decides on the real wire: how many elements share the α term, the
+master overhead and the 2+1 messages, and whether ``batch-assemble`` is
+recorded.
 
 Chaos (:mod:`repro.chaos`) is modeled as faults on the simulated
 transfers and nodes: a dropped assignment leaves the node free and the
@@ -99,6 +99,7 @@ from repro.runtime import dispatch as core_mod
 from repro.runtime.assembly import RunAssembly
 from repro.runtime.config import RunConfig
 from repro.runtime.landing import Accepted, Landing
+from repro.runtime.offering import Offering
 from repro.schedulers.policy import SchedulingPolicy, make_policy
 from repro.utils.errors import FaultToleranceExhausted, SchedulerError
 
@@ -155,7 +156,7 @@ def simulate_level(
     idle_while_ready = 0.0
     while True:
         # Scan order is the policy's business: LIFO over the computable
-        # stack by default, cost-ordered for dynamic-lcf.
+        # stack by default.
         w = 0
         while ready and w < len(idle):
             idx = select(idle[w], ready_ids)
@@ -198,9 +199,6 @@ class _Node:
     busy_until: float = 0.0
     parked_since: Optional[float] = None
     tasks_done: int = 0
-    #: Reserved-but-not-yet-computing wave (prefetch mode): the
-    #: (bid, epoch) elements that reached the node, and transfer_done.
-    pending: Optional[Tuple[List[Tuple[TaskId, int]], float]] = None
     #: Permanently out of service (worker-death fault or blacklisted).
     dead: bool = False
     #: Per-node message counters keying the message-fault plan.
@@ -287,6 +285,9 @@ class _SimulatedRun:
             self.core, self.policy, perform=self._apply,
             merge=self._merge, verdict=self._verdict, journal=self._write_ahead,
         )
+        self.offering = Offering(
+            self.core, self.policy, config, self.sched, pop=self._pop, push=self._requeue
+        )
         if resume is not None and self.obs is not None:
             # No commit records are synthesized for the journaled prefix
             # the core was primed with: the trace replay is primed with the
@@ -295,7 +296,8 @@ class _SimulatedRun:
                 "resume", None, node=-1, scope="task",
                 n_committed=len(resume.committed),
             )
-        self.ready: List[TaskId] = self.core.frontier()
+        self.ready: List[TaskId] = []
+        self._make_ready(self.core.frontier())
         #: The write-ahead journal (None when journaling is off). Journal
         #: writes are charged to the master CPU in sim-time
         #: (``journal_latency``).
@@ -305,12 +307,6 @@ class _SimulatedRun:
             # checkpoints carry no DP state (it computes no cells), just
             # the committed set and retry budgets.
             self.journal.bind_rescue(self._checkpoint)
-        #: task -> sim-time when it became dispatchable; consumed at
-        #: assign time for the ``queue-wait`` span. Only kept while
-        #: observing so the disabled path stays allocation-free.
-        self.ready_at: Dict[TaskId, float] = (
-            {bid: self.evq.now for bid in self.ready} if self.obs is not None else {}
-        )
 
     # -- cost helpers ----------------------------------------------------------
 
@@ -409,18 +405,7 @@ class _SimulatedRun:
                 )
             return
         self.core.heard_from(k, self.evq.now)  # the idle announcement
-        if node.pending is not None:
-            # Promote the prefetched wave (its input already transferred).
-            parts, xfer_done = node.pending
-            node.pending = None
-            node.parked_since = None
-            parts = [p for p in parts if self.core.is_live(*p)]
-            if parts:
-                self._begin_wave_compute(k, parts, max(self.evq.now, xfer_done))
-                self._try_prefetch(k)
-                return
-            # Cancelled (timed out) while waiting: fall through to fresh work.
-        wave = self._gather_wave(k)
+        wave = self.offering.offer(k)
         if not wave:
             node.parked_since = self.evq.now
             return
@@ -428,26 +413,29 @@ class _SimulatedRun:
         parts, xfer_done = self._send_wave(k, wave)
         if parts:
             self._begin_wave_compute(k, parts, xfer_done)
-            self._try_prefetch(k)
         else:
             # Nothing arrived: the node stays free, idle again once the
             # wasted transfer slot passes.
             self.evq.at(xfer_done, lambda k=k: self._node_idle(k), label=("idle", k))
 
-    def _register(self, k: int, bid: TaskId) -> int:
-        """Register one dispatch with the core, record it, and arm its
-        overtime (Fig 10) and lease watches; returns the epoch."""
-        now = self.evq.now
-        reg = self.core.dispatch(bid, k, now)
-        epoch = reg.epoch
+    # -- dispatch: one path, a lone assignment is a wave of one ------------------
+
+    def _pop(self, k: int, first: bool) -> Optional[TaskId]:
+        """The offering step's wait: the ready task it picks for node
+        ``k``, or None — the node parks until :meth:`_wake`."""
+        return self.offering.pop_from(k, self.ready)
+
+    def _make_ready(self, tasks: Sequence[TaskId]) -> None:
+        """Put ``tasks`` on the ready list, stamped for their
+        ``queue-wait`` while observing."""
+        self.ready.extend(tasks)
         if self.sched.observing:
-            ready_at = self.ready_at.pop(bid, None)
-            if ready_at is not None:
-                self.sched.record(
-                    "queue-wait", bid, epoch, k, ts=now, t0=ready_at, t1=now,
-                )
-        if self.sched.enabled:
-            self.sched.record("assign", bid, epoch, k, ts=now)
+            for bid in tasks:
+                self.offering.note_ready(bid)
+
+    def _arm(self, k: int, bid: TaskId, reg: core_mod.Registration) -> None:
+        """Arm one dispatch's overtime (Fig 10) and lease watches."""
+        epoch = reg.epoch
         self.evq.at(
             reg.deadline,
             lambda: self._timeout(bid, epoch),
@@ -459,58 +447,29 @@ class _SimulatedRun:
                 lambda: self._lease_check(bid, epoch, k),
                 label=("lease", bid, epoch),
             )
-        return epoch
-
-    def _try_prefetch(self, k: int) -> None:
-        """Overlap the next task's transfer with the running compute:
-        reserve a wave of one ahead (one-deep, prefetch mode only;
-        batching already ships the whole computable wave at once, so the
-        two modes do not compose)."""
-        if not self.config.prefetch or self.config.batch_wave:
-            return
-        node = self.nodes[k]
-        if node.dead or node.pending is not None or node.busy_until <= self.evq.now:
-            return
-        wave = self._gather_wave(k)
-        if wave:
-            parts, xfer_done = self._send_wave(k, wave)
-            if parts:
-                node.pending = (parts, xfer_done)
-
-    # -- dispatch: one path, a lone assignment is a wave of one ------------------
-
-    def _gather_wave(self, k: int) -> List[TaskId]:
-        """Pop what one envelope to node ``k`` carries: up to ``max_batch``
-        eligible ready tasks under ``batch_wave``, else one."""
-        limit = self.config.max_batch if self.config.batch_wave else 1
-        wave: List[TaskId] = []
-        while len(wave) < limit:
-            idx = self.landing.select_index(k, self.ready)
-            if idx is None:
-                break
-            wave.append(self.ready.pop(idx))
-        return wave
 
     def _send_wave(
-        self, k: int, wave: List[TaskId]
+        self, k: int, wave: List[Tuple[TaskId, core_mod.Registration]]
     ) -> Tuple[List[Tuple[TaskId, int]], float]:
-        """Assign ``wave`` in ONE modeled envelope and ONE input transfer;
-        returns the (bid, epoch) elements that reach the node — none when
-        the envelope is lost — and the instant the transfer is over.
+        """Assign the offered ``wave`` in ONE modeled envelope and ONE
+        input transfer; returns the (bid, epoch) elements that reach the
+        node — none when the envelope is lost — and the instant the
+        transfer is over.
 
         Per-subtask semantics are preserved exactly as in the real master:
-        every element registers its own epoch, gets its own timeout watch,
-        and commits (or faults) individually — only the link-model α term
-        (one envelope, one master dispatch overhead, 2 messages for the
-        whole wave instead of 2 per task) is amortized.
+        every element has its own epoch and timeout watch, and commits (or
+        faults) individually — only the link-model α term (one envelope,
+        one master dispatch overhead, 2 messages for the whole wave
+        instead of 2 per task) is amortized.
         """
         node = self.nodes[k]
         now = self.evq.now
         in_bytes = MESSAGE_ENVELOPE_BYTES  # ONE envelope for the wave
         in_each: List[int] = []
         parts: List[Tuple[TaskId, int]] = []
-        for bid in wave:
-            parts.append((bid, self._register(k, bid)))
+        for bid, reg in wave:
+            self._arm(k, bid, reg)
+            parts.append((bid, reg.epoch))
             if self.config.data_reuse:
                 nb = self.problem.cached_input_bytes(self.partition, bid, self.node_done[k])
             else:
@@ -527,11 +486,6 @@ class _SimulatedRun:
         self.bytes_to_slaves += in_bytes
         xfer_done = start + xfer
         if self.sched.observing:
-            if self.config.batch_wave:
-                self.sched.record(
-                    "batch-assemble", None, -1, k, node=k, ts=now,
-                    t0=now, t1=now, n_tasks=len(parts),
-                )
             # The input transfer occupies [start, xfer_done) on the link —
             # recorded as reserved spans in sim-time. The envelope's own
             # bytes ride on the first element, so the spans of a wave add
@@ -545,7 +499,7 @@ class _SimulatedRun:
         rule = None
         if self.config.message_fault_plan:
             rule = self.config.message_fault_plan.decide(
-                "send", "BatchAssign", wave[0], node.sent_index, endpoint=k
+                "send", "BatchAssign", wave[0][0], node.sent_index, endpoint=k
             )
             node.sent_index += 1
         if rule is not None:
@@ -839,11 +793,7 @@ class _SimulatedRun:
         self.makespan = max(self.makespan, self.evq.now)
         if taint:
             self.tainted_commits[bid] = taint
-        if released:
-            self.ready.extend(released)
-            if self.obs is not None:
-                for nb in released:
-                    self.ready_at[nb] = self.evq.now
+        self._make_ready(released)
         if self.ready:
             self._wake()
 
@@ -865,10 +815,7 @@ class _SimulatedRun:
         for v in inv.order:
             self.tainted_commits.pop(v, None)
         self.ready = [t for t in self.ready if self.core.inputs_committed(t)]
-        self.ready.extend(inv.frontier)
-        if self.obs is not None:
-            for nb in inv.frontier:
-                self.ready_at[nb] = self.evq.now
+        self._make_ready(inv.frontier)
 
     def _timeout(self, bid: TaskId, epoch: int) -> None:
         """Overtime check (Fig 10) of one dispatch."""
@@ -914,18 +861,14 @@ class _SimulatedRun:
 
     def _requeue(self, bid: TaskId) -> None:
         """Put a recovered sub-task back on offer and wake parked nodes."""
-        self.ready.append(bid)
-        if self.obs is not None:
-            self.ready_at[bid] = self.evq.now
+        self._make_ready((bid,))
         self._wake()
 
     def _wake(self) -> None:
-        """Offer the ready list to every parked node; prefetch on the rest."""
+        """Offer the ready list to every parked node."""
         for j, node in enumerate(self.nodes):
             if node.parked_since is not None:
                 self._node_idle(j)
-            else:
-                self._try_prefetch(j)
 
     # -- driver -------------------------------------------------------------------------
 

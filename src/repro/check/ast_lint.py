@@ -15,9 +15,10 @@ Five project rules exist that no type checker sees:
   makes timeout logic untestable. ``time.perf_counter()`` stays legal —
   it only measures wall-clock cost for reports, it never drives logic.
 - **Sans-I/O core** — the dispatch core (``runtime/dispatch.py``) takes
-  ``now`` as an argument and returns actions, and the landing step
-  beside it (``runtime/landing.py``) reaches the world only through its
-  shell's hooks; they may import no thread, clock, socket, OS,
+  ``now`` as an argument and returns actions, and the offering and
+  landing steps beside it (``runtime/offering.py``,
+  ``runtime/landing.py``) reach the world only through their shell's
+  hooks; they may import no thread, clock, socket, OS,
   transport, journal or array module and build no lock, or the
   simulator and explorer stop running the master's real decisions
   (``docs/fault_tolerance.md`` §Dispatch core).
@@ -73,6 +74,7 @@ _SANS_IO_BANNED_NAMES = ("make_lock", "make_condition")
 SANS_IO_MODULES = (
     os.path.join("runtime", "dispatch.py"),
     os.path.join("runtime", "landing.py"),
+    os.path.join("runtime", "offering.py"),
 )
 #: The loops that receive wire messages, as (package-relative path,
 #: class, method): the master's per-slave service loop and the slave's
@@ -358,8 +360,8 @@ def check_clock_discipline(
             for line, what in lint_sans_io(source, path):
                 report.add(
                     D.SANS_IO_VIOLATION,
-                    f"{what} at {rel}:{line} — the dispatch core and landing step are sans-I/O: "
-                    f"time comes in as `now`, effects go out as actions",
+                    f"{what} at {rel}:{line} — the dispatch core and its offering and landing "
+                    f"steps are sans-I/O: time comes in as `now`, effects go out as actions",
                     f"{rel}:{line}",
                 )
         for line, what in lint_clock_discipline(source, path):

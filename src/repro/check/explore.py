@@ -452,7 +452,6 @@ def _fingerprint(run: Any) -> Tuple[Any, ...]:
             n.dead,
             n.tasks_done,
             n.parked_since is not None,
-            None if n.pending is None else (tuple(n.pending[0]), _rel(n.pending[1], now)),
             n.sent_index,
             n.recv_index,
             n.beacon_index,

@@ -696,7 +696,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--algo", default="edit-distance", help="algorithm name (see `info`)")
         p.add_argument("--size", type=int, default=200, help="instance size")
         p.add_argument("--seed", type=int, default=0, help="instance seed")
-        p.add_argument("--scheduler", default="dynamic", help="dynamic | dynamic-lcf | bcw | cw")
+        p.add_argument("--scheduler", default="dynamic", help="dynamic | dynamic-affinity | bcw | cw")
 
     def _add_obs_args(p: argparse.ArgumentParser) -> None:
         p.add_argument(

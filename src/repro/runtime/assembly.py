@@ -15,7 +15,6 @@ else, re-spells a knob per layer.
 from __future__ import annotations
 
 import threading
-from functools import partial
 from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.algorithms.problem import DPProblem
@@ -119,7 +118,6 @@ class RunAssembly:
             n_workers,
             self.partition.grid.n_block_cols,
             block_cols=BCW_BLOCK_COLS,
-            cost_fn=partial(self.problem.block_flops, self.partition),
             neighbor_fn=self.partition.abstract.predecessors,
         )
 

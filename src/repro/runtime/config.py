@@ -83,12 +83,11 @@ class RunConfig:
     #: Execution backend: "serial", "threads", "processes" or "simulated".
     backend: str = "threads"
     #: Processor-level scheduling policy: "dynamic" (EasyHPS), "bcw", "cw",
-    #: or the extensions "dynamic-lcf" / "dynamic-affinity" — honoured the
-    #: same way by the real master's ready stack and the simulator's.
+    #: or the extension "dynamic-affinity" — honoured the same way by the
+    #: real master's ready stack and the simulator's.
     scheduler: str = "dynamic"
-    #: Thread-level scheduling policy (there "dynamic-lcf" and
-    #: "dynamic-affinity" are the plain dynamic pool:
-    #: :func:`~repro.schedulers.policy.make_policy`).
+    #: Thread-level scheduling policy (there "dynamic-affinity" is the
+    #: plain dynamic pool: :func:`~repro.schedulers.policy.make_policy`).
     thread_scheduler: str = "dynamic"
     #: Process-level partition size (cells per sub-task side); None picks
     #: the problem's default.
@@ -193,10 +192,6 @@ class RunConfig:
     #: near a node's previous blocks skips re-shipping the data it already
     #: holds. Off by default — the paper's master re-sends per task.
     data_reuse: bool = False
-    #: Overlap the next sub-task's input transfer with the current
-    #: compute (one-deep prefetch, simulated backend). Off by default —
-    #: the paper's slave loop is strictly transfer -> compute -> reply.
-    prefetch: bool = False
     #: Run the happens-before trace validator (:mod:`repro.check`) over
     #: every schedule: master and slave levels on the real backends, the
     #: event log on the simulated one. A violation raises

@@ -45,8 +45,7 @@ class Landing:
 
     Keeps the payloads the core's ledgers refer to — commits awaiting
     their lagged audit, ballots cast so far — written only by the thread
-    that lands results. :meth:`select_index` is called from the threads
-    that pop work.
+    that lands results.
     """
 
     def __init__(
@@ -72,25 +71,6 @@ class Landing:
         self._audited: Dict[Tuple[TaskId, int], Accepted] = {}
         #: task -> worker -> ballot (worker -1 = the shell's arbiter).
         self._ballots: Dict[TaskId, Dict[int, Accepted]] = {}
-
-    def select_index(self, worker: int, ready: Sequence[TaskId]) -> Optional[int]:
-        """Index into ``ready`` of the task ``worker`` takes next: the
-        policy's pick, passing over a re-offer that is not for ``worker``
-        (:meth:`DispatchCore.passed_over`) while another candidate can
-        take it — with none left, the same worker takes it again."""
-        if not self.core.reoffering:
-            return self.policy.select_index(worker, ready)
-        keep = [i for i, t in enumerate(ready) if not self._passes_over(worker, t)]
-        idx = self.policy.select_index(worker, [ready[i] for i in keep])
-        return None if idx is None else keep[idx]
-
-    def _passes_over(self, worker: int, task: TaskId) -> bool:
-        core = self.core
-        shun = core.passed_over(task)
-        return worker in shun and any(
-            k not in shun and not core.is_retired(k) and self.policy.eligible(k, task)
-            for k in range(core.n_workers)
-        )
 
     def land(self, group: Iterable[Accepted]) -> bool:
         """Land results that were accepted together; False once the run

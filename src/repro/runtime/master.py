@@ -15,15 +15,18 @@ Thread layout follows the paper:
 Every register / budget / backoff / blacklist / quarantine / lease /
 vote / taint *decision* is taken by
 :class:`~repro.runtime.dispatch.DispatchCore` under the single
-``master.core`` lock and performed here (``_apply``); what happens to a
+``master.core`` lock and performed here (``_apply``); what an idle slave
+is handed — pop, register, record, up to a wave — is the
+:class:`~repro.runtime.offering.Offering` step, and what happens to a
 drained group of results — vote, journal, commit, audit, invalidate — is
-the :class:`~repro.runtime.landing.Landing` step the simulator runs too.
-This module keeps the threads, the channels, the two stacks, payload
-extraction, digest hashing, and the landing hooks: the state merge, the
-audit/arbiter recompute and the journal writes. The event → action
-vocabulary and the hardening it carries (retry budgets, backoff,
-blacklist, leases, digest / audit / vote / quarantine, taint recompute)
-are described in ``docs/fault_tolerance.md`` §Dispatch core.
+the :class:`~repro.runtime.landing.Landing` step; the simulator runs both
+too. This module keeps the threads, the channels, the two stacks, payload
+extraction, digest hashing, and the hooks of both steps: the blocking
+pop, the state merge, the audit/arbiter recompute and the journal
+writes. The event → action vocabulary and the hardening it carries
+(retry budgets, backoff, blacklist, leases, digest / audit / vote /
+quarantine, taint recompute) are described in
+``docs/fault_tolerance.md`` §Dispatch core.
 Every knob is read from the run's ``RunConfig`` where it is used
 (``docs/configuration.md``); the constructor takes objects, not values.
 
@@ -70,6 +73,7 @@ from repro.runtime import dispatch as core_mod
 from repro.runtime.config import RunConfig
 from repro.runtime.dispatch import DispatchCore
 from repro.runtime.landing import Accepted, Landing
+from repro.runtime.offering import Offering
 from repro.runtime.worker_pool import ComputableStack, FinishedStack
 from repro.schedulers.policy import SchedulingPolicy
 from repro.utils.errors import (
@@ -77,13 +81,6 @@ from repro.utils.errors import (
     SchedulerError,
     WorkerLeakWarning,
 )
-
-
-#: Sentinel returned by :meth:`MasterPart._prepare_assign` when the worker
-#: was retired (blacklist/leave/quarantine) between the pop and the
-#: registration re-check — distinct from None, which means "no eligible
-#: task right now".
-_RETIRED = object()
 
 
 @dataclass
@@ -175,14 +172,6 @@ class MasterPart:
         self._results_lock = make_lock("master.results")
         #: Accepted results awaiting their landing, by task.
         self._result_buffer: Dict[TaskId, Accepted] = {}
-        #: task -> clock reading when it became dispatchable (pushed on
-        #: the computable stack); consumed at assign time to emit the
-        #: ``queue-wait`` profiling span. Only stamped while observing.
-        self._ready_at: Dict[TaskId, float] = {}
-        self._stack = ComputableStack(
-            depth_observer=self._make_depth_observer(),
-            push_observer=self._note_ready if self.sched.observing else None,
-        )
         self._finished = FinishedStack()
         self._end = threading.Event()
         self._failure: List[BaseException] = []
@@ -242,11 +231,21 @@ class MasterPart:
         #: TaskResults that passed receive-side digest verification
         #: (guarded by ``_results_lock`` — service threads share it).
         self._digests_verified = 0
-        #: What happens to a drained group of results (scheduling thread);
-        #: the service threads pop work through its ``select_index``.
+        #: What happens to a drained group of results (scheduling thread).
         self.landing = Landing(
             self.core, policy, decide=self._decide, perform=self._apply,
             merge=self._merge, verdict=self._verdict, journal=self._write_ahead,
+        )
+        #: What an idle slave is handed (its service thread).
+        self.offering = Offering(
+            self.core, policy, config, self.sched,
+            pop=self._pop, push=self._push, decide=self._decide,
+        )
+        #: The computable stack; every push is stamped for the task's
+        #: ``queue-wait`` span while observing (all push sites at once).
+        self._stack = ComputableStack(
+            depth_observer=self._make_depth_observer(),
+            push_observer=self.offering.note_ready if self.sched.observing else None,
         )
 
         #: Service threads for workers attached mid-run; guarded by the
@@ -267,15 +266,6 @@ class MasterPart:
             hist.observe(depth)
 
         return observe
-
-    def _note_ready(self, task_id: TaskId) -> None:
-        """Stamp the instant a task became dispatchable (stack push).
-
-        Consumed at assign time to emit the ``queue-wait`` span; only
-        wired as the stack's push observer while observing, so the
-        disabled path takes no stamps and keeps no table.
-        """
-        self._ready_at[task_id] = self.clock.now()
 
     def _release_blocks(self, task_id: TaskId) -> None:
         """Unlink the shm segments parked for a settled dispatch (no-op
@@ -571,41 +561,20 @@ class MasterPart:
 
     # -- per-slave worker thread (Fig 9 steps d-f) ------------------------------------
 
-    def _prepare_assign(self, worker_id: int, block: bool):
-        """Pop one eligible task and build its fully-dressed TaskAssign.
-
-        "Fully dressed" means everything a dispatch gets: a fresh
-        registration (epoch, deadline, lease), the queue-wait/assign
-        records, the extracted inputs, and the content digest — a wave
-        shares only the envelope, never the semantics.
-
-        Returns the assign; None when no task is currently eligible
-        (``block=False`` polls, ``block=True`` waits for work or close);
-        or :data:`_RETIRED` when the worker was retired during the pop.
-        """
-        task_id = self._stack.pop_eligible(
-            worker_id, self.landing, timeout=None if block else 0
+    def _pop(self, worker_id: int, first: bool) -> Optional[TaskId]:
+        """The offering step's wait: block on the computable stack for a
+        wave's first element (None once the pool closed), poll for the
+        rest."""
+        return self._stack.pop_eligible(
+            worker_id, self.offering, timeout=None if first else 0
         )
-        if task_id is None:
-            return None
-        with self._core_lock:
-            reg = self.core.dispatch(task_id, worker_id, self.clock.now())
-            retired = reg is None and self.core.is_retired(worker_id)
-            if reg is not None and self.sched.enabled:
-                # Under the lock, like every ledger record (``_note``): an
-                # eviction chasing this dispatch must not be logged first.
-                self._record_assign(task_id, reg.epoch, worker_id)
-        if retired:
-            # Retired while we were popping: this worker never runs the
-            # task (the no-commit-after-blacklist invariant).
-            self._stack.push(task_id)
-            return _RETIRED
-        if reg is None:
-            # A taint revoked the task's inputs between the pop and the
-            # registration: forget it (a later commit releases it again)
-            # and look on.
-            return self._prepare_assign(worker_id, block)
-        epoch = reg.epoch
+
+    def _push(self, task_id: TaskId) -> None:
+        self._stack.push(task_id)
+
+    def _assign(self, task_id: TaskId, epoch: int, worker_id: int) -> TaskAssign:
+        """One registered dispatch, fully dressed: its extracted inputs and
+        their content digest — a wave shares only the envelope."""
         with self._state_lock:
             inputs = self.problem.extract_inputs(self.state, self.partition, task_id)
         return TaskAssign(
@@ -619,52 +588,6 @@ class MasterPart:
                 else None
             ),
         )
-
-    def _record_assign(self, task_id: TaskId, epoch: int, worker_id: int) -> None:
-        if self.sched.observing:
-            # queue-wait span first, so the task's "assign" (which
-            # closes the wait) serializes after it in the stream.
-            now = self.clock.now()
-            ready_at = self._ready_at.pop(task_id, None)
-            if ready_at is not None:
-                self.sched.record(
-                    "queue-wait", task_id, epoch, worker_id,
-                    ts=now, t0=ready_at, t1=now,
-                )
-        self.sched.record("assign", task_id, epoch, worker_id)
-
-    def _gather_wave(self, worker_id: int) -> Optional[BatchAssign]:
-        """Pop what one envelope to ``worker_id`` carries — the simulator's
-        rule: up to ``max_batch`` eligible sub-tasks under ``batch_wave``
-        (the anti-diagonal the DAG currently exposes to this worker),
-        else one — blocking for the first element only.
-
-        Returns None when this worker gets no more work: the pool closed
-        (end of schedule) before a first element turned up, or the worker
-        was retired mid-gather — which already evicted (cancelled and
-        re-offered) every element registered to it so far, so nothing is
-        sent.
-        """
-        first = self._prepare_assign(worker_id, block=True)
-        if first is None or first is _RETIRED:
-            return None
-        t0 = self.clock.now() if self.sched.observing else 0.0
-        assigns = [first]
-        limit = self.config.max_batch if self.config.batch_wave else 1
-        while len(assigns) < limit:
-            nxt = self._prepare_assign(worker_id, block=False)
-            if nxt is None:
-                break
-            if nxt is _RETIRED:
-                return None
-            assigns.append(nxt)
-        if self.config.batch_wave and self.sched.observing:
-            t1 = self.clock.now()
-            self.sched.record(
-                "batch-assemble", None, -1, worker_id,
-                ts=t1, t0=t0, t1=t1, n_tasks=len(assigns),
-            )
-        return BatchAssign(assigns=tuple(assigns))
 
     def _serve_slave(self, worker_id: int) -> None:
         channel = self.channels[worker_id]
@@ -712,11 +635,15 @@ class MasterPart:
                     # the overtime check cancels it, and the next
                     # announcement is admitted.
                     continue
-                wave = self._gather_wave(worker_id)
-                if wave is None:
+                offered = self.offering.offer(worker_id)
+                if not offered:
+                    # The pool closed, or the worker was retired mid-gather.
                     self._try_send_end(channel)
                     ended = True
                     continue
+                wave = BatchAssign(
+                    assigns=tuple(self._assign(t, reg.epoch, worker_id) for t, reg in offered)
+                )
                 self._last_progress = self.clock.now()
                 try:
                     channel.send(wave)

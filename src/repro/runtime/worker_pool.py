@@ -90,7 +90,9 @@ class ComputableStack:
     ) -> Optional[TaskId]:
         """Pop the task ``policy.select_index`` picks for ``worker_id`` —
         the one question the simulator asks of its ready list (newest
-        eligible by default, costliest for ``dynamic-lcf``, ...).
+        eligible by default). The master hands it its
+        :class:`~repro.runtime.offering.Offering` step, which asks the
+        run's policy and passes re-offers over.
 
         Blocks until an eligible task appears, the pool closes (returns
         None), or ``timeout`` elapses (returns None). Static policies can

@@ -48,12 +48,12 @@ class SchedulingPolicy(ABC):
 
     def select_index(self, worker_id: int, ready: Sequence[TaskId]) -> Optional[int]:
         """Index into ``ready`` of the task this worker should take next —
-        what every shell asks (:meth:`ComputableStack.pop_eligible
-        <repro.runtime.worker_pool.ComputableStack.pop_eligible>` on the
-        real backends, the simulator over its ready list).
+        what every shell's :class:`~repro.runtime.offering.Offering` step
+        asks (over the computable stack on the real backends, the ready
+        list in the simulator).
 
         The default scans from the end — LIFO over the computable stack.
-        Cost- and locality-aware policies override.
+        Locality-aware policies override.
         """
         for idx in range(len(ready) - 1, -1, -1):
             if self.eligible(worker_id, ready[idx]):
@@ -85,31 +85,6 @@ class DynamicPolicy(SchedulingPolicy):
             return None
         self._check_worker(worker_id)
         return len(ready) - 1
-
-
-class CostAwareDynamicPolicy(DynamicPolicy):
-    """Largest-cost-first dynamic pool — an extension beyond the paper.
-
-    Same eligibility as the dynamic pool, but an idle worker takes the
-    *heaviest* ready task instead of the newest. Classic LPT-style
-    heuristic: starting long tasks early shortens the end-game tail when
-    block costs vary (SWGG, Nussinov). Processor level only, on every
-    backend: the thread level carries no cost function
-    (:func:`make_policy`).
-    """
-
-    name = "dynamic-lcf"
-
-    def __init__(self, n_workers: int, cost_fn) -> None:
-        super().__init__(n_workers)
-        if not callable(cost_fn):
-            raise ConfigError("dynamic-lcf needs a callable cost_fn(task_id)")
-        self.cost_fn = cost_fn
-
-    def select_index(self, worker_id: int, ready: Sequence[TaskId]) -> Optional[int]:
-        if not ready:
-            return None
-        return max(range(len(ready)), key=lambda i: self.cost_fn(ready[i]))
 
 
 class AffinityDynamicPolicy(DynamicPolicy):
@@ -193,7 +168,7 @@ class ColumnWavefrontPolicy(SchedulingPolicy):
         return min(col // self._band, self.n_workers - 1)
 
 
-POLICIES = ("dynamic", "dynamic-lcf", "dynamic-affinity", "bcw", "cw")
+POLICIES = ("dynamic", "dynamic-affinity", "bcw", "cw")
 
 
 def make_policy(
@@ -201,24 +176,19 @@ def make_policy(
     n_workers: int,
     n_columns: int,
     block_cols: int = 1,
-    cost_fn=None,
     neighbor_fn=None,
 ) -> SchedulingPolicy:
-    """Instantiate a policy by name (``n_columns`` feeds CW, ``cost_fn``
-    dynamic-lcf, ``neighbor_fn`` dynamic-affinity).
+    """Instantiate a policy by name (``n_columns`` feeds CW,
+    ``neighbor_fn`` dynamic-affinity).
 
-    The processor level supplies both functions on every backend
+    The processor level supplies ``neighbor_fn`` on every backend
     (:meth:`RunAssembly.policy <repro.runtime.assembly.RunAssembly.policy>`).
-    The thread level has neither — regions of one block carry no cost
-    model and share one node's memory — so there, and only there,
-    ``dynamic-lcf`` and ``dynamic-affinity`` are the plain dynamic pool.
+    The thread level does not — regions of one block share one node's
+    memory — so there, and only there, ``dynamic-affinity`` is the plain
+    dynamic pool.
     """
     if name == "dynamic":
         return DynamicPolicy(n_workers)
-    if name == "dynamic-lcf":
-        if cost_fn is None:
-            return DynamicPolicy(n_workers)
-        return CostAwareDynamicPolicy(n_workers, cost_fn)
     if name == "dynamic-affinity":
         if neighbor_fn is None:
             return DynamicPolicy(n_workers)

@@ -109,10 +109,10 @@ class TestSansIoLint:
 
     def test_core_module_is_held_to_it(self, tmp_path):
         # A copy of each of the package tree's sans-I/O modules (the
-        # dispatch core and the landing step beside it) with a clock read
-        # spliced in must fail the tree-wide check.
+        # dispatch core and the offering and landing steps beside it) with
+        # a clock read spliced in must fail the tree-wide check.
         assert sorted(os.path.basename(rel) for rel in SANS_IO_MODULES) == [
-            "dispatch.py", "landing.py",
+            "dispatch.py", "landing.py", "offering.py",
         ]
         for i, rel in enumerate(SANS_IO_MODULES):
             with open(f"{source_root()}/{rel}", encoding="utf-8") as fh:

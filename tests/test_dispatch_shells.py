@@ -110,13 +110,15 @@ class TestSimulatorDriftFixes:
             )
 
     def test_dead_nodes_dispatch_redistributes_at_lease_expiry(self, problem):
-        # Node 1 dies after its first task while a prefetched dispatch is
-        # still registered to it. With heartbeats on, that dispatch goes
-        # back on offer one lease (0.05 * 3 sim-seconds) later, not at
-        # the 60 s hard timeout.
+        # Node 1 is handed the wave (1, 0), (0, 1); the first element
+        # crashes, the second commits, and the node dies before it asks
+        # again — with (1, 0) still registered to it. With heartbeats on,
+        # that dispatch goes back on offer one lease (0.05 * 3
+        # sim-seconds) later, not at the 60 s hard timeout.
         report = sim(
             problem,
-            prefetch=True,
+            batch_wave=True,
+            fault_plan=FaultPlan([FaultRule("crash", (1, 0), 0)]),
             worker_fault_plan=WorkerFaultPlan(
                 [WorkerFaultRule("die", worker_id=1, after_tasks=1)]
             ),

@@ -46,7 +46,7 @@ def run_parts(master, slaves, stop):
 class TestPolicyElasticity:
     def test_dynamic_family_is_elastic(self):
         assert make_policy("dynamic", 2, 4).elastic
-        assert make_policy("dynamic-lcf", 2, 4).elastic
+        assert make_policy("dynamic-affinity", 2, 4).elastic
 
     def test_wavefront_policies_are_static(self):
         assert not make_policy("bcw", 2, 4).elastic

@@ -13,8 +13,10 @@ from repro import EasyHPS, RunConfig
 from repro.algorithms import EditDistance
 from repro.dag.library import WavefrontPattern
 from repro.integrity import IntegrityPolicy
+from repro.obs.schedule import ScheduleTracer
 from repro.runtime.dispatch import AUDIT_LAG, Abort, DispatchCore
 from repro.runtime.landing import Accepted, Landing
+from repro.runtime.offering import Offering
 from repro.schedulers.policy import DynamicPolicy
 
 
@@ -34,6 +36,11 @@ class FakeShell:
             self.core, DynamicPolicy(2), decide=lambda event, *args: event(*args),
             perform=self.perform, merge=self.merge, verdict=self.verdict,
             journal=self.journal,
+        )
+        #: Only asked who may take a re-offer.
+        self.offering = Offering(
+            self.core, DynamicPolicy(2), RunConfig(), ScheduleTracer(),
+            pop=lambda worker, first: None, push=self.log.append,
         )
 
     def perform(self, actions):
@@ -131,8 +138,8 @@ def test_a_vote_reoffer_skips_a_worker_that_already_voted():
     assert shell.landing.land([shell.accept((0, 0), worker=0)])  # re-offered
     assert shell.log == []
     ready = [(0, 0)]
-    assert shell.landing.select_index(0, ready) is None  # worker 0 voted
-    assert shell.landing.select_index(1, ready) == 0
+    assert shell.offering.select_index(0, ready) is None  # worker 0 voted
+    assert shell.offering.select_index(1, ready) == 0
     assert shell.landing.land([shell.accept((0, 0), worker=1)])
     assert shell.log == [("journal", ((0, 0),), ()), ("merge", (0, 0))]
     assert shell.core.stats.votes_cast == 2
@@ -155,10 +162,10 @@ def test_a_block_convicted_twice_is_recomputed_by_another_worker():
         assert (0, 0) not in shell.core.committed
 
     lie_then_convict()
-    assert shell.landing.select_index(1, [(0, 0)]) == 0
+    assert shell.offering.select_index(1, [(0, 0)]) == 0
     lie_then_convict()
-    assert shell.landing.select_index(1, [(0, 0)]) is None
-    assert shell.landing.select_index(0, [(0, 0)]) == 0
+    assert shell.offering.select_index(1, [(0, 0)]) is None
+    assert shell.offering.select_index(0, [(0, 0)]) == 0
     assert shell.core.stats.audits_convicted == 2
     assert not shell.core.is_retired(1)
 

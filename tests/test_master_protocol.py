@@ -206,8 +206,8 @@ class TestProtocol:
         master.core.commit((0, 0), 0, 0, None)
         master.core.taint((0, 0))
         master._stack.push_many([(0, 0), (1, 0)])  # (1, 0) is LIFO-first
-        assign = master._prepare_assign(0, block=False)
-        assert assign.task_id == (0, 0) and len(master._stack) == 0
+        ((task, _reg),) = master.offering.offer(0)
+        assert task == (0, 0) and len(master._stack) == 0
         assert not master.core.is_live((1, 0)) and master.core.attempts((1, 0)) == 0
 
     def test_result_is_accepted_and_buffered_in_one_step(self, problem):

@@ -168,23 +168,6 @@ def test_bare_element_crosses_a_raw_pipe():
 # -- (iv) the ready stack asks the policy ----------------------------------------------
 
 
-def test_lcf_pops_the_costliest_ready_block_on_the_real_stack():
-    from repro.algorithms import Nussinov
-
-    nussinov = Nussinov.random(96, seed=3)  # block cost grows with the span
-    config = RunConfig(backend="threads", nodes=3, process_partition=16, scheduler="dynamic-lcf")
-    asm = RunAssembly(config, nussinov)
-    policy = asm.policy(2)
-    ready = [(0, 5), (0, 1), (0, 3)]
-    cost = {bid: nussinov.block_flops(asm.partition, bid) for bid in ready}
-    assert len(set(cost.values())) == 3
-    stack = ComputableStack()
-    stack.push_many(ready)
-    popped = [stack.pop_eligible(0, policy, timeout=0) for _ in ready]
-    assert popped == sorted(ready, key=cost.get, reverse=True)
-    assert popped != ready[::-1]  # not the default LIFO
-
-
 def test_affinity_steers_the_real_masters_pops():
     config = RunConfig(
         backend="threads", nodes=3, process_partition=16, scheduler="dynamic-affinity"
@@ -207,11 +190,12 @@ def test_affinity_steers_the_real_masters_pops():
 
 class TestStructure:
     def test_batch_wave_only_sizes_the_wave_on_the_real_master(self):
-        """``runtime/master.py`` reads ``batch_wave`` where it sizes the
-        wave and records ``batch-assemble`` — in ``_gather_wave`` — and
-        ``runtime/slave.py`` never."""
+        """``batch_wave`` is read where the offering step the master runs
+        sizes the wave and gates ``batch-assemble`` — once, when the step
+        is built — and ``runtime/master.py`` / ``runtime/slave.py`` never
+        read it."""
         reads = {}
-        for rel in ("runtime/master.py", "runtime/slave.py"):
+        for rel in ("runtime/master.py", "runtime/slave.py", "runtime/offering.py"):
             tree = ast.parse((SRC / rel).read_text(), filename=rel)
             reads[rel] = [
                 fn.name
@@ -221,8 +205,9 @@ class TestStructure:
                 if isinstance(n, ast.Attribute) and n.attr == "batch_wave"
             ]
         assert reads == {
-            "runtime/master.py": ["_gather_wave", "_gather_wave"],
+            "runtime/master.py": [],
             "runtime/slave.py": [],
+            "runtime/offering.py": ["__init__"],
         }
 
     def test_no_module_dispatches_on_the_four_payload_types(self):

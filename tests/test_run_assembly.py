@@ -348,31 +348,32 @@ class TestStructure:
 
     def test_the_simulator_dispatches_one_way(self):
         """``_SimulatedRun`` has no method reachable only with
-        ``batch_wave`` off, and reads the knob only where it sizes the
-        wave, records ``batch-assemble`` or gates prefetch — what the
-        knob decides on the real wire."""
+        ``batch_wave`` off, and the wave rule is the offering step's:
+        ``batch_wave`` and ``max_batch`` are read in ``runtime/offering.py``
+        only. Neither shell reads them or picks a task itself
+        (``select_index``), and each asks the step for work from one
+        place."""
         rel = "backends/simulated.py"
         tree = ast.parse((SRC / rel).read_text(), filename=rel)
         (run,) = [
             n for n in ast.walk(tree)
             if isinstance(n, ast.ClassDef) and n.name == "_SimulatedRun"
         ]
-        methods = {fn.name: fn for fn in run.body if isinstance(fn, ast.FunctionDef)}
+        methods = {fn.name for fn in run.body if isinstance(fn, ast.FunctionDef)}
         single_only = {"_dispatch", "_begin_compute", "_compute_done", "_result", "_digest_reject"}
-        assert not single_only & set(methods)
+        assert not single_only & methods
 
-        reads = sorted(
-            (name, n.lineno)
-            for name, fn in methods.items()
-            for n in ast.walk(fn)
-            if isinstance(n, ast.Attribute) and n.attr == "batch_wave"
-        )
-        everywhere = [
-            n for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr == "batch_wave"
-        ]
-        assert len(everywhere) == len(reads)  # none outside the class
-        assert [name for name, _ in reads] == [
-            "_gather_wave",  # sizes the wave
-            "_send_wave",  # records batch-assemble
-            "_try_prefetch",  # gates prefetch
-        ]
+        knobs = {"batch_wave", "max_batch"}
+        for rel in ("runtime/offering.py", "runtime/master.py", "backends/simulated.py"):
+            tree = ast.parse((SRC / rel).read_text(), filename=rel)
+            read = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)} & knobs
+            calls = [
+                n.func.attr for n in ast.walk(tree)
+                if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+            ]
+            if rel == "runtime/offering.py":
+                assert read == knobs
+            else:
+                assert not read, rel
+                assert "select_index" not in calls, rel
+                assert calls.count("offer") == 1, rel

@@ -27,6 +27,11 @@ class TestValidation:
         with pytest.raises(ConfigError):
             RunConfig(thread_scheduler="lottery")
 
+    def test_removed_lcf_pool_names_the_remaining_choices(self):
+        with pytest.raises(ConfigError) as err:
+            RunConfig(scheduler="dynamic-lcf")
+        assert "one of ['bcw', 'cw', 'dynamic', 'dynamic-affinity']" in str(err.value)
+
     def test_nodes_minimum(self):
         with pytest.raises(ConfigError):
             RunConfig(nodes=1, backend="threads")
@@ -88,7 +93,7 @@ class TestKnobCount:
     """The next knob or override is an explicit edit here."""
 
     def test_field_count_is_pinned(self):
-        assert len(dataclasses.fields(RunConfig)) == 44
+        assert len(dataclasses.fields(RunConfig)) == 43
 
     def test_env_overrides_are_exactly_these(self):
         tree = ast.parse(inspect.getsource(config_mod))

@@ -56,7 +56,7 @@ def assert_wave_of_one_is_the_single_path(problem, **kw):
     assert wave_of_one == single
 
 
-@pytest.mark.parametrize("scheduler", ["dynamic", "bcw", "dynamic-lcf"])
+@pytest.mark.parametrize("scheduler", ["dynamic", "bcw"])
 @pytest.mark.parametrize("pattern", PROBLEMS)
 def test_fault_free(pattern, scheduler):
     assert_wave_of_one_is_the_single_path(PROBLEMS[pattern](), scheduler=scheduler)

@@ -92,7 +92,7 @@ FAULT_MIXES = {
 #: Static policies are included on purpose: with a dead or blacklisted
 #: worker, statically-bound tasks can become unservable, and the cell
 #: then asserts the clean-abort path instead of the recovery path.
-SOAK_SCHEDULERS = ("dynamic", "dynamic-lcf", "bcw")
+SOAK_SCHEDULERS = ("dynamic", "bcw")
 SOAK_BACKENDS = ("simulated", "threads", "processes")
 
 
