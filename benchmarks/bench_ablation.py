@@ -21,7 +21,7 @@ from benchmarks.common import BENCH_SEQ_LEN, PAPER_PARTITION, swgg_instance
 from repro import RunConfig
 from repro.analysis.tables import ascii_table
 from repro.backends.simulated import run_simulated
-from repro.cluster.faults import FaultPlan, FaultRule
+from repro.cluster.faults import FaultPlan, Faults
 from repro.cluster.network import GIGABIT_ETHERNET
 
 
@@ -100,7 +100,7 @@ def ablate_faults(problem):
     rows.append(["no faults", _makespan(problem, clean)])
     for p in (0.02, 0.10):
         cfg = RunConfig.experiment(
-            4, 22, task_timeout=5.0, fault_plan=FaultPlan.random(p, seed=1),
+            4, 22, task_timeout=5.0, faults=Faults(task=FaultPlan.random(p, seed=1)),
             **PAPER_PARTITION,
         )
         _, rep = run_simulated(problem, cfg)

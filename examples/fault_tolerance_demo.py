@@ -11,7 +11,7 @@ Run:  python examples/fault_tolerance_demo.py
 
 from repro import EasyHPS, RunConfig
 from repro.algorithms import LongestCommonSubsequence
-from repro.cluster.faults import FaultPlan, FaultRule
+from repro.cluster.faults import FaultPlan, FaultRule, Faults
 
 
 def main() -> None:
@@ -20,10 +20,11 @@ def main() -> None:
     print(f"reference LCS length: {expected}\n")
 
     # Process level: sub-task (0,0) crashes on its first dispatch; (1,1)
-    # hangs past the deadline and answers late (the stale-epoch path).
+    # hangs past the deadline for 1.2 s and answers late (the stale-epoch
+    # path).
     plan = FaultPlan([
         FaultRule("crash", task_id=(0, 0), attempt=0),
-        FaultRule("hang", task_id=(1, 1), attempt=0),
+        FaultRule("hang", task_id=(1, 1), attempt=0, duration=1.2),
     ])
     # Thread level: the computing thread running inner sub-sub-task (0,0)
     # dies. Note the rule matches by *inner* id, so it fires once inside
@@ -39,9 +40,7 @@ def main() -> None:
         thread_partition=10,
         task_timeout=0.5,       # seconds before redistribution
         subtask_timeout=0.3,    # seconds before a thread restart
-        hang_duration=1.2,      # how long the hung slave stalls
-        fault_plan=plan,
-        thread_fault_plan=thread_plan,
+        faults=Faults(task=plan, thread=thread_plan),
     )
     run = EasyHPS(config).run(problem)
 

@@ -121,7 +121,7 @@ def pool_handoff_seconds(
     """
     import threading
 
-    from repro.cluster.faults import FaultPlan, FaultRule
+    from repro.cluster.faults import FaultPlan, FaultRule, Faults
     from repro.comm.messages import TaskAssign
     from repro.comm.transport import channel_pair
     from repro.dag.partition import _as_pair
@@ -136,7 +136,7 @@ def pool_handoff_seconds(
     bid = next(iter(partition.abstract.topological_order()))
     inputs = problem.extract_inputs(problem.make_state(), partition, bid)
     assign = TaskAssign(task_id=bid, epoch=0, inputs=inputs)
-    never = FaultPlan([FaultRule("crash", ("no-such-region",), 0)])
+    never = Faults(thread=FaultPlan([FaultRule("crash", ("no-such-region",), 0)]))
 
     def seconds(thread_size, **knobs) -> float:
         config = RunConfig(process_partition=proc, thread_partition=thread_size, **knobs)
@@ -148,7 +148,7 @@ def pool_handoff_seconds(
             best = min(best, time.perf_counter() - started)
         return best
 
-    pooled = dict(threads_per_node=2, thread_fault_plan=never)
+    pooled = dict(threads_per_node=2, faults=never)
     one = seconds(proc, **pooled) - seconds(proc, threads_per_node=1)
     cut = seconds(half, **pooled) - seconds(half, threads_per_node=1)
     return one, cut / partition.sub_partition(bid, half).n_blocks

@@ -52,7 +52,7 @@ def run_processes(
     # master sweeps the prefix at teardown as the leak backstop.
     shm_prefix = run_prefix(config.run_id) if config.shm else None
     store = (
-        BlockStore(shm_prefix, io_policy=io_policy(config.io_fault_plan, "shm-master"))
+        BlockStore(shm_prefix, io_policy=io_policy(config.faults.io, "shm-master"))
         if shm_prefix is not None
         else None
     )

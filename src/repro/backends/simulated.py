@@ -17,9 +17,13 @@ queue makes reproducible. Inner makespans are memoized on (pattern,
 cost-signature, threads), which collapses the many identical blocks of a
 regular DP grid.
 
-Fault injection: a "crash" costs the node half the compute time and never
-answers; a "hang" occupies the node for twice the timeout. Both are
-recovered by the simulated overtime check, mirroring Fig 10.
+Fault injection reads ``config.faults`` (:class:`~repro.cluster.faults.Faults`),
+one slice per hook: a ``task`` "crash" costs the node half the compute
+time and never answers; a "hang" occupies the node for twice the timeout
+(the rule's own ``duration`` is the real slave's sleep). Both are
+recovered by the simulated overtime check, mirroring Fig 10. Journal
+appends cost the master ``ClusterSpec.journal_latency``, beside the
+cluster's other per-message overheads.
 
 Protocol decisions are not modeled here at all: every register /
 timeout / retry-budget / backoff / blacklist / lease / quarantine / taint
@@ -233,6 +237,7 @@ class _SimulatedRun:
         self.partition: Partition = self.asm.partition
         self.thread_size = self.asm.thread_size
         self.cluster: ClusterSpec = config.cluster_spec()
+        self.faults = config.faults
         #: Per-node sets of completed task ids (the input-cache model).
         self.node_done: List[set] = [set() for _ in self.cluster.compute_nodes]
         self.policy: SchedulingPolicy = self.asm.policy(self.cluster.n_compute_nodes)
@@ -300,7 +305,7 @@ class _SimulatedRun:
         self._make_ready(self.core.frontier())
         #: The write-ahead journal (None when journaling is off). Journal
         #: writes are charged to the master CPU in sim-time
-        #: (``journal_latency``).
+        #: (``ClusterSpec.journal_latency``).
         self.journal = self.asm.open_journal()
         if self.journal is not None:
             # ``journal_degrade="checkpoint"`` rescue: the simulator's
@@ -391,7 +396,7 @@ class _SimulatedRun:
         node = self.nodes[k]
         if node.dead:
             return
-        death_point = self.config.worker_fault_plan.death_point(k)
+        death_point = self.faults.worker.death_point(k)
         if death_point is not None and node.tasks_done >= death_point:
             # Worker-level fault: the node goes permanently silent between
             # tasks. Its live registrations (if any) time out and
@@ -497,8 +502,8 @@ class _SimulatedRun:
                     t0=start, t1=xfer_done, nbytes=nb,
                 )
         rule = None
-        if self.config.message_fault_plan:
-            rule = self.config.message_fault_plan.decide(
+        if self.faults.message:
+            rule = self.faults.message.decide(
                 "send", "BatchAssign", wave[0][0], node.sent_index, endpoint=k
             )
             node.sent_index += 1
@@ -539,11 +544,11 @@ class _SimulatedRun:
     ) -> None:
         """Sequentially compute one assigned wave (per-subtask faults)."""
         node = self.nodes[k]
-        slow = self.config.worker_fault_plan.slow_factor(k)
+        slow = self.faults.worker.slow_factor(k)
         t = compute_start
         survivors: List[Tuple[TaskId, int]] = []
         for bid, epoch in parts:
-            fault = self.config.fault_plan.lookup(bid, epoch)
+            fault = self.faults.task.lookup(bid, epoch)
             compute, busy, nsub = self._inner(bid, node.spec)
             compute += self.cluster.slave_overhead
             if slow > 1.0:
@@ -594,7 +599,7 @@ class _SimulatedRun:
         """The wave finished computing: ship ONE result envelope (Fig 11 g/h)."""
         self._account()
         node = self.nodes[k]
-        lie_point = self.config.worker_fault_plan.lie_point(k)
+        lie_point = self.faults.worker.lie_point(k)
         if lie_point is not None and node.tasks_done >= lie_point:
             # Past its lie point the node perturbs every element it
             # returns *before* digesting, so each stays self-consistent on
@@ -621,8 +626,8 @@ class _SimulatedRun:
         bid0, ep0 = parts[0]
         reject: Optional[Tuple[TaskId, int]] = None
         rule = None
-        if self.config.message_fault_plan:
-            rule = self.config.message_fault_plan.decide(
+        if self.faults.message:
+            rule = self.faults.message.decide(
                 "recv", "BatchResult", bid0, node.recv_index, endpoint=k
             )
             node.recv_index += 1
@@ -683,7 +688,7 @@ class _SimulatedRun:
             # merges would compact away the rest of the group's records.
             nbytes = self._checkpoint()
             c0 = max(self.master_cpu_free, self.evq.now)
-            self.master_cpu_free = c0 + self.config.journal_latency
+            self.master_cpu_free = c0 + self.cluster.journal_latency
             if self.obs is not None:
                 self.obs.emit(
                     "checkpoint", None, node=-1, scope="task",
@@ -761,7 +766,7 @@ class _SimulatedRun:
         if self.journal is None:
             return
         j0 = max(self.master_cpu_free, self.evq.now)
-        self.master_cpu_free = j0 + self.config.journal_latency
+        self.master_cpu_free = j0 + self.cluster.journal_latency
         if revoked:
             self.journal.invalidate(revoked)
             return
@@ -840,8 +845,8 @@ class _SimulatedRun:
         node = self.nodes[k]
         if not node.dead:
             rule = None
-            if self.config.message_fault_plan:
-                rule = self.config.message_fault_plan.decide(
+            if self.faults.message:
+                rule = self.faults.message.decide(
                     "recv", "Heartbeat", bid, node.beacon_index, endpoint=k
                 )
                 node.beacon_index += 1

@@ -40,20 +40,13 @@ from __future__ import annotations
 import os
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.algorithms import make_problem
-from repro.cluster.faults import (
-    DETECTABLE_MESSAGE_KINDS,
-    MESSAGE_FAULT_KINDS,
-    FaultPlan,
-    IoFaultPlan,
-    MessageFaultPlan,
-    WorkerFaultPlan,
-)
+from repro.cluster.faults import DETECTABLE_MESSAGE_KINDS, MESSAGE_FAULT_KINDS, Faults
 from repro.runtime.config import RunConfig
 from repro.utils.errors import ChaosError, FaultToleranceExhausted
 
@@ -221,6 +214,7 @@ def chaos_config(backend: str, seed: int, spec: CampaignSpec) -> RunConfig:
     one-survivor floor, and the stall watchdog. The simulated backend
     runs in sim-time, where the same knobs are cheap.
     """
+    io = dict(io_p_write=spec.io_p_write, io_p_fsync=spec.io_p_fsync, io_p_shm=spec.io_p_shm)
     common = dict(
         nodes=spec.nodes,
         threads_per_node=spec.threads_per_node,
@@ -229,44 +223,18 @@ def chaos_config(backend: str, seed: int, spec: CampaignSpec) -> RunConfig:
         process_partition=(max(4, spec.size // 4), max(4, spec.size // 4)),
         thread_partition=(max(2, spec.size // 8), max(2, spec.size // 8)),
         max_retries=8,
-        fault_plan=(
-            FaultPlan.random(spec.task_fault_p, seed=seed, kind=("crash", "hang"))
-            if spec.task_fault_p > 0
-            else FaultPlan.none()
-        ),
-        message_fault_plan=(
-            MessageFaultPlan.random(
-                spec.message_p,
-                seed=seed,
-                # SDC mode adds the digest-evading tier to the draw.
-                kinds=MESSAGE_FAULT_KINDS if spec.sdc else DETECTABLE_MESSAGE_KINDS,
-            )
-            if spec.message_p > 0
-            else MessageFaultPlan.none()
-        ),
-        worker_fault_plan=(
-            WorkerFaultPlan.random(
-                p_die=spec.worker_p_die,
-                p_slow=spec.worker_p_slow,
-                p_lie=spec.worker_p_lie if spec.sdc else 0.0,
-                seed=seed,
-            )
-            if (
-                spec.worker_p_die > 0
-                or spec.worker_p_slow > 0
-                or (spec.sdc and spec.worker_p_lie > 0)
-            )
-            else WorkerFaultPlan.none()
-        ),
-        io_fault_plan=(
-            IoFaultPlan.random(
-                p_write=spec.io_p_write,
-                p_fsync=spec.io_p_fsync,
-                p_shm=spec.io_p_shm,
-                seed=seed,
-            )
-            if spec.resources
-            else IoFaultPlan.none()
+        faults=Faults.random(
+            seed,
+            task_fault_p=spec.task_fault_p,
+            task_kinds=("crash", "hang"),
+            hang=1.5,
+            message_p=spec.message_p,
+            # SDC mode adds the digest-evading tier to the draw, and lies.
+            message_kinds=MESSAGE_FAULT_KINDS if spec.sdc else DETECTABLE_MESSAGE_KINDS,
+            worker_p_die=spec.worker_p_die,
+            worker_p_slow=spec.worker_p_slow,
+            worker_p_lie=spec.worker_p_lie if spec.sdc else 0.0,
+            **(io if spec.resources else {}),
         ),
         blacklist_threshold=4,
         retry_backoff=0.01,
@@ -288,7 +256,6 @@ def chaos_config(backend: str, seed: int, spec: CampaignSpec) -> RunConfig:
     return RunConfig(
         task_timeout=0.75,
         subtask_timeout=2.0,
-        hang_duration=1.5,
         poll_interval=0.01,
         **common,
     )
@@ -331,9 +298,7 @@ def _execute_one(
         # inspects exactly this run's namespace — a pid-keyed prefix
         # would collide with every other shm run this process hosts
         # (parallel campaigns, the serve daemon's concurrent jobs).
-        from dataclasses import replace as _replace
-
-        config = _replace(
+        config = replace(
             config, run_id=f"chaos-{backend}-s{seed}-p{os.getpid()}"
         )
     problem = _build_problem(spec)
@@ -474,7 +439,6 @@ def _execute_kill_master(
     """
     import shutil
     import tempfile
-    from dataclasses import replace
 
     from repro.runtime.system import EasyHPS
     from repro.utils.errors import MasterCrash
@@ -492,7 +456,7 @@ def _execute_kill_master(
         config,
         journal_path=journal_path,
         journal_fsync=False,
-        journal_kill_after=kill_after,
+        faults=replace(config.faults, kill_after=kill_after),
         checkpoint_interval=max(2, kill_after // 2),
     )
 

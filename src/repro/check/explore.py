@@ -96,6 +96,7 @@ from repro.check.trace_check import LEDGER_KINDS, check_trace
 from repro.cluster.faults import (
     FaultPlan,
     FaultRule,
+    Faults,
     MessageFaultPlan,
     MessageFaultRule,
     WorkerFaultPlan,
@@ -167,16 +168,15 @@ class Scenario:
     """One fault assignment to explore all interleavings under."""
 
     name: str
-    message_plan: Optional[MessageFaultPlan] = None
-    worker_plan: Optional[WorkerFaultPlan] = None
+    #: The faults this scenario injects; ``kill_after`` journals the run,
+    #: kills the master after that many commits, then recovers the
+    #: journal and explores the resumed run to completion.
+    faults: Faults = Faults()
     #: False for scenarios *designed* to abort (fault budget exceeded by
     #: construction); a clean FaultToleranceExhausted is then not a violation.
     expect_complete: bool = True
     #: ``RunConfig`` overrides (``batch_wave``, ``heartbeat_interval`` …).
     config: Tuple[Tuple[str, Any], ...] = ()
-    #: Journal the run, kill the master after this many commits, then
-    #: recover the journal and explore the resumed run to completion.
-    kill_after: Optional[int] = None
     #: Block grid override, for scenarios whose extra events (a lease
     #: check per dispatch) would make the campaign grid intractable.
     grid: Optional[Tuple[int, int]] = None
@@ -268,7 +268,7 @@ def default_scenarios(cfg: ExploreConfig) -> List[Scenario]:
                     plan = TargetedFaultPlan(
                         (TargetedFaultRule("drop", direction, k, i),)
                     )
-                    drops.append(Scenario(f"drop-{mname}-n{k}-i{i}", plan))
+                    drops.append(Scenario(f"drop-{mname}-n{k}-i{i}", Faults(message=plan)))
             # A result delayed to land exactly at its overtime check: the
             # delivery race randomized chaos essentially never hits
             # (delay 0.05 vs timeout 30), but the stale-drop path's
@@ -277,7 +277,7 @@ def default_scenarios(cfg: ExploreConfig) -> List[Scenario]:
             plan = TargetedFaultPlan(
                 (TargetedFaultRule("delay", "recv", k, 0, delay=delay),)
             )
-            drops.append(Scenario(f"delay-result-n{k}-i0", plan))
+            drops.append(Scenario(f"delay-result-n{k}-i0", Faults(message=plan)))
     scenarios.extend(drops)
     if cfg.max_deaths >= 1:
         for k in range(cfg.workers):
@@ -285,7 +285,7 @@ def default_scenarios(cfg: ExploreConfig) -> List[Scenario]:
                 plan = WorkerFaultPlan(
                     (WorkerFaultRule("die", worker_id=k, after_tasks=after),)
                 )
-                scenarios.append(Scenario(f"death-n{k}-after{after}", None, plan))
+                scenarios.append(Scenario(f"death-n{k}-after{after}", Faults(worker=plan)))
     if cfg.combine_faults and cfg.max_drops >= 1 and cfg.max_deaths >= 1 and cfg.workers >= 2:
         # One representative of the two-fault frontier: lose a result
         # *and* a different worker. Still within the <=1-drop/<=1-death
@@ -294,7 +294,7 @@ def default_scenarios(cfg: ExploreConfig) -> List[Scenario]:
         wplan = WorkerFaultPlan(
             (WorkerFaultRule("die", worker_id=1, after_tasks=cfg.death_points[0]),)
         )
-        scenarios.append(Scenario("drop-result-n0+death-n1", mplan, wplan))
+        scenarios.append(Scenario("drop-result-n0+death-n1", Faults(message=mplan, worker=wplan)))
     delay = cfg.task_timeout - 1.0
     # Batched wavefront dispatch: the same faults now hit a whole
     # BatchAssign / BatchResult envelope while every element keeps its own
@@ -309,11 +309,13 @@ def default_scenarios(cfg: ExploreConfig) -> List[Scenario]:
                 ("delay", "recv", "delay-result", delay),
             ):
                 plan = TargetedFaultPlan((TargetedFaultRule(kind, direction, k, 0, delay=d),))
-                scenarios.append(Scenario(f"batch-{mname}-n{k}-i0", plan, config=batch))
+                scenarios.append(
+                    Scenario(f"batch-{mname}-n{k}-i0", Faults(message=plan), config=batch)
+                )
     # A journaled master killed between two elements of one BatchResult
     # (the second commit is the first that can share an envelope), then
     # recovered from the journal and explored to completion.
-    scenarios.append(Scenario("batch-kill-resume-c2", config=batch, kill_after=2))
+    scenarios.append(Scenario("batch-kill-resume-c2", Faults(kill_after=2), config=batch))
     if cfg.max_drops >= 1:
         # Lease == unit compute, and the node's first heartbeat lost: the
         # result lands in the very instant its own lease expires.
@@ -323,36 +325,34 @@ def default_scenarios(cfg: ExploreConfig) -> List[Scenario]:
                 (TargetedFaultRule("drop", "recv", k, 0, message_type="Heartbeat"),)
             )
             scenarios.append(
-                Scenario(f"lease-race-n{k}", plan, config=lease, grid=(2, 2))
+                Scenario(f"lease-race-n{k}", Faults(message=plan), config=lease, grid=(2, 2))
             )
     # A worker that lies from its second block on, every commit audited:
     # conviction, taint closure, recompute — the one path on which a
     # committed block leaves the ledger again.
-    liar = WorkerFaultPlan((WorkerFaultRule("liar", worker_id=cfg.workers - 1, after_tasks=1),))
+    lie = WorkerFaultRule("liar", worker_id=cfg.workers - 1, after_tasks=1)
+    liar = Faults(worker=WorkerFaultPlan((lie,)))
     audit = (("integrity", "audit"), ("audit_fraction", 1.0))
-    scenarios.append(Scenario("liar-audit", None, liar, config=audit, grid=(2, 2)))
+    scenarios.append(Scenario("liar-audit", liar, config=audit, grid=(2, 2)))
     # The same liar on a grid with more blocks than the audit lag: a
     # conviction arrives after the convicted block's dependents committed,
     # so the taint closure revokes more than one block.
-    scenarios.append(Scenario("liar-audit-lagged", None, liar, config=audit, grid=(3, 3)))
+    scenarios.append(Scenario("liar-audit-lagged", liar, config=audit, grid=(3, 3)))
     # The same liar under majority voting: replicas are real dispatches, a
     # split tally escalates, and with no fresh voter left the master's own
     # recompute arbitrates as worker -1.
     vote = (("integrity", "vote"),)
-    scenarios.append(Scenario("liar-vote", None, liar, config=vote, grid=(2, 2)))
+    scenarios.append(Scenario("liar-vote", liar, config=vote, grid=(2, 2)))
     if cfg.max_drops >= 1:
         # A result whose payload no longer matches its digest: the master
         # rejects it and re-offers the task on the charged budget.
         plan = TargetedFaultPlan((TargetedFaultRule("corrupt", "recv", 0, 0),))
-        scenarios.append(Scenario("corrupt-result-n0-i0", plan))
+        scenarios.append(Scenario("corrupt-result-n0-i0", Faults(message=plan)))
     # A block that hangs past its timeout on a one-strike blacklist: the
     # worker is retired and the retry waits out its backoff.
-    hang = (
-        ("fault_plan", FaultPlan([FaultRule("hang", (0, 0), 0)])),
-        ("blacklist_threshold", 1),
-        ("retry_backoff", 0.5),
-    )
-    scenarios.append(Scenario("hang-blacklist", config=hang))
+    hang = Faults(task=FaultPlan([FaultRule("hang", (0, 0), 0)]))
+    strike = (("blacklist_threshold", 1), ("retry_backoff", 0.5))
+    scenarios.append(Scenario("hang-blacklist", hang, config=strike))
     return scenarios
 
 
@@ -389,13 +389,10 @@ def _make_config(cfg: ExploreConfig, scenario: Scenario) -> Any:
         observe=True,
         verify=False,  # the explorer replays the obs stream itself
         cluster=cluster,
+        faults=scenario.faults,
     )
     # A scenario's own settings override the explorer's defaults.
     kwargs.update(scenario.config)
-    if scenario.message_plan is not None:
-        kwargs["message_fault_plan"] = scenario.message_plan
-    if scenario.worker_plan is not None:
-        kwargs["worker_fault_plan"] = scenario.worker_plan
     return RunConfig(**kwargs)
 
 
@@ -718,14 +715,13 @@ def _run_once(
     error: Optional[BaseException] = None
     journaled: Optional[Dict[Any, int]] = None
     reports: List[CheckReport] = []
-    journaling = scenario.kill_after is not None
+    journaling = scenario.faults.kill_after is not None
     with tempfile.TemporaryDirectory(prefix="explore-") if journaling else nullcontext() as tmp:
         if journaling:
             config = replace(
                 config,
                 journal_path=f"{tmp}/master.journal",
                 journal_fsync=False,
-                journal_kill_after=scenario.kill_after,
             )
         run = _make_run(problem, config, chooser, model_factory)
         try:

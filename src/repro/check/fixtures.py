@@ -283,12 +283,15 @@ def reorder_double_commit_report() -> CheckReport:
         reorder_double_commit_model,
         run_exploration,
     )
+    from repro.cluster.faults import Faults
 
     cfg = ExploreConfig(rows=1, cols=1, workers=1)
     scenario = Scenario(
         "delay-result-n0-i0",
-        TargetedFaultPlan(
-            (TargetedFaultRule("delay", "recv", 0, 0, delay=cfg.task_timeout - 1.0),)
+        Faults(
+            message=TargetedFaultPlan(
+                (TargetedFaultRule("delay", "recv", 0, 0, delay=cfg.task_timeout - 1.0),)
+            )
         ),
     )
     result = run_exploration(

@@ -102,7 +102,7 @@ def conformance_configs(size: int = 24) -> List[Tuple[str, Any]]:
     per backend, and one threads run whose link duplicates a result (the
     copy lands while the first is accepted and awaiting commit, or just
     committed) and loses another (overtime check, redistribute, re-run)."""
-    from repro.cluster.faults import MessageFaultPlan, MessageFaultRule
+    from repro.cluster.faults import Faults, MessageFaultPlan, MessageFaultRule
     from repro.runtime.config import RunConfig
 
     block = max(2, size // 4)
@@ -113,7 +113,7 @@ def conformance_configs(size: int = 24) -> List[Tuple[str, Any]]:
             f"least {MIN_CONFORMANCE_SIZE}"
         )
     base = RunConfig(nodes=3, threads_per_node=2, process_partition=block, observe=True)
-    faults = MessageFaultPlan(
+    link = MessageFaultPlan(
         (
             MessageFaultRule("duplicate", "recv", "BatchResult", task_id=(1, 1)),
             # Each slave's second message: the first result of whoever
@@ -123,7 +123,7 @@ def conformance_configs(size: int = 24) -> List[Tuple[str, Any]]:
     )
     return [
         *((b, replace(base, backend=b)) for b in ("simulated", "threads", "processes")),
-        ("threads-faulted", replace(base, message_fault_plan=faults, task_timeout=0.5)),
+        ("threads-faulted", replace(base, faults=Faults(message=link), task_timeout=0.5)),
     ]
 
 

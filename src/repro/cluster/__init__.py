@@ -11,7 +11,7 @@ from repro.cluster.simcore import EventQueue
 from repro.cluster.network import LinkModel, INFINIBAND_QDR
 from repro.cluster.machine import NodeSpec
 from repro.cluster.topology import ClusterSpec, experiment_layout
-from repro.cluster.faults import FaultPlan, FaultRule
+from repro.cluster.faults import FaultPlan, FaultRule, Faults
 
 __all__ = [
     "EventQueue",
@@ -22,4 +22,5 @@ __all__ = [
     "experiment_layout",
     "FaultPlan",
     "FaultRule",
+    "Faults",
 ]

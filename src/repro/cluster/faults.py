@@ -23,6 +23,10 @@ the hardened recovery layered on top of it) reacts to, at three levels:
   it returns plausible-but-wrong blocks with self-consistent digests —
   only catchable semantically, by audit recompute or voting).
 
+One :class:`Faults` value holds a run's whole fault plan: the task and
+thread levels, the message, worker and I/O tiers, and the master kill
+switch (``RunConfig.faults``); each reader takes its own slice.
+
 Rules are keyed by dispatch attempt / message index / worker id so
 recovery paths are testable; the ``random`` constructors draw every
 decision from an RNG derived *per key* from the plan seed, so a plan is a
@@ -45,6 +49,7 @@ from repro.utils.validate import (
     check_nonnegative,
     check_positive,
     check_probability,
+    check_type,
 )
 
 KINDS = ("crash", "hang")
@@ -123,10 +128,13 @@ class FaultRule:
     kind: str
     task_id: Optional[TaskId] = None
     attempt: int = 0
+    #: Seconds a ``hang`` fault stalls before replying late.
+    duration: float = 1.0
 
     def __post_init__(self) -> None:
         check_in("fault kind", self.kind, KINDS)
         check_nonnegative("attempt", self.attempt)
+        check_nonnegative("duration", self.duration)
 
     def matches(self, task_id: TaskId, attempt: int) -> bool:
         return attempt == self.attempt and (self.task_id is None or self.task_id == task_id)
@@ -140,32 +148,34 @@ class FaultPlan:
         self._random_p = 0.0
         self._seed = 0
         self._random_kinds: Tuple[str, ...] = ("crash",)
-        self._random_decisions: Dict[Tuple[TaskId, int], Optional[FaultRule]] = {}
-
-    @classmethod
-    def none(cls) -> "FaultPlan":
-        """No injected faults (the default)."""
-        return cls(())
+        self._duration = 1.0
 
     @classmethod
     def random(
-        cls, p: float, seed: int = 0, kind: Union[str, Sequence[str]] = "crash"
+        cls,
+        p: float,
+        seed: int = 0,
+        kind: Union[str, Sequence[str]] = "crash",
+        duration: float = 1.0,
     ) -> "FaultPlan":
         """Each first execution of a task crashes/hangs with probability ``p``.
 
         Decisions are a pure function of ``(seed, task_id)``: the same
         seed yields the same fault set no matter in which order tasks are
         queried, which is what makes chaos campaigns replayable. ``kind``
-        may be a single kind or a sequence to draw from uniformly.
+        may be a single kind or a sequence to draw from uniformly; a
+        drawn hang stalls for ``duration`` seconds.
         """
         check_probability("p", p)
         kinds = (kind,) if isinstance(kind, str) else tuple(kind)
         for k in kinds:
             check_in("fault kind", k, KINDS)
+        check_nonnegative("duration", duration)
         plan = cls(())
         plan._random_p = p
         plan._seed = seed
         plan._random_kinds = kinds
+        plan._duration = duration
         return plan
 
     def lookup(self, task_id: TaskId, attempt: int) -> Optional[FaultRule]:
@@ -174,35 +184,19 @@ class FaultPlan:
             if rule.matches(task_id, attempt):
                 return rule
         if self._random_p > 0.0 and attempt == 0:
-            key = (task_id, attempt)
-            cached = self._random_decisions.get(key, _UNSET)
-            if cached is not _UNSET:
-                return cached  # type: ignore[return-value]
             rng = derived_rng(self._seed, _SALT_TASK, task_id)
-            decision: Optional[FaultRule] = None
             if rng.random() < self._random_p:
                 kind = self._random_kinds[int(rng.integers(len(self._random_kinds)))]
-                decision = FaultRule(kind, task_id, attempt)
-            self._random_decisions[key] = decision
-            return decision
+                return FaultRule(kind, task_id, attempt, self._duration)
         return None
 
     def __bool__(self) -> bool:
         return bool(self.rules) or self._random_p > 0.0
 
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state["_random_decisions"] = {}  # derived, not state
-        return state
-
     def __repr__(self) -> str:
         if self._random_p > 0.0:
             return f"FaultPlan(random p={self._random_p})"
         return f"FaultPlan({len(self.rules)} rules)"
-
-
-#: Sentinel distinguishing "memoized None" from "not yet decided".
-_UNSET = object()
 
 
 # -- message-level faults (channel boundary) ------------------------------------------
@@ -267,10 +261,6 @@ class MessageFaultPlan:
         self._random_kinds: Tuple[str, ...] = ()
         self._protect: Tuple[str, ...] = ()
         self._delay = 0.05
-
-    @classmethod
-    def none(cls) -> "MessageFaultPlan":
-        return cls(())
 
     @classmethod
     def random(
@@ -396,10 +386,6 @@ class WorkerFaultPlan:
         self._seed = 0
         self._max_after = 3
         self._factor = 4.0
-
-    @classmethod
-    def none(cls) -> "WorkerFaultPlan":
-        return cls(())
 
     @classmethod
     def random(
@@ -569,10 +555,6 @@ class IoFaultPlan:
         self._seed = 0
 
     @classmethod
-    def none(cls) -> "IoFaultPlan":
-        return cls(())
-
-    @classmethod
     def random(
         cls,
         p_write: float = 0.0,
@@ -651,3 +633,73 @@ class IoPolicy:
 def io_policy(plan: Optional[IoFaultPlan], stream: str) -> Optional[IoPolicy]:
     """``plan``'s view for one stream, if there is a plan at all."""
     return IoPolicy(plan, stream) if plan else None
+
+
+# -- the run's whole fault plan --------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Faults:
+    """Everything an experiment does to a run (``RunConfig.faults``).
+
+    The two levels of the paper's fault model (Section V) — ``task``
+    faults on processor-level sub-tasks, ``thread`` faults on
+    sub-sub-tasks — the ``message``, ``worker`` and ``io`` chaos tiers,
+    and the master kill switch: after ``kill_after`` journal commit
+    records the master raises
+    :class:`~repro.utils.errors.MasterCrash` (the in-process ``kill -9``
+    at a commit boundary), first appending a torn frame when
+    ``kill_torn`` (a kill mid-write, which recovery must CRC-reject).
+    Every slice defaults to no faults; each reader takes its own.
+    """
+
+    task: FaultPlan = FaultPlan()
+    thread: FaultPlan = FaultPlan()
+    message: MessageFaultPlan = MessageFaultPlan()
+    worker: WorkerFaultPlan = WorkerFaultPlan()
+    io: IoFaultPlan = IoFaultPlan()
+    kill_after: Optional[int] = None
+    kill_torn: bool = False
+
+    def __post_init__(self) -> None:
+        check_type("faults.task", self.task, FaultPlan)
+        check_type("faults.thread", self.thread, FaultPlan)
+        check_type("faults.message", self.message, MessageFaultPlan)
+        check_type("faults.worker", self.worker, WorkerFaultPlan)
+        check_type("faults.io", self.io, IoFaultPlan)
+        if self.kill_after is not None:
+            check_positive("faults.kill_after", self.kill_after)
+        check_type("faults.kill_torn", self.kill_torn, bool)
+
+    @classmethod
+    def random(
+        cls,
+        seed: int = 0,
+        *,
+        task_fault_p: float = 0.0,
+        task_kinds: Sequence[str] = ("crash",),
+        hang: float = 1.0,
+        message_p: float = 0.0,
+        message_kinds: Sequence[str] = DETECTABLE_MESSAGE_KINDS,
+        worker_p_die: float = 0.0,
+        worker_p_slow: float = 0.0,
+        worker_p_lie: float = 0.0,
+        io_p_write: float = 0.0,
+        io_p_fsync: float = 0.0,
+        io_p_shm: float = 0.0,
+    ) -> "Faults":
+        """Seeded random plans for every tier, one probability per knob.
+
+        The keywords are the campaign spec's and the serve chaos
+        profile's; a tier at probability 0 injects nothing. ``task_kinds``
+        are the kinds a task fault draws from, ``hang`` the seconds a
+        drawn hang stalls, ``message_kinds`` the message faults drawn.
+        """
+        return cls(
+            task=FaultPlan.random(task_fault_p, seed, task_kinds, duration=hang),
+            message=MessageFaultPlan.random(message_p, seed, kinds=message_kinds),
+            worker=WorkerFaultPlan.random(
+                p_die=worker_p_die, p_slow=worker_p_slow, p_lie=worker_p_lie, seed=seed
+            ),
+            io=IoFaultPlan.random(io_p_write, io_p_fsync, io_p_shm, seed),
+        )

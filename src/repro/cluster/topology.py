@@ -35,12 +35,16 @@ class ClusterSpec:
     master_overhead: float = 50.0e-6
     #: Slave-side fixed handling overhead per sub-task, seconds.
     slave_overhead: float = 50.0e-6
+    #: Master-side CPU time of one journal append (a landing group or a
+    #: checkpoint), seconds; charged only when the run journals.
+    journal_latency: float = 0.0005
 
     def __post_init__(self) -> None:
         if not self.compute_nodes:
             raise ConfigError("cluster needs at least one computing node")
         check_nonnegative("master_overhead", self.master_overhead)
         check_nonnegative("slave_overhead", self.slave_overhead)
+        check_nonnegative("journal_latency", self.journal_latency)
 
     @property
     def n_compute_nodes(self) -> int:

@@ -14,8 +14,9 @@ that gap:
   an oracle-identical result (``repro resume <journal>`` on the CLI).
 
 Enable with ``RunConfig(journal_path="run.walj")``; knobs
-``checkpoint_interval``, ``journal_fsync``, and (simulated backend)
-``journal_latency`` tune it.
+``checkpoint_interval`` and ``journal_fsync`` tune it. The simulator
+charges each append ``ClusterSpec.journal_latency`` of master CPU, and a
+chaos run arms the master kill switch with ``Faults(kill_after=N)``.
 """
 
 from repro.durable.degrade import JournalGuard

@@ -87,8 +87,7 @@ def recover(path: str) -> RecoveredRun:
     # journal path at the file we just read, wherever it moved.
     config = replace(
         scan.config,
-        journal_kill_after=None,
-        journal_kill_torn=False,
+        faults=replace(scan.config.faults, kill_after=None, kill_torn=False),
         journal_path=path,
     )
 

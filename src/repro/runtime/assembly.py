@@ -79,23 +79,24 @@ class RunAssembly:
         :class:`~repro.durable.degrade.JournalGuard`, so every backend
         gets the same bounded retry-then-degrade ladder
         (``config.journal_degrade``) when a write hits ENOSPC/EIO — real
-        or injected by ``config.io_fault_plan``.
+        or injected by ``config.faults.io``.
         """
         config, resume = self.config, self.resume
         if resume is None and config.journal_path is None:
             return None
+        faults = config.faults
         common = dict(
             fsync=config.journal_fsync,
             checkpoint_interval=config.checkpoint_interval,
-            io_policy=io_policy(config.io_fault_plan, "journal"),
+            io_policy=io_policy(faults.io, "journal"),
         )
         if resume is not None:
             journal = CommitJournal.open_resume(resume.scan, **common)
         else:
             journal = CommitJournal.create(
                 config.journal_path,
-                kill_after=config.journal_kill_after,
-                kill_torn=config.journal_kill_torn,
+                kill_after=faults.kill_after,
+                kill_torn=faults.kill_torn,
                 **common,
             )
         guard = JournalGuard(
@@ -146,7 +147,7 @@ class RunAssembly:
             channel = ShmChannel(channel, store)
             if self.recorder is not None:
                 channel.instrument(self.recorder, endpoint=endpoint)
-        plan = self.config.message_fault_plan
+        plan = self.config.faults.message
         if plan:
             # Chaos wraps the master-side endpoint only — the plan never
             # crosses to the slave, and both directions of this slave's

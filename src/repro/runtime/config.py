@@ -13,12 +13,7 @@ import os
 from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple
 
-from repro.cluster.faults import (
-    FaultPlan,
-    IoFaultPlan,
-    MessageFaultPlan,
-    WorkerFaultPlan,
-)
+from repro.cluster.faults import Faults
 from repro.cluster.topology import ClusterSpec, experiment_layout
 from repro.dag.partition import BlockShape, _as_pair
 from repro.schedulers.policy import POLICIES
@@ -103,19 +98,13 @@ class RunConfig:
     max_retries: int = 3
     #: Poll interval of the real backends' service loops, seconds.
     poll_interval: float = 0.02
-    #: Injected processor-level faults (testing / ablation).
-    fault_plan: FaultPlan = field(default_factory=FaultPlan.none)
-    #: Injected thread-level faults.
-    thread_fault_plan: FaultPlan = field(default_factory=FaultPlan.none)
-    #: Injected message-level faults (drop/duplicate/delay/corrupt) at the
-    #: master<->slave channel boundary (:mod:`repro.chaos`).
-    message_fault_plan: MessageFaultPlan = field(default_factory=MessageFaultPlan.none)
-    #: Injected worker-level faults (slave death mid-run, slow node).
-    worker_fault_plan: WorkerFaultPlan = field(default_factory=WorkerFaultPlan.none)
-    #: Injected resource-exhaustion I/O faults (ENOSPC/EIO/partial
-    #: writes/fsync failures on the journal, shm allocation failures) at
-    #: seeded points (:mod:`repro.chaos.resources`).
-    io_fault_plan: IoFaultPlan = field(default_factory=IoFaultPlan.none)
+    #: What an experiment does to the run (testing / ablation / chaos):
+    #: task- and thread-level crash / hang rules, message, worker and
+    #: I/O faults, and the master kill switch
+    #: (:class:`~repro.cluster.faults.Faults`). A plain class-level
+    #: default, so a config pickled before the field existed reads as
+    #: "no faults".
+    faults: Faults = Faults()
     #: What a journal write failure degrades to once
     #: :attr:`journal_retries` in-place retries are spent: ``"abort"``
     #: raises a clean attributed
@@ -130,8 +119,6 @@ class RunConfig:
     #: :attr:`journal_degrade` policy engages (transient ENOSPC/EIO
     #: absorb here).
     journal_retries: int = 2
-    #: How long a "hang" fault sleeps before replying late, seconds.
-    hang_duration: float = 1.0
     #: Base delay before re-dispatching a timed-out sub-task, seconds;
     #: doubles per attempt (exponential backoff) up to
     #: :attr:`retry_backoff_max`. 0 = immediate re-dispatch (the paper's
@@ -160,16 +147,6 @@ class RunConfig:
     #: fsync the journal after every record (survives OS crashes, not just
     #: process death). Overridable via ``REPRO_JOURNAL_FSYNC``.
     journal_fsync: bool = field(default_factory=_env("REPRO_JOURNAL_FSYNC", True, bool))
-    #: Modeled per-record journal write latency charged to the master in
-    #: sim-time (simulated backend only).
-    journal_latency: float = 0.0005
-    #: Chaos kill switch: raise :class:`~repro.utils.errors.MasterCrash`
-    #: after this many journal commit records — the in-process equivalent
-    #: of ``kill -9`` of the master at a commit boundary. None disables.
-    journal_kill_after: Optional[int] = None
-    #: With the kill switch: also append a deliberately torn frame before
-    #: crashing (models a kill mid-write; recovery must CRC-reject it).
-    journal_kill_torn: bool = False
     #: Seconds between slave heartbeat beacons; enables the heartbeat/
     #: lease liveness protocol (leases expire after
     #: ``heartbeat_interval * lease_factor`` of silence and drive
@@ -250,11 +227,7 @@ class RunConfig:
         check_in("backend", self.backend, BACKENDS)
         check_in("scheduler", self.scheduler, POLICIES)
         check_in("thread_scheduler", self.thread_scheduler, POLICIES)
-        check_type("fault_plan", self.fault_plan, FaultPlan)
-        check_type("thread_fault_plan", self.thread_fault_plan, FaultPlan)
-        check_type("message_fault_plan", self.message_fault_plan, MessageFaultPlan)
-        check_type("worker_fault_plan", self.worker_fault_plan, WorkerFaultPlan)
-        check_type("io_fault_plan", self.io_fault_plan, IoFaultPlan)
+        check_type("faults", self.faults, Faults)
         check_in("journal_degrade", self.journal_degrade, JOURNAL_DEGRADE_MODES)
         if self.journal_retries < 0:
             raise ConfigError(
@@ -285,14 +258,7 @@ class RunConfig:
         check_positive("lease_factor", self.lease_factor)
         if self.heartbeat_interval is not None:
             check_positive("heartbeat_interval", self.heartbeat_interval)
-        if self.journal_latency < 0:
-            raise ConfigError(
-                f"journal_latency must be >= 0, got {self.journal_latency}"
-            )
-        if self.journal_kill_after is not None:
-            check_positive("journal_kill_after", self.journal_kill_after)
         check_type("journal_fsync", self.journal_fsync, bool)
-        check_type("journal_kill_torn", self.journal_kill_torn, bool)
         if self.journal_path is not None:
             check_type("journal_path", self.journal_path, str)
         from repro.integrity import INTEGRITY_MODES

@@ -15,7 +15,7 @@ from typing import Any, Optional, Tuple
 
 from repro.algorithms.problem import DPProblem
 from repro.analysis.report import RunReport
-from repro.cluster.faults import FaultPlan
+from repro.cluster.faults import FaultPlan, Faults
 from repro.dag.partition import BlockShape, partition_pattern
 from repro.runtime.config import RunConfig
 from repro.runtime.slave import SlavePart
@@ -37,13 +37,14 @@ def run_easypdp(
     ``partition_size`` is the (single) task partition size — EasyPDP has
     one level. The keywords left at None keep their
     :class:`~repro.runtime.config.RunConfig` defaults
-    (``thread_scheduler``, ``subtask_timeout``, ``thread_fault_plan``).
+    (``thread_scheduler``, ``subtask_timeout``); ``fault_plan`` is the
+    thread-level slice of ``faults``.
     Returns ``(finalized_result, report)``.
     """
     overrides = dict(
         thread_scheduler=scheduler,
         subtask_timeout=subtask_timeout,
-        thread_fault_plan=fault_plan,
+        faults=None if fault_plan is None else Faults(thread=fault_plan),
     )
     config = RunConfig(
         threads_per_node=n_threads,

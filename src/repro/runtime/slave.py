@@ -143,9 +143,10 @@ class SlavePart:
         """Serve sub-tasks until the end signal (or stop event)."""
         from repro.comm.serialization import content_digest
 
-        death_point = self.config.worker_fault_plan.death_point(self.slave_id)
-        slow_factor = self.config.worker_fault_plan.slow_factor(self.slave_id)
-        lie_point = self.config.worker_fault_plan.lie_point(self.slave_id)
+        faults = self.config.faults
+        death_point = faults.worker.death_point(self.slave_id)
+        slow_factor = faults.worker.slow_factor(self.slave_id)
+        lie_point = faults.worker.lie_point(self.slave_id)
         # Re-announce idleness when no reply arrives in time: an idle
         # signal (or its answer) lost in transit would otherwise silence
         # this slave forever. Duplicated announcements are safe — the
@@ -206,7 +207,7 @@ class SlavePart:
                         )
                         died = True
                         break
-                    fault = self.config.fault_plan.lookup(assign.task_id, assign.epoch)
+                    fault = faults.task.lookup(assign.task_id, assign.epoch)
                     if fault is not None and fault.kind == "crash":
                         # The process "dies" without replying; the master's
                         # overtime check will redistribute. We come back up on
@@ -215,7 +216,7 @@ class SlavePart:
                     if fault is not None and fault.kind == "hang":
                         # Stall past the master's deadline, then answer late —
                         # the epoch check must discard this result.
-                        time.sleep(self.config.hang_duration)
+                        time.sleep(fault.duration)
                     self._current = (assign.task_id, assign.epoch)
                     regions_before = self.stats.subtasks
                     started = time.perf_counter()
@@ -325,7 +326,7 @@ class SlavePart:
         # several computing threads) or Fig 12's fault path is asked for;
         # otherwise this thread computes the block it received.
         shared = inner.n_blocks > 1 and self.config.threads_per_node > 1
-        if shared or self.config.thread_fault_plan:
+        if shared or self.config.faults.thread:
             return self._run_pool(evaluator, inner)
         return evaluator.run_serial(inner)
 
@@ -371,7 +372,7 @@ class SlavePart:
                     epoch = core.dispatch(sub, worker_id, self.clock.now()).epoch
                 if sched.enabled:
                     sched.record("assign", sub, epoch, worker_id)
-                injected = self.config.thread_fault_plan.lookup(sub, epoch)
+                injected = self.config.faults.thread.lookup(sub, epoch)
                 if injected is not None:
                     # The computing thread dies mid-task (Fig 12's fault):
                     # exit without reporting; the FT check restarts us.
@@ -523,7 +524,7 @@ def slave_process_main(
 
         store = BlockStore(
             shm_prefix,
-            io_policy=io_policy(config.io_fault_plan, f"shm-slave{slave_id}"),
+            io_policy=io_policy(config.faults.io, f"shm-slave{slave_id}"),
         )
         channel = ShmChannel(channel, store)
     proc_size, thread_size = config.partitions_for(problem)

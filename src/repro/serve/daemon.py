@@ -362,33 +362,22 @@ class ServeDaemon:
     def _job_config(self, record: JobRecord, n_workers: int) -> Any:
         from dataclasses import replace
 
-        from repro.cluster.faults import FaultPlan, MessageFaultPlan, WorkerFaultPlan
+        from repro.cluster.faults import Faults
 
         spec = record.spec
         config = self._base_config(spec, n_workers)
+        # The chaos profile's keys are Faults.random's keywords.
         chaos = dict(spec.chaos)
-        cseed = int(chaos.get("seed", spec.seed))
-        updates: Dict[str, Any] = {"run_id": record.job_id}
+        cseed = int(chaos.pop("seed", spec.seed))
+        updates: Dict[str, Any] = {
+            "run_id": record.job_id,
+            "faults": Faults.random(seed=cseed, **chaos),
+        }
         if self.job_journal_dir is not None:
             updates["journal_path"] = os.path.join(
                 self.job_journal_dir, f"{record.job_id}.walj"
             )
             updates["journal_fsync"] = self.fsync
-        if chaos.get("task_fault_p", 0.0) > 0:
-            updates["fault_plan"] = FaultPlan.random(
-                chaos["task_fault_p"], seed=cseed
-            )
-        if chaos.get("message_p", 0.0) > 0:
-            updates["message_fault_plan"] = MessageFaultPlan.random(
-                chaos["message_p"], seed=cseed
-            )
-        p_die = chaos.get("worker_p_die", 0.0)
-        p_slow = chaos.get("worker_p_slow", 0.0)
-        p_lie = chaos.get("worker_p_lie", 0.0)
-        if p_die > 0 or p_slow > 0 or p_lie > 0:
-            updates["worker_fault_plan"] = WorkerFaultPlan.random(
-                p_die=p_die, p_slow=p_slow, p_lie=p_lie, seed=cseed
-            )
         return replace(config, **updates)
 
     def _launch(self, record: JobRecord, worker_ids: Tuple[int, ...]) -> None:

@@ -41,8 +41,10 @@ JOB_STATES: Tuple[str, ...] = (
 TERMINAL_STATES: Tuple[str, ...] = ("done", "aborted", "error", "cancelled")
 
 #: Recognized keys of a spec's ``chaos`` profile (all floats; ``seed``
-#: is truncated to int). Unknown keys are rejected at validation so a
-#: typo cannot silently disable a campaign's sabotage tier.
+#: is truncated to int, every other key is a
+#: :meth:`~repro.cluster.faults.Faults.random` keyword). Unknown keys are
+#: rejected at validation so a typo cannot silently disable a campaign's
+#: sabotage tier.
 CHAOS_KEYS: Tuple[str, ...] = (
     "seed", "message_p", "worker_p_die", "worker_p_slow", "worker_p_lie",
     "task_fault_p",

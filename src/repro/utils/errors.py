@@ -147,7 +147,7 @@ class JournalIOError(JournalError):
 class MasterCrash(ReproError):
     """Injected master failure (chaos testing): the master \"dies\" at a
     journal commit boundary, exactly like a ``kill -9`` mid-run. Raised by
-    the journal's kill switch (``RunConfig.journal_kill_after``); a
+    the journal's kill switch (``Faults.kill_after`` in ``RunConfig.faults``); a
     subsequent ``repro resume`` must reconstruct the run from the journal."""
 
 

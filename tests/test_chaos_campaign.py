@@ -167,11 +167,11 @@ class TestChaosConfig:
         a = chaos_config("threads", 7, spec)
         b = chaos_config("threads", 7, spec)
         tasks = [(i, j) for i in range(4) for j in range(4)]
-        assert [a.fault_plan.lookup(t, 0) for t in tasks] == [
-            b.fault_plan.lookup(t, 0) for t in tasks
+        assert [a.faults.task.lookup(t, 0) for t in tasks] == [
+            b.faults.task.lookup(t, 0) for t in tasks
         ]
         for w in range(4):
-            assert a.worker_fault_plan.death_point(w) == b.worker_fault_plan.death_point(w)
+            assert a.faults.worker.death_point(w) == b.faults.worker.death_point(w)
 
     def test_simulated_gets_sim_time_timeouts(self):
         spec = CampaignSpec()

@@ -7,21 +7,29 @@ everything) and picklability (plans cross the process boundary to slave
 processes).
 """
 
+import inspect
 import pickle
 import random
 
 import pytest
 
+from repro.chaos.campaign import CampaignSpec, chaos_config
 from repro.cluster.faults import (
+    DETECTABLE_MESSAGE_KINDS,
     MESSAGE_FAULT_KINDS,
     FaultPlan,
     FaultRule,
+    Faults,
+    IoFaultPlan,
     MessageFaultPlan,
     MessageFaultRule,
     WorkerFaultPlan,
     WorkerFaultRule,
     derived_rng,
 )
+from repro.runtime.config import RunConfig
+from repro.serve.job import CHAOS_KEYS, JobRecord, JobSpec
+from repro.utils.errors import ConfigError
 
 TASKS = [(i, j) for i in range(8) for j in range(8)]
 
@@ -201,3 +209,139 @@ class TestWorkerFaultPlanRandom:
         for w in range(16):
             assert clone.death_point(w) == plan.death_point(w)
             assert clone.slow_factor(w) == plan.slow_factor(w)
+
+
+# -- one fault plan: RunConfig.faults ------------------------------------------------
+
+#: Every query key the comparisons below ask a plan about.
+MESSAGES = [
+    (direction, mtype, (i % 4, i // 4), i, endpoint)
+    for direction in ("send", "recv")
+    for mtype in ("BatchAssign", "BatchResult", "Heartbeat", "EndSignal")
+    for i in range(24)
+    for endpoint in range(3)
+]
+WORKERS = range(12)
+IO_OPS = [
+    (stream, op, i)
+    for stream in ("journal", "shm-master", "shm-slave0")
+    for op in ("write", "fsync", "shm")
+    for i in range(24)
+]
+
+
+def answers(task, message, worker, io=None):
+    """Every decision a set of plans takes over the fixed key grid (a task
+    fault as its kind, task and attempt)."""
+    def rule(r):
+        return None if r is None else (r.kind, r.task_id, r.attempt)
+
+    out = {
+        "task": [rule(task.lookup(t, a)) for t in TASKS for a in (0, 1)],
+        "message": [message.decide(*key) for key in MESSAGES],
+        "worker": [
+            (worker.death_point(w), worker.slow_factor(w), worker.lie_point(w))
+            for w in WORKERS
+        ],
+    }
+    if io is not None:
+        out["io"] = [io.decide(*key) for key in IO_OPS]
+    return out
+
+
+class TestFaults:
+    def test_every_slice_defaults_to_no_faults(self):
+        faults = Faults()
+        assert not any((faults.task, faults.thread, faults.message, faults.worker, faults.io))
+        assert faults.kill_after is None and faults.kill_torn is False
+
+    def test_slices_and_kill_switch_are_validated(self):
+        with pytest.raises(ConfigError):
+            Faults(thread=3)
+        with pytest.raises(ConfigError):
+            Faults(message=FaultPlan())
+        with pytest.raises(ConfigError):
+            Faults(kill_after=0)
+        with pytest.raises(ConfigError):
+            Faults(kill_torn="yes")
+
+    def test_the_hang_length_rides_on_the_rule(self):
+        plan = FaultPlan.random(1.0, seed=2, kind="hang", duration=1.5)
+        assert {plan.lookup(t, 0).duration for t in TASKS} == {1.5}
+        assert FaultRule("hang").duration == 1.0
+        with pytest.raises(ConfigError):
+            FaultRule("hang", duration=-1.0)
+
+    def test_lookup_keeps_no_state(self):
+        # Like the message, worker and I/O families: every decision is
+        # derived from (seed, key), nothing is cached on the plan.
+        plan = FaultPlan.random(0.5, seed=9)
+        before = dict(vars(plan))
+        [plan.lookup(t, 0) for t in TASKS]
+        assert vars(plan) == before
+        assert "__getstate__" not in vars(FaultPlan)
+
+    def test_random_at_zero_injects_nothing(self):
+        faults = Faults.random(seed=4)
+        assert not any((faults.task, faults.message, faults.worker, faults.io))
+        assert answers(faults.task, faults.message, faults.worker, faults.io) == answers(
+            FaultPlan(), MessageFaultPlan(), WorkerFaultPlan(), IoFaultPlan()
+        )
+
+    def test_a_pickled_config_decides_the_same(self):
+        # Slave processes receive the config pickled.
+        faults = Faults.random(
+            3, task_fault_p=0.4, message_p=0.4, worker_p_die=0.4, io_p_write=0.4
+        )
+        clone = pickle.loads(pickle.dumps(RunConfig(faults=faults))).faults
+        assert answers(clone.task, clone.message, clone.worker, clone.io) == answers(
+            faults.task, faults.message, faults.worker, faults.io
+        )
+
+
+class TestServeChaosVocabulary:
+    """A serve job's ``chaos`` profile is ``Faults.random``'s keywords."""
+
+    PROFILE = {
+        "seed": 7, "task_fault_p": 0.3, "message_p": 0.2,
+        "worker_p_die": 0.3, "worker_p_slow": 0.3, "worker_p_lie": 0.3,
+    }
+
+    def test_every_chaos_key_is_a_faults_keyword(self):
+        keywords = inspect.signature(Faults.random).parameters
+        assert set(CHAOS_KEYS) == set(self.PROFILE)
+        assert all(key in keywords for key in CHAOS_KEYS if key != "seed")
+
+    def test_a_full_profile_decides_like_the_hand_built_plans(self):
+        from repro.serve.daemon import ServeDaemon
+
+        record = JobRecord("job-1", JobSpec(chaos=self.PROFILE))
+        faults = ServeDaemon(workers=1)._job_config(record, 1).faults
+        p = self.PROFILE
+        assert answers(faults.task, faults.message, faults.worker) == answers(
+            FaultPlan.random(p["task_fault_p"], seed=7),
+            MessageFaultPlan.random(p["message_p"], seed=7),
+            WorkerFaultPlan.random(
+                p_die=p["worker_p_die"], p_slow=p["worker_p_slow"],
+                p_lie=p["worker_p_lie"], seed=7,
+            ),
+        )
+        assert not faults.thread and not faults.io and faults.kill_after is None
+
+    @pytest.mark.parametrize("sdc", [False, True])
+    def test_the_campaign_decides_like_the_hand_built_plans(self, sdc):
+        spec = CampaignSpec(sdc=sdc, resources=True)
+        faults = chaos_config("threads", 5, spec).faults
+        assert answers(faults.task, faults.message, faults.worker, faults.io) == answers(
+            FaultPlan.random(spec.task_fault_p, seed=5, kind=("crash", "hang")),
+            MessageFaultPlan.random(
+                spec.message_p, seed=5,
+                kinds=MESSAGE_FAULT_KINDS if sdc else DETECTABLE_MESSAGE_KINDS,
+            ),
+            WorkerFaultPlan.random(
+                p_die=spec.worker_p_die, p_slow=spec.worker_p_slow,
+                p_lie=spec.worker_p_lie if sdc else 0.0, seed=5,
+            ),
+            IoFaultPlan.random(spec.io_p_write, spec.io_p_fsync, spec.io_p_shm, seed=5),
+        )
+        assert {r.duration for r in map(faults.task.lookup, TASKS, [0] * 64) if r} == {1.5}

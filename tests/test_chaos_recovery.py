@@ -17,6 +17,7 @@ from repro.check.trace_check import check_trace
 from repro.cluster.faults import (
     FaultPlan,
     FaultRule,
+    Faults,
     MessageFaultPlan,
     MessageFaultRule,
     WorkerFaultPlan,
@@ -64,7 +65,6 @@ def cfg(**kw):
         thread_partition=8,
         task_timeout=0.4,
         poll_interval=0.005,
-        hang_duration=0.9,
         observe=True,
     )
     base.update(kw)
@@ -82,7 +82,7 @@ def assert_invariants(run, problem):
 class TestWorkerDeath:
     def test_one_dead_slave_is_survivable(self, problem):
         plan = WorkerFaultPlan([WorkerFaultRule("die", worker_id=0, after_tasks=1)])
-        run = EasyHPS(cfg(worker_fault_plan=plan)).run(problem)
+        run = EasyHPS(cfg(faults=Faults(worker=plan))).run(problem)
         assert run.value.distance == problem.reference()
         # The dead worker's in-flight dispatch timed out and moved on.
         assert run.report.tasks_per_worker.get(0, 0) <= 1
@@ -93,7 +93,7 @@ class TestWorkerDeath:
         # must turn "nobody will ever answer" into a clean abort, never a
         # hang (the outcome the chaos campaign forbids).
         plan = WorkerFaultPlan([WorkerFaultRule("die", after_tasks=0)])
-        config = cfg(nodes=2, worker_fault_plan=plan, stall_timeout=0.6)
+        config = cfg(nodes=2, faults=Faults(worker=plan), stall_timeout=0.6)
         t0 = time.monotonic()
         with pytest.raises(FaultToleranceExhausted):
             EasyHPS(config).run(problem)
@@ -104,7 +104,7 @@ class TestWorkerDeath:
         config = RunConfig(
             nodes=3, threads_per_node=2, backend="simulated",
             process_partition=PROCESS_PARTITION, thread_partition=4,
-            task_timeout=5.0, worker_fault_plan=plan, observe=True,
+            task_timeout=5.0, faults=Faults(worker=plan), observe=True,
         )
         run = EasyHPS(config).run(problem)
         # The simulator schedules without computing values; correctness
@@ -122,7 +122,7 @@ class TestMessageLoss:
         plan = MessageFaultPlan(
             [MessageFaultRule("drop", direction="send", message_type="BatchAssign", index=0)]
         )
-        run = EasyHPS(cfg(message_fault_plan=plan)).run(problem)
+        run = EasyHPS(cfg(faults=Faults(message=plan))).run(problem)
         assert run.value.distance == problem.reference()
         assert run.report.faults_recovered >= 1
         assert run.report.faults_injected >= 1
@@ -130,7 +130,7 @@ class TestMessageLoss:
 
     def test_dropped_result_redistributed(self, problem):
         plan = MessageFaultPlan([DropOnce("drop", direction="recv", message_type="BatchResult")])
-        run = EasyHPS(cfg(message_fault_plan=plan)).run(problem)
+        run = EasyHPS(cfg(faults=Faults(message=plan))).run(problem)
         assert run.value.distance == problem.reference()
         assert run.report.faults_recovered >= 1
         assert_invariants(run, problem)
@@ -140,7 +140,7 @@ class TestMessageLoss:
             [MessageFaultRule("duplicate", direction="recv", message_type="BatchResult",
                               index=None, task_id=(0, 0))]
         )
-        run = EasyHPS(cfg(message_fault_plan=plan)).run(problem)
+        run = EasyHPS(cfg(faults=Faults(message=plan))).run(problem)
         assert run.value.distance == problem.reference()
         assert_invariants(run, problem)
 
@@ -149,7 +149,7 @@ class TestMessageLoss:
         plan = MessageFaultPlan(
             [MessageFaultRule("drop", direction="send", message_type="BatchAssign")]
         )
-        config = cfg(nodes=2, message_fault_plan=plan, task_timeout=0.2, max_retries=2)
+        config = cfg(nodes=2, faults=Faults(message=plan), task_timeout=0.2, max_retries=2)
         with pytest.raises(FaultToleranceExhausted):
             EasyHPS(config).run(problem)
 
@@ -158,7 +158,7 @@ class TestBackoff:
     def test_retries_back_off_and_still_recover(self, problem):
         plan = FaultPlan([FaultRule("crash", (0, 0), 0), FaultRule("crash", (0, 0), 1)])
         run = EasyHPS(
-            cfg(fault_plan=plan, retry_backoff=0.05, retry_backoff_max=0.2)
+            cfg(faults=Faults(task=plan), retry_backoff=0.05, retry_backoff_max=0.2)
         ).run(problem)
         assert run.value.distance == problem.reference()
         assert run.report.faults_recovered >= 2
@@ -230,10 +230,12 @@ class TestCrossBackendInvariants:
             task_timeout=5.0 if backend in ("serial", "simulated") else 0.5,
             subtask_timeout=5.0 if backend in ("serial", "simulated") else 2.0,
             poll_interval=0.005,
-            fault_plan=FaultPlan.random(0.1, seed=3),
-            message_fault_plan=(
-                MessageFaultPlan.random(0.05, seed=3)
-                if backend != "serial" else MessageFaultPlan.none()
+            faults=Faults(
+                task=FaultPlan.random(0.1, seed=3),
+                message=(
+                    MessageFaultPlan.random(0.05, seed=3)
+                    if backend != "serial" else MessageFaultPlan()
+                ),
             ),
             blacklist_threshold=4, retry_backoff=0.01, observe=True,
         )
@@ -251,8 +253,10 @@ class TestCrossBackendInvariants:
             nodes=2, threads_per_node=2, backend="processes",
             process_partition=PROCESS_PARTITION, thread_partition=4,
             task_timeout=0.75, subtask_timeout=2.0, poll_interval=0.01,
-            fault_plan=FaultPlan.random(0.1, seed=3),
-            message_fault_plan=MessageFaultPlan.random(0.05, seed=3),
+            faults=Faults(
+                task=FaultPlan.random(0.1, seed=3),
+                message=MessageFaultPlan.random(0.05, seed=3),
+            ),
             blacklist_threshold=4, retry_backoff=0.01, observe=True,
         )
         try:

@@ -15,6 +15,7 @@ from repro.check.explore import (
     run_exploration,
     scenario_by_name,
 )
+from repro.cluster.faults import Faults
 from repro.cluster.simcore import ControlledEventQueue
 
 #: Tiny campaign: 2x2 blocks, 2 workers — seconds, not minutes.
@@ -28,11 +29,13 @@ def delay_scenario(cfg):
     the first result delayed to arrive exactly at its own timeout."""
     return Scenario(
         name="delay-result-n0-i0",
-        message_plan=TargetedFaultPlan(
-            (
-                TargetedFaultRule(
-                    "delay", "recv", 0, 0, delay=cfg.task_timeout - 1.0
-                ),
+        faults=Faults(
+            message=TargetedFaultPlan(
+                (
+                    TargetedFaultRule(
+                        "delay", "recv", 0, 0, delay=cfg.task_timeout - 1.0
+                    ),
+                )
             )
         ),
     )

@@ -10,7 +10,7 @@ import pytest
 
 from repro import EasyHPS, RunConfig
 from repro.algorithms import EditDistance, Nussinov
-from repro.cluster.faults import FaultPlan, FaultRule, WorkerFaultPlan, WorkerFaultRule
+from repro.cluster.faults import FaultPlan, FaultRule, Faults, WorkerFaultPlan, WorkerFaultRule
 from repro.utils.errors import ConfigError
 
 
@@ -57,21 +57,19 @@ class TestVerifiedRuns:
 class TestVerifiedFaultTolerance:
     def test_threads_process_crash_verifies(self, problem):
         plan = FaultPlan([FaultRule("crash", (0, 0), 0)])
-        run = EasyHPS(cfg(task_timeout=0.4, fault_plan=plan)).run(problem)
+        run = EasyHPS(cfg(task_timeout=0.4, faults=Faults(task=plan))).run(problem)
         assert run.value.distance == problem.reference()
         assert run.report.faults_recovered >= 1
 
     def test_threads_hang_stale_result_verifies(self, problem):
-        plan = FaultPlan([FaultRule("hang", (0, 0), 0)])
-        run = EasyHPS(
-            cfg(task_timeout=0.4, hang_duration=0.9, fault_plan=plan)
-        ).run(problem)
+        plan = FaultPlan([FaultRule("hang", (0, 0), 0, duration=0.9)])
+        run = EasyHPS(cfg(task_timeout=0.4, faults=Faults(task=plan))).run(problem)
         assert run.value.distance == problem.reference()
 
     def test_thread_level_fault_verifies(self, problem):
         plan = FaultPlan([FaultRule("crash", (1, 0), 0)])
         run = EasyHPS(
-            cfg(subtask_timeout=0.3, thread_fault_plan=plan)
+            cfg(subtask_timeout=0.3, faults=Faults(thread=plan))
         ).run(problem)
         assert run.value.distance == problem.reference()
         assert run.report.thread_restarts >= 1
@@ -79,7 +77,7 @@ class TestVerifiedFaultTolerance:
     def test_simulated_crash_verifies(self, problem):
         config = RunConfig.experiment(
             3, 9, verify=True, task_timeout=5.0,
-            fault_plan=FaultPlan([FaultRule("crash", (0, 0), 0)]),
+            faults=Faults(task=FaultPlan([FaultRule("crash", (0, 0), 0)])),
         )
         run = EasyHPS(config).run(problem)
         assert run.report.faults_recovered >= 1
@@ -87,7 +85,7 @@ class TestVerifiedFaultTolerance:
     def test_simulated_hang_verifies(self, problem):
         config = RunConfig.experiment(
             3, 9, verify=True, task_timeout=0.001,
-            fault_plan=FaultPlan([FaultRule("hang", (0, 0), 0)]),
+            faults=Faults(task=FaultPlan([FaultRule("hang", (0, 0), 0)])),
         )
         run = EasyHPS(config).run(problem)
         assert run.report.faults_recovered >= 1
@@ -101,7 +99,7 @@ class TestVerifiedFaultTolerance:
         run = EasyHPS(
             cfg(
                 backend=backend, process_partition=6, thread_partition=3,
-                integrity="audit", audit_fraction=1.0, worker_fault_plan=liar,
+                integrity="audit", audit_fraction=1.0, faults=Faults(worker=liar),
             )
         ).run(problem)
         assert run.report.tainted_recomputes >= 1
@@ -121,8 +119,8 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"fault_plan": "nope"},
-            {"thread_fault_plan": 3},
+            {"faults": "nope"},
+            {"faults": FaultPlan()},
             {"verify": "yes"},
             {"cluster": object()},
         ],

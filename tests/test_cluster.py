@@ -179,8 +179,8 @@ class TestFaultPlan:
         assert bool(plan)
 
     def test_none_plan_is_falsy(self):
-        assert not FaultPlan.none()
-        assert FaultPlan.none().lookup((0, 0), 0) is None
+        assert not FaultPlan()
+        assert FaultPlan().lookup((0, 0), 0) is None
 
     def test_random_plan_deterministic_and_memoized(self):
         p1 = FaultPlan.random(0.5, seed=3)

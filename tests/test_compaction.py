@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from repro import EasyHPS, RunConfig
 from repro.algorithms import EditDistance, LongestCommonSubsequence, NeedlemanWunsch
 from repro.algorithms.compaction import BoundaryStore
-from repro.cluster.faults import FaultPlan, FaultRule
+from repro.cluster.faults import FaultPlan, FaultRule, Faults
 from repro.dag.partition import partition_pattern
 from repro.utils.errors import ConfigError
 
@@ -59,7 +59,7 @@ class TestBoundaryCorrectness:
         plan = FaultPlan([FaultRule("crash", (1, 1), 0), FaultRule("crash", (2, 0), 0)])
         run = EasyHPS(RunConfig(nodes=3, threads_per_node=1, backend="threads",
                                 process_partition=16, thread_partition=8,
-                                task_timeout=0.4, fault_plan=plan)).run(compact)
+                                task_timeout=0.4, faults=Faults(task=plan))).run(compact)
         assert run.value.score == problem.reference()
         assert run.report.faults_recovered >= 2
 
@@ -119,7 +119,7 @@ class TestBoundaryStoreIsAStoreTheRuntimeKnows:
         path = str(tmp_path / "j")
         config = RunConfig(
             backend=backend, nodes=3, journal_path=path, journal_fsync=False,
-            checkpoint_interval=4, journal_kill_after=20,
+            checkpoint_interval=4, faults=Faults(kill_after=20),
         )
         with pytest.raises(MasterCrash):
             EasyHPS(config).run(compact)

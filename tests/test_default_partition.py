@@ -24,7 +24,7 @@ from repro import EasyHPS, RunConfig
 from repro.algorithms import ALGORITHMS, make_problem
 from repro.algorithms.problem import MIN_REGION_EDGE
 from repro.analysis.calibration import ns_per_cell
-from repro.cluster.faults import FaultPlan, FaultRule
+from repro.cluster.faults import FaultPlan, FaultRule, Faults
 from repro.cluster.machine import NodeSpec
 from repro.cluster.topology import ClusterSpec
 from repro.dag.library import WavefrontPattern
@@ -241,7 +241,7 @@ class TestNoPoolWithoutParallelism:
         problem = make_problem("edit-distance", 16, 0)
         plan = FaultPlan([FaultRule("crash", (0, 0), 0)])  # the one region of every block
         run = EasyHPS(
-            self._config(process_partition=8, thread_fault_plan=plan, subtask_timeout=0.2)
+            self._config(process_partition=8, faults=Faults(thread=plan), subtask_timeout=0.2)
         ).run(problem)
         assert run.report.n_subtasks == run.report.n_tasks == 4  # one region a block
         assert run.report.thread_restarts > 0
@@ -314,7 +314,7 @@ class TestStructure:
             node for node in ast.walk(compute)
             if isinstance(node, ast.If) and "_run_pool(" in ast.unparse(node.body)
         ]
-        assert ast.unparse(guard.test) == "shared or self.config.thread_fault_plan"
+        assert ast.unparse(guard.test) == "shared or self.config.faults.thread"
         (shared,) = [
             ast.unparse(node.value) for node in ast.walk(compute)
             if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "shared"

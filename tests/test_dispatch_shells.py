@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import threading
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -20,6 +21,7 @@ from repro.backends.simulated import _SimulatedRun
 from repro.cluster.faults import (
     FaultPlan,
     FaultRule,
+    Faults,
     MessageFaultPlan,
     MessageFaultRule,
     WorkerFaultPlan,
@@ -58,7 +60,7 @@ QUARANTINE_MID_WAVE = dict(
     integrity="audit",
     audit_fraction=1.0,
     quarantine_threshold=1,
-    worker_fault_plan=WorkerFaultPlan([WorkerFaultRule("liar", worker_id=1, after_tasks=6)]),
+    faults=Faults(worker=WorkerFaultPlan([WorkerFaultRule("liar", worker_id=1, after_tasks=6)])),
     task_timeout=5.0,
 )
 
@@ -81,11 +83,14 @@ class TestSimulatorDriftFixes:
             for ev in sim(problem, **QUARANTINE_MID_WAVE).events
             if ev.kind == "stale-drop"
         )
+        crash = FaultPlan([FaultRule("crash", evicted, 1)])
         report = sim(
             problem,
-            max_retries=0,
-            fault_plan=FaultPlan([FaultRule("crash", evicted, 1)]),
-            **QUARANTINE_MID_WAVE,
+            **{
+                **QUARANTINE_MID_WAVE,
+                "max_retries": 0,
+                "faults": replace(QUARANTINE_MID_WAVE["faults"], task=crash),
+            },
         )
         assert report.faults_recovered == 2  # the eviction, then the crash
 
@@ -96,7 +101,7 @@ class TestSimulatorDriftFixes:
             [MessageFaultRule("drop", direction="recv", message_type="BatchResult", index=0)]
         )
         report = sim(
-            problem, message_fault_plan=plan, blacklist_threshold=1, task_timeout=0.5
+            problem, faults=Faults(message=plan), blacklist_threshold=1, task_timeout=0.5
         )
         assert report.faults_recovered >= 1
         assert report.blacklisted_workers == ()
@@ -106,7 +111,7 @@ class TestSimulatorDriftFixes:
         with pytest.raises(FaultToleranceExhausted, match="every worker quarantined"):
             sim(
                 problem, integrity="audit", audit_fraction=1.0,
-                quarantine_threshold=1, worker_fault_plan=liars,
+                quarantine_threshold=1, faults=Faults(worker=liars),
             )
 
     def test_dead_nodes_dispatch_redistributes_at_lease_expiry(self, problem):
@@ -118,9 +123,9 @@ class TestSimulatorDriftFixes:
         report = sim(
             problem,
             batch_wave=True,
-            fault_plan=FaultPlan([FaultRule("crash", (1, 0), 0)]),
-            worker_fault_plan=WorkerFaultPlan(
-                [WorkerFaultRule("die", worker_id=1, after_tasks=1)]
+            faults=Faults(
+                task=FaultPlan([FaultRule("crash", (1, 0), 0)]),
+                worker=WorkerFaultPlan([WorkerFaultRule("die", worker_id=1, after_tasks=1)]),
             ),
             heartbeat_interval=0.05,
             lease_factor=3.0,
@@ -160,11 +165,11 @@ PLANS = {
     # drop, nobody retired.
     "late+lost-result+straggler": (
         lambda: dict(
-            message_fault_plan=MessageFaultPlan(
-                [Once("delay", delay=0.9, **result_of(T)), Once("drop", **result_of(LAST))]
-            ),
-            worker_fault_plan=WorkerFaultPlan(
-                [WorkerFaultRule("slow", worker_id=0, factor=3.0)]
+            faults=Faults(
+                message=MessageFaultPlan(
+                    [Once("delay", delay=0.9, **result_of(T)), Once("drop", **result_of(LAST))]
+                ),
+                worker=WorkerFaultPlan([WorkerFaultRule("slow", worker_id=0, factor=3.0)]),
             ),
         ),
         (*DECISIONS, "abort"),
@@ -173,7 +178,7 @@ PLANS = {
     # keep announcing idle, so a blacklist threshold of one never fires.
     "lost-results-exhaust-budget": (
         lambda: dict(
-            message_fault_plan=MessageFaultPlan([MessageFaultRule("drop", **result_of(T))]),
+            faults=Faults(message=MessageFaultPlan([MessageFaultRule("drop", **result_of(T))])),
             max_retries=1,
             blacklist_threshold=1,
         ),
@@ -187,9 +192,9 @@ PLANS = {
     "all-liars": (
         lambda: dict(
             integrity="audit", audit_fraction=1.0, quarantine_threshold=1,
-            worker_fault_plan=WorkerFaultPlan(
+            faults=Faults(worker=WorkerFaultPlan(
                 [WorkerFaultRule("liar", worker_id=None, after_tasks=0)]
-            ),
+            )),
         ),
         ("blacklist", "quarantine", "abort"),
     ),
@@ -202,9 +207,9 @@ PLANS = {
         lambda: dict(
             integrity="vote",
             quarantine_threshold=100,
-            worker_fault_plan=WorkerFaultPlan(
+            faults=Faults(worker=WorkerFaultPlan(
                 [WorkerFaultRule("liar", worker_id=1, after_tasks=0)]
-            ),
+            )),
         ),
         (*DECISIONS, "abort"),
     ),
@@ -212,7 +217,7 @@ PLANS = {
     # first, finds the epoch settled and is dropped as stale.
     "duplicated-result": (
         lambda: dict(
-            message_fault_plan=MessageFaultPlan([Once("duplicate", **result_of(T))])
+            faults=Faults(message=MessageFaultPlan([Once("duplicate", **result_of(T))]))
         ),
         (*DECISIONS, "abort"),
     ),

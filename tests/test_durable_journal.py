@@ -8,6 +8,7 @@ import pytest
 
 from repro import RunConfig
 from repro.algorithms import EditDistance
+from repro.cluster.faults import Faults
 from repro.durable import MAGIC, CommitJournal, scan_journal
 from repro.durable.framed import HEADER
 from repro.utils.errors import MasterCrash
@@ -328,7 +329,7 @@ class TestGroupCommit:
         problem = make_problem(16)
         config = RunConfig(
             backend="threads", nodes=3, journal_path=str(tmp_path / "j"),
-            journal_fsync=False, journal_kill_after=2,
+            journal_fsync=False, faults=Faults(kill_after=2),
         )
         master = RunAssembly(config, problem).master(
             [channel_pair()[0] for _ in range(config.n_slaves)]

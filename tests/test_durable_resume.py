@@ -1,12 +1,17 @@
 """Crash/resume end-to-end: journaled runs continue to oracle-identical
 results after a master crash at any commit (repro.durable + backends)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro import EasyHPS, RunConfig
 from repro.algorithms import EditDistance, Nussinov
 from repro.check import check_trace
+from repro.cluster.faults import Faults
+from repro.cluster.machine import NodeSpec
+from repro.cluster.topology import ClusterSpec
 from repro.durable import recover, resume_run
 from repro.obs.recorder import ObsEvent
 from repro.utils.errors import ConfigError, JournalError, MasterCrash
@@ -37,7 +42,7 @@ class TestSerialResume:
         path = str(tmp_path / "j")
         config = RunConfig(
             backend="serial", journal_path=path, journal_fsync=False,
-            checkpoint_interval=4, journal_kill_after=6,
+            checkpoint_interval=4, faults=Faults(kill_after=6),
         )
         with pytest.raises(MasterCrash):
             EasyHPS(config).run(problem)
@@ -51,7 +56,7 @@ class TestSerialResume:
         path = str(tmp_path / "j")
         config = RunConfig(
             backend="serial", journal_path=path, journal_fsync=False,
-            journal_kill_after=6, observe=True,
+            faults=Faults(kill_after=6), observe=True,
         )
         with pytest.raises(MasterCrash):
             EasyHPS(config).run(problem)
@@ -65,12 +70,14 @@ class TestSerialResume:
         path = str(tmp_path / "j")
         config = RunConfig(
             backend="serial", journal_path=path, journal_fsync=False,
-            journal_kill_after=5, journal_kill_torn=True,
+            faults=Faults(kill_after=5, kill_torn=True),
         )
         with pytest.raises(MasterCrash):
             EasyHPS(config).run(problem)
         rec = recover(path)
         assert rec.truncated and rec.diagnostic
+        # Recovery disarms the kill switch: a resume must not crash again.
+        assert (rec.config.faults.kill_after, rec.config.faults.kill_torn) == (None, False)
         _, run = resume_run(path)
         assert_states_equal(oracle_state(problem), run.state)
 
@@ -97,7 +104,7 @@ class TestParallelResume:
         path = str(tmp_path / "j")
         config = RunConfig(
             backend=backend, nodes=4, journal_path=path, journal_fsync=False,
-            checkpoint_interval=4, journal_kill_after=7, observe=True,
+            checkpoint_interval=4, faults=Faults(kill_after=7), observe=True,
         )
         with pytest.raises(MasterCrash):
             EasyHPS(config).run(problem)
@@ -114,7 +121,7 @@ class TestParallelResume:
         path = str(tmp_path / "j")
         config = RunConfig(
             backend="threads", nodes=3, journal_path=path, journal_fsync=False,
-            journal_kill_after=5, observe=True,
+            faults=Faults(kill_after=5), observe=True,
         )
         with pytest.raises(MasterCrash):
             EasyHPS(config).run(problem)
@@ -135,7 +142,7 @@ class TestParallelResume:
         path = str(tmp_path / "j")
         config = RunConfig(
             backend="threads", nodes=3, journal_path=path, journal_fsync=False,
-            journal_kill_after=8, verify=True,
+            faults=Faults(kill_after=8), verify=True,
         )
         with pytest.raises(MasterCrash):
             EasyHPS(config).run(problem)
@@ -155,7 +162,7 @@ class TestParallelResume:
         path = str(tmp_path / "j")
         config = RunConfig(
             backend="processes", nodes=3, journal_path=path, journal_fsync=False,
-            checkpoint_interval=4, journal_kill_after=6, observe=True,
+            checkpoint_interval=4, faults=Faults(kill_after=6), observe=True,
             shm=True, batch_wave=True, max_batch=4,
         )
         with pytest.raises(MasterCrash):
@@ -178,7 +185,7 @@ class TestSimulatedResume:
         path = str(tmp_path / "j")
         config = RunConfig(
             backend="simulated", nodes=4, journal_path=path, journal_fsync=False,
-            checkpoint_interval=4, journal_kill_after=9, observe=True, verify=True,
+            checkpoint_interval=4, faults=Faults(kill_after=9), observe=True, verify=True,
         )
         with pytest.raises(MasterCrash):
             EasyHPS(config).run(problem)
@@ -192,7 +199,7 @@ class TestSimulatedResume:
         path = str(tmp_path / "j")
         config = RunConfig(
             backend="simulated", nodes=4, journal_path=path, journal_fsync=False,
-            journal_kill_after=9, observe=True,
+            faults=Faults(kill_after=9), observe=True,
         )
         with pytest.raises(MasterCrash):
             EasyHPS(config).run(EditDistance.random(48, 48, seed=5))
@@ -224,14 +231,18 @@ class TestSimulatedResume:
 
     def test_journal_latency_charged_in_sim_time(self, tmp_path):
         problem = EditDistance.random(48, 48, seed=5)
-        base = EasyHPS(RunConfig(backend="simulated", nodes=3)).run(problem)
-        slow = EasyHPS(
-            RunConfig(
-                backend="simulated", nodes=3, journal_fsync=False,
-                journal_path=str(tmp_path / "j"), journal_latency=0.5,
-            )
-        ).run(problem)
-        assert slow.report.makespan > base.report.makespan
+        config = RunConfig(backend="simulated", nodes=3)
+
+        def journaled(latency, name):
+            return EasyHPS(
+                replace(
+                    config, journal_fsync=False, journal_path=str(tmp_path / name),
+                    cluster=replace(config.cluster_spec(), journal_latency=latency),
+                )
+            ).run(problem).report.makespan
+
+        base = EasyHPS(config).run(problem).report.makespan
+        assert journaled(0.0, "free") == base < journaled(0.5, "slow")
 
 
 class TestDurableKnobs:
@@ -243,9 +254,9 @@ class TestDurableKnobs:
         with pytest.raises(ConfigError):
             RunConfig(heartbeat_interval=0.0)
         with pytest.raises(ConfigError):
-            RunConfig(journal_latency=-0.1)
+            ClusterSpec(compute_nodes=(NodeSpec(threads=1),), journal_latency=-0.1)
         with pytest.raises(ConfigError):
-            RunConfig(journal_kill_after=0)
+            RunConfig(faults=Faults(kill_after=0))
         with pytest.raises(ConfigError):
             RunConfig(journal_fsync="yes")
 

@@ -54,7 +54,7 @@ class TestMasterAttribution:
     def test_guard_abort_carries_run_id(self, tmp_path):
         from repro import RunConfig
         from repro.algorithms import EditDistance
-        from repro.cluster.faults import IoFaultPlan, IoFaultRule
+        from repro.cluster.faults import Faults, IoFaultPlan, IoFaultRule
         from repro.runtime.system import EasyHPS
 
         cfg = RunConfig(
@@ -62,7 +62,7 @@ class TestMasterAttribution:
             process_partition=4, thread_partition=2,
             journal_path=str(tmp_path / "j"), journal_fsync=False,
             journal_degrade="abort", journal_retries=0,
-            io_fault_plan=IoFaultPlan([IoFaultRule("write", "enospc", after=1)]),
+            faults=Faults(io=IoFaultPlan([IoFaultRule("write", "enospc", after=1)])),
             run_id="attrib-run",
         )
         with pytest.raises(ResourceExhausted) as err:

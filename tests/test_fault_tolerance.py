@@ -9,7 +9,7 @@ import pytest
 
 from repro import EasyHPS, RunConfig
 from repro.algorithms import EditDistance
-from repro.cluster.faults import FaultPlan, FaultRule
+from repro.cluster.faults import FaultPlan, FaultRule, Faults
 from repro.utils.errors import FaultToleranceExhausted
 
 
@@ -27,7 +27,6 @@ def cfg(**kw):
         thread_partition=8,
         task_timeout=0.4,
         poll_interval=0.005,
-        hang_duration=0.9,
     )
     base.update(kw)
     return RunConfig(**base)
@@ -36,34 +35,34 @@ def cfg(**kw):
 class TestProcessLevelRecovery:
     def test_single_crash_redistributed(self, problem):
         plan = FaultPlan([FaultRule("crash", (0, 0), 0)])
-        run = EasyHPS(cfg(fault_plan=plan)).run(problem)
+        run = EasyHPS(cfg(faults=Faults(task=plan))).run(problem)
         assert run.value.distance == problem.reference()
         assert run.report.faults_recovered >= 1
 
     def test_multiple_crashes(self, problem):
         plan = FaultPlan([FaultRule("crash", (0, 0), 0), FaultRule("crash", (1, 1), 0),
                           FaultRule("crash", (2, 3), 0)])
-        run = EasyHPS(cfg(fault_plan=plan)).run(problem)
+        run = EasyHPS(cfg(faults=Faults(task=plan))).run(problem)
         assert run.value.distance == problem.reference()
         assert run.report.faults_recovered >= 3
 
     def test_repeated_crash_until_retry_budget(self, problem):
         # Fails on attempts 0 and 1, succeeds on 2 — within max_retries=3.
         plan = FaultPlan([FaultRule("crash", (0, 0), 0), FaultRule("crash", (0, 0), 1)])
-        run = EasyHPS(cfg(fault_plan=plan)).run(problem)
+        run = EasyHPS(cfg(faults=Faults(task=plan))).run(problem)
         assert run.value.distance == problem.reference()
         assert run.report.faults_recovered >= 2
 
     def test_hang_produces_stale_result_that_is_dropped(self, problem):
-        plan = FaultPlan([FaultRule("hang", (0, 0), 0)])
-        run = EasyHPS(cfg(fault_plan=plan)).run(problem)
+        plan = FaultPlan([FaultRule("hang", (0, 0), 0, duration=0.9)])
+        run = EasyHPS(cfg(faults=Faults(task=plan))).run(problem)
         assert run.value.distance == problem.reference()
         assert run.report.faults_recovered >= 1
 
     def test_exhausted_retries_abort(self, problem):
         rules = [FaultRule("crash", (0, 0), k) for k in range(10)]
         with pytest.raises(FaultToleranceExhausted):
-            EasyHPS(cfg(fault_plan=FaultPlan(rules), max_retries=1)).run(problem)
+            EasyHPS(cfg(faults=Faults(task=FaultPlan(rules)), max_retries=1)).run(problem)
 
 
 class TestThreadLevelRecovery:
@@ -72,7 +71,7 @@ class TestThreadLevelRecovery:
         run = EasyHPS(
             cfg(
                 threads_per_node=2,
-                thread_fault_plan=tplan,
+                faults=Faults(thread=tplan),
                 subtask_timeout=0.3,
                 task_timeout=30.0,
             )
@@ -86,8 +85,7 @@ class TestThreadLevelRecovery:
         run = EasyHPS(
             cfg(
                 threads_per_node=2,
-                fault_plan=plan,
-                thread_fault_plan=tplan,
+                faults=Faults(task=plan, thread=tplan),
                 subtask_timeout=0.3,
                 task_timeout=1.5,
             )
@@ -103,7 +101,7 @@ class TestRandomFaultSoak:
     @pytest.mark.parametrize("p,seed", [(0.1, 1), (0.25, 2), (0.4, 3)])
     def test_threads_backend_survives_crash_storm(self, problem, p, seed):
         plan = FaultPlan.random(p, seed=seed)
-        run = EasyHPS(cfg(fault_plan=plan, nodes=4)).run(problem)
+        run = EasyHPS(cfg(faults=Faults(task=plan), nodes=4)).run(problem)
         assert run.value.distance == problem.reference()
 
     def test_simulated_backend_survives_crash_storm(self):
@@ -113,7 +111,7 @@ class TestRandomFaultSoak:
         sw = SmithWatermanGG.random(800, seed=7)
         config = RunConfig.experiment(
             4, 16, process_partition=100, thread_partition=25,
-            fault_plan=FaultPlan.random(0.3, seed=9), task_timeout=1.0,
+            faults=Faults(task=FaultPlan.random(0.3, seed=9)), task_timeout=1.0,
         )
         _, rep = run_simulated(sw, config)
         assert rep.faults_recovered > 0
@@ -129,7 +127,7 @@ class TestSimulatedFaults:
         plan = FaultPlan([FaultRule("crash", (0, 0), 0)])
         config = RunConfig.experiment(
             3, 11, process_partition=100, thread_partition=25,
-            fault_plan=plan, task_timeout=1.0,
+            faults=Faults(task=plan), task_timeout=1.0,
         )
         _, rep = run_simulated(sw, config)
         assert rep.faults_recovered == 1
@@ -146,7 +144,7 @@ class TestSimulatedFaults:
         plan = FaultPlan([FaultRule("hang", (1, 1), 0)])
         config = RunConfig.experiment(
             3, 11, process_partition=100, thread_partition=25,
-            fault_plan=plan, task_timeout=1.0,
+            faults=Faults(task=plan), task_timeout=1.0,
         )
         _, rep = run_simulated(sw, config)
         assert rep.faults_recovered == 1
@@ -159,7 +157,7 @@ class TestSimulatedFaults:
         rules = [FaultRule("crash", (0, 0), k) for k in range(10)]
         config = RunConfig.experiment(
             3, 11, process_partition=100, thread_partition=25,
-            fault_plan=FaultPlan(rules), task_timeout=0.5, max_retries=2,
+            faults=Faults(task=FaultPlan(rules)), task_timeout=0.5, max_retries=2,
         )
         with pytest.raises(FaultToleranceExhausted):
             run_simulated(sw, config)

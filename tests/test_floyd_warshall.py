@@ -205,12 +205,12 @@ class TestFWThroughRuntime:
         assert times[-1] < times[0]
 
     def test_fault_recovery(self):
-        from repro.cluster.faults import FaultPlan, FaultRule
+        from repro.cluster.faults import FaultPlan, FaultRule, Faults
 
         fw = FloydWarshall.random(16, density=0.4, seed=5)
         plan = FaultPlan([FaultRule("crash", (0, 0, 0), 0)])
         run = EasyHPS(RunConfig(nodes=3, threads_per_node=1, backend="threads",
                                 process_partition=8, thread_partition=4,
-                                task_timeout=0.4, fault_plan=plan)).run(fw)
+                                task_timeout=0.4, faults=Faults(task=plan))).run(fw)
         assert_dist_equal(run.value.dist, fw.reference())
         assert run.report.faults_recovered >= 1

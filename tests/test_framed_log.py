@@ -13,9 +13,17 @@ import zlib
 
 import pytest
 
-from repro import RunConfig
+from repro import EasyHPS, RunConfig
 from repro.algorithms import EditDistance
-from repro.cluster.faults import IoFaultPlan, IoFaultRule, IoPolicy
+from repro.cluster.faults import (
+    FaultPlan,
+    Faults,
+    IoFaultPlan,
+    IoFaultRule,
+    IoPolicy,
+    MessageFaultPlan,
+    WorkerFaultPlan,
+)
 from repro.durable import CommitJournal, recover, scan_journal
 from repro.durable.framed import FramedLog, FrameTail, encode, scan_frames
 from repro.durable.journal import MAGIC as WALJ_MAGIC
@@ -190,10 +198,41 @@ class TestLegacyBeginRecord:
         assert not hasattr(rec.config, "speculative_factor")
         assert not hasattr(rec.config, "trace")
         assert not hasattr(rec.config, "speculate")
-        from repro import EasyHPS
-
         result = EasyHPS(rec.config).run(rec.problem, resume=rec)
         assert result.value.distance == problem.reference()
+
+    def test_config_pickled_with_the_nine_fault_fields_recovers(self, tmp_path):
+        """Journals written before ``faults`` replaced the five fault
+        plans, ``hang_duration``, the kill switch and ``journal_latency``
+        carry those fields and no ``faults``. Such a config reads as "no
+        faults": the armed kill switch it names does not fire again, and
+        the run resumes to the oracle's answer."""
+        path = str(tmp_path / "old.walj")
+        problem = EditDistance.random(24, 24, seed=0)
+        config = RunConfig(
+            backend="threads", nodes=3, process_partition=6,
+            journal_path=path, journal_fsync=False,
+        )
+        object.__delattr__(config, "faults")
+        legacy = {
+            "fault_plan": FaultPlan(), "thread_fault_plan": FaultPlan(),
+            "message_fault_plan": MessageFaultPlan(), "worker_fault_plan": WorkerFaultPlan(),
+            "io_fault_plan": IoFaultPlan(), "hang_duration": 1.0,
+            "journal_kill_after": 3, "journal_kill_torn": True, "journal_latency": 0.0005,
+        }
+        for name, value in legacy.items():
+            object.__setattr__(config, name, value)
+        journal = CommitJournal.create(path, fsync=False)
+        journal.begin(problem, config)
+        journal.close()
+        pickled = vars(scan_journal(path).config)
+        assert pickled["journal_kill_after"] == 3 and "faults" not in pickled
+        rec = recover(path)
+        assert rec.config.faults == Faults()
+        assert all(not hasattr(rec.config, name) for name in legacy)
+        result = EasyHPS(rec.config).run(rec.problem, resume=rec)
+        assert result.value.distance == problem.reference()
+        assert recover(path).n_committed == rec.n_tasks == 16
 
 
 # -- (b) every torn-tail and repair case, once, over both magics ----------------

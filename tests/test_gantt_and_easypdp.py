@@ -7,7 +7,7 @@ from repro import EasyHPS, RunConfig
 from repro.algorithms import EditDistance, Nussinov, SmithWatermanGG
 from repro.analysis.gantt import TraceEvent, critical_tail, render_gantt
 from repro.backends.simulated import run_simulated
-from repro.cluster.faults import FaultPlan, FaultRule
+from repro.cluster.faults import FaultPlan, FaultRule, Faults
 from repro.obs.clock import ManualClock
 from repro.obs.prof import build_profile
 from repro.obs.recorder import EventRecorder
@@ -58,7 +58,7 @@ class TestTraceRecording:
         sw = SmithWatermanGG.random(400, seed=1)
         plan = FaultPlan([FaultRule("crash", (0, 0), 0)])
         cfg = RunConfig.experiment(3, 11, process_partition=100, thread_partition=25,
-                                   observe=True, fault_plan=plan, task_timeout=1.0)
+                                   observe=True, faults=Faults(task=plan), task_timeout=1.0)
         _, rep = run_simulated(sw, cfg)
         # (0,0) appears exactly once — the successful retry.
         assert sum(1 for e in rep.trace if e.task_id == (0, 0)) == 1

@@ -6,7 +6,7 @@ import numpy as np
 
 from repro import EasyHPS, RunConfig
 from repro.algorithms import EditDistance
-from repro.cluster.faults import FaultPlan, FaultRule, WorkerFaultPlan, WorkerFaultRule
+from repro.cluster.faults import FaultPlan, FaultRule, Faults, WorkerFaultPlan, WorkerFaultRule
 from tests.test_dispatch_core import run_row
 
 
@@ -41,9 +41,9 @@ class TestHeartbeatProtocol:
             backend="threads", nodes=4,
             heartbeat_interval=0.05, lease_factor=3.0,
             task_timeout=60.0,  # the backstop must never be what saves us
-            worker_fault_plan=WorkerFaultPlan(
+            faults=Faults(worker=WorkerFaultPlan(
                 [WorkerFaultRule("die", worker_id=0, after_tasks=1)]
-            ),
+            )),
             observe=True,
         )
         result = EasyHPS(config).run(problem)
@@ -85,7 +85,7 @@ class TestHeartbeatProtocol:
         config = RunConfig(
             backend="processes", nodes=3,
             heartbeat_interval=0.05, observe=True,
-            fault_plan=FaultPlan([FaultRule("hang", (0, 0), 0)]), hang_duration=0.2,
+            faults=Faults(task=FaultPlan([FaultRule("hang", (0, 0), 0, duration=0.2)])),
         )
         result = EasyHPS(config).run(problem)
         assert result.value.distance == oracle.value.distance

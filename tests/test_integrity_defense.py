@@ -12,6 +12,7 @@ import pytest
 from repro import EasyHPS, RunConfig
 from repro.algorithms import EditDistance
 from repro.cluster.faults import (
+    Faults,
     MessageFaultPlan,
     MessageFaultRule,
     WorkerFaultPlan,
@@ -54,7 +55,7 @@ class TestLiarWorker:
         receive-side verification passes and the corruption commits —
         visible as a run digest diverging from the serial oracle."""
         run = EasyHPS(
-            cfg(integrity="digest", worker_fault_plan=LIAR_0)
+            cfg(integrity="digest", faults=Faults(worker=LIAR_0))
         ).run(problem)
         assert run.report.audits_convicted == 0
         assert run.report.digest_rejects == 0
@@ -66,7 +67,7 @@ class TestLiarWorker:
                 integrity="audit",
                 audit_fraction=1.0,
                 quarantine_threshold=10**6,  # isolate the audit layer
-                worker_fault_plan=LIAR_0,
+                faults=Faults(worker=LIAR_0),
             )
         ).run(problem)
         assert run.value.distance == problem.reference()
@@ -80,7 +81,7 @@ class TestLiarWorker:
                 integrity="audit",
                 audit_fraction=1.0,
                 quarantine_threshold=2,
-                worker_fault_plan=LIAR_0,
+                faults=Faults(worker=LIAR_0),
             )
         ).run(problem)
         assert run.value.distance == problem.reference()
@@ -94,7 +95,7 @@ class TestLiarWorker:
                 integrity="vote",
                 vote_k=2,
                 quarantine_threshold=3,
-                worker_fault_plan=LIAR_0,
+                faults=Faults(worker=LIAR_0),
             )
         ).run(problem)
         assert run.value.distance == problem.reference()
@@ -128,13 +129,13 @@ class TestStaleDigestCorruption:
         ])
         with pytest.raises(FaultToleranceExhausted):
             EasyHPS(
-                cfg(integrity="digest", message_fault_plan=plan, max_retries=2)
+                cfg(integrity="digest", faults=Faults(message=plan), max_retries=2)
             ).run(problem)
 
     def test_random_corruption_never_changes_the_answer(self, problem):
         plan = MessageFaultPlan.random(0.1, seed=5, kinds=("corrupt",))
         run = EasyHPS(
-            cfg(integrity="digest", message_fault_plan=plan, max_retries=6)
+            cfg(integrity="digest", faults=Faults(message=plan), max_retries=6)
         ).run(problem)
         assert run.value.distance == problem.reference()
         assert run.report.run_digest == oracle_digest(problem)
@@ -153,7 +154,7 @@ class TestResumeDigestOracle:
 
         path = str(tmp_path / "crash.journal")
         crashing = cfg(
-            integrity="digest", journal_path=path, journal_kill_after=4,
+            integrity="digest", journal_path=path, faults=Faults(kill_after=4),
             observe=False,
         )
         with pytest.raises(MasterCrash):

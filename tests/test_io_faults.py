@@ -89,7 +89,7 @@ class TestRandomPlan:
             assert plan.decide("j", "shm", i).kind in ("enospc", "emfile")
 
     def test_truthiness(self):
-        assert not IoFaultPlan.none()
+        assert not IoFaultPlan()
         assert IoFaultPlan.random(p_fsync=0.01)
         assert IoFaultPlan([IoFaultRule("write", "eio", index=0)])
 

@@ -7,7 +7,7 @@ import pytest
 
 from repro import RunConfig
 from repro.algorithms import EditDistance
-from repro.cluster.faults import IoFaultPlan, IoFaultRule, IoPolicy
+from repro.cluster.faults import Faults, IoFaultPlan, IoFaultRule, IoPolicy
 from repro.durable import CommitJournal, JournalGuard, scan_journal
 from repro.utils.errors import JournalIOError, MasterCrash, ResourceExhausted
 
@@ -215,9 +215,9 @@ class TestConfigSurface:
             RunConfig(journal_retries=-1)
         cfg = RunConfig(
             journal_degrade="checkpoint",
-            io_fault_plan=IoFaultPlan.random(p_write=0.1, seed=0),
+            faults=Faults(io=IoFaultPlan.random(p_write=0.1, seed=0)),
         )
-        assert bool(cfg.io_fault_plan)
+        assert bool(cfg.faults.io)
 
     def test_open_journal_wraps_in_guard(self, tmp_path):
         from repro.runtime.assembly import RunAssembly
@@ -247,7 +247,7 @@ class TestConfigSurface:
             journal_path=str(tmp_path / "j"),
             journal_fsync=False,
             journal_degrade="memory",
-            io_fault_plan=plan,
+            faults=Faults(io=plan),
         )
         run = EasyHPS(cfg).run(problem)
         assert run.value.distance == problem.reference()

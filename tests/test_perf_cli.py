@@ -5,6 +5,7 @@ import pytest
 from repro import EasyHPS, RunConfig
 from repro.algorithms import ALGORITHMS, make_problem
 from repro.cli import main
+from repro.cluster.faults import Faults
 from repro.utils.errors import MasterCrash
 
 
@@ -53,7 +54,7 @@ class TestPerfTraceReports:
         run`` writes, so the continued run's trace gets a critical path."""
         journal = str(tmp_path / "run.journal")
         config = RunConfig(backend="threads", nodes=2, journal_path=journal,
-                           journal_fsync=False, journal_kill_after=10)
+                           journal_fsync=False, faults=Faults(kill_after=10))
         with pytest.raises(MasterCrash):
             EasyHPS(config).run(make_problem("edit-distance", 96, 0))
         trace = tmp_path / "resume.json"

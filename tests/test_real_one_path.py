@@ -21,7 +21,7 @@ import pytest
 import repro
 from repro import EasyHPS, RunConfig
 from repro.algorithms import EditDistance
-from repro.cluster.faults import MessageFaultPlan, MessageFaultRule
+from repro.cluster.faults import Faults, MessageFaultPlan, MessageFaultRule
 from repro.comm.messages import BatchResult, TaskResult
 from repro.comm.serialization import MESSAGE_ENVELOPE_BYTES, message_nbytes, payload_nbytes
 from repro.comm.transport import pipe_channel_pair
@@ -107,7 +107,7 @@ def targeted_drop(backend, batch_wave):
     plan = MessageFaultPlan([MessageFaultRule("drop", direction="send", task_id=(1, 1))])
     config = RunConfig(
         backend=backend, nodes=3, threads_per_node=1, process_partition=24,
-        batch_wave=batch_wave, message_fault_plan=plan, task_timeout=0.3,
+        batch_wave=batch_wave, faults=Faults(message=plan), task_timeout=0.3,
         max_retries=1, poll_interval=0.005, observe=True,
     )
     try:
@@ -131,7 +131,7 @@ def test_every_payload_message_event_names_a_task(shm):
     )
     config = RunConfig(
         backend="processes", nodes=3, threads_per_node=1, process_partition=16,
-        batch_wave=True, shm=shm, message_fault_plan=plan, observe=True,
+        batch_wave=True, shm=shm, faults=Faults(message=plan), observe=True,
     )
     events = EasyHPS(config).run(problem()).report.events
     payload = [

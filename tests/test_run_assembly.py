@@ -10,7 +10,7 @@ from pathlib import Path
 import repro
 from repro.algorithms import EditDistance
 from repro.backends.threads import run_threads
-from repro.cluster.faults import FaultPlan, FaultRule
+from repro.cluster.faults import FaultPlan, FaultRule, Faults
 from repro.comm.messages import TaskAssign
 from repro.runtime.assembly import RunAssembly
 from repro.runtime.config import RunConfig
@@ -77,10 +77,10 @@ class TestDaemonParity:
             backend="threads", nodes=3, process_partition=12, thread_partition=6,
             max_retries=7, subtask_timeout=0.05, task_timeout=4.0,
             retry_backoff=0.1, retry_backoff_max=0.7, blacklist_threshold=4,
-            heartbeat_interval=0.2, lease_factor=5.0, hang_duration=0.3,
+            heartbeat_interval=0.2, lease_factor=5.0,
             integrity="audit", audit_fraction=0.5, quarantine_threshold=3,
             # One computing thread dies on each of its first seven tries.
-            thread_fault_plan=FaultPlan([FaultRule("crash", (1, 1), e) for e in range(7)]),
+            faults=Faults(thread=FaultPlan([FaultRule("crash", (1, 1), e) for e in range(7)])),
         )
         problem = EditDistance.random(24, 24, seed=1)
         asm = RunAssembly(config, problem)

@@ -93,7 +93,7 @@ class TestKnobCount:
     """The next knob or override is an explicit edit here."""
 
     def test_field_count_is_pinned(self):
-        assert len(dataclasses.fields(RunConfig)) == 43
+        assert len(dataclasses.fields(RunConfig)) == 35
 
     def test_env_overrides_are_exactly_these(self):
         tree = ast.parse(inspect.getsource(config_mod))

@@ -151,10 +151,10 @@ class TestProcessesBackend:
         """A slave OS process that drops a task must be recovered by the
         master's overtime redistribution — the closest functional analogue
         of a killed MPI rank this substrate can express."""
-        from repro.cluster.faults import FaultPlan, FaultRule
+        from repro.cluster.faults import FaultPlan, FaultRule, Faults
 
         plan = FaultPlan([FaultRule("crash", (0, 0), 0)])
         run = EasyHPS(cfg(backend="processes", nodes=3, threads_per_node=1,
-                          task_timeout=0.5, fault_plan=plan)).run(edit_distance_small)
+                          task_timeout=0.5, faults=Faults(task=plan))).run(edit_distance_small)
         assert run.value.distance == edit_distance_small.reference()
         assert run.report.faults_recovered >= 1

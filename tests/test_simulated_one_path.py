@@ -18,6 +18,7 @@ from repro.algorithms import EditDistance, Nussinov
 from repro.backends.simulated import _SimulatedRun
 from repro.cluster.faults import (
     FaultPlan,
+    Faults,
     MessageFaultPlan,
     MessageFaultRule,
     WorkerFaultPlan,
@@ -64,18 +65,22 @@ def test_fault_free(pattern, scheduler):
 
 def seeded_plans(seed):
     return {
-        "task": dict(fault_plan=FaultPlan.random(0.15, seed=seed, kind=("crash", "hang"))),
+        "task": dict(
+            faults=Faults(task=FaultPlan.random(0.15, seed=seed, kind=("crash", "hang")))
+        ),
         "worker": dict(
-            worker_fault_plan=WorkerFaultPlan.random(p_die=0.3, p_slow=0.3, seed=seed)
+            faults=Faults(worker=WorkerFaultPlan.random(p_die=0.3, p_slow=0.3, seed=seed))
         ),
         "message": dict(
-            message_fault_plan=MessageFaultPlan.random(0.15, seed=seed), integrity="digest"
+            faults=Faults(message=MessageFaultPlan.random(0.15, seed=seed)), integrity="digest"
         ),
         "sdc": dict(
-            message_fault_plan=MessageFaultPlan.random(
-                0.1, seed=seed, kinds=("corrupt", "bitflip", "duplicate")
+            faults=Faults(
+                message=MessageFaultPlan.random(
+                    0.1, seed=seed, kinds=("corrupt", "bitflip", "duplicate")
+                ),
+                worker=WorkerFaultPlan.random(p_lie=0.3, seed=seed),
             ),
-            worker_fault_plan=WorkerFaultPlan.random(p_lie=0.3, seed=seed),
             integrity="audit", audit_fraction=0.5, quarantine_threshold=2,
         ),
     }
@@ -118,7 +123,7 @@ def test_duplicated_result_envelope_lands_twice(batch_wave):
     plan = MessageFaultPlan([MessageFaultRule("duplicate", direction="recv", index=0)])
     config = RunConfig.experiment(
         4, 13, process_partition=16, thread_partition=4, observe=True,
-        batch_wave=batch_wave, message_fault_plan=plan,
+        batch_wave=batch_wave, faults=Faults(message=plan),
     )
     report = _SimulatedRun(PROBLEMS["wavefront"](), config).execute()
 

@@ -11,6 +11,7 @@ import pytest
 from repro import EasyHPS, RunConfig
 from repro.algorithms import EditDistance
 from repro.cluster.faults import (
+    Faults,
     MessageFaultPlan,
     WorkerFaultPlan,
     WorkerFaultRule,
@@ -43,14 +44,14 @@ LIAR_1 = WorkerFaultPlan([WorkerFaultRule("liar", worker_id=1, after_tasks=0)])
 
 class TestLiarTaint:
     def test_undefended_lies_survive_as_undetected_taint(self, problem):
-        rep = run(problem, integrity="off", worker_fault_plan=LIAR_1).report
+        rep = run(problem, integrity="off", faults=Faults(worker=LIAR_1)).report
         assert counters(rep)["sim.undetected_corruptions"] > 0
         # Zero-cost invariant: no integrity machinery ran.
         assert not [k for k in counters(rep) if str(k).startswith("integrity.")]
         assert rep.run_digest is None
 
     def test_digest_only_is_blind_to_lies(self, problem):
-        rep = run(problem, integrity="digest", worker_fault_plan=LIAR_1).report
+        rep = run(problem, integrity="digest", faults=Faults(worker=LIAR_1)).report
         assert counters(rep)["sim.undetected_corruptions"] > 0
         assert rep.digest_rejects == 0
 
@@ -59,7 +60,7 @@ class TestLiarTaint:
             problem,
             integrity="audit",
             audit_fraction=1.0,
-            worker_fault_plan=LIAR_1,
+            faults=Faults(worker=LIAR_1),
         ).report
         assert counters(rep)["sim.undetected_corruptions"] == 0
         assert rep.audits_convicted >= 1
@@ -76,7 +77,7 @@ class TestLiarTaint:
             integrity="audit",
             audit_fraction=1.0,
             quarantine_threshold=10**6,
-            worker_fault_plan=LIAR_1,
+            faults=Faults(worker=LIAR_1),
         ).report
         assert rep.quarantined_workers == ()
         assert rep.audits_convicted >= 1
@@ -88,7 +89,7 @@ class TestLiarTaint:
             integrity="audit",
             audit_fraction=1.0,
             quarantine_threshold=2,
-            worker_fault_plan=LIAR_1,
+            faults=Faults(worker=LIAR_1),
         ).report
         assert 1 in rep.quarantined_workers
         assert counters(rep)["sim.undetected_corruptions"] == 0
@@ -96,7 +97,7 @@ class TestLiarTaint:
     def test_vote_mode_leaves_no_taint_at_message_cost(self, problem):
         clean = run(problem, integrity="digest").report
         voted = run(
-            problem, integrity="vote", vote_k=2, worker_fault_plan=LIAR_1
+            problem, integrity="vote", vote_k=2, faults=Faults(worker=LIAR_1)
         ).report
         assert counters(voted)["sim.undetected_corruptions"] == 0
         assert counters(voted)["integrity.votes_cast"] > 0
@@ -116,7 +117,7 @@ class TestTransitCorruption:
             problem,
             integrity="digest",
             max_retries=8,
-            message_fault_plan=self.corrupt_plan(),
+            faults=Faults(message=self.corrupt_plan()),
         ).report
         assert counters(rep)["sim.undetected_corruptions"] == 0
         assert rep.digest_rejects >= 1
@@ -127,7 +128,7 @@ class TestTransitCorruption:
             problem,
             integrity="off",
             max_retries=8,
-            message_fault_plan=self.corrupt_plan(),
+            faults=Faults(message=self.corrupt_plan()),
         ).report
         assert counters(rep)["sim.undetected_corruptions"] > 0
 
@@ -136,7 +137,7 @@ class TestTransitCorruption:
             problem,
             integrity="digest",
             max_retries=8,
-            message_fault_plan=self.bitflip_plan(),
+            faults=Faults(message=self.bitflip_plan()),
         ).report
         assert counters(blind)["sim.undetected_corruptions"] > 0
         assert blind.digest_rejects == 0
@@ -147,7 +148,7 @@ class TestTransitCorruption:
             audit_fraction=1.0,
             quarantine_threshold=10**6,
             max_retries=8,
-            message_fault_plan=self.bitflip_plan(),
+            faults=Faults(message=self.bitflip_plan()),
         ).report
         assert counters(audited)["sim.undetected_corruptions"] == 0
         assert audited.audits_convicted >= 1
@@ -159,9 +160,9 @@ class TestTransitCorruption:
                 problem,
                 integrity="digest",
                 max_retries=2,
-                message_fault_plan=MessageFaultPlan.random(
+                faults=Faults(message=MessageFaultPlan.random(
                     1.0, seed=0, kinds=("corrupt",)
-                ),
+                )),
             )
 
 
@@ -170,10 +171,10 @@ class TestAuditSampling:
         """A fractional sample may leave taint behind — the documented
         reason SDC campaigns audit at fraction 1.0."""
         full = run(
-            problem, integrity="audit", audit_fraction=1.0, worker_fault_plan=LIAR_1
+            problem, integrity="audit", audit_fraction=1.0, faults=Faults(worker=LIAR_1)
         ).report
         sampled = run(
-            problem, integrity="audit", audit_fraction=0.25, worker_fault_plan=LIAR_1
+            problem, integrity="audit", audit_fraction=0.25, faults=Faults(worker=LIAR_1)
         ).report
         assert counters(full)["sim.undetected_corruptions"] == 0
         assert (
@@ -227,7 +228,7 @@ class TestJournaledGroups:
                 EasyHPS(RunConfig(
                     backend="simulated", nodes=4, batch_wave=True,
                     integrity="audit", audit_fraction=1.0,
-                    worker_fault_plan=WorkerFaultPlan((liar,)),
+                    faults=Faults(worker=WorkerFaultPlan((liar,))),
                     journal_path=path, journal_fsync=False,
                 )).run(EditDistance.random(48, 48, seed=seed))
             except FaultToleranceExhausted:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms import EditDistance
-from repro.cluster.faults import FaultPlan, FaultRule
+from repro.cluster.faults import FaultPlan, FaultRule, Faults
 from repro.comm.messages import (
     BatchAssign,
     BatchResult,
@@ -147,7 +147,7 @@ class TestProtocolSide:
     def test_crash_fault_drops_task_but_keeps_serving(self, setup):
         problem, partition, master, slave_end = setup
         plan = FaultPlan([FaultRule("crash", (0, 0), 0)])
-        slave = make_slave(problem, partition, slave_end, fault_plan=plan)
+        slave = make_slave(problem, partition, slave_end, faults=Faults(task=plan))
         thread = run_slave_async(slave)
 
         master.recv(timeout=5.0)
@@ -197,6 +197,6 @@ class TestSlaveWorkerPool:
         plan = FaultPlan([FaultRule("crash", (1, 1), 0)])
         slave = self._compute_direct(
             problem, partition, (0, 0),
-            thread_fault_plan=plan, subtask_timeout=0.2,
+            faults=Faults(thread=plan), subtask_timeout=0.2,
         )
         assert slave.stats.thread_restarts >= 1

@@ -22,7 +22,7 @@ import pytest
 from repro import EasyHPS, RunConfig
 from repro.algorithms import EditDistance, Nussinov
 from repro.chaos.campaign import CampaignSpec, run_campaign
-from repro.cluster.faults import FaultPlan
+from repro.cluster.faults import FaultPlan, Faults
 
 
 @pytest.mark.slow
@@ -38,8 +38,10 @@ class TestCombinedFaultSoak:
             task_timeout=0.6,
             subtask_timeout=0.3,
             poll_interval=0.005,
-            fault_plan=FaultPlan.random(0.2, seed=1),
-            thread_fault_plan=FaultPlan.random(0.05, seed=2),
+            faults=Faults(
+                task=FaultPlan.random(0.2, seed=1),
+                thread=FaultPlan.random(0.05, seed=2),
+            ),
             max_retries=5,
         )
         run = EasyHPS(config).run(problem)
