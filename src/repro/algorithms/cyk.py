@@ -19,6 +19,7 @@ from repro.algorithms.kernels import cyk_region
 from repro.algorithms.triangular_base import TriangularBlockEvaluator, TriangularProblem
 from repro.dag.partition import Partition
 from repro.dag.pattern import VertexId
+from repro.utils.errors import InconsistentMatrix
 
 
 @dataclass(frozen=True)
@@ -233,7 +234,7 @@ class CYKParsing(TriangularProblem):
             for k in range(i, j):
                 if (F[i, k] & bb) and (F[k + 1, j] & cc):
                     return (head, self._tree(F, b, i, k), self._tree(F, c, k + 1, j))
-        raise AssertionError(f"no derivation found for {head} over ({i}, {j})")
+        raise InconsistentMatrix(f"no derivation of {head}", cell=(i, j))
 
     # -- reference --------------------------------------------------------------------
 

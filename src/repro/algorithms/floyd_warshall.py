@@ -31,7 +31,7 @@ from repro.algorithms.problem import BlockEvaluator, DPProblem, InputRegion, Reg
 from repro.dag.library import IndependentGridPattern
 from repro.dag.partition import BlockGrid, Partition, _as_pair, partition_pattern
 from repro.dag.pattern import DAGPattern, VertexId
-from repro.utils.errors import PatternError
+from repro.utils.errors import InconsistentMatrix, PatternError
 
 
 class FloydWarshallPattern(DAGPattern):
@@ -216,12 +216,12 @@ def reconstruct_path(weights: np.ndarray, dist: np.ndarray, u: int, v: int) -> L
                     nxt = w
                     break
         if nxt is None:
-            raise AssertionError(f"path reconstruction stuck at {cur}")
+            raise InconsistentMatrix("path reconstruction stuck", cell=(cur, v))
         path.append(nxt)
         cur = nxt
         guard += 1
         if guard > weights.shape[0]:
-            raise AssertionError("path reconstruction loop — inconsistent matrices")
+            raise InconsistentMatrix("path reconstruction loops", cell=(u, v))
     return path
 
 

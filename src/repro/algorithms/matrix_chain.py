@@ -14,6 +14,7 @@ import numpy as np
 
 from repro.algorithms.kernels import matrix_chain_region
 from repro.algorithms.triangular_base import TriangularProblem
+from repro.utils.errors import InconsistentMatrix
 
 
 @dataclass(frozen=True)
@@ -71,7 +72,7 @@ class MatrixChainOrder(TriangularProblem):
             cost = M[i, k] + M[k + 1, j] + self.dims[i] * self.dims[k + 1] * self.dims[j + 1]
             if np.isclose(M[i, j], cost):
                 return f"({self._parenthesize(M, i, k)}{self._parenthesize(M, k + 1, j)})"
-        raise AssertionError(f"parenthesization stuck at ({i}, {j})")
+        raise InconsistentMatrix("parenthesization stuck", cell=(i, j))
 
     # -- reference --------------------------------------------------------------------
 

@@ -20,6 +20,7 @@ import numpy as np
 from repro.algorithms.kernels import nussinov_region
 from repro.algorithms.sequences import RNA_ALPHABET, encode, pair_matrix
 from repro.algorithms.triangular_base import TriangularProblem
+from repro.utils.errors import InconsistentMatrix
 
 
 @dataclass(frozen=True)
@@ -112,7 +113,7 @@ class Nussinov(TriangularProblem):
                         stack.append((k + 1, j))
                         break
                 else:
-                    raise AssertionError(f"traceback stuck at ({i}, {j})")
+                    raise InconsistentMatrix("traceback stuck", cell=(i, j))
         return pairs
 
     # -- reference --------------------------------------------------------------------

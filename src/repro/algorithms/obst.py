@@ -19,6 +19,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.algorithms.triangular_base import TriangularProblem
+from repro.utils.errors import InconsistentMatrix
 
 
 def obst_region(W: np.ndarray, prefix: np.ndarray, offset: int, rows, cols) -> None:
@@ -120,7 +121,7 @@ class OptimalBST(TriangularProblem):
             for r in range(i, j + 1):
                 if np.isclose(cost(i, r - 1) + cost(r + 1, j), target):
                     return (r, build(i, r - 1), build(r + 1, j))
-            raise AssertionError(f"no root reconstructs c[{i},{j}]")
+            raise InconsistentMatrix("no root reconstructs the cost", cell=(i, j))
 
         return OBSTResult(cost=float(C[0, self.n - 1]), tree=build(0, self.n - 1))
 

@@ -24,6 +24,7 @@ from repro.algorithms.problem import BlockEvaluator, DPProblem, InputRegion, Reg
 from repro.dag.library import RowColPrefixPattern
 from repro.dag.partition import Partition
 from repro.dag.pattern import VertexId
+from repro.utils.errors import InconsistentMatrix
 
 
 @dataclass(frozen=True)
@@ -208,7 +209,7 @@ class SmithWatermanGG(DPProblem):
                 out_b.extend("-" * (i - k))
                 i = k
                 continue
-            raise AssertionError(f"traceback stuck at ({i}, {j}) — inconsistent matrix")
+            raise InconsistentMatrix("traceback stuck", cell=(i, j))
         return "".join(reversed(out_a)), "".join(reversed(out_b))
 
     def reference(self) -> float:

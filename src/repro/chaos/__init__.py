@@ -3,27 +3,29 @@
 Three pieces (see ``docs/fault_tolerance.md``):
 
 - **fault plans** (:mod:`repro.cluster.faults`) — seeded, order-independent
-  task / message / worker fault models;
+  task / message / worker / I/O fault models, one :class:`Faults` value
+  per run;
 - **channel injection** (:mod:`repro.chaos.channel`) — a
   :class:`ChaosChannel` wrapping any transport endpoint to drop,
   duplicate, delay, or corrupt protocol messages;
-- **campaigns** (:mod:`repro.chaos.campaign`) — N seeded runs per backend,
-  each asserting the core invariant: *the DP result equals the serial
-  oracle, or the run ends in a clean*
+- **campaigns** — N seeded runs per backend. :mod:`repro.chaos.campaign`
+  drives one executor and one verdict for every mode (plain, ``--sdc``,
+  ``--kill-master-at``, ``--resources``): *the DP result equals the
+  serial oracle, or the run ends in a clean, attributed*
   :class:`~repro.utils.errors.FaultToleranceExhausted` — *never a hang,
-  never a wrong answer* — with the :mod:`repro.check` trace invariants
-  validated on every surviving run.
+  a wrong answer, a torn journal or a leaked shm segment* — with every
+  surviving run replayed into the dispatch core
+  (:func:`repro.check.trace_check.check_trace`). A kill-master run
+  crashes the journaling master at a seeded commit and resumes from the
+  journal before it is judged. :mod:`repro.chaos.serve` runs the same
+  contract through the ``repro serve`` daemon.
 
 Drive from the CLI with ``repro chaos --seeds 20 --backend simulated
---backend threads``. Kill-master campaigns (``repro chaos
---kill-master-at 0.5``) crash the journaling master at a seeded commit,
-``repro resume`` the write-ahead journal, and assert the resumed run is
-oracle-identical and that its recorded stream replays cleanly into the
-dispatch core primed with the journal
-(:func:`repro.check.trace_check.check_trace`, ``journaled=``).
+--backend threads``.
 """
 
 from repro.chaos.campaign import (
+    DEGRADE_CYCLE,
     CampaignResult,
     CampaignSpec,
     RunOutcome,
@@ -31,7 +33,6 @@ from repro.chaos.campaign import (
     run_campaign,
 )
 from repro.chaos.channel import ChaosChannel
-from repro.chaos.resources import DEGRADE_CYCLE
 from repro.chaos.serve import (
     JobVerdict,
     ServeCampaignResult,

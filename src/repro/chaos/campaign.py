@@ -1,43 +1,67 @@
-"""Deterministic fault campaigns: N seeded runs, one invariant.
+"""Deterministic fault campaigns: N seeded runs, one executor, one verdict.
 
 A campaign replays the same DP instance under seeded fault plans across
-backends and classifies every run:
+backends. Every run, whatever the mode, goes through one executor and is
+classified by one verdict; a mode is only a change to the run's config
+(:func:`chaos_config`):
 
-- ``ok``                  — finished; state equals the serial oracle and
-  the fault/recovery trace invariants hold;
+- **plain** — task crashes and hangs, message faults, worker deaths and
+  stragglers at the spec's pressure;
+- **SDC** (``sdc=True``, ``repro chaos --sdc``) — adds the *silent* tier,
+  lying workers (``worker_p_lie``) and digest-evading ``bitflip`` message
+  mutations, under the configured integrity mode. The same seeds with
+  ``integrity='off'`` show the failure the defences exist for: the
+  campaign reports ``wrong-answer``;
+- **kill-master** (``kill_master_at``, ``repro chaos --kill-master-at``)
+  — journals the run and kills the master (the in-process ``kill -9``
+  at a commit boundary) at a seeded commit. The executor's one extra
+  phase recovers the journal and resumes the run to its end;
+- **resources** (``resources=True``, ``repro chaos --resources``) —
+  seeded host failures (ENOSPC/EIO/short writes on journal appends,
+  fsync failures, shm allocation failures) into an fsynced journal and,
+  on processes, the shm block store. Each seed takes the next rung of
+  the journal's degrade ladder (:data:`DEGRADE_CYCLE`) and alternates
+  the retry budget, so one campaign covers retry absorption and every
+  rung: shm park failures fall back to inline payloads, journal write
+  failures retry, checkpoint-rescue or degrade to unjournaled.
+
+Every settled run is held to every check whose input exists, and
+classified:
+
+- ``ok``                  — finished, and every check below passed;
 - ``aborted``             — ended in a clean
-  :class:`~repro.utils.errors.FaultToleranceExhausted` (the budget or
-  every worker was genuinely exhausted — an *allowed* outcome);
-- ``wrong-answer``        — finished with state differing from the oracle;
-- ``invariant-violation`` — finished but the telemetry stream disagrees
-  with the dispatch core it is replayed into
-  (:func:`repro.check.trace_check.check_trace`), whose rules include the
-  fault-tolerance invariants (no commit after blacklist, every fault
-  re-assigned);
+  :class:`~repro.utils.errors.FaultToleranceExhausted` (the budget, every
+  worker, or a machine resource was genuinely exhausted — an *allowed*
+  outcome);
+- ``wrong-answer``        — the state differs from the serial oracle, the
+  simulator's omniscient ``sim.undetected_corruptions`` counter says
+  corrupted commits survived, or the answer could not be read off a
+  matrix that contradicts its recurrence
+  (:class:`~repro.utils.errors.InconsistentMatrix`);
+- ``invariant-violation`` — the telemetry stream disagrees with the
+  dispatch core it is replayed into
+  (:func:`repro.check.trace_check.check_trace`, primed with the verified
+  digest count and, on a resumed run, the journal's committed prefix —
+  its rules carry the fault, integrity and resume invariants); a
+  :class:`~repro.utils.errors.ResourceExhausted` without a job id; a
+  journal left behind that does not scan (a torn tail must have been
+  truncated back to the last good frame); or a ``/dev/shm`` segment a
+  processes run left behind;
 - ``hang``                — neither finished nor aborted within the run
   deadline;
 - ``error``               — any other exception escaped the runtime.
 
 The campaign invariant is that only the first two ever occur. Fault
 plans are pure functions of the seed (:mod:`repro.cluster.faults`), so a
-failing seed replays exactly.
-
-SDC mode (``sdc=True``, ``repro chaos --sdc``) swaps the fault mix for
-the *silent* tier — lying workers (``worker_p_lie``) and digest-evading
-``bitflip`` message mutations — and runs under the configured integrity
-mode. Classification tightens accordingly: real-backend states still
-diff against the serial oracle, the simulator's omniscient
-``sim.undetected_corruptions`` counter classifies taint that survived to
-the end as ``wrong-answer``, and the same replay holds the run to the
-integrity invariants (no dispatch after quarantine, every taint
-recomputed, no commit without digest verification). Running the same
-seeds with ``integrity='off'`` demonstrates the failure the defenses
-exist for: the campaign reports ``wrong-answer``.
+failing seed replays exactly; its trace and a copy of its journal go to
+the campaign's ``artifact_dir``.
 """
 
 from __future__ import annotations
 
 import os
+import shutil
+import tempfile
 import threading
 import time
 from dataclasses import dataclass, replace
@@ -48,7 +72,13 @@ import numpy as np
 from repro.algorithms import make_problem
 from repro.cluster.faults import DETECTABLE_MESSAGE_KINDS, MESSAGE_FAULT_KINDS, Faults
 from repro.runtime.config import RunConfig
-from repro.utils.errors import ChaosError, FaultToleranceExhausted
+from repro.utils.errors import (
+    ChaosError,
+    FaultToleranceExhausted,
+    InconsistentMatrix,
+    JournalError,
+    ResourceExhausted,
+)
 
 #: Backends a campaign may exercise ("serial" is the oracle, not a target).
 CAMPAIGN_BACKENDS = ("simulated", "threads", "processes")
@@ -105,8 +135,8 @@ class CampaignSpec:
     shm: bool = False
     #: Resource-exhaustion mode (``repro chaos --resources``): seeded
     #: I/O faults into journal appends/fsyncs and shm allocation, a
-    #: journal in a temp dir, and the degrade ladder cycled per seed.
-    #: See :mod:`repro.chaos.resources` for the contract.
+    #: journal in a temp dir, and the degrade ladder cycled per seed
+    #: (see the module docstring).
     resources: bool = False
     io_p_write: float = 0.08
     io_p_fsync: float = 0.04
@@ -206,13 +236,22 @@ class CampaignResult:
             raise ChaosError(self.summary())
 
 
-def chaos_config(backend: str, seed: int, spec: CampaignSpec) -> RunConfig:
+#: Per-seed rotation of ``journal_degrade`` in resources mode: one
+#: campaign covers every rung of the degradation ladder.
+DEGRADE_CYCLE = ("abort", "checkpoint", "memory")
+
+
+def chaos_config(
+    backend: str, seed: int, spec: CampaignSpec, workdir: Optional[str] = None
+) -> RunConfig:
     """The :class:`RunConfig` of one seeded campaign run.
 
     Timeouts are tight (so injected faults are detected quickly) and the
     hardened recovery is on: exponential backoff, blacklisting with a
     one-survivor floor, and the stall watchdog. The simulated backend
-    runs in sim-time, where the same knobs are cheap.
+    runs in sim-time, where the same knobs are cheap. The kill-master and
+    resources modes journal into ``workdir``; without one the config is
+    a plain run with the mode's fault draw.
     """
     io = dict(io_p_write=spec.io_p_write, io_p_fsync=spec.io_p_fsync, io_p_shm=spec.io_p_shm)
     common = dict(
@@ -243,6 +282,11 @@ def chaos_config(backend: str, seed: int, spec: CampaignSpec) -> RunConfig:
         batch_wave=spec.batch_wave,
         max_batch=spec.max_batch,
         shm=spec.shm,
+        # Keys the run's shm segments to this run, so the leak check
+        # inspects exactly its namespace (a pid-keyed prefix would collide
+        # with every other shm run this process hosts), and attributes
+        # its aborts.
+        run_id=f"chaos-{backend}-s{seed}-p{os.getpid()}",
     )
     if spec.sdc:
         common.update(
@@ -252,13 +296,39 @@ def chaos_config(backend: str, seed: int, spec: CampaignSpec) -> RunConfig:
             quarantine_threshold=spec.quarantine_threshold,
         )
     if backend == "simulated":
-        return RunConfig(task_timeout=5.0, subtask_timeout=5.0, **common)
-    return RunConfig(
-        task_timeout=0.75,
-        subtask_timeout=2.0,
-        poll_interval=0.01,
-        **common,
-    )
+        config = RunConfig(task_timeout=5.0, subtask_timeout=5.0, **common)
+    else:
+        config = RunConfig(task_timeout=0.75, subtask_timeout=2.0, poll_interval=0.01, **common)
+    if workdir is None:
+        return config
+    journal_path = os.path.join(workdir, "run.journal")
+    if spec.kill_master_at is not None:
+        # Kill at commit 1 + U[0, P * n_blocks), a pure function of the seed.
+        rng = np.random.default_rng([seed, spec.problem_seed, 0xD1E])
+        ceiling = max(1, int(round(_partition(spec, config).n_blocks * spec.kill_master_at)))
+        kill_after = 1 + int(rng.integers(0, ceiling))
+        return replace(
+            config,
+            journal_path=journal_path,
+            journal_fsync=False,
+            faults=replace(config.faults, kill_after=kill_after),
+            checkpoint_interval=max(2, kill_after // 2),
+        )
+    if spec.resources:
+        return replace(
+            config,
+            journal_path=journal_path,
+            journal_fsync=True,  # the fsync fault surface needs real fsyncs
+            journal_degrade=DEGRADE_CYCLE[seed % len(DEGRADE_CYCLE)],
+            # Alternate the retry budget so the campaign exercises both
+            # retry absorption (an isolated fault never reaches the ladder)
+            # and the ladder itself (every fault degrades immediately).
+            journal_retries=seed % 2,
+            checkpoint_interval=4,
+            # Park payloads in shm so allocation faults have a surface.
+            shm=config.shm or backend == "processes",
+        )
+    return config
 
 
 def _oracle_state(spec: CampaignSpec) -> Optional[Dict[str, np.ndarray]]:
@@ -274,6 +344,12 @@ def _build_problem(spec: CampaignSpec):
     return make_problem(spec.algo, spec.size, spec.problem_seed)
 
 
+def _partition(spec: CampaignSpec, config: RunConfig):
+    """The process-level partition a campaign run dispatches."""
+    problem = _build_problem(spec)
+    return problem.build_partition(config.partitions_for(problem)[0])
+
+
 def _states_equal(
     oracle: Dict[str, np.ndarray], state: Dict[str, np.ndarray]
 ) -> Optional[str]:
@@ -287,108 +363,152 @@ def _states_equal(
     return None
 
 
-def _execute_one(
+def _execute(
     spec: CampaignSpec, backend: str, seed: int, oracle, artifact_dir: Optional[str]
 ) -> RunOutcome:
+    """One seeded run in any mode: run it boxed, resume it once when the
+    master was killed, judge what settled, and dump a failure's trace
+    and journal."""
+    from repro.durable import recover
     from repro.runtime.system import EasyHPS
+    from repro.utils.errors import MasterCrash
 
-    config = chaos_config(backend, seed, spec)
-    if backend == "processes" and spec.shm:
-        # Key this run's segments by a run id so the leak check below
-        # inspects exactly this run's namespace — a pid-keyed prefix
-        # would collide with every other shm run this process hosts
-        # (parallel campaigns, the serve daemon's concurrent jobs).
-        config = replace(
-            config, run_id=f"chaos-{backend}-s{seed}-p{os.getpid()}"
-        )
+    tmp = tempfile.mkdtemp(prefix=f"chaos-{backend}-{seed}-")
+    config = chaos_config(backend, seed, spec, workdir=tmp)
     problem = _build_problem(spec)
     started = time.perf_counter()
     box = _run_boxed(
         spec, f"chaos-{backend}-{seed}", lambda: EasyHPS(config).run(problem)
     )
-    elapsed = time.perf_counter() - started
+    journaled = None
+    if config.faults.kill_after is not None and box:
+        if "run" in box:
+            box = {"exc": ChaosError("the kill switch never fired (run finished)")}
+        elif isinstance(box["exc"], MasterCrash):
+            try:
+                rec = recover(config.journal_path)
+            except Exception as exc:  # classified by the verdict
+                box = {"exc": exc}
+            else:
+                journaled = rec.scan.committed
+                box = _run_boxed(
+                    spec, f"chaos-resume-{backend}-{seed}",
+                    lambda: EasyHPS(rec.config).run(rec.problem, resume=rec),
+                )
+    outcome = _judge(spec, backend, seed, box, config, oracle, journaled)
+    outcome.elapsed = time.perf_counter() - started
+    if not outcome.acceptable and artifact_dir:
+        report = box["run"].report if "run" in box else None
+        _dump(artifact_dir, outcome, config.journal_path, report)
+    shutil.rmtree(tmp, ignore_errors=True)
+    return outcome
 
+
+def _judge(
+    spec: CampaignSpec,
+    backend: str,
+    seed: int,
+    box: Dict[str, object],
+    config: RunConfig,
+    oracle,
+    journaled,
+) -> RunOutcome:
+    """Hold one settled run to every check whose input exists.
+
+    The first failed check names the status; the detail lists them all.
+    ``journaled`` is the committed prefix a resumed run was recovered
+    from: primed with it, the replay is the resume invariants (a
+    journaled task committing again is ``duplicate-commit``, a frontier
+    ahead of the journal ``early-assign``).
+    """
+    from repro.check.trace_check import check_trace
+    from repro.durable.journal import scan_journal
+
+    partition = _partition(spec, config)
+    notes: List[str] = []
+    if config.faults.kill_after is not None:
+        notes.append(f"killed at commit {config.faults.kill_after}/{partition.n_blocks}")
+    if spec.resources:
+        notes.append(f"degrade={config.journal_degrade}")
     if not box:
         # The one outcome the design promises cannot happen. The runner
-        # abandons the daemon thread and reports it.
-        return RunOutcome(
-            backend, seed, "hang",
-            detail=f"run exceeded {spec.run_timeout}s deadline", elapsed=elapsed,
-        )
-    if backend == "processes" and spec.shm:
-        # Segment-leak invariant: however the run settled — committed,
-        # aborted mid-wave, or errored — the teardown sweep must have
-        # reclaimed every block segment this master parked. (The hang
-        # path above legitimately still holds segments, so it returns
-        # before this check.)
+        # abandons the daemon thread (which may still hold shm segments).
+        notes.append(f"run exceeded {spec.run_timeout}s deadline")
+        return RunOutcome(backend, seed, "hang", detail="; ".join(notes)[:300])
+
+    failed: List[Tuple[str, str]] = []
+    exc = box.get("exc")
+    outcome = RunOutcome(backend, seed, "ok" if exc is None else "aborted")
+    if isinstance(exc, InconsistentMatrix):
+        failed.append(("wrong-answer", str(exc)))
+    elif isinstance(exc, ResourceExhausted) and not exc.job_id:
+        failed.append(("invariant-violation", f"abort without attribution: {exc!r}"))
+    elif isinstance(exc, FaultToleranceExhausted):
+        notes.append(f"{exc.reason}: {exc}" if isinstance(exc, ResourceExhausted) else str(exc))
+    elif exc is not None:
+        failed.append(("error", f"{type(exc).__name__}: {exc}"))
+    else:
+        run = box["run"]
+        report = run.report
+        counters = (report.metrics or {}).get("counters", {})
+        outcome.faults_injected = report.faults_injected
+        outcome.faults_recovered = report.faults_recovered
+        if run.state is not None and oracle is not None:
+            diff = _states_equal(oracle, run.state)
+            if diff is not None:
+                failed.append(("wrong-answer", diff))
+        undetected = counters.get("sim.undetected_corruptions", 0)
+        if undetected:
+            # The simulator computes no values to diff; its omniscient
+            # taint counter is the wrong-answer verdict instead.
+            failed.append((
+                "wrong-answer",
+                f"{int(undetected)} corrupted commits survived undetected (simulated taint)",
+            ))
+        if report.events is not None:
+            verified = counters.get("integrity.digests_verified")
+            check = check_trace(
+                report.events,
+                partition.abstract,
+                verified=None if verified is None else int(verified),
+                journaled=journaled,
+            )
+            if not check.ok:
+                failed.append((
+                    "invariant-violation",
+                    "; ".join(f"[{d.code}] {d.message}" for d in check.diagnostics),
+                ))
+    if config.journal_path is not None and os.path.exists(config.journal_path):
+        # Missing is fine: memory-degrade unlinks the journal.
+        try:
+            scan_journal(config.journal_path)
+        except JournalError as scan_exc:
+            failed.append(("invariant-violation", f"journal unrecoverable: {scan_exc}"))
+    if backend == "processes":
         leaked = _shm_leak(config.run_id)
         if leaked:
-            return RunOutcome(
-                backend, seed, "invariant-violation", detail=leaked, elapsed=elapsed
-            )
-    exc = box.get("exc")
-    if isinstance(exc, FaultToleranceExhausted):
-        return RunOutcome(
-            backend, seed, "aborted", detail=str(exc)[:200], elapsed=elapsed
-        )
-    if exc is not None:
-        return RunOutcome(
-            backend, seed, "error",
-            detail=f"{type(exc).__name__}: {exc}"[:200], elapsed=elapsed,
-        )
+            failed.append(("invariant-violation", leaked))
+    if failed:
+        outcome.status = failed[0][0]
+    outcome.detail = "; ".join(notes + [why for _, why in failed])[:300]
+    return outcome
 
-    run = box["run"]
-    report = run.report
-    outcome = RunOutcome(
-        backend, seed, "ok",
-        faults_injected=report.faults_injected,
-        faults_recovered=report.faults_recovered,
-        elapsed=elapsed,
-    )
-    if run.state is not None and oracle is not None:
-        diff = _states_equal(oracle, run.state)
-        if diff is not None:
-            outcome.status, outcome.detail = "wrong-answer", diff
-    if outcome.status == "ok" and backend == "simulated" and report.metrics:
-        # The simulator computes no values to diff; its omniscient taint
-        # counter is the wrong-answer verdict instead.
-        undetected = report.metrics.get("counters", {}).get(
-            "sim.undetected_corruptions", 0
-        )
-        if undetected:
-            outcome.status = "wrong-answer"
-            outcome.detail = (
-                f"{int(undetected)} corrupted commits survived undetected "
-                "(simulated taint)"
-            )
-    if outcome.status == "ok" and report.events is not None:
-        from repro.check.trace_check import check_trace
 
-        verified = (report.metrics or {}).get("counters", {}).get(
-            "integrity.digests_verified"
-        )
-        proc_size, _ = config.partitions_for(problem)
-        check = check_trace(
-            report.events,
-            problem.build_partition(proc_size).abstract,
-            verified=None if verified is None else int(verified),
-        )
-        if not check.ok:
-            outcome.status = "invariant-violation"
-            outcome.detail = "; ".join(
-                f"[{d.code}] {d.message}" for d in check.diagnostics
-            )[:300]
-    if not outcome.acceptable and artifact_dir and report.events is not None:
+def _dump(artifact_dir: str, outcome: RunOutcome, journal_path: Optional[str], report) -> None:
+    """Keep a failing run's journal and Perfetto trace in ``artifact_dir``."""
+    os.makedirs(artifact_dir, exist_ok=True)
+    stem = os.path.join(artifact_dir, f"chaos-{outcome.backend}-seed{outcome.seed}")
+    if journal_path is not None and os.path.exists(journal_path):
+        shutil.copyfile(journal_path, f"{stem}.journal")
+        outcome.detail = f"{outcome.detail} [journal: {stem}.journal]"
+    if report is not None and report.events is not None:
         from repro.obs import write_trace
 
-        os.makedirs(artifact_dir, exist_ok=True)
-        path = os.path.join(artifact_dir, f"chaos-{backend}-seed{seed}.trace.json")
+        outcome.trace_path = f"{stem}.trace.json"
         write_trace(
-            path, report.events, metrics=report.metrics,
-            meta={"backend": backend, "seed": seed, "status": outcome.status},
+            outcome.trace_path, report.events, metrics=report.metrics,
+            meta={"backend": outcome.backend, "seed": outcome.seed, "status": outcome.status},
         )
-        outcome.trace_path = path
-    return outcome
 
 
 def _shm_leak(run_id: str) -> Optional[str]:
@@ -413,7 +533,7 @@ def _run_boxed(spec: CampaignSpec, name: str, fn: Callable[[], object]) -> Dict[
     def target() -> None:
         try:
             box["run"] = fn()
-        except BaseException as exc:  # classified by the caller
+        except BaseException as exc:  # classified by the verdict
             box["exc"] = exc
 
     t = threading.Thread(target=target, daemon=True, name=name)
@@ -424,169 +544,19 @@ def _run_boxed(spec: CampaignSpec, name: str, fn: Callable[[], object]) -> Dict[
     return box
 
 
-def _execute_kill_master(
-    spec: CampaignSpec, backend: str, seed: int, oracle, artifact_dir: Optional[str]
-) -> RunOutcome:
-    """One kill-master run: crash at a seeded commit, resume, verify.
-
-    Phase 1 journals the run with the kill switch armed at commit
-    ``1 + U[0, P * n_tasks)`` (pure function of the seed) and expects a
-    :class:`~repro.utils.errors.MasterCrash`. Phase 2 recovers the
-    journal, resumes, and requires the resumed state to equal the serial
-    oracle (real backends) and the resume invariants to hold over the
-    resumed telemetry stream (all backends, including simulated where no
-    state exists to diff).
-    """
-    import shutil
-    import tempfile
-
-    from repro.runtime.system import EasyHPS
-    from repro.utils.errors import MasterCrash
-
-    problem = _build_problem(spec)
-    config = chaos_config(backend, seed, spec)
-    proc_size, _ = config.partitions_for(problem)
-    partition = problem.build_partition(proc_size)
-    rng = np.random.default_rng([seed, spec.problem_seed, 0xD1E])
-    ceiling = max(1, int(round(partition.n_blocks * spec.kill_master_at)))
-    kill_after = 1 + int(rng.integers(0, ceiling))
-    tmp = tempfile.mkdtemp(prefix=f"chaos-kill-{backend}-{seed}-")
-    journal_path = os.path.join(tmp, "master.journal")
-    config = replace(
-        config,
-        journal_path=journal_path,
-        journal_fsync=False,
-        faults=replace(config.faults, kill_after=kill_after),
-        checkpoint_interval=max(2, kill_after // 2),
-    )
-
-    started = time.perf_counter()
-    detail = f"killed at commit {kill_after}/{partition.n_blocks}"
-
-    def fail(status: str, why: str, trace_events=None) -> RunOutcome:
-        out = RunOutcome(
-            backend, seed, status, detail=f"{detail}; {why}"[:300],
-            elapsed=time.perf_counter() - started,
-        )
-        if artifact_dir:
-            os.makedirs(artifact_dir, exist_ok=True)
-            kept = os.path.join(
-                artifact_dir, f"kill-{backend}-seed{seed}.journal"
-            )
-            if os.path.exists(journal_path):
-                shutil.copyfile(journal_path, kept)
-                out.detail = f"{out.detail} [journal: {kept}]"[:300]
-            if trace_events is not None:
-                from repro.obs import write_trace
-
-                path = os.path.join(
-                    artifact_dir, f"kill-{backend}-seed{seed}.trace.json"
-                )
-                write_trace(
-                    path, trace_events,
-                    meta={"backend": backend, "seed": seed, "status": status},
-                )
-                out.trace_path = path
-        shutil.rmtree(tmp, ignore_errors=True)
-        return out
-
-    # Phase 1: run until the kill switch fires at the chosen commit.
-    box = _run_boxed(
-        spec, f"chaos-kill-{backend}-{seed}",
-        lambda: EasyHPS(config).run(problem),
-    )
-    if not box:
-        return fail("hang", f"phase 1 exceeded {spec.run_timeout}s deadline")
-    exc = box.get("exc")
-    if isinstance(exc, FaultToleranceExhausted):
-        # Fault pressure exhausted the budget before the kill point — an
-        # allowed outcome; nothing to resume.
-        shutil.rmtree(tmp, ignore_errors=True)
-        return RunOutcome(
-            backend, seed, "aborted", detail=f"{detail}; pre-kill abort: {exc}"[:300],
-            elapsed=time.perf_counter() - started,
-        )
-    if not isinstance(exc, MasterCrash):
-        why = (
-            f"{type(exc).__name__}: {exc}" if exc is not None
-            else "kill switch never fired (run finished)"
-        )
-        return fail("error", f"phase 1: {why}")
-
-    # Phase 2: recover the journal and resume to completion.
-    from repro.durable import recover
-
-    try:
-        rec = recover(journal_path)
-    except Exception as exc2:
-        return fail("error", f"recover: {type(exc2).__name__}: {exc2}")
-    box = _run_boxed(
-        spec, f"chaos-resume-{backend}-{seed}",
-        lambda: EasyHPS(rec.config).run(rec.problem, resume=rec),
-    )
-    if not box:
-        return fail("hang", f"resume exceeded {spec.run_timeout}s deadline")
-    exc = box.get("exc")
-    if isinstance(exc, FaultToleranceExhausted):
-        shutil.rmtree(tmp, ignore_errors=True)
-        return RunOutcome(
-            backend, seed, "aborted", detail=f"{detail}; resume aborted: {exc}"[:300],
-            elapsed=time.perf_counter() - started,
-        )
-    if exc is not None:
-        return fail("error", f"resume: {type(exc).__name__}: {exc}")
-
-    run = box["run"]
-    report = run.report
-    if run.state is not None and oracle is not None:
-        diff = _states_equal(oracle, run.state)
-        if diff is not None:
-            return fail("wrong-answer", diff, trace_events=report.events)
-    if report.events is not None:
-        from repro.check.trace_check import check_trace
-
-        # Primed with the journal's prefix, the replay is the resume
-        # invariants: a journaled task committing again is
-        # ``duplicate-commit``, a frontier ahead of the journal
-        # ``early-assign``, an uncovered vertex ``lost-update``.
-        check = check_trace(
-            report.events, partition.abstract, journaled=rec.scan.committed
-        )
-        if not check.ok:
-            why = "; ".join(f"[{d.code}] {d.message}" for d in check.diagnostics)
-            return fail("invariant-violation", why, trace_events=report.events)
-    shutil.rmtree(tmp, ignore_errors=True)
-    return RunOutcome(
-        backend, seed, "ok", detail=detail,
-        faults_injected=report.faults_injected,
-        faults_recovered=report.faults_recovered,
-        elapsed=time.perf_counter() - started,
-    )
-
-
 def run_campaign(
     spec: CampaignSpec,
     artifact_dir: Optional[str] = None,
     progress: Optional[Callable[[RunOutcome], None]] = None,
 ) -> CampaignResult:
-    """Run the campaign; failing runs dump Perfetto traces to
+    """Run the campaign; failing runs leave their trace and journal in
     ``artifact_dir`` (when set). Raises nothing — inspect the result (or
     call :meth:`CampaignResult.raise_if_failed`)."""
     oracle = _oracle_state(spec)
-    if spec.kill_master_at is not None:
-        execute = _execute_kill_master
-    elif spec.resources:
-        from repro.chaos.resources import _execute_resource
-
-        execute = _execute_resource
-    else:
-        execute = _execute_one
     outcomes: List[RunOutcome] = []
     for backend in spec.backends:
         for i in range(spec.seeds):
-            outcome = execute(
-                spec, backend, spec.first_seed + i, oracle, artifact_dir
-            )
+            outcome = _execute(spec, backend, spec.first_seed + i, oracle, artifact_dir)
             outcomes.append(outcome)
             if progress is not None:
                 progress(outcome)

@@ -114,6 +114,22 @@ def derived_rng(seed: int, salt: int, *key: object) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
+class _ByValue:
+    """Plans compare and hash by value: their rules and random parameters,
+    which are all of their attributes. A plan that crossed a pickle (a
+    slave process, a journal's begin record) equals the one it came from.
+    """
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and vars(other) == vars(self)
+
+    def __hash__(self) -> int:
+        return hash(tuple(
+            (name, tuple(sorted(v.items())) if isinstance(v, dict) else v)
+            for name, v in sorted(vars(self).items())
+        ))
+
+
 # -- task-level faults (crash / hang) -------------------------------------------------
 
 
@@ -140,7 +156,7 @@ class FaultRule:
         return attempt == self.attempt and (self.task_id is None or self.task_id == task_id)
 
 
-class FaultPlan:
+class FaultPlan(_ByValue):
     """A queryable collection of task-level fault rules."""
 
     def __init__(self, rules: Iterable[FaultRule] = ()) -> None:
@@ -244,7 +260,7 @@ class MessageFaultRule:
         )
 
 
-class MessageFaultPlan:
+class MessageFaultPlan(_ByValue):
     """A queryable collection of message-level fault rules.
 
     The ``random`` mode faults each message independently with
@@ -375,7 +391,7 @@ class WorkerFaultRule:
         return self.worker_id is None or self.worker_id == worker_id
 
 
-class WorkerFaultPlan:
+class WorkerFaultPlan(_ByValue):
     """A queryable collection of worker-level fault rules."""
 
     def __init__(self, rules: Iterable[WorkerFaultRule] = ()) -> None:
@@ -539,7 +555,7 @@ class IoFaultRule:
         return max(0, min(size - 1, int(size * self.fraction)))
 
 
-class IoFaultPlan:
+class IoFaultPlan(_ByValue):
     """A queryable collection of resource-exhaustion I/O fault rules.
 
     Same contract as the other plan families: decisions in ``random``

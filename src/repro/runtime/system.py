@@ -21,7 +21,7 @@ import numpy as np
 from repro.algorithms.problem import DPProblem
 from repro.analysis.report import RunReport
 from repro.runtime.config import RunConfig
-from repro.utils.errors import ConfigError
+from repro.utils.errors import ConfigError, InconsistentMatrix
 
 
 @dataclass
@@ -36,6 +36,18 @@ class RunResult:
     value: Any
     state: Optional[Dict[str, np.ndarray]]
     report: RunReport
+
+
+def _finalize(problem: DPProblem, state, run_id: Optional[str]) -> Any:
+    """The user-facing answer; a matrix that contradicts its recurrence
+    raises naming the run it came from."""
+    if state is None:
+        return None
+    try:
+        return problem.finalize(state)
+    except InconsistentMatrix as exc:
+        exc.run_id = run_id
+        raise
 
 
 class EasyHPS:
@@ -74,7 +86,7 @@ class EasyHPS:
                 wall_time=0.0,
                 n_tasks=resume.n_tasks,
             )
-            value = problem.finalize(state) if state is not None else None
+            value = _finalize(problem, state, cfg.run_id)
             return RunResult(value=value, state=state, report=report)
         if cfg.backend == "serial":
             from repro.backends.serial import run_serial
@@ -94,7 +106,7 @@ class EasyHPS:
             state, report = run_simulated(problem, cfg, resume=resume)
         else:  # pragma: no cover - RunConfig already validates
             raise ConfigError(f"unknown backend {cfg.backend!r}")
-        value = problem.finalize(state) if state is not None else None
+        value = _finalize(problem, state, cfg.run_id)
         return RunResult(value=value, state=state, report=report)
 
     def __repr__(self) -> str:

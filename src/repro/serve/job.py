@@ -42,9 +42,9 @@ TERMINAL_STATES: Tuple[str, ...] = ("done", "aborted", "error", "cancelled")
 
 #: Recognized keys of a spec's ``chaos`` profile (all floats; ``seed``
 #: is truncated to int, every other key is a
-#: :meth:`~repro.cluster.faults.Faults.random` keyword). Unknown keys are
-#: rejected at validation so a typo cannot silently disable a campaign's
-#: sabotage tier.
+#: :meth:`~repro.cluster.faults.Faults.random` keyword). Unknown keys,
+#: and values ``Faults.random`` refuses, are rejected at validation so a
+#: typo cannot silently disable a campaign's sabotage tier.
 CHAOS_KEYS: Tuple[str, ...] = (
     "seed", "message_p", "worker_p_die", "worker_p_slow", "worker_p_lie",
     "task_fault_p",
@@ -100,11 +100,19 @@ class JobSpec:
             raise ConfigError(f"deadline must be > 0, got {self.deadline}")
         if self.max_retries < 0:
             raise ConfigError(f"max_retries must be >= 0, got {self.max_retries}")
-        for key in self.chaos:
-            if key not in CHAOS_KEYS:
-                raise ConfigError(
-                    f"unknown chaos knob {key!r}; known: {CHAOS_KEYS}"
-                )
+        if self.chaos:
+            from repro.cluster.faults import Faults
+
+            for key, value in self.chaos.items():
+                if key not in CHAOS_KEYS:
+                    raise ConfigError(
+                        f"unknown chaos knob {key!r}; known: {CHAOS_KEYS}"
+                    )
+                if key != "seed":
+                    try:
+                        Faults.random(**{key: value})
+                    except ConfigError as exc:
+                        raise ConfigError(f"chaos knob {key!r}: {exc}") from None
 
     @property
     def workers_wanted(self) -> int:

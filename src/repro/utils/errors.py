@@ -95,6 +95,26 @@ def _rebuild_resource_exhausted(message, job_id, resource, op):
     return ResourceExhausted(message, job_id=job_id, resource=resource, op=op)
 
 
+class InconsistentMatrix(ReproError):
+    """A finished DP matrix contradicts its own recurrence: the traceback
+    or reconstruction that reads the answer off it found no case that
+    produces ``cell``.
+
+    A commit no integrity mode caught (a liar under ``integrity="digest"``
+    is undetectable by design) ends here, as an attributed wrong answer.
+    ``run_id`` names the run (``RunConfig.run_id``) when it has one.
+    """
+
+    def __init__(self, message: str, *, cell: tuple, run_id: "str | None" = None) -> None:
+        super().__init__(message)
+        self.cell = cell
+        self.run_id = run_id
+
+    def __str__(self) -> str:
+        base = f"{super().__str__()} at cell {self.cell}"
+        return base if self.run_id is None else f"[run {self.run_id}] {base}"
+
+
 class ConfigError(ReproError, ValueError):
     """A run configuration is invalid or inconsistent.
 

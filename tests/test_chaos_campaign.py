@@ -23,7 +23,7 @@ from repro.chaos.campaign import (
 from repro.check.diagnostics import LOST_UPDATE, STALE_COMMIT
 from repro.check.trace_check import check_trace
 from repro.dag.library import WavefrontPattern
-from repro.utils.errors import ChaosError
+from repro.utils.errors import ChaosError, InconsistentMatrix, ResourceExhausted
 
 
 @dataclass
@@ -236,7 +236,12 @@ class TestLiveCampaign:
         again = run_campaign(spec)
         assert [o.status for o in again.outcomes] == [o.status for o in result.outcomes]
 
-    def test_surviving_runs_are_held_to_the_core_replay(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "mode",
+        [{}, {"kill_master_at": 0.5}, {"resources": True, "first_seed": 1}],
+        ids=["plain", "kill-master", "resources"],
+    )
+    def test_surviving_runs_are_held_to_the_core_replay(self, monkeypatch, mode):
         from repro.check import trace_check
 
         real, patterns = trace_check.check_trace, []
@@ -253,9 +258,51 @@ class TestLiveCampaign:
         spec = CampaignSpec(
             backends=("simulated",), seeds=3, size=32, nodes=3, run_timeout=30.0,
             task_fault_p=0.0, worker_p_die=0.0,  # every run survives
+            **mode,
         )
         result = run_campaign(spec)
         # The process-level pattern: 4 x 4 blocks of the 32 x 32 instance.
         assert [p.n_vertices() for p in patterns] == [16, 16, 16]
         assert [o.status for o in result.outcomes] == ["ok", "invariant-violation", "ok"]
         assert "[protocol-illegal-transition] seeded finding" in result.outcomes[1].detail
+
+    @pytest.mark.parametrize(
+        "exc, status",
+        [
+            (ResourceExhausted("disk full", op="journal-write"), "invariant-violation"),
+            (ResourceExhausted("disk full", job_id="j", op="journal-write"), "aborted"),
+            (InconsistentMatrix("traceback stuck", cell=(3, 4)), "wrong-answer"),
+        ],
+        ids=["unattributed", "attributed", "inconsistent-matrix"],
+    )
+    def test_what_a_plain_run_raises_is_judged(self, monkeypatch, exc, status):
+        from repro.runtime.system import EasyHPS
+
+        def run(self, problem, config=None, resume=None):
+            raise exc
+
+        monkeypatch.setattr(EasyHPS, "run", run)
+        monkeypatch.setattr("repro.chaos.campaign._oracle_state", lambda spec: None)
+        [outcome] = run_campaign(CampaignSpec(backends=("simulated",), seeds=1)).outcomes
+        assert outcome.status == status, outcome.detail
+
+    def test_a_resumed_run_is_held_to_the_simulated_taint(self, monkeypatch):
+        from repro.runtime.system import EasyHPS
+
+        real = EasyHPS.run
+
+        def run(self, problem, config=None, resume=None):
+            result = real(self, problem, config, resume)
+            if resume is not None:
+                counters = result.report.metrics.setdefault("counters", {})
+                counters["sim.undetected_corruptions"] = 1
+            return result
+
+        monkeypatch.setattr(EasyHPS, "run", run)
+        spec = CampaignSpec(
+            backends=("simulated",), seeds=1, size=32, kill_master_at=0.5,
+            message_p=0.0, worker_p_die=0.0, worker_p_slow=0.0, task_fault_p=0.0,
+        )
+        [outcome] = run_campaign(spec).outcomes
+        assert outcome.status == "wrong-answer"
+        assert "1 corrupted commits survived undetected" in outcome.detail

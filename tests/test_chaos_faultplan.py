@@ -21,6 +21,7 @@ from repro.cluster.faults import (
     FaultRule,
     Faults,
     IoFaultPlan,
+    IoFaultRule,
     MessageFaultPlan,
     MessageFaultRule,
     WorkerFaultPlan,
@@ -298,6 +299,33 @@ class TestFaults:
             faults.task, faults.message, faults.worker, faults.io
         )
 
+    @pytest.mark.parametrize("explicit", [False, True], ids=["random", "rules"])
+    def test_a_pickled_config_equals_its_original(self, explicit):
+        if explicit:
+            faults = Faults(
+                task=FaultPlan([FaultRule("hang", (1, 1), duration=0.5)]),
+                message=MessageFaultPlan([MessageFaultRule("drop", index=3)]),
+                worker=WorkerFaultPlan([WorkerFaultRule("die", worker_id=1)]),
+                io=IoFaultPlan([IoFaultRule("write", "enospc", after=2)]),
+                kill_after=4,
+            )
+        else:
+            faults = Faults.random(
+                3, task_fault_p=0.1, message_p=0.1, worker_p_die=0.2, io_p_write=0.1
+            )
+        config = RunConfig(faults=faults)
+        clone = pickle.loads(pickle.dumps(config))
+        assert clone == config and hash(clone) == hash(config)
+
+    def test_different_seeds_compare_unequal(self):
+        a, b = (
+            Faults.random(seed, task_fault_p=0.1, message_p=0.1, worker_p_die=0.2, io_p_write=0.1)
+            for seed in (3, 4)
+        )
+        for tier in ("task", "message", "worker", "io"):
+            assert getattr(a, tier) != getattr(b, tier)
+        assert RunConfig(faults=a) != RunConfig(faults=b)
+
 
 class TestServeChaosVocabulary:
     """A serve job's ``chaos`` profile is ``Faults.random``'s keywords."""
@@ -327,6 +355,22 @@ class TestServeChaosVocabulary:
             ),
         )
         assert not faults.thread and not faults.io and faults.kill_after is None
+
+    def test_a_value_faults_refuses_is_refused_at_submit(self, tmp_path):
+        from repro.serve import ServeDaemon
+        from repro.serve.wal import scan_serve_journal
+
+        with pytest.raises(ConfigError, match="message_p"):
+            JobSpec(chaos={"message_p": 2.0})
+        wal_path = str(tmp_path / "serve.srvj")
+        daemon = ServeDaemon(workers=1, wal_path=wal_path)
+        daemon.start()
+        try:
+            decision = daemon.submit_dict({"chaos": {"seed": 1, "worker_p_die": -0.5}})
+        finally:
+            daemon.drain(10.0)
+        assert not decision.accepted and "worker_p_die" in decision.reason
+        assert scan_serve_journal(wal_path).order == []
 
     @pytest.mark.parametrize("sdc", [False, True])
     def test_the_campaign_decides_like_the_hand_built_plans(self, sdc):

@@ -8,6 +8,7 @@ import pytest
 
 from repro.utils.errors import (
     FaultToleranceExhausted,
+    InconsistentMatrix,
     JournalIOError,
     ResourceExhausted,
 )
@@ -106,3 +107,52 @@ class TestIpcRoundTrip:
         snap = JobRecord("job-1", JobSpec()).snapshot()
         assert snap["reason"] == ""
         json.dumps(snap)  # JSON-safe
+
+
+def _break(algo, problem, state):
+    """Contradict the recurrence at the cell the traceback reads first;
+    returns that cell (for Floyd-Warshall, the pair whose path is read)."""
+    import numpy as np
+
+    if algo == "swgg":
+        H = state["H"]
+        cell = divmod(int(np.argmax(H)), H.shape[1])
+        H[cell] += 1000.0
+        return cell
+    if algo == "floyd-warshall":
+        W = state["W"]
+        v = int(np.nonzero(np.isfinite(W[0, 1:]))[0][0]) + 1
+        W[0, v] -= 1000.0
+        return (0, v)
+    F, last = state["F"], problem.n - 1
+    if algo == "cyk":
+        F[np.triu_indices(problem.n, 1)] = 0
+        F[0, last] = np.uint64(1) << np.uint64(problem.grammar.index(problem.grammar.start))
+    else:  # nussinov, optimal-bst, matrix-chain: no case reaches a raised score
+        F[0, last] += 1000.0
+    return (0, last)
+
+
+@pytest.mark.parametrize(
+    "algo", ["nussinov", "swgg", "cyk", "optimal-bst", "matrix-chain", "floyd-warshall"]
+)
+def test_a_wrong_matrix_names_its_cell_and_run(monkeypatch, algo):
+    from repro import EasyHPS, RunConfig
+    from repro.algorithms import make_problem
+    from repro.algorithms.floyd_warshall import reconstruct_path
+
+    problem = make_problem(algo, 12, 1)
+    finalize, cells = problem.finalize, []
+
+    def broken(state):
+        cells.append(_break(algo, problem, state))
+        result = finalize(state)
+        if algo == "floyd-warshall":  # its traceback is path reconstruction
+            reconstruct_path(problem.weights, result.dist, *cells[0])
+        return result
+
+    monkeypatch.setattr(problem, "finalize", broken)
+    with pytest.raises(InconsistentMatrix) as err:
+        EasyHPS(RunConfig(backend="serial", run_id="wrong-1")).run(problem)
+    assert err.value.cell == cells[0] and err.value.run_id == "wrong-1"
+    assert str(err.value).startswith("[run wrong-1]") and f"at cell {cells[0]}" in str(err.value)
